@@ -193,9 +193,9 @@ void sim_throughput(benchmark::State& state, const BenchmarkApp& app) {
                                 benchmark::Counter::kInvert));
 }
 
-/// Batch-interleaved variant: all `lanes` repeats of the candidate in one
-/// pass over the plan (Simulator::run_repeats) — the shape the evaluator's
-/// repeat loop uses, where graph-traversal overhead amortizes across lanes.
+/// Multi-seed variant: `lanes` repeats of the candidate per call through
+/// Simulator::run_repeats, a loop over run_prepared's event loop that keeps
+/// one report per seed; its per-run cost should match sim_throughput's.
 void sim_repeats_throughput(benchmark::State& state, const BenchmarkApp& app,
                             std::size_t lanes) {
   Simulator sim(shepard1(), app.graph, app.sim);
@@ -206,8 +206,7 @@ void sim_repeats_throughput(benchmark::State& state, const BenchmarkApp& app,
     state.SkipWithError("default mapping failed to resolve");
     return;
   }
-  std::vector<std::uint64_t>& seeds = scratch.seed_buffer();
-  seeds.resize(lanes);
+  std::vector<std::uint64_t> seeds(lanes);
   std::uint64_t seed = 0;
   std::uint64_t events = 0;
   for (auto _ : state) {

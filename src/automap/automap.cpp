@@ -1,9 +1,12 @@
 #include "src/automap/automap.hpp"
 
+#include <limits>
+
 #include "src/runtime/mapper.hpp"
 #include "src/search/coordinate_descent.hpp"
 #include "src/search/ensemble_tuner.hpp"
 #include "src/support/error.hpp"
+#include "src/support/rng.hpp"
 
 namespace automap {
 
@@ -34,7 +37,21 @@ SearchResult automap_optimize(const Simulator& sim, SearchAlgorithm algorithm,
 
 double measure_mapping(const Simulator& sim, const Mapping& mapping,
                        int repeats, std::uint64_t seed) {
-  return sim.mean_total_seconds(mapping, seed, repeats);
+  AM_REQUIRE(repeats > 0, "repeats must be positive");
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  SimScratch scratch;
+  // One validation + memory resolution serves every repeat (both are
+  // noise-independent).
+  if (!sim.begin_runs(mapping, scratch)) return kInf;
+  double sum = 0.0;
+  for (int r = 0; r < repeats; ++r) {
+    const ExecutionReport& report = sim.run_prepared(
+        mapping, mix64(seed + 1000003ULL * static_cast<std::uint64_t>(r)),
+        scratch, kInf);
+    if (!report.ok) return kInf;
+    sum += report.total_seconds;
+  }
+  return sum / repeats;
 }
 
 OnlineResult automap_online(const Simulator& sim,

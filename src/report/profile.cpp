@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <sstream>
 
-#include "src/sim/ready_wheel.hpp"
 #include "src/support/error.hpp"
 #include "src/support/format.hpp"
 #include "src/support/table.hpp"
@@ -26,23 +26,17 @@ bool is_pool_resource(const std::string& resource) {
 /// which are some earlier event's end (or 0), so the chain is gap-free.
 std::vector<CriticalPathStep> extract_critical_path(
     const std::vector<TraceEvent>& trace, double makespan) {
-  // Order events by end time through the bucketed wheel: end times cluster
-  // around the iteration cadence, so distributing them into ~one bucket per
-  // event and stable-sorting within buckets beats a global comparison sort —
-  // and the wheel's drain is guaranteed byte-identical to the
-  // std::stable_sort it replaces.
-  BucketedWheel wheel;
-  wheel.reset(0.0, makespan, trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i)
-    wheel.push(trace[i].start_s + trace[i].duration_s,
-               static_cast<std::uint32_t>(i));
-  std::vector<std::uint32_t> by_end;
-  wheel.drain(by_end);
-
   const double eps = 1e-9 * std::max(makespan, 1e-12);
   auto end_of = [&](std::size_t i) {
     return trace[i].start_s + trace[i].duration_s;
   };
+  // Events by end time; stable, so equal ends keep trace order.
+  std::vector<std::uint32_t> by_end(trace.size());
+  std::iota(by_end.begin(), by_end.end(), 0u);
+  std::stable_sort(by_end.begin(), by_end.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return end_of(a) < end_of(b);
+                   });
 
   std::vector<std::size_t> chain;
   if (trace.empty()) return {};

@@ -153,8 +153,14 @@ Evaluator::RunOutcome Evaluator::execute_run(const Mapping& candidate,
   // all clock costs beyond a successful run's own time ride in charge_s so
   // the fold stays a pure accumulation.
   RunOutcome out;
+  if (!sim_.begin_runs(candidate, scratch)) {
+    // Deterministic failure (OOM): one observation cost, same as the
+    // search loop charges.
+    out.charge_s += failure_observation_cost();
+    return out;
+  }
   for (int attempt = 0;; ++attempt) {
-    const ExecutionReport& report = sim_.run(
+    const ExecutionReport& report = sim_.run_prepared(
         candidate, run_seed(hash, repeat, attempt, kFinalSalt), scratch,
         kInf);
     if (report.ok) {
@@ -165,14 +171,8 @@ Evaluator::RunOutcome Evaluator::execute_run(const Mapping& candidate,
       out.total_seconds = report.total_seconds;
       return out;
     }
-    if (!report.transient) {
-      // Deterministic failure (OOM): one observation cost, same as the
-      // search loop charges.
-      out.charge_s += failure_observation_cost();
-      return out;
-    }
-    // Injected transient fault: the clock paid for the partial run and the
-    // abort observation.
+    // Injected transient fault (a prepared run fails no other way): the
+    // clock paid for the partial run and the abort observation.
     ++out.transient_failures;
     out.charge_s += report.total_seconds + failure_observation_cost();
     if (attempt >= options_.resilience.max_retries) {
@@ -226,31 +226,6 @@ Evaluator::CandOutcome Evaluator::run_candidate(const Mapping& candidate,
   // interpret; the robust aggregations need every survivor's value, so
   // censoring is disabled for them (every repeat runs to completion).
   const double race_threshold_s = robust ? kInf : threshold_s;
-  if (!inject && !std::isfinite(race_threshold_s)) {
-    // Batch-interleaved fast path: with faults off and censoring disabled
-    // (robust aggregation, or no finite threshold yet) every repeat is an
-    // independent unbounded run that always succeeds — OOM already surfaced
-    // at begin_runs and nothing transient can occur. The racing fold then
-    // degenerates to plain accumulation in repeat order, which is exactly
-    // what folding run_repeats' lane reports reproduces bit for bit, while
-    // the simulator walks the graph once instead of once per repeat.
-    std::vector<std::uint64_t>& seeds = scratch.seed_buffer();
-    seeds.resize(static_cast<std::size_t>(options_.repeats));
-    for (int r = 0; r < options_.repeats; ++r)
-      seeds[static_cast<std::size_t>(r)] = run_seed(key, r, 0, kEvalSalt);
-    for (const ExecutionReport& report :
-         sim_.run_repeats(candidate, seeds, scratch, kInf)) {
-      const double objective = options_.objective == Objective::kEnergy
-                                   ? report.energy_joules
-                                   : report.total_seconds;
-      out.objective_sum += objective;
-      out.charge_s += report.total_seconds;
-      ++out.survivors;
-      if (robust) out.objectives.push_back(objective);
-    }
-    if (out.survivors == 0) out.failed = true;
-    return out;
-  }
   const double repeats_d = static_cast<double>(options_.repeats);
   const double slack = 3.0 * sim_.options().noise_sigma;
   double sum = 0.0;

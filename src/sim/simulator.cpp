@@ -535,12 +535,10 @@ void Simulator::build_plan(const Mapping& mapping,
   }
 }
 
-void Simulator::simulate(const Mapping& mapping, std::uint64_t seed,
-                         double time_bound, SimScratch& scratch) const {
+void Simulator::simulate(std::uint64_t seed, double time_bound,
+                         SimScratch& scratch, ExecutionReport& report) const {
   // Everything mapping-dependent was flattened into the plan by
   // begin_runs; the loop below never touches the Mapping again.
-  (void)mapping;
-  ExecutionReport& report = scratch.report_;
   clear_report(report, options_.iterations, time_bound);
   report.footprints = scratch.footprints_;
   report.demoted_args = scratch.demoted_args_;
@@ -589,8 +587,9 @@ void Simulator::simulate(const Mapping& mapping, std::uint64_t seed,
   // channel per (src, dst), and the shared network serialization point —
   // the machine has one NIC, so System->System and FB->FB network
   // transfers contend even though their bandwidths differ per kind pair).
-  ResourceClocks& clocks = scratch.clocks_;
-  clocks.reset(1, kNumResClocks);
+  // Activities commit in dependency order, so one scalar per resource
+  // suffices and the censored-abort predicate stays exact.
+  std::array<double, kNumResClocks> clocks{};
 
   // Never read before written within a run (topological order guarantees
   // producers precede consumers; cross-iteration edges skip iteration 0),
@@ -652,8 +651,9 @@ void Simulator::simulate(const Mapping& mapping, std::uint64_t seed,
             report.faults.lost_seconds += elapsed;
             elapsed *= 2.0;
           }
-          const double start =
-              clocks.acquire(0, leg.resource, arrival, elapsed);
+          double& busy = clocks[leg.resource];
+          const double start = std::max(arrival, busy);
+          busy = start + elapsed;
           arrival = start + elapsed;
           ++events;
           if (record_trace) {
@@ -687,10 +687,9 @@ void Simulator::simulate(const Mapping& mapping, std::uint64_t seed,
       }
 
       // 2. Processor pool availability on every node the task occupies.
-      const double lead = clocks.busy_until(0, pt.pool);
+      const double lead = clocks[pt.pool];
       const double pool_free =
-          pt.dist != 0 ? std::max(lead, clocks.busy_until(0, pt.pool + 1))
-                       : lead;
+          pt.dist != 0 ? std::max(lead, clocks[pt.pool + 1]) : lead;
 
       const double start = std::max(ready, pool_free);
       double duration = pt.base_dur;
@@ -749,8 +748,8 @@ void Simulator::simulate(const Mapping& mapping, std::uint64_t seed,
 
       const double finish = start + duration;
 
-      clocks.set(0, pt.pool, finish);
-      if (pt.dist != 0) clocks.set(0, pt.pool + 1, finish);
+      clocks[pt.pool] = finish;
+      if (pt.dist != 0) clocks[pt.pool + 1] = finish;
       finish_cur[pt.task] = finish;
       makespan = std::max(makespan, finish);
 
@@ -860,7 +859,9 @@ const ExecutionReport& Simulator::run_prepared(const Mapping& mapping,
                                                std::uint64_t seed,
                                                SimScratch& scratch,
                                                double time_bound) const {
-  simulate(mapping, seed, time_bound, scratch);
+  // The plan from begin_runs carries every mapping-dependent quantity.
+  (void)mapping;
+  simulate(seed, time_bound, scratch, scratch.report_);
   count_run(scratch.report_);
   return scratch.report_;
 }
@@ -868,321 +869,21 @@ const ExecutionReport& Simulator::run_prepared(const Mapping& mapping,
 std::span<const ExecutionReport> Simulator::run_repeats(
     const Mapping& mapping, std::span<const std::uint64_t> seeds,
     SimScratch& scratch, double time_bound) const {
-  // The plan from begin_runs carries every mapping-dependent quantity.
   (void)mapping;
-  const std::size_t R = seeds.size();
-  scratch.lane_reports_.resize(R);
-  if (R == 0) return {};
-
-  const std::size_t num_tasks = graph_.num_tasks();
-  const FaultModel& faults = options_.faults;
-  const bool inject = faults.enabled();
-  const bool record_trace = options_.record_trace;
-  const double copy_noise_sigma = options_.noise_sigma * 0.5;
-
-  // Per-lane state. Lane r replays exactly the draw/clock sequence of a
-  // sequential run_prepared(seeds[r]): each lane owns its RNG streams and
-  // its row of resource clocks, and a lane that exits early (crash, bound
-  // crossing, memory pressure) is flagged done and skipped everywhere
-  // after, so it makes no further draws — just like its sequential run.
-  scratch.lane_rng_.resize(R);
-  scratch.lane_fault_rng_.resize(R);
-  scratch.lane_ready_.resize(R);
-  scratch.lane_arrival_.resize(R);
-  scratch.lane_makespan_.assign(R, 0.0);
-  scratch.lane_done_.assign(R, 0);
-  scratch.clocks_.reset(R, kNumResClocks);
-  // Finish times laid out [task][lane] so the lane-inner loops stream a
-  // contiguous row per producer. Never read before written per live lane
-  // (topological order; cross-iteration edges skip iteration 0).
-  scratch.lane_finish_a_.resize(num_tasks * R);
-  scratch.lane_finish_b_.resize(num_tasks * R);
-  double* fin_prev = scratch.lane_finish_a_.data();
-  double* fin_cur = scratch.lane_finish_b_.data();
-
-  std::size_t live = R;
-  for (std::size_t r = 0; r < R; ++r) {
-    ExecutionReport& rep = scratch.lane_reports_[r];
-    clear_report(rep, options_.iterations, time_bound);
-    rep.footprints = scratch.footprints_;
-    rep.demoted_args = scratch.demoted_args_;
-    rep.tasks.resize(num_tasks);
-    for (std::size_t i = 0; i < num_tasks; ++i)
-      rep.tasks[i] = TaskReport{.task = TaskId(i)};
-    if (record_trace) rep.trace.reserve(trace_reserve_);
-
-    scratch.lane_rng_[r] = Rng(mix64(seeds[r]) ^ scratch.plan_hash_);
-    scratch.lane_fault_rng_[r] =
-        Rng(inject ? (mix64(seeds[r] ^ kFaultSalt) ^ scratch.plan_hash_) : 0);
-
-    // Transient memory pressure (see simulate()): a per-run pre-pass.
-    if (inject && faults.mem_pressure_prob > 0.0 &&
-        scratch.lane_fault_rng_[r].bernoulli(faults.mem_pressure_prob)) {
-      ++rep.faults.mem_pressure;
-      for (const MemoryFootprint& fp : scratch.footprints_) {
-        const double usable = faults.mem_pressure_headroom *
-                              static_cast<double>(fp.capacity_bytes);
-        if (static_cast<double>(fp.peak_instance_bytes) > usable) {
-          std::ostringstream os;
-          os << "transient memory pressure: " << to_string(fp.kind)
-             << " peak " << format_bytes(fp.peak_instance_bytes)
-             << " exceeds reduced " << "capacity "
-             << format_bytes(static_cast<std::uint64_t>(usable));
-          rep.failure = os.str();
-          rep.transient = true;
-          scratch.lane_done_[r] = 1;
-          --live;
-          break;
-        }
-      }
-    }
+  scratch.repeat_reports_.resize(seeds.size());
+  for (std::size_t r = 0; r < seeds.size(); ++r) {
+    simulate(seeds[r], time_bound, scratch, scratch.repeat_reports_[r]);
+    count_run(scratch.repeat_reports_[r]);
   }
-
-  const SimScratch::PlanTask* const tasks = scratch.plan_tasks_.data();
-  const SimScratch::PlanEdge* const edges = scratch.plan_edges_.data();
-  const SimScratch::PlanLeg* const legs = scratch.plan_legs_.data();
-  const std::size_t num_rows = scratch.plan_tasks_.size();
-  double* const ready = scratch.lane_ready_.data();
-  double* const arrival = scratch.lane_arrival_.data();
-  std::uint8_t* const done = scratch.lane_done_.data();
-
-  for (int iter = 0; live > 0 && iter < options_.iterations; ++iter) {
-    for (std::size_t row = 0; live > 0 && row < num_rows; ++row) {
-      const SimScratch::PlanTask& pt = tasks[row];
-
-      // 1. Data arrival per lane: producers' finish plus inferred copies.
-      for (std::size_t r = 0; r < R; ++r) ready[r] = 0.0;
-      for (std::uint32_t ei = pt.edge_begin; ei < pt.edge_end; ++ei) {
-        const SimScratch::PlanEdge& e = edges[ei];
-        if (e.cross_iteration != 0 && iter == 0)
-          continue;  // initial data is in place
-        const double* const prod =
-            (e.cross_iteration != 0 ? fin_prev : fin_cur) + e.producer * R;
-        for (std::size_t r = 0; r < R; ++r) arrival[r] = prod[r];
-
-        for (std::uint32_t li = e.leg_begin; li < e.leg_end; ++li) {
-          const SimScratch::PlanLeg& leg = legs[li];
-          if (leg.resource == kMissingChannel && live > 0) {
-            // Raises the standard missing-channel error.
-            (void)machine_.channel(static_cast<MemKind>(leg.src),
-                                   static_cast<MemKind>(leg.dst),
-                                   leg.inter != 0);
-          }
-          for (std::size_t r = 0; r < R; ++r) {
-            if (done[r] != 0) continue;
-            ExecutionReport& rep = scratch.lane_reports_[r];
-            double elapsed = leg.elapsed;
-            if (copy_noise_sigma > 0.0)
-              elapsed *=
-                  scratch.lane_rng_[r].lognormal_factor(copy_noise_sigma);
-            bool copy_faulted = false;
-            if (inject && faults.copy_fault_prob > 0.0 &&
-                scratch.lane_fault_rng_[r].bernoulli(
-                    faults.copy_fault_prob)) {
-              copy_faulted = true;
-              ++rep.faults.copy_retries;
-              rep.faults.lost_seconds += elapsed;
-              elapsed *= 2.0;
-            }
-            const double start =
-                scratch.clocks_.acquire(r, leg.resource, arrival[r], elapsed);
-            arrival[r] = start + elapsed;
-            ++rep.events;
-            if (record_trace) {
-              rep.trace.push_back({.kind = TraceEvent::Kind::kCopy,
-                                   .name = scratch.leg_names_[li],
-                                   .resource = scratch.leg_resources_[li],
-                                   .iteration = iter,
-                                   .start_s = start,
-                                   .duration_s = elapsed,
-                                   .bytes = leg.bytes_u64});
-              if (copy_faulted) {
-                rep.trace.push_back(
-                    {.kind = TraceEvent::Kind::kFault,
-                     .name = "copy fault: " + scratch.leg_names_[li],
-                     .resource = scratch.leg_resources_[li],
-                     .iteration = iter,
-                     .start_s = start,
-                     .duration_s = elapsed * 0.5});
-              }
-            }
-            if (leg.inter != 0) {
-              rep.inter_node_copy_bytes += leg.bytes_u64;
-            } else {
-              rep.intra_node_copy_bytes += leg.bytes_u64;
-            }
-            rep.energy_joules += leg.energy;
-          }
-        }
-        for (std::size_t r = 0; r < R; ++r)
-          if (done[r] == 0) ready[r] = std::max(ready[r], arrival[r]);
-      }
-
-      // 2. Pool availability, duration, faults, commit — per lane.
-      for (std::size_t r = 0; r < R; ++r) {
-        if (done[r] != 0) continue;
-        ExecutionReport& rep = scratch.lane_reports_[r];
-        const double lead = scratch.clocks_.busy_until(r, pt.pool);
-        const double pool_free =
-            pt.dist != 0
-                ? std::max(lead, scratch.clocks_.busy_until(r, pt.pool + 1))
-                : lead;
-        const double start = std::max(ready[r], pool_free);
-        double duration = pt.base_dur;
-        if (options_.noise_sigma > 0.0)
-          duration *=
-              scratch.lane_rng_[r].lognormal_factor(options_.noise_sigma);
-        ++rep.events;
-
-        if (inject) {
-          if (faults.straggler_prob > 0.0 &&
-              scratch.lane_fault_rng_[r].bernoulli(faults.straggler_prob)) {
-            const double inflation =
-                duration * (faults.straggler_factor - 1.0);
-            duration += inflation;
-            ++rep.faults.stragglers;
-            rep.faults.lost_seconds += inflation;
-            if (record_trace) {
-              rep.trace.push_back(
-                  {.kind = TraceEvent::Kind::kFault,
-                   .name = "straggler: " + graph_.task(TaskId(pt.task)).name,
-                   .resource = std::string(to_string(pt.proc)) + " pool",
-                   .iteration = iter,
-                   .start_s = start,
-                   .duration_s = inflation});
-            }
-          }
-          if (faults.crash_prob > 0.0 &&
-              scratch.lane_fault_rng_[r].bernoulli(faults.crash_prob)) {
-            const double lost =
-                scratch.lane_fault_rng_[r].uniform() * duration;
-            ++rep.faults.crashes;
-            rep.faults.lost_seconds += lost;
-            if (record_trace) {
-              rep.trace.push_back(
-                  {.kind = TraceEvent::Kind::kFault,
-                   .name = "crash: " + graph_.task(TaskId(pt.task)).name,
-                   .resource = std::string(to_string(pt.proc)) + " pool",
-                   .iteration = iter,
-                   .start_s = start,
-                   .duration_s = lost});
-            }
-            rep.transient = true;
-            rep.failure = "transient crash in task " +
-                          graph_.task(TaskId(pt.task)).name +
-                          " (iteration " + std::to_string(iter) + ")";
-            rep.total_seconds =
-                std::max(scratch.lane_makespan_[r], start + lost);
-            done[r] = 1;
-            --live;
-            continue;
-          }
-        }
-
-        const double finish = start + duration;
-        scratch.clocks_.set(r, pt.pool, finish);
-        if (pt.dist != 0) scratch.clocks_.set(r, pt.pool + 1, finish);
-        fin_cur[pt.task * R + r] = finish;
-        scratch.lane_makespan_[r] =
-            std::max(scratch.lane_makespan_[r], finish);
-
-        if (finish > time_bound) {
-          // Censored exactly like the sequential run: the partial report
-          // keeps whatever accumulated so far and the lane stops drawing.
-          rep.ok = true;
-          rep.censored = true;
-          rep.total_seconds = finish;
-          done[r] = 1;
-          --live;
-          continue;
-        }
-
-        rep.energy_joules += duration * pt.energy_coeff;
-        if (record_trace) {
-          rep.trace.push_back(
-              {.kind = TraceEvent::Kind::kTask,
-               .name = graph_.task(TaskId(pt.task)).name,
-               .resource = std::string(to_string(pt.proc)) + " pool",
-               .iteration = iter,
-               .start_s = start,
-               .duration_s = duration});
-        }
-
-        TaskReport& tr = rep.tasks[pt.task];
-        tr.proc = pt.proc;
-        tr.compute_seconds += duration;
-        tr.copy_wait_seconds += std::max(0.0, ready[r] - pool_free);
-        tr.launch_overhead_seconds += pt.launch;
-        tr.runtime_overhead_seconds += runtime_overhead_;
-      }
-    }
-    std::swap(fin_prev, fin_cur);
-  }
-
-  for (std::size_t r = 0; r < R; ++r) {
-    ExecutionReport& rep = scratch.lane_reports_[r];
-    if (done[r] == 0) {
-      // Lane ran to completion: per-iteration averages and totals, exactly
-      // as the sequential run finalizes.
-      for (auto& tr : rep.tasks) {
-        tr.compute_seconds /= options_.iterations;
-        tr.copy_wait_seconds /= options_.iterations;
-        tr.launch_overhead_seconds /= options_.iterations;
-        tr.runtime_overhead_seconds /= options_.iterations;
-      }
-      rep.intra_node_copy_bytes /=
-          static_cast<std::uint64_t>(options_.iterations);
-      rep.inter_node_copy_bytes /=
-          static_cast<std::uint64_t>(options_.iterations);
-      rep.ok = true;
-      rep.total_seconds = scratch.lane_makespan_[r];
-    }
-    count_run(rep);
-  }
-  return {scratch.lane_reports_.data(), R};
-}
-
-const ExecutionReport& Simulator::run(const Mapping& mapping,
-                                      std::uint64_t seed, SimScratch& scratch,
-                                      double time_bound) const {
-  if (!begin_runs(mapping, scratch)) return scratch.report_;
-  simulate(mapping, seed, time_bound, scratch);
-  count_run(scratch.report_);
-  return scratch.report_;
-}
-
-const ExecutionReport& Simulator::run(const Mapping& mapping,
-                                      std::uint64_t seed,
-                                      SimScratch& scratch) const {
-  return run(mapping, seed, scratch, options_.time_bound);
+  return scratch.repeat_reports_;
 }
 
 ExecutionReport Simulator::run(const Mapping& mapping,
                                std::uint64_t seed) const {
   SimScratch scratch;
-  run(mapping, seed, scratch, options_.time_bound);
+  if (begin_runs(mapping, scratch))
+    run_prepared(mapping, seed, scratch, options_.time_bound);
   return std::move(scratch.report_);
-}
-
-double Simulator::mean_total_seconds(const Mapping& mapping,
-                                     std::uint64_t seed, int repeats) const {
-  AM_REQUIRE(repeats > 0, "repeats must be positive");
-  SimScratch scratch;
-  // One validation + memory resolution serves every repeat (both are
-  // noise-independent).
-  if (!begin_runs(mapping, scratch))
-    return std::numeric_limits<double>::infinity();
-
-  double sum = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    simulate(mapping,
-             mix64(seed + 1000003ULL * static_cast<std::uint64_t>(r)),
-             std::numeric_limits<double>::infinity(), scratch);
-    if (!scratch.report_.ok)
-      return std::numeric_limits<double>::infinity();
-    sum += scratch.report_.total_seconds;
-  }
-  return sum / repeats;
 }
 
 }  // namespace automap

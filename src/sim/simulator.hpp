@@ -31,9 +31,10 @@
 // front-loads every mapping-independent quantity at construction — a CSR
 // view of the dependence edges, per-(task, processor kind, distribution)
 // wave/duration invariants, per-argument memory-access times for every
-// resolvable memory kind, and flat affinity/channel tables — and threads a
-// reusable SimScratch arena through run() so that steady-state runs perform
-// no heap allocation.
+// resolvable memory kind, and flat affinity/channel tables. Per mapping,
+// begin_runs() validates it, resolves memory placement and compiles an
+// execution plan into a reusable SimScratch arena; run_prepared() then
+// simulates one run per seed against that plan with no heap allocation.
 
 #include <array>
 #include <cstdint>
@@ -44,7 +45,6 @@
 
 #include "src/machine/machine.hpp"
 #include "src/mapping/mapping.hpp"
-#include "src/sim/ready_wheel.hpp"
 #include "src/sim/report.hpp"
 #include "src/support/rng.hpp"
 #include "src/taskgraph/task_graph.hpp"
@@ -112,9 +112,9 @@ struct SimOptions {
 
 class Simulator;
 
-/// Reusable per-worker scratch arena for Simulator::run. All per-run state
-/// (memory resolution, busy clocks, the report itself) lives here, so a
-/// worker that evaluates thousands of candidates against one simulator
+/// Reusable per-worker scratch arena for Simulator runs. All per-run state
+/// (memory resolution, the execution plan, the report itself) lives here,
+/// so a worker that evaluates thousands of candidates against one simulator
 /// allocates only on its first run (or when switching simulators) and runs
 /// allocation-free afterwards. A SimScratch may be reused across different
 /// Simulator instances; it re-sizes itself on first use with each one. Not
@@ -126,13 +126,6 @@ class SimScratch {
   SimScratch& operator=(const SimScratch&) = delete;
   SimScratch(SimScratch&&) = default;
   SimScratch& operator=(SimScratch&&) = default;
-
-  /// Reusable caller-side buffer for Simulator::run_repeats seed spans —
-  /// lives in the arena so steady-state multi-repeat evaluation allocates
-  /// nothing (the evaluator fills it per candidate and passes it back in).
-  [[nodiscard]] std::vector<std::uint64_t>& seed_buffer() {
-    return seed_buffer_;
-  }
 
  private:
   friend class Simulator;
@@ -160,7 +153,7 @@ class SimScratch {
     double base_dur = 0.0;
     double launch = 0.0;        // launch-overhead share of base_dur
     double energy_coeff = 0.0;  // energy per busy-second
-    std::uint32_t pool = 0;     // leader-node pool clock (ResourceClocks id)
+    std::uint32_t pool = 0;     // leader-node pool clock (resource-clock id)
     std::uint8_t dist = 0;      // occupies every node (second pool clock)
     ProcKind proc = ProcKind::kCpu;
   };
@@ -179,7 +172,7 @@ class SimScratch {
     double bytes = 0.0;
     double energy = 0.0;  // per-byte copy energy charge
     std::uint64_t bytes_u64 = 0;
-    /// ResourceClocks id, or Simulator::kMissingChannel when the machine
+    /// Resource-clock id, or Simulator::kMissingChannel when the machine
     /// lacks the channel — raised lazily at execution time, because a leg
     /// on a cross-iteration edge may never execute.
     std::uint32_t resource = 0;
@@ -217,24 +210,12 @@ class SimScratch {
   std::uint64_t plan_hash_ = 0;
 
   // Event-loop state.
-  ResourceClocks clocks_;
   std::vector<double> finish_prev_;
   std::vector<double> finish_cur_;
 
-  // Interleaved multi-repeat lane state (run_repeats). Finish arrays are
-  // [task][lane] so the lane-inner loops stream contiguously.
-  std::vector<double> lane_finish_a_;
-  std::vector<double> lane_finish_b_;
-  std::vector<double> lane_ready_;
-  std::vector<double> lane_arrival_;
-  std::vector<double> lane_makespan_;
-  std::vector<Rng> lane_rng_;
-  std::vector<Rng> lane_fault_rng_;
-  std::vector<std::uint8_t> lane_done_;
-  std::vector<ExecutionReport> lane_reports_;
-  std::vector<std::uint64_t> seed_buffer_;
-
   ExecutionReport report_;
+  /// One report per seed of the last run_repeats call.
+  std::vector<ExecutionReport> repeat_reports_;
 };
 
 class Simulator {
@@ -244,69 +225,44 @@ class Simulator {
             SimOptions options = {});
 
   /// Simulates one run. `seed` individualizes the noise; runs with equal
-  /// seeds and mappings are bit-identical. Convenience wrapper around the
-  /// scratch-based overload (allocates a fresh arena per call).
+  /// seeds and mappings are bit-identical. Convenience wrapper around
+  /// begin_runs + run_prepared under SimOptions::time_bound (allocates a
+  /// fresh arena per call).
   [[nodiscard]] ExecutionReport run(const Mapping& mapping,
                                     std::uint64_t seed) const;
 
-  /// Fast path: simulates one run using `scratch` for all per-run state and
-  /// returns a reference to the report held inside it. The reference stays
-  /// valid until the next run with the same arena. Uses
-  /// SimOptions::time_bound.
-  const ExecutionReport& run(const Mapping& mapping, std::uint64_t seed,
-                             SimScratch& scratch) const;
-
-  /// As above with an explicit simulated-time bound: the event loop aborts
-  /// as soon as any task provably finishes after `time_bound`, returning a
-  /// report with `censored = true` whose `total_seconds` holds the clock
-  /// value that crossed the bound (a lower bound on the true makespan).
-  /// The abort predicate is exact — a run is censored if and only if its
-  /// unbounded makespan strictly exceeds the bound — so bounded and
-  /// unbounded runs of the same (mapping, seed) agree on everything up to
-  /// the abort point.
-  const ExecutionReport& run(const Mapping& mapping, std::uint64_t seed,
-                             SimScratch& scratch, double time_bound) const;
-
   /// Prepares `scratch` for a *run sequence* over one mapping: validates
-  /// the mapping and resolves memory placement once — both are noise-
-  /// independent, so one pass serves every subsequent repeat. Returns false
-  /// when the mapping is invalid or runs out of memory (scratch.report()
-  /// then describes the failure and no runs are possible). On success,
-  /// run_prepared() simulates individual runs against the cached
-  /// resolution without re-validating or re-resolving.
+  /// the mapping, resolves memory placement and compiles the execution
+  /// plan once — all noise-independent, so one pass serves every
+  /// subsequent repeat. Returns false when the mapping is invalid or runs
+  /// out of memory (no runs are possible then). On success, run_prepared()
+  /// simulates individual runs against the cached plan.
   bool begin_runs(const Mapping& mapping, SimScratch& scratch) const;
 
-  /// One run against the resolution cached by the last successful
-  /// begin_runs() on this scratch. Must be called with that same mapping;
-  /// behavior is undefined otherwise. Bit-identical to the equivalent
-  /// run() call, minus the per-run validation and resolution cost.
+  /// One run against the plan cached by the last successful begin_runs()
+  /// on this scratch. Must be called with that same mapping; behavior is
+  /// undefined otherwise. Returns a reference to the report held inside the
+  /// arena, valid until the next run with it.
+  ///
+  /// `time_bound` bounds the simulated time: the event loop aborts as soon
+  /// as any task provably finishes after it, returning a report with
+  /// `censored = true` whose `total_seconds` holds the clock value that
+  /// crossed the bound (a lower bound on the true makespan). The abort
+  /// predicate is exact — a run is censored if and only if its unbounded
+  /// makespan strictly exceeds the bound — so bounded and unbounded runs
+  /// of the same (mapping, seed) agree on everything up to the abort point.
   const ExecutionReport& run_prepared(const Mapping& mapping,
                                       std::uint64_t seed, SimScratch& scratch,
                                       double time_bound) const;
 
-  /// Batch-interleaved multi-repeat simulation: simulates one run per seed
-  /// in a *single* pass over the task graph — one traversal of the
-  /// precomputed plan with seeds.size() parallel clock lanes, instead of
-  /// re-walking the graph per repeat. Each lane r is bit-identical to
-  /// run_prepared(mapping, seeds[r], scratch, time_bound): per-lane RNG
-  /// streams draw in the same order, per-lane resource clocks evolve
-  /// identically, and a lane that crosses the bound (or crashes under fault
-  /// injection) terminates exactly where its sequential run would, making
-  /// no further draws. Requires a successful begin_runs(mapping, scratch);
-  /// the returned span (one report per seed, in seed order) stays valid
-  /// until the next run on the same arena.
+  /// run_prepared once per seed, each into its own report. Requires a
+  /// successful begin_runs(mapping, scratch); the returned span (one report
+  /// per seed, in seed order) stays valid until the next run_repeats on the
+  /// same arena.
   std::span<const ExecutionReport> run_repeats(
       const Mapping& mapping, std::span<const std::uint64_t> seeds,
       SimScratch& scratch,
       double time_bound = std::numeric_limits<double>::infinity()) const;
-
-  /// Convenience: runs `repeats` times with derived seeds and returns the
-  /// mean total time, or infinity if any run fails (OOM). Memory resolution
-  /// is noise-independent, so it is performed once and shared by all
-  /// repeats.
-  [[nodiscard]] double mean_total_seconds(const Mapping& mapping,
-                                          std::uint64_t seed,
-                                          int repeats) const;
 
   [[nodiscard]] const MachineModel& machine() const { return machine_; }
   [[nodiscard]] const TaskGraph& graph() const { return graph_; }
@@ -340,9 +296,9 @@ class Simulator {
     bool present = false;
   };
 
-  // Flat resource-clock id space (ResourceClocks): two pool clocks per
-  // processor kind (leader node / other nodes), one clock per intra-node
-  // (src, dst) channel, and the shared network serialization point.
+  // Flat resource-clock id space: two pool clocks per processor kind
+  // (leader node / other nodes), one clock per intra-node (src, dst)
+  // channel, and the shared network serialization point.
   static constexpr std::uint32_t kPoolClockBase = 0;
   static constexpr std::uint32_t kChanClockBase =
       kPoolClockBase + kNumProcKinds * 2;
@@ -366,9 +322,9 @@ class Simulator {
   void build_plan(const Mapping& mapping, SimScratch& scratch) const;
 
   /// The event loop proper: one simulated run against the plan held in
-  /// `scratch`. Fills scratch.report_.
-  void simulate(const Mapping& mapping, std::uint64_t seed,
-                double time_bound, SimScratch& scratch) const;
+  /// `scratch`, written into `report`.
+  void simulate(std::uint64_t seed, double time_bound, SimScratch& scratch,
+                ExecutionReport& report) const;
 
   /// (Re)sizes the arena for this simulator and clears per-run state.
   void prepare(SimScratch& scratch) const;

@@ -149,7 +149,7 @@ TEST_P(SeededProperty, NoiseAveragesToNoiselessTime) {
   DefaultMapper dm;
   const Mapping m = dm.map_all(app.graph, machine);
   const double truth = quiet.run(m, 0).total_seconds;
-  const double mean = noisy.mean_total_seconds(m, GetParam(), 31);
+  const double mean = measure_mapping(noisy, m, 31, GetParam());
   EXPECT_NEAR(mean, truth, 0.15 * truth);
 }
 

@@ -94,10 +94,11 @@ TEST(SimTimeBound, CensorsExactlyWhenTheUnboundedRunExceedsTheBound) {
   ASSERT_GT(full.total_seconds, 0.0);
 
   SimScratch scratch;
+  ASSERT_TRUE(sim.begin_runs(m, scratch));
   // Bound above the makespan: identical result, not censored.
   {
     const ExecutionReport& r =
-        sim.run(m, 7, scratch, full.total_seconds * 1.001);
+        sim.run_prepared(m, 7, scratch, full.total_seconds * 1.001);
     EXPECT_TRUE(r.ok);
     EXPECT_FALSE(r.censored);
     EXPECT_EQ(r.total_seconds, full.total_seconds);
@@ -105,7 +106,8 @@ TEST(SimTimeBound, CensorsExactlyWhenTheUnboundedRunExceedsTheBound) {
   // Bound exactly at the makespan: the abort predicate is *strictly
   // exceeds*, so the run still completes.
   {
-    const ExecutionReport& r = sim.run(m, 7, scratch, full.total_seconds);
+    const ExecutionReport& r =
+        sim.run_prepared(m, 7, scratch, full.total_seconds);
     EXPECT_FALSE(r.censored);
     EXPECT_EQ(r.total_seconds, full.total_seconds);
   }
@@ -113,7 +115,7 @@ TEST(SimTimeBound, CensorsExactlyWhenTheUnboundedRunExceedsTheBound) {
   // value that crossed the bound — past the bound, at most the makespan.
   {
     const double bound = full.total_seconds * 0.25;
-    const ExecutionReport& r = sim.run(m, 7, scratch, bound);
+    const ExecutionReport& r = sim.run_prepared(m, 7, scratch, bound);
     EXPECT_TRUE(r.censored);
     EXPECT_GT(r.total_seconds, bound);
     EXPECT_LE(r.total_seconds, full.total_seconds);

@@ -72,8 +72,12 @@ grep -q "(cached)" "$DIR/cached.txt"
 grep "best mapping" "$DIR/cached.txt" > "$DIR/cached.line"
 cmp "$DIR/cached.line" "$DIR/oneshot.line"
 test "$(sim_runs)" = "$RUNS_BEFORE"
+# awk reads the whole stats listing (several stdio writes) before deciding:
+# exiting at the match would let the client's next write hit a closed pipe,
+# and pipefail would turn that SIGPIPE into a spurious failure.
 "$CLIENT" stats --socket "$SOCK" \
-  | awk '$1 == "automap_service_result_cache_hits_total" { exit !($2 >= 1) }'
+  | awk '$1 == "automap_service_result_cache_hits_total" { v = $2 }
+         END { exit !(v >= 1) }'
 
 # Journal streaming reconstructs a well-formed JSONL provenance stream.
 "$CLIENT" journal 1 --socket "$SOCK" > "$DIR/journal.jsonl"
@@ -260,7 +264,8 @@ s.close()
 EOF
 "$CLIENT" ping --socket "$SOCK" | grep -q "pong"
 "$CLIENT" stats --socket "$SOCK" \
-  | awk '$1 == "automap_service_io_timeouts_total" { exit !($2 >= 1) }'
+  | awk '$1 == "automap_service_io_timeouts_total" { v = $2 }
+         END { exit !(v >= 1) }'
 
 # Backpressure + request deadline: the queue holds one job (workers 0),
 # so a second distinct submission is refused with the structured

@@ -1,10 +1,10 @@
-// Tests for the batch-interleaved multi-repeat simulator path
-// (Simulator::run_repeats) and the bucketed ready-wheel behind it: every
-// lane of an interleaved pass must be byte-identical — reports *and* traces
-// — to the sequential run_prepared of the same seed, across unbounded,
-// censored and fault-injected runs; BucketedWheel::drain must reproduce
-// std::stable_sort exactly; and the evaluator's interleaved fast path must
-// stay thread-count invariant (this test also runs under TSan in CI).
+// Tests for Simulator::run_repeats, the multi-seed wrapper over
+// run_prepared: every per-seed report must be byte-identical — reports
+// *and* traces — to the run_prepared of the same seed, across unbounded,
+// censored and fault-injected runs. Also checks that the evaluator's
+// repeat fold stays thread-count invariant under median aggregation and
+// that an infinite censor threshold folds exactly like one that never
+// binds (this test also runs under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "src/runtime/mapper.hpp"
 #include "src/search/evaluator.hpp"
 #include "src/search/search.hpp"
-#include "src/sim/ready_wheel.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/metrics.hpp"
 
@@ -28,9 +27,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Bitwise double equality: "same value" is not enough — the whole point of
-/// the interleaved path is that it reproduces the sequential arithmetic
-/// operation for operation.
+/// Bitwise double equality: "same value" is not enough — the wrapper must
+/// reproduce run_prepared's arithmetic operation for operation.
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 void expect_report_eq(const ExecutionReport& a, const ExecutionReport& b) {
@@ -105,11 +103,9 @@ std::vector<ExecutionReport> sequential_runs(
   return out;
 }
 
-void expect_interleaved_matches_sequential(const Simulator& sim,
-                                           const Mapping& m,
-                                           const std::vector<std::uint64_t>&
-                                               seeds,
-                                           double bound) {
+void expect_repeats_match_sequential(const Simulator& sim, const Mapping& m,
+                                     const std::vector<std::uint64_t>& seeds,
+                                     double bound) {
   const std::vector<ExecutionReport> expected =
       sequential_runs(sim, m, seeds, bound);
   SimScratch scratch;
@@ -117,7 +113,7 @@ void expect_interleaved_matches_sequential(const Simulator& sim,
   const auto reports = sim.run_repeats(m, seeds, scratch, bound);
   ASSERT_EQ(reports.size(), expected.size());
   for (std::size_t i = 0; i < reports.size(); ++i) {
-    SCOPED_TRACE("lane " + std::to_string(i));
+    SCOPED_TRACE("repeat " + std::to_string(i));
     expect_report_eq(reports[i], expected[i]);
   }
 }
@@ -135,14 +131,14 @@ TEST(RunRepeats, MatchesSequentialUnboundedWithTrace) {
   SimOptions opts = f.app.sim;
   opts.record_trace = true;
   Simulator sim(f.machine, f.app.graph, opts);
-  expect_interleaved_matches_sequential(sim, f.mapping, test_seeds(6), kInf);
+  expect_repeats_match_sequential(sim, f.mapping, test_seeds(6), kInf);
 }
 
 TEST(RunRepeats, MatchesSequentialWhenSomeLanesCensor) {
   StencilFixture f;
   Simulator sim(f.machine, f.app.graph, f.app.sim);
   // Pick a bound strictly between the fastest and slowest unbounded totals,
-  // so the interleaved pass carries a mix of censored and surviving lanes.
+  // so the batch carries a mix of censored and surviving runs.
   const std::vector<std::uint64_t> seeds = test_seeds(8);
   const std::vector<ExecutionReport> unbounded =
       sequential_runs(sim, f.mapping, seeds, kInf);
@@ -161,7 +157,7 @@ TEST(RunRepeats, MatchesSequentialWhenSomeLanesCensor) {
   EXPECT_GT(censored, 0);
   EXPECT_LT(censored, static_cast<int>(seeds.size()));
 
-  expect_interleaved_matches_sequential(sim, f.mapping, seeds, bound);
+  expect_repeats_match_sequential(sim, f.mapping, seeds, bound);
 }
 
 TEST(RunRepeats, MatchesSequentialUnderFaultInjection) {
@@ -178,7 +174,7 @@ TEST(RunRepeats, MatchesSequentialUnderFaultInjection) {
   const std::vector<ExecutionReport> expected =
       sequential_runs(sim, f.mapping, seeds, kInf);
   // The probabilities above are tuned so the batch exercises both exits:
-  // at least one lane crashes mid-run and at least one survives.
+  // at least one run crashes mid-run and at least one survives.
   int crashed = 0, survived = 0;
   for (const ExecutionReport& r : expected) {
     crashed += r.transient ? 1 : 0;
@@ -187,7 +183,7 @@ TEST(RunRepeats, MatchesSequentialUnderFaultInjection) {
   EXPECT_GT(crashed, 0);
   EXPECT_GT(survived, 0);
 
-  expect_interleaved_matches_sequential(sim, f.mapping, seeds, kInf);
+  expect_repeats_match_sequential(sim, f.mapping, seeds, kInf);
 }
 
 TEST(RunRepeats, EmptySeedSpanYieldsEmptySpan) {
@@ -198,12 +194,12 @@ TEST(RunRepeats, EmptySeedSpanYieldsEmptySpan) {
   EXPECT_TRUE(sim.run_repeats(f.mapping, {}, scratch).empty());
 }
 
-// --- evaluator interleaved fast path ---------------------------------------
+// --- evaluator repeat fold ------------------------------------------------
 
-TEST(RunRepeats, EvaluatorInterleavedPathIsThreadCountInvariant) {
-  // Robust aggregation disables censoring, which routes every candidate
-  // through the interleaved run_repeats path; the fold must stay
-  // bit-identical at any thread count (TSan covers the pool in CI).
+TEST(RunRepeats, EvaluatorMedianAggregationIsThreadCountInvariant) {
+  // Robust aggregation disables censoring, so every candidate runs all its
+  // repeats to completion; the fold must stay bit-identical at any thread
+  // count (TSan covers the pool in CI).
   StencilFixture f;
   Simulator sim(f.machine, f.app.graph, f.app.sim);
   std::vector<Mapping> candidates;
@@ -233,10 +229,10 @@ TEST(RunRepeats, EvaluatorInterleavedPathIsThreadCountInvariant) {
   }
 }
 
-TEST(RunRepeats, EvaluatorMeanPathStillMatchesRepeatLoop) {
-  // With kMean and no incumbent the threshold is infinite, so the
-  // interleaved path serves plain evaluate() too — the cached mean must
-  // equal the historical sequential fold exactly.
+TEST(RunRepeats, EvaluatorInfiniteThresholdMatchesNonBindingThreshold) {
+  // With kMean and no incumbent the censor threshold is infinite; the
+  // cached mean must equal the fold under a finite threshold far above any
+  // total, where the racing line is computed but never fires.
   StencilFixture f;
   Simulator sim(f.machine, f.app.graph, f.app.sim);
   SearchOptions o;
@@ -245,11 +241,6 @@ TEST(RunRepeats, EvaluatorMeanPathStillMatchesRepeatLoop) {
   Evaluator eval(sim, o);
   const double mean = eval.evaluate(f.mapping);
 
-  SimScratch scratch;
-  ASSERT_TRUE(sim.begin_runs(f.mapping, scratch));
-  // Reproduce the evaluator's seed derivation via a fresh evaluator whose
-  // repeats fold is forced down the sequential path by a finite threshold
-  // far above any total (censoring never fires, sums are identical).
   SearchOptions o2 = o;
   o2.prune_candidates = true;
   Evaluator eval2(sim, o2);
@@ -280,71 +271,6 @@ TEST(RunRepeats, EventsCounterTracksTrueEventCount) {
     expected += r.events;
   EXPECT_EQ(metrics.counter("automap_sim_events_total", "")->value(),
             expected);
-}
-
-// --- BucketedWheel ---------------------------------------------------------
-
-std::vector<std::uint32_t> stable_sorted_ids(
-    const std::vector<double>& keys) {
-  std::vector<std::uint32_t> ids(keys.size());
-  for (std::uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  std::stable_sort(ids.begin(), ids.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return keys[a] < keys[b];
-                   });
-  return ids;
-}
-
-void expect_wheel_matches_stable_sort(const std::vector<double>& keys,
-                                      double t0, double t1,
-                                      std::size_t buckets) {
-  BucketedWheel wheel;
-  wheel.reset(t0, t1, buckets);
-  for (std::uint32_t i = 0; i < keys.size(); ++i) wheel.push(keys[i], i);
-  EXPECT_EQ(wheel.size(), keys.size());
-  std::vector<std::uint32_t> out;
-  wheel.drain(out);
-  EXPECT_EQ(out, stable_sorted_ids(keys));
-}
-
-TEST(BucketedWheel, DrainMatchesStableSortOnClusteredKeys) {
-  // Deterministic pseudo-random keys clustered the way iteration end times
-  // are, plus exact ties (the stability test) and keys outside the horizon
-  // on both sides (first-bucket and overflow-rung clamping).
-  std::vector<double> keys;
-  std::uint64_t s = 0x12345678ULL;
-  for (int i = 0; i < 500; ++i) {
-    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-    const double u = static_cast<double>(s >> 11) * 0x1.0p-53;
-    keys.push_back(static_cast<double>(i % 10) + 0.3 * u);
-  }
-  for (int i = 0; i < 50; ++i) keys.push_back(4.25);     // ties
-  for (int i = 0; i < 10; ++i) keys.push_back(-1.0 - i); // below horizon
-  for (int i = 0; i < 10; ++i) keys.push_back(20.0 + i); // overflow rung
-  expect_wheel_matches_stable_sort(keys, 0.0, 10.0, 64);
-}
-
-TEST(BucketedWheel, DegenerateConfigsStillSortCorrectly) {
-  const std::vector<double> keys = {3.0, 1.0, 2.0, 1.0, 0.0};
-  expect_wheel_matches_stable_sort(keys, 0.0, 0.0, 0);  // zero-width horizon
-  expect_wheel_matches_stable_sort(keys, 0.0, 4.0, 1);  // single bucket
-  expect_wheel_matches_stable_sort(keys, 5.0, 9.0, 4);  // all below horizon
-  expect_wheel_matches_stable_sort({}, 0.0, 1.0, 8);    // empty
-}
-
-TEST(BucketedWheel, ReuseAfterResetIsClean) {
-  BucketedWheel wheel;
-  wheel.reset(0.0, 1.0, 4);
-  wheel.push(0.5, 0);
-  std::vector<std::uint32_t> out;
-  wheel.drain(out);
-  ASSERT_EQ(out, (std::vector<std::uint32_t>{0}));
-  wheel.reset(0.0, 2.0, 2);
-  wheel.push(1.5, 1);
-  wheel.push(0.5, 2);
-  out.clear();
-  wheel.drain(out);
-  EXPECT_EQ(out, (std::vector<std::uint32_t>{2, 1}));
 }
 
 }  // namespace

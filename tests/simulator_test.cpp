@@ -5,10 +5,12 @@
 
 #include <cmath>
 
+#include "src/automap/automap.hpp"
 #include "src/machine/machine.hpp"
 #include "src/mapping/mapping.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/error.hpp"
+#include "src/support/metrics.hpp"
 #include "src/taskgraph/task_graph.hpp"
 
 namespace automap {
@@ -138,8 +140,8 @@ TEST(Simulator, OomDetectedWhenCollectionExceedsFrameBuffer) {
   const auto report = sim.run(app.map(ProcKind::kGpu, MemKind::kFrameBuffer), 1);
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.failure.find("out of memory"), std::string::npos);
-  EXPECT_TRUE(std::isinf(sim.mean_total_seconds(
-      app.map(ProcKind::kGpu, MemKind::kFrameBuffer), 1, 3)));
+  EXPECT_TRUE(std::isinf(measure_mapping(
+      sim, app.map(ProcKind::kGpu, MemKind::kFrameBuffer), 3, 1)));
 }
 
 TEST(Simulator, DistributionSplitsFootprintAcrossNodes) {
@@ -348,7 +350,7 @@ TEST(Simulator, MeanTotalSecondsAveragesNoise) {
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.g, {.iterations = 2, .noise_sigma = 0.15});
   const Mapping m = app.map(ProcKind::kGpu, MemKind::kFrameBuffer);
-  const double mean7 = sim.mean_total_seconds(m, 42, 7);
+  const double mean7 = measure_mapping(sim, m, 7, 42);
   const double single = sim.run(m, mix64(42)).total_seconds;
   EXPECT_GT(mean7, 0.0);
   // The 7-run mean should be closer to the noiseless time than an unlucky
@@ -357,6 +359,31 @@ TEST(Simulator, MeanTotalSecondsAveragesNoise) {
   const double truth = quiet.run(m, 0).total_seconds;
   EXPECT_NEAR(mean7, truth, 0.25 * truth);
   EXPECT_NEAR(single, truth, 0.8 * truth);
+}
+
+TEST(Simulator, MeasureMappingRunsReachTheRunCounters) {
+  // measure_mapping backs `automap_cli evaluate`, automap_online and the
+  // figure benches; its runs count like every other simulated run.
+  SingleTask app;
+  const MachineModel machine = make_shepard(1);
+  MetricsRegistry metrics;
+  const SimOptions options{.iterations = 2, .noise_sigma = 0.15};
+  SimOptions counted = options;
+  counted.metrics = &metrics;
+  const Simulator sim(machine, app.g, counted);
+  const Mapping m = app.map(ProcKind::kGpu, MemKind::kFrameBuffer);
+  constexpr int kRepeats = 5;
+  ASSERT_TRUE(std::isfinite(measure_mapping(sim, m, kRepeats, 42)));
+
+  // Without faults or a bound, noise moves times but never the event count,
+  // so the repeats' summed events are kRepeats times one run's.
+  const std::uint64_t events_per_run =
+      Simulator(machine, app.g, options).run(m, 1).events;
+  ASSERT_GT(events_per_run, 0u);
+  EXPECT_EQ(metrics.counter("automap_sim_runs_total", "")->value(),
+            static_cast<std::uint64_t>(kRepeats));
+  EXPECT_EQ(metrics.counter("automap_sim_events_total", "")->value(),
+            kRepeats * events_per_run);
 }
 
 TEST(Simulator, RejectsBadOptions) {

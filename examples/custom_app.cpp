@@ -17,7 +17,7 @@
 
 #include "src/automap/automap.hpp"
 #include "src/machine/machine.hpp"
-#include "src/report/analysis.hpp"
+#include "src/report/profile.hpp"
 #include "src/runtime/mapper.hpp"
 #include "src/runtime/partition.hpp"
 #include "src/runtime/program.hpp"
@@ -96,8 +96,12 @@ int main(int argc, char** argv) {
             << ")\n\n"
             << res.best.describe(graph);
 
-  const auto report = sim.run(res.best, 7);
+  // Rerun the winner with trace recording for the execution profile.
+  SimOptions traced_options = sim.options();
+  traced_options.record_trace = true;
+  const auto report =
+      Simulator(machine, graph, traced_options).run(res.best, 7);
   if (report.ok)
-    std::cout << "\n" << render_analysis(graph, analyze_run(graph, report));
+    std::cout << "\n" << render_profile(graph, compute_profile(graph, report));
   return 0;
 }

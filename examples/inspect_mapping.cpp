@@ -15,6 +15,7 @@
 #include "src/automap/automap.hpp"
 #include "src/machine/machine.hpp"
 #include "src/report/analysis.hpp"
+#include "src/report/profile.hpp"
 #include "src/report/visualize.hpp"
 #include "src/runtime/mapper.hpp"
 #include "src/sim/simulator.hpp"
@@ -65,9 +66,15 @@ int main(int argc, char** argv) {
   if (base_report.ok && best_report.ok) {
     std::cout << "\nwhy the discovered mapping wins:\n"
               << compare_runs(app.graph, base_report, best_report);
-    std::cout << "\nrun analysis of the discovered mapping:\n"
-              << render_analysis(app.graph,
-                                 analyze_run(app.graph, best_report));
+  }
+  SimOptions traced_options = app.sim;
+  traced_options.record_trace = true;
+  const Simulator traced(machine, app.graph, traced_options);
+  const auto traced_report = traced.run(res.best, 99);
+  if (traced_report.ok) {
+    std::cout << "\nexecution profile of the discovered mapping:\n"
+              << render_profile(app.graph,
+                                compute_profile(app.graph, traced_report));
   }
 
   std::cout << "\nFig. 3-style rendering:\n"

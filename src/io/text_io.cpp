@@ -6,70 +6,12 @@
 #include <sstream>
 #include <vector>
 
+#include "src/io/line_reader.hpp"
 #include "src/support/error.hpp"
 
 namespace automap {
 
 namespace {
-
-/// Line-oriented tokenizer with positional error reporting.
-class LineReader {
- public:
-  explicit LineReader(std::istream& is) : is_(is) {}
-
-  /// Next non-empty, non-comment line split into tokens; false at EOF.
-  bool next(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is_, line)) {
-      ++line_number_;
-      // Strip comments.
-      if (const auto hash = line.find('#'); hash != std::string::npos)
-        line.resize(hash);
-      std::istringstream ls(line);
-      tokens.clear();
-      std::string token;
-      while (ls >> token) tokens.push_back(token);
-      if (!tokens.empty()) return true;
-    }
-    return false;
-  }
-
-  [[noreturn]] void fail(const std::string& message) const {
-    AM_REQUIRE(false,
-               "line " + std::to_string(line_number_) + ": " + message);
-    AM_UNREACHABLE("");
-  }
-
-  void expect(bool condition, const std::string& message) const {
-    if (!condition) fail(message);
-  }
-
-  [[nodiscard]] double to_double(const std::string& s) const {
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(s, &pos);
-      expect(pos == s.size(), "trailing characters in number: " + s);
-      return v;
-    } catch (const std::logic_error&) {
-      fail("expected a number, got: " + s);
-    }
-  }
-
-  [[nodiscard]] long long to_int(const std::string& s) const {
-    try {
-      std::size_t pos = 0;
-      const long long v = std::stoll(s, &pos);
-      expect(pos == s.size(), "trailing characters in integer: " + s);
-      return v;
-    } catch (const std::logic_error&) {
-      fail("expected an integer, got: " + s);
-    }
-  }
-
- private:
-  std::istream& is_;
-  int line_number_ = 0;
-};
 
 const char* privilege_name(Privilege p) { return to_string(p); }
 
@@ -89,8 +31,8 @@ void write_rect(std::ostream& os, const Rect& r) {
 Rect read_rect(const LineReader& reader,
                const std::vector<std::string>& tokens, std::size_t& cursor) {
   reader.expect(cursor < tokens.size(), "missing rect dimensionality");
-  const int dims = static_cast<int>(reader.to_int(tokens[cursor++]));
-  reader.expect(dims >= 1 && dims <= Rect::kMaxDims, "bad rect dims");
+  const int dims =
+      static_cast<int>(reader.to_int(tokens[cursor++], 1, Rect::kMaxDims));
   Rect r;
   r.dims = dims;
   for (int d = 0; d < dims; ++d) {

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "src/io/line_reader.hpp"
 #include "src/support/error.hpp"
 #include "src/support/rng.hpp"
 
@@ -135,41 +136,54 @@ std::string Mapping::serialize() const {
 }
 
 Mapping Mapping::parse(const std::string& text, const TaskGraph& graph) {
-  Mapping mapping(graph);
   std::istringstream is(text);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string keyword, dist, proc;
-    std::size_t index = 0;
-    ls >> keyword >> index >> dist >> proc;
-    AM_REQUIRE(keyword == "task" && !ls.fail(), "malformed mapping line: " +
-                                                    line);
-    AM_REQUIRE(index < graph.num_tasks(), "task index out of range");
-    TaskMapping& tm = mapping.at(TaskId(index));
-    AM_REQUIRE(dist == "dist" || dist == "leader" || dist == "blocked",
-               "bad distribution flag: " + dist);
-    tm.distribute = (dist != "leader");
-    tm.blocked = (dist == "blocked");
-    tm.proc = parse_proc_kind(proc);
+  LineReader reader(is);
+  Mapping mapping = read(reader, graph);
+  std::vector<std::string> extra;
+  reader.expect(!reader.next(extra),
+                "mapping text has more lines than the graph has tasks");
+  return mapping;
+}
+
+Mapping Mapping::read(LineReader& reader, const TaskGraph& graph) {
+  Mapping mapping(graph);
+  const std::size_t tasks = graph.num_tasks();
+  std::vector<bool> seen(tasks, false);
+  std::vector<std::string> t;
+  for (std::size_t line = 0; line < tasks; ++line) {
+    if (!reader.next(t))
+      reader.fail("mapping covers " + std::to_string(line) + " of " +
+                  std::to_string(tasks) + " tasks");
+    if (t[0] != "task" || t.size() < 4)
+      reader.fail("expected: task <index> <dist|blocked|leader> <CPU|GPU> "
+                  "<memories>...");
+    const auto index = static_cast<std::size_t>(
+        reader.to_int(t[1], 0, static_cast<long long>(tasks) - 1));
+    if (seen[index]) reader.fail("task " + t[1] + " is mapped twice");
+    seen[index] = true;
     const std::size_t num_args = graph.task(TaskId(index)).args.size();
-    for (std::size_t a = 0; a < num_args; ++a) {
-      std::string mems;
-      ls >> mems;
-      AM_REQUIRE(!ls.fail(), "mapping line has too few arguments: " + line);
-      MemPriority priority;
-      std::istringstream ms(mems);
-      std::string one;
-      while (std::getline(ms, one, ',')) priority.push_back(parse_mem_kind(one));
-      AM_REQUIRE(!priority.empty(), "empty memory list in: " + line);
-      tm.arg_memories[a] = std::move(priority);
+    if (t.size() != 4 + num_args)
+      reader.fail("task " + t[1] + " takes " + std::to_string(num_args) +
+                  " memory entries, got " + std::to_string(t.size() - 4));
+    TaskMapping& tm = mapping.tasks_[index];
+    if (t[2] != "dist" && t[2] != "leader" && t[2] != "blocked")
+      reader.fail("bad distribution flag: " + t[2]);
+    tm.distribute = t[2] != "leader";
+    tm.blocked = t[2] == "blocked";
+    try {
+      tm.proc = parse_proc_kind(t[3]);
+      for (std::size_t a = 0; a < num_args; ++a) {
+        MemPriority& priority = tm.arg_memories[a];
+        priority.clear();
+        std::istringstream ms(t[4 + a]);
+        std::string one;
+        while (std::getline(ms, one, ','))
+          priority.push_back(parse_mem_kind(one));
+      }
+    } catch (const Error& e) {
+      reader.fail(e.what());
     }
-    ++lines;
   }
-  AM_REQUIRE(lines == graph.num_tasks(),
-             "mapping text does not cover every task");
   return mapping;
 }
 

@@ -20,6 +20,8 @@
 
 namespace automap {
 
+class LineReader;
+
 /// Memory priority list for one collection argument. Usually size one; the
 /// memory-constrained mode appends fallbacks.
 using MemPriority = std::vector<MemKind>;
@@ -90,6 +92,12 @@ class Mapping {
   /// when the shape does not match `graph`.
   [[nodiscard]] static Mapping parse(const std::string& text,
                                      const TaskGraph& graph);
+  /// Reads exactly one `task` line per task of `graph`, each index once,
+  /// from a reader positioned at the mapping (files that embed mappings:
+  /// profiles databases, evaluator state, checkpoints). Throws Error
+  /// naming the line on malformed input.
+  [[nodiscard]] static Mapping read(LineReader& reader,
+                                    const TaskGraph& graph);
 
   /// Human-readable mapping dump with task/collection names.
   [[nodiscard]] std::string describe(const TaskGraph& graph) const;

@@ -9,122 +9,6 @@
 
 namespace automap {
 
-namespace {
-
-/// Longest compute-weighted path over the same-iteration subgraph.
-/// Weights come from the report's measured per-iteration compute times.
-void find_critical_path(const TaskGraph& graph,
-                        const std::vector<double>& compute,
-                        std::vector<TaskId>& path, double& length) {
-  const auto topo = graph.topological_order();
-  std::vector<double> dist(graph.num_tasks(), 0.0);
-  std::vector<TaskId> pred(graph.num_tasks());
-
-  for (const TaskId t : topo) {
-    dist[t.index()] += compute[t.index()];
-    for (const DependenceEdge* e : graph.outgoing(t)) {
-      if (e->cross_iteration) continue;
-      if (dist[t.index()] > dist[e->consumer.index()]) {
-        dist[e->consumer.index()] = dist[t.index()];
-        pred[e->consumer.index()] = t;
-      }
-    }
-  }
-
-  TaskId tail;
-  length = -1.0;
-  for (std::size_t i = 0; i < graph.num_tasks(); ++i) {
-    if (dist[i] > length) {
-      length = dist[i];
-      tail = TaskId(i);
-    }
-  }
-  path.clear();
-  for (TaskId t = tail; t.valid(); t = pred[t.index()]) {
-    path.push_back(t);
-    if (!pred[t.index()].valid()) break;
-  }
-  std::reverse(path.begin(), path.end());
-}
-
-}  // namespace
-
-RunAnalysis analyze_run(const TaskGraph& graph,
-                        const ExecutionReport& report) {
-  AM_REQUIRE(report.ok, "cannot analyze a failed run");
-  AM_REQUIRE(report.tasks.size() == graph.num_tasks(),
-             "report does not match graph");
-
-  RunAnalysis a;
-  a.total_seconds = report.total_seconds;
-  a.iterations = report.iterations;
-  a.intra_node_copy_bytes = report.intra_node_copy_bytes;
-  a.inter_node_copy_bytes = report.inter_node_copy_bytes;
-  a.energy_joules = report.energy_joules;
-
-  std::vector<double> compute(graph.num_tasks(), 0.0);
-  for (const TaskReport& tr : report.tasks) {
-    compute[tr.task.index()] = tr.compute_seconds;
-    a.compute_seconds_by_kind[index_of(tr.proc)] += tr.compute_seconds;
-    a.copy_wait_seconds += tr.copy_wait_seconds;
-    a.hottest_tasks.push_back({tr.task, tr.compute_seconds});
-    if (tr.copy_wait_seconds > 0.0)
-      a.most_blocked_tasks.push_back({tr.task, tr.copy_wait_seconds});
-  }
-  std::stable_sort(a.hottest_tasks.begin(), a.hottest_tasks.end(),
-                   [](const TaskShare& x, const TaskShare& y) {
-                     return x.seconds > y.seconds;
-                   });
-  std::stable_sort(a.most_blocked_tasks.begin(), a.most_blocked_tasks.end(),
-                   [](const TaskShare& x, const TaskShare& y) {
-                     return x.seconds > y.seconds;
-                   });
-
-  find_critical_path(graph, compute, a.critical_path,
-                     a.critical_path_seconds);
-  return a;
-}
-
-std::string render_analysis(const TaskGraph& graph,
-                            const RunAnalysis& a) {
-  std::ostringstream os;
-  os << "total " << format_seconds(a.total_seconds) << " over "
-     << a.iterations << " iterations ("
-     << format_seconds(a.total_seconds / std::max(1, a.iterations))
-     << "/iter)\n";
-  os << "pool busy/iter: CPU "
-     << format_seconds(a.compute_seconds_by_kind[index_of(ProcKind::kCpu)])
-     << ", GPU "
-     << format_seconds(a.compute_seconds_by_kind[index_of(ProcKind::kGpu)])
-     << "\n";
-  os << "copies/iter: intra-node " << format_bytes(a.intra_node_copy_bytes)
-     << ", inter-node " << format_bytes(a.inter_node_copy_bytes)
-     << "; copy wait " << format_seconds(a.copy_wait_seconds) << "/iter\n";
-  os << "energy: " << format_fixed(a.energy_joules, 1) << " J\n";
-
-  os << "hottest tasks (compute/iter):\n";
-  const std::size_t top =
-      std::min<std::size_t>(5, a.hottest_tasks.size());
-  for (std::size_t i = 0; i < top; ++i) {
-    os << "  " << graph.task(a.hottest_tasks[i].task).name << ": "
-       << format_seconds(a.hottest_tasks[i].seconds) << "\n";
-  }
-  if (!a.most_blocked_tasks.empty()) {
-    os << "most copy-blocked tasks (wait/iter):\n";
-    const std::size_t blocked =
-        std::min<std::size_t>(3, a.most_blocked_tasks.size());
-    for (std::size_t i = 0; i < blocked; ++i) {
-      os << "  " << graph.task(a.most_blocked_tasks[i].task).name << ": "
-         << format_seconds(a.most_blocked_tasks[i].seconds) << "\n";
-    }
-  }
-  os << "critical path (" << format_seconds(a.critical_path_seconds)
-     << "/iter):";
-  for (const TaskId t : a.critical_path) os << " " << graph.task(t).name;
-  os << "\n";
-  return os.str();
-}
-
 std::string compare_runs(const TaskGraph& graph,
                          const ExecutionReport& baseline,
                          const ExecutionReport& improved) {
@@ -173,30 +57,6 @@ std::string compare_runs(const TaskGraph& graph,
             improved.intra_node_copy_bytes);
   copy_line("inter-node", baseline.inter_node_copy_bytes,
             improved.inter_node_copy_bytes);
-  return os.str();
-}
-
-std::string render_search_progress(const EvaluatorView& view) {
-  const SearchStats& stats = view.stats();
-  std::ostringstream os;
-  os << "search progress: " << stats.suggested << " suggested / "
-     << stats.evaluated << " evaluated (" << stats.invalid << " invalid, "
-     << stats.oom << " oom, " << stats.cache_hits
-     << " cache hits = " << format_fixed(100 * stats.cache_hit_rate(), 0)
-     << "%), simulated " << format_seconds(stats.search_time_s) << " ("
-     << format_fixed(100 * stats.evaluation_fraction(), 0)
-     << "% evaluating)\n";
-  if (view.has_best()) {
-    os << "best so far: " << format_seconds(view.best_seconds()) << "\n";
-  }
-  if (!view.trajectory().empty()) {
-    os << "trajectory:";
-    for (const TrajectoryPoint& p : view.trajectory()) {
-      os << " (" << format_fixed(p.search_time_s, 1) << "s, "
-         << format_seconds(p.best_exec_s) << ")";
-    }
-    os << "\n";
-  }
   return os.str();
 }
 

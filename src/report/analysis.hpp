@@ -1,58 +1,18 @@
 #pragma once
 
-// Post-run analysis: where did the time go, and why is one mapping faster
-// than another? Complements the raw ExecutionReport with per-kind
-// breakdowns, hottest-task rankings and the critical path through the
-// dependence graph — the quantities a performance engineer (or the paper's
-// Fig. 2/3 discussion) reasons about when reading a mapping.
+// Run comparison and search-telemetry rendering: why one mapping is faster
+// than another, and how a search converged. The digest of a single run
+// (pool busy time, copy wait, critical path, energy, copy volume) is
+// src/report/profile.hpp.
 
 #include <string>
 #include <vector>
 
-#include "src/mapping/mapping.hpp"
-#include "src/search/evaluator.hpp"
+#include "src/search/search.hpp"
 #include "src/sim/report.hpp"
 #include "src/taskgraph/task_graph.hpp"
 
 namespace automap {
-
-struct TaskShare {
-  TaskId task;
-  double seconds = 0.0;
-};
-
-struct RunAnalysis {
-  double total_seconds = 0.0;
-  int iterations = 0;
-
-  /// Per-iteration pool busy time by processor kind.
-  double compute_seconds_by_kind[kNumProcKinds] = {0.0, 0.0};
-  /// Per-iteration time tasks spent blocked on incoming copies.
-  double copy_wait_seconds = 0.0;
-
-  /// Tasks by per-iteration compute time, descending.
-  std::vector<TaskShare> hottest_tasks;
-  /// Tasks by per-iteration copy wait, descending (zero entries omitted).
-  std::vector<TaskShare> most_blocked_tasks;
-
-  /// Longest compute-weighted chain through the same-iteration dependence
-  /// graph, and its length — a lower bound on the iteration time no
-  /// mapping can beat without changing task costs.
-  std::vector<TaskId> critical_path;
-  double critical_path_seconds = 0.0;
-
-  std::uint64_t intra_node_copy_bytes = 0;
-  std::uint64_t inter_node_copy_bytes = 0;
-  double energy_joules = 0.0;
-};
-
-/// Digests an execution report. Requires report.ok.
-[[nodiscard]] RunAnalysis analyze_run(const TaskGraph& graph,
-                                      const ExecutionReport& report);
-
-/// Human-readable rendering of an analysis.
-[[nodiscard]] std::string render_analysis(const TaskGraph& graph,
-                                          const RunAnalysis& analysis);
 
 /// Explains the performance difference between two runs of the same graph
 /// (e.g. default vs AutoMap's mapping): per-task compute/wait deltas and
@@ -60,12 +20,6 @@ struct RunAnalysis {
 [[nodiscard]] std::string compare_runs(const TaskGraph& graph,
                                        const ExecutionReport& baseline,
                                        const ExecutionReport& improved);
-
-/// Search-progress digest from a read-only evaluator view: proposal and
-/// evaluation counters, cache hit rate, the simulated search clock, and the
-/// best-so-far trajectory. Reporting code takes the view, never the
-/// mutating Evaluator.
-[[nodiscard]] std::string render_search_progress(const EvaluatorView& view);
 
 /// Unicode block sparkline of a value series (min flat -> "▁", max ->
 /// "█"); empty input renders empty. Shared by the telemetry convergence

@@ -378,61 +378,14 @@ ReplayOutcome replay_journal(const MachineModel& machine,
 
   // Rebuild the recorded configuration. Every deterministic input is in
   // the search_begin record; the thread count deliberately is not (it
-  // cannot change the outcome), so the caller picks it. Version 2
-  // journals carry the canonical codec objects; version 1 spread the
-  // options across flat fields.
-  SearchOptions options;
-  SimOptions sim_options;
-  if (const JsonValue* opts = sb->find("options")) {
-    options = search_options_from_json(*opts);
-    const JsonValue* sim_obj = sb->find("sim");
-    AM_REQUIRE(sim_obj != nullptr,
-               "search_begin has 'options' but no 'sim' record");
-    sim_options = sim_options_from_json(*sim_obj);
-  } else {
-    options.seed = std::stoull(sb->str_or("seed", "0"));
-    options.rotations = static_cast<int>(sb->num_or("rotations", 5));
-    options.repeats = static_cast<int>(sb->num_or("repeats", 7));
-    options.time_budget_s = sb->wide_num_or("budget", kInf);
-    options.top_k = static_cast<int>(sb->num_or("top_k", 5));
-    options.final_repeats = static_cast<int>(sb->num_or("final_repeats", 31));
-    options.prune_candidates = sb->bool_or("prune", true);
-    options.memory_fallbacks = sb->bool_or("fallbacks", false);
-    options.search_distribution_strategies =
-        sb->bool_or("distribution_strategies", false);
-    options.objective = sb->str_or("objective", "time") == "energy"
-                            ? Objective::kEnergy
-                            : Objective::kExecutionTime;
-    options.resilience.max_retries =
-        static_cast<int>(sb->num_or("max_retries", 2));
-    options.resilience.quarantine_after =
-        static_cast<int>(sb->num_or("quarantine_after", 3));
-    options.resilience.retry_backoff_s = sb->num_or("retry_backoff_s", -1.0);
-    const std::string aggregation = sb->str_or("aggregation", "mean");
-    options.resilience.aggregation =
-        aggregation == "median"         ? Aggregation::kMedian
-        : aggregation == "trimmed_mean" ? Aggregation::kTrimmedMean
-                                        : Aggregation::kMean;
-    if (const JsonValue* frozen = sb->find("frozen"))
-      for (const JsonValue& f : frozen->array)
-        options.frozen_tasks.push_back(
-            TaskId(static_cast<std::size_t>(f.number)));
-
-    sim_options.iterations =
-        static_cast<int>(sb->num_or("sim_iterations", 10));
-    sim_options.noise_sigma = sb->num_or("noise_sigma", 0.05);
-    sim_options.faults.crash_prob = sb->num_or("fault_crash", 0.0);
-    sim_options.faults.straggler_prob = sb->num_or("fault_straggler", 0.0);
-    sim_options.faults.straggler_factor =
-        sb->num_or("fault_straggler_factor",
-                   sim_options.faults.straggler_factor);
-    sim_options.faults.mem_pressure_prob =
-        sb->num_or("fault_mem_pressure", 0.0);
-    sim_options.faults.mem_pressure_headroom =
-        sb->num_or("fault_mem_headroom",
-                   sim_options.faults.mem_pressure_headroom);
-    sim_options.faults.copy_fault_prob = sb->num_or("fault_copy", 0.0);
-  }
+  // cannot change the outcome), so the caller picks it.
+  const JsonValue* opts = sb->find("options");
+  const JsonValue* sim_obj = sb->find("sim");
+  AM_REQUIRE(opts != nullptr && sim_obj != nullptr,
+             "search_begin has no 'options'/'sim' record; replay needs a "
+             "journal of version 2 or later");
+  SearchOptions options = search_options_from_json(*opts);
+  const SimOptions sim_options = sim_options_from_json(*sim_obj);
   options.threads = threads;
   options.export_profiles_db = false;
 

@@ -98,6 +98,9 @@ ExecutionProfile compute_profile(const TaskGraph& graph,
   ExecutionProfile p;
   p.makespan_s = report.total_seconds;
   p.iterations = report.iterations;
+  p.energy_joules = report.energy_joules;
+  p.intra_node_copy_bytes = report.intra_node_copy_bytes;
+  p.inter_node_copy_bytes = report.inter_node_copy_bytes;
 
   // Per-resource busy accounting. Events on one resource never overlap
   // (each pool/channel is a serialized busy-until state in the simulator).
@@ -178,7 +181,10 @@ std::string render_profile(const TaskGraph& graph,
                            const ExecutionProfile& p) {
   std::ostringstream os;
   os << "profile: makespan " << format_seconds(p.makespan_s) << " over "
-     << p.iterations << " iterations\n\n";
+     << p.iterations << " iterations, energy "
+     << format_fixed(p.energy_joules, 1) << " J\n"
+     << "copies/iter: intra-node " << format_bytes(p.intra_node_copy_bytes)
+     << ", inter-node " << format_bytes(p.inter_node_copy_bytes) << "\n\n";
 
   os << "resource utilization (busy share of makespan):\n";
   Table resources({"resource", "busy", "util", "events", "bytes"});

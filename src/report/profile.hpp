@@ -69,6 +69,11 @@ struct CriticalPathStep {
 struct ExecutionProfile {
   double makespan_s = 0.0;
   int iterations = 0;
+  /// Run totals copied from the report: processor energy of the whole run
+  /// and inferred-copy bytes per iteration.
+  double energy_joules = 0.0;
+  std::uint64_t intra_node_copy_bytes = 0;
+  std::uint64_t inter_node_copy_bytes = 0;
 
   /// Sorted by busy time, descending.
   std::vector<ResourceUsage> resources;
@@ -100,8 +105,8 @@ struct ExecutionProfile {
 [[nodiscard]] ExecutionProfile compute_profile(const TaskGraph& graph,
                                                const ExecutionReport& report);
 
-/// Human-readable rendering: utilization table, per-task breakdown of the
-/// hottest tasks, and the critical path.
+/// Human-readable rendering: run totals, utilization table, per-task
+/// breakdown of the hottest tasks, and the critical path.
 [[nodiscard]] std::string render_profile(const TaskGraph& graph,
                                          const ExecutionProfile& profile);
 

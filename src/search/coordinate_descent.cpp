@@ -1,6 +1,7 @@
 #include "src/search/coordinate_descent.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/io/line_reader.hpp"
 #include "src/io/text_io.hpp"
 #include "src/report/journal.hpp"
 #include "src/support/durable.hpp"
@@ -470,7 +472,6 @@ struct ResumePoint {
   double best_before = std::numeric_limits<double>::infinity();
   double incumbent_mean = std::numeric_limits<double>::infinity();
   std::vector<TaskId> order;  // the rotation's coordinate order, mid-rotation
-  std::string evaluator_state;
 };
 
 /// Durably publishes a checkpoint: rotation/position cursor, the
@@ -501,57 +502,38 @@ void write_checkpoint(const std::string& path, const char* algorithm,
   save_checksummed(path, os.str(), "checkpoint");
 }
 
-/// Parses a checkpoint produced by write_checkpoint. The mapping is parsed
-/// into `f`; the evaluator-state tail is returned verbatim for
-/// Evaluator::restore_state.
+/// Parses a checkpoint produced by write_checkpoint: the mapping goes into
+/// `f` and the evaluator-state tail into `eval`.
 ResumePoint parse_checkpoint(const std::string& text, const char* algorithm,
-                             const TaskGraph& graph, Mapping& f) {
+                             const TaskGraph& graph, Mapping& f,
+                             Evaluator& eval) {
   std::istringstream is(text);
-  std::string line;
-  const auto field = [&is, &line](const char* head) {
-    AM_REQUIRE(std::getline(is, line) &&
-                   line.rfind(std::string(head) + " ", 0) == 0,
-               "malformed checkpoint: expected '" + std::string(head) + "'");
-    return line.substr(std::string(head).size() + 1);
-  };
-  const auto to_d = [](const std::string& t) -> double {
-    try {
-      return std::stod(t);
-    } catch (const std::exception&) {
-      throw Error("malformed number in checkpoint: '" + t + "'");
-    }
-  };
-  AM_REQUIRE(field("automap-checkpoint") == "1",
-             "unsupported checkpoint version");
-  const std::string label = field("algorithm");
-  AM_REQUIRE(label == algorithm,
-             "checkpoint was written by " + label + ", cannot resume as " +
-                 algorithm);
+  LineReader reader(is);
+  reader.expect(reader.tagged("automap-checkpoint", 1)[1] == "1",
+                "unsupported checkpoint version");
+  const std::string label = reader.tagged("algorithm", 1)[1];
+  if (label != algorithm)
+    reader.fail("checkpoint was written by " + label +
+                ", cannot resume as " + algorithm);
+  const auto tasks = static_cast<long long>(graph.num_tasks());
   ResumePoint rp;
-  rp.rotation = static_cast<int>(to_d(field("rotation")));
-  rp.position = static_cast<std::size_t>(to_d(field("position")));
-  rp.best_before = to_d(field("best_before"));
-  rp.incumbent_mean = to_d(field("incumbent_mean"));
-  std::istringstream order_is(field("order"));
-  std::size_t n_order = 0;
-  AM_REQUIRE(static_cast<bool>(order_is >> n_order),
-             "malformed order in checkpoint");
-  for (std::size_t i = 0; i < n_order; ++i) {
-    std::size_t idx = 0;
-    AM_REQUIRE(static_cast<bool>(order_is >> idx),
-               "truncated order in checkpoint");
-    AM_REQUIRE(idx < graph.num_tasks(), "order task out of range");
-    rp.order.push_back(TaskId(idx));
-  }
-  std::string mapping_text;
-  for (std::size_t t = 0; t < graph.num_tasks(); ++t) {
-    AM_REQUIRE(std::getline(is, line), "truncated mapping in checkpoint");
-    mapping_text += line + "\n";
-  }
-  f = Mapping::parse(mapping_text, graph);
-  std::ostringstream tail;
-  tail << is.rdbuf();
-  rp.evaluator_state = tail.str();
+  rp.rotation = static_cast<int>(
+      reader.to_int(reader.tagged("rotation", 1)[1], 0, INT_MAX));
+  rp.position = static_cast<std::size_t>(
+      reader.to_int(reader.tagged("position", 1)[1], 0, tasks));
+  rp.best_before = reader.to_double(reader.tagged("best_before", 1)[1]);
+  rp.incumbent_mean = reader.to_double(reader.tagged("incumbent_mean", 1)[1]);
+  std::vector<std::string> t;
+  reader.expect(reader.next(t) && t[0] == "order" && t.size() >= 2,
+                "expected: order <count> <task id>...");
+  reader.expect(t.size() == 2 + static_cast<std::size_t>(
+                                    reader.to_int(t[1], 0, tasks)),
+                "order count does not match its task ids");
+  for (std::size_t i = 2; i < t.size(); ++i)
+    rp.order.push_back(
+        TaskId(static_cast<std::size_t>(reader.to_int(t[i], 0, tasks - 1))));
+  f = Mapping::read(reader, graph);
+  eval.restore_state(reader);
   return rp;
 }
 
@@ -589,8 +571,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
   const bool resuming = !options.resume_state.empty();
   ResumePoint rp;
   if (resuming) {
-    rp = parse_checkpoint(options.resume_state, algorithm, graph, f);
-    eval.restore_state(rp.evaluator_state);
+    rp = parse_checkpoint(options.resume_state, algorithm, graph, f, eval);
   }
   eval.journal_search_begin(algorithm, f, /*custom_start=*/start != nullptr);
   double p = resuming ? rp.incumbent_mean : eval.evaluate(f);

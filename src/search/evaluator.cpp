@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <exception>
 #include <limits>
@@ -9,6 +10,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "src/io/line_reader.hpp"
 #include "src/report/journal.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
@@ -324,54 +326,29 @@ std::string Evaluator::export_profiles() const {
 
 void Evaluator::import_profiles(const std::string& text) {
   std::istringstream is(text);
-  import_profiles_impl(is, /*update_top=*/true);
+  LineReader reader(is);
+  import_profiles_impl(reader, /*update_top=*/true);
 }
 
-void Evaluator::import_profiles_impl(std::istream& is, bool update_top) {
-  std::string line;
-  AM_REQUIRE(std::getline(is, line) && line.rfind("profiles ", 0) == 0,
-             "malformed profiles database header");
+void Evaluator::import_profiles_impl(LineReader& reader, bool update_top) {
+  const std::string entries = reader.tagged("profiles", 1)[1];
   const TaskGraph& graph = sim_.graph();
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    AM_REQUIRE(line.rfind("entry ", 0) == 0,
-               "expected an 'entry' line in the profiles database");
-    // Validate the mean ourselves: bare std::stod would leak
-    // std::invalid_argument past the Error-based diagnostics every other
-    // malformed-input path produces.
-    double mean = 0.0;
-    std::size_t parsed = 0;
-    try {
-      mean = std::stod(line.substr(6), &parsed);
-    } catch (const std::exception&) {
-      parsed = 0;
-    }
-    // After the mean the line may carry an optional marker: "censored"
-    // (the stored value is a bound the true mean exceeds) or "quarantined"
-    // (the candidate failed its whole retry budget and is cached as
+  std::vector<std::string> t;
+  for (long long i = 0, n = reader.to_int(entries, 0); i < n; ++i) {
+    if (!reader.next(t))
+      reader.fail("profiles database ends after " + std::to_string(i) +
+                  " of " + entries + " entries");
+    // After the mean the line may carry a marker: "censored" (the stored
+    // value is a bound the true mean exceeds) or "quarantined" (the
+    // candidate failed its whole retry budget and is cached as
     // permanently failed).
-    bool censored = false;
-    bool quarantined = false;
-    bool well_formed = parsed > 0;
-    if (well_formed) {
-      const std::size_t tail = line.find_first_not_of(" \t", 6 + parsed);
-      if (tail != std::string::npos) {
-        const std::string marker = line.substr(tail);
-        censored = marker == "censored";
-        quarantined = marker == "quarantined";
-        well_formed = censored || quarantined;
-      }
-    }
-    AM_REQUIRE(well_formed,
-               "malformed mean in profiles database entry: '" + line + "'");
-    std::string mapping_text;
-    for (std::size_t i = 0; i < graph.num_tasks(); ++i) {
-      std::string task_line;
-      AM_REQUIRE(std::getline(is, task_line),
-                 "truncated mapping in the profiles database");
-      mapping_text += task_line + "\n";
-    }
-    Mapping mapping = Mapping::parse(mapping_text, graph);
+    if (t[0] != "entry" || t.size() < 2 || t.size() > 3 ||
+        (t.size() == 3 && t[2] != "censored" && t[2] != "quarantined"))
+      reader.fail("expected: entry <mean> [censored|quarantined]");
+    const double mean = reader.to_double(t[1]);
+    const bool censored = t.size() == 3 && t[2] == "censored";
+    const bool quarantined = t.size() == 3 && t[2] == "quarantined";
+    Mapping mapping = Mapping::read(reader, graph);
     const std::uint64_t key = mapping.hash();
     if (update_top && mean < kInf && !censored) {
       // insert_top dedupes by hash, so importing the same database twice
@@ -387,6 +364,8 @@ void Evaluator::import_profiles_impl(std::istream& is, bool update_top) {
     profiles_.insert_or_assign(
         key, Entry{std::move(mapping), mean, censored, quarantined});
   }
+  reader.expect(!reader.next(t),
+                "profiles database holds more than " + entries + " entries");
 }
 
 void Evaluator::insert_top(const Mapping& mapping, double mean) {
@@ -821,100 +800,57 @@ std::string Evaluator::serialize_state() const {
 }
 
 void Evaluator::restore_state(const std::string& text) {
+  std::istringstream is(text);
+  LineReader reader(is);
+  restore_state(reader);
+}
+
+void Evaluator::restore_state(LineReader& reader) {
   AM_REQUIRE(profiles_.empty() && top_.empty() && stats_.suggested == 0,
              "restore_state requires a freshly constructed evaluator");
-  std::istringstream is(text);
-  std::string line;
-  // stod/stoull handle "inf" and report malformed input; stream extraction
-  // of doubles would reject "inf" outright on common standard libraries.
-  const auto to_d = [](const std::string& t) -> double {
-    try {
-      return std::stod(t);
-    } catch (const std::exception&) {
-      throw Error("malformed number in evaluator state: '" + t + "'");
-    }
+  const auto count = [&reader](const std::string& field) {
+    return static_cast<std::size_t>(reader.to_int(field, 0));
   };
-  const auto to_u = [](const std::string& t) -> std::size_t {
-    try {
-      return static_cast<std::size_t>(std::stoull(t));
-    } catch (const std::exception&) {
-      throw Error("malformed count in evaluator state: '" + t + "'");
-    }
-  };
-  // Reads the next line, asserts its leading tag, returns the remaining
-  // whitespace-separated fields.
-  const auto split = [&is, &line](const char* head) {
-    AM_REQUIRE(std::getline(is, line), "truncated evaluator state");
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    AM_REQUIRE(tag == head, "malformed evaluator state: expected '" +
-                                std::string(head) + "', got '" + tag + "'");
-    std::vector<std::string> fields;
-    std::string t;
-    while (ls >> t) fields.push_back(t);
-    return fields;
-  };
-
-  const auto header = split("evaluator-state");
-  AM_REQUIRE(header.size() == 1 && header[0] == "1",
-             "unsupported evaluator state version");
-  const auto best = split("best_seconds");
-  AM_REQUIRE(best.size() == 1, "malformed best_seconds in evaluator state");
-  best_seconds_ = to_d(best[0]);
-  const auto counters = split("counters");
-  AM_REQUIRE(counters.size() == 10, "malformed counters in evaluator state");
-  stats_.suggested = to_u(counters[0]);
-  stats_.evaluated = to_u(counters[1]);
-  stats_.invalid = to_u(counters[2]);
-  stats_.oom = to_u(counters[3]);
-  stats_.censored = to_u(counters[4]);
-  stats_.cache_hits = to_u(counters[5]);
-  stats_.transient_failures = to_u(counters[6]);
-  stats_.retries = to_u(counters[7]);
-  stats_.quarantined = to_u(counters[8]);
-  stats_.degraded = counters[9] == "1";
-  const auto clocks = split("clocks");
-  AM_REQUIRE(clocks.size() == 2, "malformed clocks in evaluator state");
-  stats_.search_time_s = to_d(clocks[0]);
-  stats_.evaluation_time_s = to_d(clocks[1]);
-  const auto nrot = split("rotations");
-  AM_REQUIRE(nrot.size() == 1, "malformed rotations header");
-  for (std::size_t i = 0, n = to_u(nrot[0]); i < n; ++i) {
-    const auto f = split("rotation");
-    AM_REQUIRE(f.size() == 5, "malformed rotation in evaluator state");
-    stats_.rotations.push_back({.rotation = static_cast<int>(to_u(f[0])),
-                                .best_before_s = to_d(f[1]),
-                                .best_after_s = to_d(f[2]),
-                                .evaluated = to_u(f[3]),
-                                .search_time_s = to_d(f[4])});
+  reader.expect(reader.tagged("evaluator-state", 1)[1] == "1",
+                "unsupported evaluator state version");
+  best_seconds_ = reader.to_double(reader.tagged("best_seconds", 1)[1]);
+  const auto counters = reader.tagged("counters", 10);
+  stats_.suggested = count(counters[1]);
+  stats_.evaluated = count(counters[2]);
+  stats_.invalid = count(counters[3]);
+  stats_.oom = count(counters[4]);
+  stats_.censored = count(counters[5]);
+  stats_.cache_hits = count(counters[6]);
+  stats_.transient_failures = count(counters[7]);
+  stats_.retries = count(counters[8]);
+  stats_.quarantined = count(counters[9]);
+  stats_.degraded = reader.to_int(counters[10], 0, 1) == 1;
+  const auto clocks = reader.tagged("clocks", 2);
+  stats_.search_time_s = reader.to_double(clocks[1]);
+  stats_.evaluation_time_s = reader.to_double(clocks[2]);
+  for (std::size_t i = 0, n = count(reader.tagged("rotations", 1)[1]); i < n;
+       ++i) {
+    const auto f = reader.tagged("rotation", 5);
+    stats_.rotations.push_back(
+        {.rotation = static_cast<int>(reader.to_int(f[1], 0, INT_MAX)),
+         .best_before_s = reader.to_double(f[2]),
+         .best_after_s = reader.to_double(f[3]),
+         .evaluated = count(f[4]),
+         .search_time_s = reader.to_double(f[5])});
   }
-  const auto ntraj = split("trajectory");
-  AM_REQUIRE(ntraj.size() == 1, "malformed trajectory header");
-  for (std::size_t i = 0, n = to_u(ntraj[0]); i < n; ++i) {
-    const auto f = split("point");
-    AM_REQUIRE(f.size() == 2, "malformed trajectory point");
-    trajectory_.push_back({to_d(f[0]), to_d(f[1])});
+  for (std::size_t i = 0, n = count(reader.tagged("trajectory", 1)[1]); i < n;
+       ++i) {
+    const auto f = reader.tagged("point", 2);
+    trajectory_.push_back({reader.to_double(f[1]), reader.to_double(f[2])});
   }
-  const auto ntop = split("top");
-  AM_REQUIRE(ntop.size() == 1, "malformed top header");
   const TaskGraph& graph = sim_.graph();
-  for (std::size_t i = 0, n = to_u(ntop[0]); i < n; ++i) {
-    const auto f = split("finalist");
-    AM_REQUIRE(f.size() == 1, "malformed finalist in evaluator state");
-    const double mean = to_d(f[0]);
-    std::string mapping_text;
-    for (std::size_t t = 0; t < graph.num_tasks(); ++t) {
-      std::string task_line;
-      AM_REQUIRE(std::getline(is, task_line),
-                 "truncated finalist mapping in evaluator state");
-      mapping_text += task_line + "\n";
-    }
-    top_.push_back(Entry{Mapping::parse(mapping_text, graph), mean});
+  for (std::size_t i = 0, n = count(reader.tagged("top", 1)[1]); i < n; ++i) {
+    const double mean = reader.to_double(reader.tagged("finalist", 1)[1]);
+    top_.push_back(Entry{Mapping::read(reader, graph), mean});
   }
   // The profiles section is a verbatim database export; the top-k list and
   // incumbent were restored above, so the import must not rebuild them.
-  import_profiles_impl(is, /*update_top=*/false);
+  import_profiles_impl(reader, /*update_top=*/false);
 }
 
 const Mapping& EvaluatorView::best() const {

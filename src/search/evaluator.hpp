@@ -63,6 +63,7 @@ class EvaluatorView;
 class Gauge;
 class Histogram;
 class Journal;
+class LineReader;
 class MetricsRegistry;
 
 class Evaluator {
@@ -180,6 +181,9 @@ class Evaluator {
   /// malformed text. The wall-clock anchor restarts at zero — wall_time_s
   /// is explicitly excluded from determinism guarantees.
   void restore_state(const std::string& text);
+  /// Same, from a reader positioned at the state (checkpoints embed it
+  /// after their own header and mapping); reads to the end of input.
+  void restore_state(LineReader& reader);
 
  private:
   friend class EvaluatorView;
@@ -287,11 +291,11 @@ class Evaluator {
   /// Inserts into the top-k finalist list unless an entry with the same
   /// structural hash and mapping is already present (dedupe on import).
   void insert_top(const Mapping& mapping, double mean);
-  /// Shared core of import_profiles and restore_state: parses a profiles
-  /// section from the stream. When `update_top` is false the top-k list and
-  /// incumbent are left untouched (restore_state rebuilds them verbatim
-  /// from the checkpoint's own section to preserve tie order).
-  void import_profiles_impl(std::istream& is, bool update_top);
+  /// Shared core of import_profiles and restore_state: reads a profiles
+  /// section to the end of input. When `update_top` is false the top-k
+  /// list and incumbent are left untouched (restore_state rebuilds them
+  /// verbatim from the checkpoint's own section to preserve tie order).
+  void import_profiles_impl(LineReader& reader, bool update_top);
   /// Serializes the profiles database (every measured mapping with its
   /// mean) for reuse via SearchOptions::profiles_seed.
   [[nodiscard]] std::string export_profiles() const;

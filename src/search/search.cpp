@@ -62,26 +62,6 @@ Aggregation parse_aggregation(const std::string& name) {
               "' (expected mean|median|trimmed_mean)");
 }
 
-/// Strict member decoders: wire requests and journal fingerprints must
-/// fail loudly on mistyped values, not silently fall back to defaults.
-int json_int(const JsonValue& v, const std::string& key) {
-  AM_REQUIRE(v.kind == JsonValue::Kind::kNumber,
-             "field '" + key + "' must be a number");
-  return static_cast<int>(v.number);
-}
-
-bool json_bool(const JsonValue& v, const std::string& key) {
-  AM_REQUIRE(v.kind == JsonValue::Kind::kBool,
-             "field '" + key + "' must be a boolean");
-  return v.boolean;
-}
-
-std::string json_str(const JsonValue& v, const std::string& key) {
-  AM_REQUIRE(v.kind == JsonValue::Kind::kString,
-             "field '" + key + "' must be a string");
-  return v.string;
-}
-
 /// Doubles that may be non-finite travel as the quoted strings the
 /// journal writes ("inf"/"-inf"/"nan"); accept both shapes.
 double json_wide(const JsonValue& v, const std::string& key) {
@@ -92,22 +72,6 @@ double json_wide(const JsonValue& v, const std::string& key) {
     if (v.string == "nan") return std::numeric_limits<double>::quiet_NaN();
   }
   throw Error("field '" + key + "' must be a number or \"inf\"/\"-inf\"");
-}
-
-std::uint64_t json_u64(const JsonValue& v, const std::string& key) {
-  // 64-bit values are written as strings (JSON numbers lose precision past
-  // 2^53) but hand-written requests may use plain numbers.
-  if (v.kind == JsonValue::Kind::kNumber)
-    return static_cast<std::uint64_t>(v.number);
-  if (v.kind == JsonValue::Kind::kString) {
-    try {
-      std::size_t used = 0;
-      const std::uint64_t parsed = std::stoull(v.string, &used);
-      if (used == v.string.size()) return parsed;
-    } catch (const std::exception&) {
-    }
-  }
-  throw Error("field '" + key + "' must be a 64-bit value");
 }
 
 void check_schema(const JsonValue& v, const char* what) {
@@ -196,11 +160,9 @@ SearchOptions search_options_from_json(const JsonValue& v) {
     } else if (key == "frozen") {
       AM_REQUIRE(value.kind == JsonValue::Kind::kArray,
                  "field 'frozen' must be an array");
-      for (const JsonValue& f : value.array) {
-        AM_REQUIRE(f.kind == JsonValue::Kind::kNumber,
-                   "field 'frozen' must hold task indices");
-        o.frozen_tasks.push_back(TaskId(static_cast<std::size_t>(f.number)));
-      }
+      for (const JsonValue& f : value.array)
+        o.frozen_tasks.push_back(
+            TaskId(static_cast<std::size_t>(json_int(f, key, 0))));
     } else if (key == "max_retries") {
       o.resilience.max_retries = json_int(value, key);
     } else if (key == "quarantine_after") {

@@ -47,15 +47,11 @@ std::string attr_value_json(const JsonValue& v) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(FlightRecorderOptions options)
-    : options_(std::move(options)) {
-  AM_REQUIRE(options_.max_jobs > 0 && options_.max_spans_per_job > 1,
-             "flight recorder bounds must allow at least one job with an "
-             "anchor span plus one more");
-}
+FlightRecorder::FlightRecorder(std::function<double()> clock_ms)
+    : clock_ms_(std::move(clock_ms)) {}
 
 double FlightRecorder::now_at_least(double floor) const {
-  const double now = options_.clock_ms ? options_.clock_ms() : steady_ms();
+  const double now = clock_ms_ ? clock_ms_() : steady_ms();
   return std::max(now, floor);
 }
 
@@ -70,7 +66,7 @@ FlightRecorder::Timeline& FlightRecorder::timeline_locked(
     std::uint64_t job) {
   auto it = timelines_.find(job);
   if (it == timelines_.end()) {
-    while (timelines_.size() >= options_.max_jobs) {
+    while (timelines_.size() >= kRecorderMaxJobs) {
       // Evict the least-recently-touched sealed timeline; only when every
       // timeline is still live does an active one go.
       auto victim = timelines_.end();
@@ -94,7 +90,7 @@ FlightRecorder::Timeline& FlightRecorder::timeline_locked(
 }
 
 void FlightRecorder::append_locked(Timeline& timeline, Span span) {
-  while (timeline.spans.size() >= options_.max_spans_per_job &&
+  while (timeline.spans.size() >= kRecorderMaxSpansPerJob &&
          timeline.spans.size() > 1) {
     // Keep the first span — it anchors age_ms — and shed the oldest of
     // the rest (in practice checkpoint markers, the only unbounded part).
@@ -181,7 +177,7 @@ void FlightRecorder::service_event(const std::string& name,
       now_at_least(events_.empty() ? 0.0 : events_.back().at_ms);
   event.attrs = std::move(attrs);
   events_.push_back(std::move(event));
-  while (events_.size() > options_.max_service_events)
+  while (events_.size() > kRecorderMaxServiceEvents)
     events_.pop_front();
 }
 

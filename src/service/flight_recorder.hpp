@@ -16,10 +16,10 @@
 // later transition on a sealed timeline reopens it, which is exactly the
 // service's cancelled-job revival path.
 //
-// Bounded by design: at most `max_spans_per_job` spans per job (the
+// Bounded by design: at most kRecorderMaxSpansPerJob spans per job (the
 // oldest non-initial spans are dropped and counted — checkpoint markers
 // are what grows, and the first span anchors the job's age), at most
-// `max_jobs` timelines (least-recently-touched terminal timelines evict
+// kRecorderMaxJobs timelines (least-recently-touched terminal timelines evict
 // first), and a fixed ring of service-level events (admission rejections,
 // deadline expiries, evictions, quarantines). The recorder has its own
 // mutex and never calls back into the service, so any service path — with
@@ -41,22 +41,16 @@
 
 namespace automap {
 
-struct FlightRecorderOptions {
-  /// Timeline budget; adding one more evicts the least-recently-touched
-  /// terminal timeline (or the least-recently-touched overall when none
-  /// is terminal).
-  std::size_t max_jobs = 512;
-  /// Span budget per timeline; exceeding it drops the oldest span after
-  /// the first (the first anchors the job's age) and bumps dropped().
-  std::size_t max_spans_per_job = 64;
-  /// Ring size for service-level events (admission rejections, deadline
-  /// expiries, evictions, quarantines).
-  std::size_t max_service_events = 256;
-  /// Clock returning milliseconds on an arbitrary steady epoch. Empty =
-  /// std::chrono::steady_clock; tests inject a fake for deterministic
-  /// span timing.
-  std::function<double()> clock_ms;
-};
+/// Timeline budget; adding one more evicts the least-recently-touched
+/// terminal timeline (or the least-recently-touched overall when none is
+/// terminal).
+inline constexpr std::size_t kRecorderMaxJobs = 512;
+/// Span budget per timeline; exceeding it drops the oldest span after the
+/// first (the first anchors the job's age) and bumps dropped().
+inline constexpr std::size_t kRecorderMaxSpansPerJob = 64;
+/// Ring size for service-level events (admission rejections, deadline
+/// expiries, evictions, quarantines).
+inline constexpr std::size_t kRecorderMaxServiceEvents = 256;
 
 /// One span attribute: `value_json` is spliced verbatim into JSON output,
 /// so it must already be a valid JSON value ("3", "true", "\"client\"").
@@ -67,7 +61,10 @@ struct SpanAttr {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightRecorderOptions options);
+  /// `clock_ms` returns milliseconds on an arbitrary steady epoch. Empty =
+  /// std::chrono::steady_clock; tests inject a fake for deterministic span
+  /// timing.
+  explicit FlightRecorder(std::function<double()> clock_ms);
 
   /// Closes the job's open span (if any) at now and opens `span` at the
   /// same instant — the gap-free chain step. Creates the timeline when the
@@ -151,12 +148,12 @@ class FlightRecorder {
   /// monotone even under a misbehaving injected clock.
   [[nodiscard]] double now_at_least(double floor) const;
   [[nodiscard]] double newest_ms(const Timeline& timeline) const;
-  /// Fetches or creates the job's timeline, evicting per max_jobs.
+  /// Fetches or creates the job's timeline, evicting per kRecorderMaxJobs.
   Timeline& timeline_locked(std::uint64_t job);
   void append_locked(Timeline& timeline, Span span);
   static std::string span_json(const Span& span);
 
-  FlightRecorderOptions options_;
+  std::function<double()> clock_ms_;
   mutable std::mutex mutex_;
   std::map<std::uint64_t, Timeline> timelines_;
   std::deque<ServiceEvent> events_;

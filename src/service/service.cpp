@@ -14,7 +14,6 @@
 #include "src/report/journal.hpp"
 #include "src/search/algorithms.hpp"
 #include "src/search/search.hpp"
-#include "src/service/fingerprint.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/durable.hpp"
 #include "src/support/error.hpp"
@@ -63,21 +62,23 @@ SubmitSpec parse_submit(const JsonValue& request) {
   AM_REQUIRE(graph != nullptr && graph->kind == JsonValue::Kind::kString,
              "submit needs a 'graph' text field");
   spec.graph_text = graph->string;
-  spec.algorithm = request.str_or("algorithm", "ccd");
+  if (const JsonValue* v = request.find("algorithm"))
+    spec.algorithm = json_str(*v, "algorithm");
   if (const JsonValue* options = request.find("options"))
     spec.options = search_options_from_json(*options);
   if (const JsonValue* sim = request.find("sim"))
     spec.sim = sim_options_from_json(*sim);
-  spec.priority = static_cast<int>(request.num_or("priority", 0));
-  spec.want_journal = request.bool_or("journal", false);
-  spec.reuse_measurements = request.bool_or("reuse_measurements", false);
-  spec.deadline_ms = request.num_or("deadline_ms", 0);
+  if (const JsonValue* v = request.find("priority"))
+    spec.priority = json_int(*v, "priority");
+  if (const JsonValue* v = request.find("journal"))
+    spec.want_journal = json_bool(*v, "journal");
+  if (const JsonValue* v = request.find("reuse_measurements"))
+    spec.reuse_measurements = json_bool(*v, "reuse_measurements");
   // The upper bound keeps the later int64 cast and steady_clock addition
-  // well-defined for any wire-supplied double (1e300 is valid JSON); NaN
-  // fails both comparisons. ~A year is far beyond any real deadline.
-  AM_REQUIRE(spec.deadline_ms >= 0 && spec.deadline_ms <= kMaxDeadlineMs,
-             "deadline_ms must be between 0 and " +
-                 std::to_string(static_cast<std::int64_t>(kMaxDeadlineMs)));
+  // well-defined for any wire-supplied double (1e300 is valid JSON). ~A
+  // year is far beyond any real deadline.
+  if (const JsonValue* v = request.find("deadline_ms"))
+    spec.deadline_ms = json_number(*v, "deadline_ms", 0, kMaxDeadlineMs);
 
   spec.options_json = search_options_to_json(spec.options);
   spec.sim_json = sim_options_to_json(spec.sim);
@@ -125,8 +126,7 @@ std::string require_job_field(const JsonValue& request) {
   const JsonValue* job = request.find("job");
   AM_REQUIRE(job != nullptr && job->kind == JsonValue::Kind::kNumber,
              "request needs a numeric 'job' field");
-  return std::to_string(
-      static_cast<std::uint64_t>(job->number));
+  return std::to_string(json_u64(*job, "job"));
 }
 
 /// Bytes of regular files under `dir` (0 when absent) — the store's
@@ -192,11 +192,7 @@ MappingService::MappingService(const ServiceConfig& config)
     : config_(config),
       pool_(config.eval_threads == 0 ? ThreadPool::hardware_threads()
                                      : config.eval_threads),
-      recorder_([&config] {
-        FlightRecorderOptions options;
-        options.clock_ms = config.clock_ms;
-        return options;
-      }()) {
+      recorder_(config.clock_ms) {
   AM_REQUIRE(!config_.store_dir.empty(), "service store directory is empty");
   clock_ms_ = config_.clock_ms ? config_.clock_ms
                                : std::function<double()>(&steady_ms);
@@ -780,8 +776,9 @@ std::string MappingService::handle_result(const JsonValue& request) {
 
 std::string MappingService::handle_journal(const JsonValue& request) {
   const std::string id_text = require_job_field(request);
+  const JsonValue* after_field = request.find("after");
   const long long after =
-      static_cast<long long>(request.num_or("after", -1));
+      after_field ? json_int(*after_field, "after", -1) : -1;
   std::string path;
   {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -25,6 +25,7 @@ std::size_t arg_index_of(const GroupTask& task, CollectionId collection) {
 }
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Domain-separation salt for the fault RNG stream: fault draws must not
 /// perturb the noise stream (a fault-free config makes zero fault draws and
@@ -816,8 +817,7 @@ bool Simulator::begin_runs(const Mapping& mapping,
   {
     const auto violations = mapping.violations(graph_, machine_);
     if (!violations.empty()) {
-      clear_report(scratch.report_, options_.iterations,
-                   options_.time_bound);
+      clear_report(scratch.report_, options_.iterations, kInf);
       scratch.report_.failure = "invalid mapping: " + violations.front();
       return false;
     }
@@ -825,7 +825,7 @@ bool Simulator::begin_runs(const Mapping& mapping,
 
   resolve_memories(mapping, scratch);
   if (!scratch.resolve_ok_) {
-    clear_report(scratch.report_, options_.iterations, options_.time_bound);
+    clear_report(scratch.report_, options_.iterations, kInf);
     // The resolve pass records only ids; the human-readable message is
     // built here, on the (cold) failure path.
     if (scratch.failure_kind_ == SimScratch::ResolveFailure::kOutOfMemory) {
@@ -882,7 +882,7 @@ ExecutionReport Simulator::run(const Mapping& mapping,
                                std::uint64_t seed) const {
   SimScratch scratch;
   if (begin_runs(mapping, scratch))
-    run_prepared(mapping, seed, scratch, options_.time_bound);
+    run_prepared(mapping, seed, scratch, kInf);
   return std::move(scratch.report_);
 }
 

@@ -93,12 +93,6 @@ struct SimOptions {
   /// Record per-task/per-copy timeline events in the report (costs memory;
   /// off during search, on for visualization).
   bool record_trace = false;
-  /// Default simulated-time bound for run(): once the simulated clock
-  /// provably exceeds it, the run is abandoned and reported as *censored*
-  /// ("the makespan is >= this bound"). Infinity disables bounding. The
-  /// search layer uses per-call bounds derived from its incumbent instead
-  /// of this default (incumbent-bounded candidate pruning).
-  double time_bound = std::numeric_limits<double>::infinity();
   /// Deterministic fault injection; disabled by default.
   FaultModel faults;
   /// Raw simulator run counters (src/support/metrics.hpp). These count
@@ -226,8 +220,8 @@ class Simulator {
 
   /// Simulates one run. `seed` individualizes the noise; runs with equal
   /// seeds and mappings are bit-identical. Convenience wrapper around
-  /// begin_runs + run_prepared under SimOptions::time_bound (allocates a
-  /// fresh arena per call).
+  /// begin_runs + an unbounded run_prepared (allocates a fresh arena per
+  /// call).
   [[nodiscard]] ExecutionReport run(const Mapping& mapping,
                                     std::uint64_t seed) const;
 

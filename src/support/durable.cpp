@@ -11,6 +11,7 @@
 
 #include "src/support/crash_points.hpp"
 #include "src/support/error.hpp"
+#include "src/support/json.hpp"
 
 namespace automap {
 
@@ -18,7 +19,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 /// Trailer line head; the full line is
@@ -26,16 +26,6 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 /// separates it from the payload (which may or may not end in a newline
 /// of its own — the separator is always added, so stripping is exact).
 constexpr std::string_view kTrailerHead = "#automap-checksum 1 ";
-
-[[nodiscard]] std::string hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xf];
-    value >>= 4;
-  }
-  return out;
-}
 
 void write_and_fsync(const std::string& path, const std::string& text,
                      const char* kind) {
@@ -77,13 +67,16 @@ void fsync_parent_dir(const std::string& path) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t state = kFnvOffset;
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t state) {
   for (const char c : bytes) {
     state ^= static_cast<unsigned char>(c);
     state *= kFnvPrime;
   }
   return state;
+}
+
+std::uint64_t hash_text(std::string_view text, std::uint64_t state) {
+  return (fnv1a64(text, state) ^ 0xffU) * kFnvPrime;
 }
 
 std::string with_checksum_trailer(std::string_view payload) {
@@ -94,7 +87,7 @@ std::string with_checksum_trailer(std::string_view payload) {
   out += kTrailerHead;
   out += std::to_string(payload.size());
   out += ' ';
-  out += hex16(fnv1a64(payload));
+  out += hex_u64(fnv1a64(payload));
   out += '\n';
   return out;
 }

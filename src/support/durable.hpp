@@ -27,10 +27,21 @@
 
 namespace automap {
 
-/// Plain FNV-1a 64-bit over raw bytes (no chunk terminator — this is the
-/// checksum primitive, distinct from the chained tuple fingerprints in
-/// src/service/fingerprint.hpp).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
+/// FNV-1a 64-bit offset basis: the state of an empty hash.
+inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
+
+/// Plain FNV-1a 64-bit over raw bytes, continuing `state` — the checksum
+/// primitive.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes,
+                                    std::uint64_t state = kFnv1aOffset);
+
+/// FNV-1a over `text` plus a terminator byte, continuing `state`: chain
+/// calls to fingerprint a tuple of texts without concatenating them, and
+/// ("ab", "c") still hashes apart from ("a", "bc"). The service keys its
+/// result cache and evaluation-cache buckets this way; the keys name
+/// cache files and index maps, they are not security boundaries.
+[[nodiscard]] std::uint64_t hash_text(std::string_view text,
+                                      std::uint64_t state = kFnv1aOffset);
 
 /// `payload` plus the checksum trailer line.
 [[nodiscard]] std::string with_checksum_trailer(std::string_view payload);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <string>
 
 #include "src/support/error.hpp"
 
@@ -292,6 +293,53 @@ double JsonValue::wide_num_or(std::string_view key, double fallback) const {
     }
   }
   return fallback;
+}
+
+double json_number(const JsonValue& v, const std::string& key, double lo,
+                   double hi) {
+  // The negated form also rejects NaN.
+  if (v.kind != JsonValue::Kind::kNumber ||
+      !(v.number >= lo && v.number <= hi))
+    throw Error("field '" + key + "' must be a number in [" +
+                json_double(lo) + ", " + json_double(hi) + "]");
+  return v.number;
+}
+
+int json_int(const JsonValue& v, const std::string& key, int lo, int hi) {
+  const double n = json_number(v, key, lo, hi);
+  if (n != std::trunc(n))
+    throw Error("field '" + key + "' must be an integer");
+  return static_cast<int>(n);
+}
+
+bool json_bool(const JsonValue& v, const std::string& key) {
+  if (v.kind != JsonValue::Kind::kBool)
+    throw Error("field '" + key + "' must be a boolean");
+  return v.boolean;
+}
+
+std::string json_str(const JsonValue& v, const std::string& key) {
+  if (v.kind != JsonValue::Kind::kString)
+    throw Error("field '" + key + "' must be a string");
+  return v.string;
+}
+
+std::uint64_t json_u64(const JsonValue& v, const std::string& key) {
+  // Every integral double in [0, 2^64) converts exactly.
+  if (v.kind == JsonValue::Kind::kNumber && v.number >= 0 &&
+      v.number < 0x1p64 && v.number == std::trunc(v.number))
+    return static_cast<std::uint64_t>(v.number);
+  // stoull skips blanks and wraps a leading '-'; demand a digit first.
+  if (v.kind == JsonValue::Kind::kString &&
+      std::isdigit(static_cast<unsigned char>(v.string[0]))) {
+    try {
+      std::size_t used = 0;
+      const std::uint64_t parsed = std::stoull(v.string, &used);
+      if (used == v.string.size()) return parsed;
+    } catch (const std::out_of_range&) {
+    }
+  }
+  throw Error("field '" + key + "' must be a 64-bit unsigned integer");
 }
 
 JsonValue parse_json(std::string_view text) {

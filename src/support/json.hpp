@@ -11,6 +11,7 @@
 // insertion order (journal events are small and key order matters for
 // byte-identity checks).
 
+#include <climits>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -48,6 +49,21 @@ struct JsonValue {
   [[nodiscard]] double wide_num_or(std::string_view key,
                                    double fallback) const;
 };
+
+/// Strict member decoders for wire requests and journal records: a value
+/// of the wrong type, or a number outside [lo, hi], throws Error naming
+/// `key` instead of falling back to a default.
+[[nodiscard]] double json_number(const JsonValue& v, const std::string& key,
+                                 double lo, double hi);
+/// Integral number in [lo, hi].
+[[nodiscard]] int json_int(const JsonValue& v, const std::string& key,
+                           int lo = INT_MIN, int hi = INT_MAX);
+[[nodiscard]] bool json_bool(const JsonValue& v, const std::string& key);
+[[nodiscard]] std::string json_str(const JsonValue& v, const std::string& key);
+/// 64-bit values travel as decimal strings (JSON numbers lose precision
+/// past 2^53); hand-written requests may use plain integral numbers.
+[[nodiscard]] std::uint64_t json_u64(const JsonValue& v,
+                                     const std::string& key);
 
 /// Parses one JSON document (throws Error on malformed input, with an
 /// offset in the message). Trailing whitespace is allowed; trailing

@@ -465,5 +465,35 @@ TEST(Checkpoint, ResumeRejectsAlgorithmMismatch) {
   std::remove(path.c_str());
 }
 
+TEST(Checkpoint, ResumeRejectsANegativeOrFractionalRotation) {
+  const MachineModel machine = make_shepard(1);
+  const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
+  Simulator sim(machine, app.graph, {.iterations = 2, .noise_sigma = 0.02});
+
+  const std::string path = ::testing::TempDir() + "automap_ckpt_cursor.txt";
+  SearchOptions options{.rotations = 2, .repeats = 2, .seed = 5};
+  options.checkpoint_path = path;
+  const SearchResult reference = run_ccd(sim, options);
+  const std::string payload = load_checksummed(path).payload;
+  std::remove(path.c_str());
+
+  // The last checkpoint sits at the end of the final rotation. Resumed
+  // as written it replays nothing and lands on the same result; edited,
+  // its cursor must be refused rather than cast into a different search
+  // (rotation -1 would rerun the whole descent and report 5 rotations).
+  const std::string cursor = "\nrotation 2\n";
+  ASSERT_NE(payload.find(cursor), std::string::npos);
+  SearchOptions resumed{.rotations = 2, .repeats = 2, .seed = 5};
+  resumed.resume_state = payload;
+  EXPECT_EQ(run_ccd(sim, resumed).stats.rotations.size(),
+            reference.stats.rotations.size());
+  for (const char* bad : {"rotation -1", "rotation 1.5"}) {
+    resumed.resume_state = payload;
+    resumed.resume_state.replace(payload.find(cursor), cursor.size(),
+                                 "\n" + std::string(bad) + "\n");
+    EXPECT_THROW((void)run_ccd(sim, resumed), Error) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace automap

@@ -1,15 +1,26 @@
-// Tests for the text serialization of machine models and task graphs
-// (the §3.3 search-space/machine files).
+// Tests for the text formats: machine models and task graphs (the §3.3
+// search-space/machine files), and the malformed-input handling of every
+// format read through LineReader (mappings, profiles databases, evaluator
+// state, checkpoints).
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/apps/circuit.hpp"
 #include "src/apps/pennant.hpp"
+#include "src/apps/stencil.hpp"
 #include "src/io/text_io.hpp"
 #include "src/machine/machine.hpp"
+#include "src/mapping/mapping.hpp"
+#include "src/search/coordinate_descent.hpp"
+#include "src/search/evaluator.hpp"
+#include "src/search/search.hpp"
+#include "src/sim/simulator.hpp"
+#include "src/support/durable.hpp"
 #include "src/support/error.hpp"
 
 namespace automap {
@@ -157,6 +168,150 @@ TEST(FileIo, SaveLoadRoundTrip) {
 TEST(FileIo, MissingFilesThrow) {
   EXPECT_THROW((void)load_machine("/nonexistent/path.machine"), Error);
   EXPECT_THROW(save_text("/nonexistent/dir/file.txt", "x"), Error);
+}
+
+// --- formats read through LineReader ----------------------------------------
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string joined(std::vector<std::string>::const_iterator begin,
+                   std::vector<std::string>::const_iterator end) {
+  std::string out;
+  for (auto it = begin; it != end; ++it) out += *it + "\n";
+  return out;
+}
+
+/// `lines` with line `i` replaced, joined back into text.
+std::string with_line(std::vector<std::string> lines, std::size_t i,
+                      const std::string& line) {
+  lines.at(i) = line;
+  return joined(lines.begin(), lines.end());
+}
+
+/// Index of the first line that starts with `prefix`.
+std::size_t line_starting(const std::vector<std::string>& lines,
+                          const std::string& prefix) {
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    if (lines[i].rfind(prefix, 0) == 0) return i;
+  ADD_FAILURE() << "no line starts with '" << prefix << "'";
+  return 0;
+}
+
+struct Malformed {
+  std::string what;
+  std::string text;
+};
+
+/// Every case must be refused with an Error whose message names the line.
+template <class Read>
+void expect_refused_naming_the_line(const std::vector<Malformed>& cases,
+                                    const Read& read) {
+  for (const Malformed& c : cases) {
+    try {
+      read(c.text);
+      ADD_FAILURE() << c.what << ": accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("line "), std::string::npos)
+          << c.what << ": " << e.what();
+    }
+  }
+}
+
+class LineFormats : public ::testing::Test {
+ protected:
+  LineFormats()
+      : app(make_stencil(stencil_config_for(1, 0))),
+        machine(make_shepard(1)),
+        sim(machine, app.graph, {.iterations = 1, .noise_sigma = 0.0}),
+        measured(sim, {.repeats = 1, .seed = 1}) {
+    (void)measured.evaluate(search_starting_point(app.graph, machine));
+  }
+
+  BenchmarkApp app;
+  MachineModel machine;
+  Simulator sim;
+  /// Holds one measured mapping: the search's starting point.
+  Evaluator measured;
+};
+
+TEST_F(LineFormats, MalformedMappingNamesTheLine) {
+  const auto lines =
+      lines_of(search_starting_point(app.graph, machine).serialize());
+  ASSERT_GE(lines.size(), 2u);
+  expect_refused_naming_the_line(
+      {{"truncated", joined(lines.begin(), lines.end() - 1)},
+       {"extra field", with_line(lines, 0, lines[0] + " FrameBuffer")},
+       {"bad number", with_line(lines, 1, "task 1.5" + lines[1].substr(6))},
+       {"repeated task", with_line(lines, 1, lines[0])}},
+      [&](const std::string& text) {
+        (void)Mapping::parse(text, app.graph);
+      });
+}
+
+TEST_F(LineFormats, MalformedProfilesDatabaseNamesTheLine) {
+  // profiles 1 / entry <mean> / task 0 ... / task 1 ...
+  const auto lines = lines_of(measured.view().export_profiles());
+  ASSERT_GE(lines.size(), 4u);
+  expect_refused_naming_the_line(
+      {{"truncated", joined(lines.begin(), lines.end() - 1)},
+       {"extra field", with_line(lines, 1, lines[1] + " censored 1")},
+       {"bad number", with_line(lines, 1, "entry 0.5x")},
+       {"repeated task", with_line(lines, 3, lines[2])},
+       {"missing entries", with_line(lines, 0, "profiles 2")}},
+      [&](const std::string& text) {
+        Evaluator eval(sim, {.repeats = 1});
+        eval.import_profiles(text);
+      });
+}
+
+TEST_F(LineFormats, MalformedEvaluatorStateNamesTheLine) {
+  const auto lines = lines_of(measured.serialize_state());
+  const std::size_t counters = line_starting(lines, "counters ");
+  const std::size_t clocks = line_starting(lines, "clocks ");
+  const std::size_t finalist = line_starting(lines, "finalist ");
+  expect_refused_naming_the_line(
+      {{"truncated", joined(lines.begin(), lines.begin() + clocks + 1)},
+       {"extra field", with_line(lines, counters, lines[counters] + " 0")},
+       {"bad number", with_line(lines, clocks, "clocks 1e 0")},
+       {"negative count", with_line(lines, counters,
+                                    "counters -1 0 0 0 0 0 0 0 0 0")},
+       {"repeated task",
+        with_line(lines, finalist + 2, lines[finalist + 1])}},
+      [&](const std::string& text) {
+        Evaluator eval(sim, {.repeats = 1});
+        eval.restore_state(text);
+      });
+}
+
+TEST_F(LineFormats, MalformedCheckpointNamesTheLine) {
+  const std::string path = ::testing::TempDir() + "automap_line_formats.ckpt";
+  SearchOptions options{.rotations = 1, .repeats = 1, .seed = 2};
+  options.checkpoint_path = path;
+  (void)run_ccd(sim, options);
+  const auto lines = lines_of(load_checksummed(path).payload);
+  std::remove(path.c_str());
+  const std::size_t position = line_starting(lines, "position ");
+  const std::size_t order = line_starting(lines, "order ");
+  expect_refused_naming_the_line(
+      {{"truncated", joined(lines.begin(), lines.end() - 1)},
+       {"extra field", with_line(lines, position, lines[position] + " 0")},
+       {"bad number", with_line(lines, position, "position 1.5")},
+       {"rotation past int", with_line(lines, position - 1,
+                                       "rotation 1e300")},
+       {"position past the last task", with_line(lines, position,
+                                                 "position 999")},
+       {"order id out of range", with_line(lines, order, "order 1 999")},
+       {"repeated task", with_line(lines, order + 2, lines[order + 1])}},
+      [&](const std::string& text) {
+        SearchOptions resume{.rotations = 1, .repeats = 1, .seed = 2};
+        resume.resume_state = text;
+        (void)run_ccd(sim, resume);
+      });
 }
 
 }  // namespace

@@ -325,6 +325,20 @@ TEST(Replay, RefusesJournalsItCannotReproduce) {
                            truncated.substr(0, truncated.rfind('\n') + 1), 1),
       Error);
   EXPECT_THROW((void)replay_journal(machine, app.graph, "", 1), Error);
+  // Version 1 spread the configuration over flat search_begin fields;
+  // replay reads only the version-2 codec objects and says so.
+  const std::string v1 =
+      "{\"n\":0,\"type\":\"journal\",\"version\":1}\n"
+      "{\"n\":1,\"type\":\"search_begin\",\"algorithm\":\"AM-CCD\","
+      "\"seed\":\"1\",\"rotations\":2}\n"
+      "{\"n\":2,\"type\":\"finalize\",\"algorithm\":\"AM-CCD\",\"best\":1}\n";
+  try {
+    (void)replay_journal(machine, app.graph, v1, 1);
+    ADD_FAILURE() << "a version-1 journal was replayed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

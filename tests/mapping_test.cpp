@@ -109,6 +109,18 @@ TEST_F(MappingFixture, ParseRejectsMalformedText) {
   EXPECT_THROW(Mapping::parse("", g), Error);  // covers no task
 }
 
+TEST_F(MappingFixture, ParseRejectsARepeatedTaskLine) {
+  // Two lines for two tasks, but task 0 twice: accepting it would leave
+  // task 1 on the constructor default (GPU, which it cannot even run on).
+  EXPECT_THROW(Mapping::parse("task 0 dist CPU System System\n"
+                              "task 0 leader CPU System System\n",
+                              g),
+               Error);
+  EXPECT_NO_THROW((void)Mapping::parse("task 1 dist CPU System\n"
+                                       "task 0 leader CPU System System\n",
+                                       g));
+}
+
 TEST_F(MappingFixture, PriorityListsSerialize) {
   Mapping m(g);
   m.at(t0).arg_memories[0] = {MemKind::kFrameBuffer, MemKind::kZeroCopy};

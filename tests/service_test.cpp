@@ -71,12 +71,17 @@ SearchOptions small_options(std::uint64_t seed) {
   return options;
 }
 
-std::string submit_request(const SearchOptions& options,
+std::string submit_request(const std::string& options_json,
                            const std::string& extra = "") {
   return "{\"op\":\"submit\",\"machine\":\"" +
          json_escape(stencil_machine_text()) + "\",\"graph\":\"" +
          json_escape(stencil_graph_text()) +
-         "\",\"options\":" + search_options_to_json(options) + extra + "}";
+         "\",\"options\":" + options_json + extra + "}";
+}
+
+std::string submit_request(const SearchOptions& options,
+                           const std::string& extra = "") {
+  return submit_request(search_options_to_json(options), extra);
 }
 
 JsonValue handle_json(MappingService& service, const std::string& request) {
@@ -787,6 +792,74 @@ TEST(Service, AbsurdDeadlineIsRejectedAtParseTime) {
   EXPECT_EQ(refused.str_or("code", ""), "bad_request");
   EXPECT_TRUE(
       handle_json(service, "{\"op\":\"jobs\"}").find("jobs")->array.empty());
+}
+
+TEST(Service, MistypedSubmitFieldsAreBadRequests) {
+  MappingService service({.store_dir = fresh_store("strict-submit"),
+                          .eval_threads = 1,
+                          .job_workers = 0});
+  // Each of these was once accepted: read as the field's default (and so
+  // landing on the default request's job), truncated, or cast out of range.
+  for (const std::string extra :
+       {",\"algorithm\":5", ",\"priority\":\"high\"", ",\"priority\":1.5",
+        ",\"priority\":1e300", ",\"deadline_ms\":\"5000\"",
+        ",\"journal\":\"yes\"", ",\"reuse_measurements\":1"}) {
+    EXPECT_EQ(handle_json(service, submit_request(small_options(7), extra))
+                  .str_or("code", ""),
+              "bad_request")
+        << extra;
+  }
+  // The options codec's integers and frozen task ids are checked the same
+  // way: no fractions, nothing a cast would wrap or leave undefined.
+  const std::string options = search_options_to_json(small_options(7));
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"rotations\":2", "\"rotations\":2.5"},
+           {"\"rotations\":2", "\"rotations\":1e300"},
+           {"\"frozen\":[]", "\"frozen\":[-1]"},
+           {"\"frozen\":[]", "\"frozen\":[0.5]"},
+           {"\"seed\":\"7\"", "\"seed\":-1"},
+           {"\"seed\":\"7\"", "\"seed\":\"-1\""}}) {
+    std::string edited = options;
+    ASSERT_NE(edited.find(from), std::string::npos) << from;
+    edited.replace(edited.find(from), from.size(), to);
+    EXPECT_EQ(handle_json(service, submit_request(edited)).str_or("code", ""),
+              "bad_request")
+        << to;
+  }
+  EXPECT_TRUE(
+      handle_json(service, "{\"op\":\"jobs\"}").find("jobs")->array.empty());
+}
+
+TEST(Service, JobIdsAndJournalCursorsMustBeIntegers) {
+  MappingService service({.store_dir = fresh_store("strict-job"),
+                          .eval_threads = 1,
+                          .job_workers = 0});
+  const std::string id =
+      job_id_of(handle_json(service, submit_request(small_options(7))));
+  ASSERT_EQ(id, "1");
+  // 1.9 once read as job 1; -1 and 1e300 were undefined casts.
+  for (const std::string op :
+       {"status", "result", "journal", "cancel", "trace"}) {
+    for (const std::string job : {"1.9", "-1", "1e300"}) {
+      EXPECT_EQ(handle_json(service, "{\"op\":\"" + op +
+                                         "\",\"job\":" + job + "}")
+                    .str_or("code", ""),
+                "bad_request")
+          << op << " " << job;
+    }
+  }
+  for (const std::string after : {"1.5", "\"3\"", "1e300"}) {
+    EXPECT_EQ(handle_json(service,
+                          "{\"op\":\"journal\",\"job\":1,\"after\":" + after +
+                              "}")
+                  .str_or("code", ""),
+              "bad_request")
+        << after;
+  }
+  EXPECT_EQ(handle_json(service, "{\"op\":\"status\",\"job\":1}")
+                .str_or("status", ""),
+            "queued");
 }
 
 TEST(Service, RevivalPersistsTheAcceptedDeadline) {

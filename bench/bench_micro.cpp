@@ -1,7 +1,7 @@
 // Component micro-benchmarks (google-benchmark): the building blocks whose
 // cost determines how many candidate mappings an offline search can afford
-// to try — simulator runs, dependence analysis, overlap-graph construction,
-// co-location fixed points and mapping hashing.
+// to try — simulator runs, noise draws, dependence analysis, overlap-graph
+// construction, co-location fixed points and mapping hashing.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +18,7 @@
 #include "src/search/coordinate_descent.hpp"
 #include "src/search/search.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/support/rng.hpp"
 
 namespace {
 using namespace automap;
@@ -146,16 +147,37 @@ void BM_JournalEmitCandidate(benchmark::State& state) {
 }
 BENCHMARK(BM_JournalEmitCandidate);
 
+// Per-draw cost of the simulator's noise: one standard normal, and one
+// log-normal factor at the default noise_sigma (each task execution and
+// copy leg of a noisy run draws one). sigma is read through a volatile so
+// the optimizer cannot treat it as a constant; with DoNotOptimize(sigma)
+// on the lvalue instead, GCC 12 emitted no store of sigma's initial value
+// and the loop ran on an uninitialized sigma.
+void BM_RngNormal(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.normal());
+}
+BENCHMARK(BM_RngNormal);
+
+void BM_RngLognormalFactor(benchmark::State& state) {
+  Rng rng(1);
+  const volatile double opaque_sigma = SimOptions{}.noise_sigma;
+  const double sigma = opaque_sigma;
+  for (auto _ : state) benchmark::DoNotOptimize(rng.lognormal_factor(sigma));
+}
+BENCHMARK(BM_RngLognormalFactor);
+
 // Simulator steady-state throughput on the search fast path (begin_runs
 // once, run_prepared per repeat against a reused arena) — the quantity that
 // bounds how many candidates a search can afford. The CI perf-smoke job
-// runs these with
+// runs these and the Rng entries above with
 //
-//   bench_micro "--benchmark_filter=SimThroughput|SimRepeats" \
+//   bench_micro "--benchmark_filter=SimThroughput|SimRepeats|Rng"
 //               --benchmark_out=BENCH_sim.json --benchmark_out_format=json
 //
-// and fails on a >1.3x regression of any entry versus the committed baseline
-// (bench/BENCH_sim_baseline.json, checked by tools/check_bench_sim.py).
+// and fails on a >1.3x regression of any entry in the committed baseline
+// (bench/BENCH_sim_baseline.json, checked by tools/check_bench_sim.py;
+// the Rng entries have no baseline, so they are recorded but not gated).
 // Counters: runs_per_s (simulated runs per wall second), events_per_second
 // (scheduling events — task executions plus copy legs — per wall second;
 // the roadmap's ~10M events/s goal tracks this number directly) and

@@ -181,8 +181,7 @@ int client_submit(const Args& args, const std::string& socket_path,
   request += "}";
 
   const JsonValue response = call(socket_path, retry, request);
-  const std::string id =
-      std::to_string(static_cast<std::uint64_t>(response.num_or("job", 0)));
+  const std::string id = std::to_string(json_u64_or(response, "job", 0));
   std::cout << "job " << id << " " << response.str_or("status", "?")
             << (response.bool_or("cached", false) ? " (cached)" : "")
             << "\n";
@@ -231,8 +230,7 @@ int client_trace(const std::string& socket_path, const RetryPolicy& retry,
   std::cout << "job " << id << " trace"
             << (response.bool_or("terminal", false) ? " (terminal)" : "")
             << "\n";
-  if (const auto dropped =
-          static_cast<std::uint64_t>(response.num_or("dropped", 0));
+  if (const std::uint64_t dropped = json_u64_or(response, "dropped", 0);
       dropped > 0)
     std::cout << dropped << " spans dropped to the per-job bound\n";
   if (spans == nullptr || spans->array.empty()) {
@@ -251,11 +249,11 @@ int client_trace(const std::string& socket_path, const RetryPolicy& retry,
       duration = "-";
     else if (!open)
       duration = format_seconds((end->number - start) / 1000.0);
-    const double worker = span.num_or("worker", -1);
+    const int worker = json_int_or(span, "worker", -1, 0);
     table.add_row({span.str_or("name", "?"),
                    "+" + format_seconds((start - origin) / 1000.0),
                    duration,
-                   worker < 0 ? "-" : std::to_string(static_cast<int>(worker)),
+                   worker < 0 ? "-" : std::to_string(worker),
                    render_attrs(span)});
   }
   table.print(std::cout);
@@ -328,11 +326,11 @@ void print_top_frame(const std::string& socket_path,
       const std::string status = job.str_or("status", "");
       if (status != "queued" && status != "running") continue;
       inflight.add_row(
-          {std::to_string(static_cast<std::uint64_t>(job.num_or("job", 0))),
+          {std::to_string(json_u64_or(job, "job", 0)),
            status, job.str_or("span", "?"),
            format_seconds(job.num_or("age_ms", 0) / 1000.0),
            format_seconds(job.num_or("queue_wait_ms", 0) / 1000.0),
-           std::to_string(static_cast<int>(job.num_or("priority", 0))),
+           std::to_string(json_int_or(job, "priority", 0)),
            job.str_or("algorithm", "?")});
     }
   }
@@ -349,8 +347,7 @@ void print_top_frame(const std::string& socket_path,
       latency.add_row({name, format_seconds(q.num_or("p50", 0)),
                        format_seconds(q.num_or("p95", 0)),
                        format_seconds(q.num_or("p99", 0)),
-                       std::to_string(static_cast<std::uint64_t>(
-                           q.num_or("count", 0)))});
+                       std::to_string(json_u64_or(q, "count", 0))});
     latency.print(std::cout);
   }
 }
@@ -381,10 +378,10 @@ int client_jobs(const std::string& socket_path, const RetryPolicy& retry) {
   }
   for (const JsonValue& job : jobs->array)
     std::cout << "job "
-              << static_cast<std::uint64_t>(job.num_or("job", 0)) << " "
+              << json_u64_or(job, "job", 0) << " "
               << job.str_or("status", "?") << " "
               << job.str_or("algorithm", "?") << " priority "
-              << static_cast<int>(job.num_or("priority", 0)) << "\n";
+              << json_int_or(job, "priority", 0) << "\n";
   return 0;
 }
 
@@ -397,7 +394,7 @@ int cmd_client(const Args& args) {
   if (action == "ping") {
     const JsonValue response = call(socket_path, retry, "{\"op\":\"ping\"}");
     std::cout << "pong (wire version "
-              << static_cast<int>(response.num_or("version", 0)) << ")\n";
+              << json_int_or(response, "version", 0) << ")\n";
     return 0;
   }
   if (action == "submit") return client_submit(args, socket_path, retry);

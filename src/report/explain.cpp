@@ -1,5 +1,7 @@
 #include "src/report/explain.hpp"
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -22,6 +24,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Largest valid index into a container of `size` elements, as the upper
+/// bound of a strict integer field (-1 when empty: every index is refused).
+int last_index(std::size_t size) {
+  return static_cast<int>(std::min<std::size_t>(size, INT_MAX)) - 1;
+}
+
 /// Splits journal text into parsed JSONL events and validates the header
 /// (first record: type "journal" with a supported schema version) and the
 /// monotone sequence numbers the byte-identity contract promises.
@@ -43,15 +51,14 @@ std::vector<JsonValue> parse_journal(const std::string& text) {
   AM_REQUIRE(!events.empty(), "journal is empty");
   AM_REQUIRE(events.front().str_or("type", "") == "journal",
              "journal does not start with a header record");
-  const int version =
-      static_cast<int>(events.front().num_or("version", -1));
+  const int version = json_int_or(events.front(), "version", -1);
   AM_REQUIRE(version >= 1 && version <= kJournalVersion,
              "unsupported journal schema version " +
                  std::to_string(version) + " (this build reads <= " +
                  std::to_string(kJournalVersion) + ")");
   long long prev = -1;
   for (const JsonValue& ev : events) {
-    const long long n = static_cast<long long>(ev.num_or("n", -1));
+    const long long n = json_int_or(ev, "n", -1, 0);
     AM_REQUIRE(n == prev + 1, "journal sequence broken at event n=" +
                                   std::to_string(n) + " (expected " +
                                   std::to_string(prev + 1) + ")");
@@ -110,12 +117,11 @@ Segment make_segment(const TaskGraph& graph, const JsonValue& sb) {
 /// records provenance for every decision the move changed. Verifies the
 /// recorded post-move hash against the replayed mapping.
 void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
-  const long long n = static_cast<long long>(ev.num_or("n", -1));
-  const int rotation = static_cast<int>(ev.num_or("rot", -1));
-  const long long t = static_cast<long long>(ev.num_or("task", -1));
-  AM_REQUIRE(t >= 0 && static_cast<std::size_t>(t) < graph.num_tasks(),
-             "move event n=" + std::to_string(n) +
-                 " has no valid task cursor");
+  const int n = json_int_or(ev, "n", -1, 0);
+  const int rotation = json_int_or(ev, "rot", -1, 0);
+  const int t = json_int_or(ev, "task", -1, 0, last_index(graph.num_tasks()));
+  AM_REQUIRE(t >= 0, "move event n=" + std::to_string(n) +
+                         " has no task cursor");
   const TaskId task(static_cast<std::size_t>(t));
   const bool has_delta = ev.has("delta");
   const double delta = ev.num_or("delta", 0.0);
@@ -131,7 +137,8 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
     tm.blocked = ev.bool_or("blocked", tm.blocked);
     seg.dist_prov[task.index()] = primary;
   } else if (kind == "placement") {
-    const long long arg = static_cast<long long>(ev.num_or("arg", -1));
+    const int arg = json_int_or(ev, "arg", -1, 0,
+                                last_index(seg.mem_prov[task.index()].size()));
     AM_REQUIRE(arg >= 0, "placement move n=" + std::to_string(n) +
                              " has no arg field");
     const ProcKind proc = parse_proc_kind(ev.str_or("proc", ""));
@@ -148,10 +155,8 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
     }
     if (const JsonValue* forced = ev.find("forced")) {
       for (const JsonValue& f : forced->array) {
-        const auto ft = static_cast<std::size_t>(f.num_or("task", 0));
-        AM_REQUIRE(ft < graph.num_tasks(),
-                   "forced move task out of range at n=" +
-                       std::to_string(n));
+        const auto ft = static_cast<std::size_t>(
+            json_int_or(f, "task", 0, 0, last_index(graph.num_tasks())));
         Provenance prov = primary;
         prov.forced = true;
         prov.by_task = task.index();
@@ -162,10 +167,8 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
               parse_proc_kind(f.str_or("proc", ""));
           seg.proc_prov[ft] = prov;
         } else {
-          const auto fa = static_cast<std::size_t>(f.num_or("arg", 0));
-          AM_REQUIRE(fa < seg.mem_prov[ft].size(),
-                     "forced move arg out of range at n=" +
-                         std::to_string(n));
+          const auto fa = static_cast<std::size_t>(
+              json_int_or(f, "arg", 0, 0, last_index(seg.mem_prov[ft].size())));
           seg.current.set_primary_memory(TaskId(ft), fa,
                                          parse_mem_kind(f.str_or("mem", "")));
           seg.mem_prov[ft][fa] = prov;

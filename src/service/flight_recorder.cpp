@@ -274,8 +274,7 @@ void FlightRecorder::restore(std::uint64_t job, const std::string& payload) {
              "spans payload needs a 'spans' array");
 
   Timeline timeline;
-  timeline.dropped =
-      static_cast<std::uint64_t>(doc.num_or("dropped", 0));
+  timeline.dropped = json_u64_or(doc, "dropped", 0);
   timeline.terminal = doc.bool_or("terminal", false);
   double newest = -std::numeric_limits<double>::infinity();
   for (const JsonValue& entry : spans->array) {
@@ -289,7 +288,7 @@ void FlightRecorder::restore(std::uint64_t job, const std::string& payload) {
     span.end_ms = (end != nullptr && end->kind == JsonValue::Kind::kNumber)
                       ? end->number
                       : -1;
-    span.worker = static_cast<int>(entry.num_or("worker", -1));
+    span.worker = json_int_or(entry, "worker", -1, 0);
     span.instant = entry.bool_or("instant", false);
     if (const JsonValue* attrs = entry.find("attrs"))
       for (const auto& [key, value] : attrs->object)

@@ -342,6 +342,18 @@ std::uint64_t json_u64(const JsonValue& v, const std::string& key) {
   throw Error("field '" + key + "' must be a 64-bit unsigned integer");
 }
 
+int json_int_or(const JsonValue& object, const std::string& key,
+                int fallback, int lo, int hi) {
+  const JsonValue* v = object.find(key);
+  return v == nullptr ? fallback : json_int(*v, key, lo, hi);
+}
+
+std::uint64_t json_u64_or(const JsonValue& object, const std::string& key,
+                          std::uint64_t fallback) {
+  const JsonValue* v = object.find(key);
+  return v == nullptr ? fallback : json_u64(*v, key);
+}
+
 JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
 }

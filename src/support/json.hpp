@@ -64,6 +64,15 @@ struct JsonValue {
 /// past 2^53); hand-written requests may use plain integral numbers.
 [[nodiscard]] std::uint64_t json_u64(const JsonValue& v,
                                      const std::string& key);
+/// The same decoders for an optional member of `object`: `fallback` when
+/// the member is absent, an Error naming `key` when it is present but
+/// mistyped or out of range.
+[[nodiscard]] int json_int_or(const JsonValue& object, const std::string& key,
+                              int fallback, int lo = INT_MIN,
+                              int hi = INT_MAX);
+[[nodiscard]] std::uint64_t json_u64_or(const JsonValue& object,
+                                        const std::string& key,
+                                        std::uint64_t fallback);
 
 /// Parses one JSON document (throws Error on malformed input, with an
 /// offset in the message). Trailing whitespace is allowed; trailing

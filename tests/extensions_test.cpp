@@ -90,19 +90,24 @@ TEST(DistributionSearch, ClosesTheBlockedDecompositionGap) {
   // Whether the greedy descent adopts the blocked candidate on this
   // instance depends on the evaluation-noise draws, i.e. on the seed: the
   // blocked and distributed optima are within a few percent of each other
-  // here. Most seeds adopt it under the evaluator's derived-seed noise
-  // streams; this one does.
-  const SearchResult extended = automap_optimize(
-      sim, SearchAlgorithm::kCcd,
-      {.rotations = 5, .repeats = 7, .seed = 7,
-       .search_distribution_strategies = true});
-  const double am_s = measure_mapping(sim, extended.best, 15, 2);
-  EXPECT_LE(am_s, custom_s * 1.03);
+  // here. So every seed must match the custom mapper, and most seeds must
+  // adopt a blocked decomposition.
+  int adopted = 0;
+  constexpr int kSeeds = 10;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const SearchResult extended = automap_optimize(
+        sim, SearchAlgorithm::kCcd,
+        {.rotations = 5, .repeats = 7, .seed = seed,
+         .search_distribution_strategies = true});
+    const double am_s = measure_mapping(sim, extended.best, 15, 2);
+    EXPECT_LE(am_s, custom_s * 1.03) << "seed " << seed;
 
-  bool any_blocked = false;
-  for (const GroupTask& t : app.graph.tasks())
-    if (extended.best.at(t.id).blocked) any_blocked = true;
-  EXPECT_TRUE(any_blocked);
+    bool any_blocked = false;
+    for (const GroupTask& t : app.graph.tasks())
+      if (extended.best.at(t.id).blocked) any_blocked = true;
+    adopted += any_blocked;
+  }
+  EXPECT_GT(adopted, kSeeds / 2);
 }
 
 TEST(DistributionSearch, DisabledByDefaultNeverProposesBlocked) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -284,6 +285,57 @@ TEST(Explain, RejectsTamperedMoveChains) {
     ASSERT_NE(hash, std::string::npos);
     text[hash + 8] = text[hash + 8] == '0' ? '1' : '0';
     EXPECT_THROW(render_explain(app.graph, text), Error);
+  }
+}
+
+TEST(Explain, MalformedIntegerFieldsAreOneLineErrors) {
+  // Each case sets one integer field of a real journal to 1e300: the first
+  // `key` after `anchor` on the first line holding both `anchor` and
+  // `line_has`. explain must refuse it with a one-line Error naming the
+  // field, where a cast of the double would be undefined behaviour.
+  const BenchmarkApp app = make_app_by_name("stencil", 2, 1);
+  const std::string text = journal_of_stencil_ccd(1);
+  struct Case {
+    const char* field;
+    const char* line_has;  // explain replays only accepted moves
+    const char* anchor;
+    const char* key;
+  };
+  const char* accepted = "\"accepted\":true";
+  const Case cases[] = {
+      {"version", "", "\"type\":\"journal\"", "\"version\":"},
+      {"n", "", "{\"n\":1,", "\"n\":"},
+      {"rot", accepted, "\"type\":\"move\",\"rot\":", "\"rot\":"},
+      {"task", accepted, "\"pos\":", "\"task\":"},
+      {"arg", accepted, "\"kind\":\"placement\",\"arg\":", "\"arg\":"},
+      {"task", accepted, "\"forced\":[{", "\"task\":"},
+      {"arg", accepted, "\"forced\":[{\"task\":", "\"arg\":"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.field) + " after " + c.anchor);
+    std::size_t anchor = text.find(c.anchor);
+    for (; anchor != std::string::npos;
+         anchor = text.find(c.anchor, anchor + 1)) {
+      const std::size_t begin = text.rfind('\n', anchor) + 1;
+      const std::string line =
+          text.substr(begin, text.find('\n', anchor) - begin);
+      if (line.find(c.line_has) != std::string::npos) break;
+    }
+    ASSERT_NE(anchor, std::string::npos);
+    const std::size_t value = text.find(c.key, anchor) + std::strlen(c.key);
+    ASSERT_LT(value, text.find('\n', anchor));
+    std::string bad = text;
+    bad.replace(value, bad.find_first_of(",}", value) - value, "1e300");
+    try {
+      (void)render_explain(app.graph, bad);
+      ADD_FAILURE() << "explain accepted " << c.field << " = 1e300";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + c.field + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
   }
 }
 

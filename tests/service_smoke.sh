@@ -4,7 +4,7 @@
 # path, the cross-job result cache (a repeat submission runs zero new
 # simulator runs), journal streaming, the flight recorder (`trace`, `top`,
 # and the --service-trace Chrome export), warm restart from the persisted
-# store, and clean shutdown.
+# store, clean shutdown, and the client's strict decoding of replies.
 # Usage: service_smoke.sh <path-to-automap_cli> <path-to-automap_client>
 # Set AUTOMAP_SMOKE_TRACE to keep the Chrome trace at a fixed path (CI
 # uploads it as an artifact); it defaults to the throwaway temp dir.
@@ -291,5 +291,36 @@ done
 "$CLIENT" shutdown --socket "$SOCK" > /dev/null
 wait "$SERVER_PID"
 SERVER_PID=""
+
+# A reply whose integer field is out of range, from a broken or hostile
+# peer: the client ends with a one-line error naming the field and a
+# nonzero exit, instead of casting the double. A raw socket plays the
+# daemon for one ping.
+FAKE_SOCK="$DIR/fake.sock"
+python3 - "$FAKE_SOCK" << 'EOF' &
+import socket, struct, sys
+srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+srv.bind(sys.argv[1])
+srv.listen(1)
+srv.settimeout(30)
+conn, _ = srv.accept()
+(n,) = struct.unpack(">I", conn.recv(4, socket.MSG_WAITALL))
+conn.recv(n, socket.MSG_WAITALL)
+reply = b'{"type":"pong","version":1e300}'
+conn.sendall(struct.pack(">I", len(reply)) + reply)
+conn.close()
+EOF
+FAKE_PID=$!
+for _ in $(seq 1 100); do
+  [ -S "$FAKE_SOCK" ] && break
+  sleep 0.05
+done
+if "$CLIENT" ping --socket "$FAKE_SOCK" > /dev/null 2> "$DIR/fake.err"; then
+  echo "expected ping to refuse a reply with version 1e300" >&2
+  exit 1
+fi
+wait "$FAKE_PID"
+test "$(wc -l < "$DIR/fake.err")" = "1"
+grep -q "'version'" "$DIR/fake.err"
 
 echo "service smoke test passed"

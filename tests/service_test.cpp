@@ -31,6 +31,7 @@
 #include "src/search/algorithms.hpp"
 #include "src/search/search.hpp"
 #include "src/service/client.hpp"
+#include "src/service/flight_recorder.hpp"
 #include "src/service/server.hpp"
 #include "src/service/service.hpp"
 #include "src/service/wire.hpp"
@@ -1234,6 +1235,41 @@ TEST(Service, JobsReportAgeWaitSpanAndOpErrorsCountPerOp) {
             0.0);
   EXPECT_GE(metric_value(exposition, "automap_service_uptime_seconds"),
             0.0);
+}
+
+TEST(Service, SpansFileWithNonIntegerCountersIsQuarantined) {
+  // restore() refuses a count that is not a bounded integer (a cast of the
+  // double would be undefined behaviour), so recovery quarantines the file.
+  FlightRecorder recorder({});
+  const std::string span = "{\"name\":\"queued\",\"start_ms\":1";
+  const std::vector<std::string> malformed = {
+      "{\"dropped\":1e300,\"spans\":[]}",
+      "{\"dropped\":-1,\"spans\":[]}",
+      "{\"dropped\":0.5,\"spans\":[]}",
+      "{\"spans\":[" + span + ",\"worker\":1e300}]}",
+      "{\"spans\":[" + span + ",\"worker\":-2}]}",
+      "{\"spans\":[" + span + ",\"worker\":\"0\"}]}"};
+  for (const std::string& payload : malformed)
+    EXPECT_THROW(recorder.restore(1, payload), Error) << payload;
+  recorder.restore(1,
+                   "{\"dropped\":3,\"spans\":[" + span + ",\"worker\":0}]}");
+  EXPECT_EQ(recorder.dropped_for(1), 3u);
+
+  const std::string store = fresh_store("quarantine-spans");
+  std::string id;
+  {
+    MappingService service(
+        {.store_dir = store, .eval_threads = 1, .job_workers = 0});
+    id = job_id_of(handle_json(service, submit_request(small_options(9))));
+  }
+  const std::string spans = store + "/jobs/" + id + "/spans.json";
+  save_checksummed(spans, "{\"dropped\":1e300,\"spans\":[]}", "spans");
+  MappingService revived(
+      {.store_dir = store, .eval_threads = 1, .job_workers = 0});
+  EXPECT_TRUE(fs::exists(spans + ".corrupt"));
+  EXPECT_EQ(metric_value(revived.expose_metrics(),
+                         "automap_service_store_quarantined_total"),
+            1.0);
 }
 
 TEST(Service, StatsQuantilesMatchHistogramUnderFakeClock) {

@@ -6,9 +6,6 @@
 // The HEFT row demonstrates the paper's §6 argument directly: static
 // scheduling with a single memory per processor cannot exploit the
 // task/data trade-off, so it matches the default mapper at best.
-//
-// Pass --threads N to parallelize candidate evaluation (bit-identical
-// results; only wall-clock changes).
 
 #include <iostream>
 #include <string>
@@ -28,17 +25,16 @@ namespace {
 using namespace automap;
 
 void run_case(const BenchmarkApp& app, const MachineModel& machine,
-              int threads, bool memory_fallbacks = false) {
+              bool memory_fallbacks = false) {
   Simulator sim(machine, app.graph, app.sim);
 
   const SearchAlgorithmInfo* ccd_info = find_search_algorithm("ccd");
   const SearchResult ccd =
       ccd_info->run(sim, {.rotations = 5, .repeats = 7, .seed = 42,
-                          .memory_fallbacks = memory_fallbacks,
-                          .threads = threads});
+                          .memory_fallbacks = memory_fallbacks});
   SearchOptions budgeted{.rotations = 5, .repeats = 7,
                          .time_budget_s = ccd.stats.search_time_s,
-                         .seed = 42, .threads = threads};
+                         .seed = 42};
   budgeted.memory_fallbacks = memory_fallbacks;
 
   std::vector<SearchResult> results = {ccd};
@@ -64,15 +60,11 @@ void run_case(const BenchmarkApp& app, const MachineModel& machine,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  int threads = 1;
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == "--threads") threads = std::stoi(argv[i + 1]);
-
+int main() {
   std::cout << "=== Extended algorithm comparison (Shepard, 1 node) ===\n";
   const MachineModel machine = make_shepard(1);
-  run_case(make_circuit(circuit_config_for(1, 1)), machine, threads);
-  run_case(make_htr(htr_config_for(1, 1)), machine, threads);
+  run_case(make_circuit(circuit_config_for(1, 1)), machine);
+  run_case(make_htr(htr_config_for(1, 1)), machine);
 
   // Memory-constrained Pennant (+7 % over the Frame-Buffer, §5.2): static
   // scheduling has no way to pick *which* collections to demote — its
@@ -82,7 +74,6 @@ int main(int argc, char** argv) {
                           machine.mem_capacity(MemKind::kFrameBuffer), 1, 1) *
                       107) /
                      100;
-  run_case(make_pennant(overflow), machine, threads,
-           /*memory_fallbacks=*/true);
+  run_case(make_pennant(overflow), machine, /*memory_fallbacks=*/true);
   return 0;
 }

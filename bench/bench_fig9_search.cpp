@@ -8,17 +8,14 @@
 // final rotation alone); the ensemble tuner converges slowest because it
 // wastes proposals on invalid/duplicate mappings.
 //
-// Pass --threads N to fan candidate evaluation across N worker threads
-// (0 = one per hardware thread). Every simulated-seconds statistic,
-// trajectory point and chosen mapping is bit-identical across thread
-// counts — only the wall-clock column changes. --no-prune disables
-// incumbent-bounded candidate pruning; the results are again bit-identical,
-// only slower to compute — the flag exists to demonstrate (and measure)
-// exactly that. --preset pennant|htr|stencil|all selects the app series
-// (default all). --telemetry prints the per-algorithm search telemetry
-// (cache hit rate, rotation deltas, wall vs simulated clocks);
-// --trace-json PATH exports a Chrome-trace timeline of the last case's
-// AM-CCD winner.
+// --no-prune disables incumbent-bounded candidate pruning: every
+// simulated-seconds statistic, trajectory point and chosen mapping stays
+// bit-identical, only the wall-clock column grows — the flag exists to
+// demonstrate (and measure) exactly that. --preset pennant|htr|stencil|all
+// selects the app series (default all). --telemetry prints the
+// per-algorithm search telemetry (cache hit rate, rotation deltas, wall vs
+// simulated clocks); --trace-json PATH exports a Chrome-trace timeline of
+// the last case's AM-CCD winner.
 
 #include <chrono>
 #include <iostream>
@@ -60,7 +57,6 @@ void run_case(const BenchmarkApp& app, const MachineModel& machine,
   // No pass here reuses the profiles database, so skip serializing it —
   // the wall-clock column should measure the search, not the export.
   const SearchOptions base{.rotations = 5, .repeats = 7, .seed = 42,
-                           .threads = opts.threads,
                            .prune_candidates = opts.prune,
                            .export_profiles_db = false};
   const SearchResult ccd = timed(
@@ -76,8 +72,7 @@ void run_case(const BenchmarkApp& app, const MachineModel& machine,
       [&] { return run_ensemble_tuner(sim, budgeted); }, ot_wall);
 
   std::cout << "\n-- " << app.name << " " << app.input
-            << " (budget " << format_seconds(budget) << ", " << opts.threads
-            << " thread(s)) --\n";
+            << " (budget " << format_seconds(budget) << ") --\n";
   Table table({"algorithm", "best exec/iter", "search time", "wall clock",
                "suggested", "evaluated", "eval frac"});
   const int iters = app.sim.iterations;

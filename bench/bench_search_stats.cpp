@@ -17,11 +17,8 @@
 #include "src/support/format.hpp"
 #include "src/support/table.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace automap;
-  int threads = 1;
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == "--threads") threads = std::stoi(argv[i + 1]);
 
   std::cout << "=== Section 5.3: search-efficiency statistics (Pennant "
                "320x180, Shepard 1 node) ===\n\n";
@@ -32,10 +29,10 @@ int main(int argc, char** argv) {
 
   const SearchResult ccd = automap_optimize(
       sim, SearchAlgorithm::kCcd,
-      {.rotations = 5, .repeats = 7, .seed = 42, .threads = threads});
+      {.rotations = 5, .repeats = 7, .seed = 42});
   const SearchOptions budgeted{.rotations = 5, .repeats = 7,
                                .time_budget_s = ccd.stats.search_time_s,
-                               .seed = 42, .threads = threads};
+                               .seed = 42};
   const SearchResult cd = automap_optimize(sim, SearchAlgorithm::kCd,
                                            budgeted);
   const SearchResult ot = run_ensemble_tuner(sim, budgeted);

@@ -5,7 +5,6 @@
 // mapper and the AutoMap-CCD result, and print speedups over the default —
 // the exact series the paper plots.
 
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -38,7 +37,6 @@ struct Fig6Row {
 /// sweep entry, an execution profile of the last AM-CCD winner, and a
 /// Chrome-trace JSON export of that winner's run.
 struct BenchObservability {
-  int threads = 1;
   /// --no-prune disables incumbent-bounded candidate pruning; results are
   /// bit-identical either way (only the wall-clock column changes), which
   /// is exactly what the flag exists to demonstrate.
@@ -48,15 +46,12 @@ struct BenchObservability {
   std::string trace_json;
 };
 
-/// Parses --threads N, --no-prune, --telemetry, --profile,
-/// --trace-json PATH.
+/// Parses --no-prune, --telemetry, --profile, --trace-json PATH.
 inline BenchObservability parse_bench_observability(int argc, char** argv) {
   BenchObservability opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc)
-      opts.threads = std::atoi(argv[++i]);
-    else if (arg == "--no-prune")
+    if (arg == "--no-prune")
       opts.prune = false;
     else if (arg == "--telemetry")
       opts.telemetry = true;
@@ -125,7 +120,7 @@ inline void run_fig6(
           sim, SearchAlgorithm::kCcd,
           {.rotations = 5, .repeats = 7,
            .seed = 42 + static_cast<std::uint64_t>(step),
-           .threads = opts.threads, .prune_candidates = opts.prune,
+           .prune_candidates = opts.prune,
            .export_profiles_db = false});
       const double automap_s =
           measure_mapping(sim, result.best, kReportRepeats, 2);

@@ -1,11 +1,34 @@
 #include "src/cli/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <iostream>
 #include <sstream>
+#include <system_error>
 
 #include "src/support/error.hpp"
 
 namespace automap::cli {
+
+namespace {
+
+/// Decodes the whole of `token` as a T: no leading space or sign the type
+/// cannot hold, no trailing characters, no out-of-range value, no NaN. A
+/// failure is one Error line naming the flag and the token.
+template <typename T>
+T decode_flag(const std::string& flag, const std::string& token,
+              const char* expected) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec == std::errc::result_out_of_range)
+    throw Error(flag + " value '" + token + "' is out of range");
+  if (ec != std::errc() || ptr != end || std::isnan(value))
+    throw Error(flag + " expects " + expected + ", got '" + token + "'");
+  return value;
+}
+
+}  // namespace
 
 bool Args::has(const std::string& flag) const {
   for (const auto& [name, value] : flags_)
@@ -21,19 +44,30 @@ std::string Args::value_or(const std::string& flag,
 }
 
 int Args::int_or(const std::string& flag, int fallback) const {
-  return has(flag) ? std::stoi(value_or(flag)) : fallback;
+  return has(flag) ? decode_flag<int>(flag, value_or(flag), "an integer")
+                   : fallback;
 }
 
 double Args::num_or(const std::string& flag, double fallback) const {
-  return has(flag) ? std::stod(value_or(flag)) : fallback;
+  return has(flag) ? decode_flag<double>(flag, value_or(flag), "a number")
+                   : fallback;
 }
 
 std::uint64_t Args::u64_or(const std::string& flag,
                            std::uint64_t fallback) const {
-  return has(flag) ? std::stoull(value_or(flag)) : fallback;
+  return has(flag) ? decode_flag<std::uint64_t>(flag, value_or(flag),
+                                                "a non-negative integer")
+                   : fallback;
 }
 
 void CommandRegistry::add(Command command) {
+  // Args keeps one value per name, so a repeated flag would let one
+  // meaning silently overwrite the other.
+  for (std::size_t i = 0; i < command.flags.size(); ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      AM_REQUIRE(command.flags[i].name != command.flags[j].name,
+                 "command '" + command.name + "' registers flag " +
+                     command.flags[i].name + " twice");
   commands_.push_back(std::move(command));
 }
 

@@ -27,9 +27,10 @@ struct FlagSpec {
 };
 
 /// Parsed invocation of one command: positional arguments in order plus
-/// the flag values seen. Numeric accessors parse eagerly and let the
-/// std:: exceptions escape — the tools' top-level handler turns them into
-/// the usual one-line "error:" diagnostic.
+/// the flag values seen. Numeric accessors decode the whole token strictly
+/// (range-checked into the target type, NaN rejected) and throw an Error
+/// naming the flag and the token — the tools' top-level handler turns it
+/// into the usual one-line "error:" diagnostic.
 class Args {
  public:
   [[nodiscard]] const std::vector<std::string>& positional() const {
@@ -71,6 +72,7 @@ class CommandRegistry {
   explicit CommandRegistry(std::string program)
       : program_(std::move(program)) {}
 
+  /// Registers a command; throws Error if it names one flag twice.
   void add(Command command);
   [[nodiscard]] const Command* find(const std::string& name) const;
 

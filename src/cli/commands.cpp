@@ -88,9 +88,6 @@ int cmd_search(const Args& args) {
   SearchOptions options{.seed = 42};
   FaultModel faults;
   apply_search_flags(args, algorithm_name, options, faults);
-  // 0 = one evaluation lane per hardware thread. Results are bit-identical
-  // for every value; only wall-clock time changes.
-  options.threads = args.int_or("--threads", options.threads);
   options.checkpoint_path = args.value_or("--checkpoint");
 
   if (args.has("--dump-options")) {
@@ -157,9 +154,9 @@ int cmd_search(const Args& args) {
 
   // Observability backends. The journal lives on this frame; the search
   // keeps only a pointer, and null pointers disable all emission. Raw
-  // simulator run counters are thread-count-dependent (speculative pool
-  // tails), so they are wired only into the final --metrics-out dump,
-  // never into the journal.
+  // simulator run counters change with pruning on or off (bounded runs
+  // abort early), so they are wired only into the final --metrics-out
+  // dump, never into the journal.
   std::optional<Journal> journal;
   if (!journal_path.empty()) journal.emplace(journal_path);
   MetricsRegistry metrics;
@@ -229,8 +226,7 @@ int cmd_replay(const Args& args) {
   const MachineModel machine = load_machine(args.pos(0));
   const TaskGraph graph = load_task_graph(args.pos(1));
   const std::string journal_text = load_text(args.pos(2));
-  const ReplayOutcome outcome = replay_journal(machine, graph, journal_text,
-                                               args.int_or("--threads", 1));
+  const ReplayOutcome outcome = replay_journal(machine, graph, journal_text);
   std::cout << outcome.rendering;
   return outcome.drift ? 1 : 0;
 }
@@ -388,9 +384,7 @@ void register_core_commands(CommandRegistry& registry) {
   std::vector<FlagSpec> search_flags = search_option_flags();
   search_flags.insert(
       search_flags.end(),
-      {{"--threads", "N", "evaluation lanes (0 = hardware threads; results "
-                          "are bit-identical for every value)"},
-       {"--dump-options", "", "print the canonical SearchOptions JSON and "
+      {{"--dump-options", "", "print the canonical SearchOptions JSON and "
                               "exit without searching"},
        {"-o", "FILE", "write the best mapping"},
        {"--profiles", "FILE", "seed from / save the profiles database"},
@@ -430,8 +424,7 @@ void register_core_commands(CommandRegistry& registry) {
                 .summary = "re-run a journaled search and report drift",
                 .min_positional = 3,
                 .max_positional = 3,
-                .flags = {{"--threads", "N", "evaluation lanes for the "
-                                             "re-run (default 1)"}},
+                .flags = {},
                 .run = cmd_replay});
   registry.add({.name = "visualize",
                 .positionals = "<machine> <graph> <mapping>",

@@ -43,7 +43,6 @@ int cmd_serve(const Args& args) {
 
   ServiceConfig config;
   config.store_dir = store_dir;
-  config.eval_threads = args.int_or("--eval-threads", 0);
   config.job_workers = args.int_or("--workers", 2);
   config.max_store_bytes =
       static_cast<std::size_t>(args.u64_or("--max-store-bytes", 0));
@@ -85,12 +84,12 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
-/// The deterministic client retry policy from the shared --retry* flags.
-/// --retries counts *extra* attempts, so the default 0 keeps the old
+/// The deterministic client retry policy from the --retry-* flags.
+/// --retry-attempts counts *extra* attempts, so the default 0 keeps the old
 /// fail-fast behavior.
 RetryPolicy retry_policy_from_args(const Args& args) {
   RetryPolicy policy;
-  policy.max_attempts = std::max(1, args.int_or("--retries", 0) + 1);
+  policy.max_attempts = std::max(1, args.int_or("--retry-attempts", 0) + 1);
   policy.base_ms = args.int_or("--retry-base-ms", 50);
   policy.cap_ms = args.int_or("--retry-cap-ms", 2000);
   policy.seed = args.u64_or("--retry-seed", 1);
@@ -464,10 +463,9 @@ void register_service_commands(CommandRegistry& registry) {
        .flags = {{"--socket", "PATH", "Unix socket to listen on (required)"},
                  {"--store", "DIR", "job-store/cache directory (required; "
                                     "created if missing)"},
-                 {"--eval-threads", "N", "shared evaluation pool lanes "
-                                         "(0 = hardware threads; results are "
-                                         "bit-identical for every value)"},
-                 {"--workers", "N", "concurrent job workers (default 2)"},
+                 {"--workers", "N", "concurrent job workers, one search "
+                                    "each (default 2; 0 queues jobs "
+                                    "without running them, for tests)"},
                  {"--max-store-bytes", "N",
                   "byte budget for the job store; finished jobs are "
                   "evicted LRU first (default 0 = unbounded)"},
@@ -510,8 +508,9 @@ void register_service_commands(CommandRegistry& registry) {
       {"--deadline-ms", "MS", "submit: cancel the job (reason `deadline`) "
                               "if not done within MS; resubmitting resumes "
                               "from its checkpoint"},
-      {"--retries", "N", "extra attempts on connect failure or an "
-                         "`overloaded` answer (default 0: fail fast)"},
+      {"--retry-attempts", "N", "extra attempts on connect failure or an "
+                                "`overloaded` answer (default 0: fail "
+                                "fast)"},
       {"--retry-base-ms", "MS", "first full-jitter backoff ceiling "
                                 "(default 50; doubles per attempt)"},
       {"--retry-cap-ms", "MS", "max single backoff delay (default 2000)"},

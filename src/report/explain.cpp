@@ -335,7 +335,7 @@ std::string render_explain(const TaskGraph& graph,
 
 ReplayOutcome replay_journal(const MachineModel& machine,
                              const TaskGraph& graph,
-                             const std::string& journal_text, int threads) {
+                             const std::string& journal_text) {
   const std::vector<JsonValue> events = parse_journal(journal_text);
 
   const JsonValue* sb = nullptr;
@@ -379,9 +379,8 @@ ReplayOutcome replay_journal(const MachineModel& machine,
   AM_REQUIRE(info != nullptr,
              "journal algorithm '" + label + "' is not in the registry");
 
-  // Rebuild the recorded configuration. Every deterministic input is in
-  // the search_begin record; the thread count deliberately is not (it
-  // cannot change the outcome), so the caller picks it.
+  // Rebuild the recorded configuration: every deterministic input is in
+  // the search_begin record.
   const JsonValue* opts = sb->find("options");
   const JsonValue* sim_obj = sb->find("sim");
   AM_REQUIRE(opts != nullptr && sim_obj != nullptr,
@@ -389,7 +388,6 @@ ReplayOutcome replay_journal(const MachineModel& machine,
              "journal of version 2 or later");
   SearchOptions options = search_options_from_json(*opts);
   const SimOptions sim_options = sim_options_from_json(*sim_obj);
-  options.threads = threads;
   options.export_profiles_db = false;
 
   const Simulator sim(machine, graph, sim_options);

@@ -41,11 +41,9 @@ struct ReplayOutcome {
 /// Reruns the journal's recorded search and cross-checks it. Requires a
 /// single-search journal (exactly one search_begin) that was neither
 /// resumed nor seeded from a profiles database — those depend on state the
-/// journal does not carry. `threads` sets the fresh run's worker count; by
-/// contract it cannot change the outcome.
+/// journal does not carry.
 [[nodiscard]] ReplayOutcome replay_journal(const MachineModel& machine,
                                            const TaskGraph& graph,
-                                           const std::string& journal_text,
-                                           int threads = 1);
+                                           const std::string& journal_text);
 
 }  // namespace automap

@@ -8,12 +8,11 @@
 // improvements, metric snapshots — each stamped with the simulated search
 // clock and the current rotation/coordinate cursor.
 //
-// Ordering contract ("lock-free-ordered"): every emission site sits on the
-// serial side of the search — the evaluate_batch fold loop or the
-// algorithm's own single-threaded control flow — never inside pool
-// workers. Events therefore carry a single monotone sequence number with
-// no locking, and a journal is byte-identical at any --threads value (the
-// same guarantee the SearchResult already has). A null Journal* in
+// Ordering contract: a search runs on one thread, and every emission site
+// sits in the evaluate_batch fold loop or the algorithm's own control flow.
+// Events therefore carry a single monotone sequence number with no locking,
+// and a journal is byte-identical with pruning on or off (the same
+// guarantee the SearchResult already has). A null Journal* in
 // SearchOptions disables everything: emission sites are `if (journal_)`
 // guards on the fold side, which is noise against a simulator run.
 

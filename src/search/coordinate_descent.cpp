@@ -328,13 +328,17 @@ void emit_move(const MoveContext& mc, std::size_t g, const Mapping& base,
 ///     candidate = gen(f); pt = evaluate(candidate)
 ///     if pt < p: f = candidate; p = pt        // TestMapping
 ///
-/// including bit-identical statistics: the whole not-yet-tested tail is
-/// built from the current incumbent and submitted as one batch (whose
-/// candidate x repeats runs the Evaluator fans across its pool), and the
-/// moment a candidate improves the incumbent, folding stops — the tail was
-/// speculative, built from a now-stale incumbent, so it is discarded
+/// except that the censor threshold is fixed per batch: the whole
+/// not-yet-tested tail is built from the current incumbent and submitted as
+/// one batch, and the moment a candidate improves the incumbent, evaluation
+/// stops — the tail was built from a now-stale incumbent, so it is discarded
 /// without touching any statistics and rebuilt from the new one.
-/// Improvements are rare in a descent sweep, so most batches fold whole.
+///
+/// The batch exists for its threshold, max(incumbent, k-th finalist), which
+/// holds for every member. Submitting candidates one at a time would
+/// tighten the threshold mid-sweep whenever a rejected candidate entered the
+/// top-k list, changing which later candidates are censored and every
+/// counter after them.
 void batched_sweep(Evaluator& eval, const std::vector<CandidateGen>& gens,
                    Mapping& f, double& p,
                    const MoveContext* mc = nullptr) {
@@ -357,8 +361,8 @@ void batched_sweep(Evaluator& eval, const std::vector<CandidateGen>& gens,
           const bool accepted = mean < p;
           // Journal the move on the fold side, before the incumbent is
           // updated: `f` is still the pre-move base the forced-move diff
-          // needs, and `p` the delta baseline. Discarded speculative tails
-          // never reach this point, matching the serial semantics.
+          // needs, and `p` the delta baseline. Discarded tails never reach
+          // this point, matching the serial semantics.
           if (mc != nullptr) {
             emit_move(*mc, next + i, f, batch[i], accepted, mean, p);
           }
@@ -384,7 +388,8 @@ void batched_sweep(Evaluator& eval, const std::vector<CandidateGen>& gens,
 
 /// OptimizeTask (Algorithm 1 ll. 10-19): the per-coordinate candidate
 /// sweep over distribution, processor and memory kinds, expressed as a
-/// generator list so batched_sweep can evaluate it in parallel.
+/// generator list so batched_sweep can rebuild its tail from a new
+/// incumbent.
 void optimize_task(TaskId t, Mapping& f, double& p, Evaluator& eval,
                    const Simulator& sim, const OverlapMap* overlap,
                    bool search_distribution_strategies,

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <climits>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -30,38 +29,12 @@ constexpr std::uint64_t kFinalSalt = 0xa0761d6478bd642fULL;
 Evaluator::Evaluator(const Simulator& sim, const SearchOptions& options)
     : sim_(sim), options_(options), best_seconds_(kInf),
       wall_start_(std::chrono::steady_clock::now()) {
-  AM_REQUIRE(options_.repeats > 0, "repeats must be positive");
-  AM_REQUIRE(options_.rotations > 0, "rotations must be positive");
-  AM_REQUIRE(options_.top_k > 0, "top_k must be positive");
-  AM_REQUIRE(options_.threads >= 0, "threads must be >= 0");
-  AM_REQUIRE(options_.resilience.max_retries >= 0,
-             "max_retries must be >= 0");
-  AM_REQUIRE(options_.resilience.quarantine_after >= 0,
-             "quarantine_after must be >= 0");
-  if (options_.shared_pool != nullptr) {
-    // Service mode: batches ride an externally owned pool shared with
-    // other concurrent searches; `threads` is ignored for pool sizing.
-    if (options_.shared_pool->thread_count() > 1)
-      pool_ = options_.shared_pool;
-  } else {
-    const int threads = options_.threads == 0
-                            ? ThreadPool::hardware_threads()
-                            : options_.threads;
-    if (threads > 1) {
-      owned_pool_ = std::make_unique<ThreadPool>(threads);
-      pool_ = owned_pool_.get();
-    }
-  }
-  // One reusable simulation arena per pool lane (lane 0 doubles as the
-  // serial path's arena), so steady-state evaluation allocates nothing.
-  scratches_.resize(
-      pool_ ? static_cast<std::size_t>(pool_->thread_count()) : 1);
+  validate_search_options(options_);
   if (!options_.profiles_seed.empty())
     import_profiles(options_.profiles_seed);
 
-  // Observability handles. All instruments below are updated exclusively
-  // on the serial fold side, so they are deterministic (thread-count
-  // invariant) and eligible for journal snapshots.
+  // Observability handles. All instruments below are updated at fold time,
+  // so they are deterministic and eligible for journal snapshots.
   journal_ = options_.journal;
   metrics_ = options_.metrics;
   if (metrics_) {
@@ -98,10 +71,11 @@ std::uint64_t Evaluator::run_seed(std::uint64_t mapping_hash, int repeat,
                                   int attempt, std::uint64_t salt) const {
   // Order-independent derivation: a run's noise depends only on the search
   // seed, the candidate's structural hash, the repeat index and the retry
-  // attempt — never on how many candidates were evaluated before it or on
-  // which thread it ran. Attempt 0 reproduces the historical derivation
-  // exactly, so fault-free searches are bit-identical to builds that
-  // predate the retry machinery.
+  // attempt — never on how many candidates were evaluated before it. A
+  // cache hit, a resumed checkpoint or a pruned run therefore leaves every
+  // later run's noise unchanged. Attempt 0 reproduces the historical
+  // derivation exactly, so fault-free searches are bit-identical to builds
+  // that predate the retry machinery.
   std::uint64_t s = mix64(options_.seed ^ salt);
   s = mix64(s ^ mapping_hash);
   if (attempt > 0)
@@ -147,15 +121,14 @@ double Evaluator::aggregate_objective(const CandOutcome& out) const {
 }
 
 Evaluator::RunOutcome Evaluator::execute_run(const Mapping& candidate,
-                                             std::uint64_t hash, int repeat,
-                                             SimScratch& scratch) const {
+                                             std::uint64_t hash, int repeat) {
   // Finalist reruns are never bounded: the protocol's whole point is an
   // exact mean over the top-k, and top-k entries are never censored.
   // Transient faults retry under the same policy as search-time evaluation;
   // all clock costs beyond a successful run's own time ride in charge_s so
   // the fold stays a pure accumulation.
   RunOutcome out;
-  if (!sim_.begin_runs(candidate, scratch)) {
+  if (!sim_.begin_runs(candidate, scratch_)) {
     // Deterministic failure (OOM): one observation cost, same as the
     // search loop charges.
     out.charge_s += failure_observation_cost();
@@ -163,7 +136,7 @@ Evaluator::RunOutcome Evaluator::execute_run(const Mapping& candidate,
   }
   for (int attempt = 0;; ++attempt) {
     const ExecutionReport& report = sim_.run_prepared(
-        candidate, run_seed(hash, repeat, attempt, kFinalSalt), scratch,
+        candidate, run_seed(hash, repeat, attempt, kFinalSalt), scratch_,
         kInf);
     if (report.ok) {
       out.ok = true;
@@ -189,8 +162,7 @@ Evaluator::RunOutcome Evaluator::execute_run(const Mapping& candidate,
 Evaluator::CandOutcome Evaluator::run_candidate(const Mapping& candidate,
                                                 std::uint64_t key,
                                                 double threshold_s,
-                                                bool bound_runs,
-                                                SimScratch& scratch) const {
+                                                bool bound_runs) {
   // Racing schedule against the censor threshold T: after k completed runs
   // the candidate is censored when its running sum exceeds
   //
@@ -215,9 +187,9 @@ Evaluator::CandOutcome Evaluator::run_candidate(const Mapping& candidate,
   CandOutcome out;
   // One validation + memory resolution serves every repeat: placement is
   // noise-independent, so begin_runs hoists it out of the repeat loop. A
-  // failure here is an OOM (constraint-1 validity was already checked at
-  // plan time).
-  if (!sim_.begin_runs(candidate, scratch)) {
+  // failure here is an OOM (constraint-1 validity was already checked by
+  // the caller).
+  if (!sim_.begin_runs(candidate, scratch_)) {
     out.oom = true;
     return out;
   }
@@ -248,7 +220,7 @@ Evaluator::CandOutcome Evaluator::run_candidate(const Mapping& candidate,
       // scheduled past it, making prune on/off observably different. The
       // censor verdict is still computed from the totals below.
       const ExecutionReport& report = sim_.run_prepared(
-          candidate, run_seed(key, r, attempt, kEvalSalt), scratch,
+          candidate, run_seed(key, r, attempt, kEvalSalt), scratch_,
           (bound_runs && !inject) ? allowance : kInf);
       if (report.ok) {
         if (report.censored || report.total_seconds > allowance) {
@@ -433,10 +405,10 @@ std::size_t Evaluator::evaluate_batch(
     std::span<const Mapping> mappings,
     const std::function<bool(std::size_t, double)>& consume,
     double interest_bound_s) {
-  // Censor threshold, fixed once at submission so it cannot depend on fold
-  // order or thread count: a candidate is only worth resolving exactly if
-  // its mean could still beat the caller's interest bound *or* displace the
-  // k-th finalist (run_ccd_multistart re-imports the database across
+  // Censor threshold, fixed once at submission so every member of the
+  // batch races the same line: a candidate is only worth resolving exactly
+  // if its mean could still beat the caller's interest bound *or* displace
+  // the k-th finalist (run_ccd_multistart re-imports the database across
   // passes, so finalist-grade means must stay exact even when the caller's
   // incumbent is tighter). The threshold — not the prune flag — drives the
   // censoring arithmetic; prune only decides whether the simulator actually
@@ -452,109 +424,42 @@ std::size_t Evaluator::evaluate_batch(
   const bool bound_runs =
       options_.prune_candidates && std::isfinite(threshold);
 
-  // Per-candidate plan. Exactly one of three shapes:
-  //  * deferred-to-cache: a usable profiles entry (or an earlier batch
-  //    member equal to this mapping, which will have inserted its entry by
-  //    the time this one folds) already answers it;
-  //  * invalid: fails constraint 1, folds to infinity without execution;
-  //  * execute: one budgeted run sequence with derived seeds.
-  struct Plan {
-    std::uint64_t key = 0;
-    bool invalid = false;
-    bool execute = false;
-    /// Candidate to execute: points at the submitted mapping, or at
-    /// `storage` when memory fallbacks extended it. Stable because `plans`
-    /// is sized once up front.
-    const Mapping* cand = nullptr;
-    Mapping storage;          // owns the fallback-extended copy, when any
-    std::size_t outcome = 0;  // index into exec_plans/outcomes, when execute
-  };
-
-  std::vector<Plan> plans(mappings.size());
-  std::vector<std::size_t> exec_plans;  // batch indices of execute plans
-  // key -> batch member that will own the profiles entry for that hash at
-  // fold time (serial insertion order: the latest scheduled one wins).
-  std::unordered_map<std::uint64_t, std::size_t> planned;
-
-  for (std::size_t j = 0; j < mappings.size(); ++j) {
-    const Mapping& mapping = mappings[j];
-    Plan& plan = plans[j];
-    plan.key = mapping.hash();
-
-    if (const auto pit = planned.find(plan.key);
-        pit != planned.end() && mappings[pit->second] == mapping) {
-      continue;  // deferred: an earlier batch member folds this entry
-    }
-    // A cached entry answers the query unless it is censored at a bound
-    // tighter than this batch's threshold — then the caller needs the mean
-    // resolved further and the candidate re-executes (overwriting the
-    // entry at fold time).
-    if (const auto it = profiles_.find(plan.key);
-        planned.find(plan.key) == planned.end() && it != profiles_.end() &&
-        it->second.mapping == mapping &&
-        (!it->second.censored || it->second.mean_seconds >= threshold)) {
-      continue;  // deferred: usable profiles-database hit
-    }
-
-    planned[plan.key] = j;
-    const Mapping* candidate = &mapping;
-    if (options_.memory_fallbacks) {
-      plan.storage = with_fallbacks(mapping);
-      candidate = &plan.storage;
-    }
-    if (!candidate->valid(sim_.graph(), sim_.machine())) {
-      plan.invalid = true;
-      continue;
-    }
-    plan.execute = true;
-    plan.cand = candidate;
-    plan.outcome = exec_plans.size();
-    exec_plans.push_back(j);
-  }
-
-  // Pre-execute every scheduled candidate across the pool, one lane-owned
-  // scratch arena per lane. Without a pool the fold below runs lazily
-  // instead (avoiding speculative work past a consume() stop).
-  std::vector<CandOutcome> outcomes;
-  const bool pre_executed = pool_ != nullptr && exec_plans.size() > 1;
-  if (pre_executed) {
-    outcomes.resize(exec_plans.size());
-    pool_->parallel_for(
-        exec_plans.size(),
-        [&](std::size_t lane, std::size_t i) {
-          const Plan& plan = plans[exec_plans[i]];
-          outcomes[i] = run_candidate(*plan.cand, plan.key, threshold,
-                                      bound_runs, scratches_[lane]);
-        },
-        options_.pool_priority, options_.pool_stream);
-  }
-
-  // Fold serially in submission order; this is the exact serial evaluate()
-  // logic with run_candidate replaced by the pre-executed outcomes, so
-  // every statistic, cache entry and trajectory point lands in the same
-  // order with the same values regardless of thread count. Dispatch on the
-  // plan's shape, not on a fresh cache probe: an execute plan may exist
-  // precisely because the cached entry was censored too tightly, and must
-  // overwrite it rather than read it back.
+  // Each candidate is resolved and folded before the next one runs, so a
+  // later batch member sees every cache entry an earlier one created — a
+  // same-batch duplicate is answered by its earlier copy's entry.
   std::size_t folded = 0;
   for (std::size_t j = 0; j < mappings.size(); ++j) {
     if (j > 0 && budget_exhausted()) break;
     const Mapping& mapping = mappings[j];
-    const Plan& plan = plans[j];
+    const std::uint64_t key = mapping.hash();
     ++stats_.suggested;
+
+    // A cached entry answers the query unless it is censored at a bound
+    // tighter than this batch's threshold — then the caller needs the mean
+    // resolved further and the candidate re-executes, overwriting the entry.
+    const auto it = profiles_.find(key);
+    const bool cached =
+        it != profiles_.end() && it->second.mapping == mapping &&
+        (!it->second.censored || it->second.mean_seconds >= threshold);
+    Mapping extended;  // the fallback-extended copy, when one is needed
+    if (!cached && options_.memory_fallbacks)
+      extended = with_fallbacks(mapping);
+    const Mapping& candidate = options_.memory_fallbacks ? extended : mapping;
 
     double mean;
     const char* status;
-    if (plan.invalid) {
+    if (cached) {
+      mean = it->second.mean_seconds;
+      ++stats_.cache_hits;
+      status = "cached";
+    } else if (!candidate.valid(sim_.graph(), sim_.machine())) {
       ++stats_.invalid;
-      profiles_.insert_or_assign(plan.key, Entry{mapping, kInf});
+      profiles_.insert_or_assign(key, Entry{mapping, kInf});
       mean = kInf;
       status = "invalid";
-    } else if (plan.execute) {
+    } else {
       const CandOutcome out =
-          pre_executed ? outcomes[plan.outcome]
-                       : run_candidate(*plan.cand, plan.key, threshold,
-                                       bound_runs, scratches_[0]);
+          run_candidate(candidate, key, threshold, bound_runs);
       ++stats_.evaluated;
       stats_.transient_failures +=
           static_cast<std::size_t>(out.transient_failures);
@@ -565,13 +470,11 @@ std::size_t Evaluator::evaluate_batch(
         // time to observe (the runtime aborts during instance allocation),
         // so charge the machine-derived observation cost to the search
         // clock, plus whatever transient attempts preceded the verdict
-        // (zero in fault-free operation). This fold-side charge is shared
-        // by the serial and batched paths, preserving thread-count
-        // invariance.
+        // (zero in fault-free operation).
         ++stats_.oom;
         stats_.search_time_s += failure_observation_cost() + out.charge_s;
         stats_.evaluation_time_s += failure_observation_cost() + out.charge_s;
-        profiles_.insert_or_assign(plan.key, Entry{mapping, kInf});
+        profiles_.insert_or_assign(key, Entry{mapping, kInf});
         mean = kInf;
         status = "oom";
       } else if (out.failed) {
@@ -584,8 +487,8 @@ std::size_t Evaluator::evaluate_batch(
         stats_.search_time_s += out.charge_s;
         stats_.evaluation_time_s += out.charge_s;
         profiles_.insert_or_assign(
-            plan.key, Entry{mapping, kInf, /*censored=*/false,
-                            /*quarantined=*/true});
+            key, Entry{mapping, kInf, /*censored=*/false,
+                       /*quarantined=*/true});
         mean = kInf;
         status = "quarantined";
       } else {
@@ -598,12 +501,12 @@ std::size_t Evaluator::evaluate_batch(
           // update the incumbent, trajectory or finalist list.
           ++stats_.censored;
           mean = threshold;
-          profiles_.insert_or_assign(
-              plan.key, Entry{mapping, mean, /*censored=*/true});
+          profiles_.insert_or_assign(key,
+                                     Entry{mapping, mean, /*censored=*/true});
           status = "censored";
         } else {
           mean = aggregate_objective(out);
-          profiles_.insert_or_assign(plan.key, Entry{mapping, mean});
+          profiles_.insert_or_assign(key, Entry{mapping, mean});
           if (mean < best_seconds_) {
             best_seconds_ = mean;
             trajectory_.push_back({stats_.search_time_s, mean});
@@ -623,18 +526,9 @@ std::size_t Evaluator::evaluate_batch(
           status = "evaluated";
         }
       }
-    } else {
-      // Deferred: answered by the profiles database — an import, an earlier
-      // search, or an earlier batch member that folded before us.
-      const auto it = profiles_.find(plan.key);
-      AM_CHECK(it != profiles_.end() && it->second.mapping == mapping,
-               "deferred batch member lost its profiles entry");
-      mean = it->second.mean_seconds;
-      ++stats_.cache_hits;
-      status = "cached";
     }
 
-    if (journal_ || metrics_) journal_candidate(status, mean, plan.key);
+    if (journal_ || metrics_) journal_candidate(status, mean, key);
     ++folded;
     if (!consume(j, mean)) break;
   }
@@ -683,8 +577,8 @@ void Evaluator::journal_metrics_snapshot(bool force) {
   }
   folds_since_snapshot_ = 0;
   // Only deterministic instruments appear in the snapshot — raw simulator
-  // run counts include speculative pool work and would break the journal's
-  // thread-count byte-identity.
+  // run counts differ with pruning on and off (bounded runs abort early)
+  // and would break the journal's byte-identity.
   journal_->event("metrics")
       .num("clock", stats_.search_time_s)
       .raw("values", metrics_->snapshot_json());
@@ -696,9 +590,7 @@ void Evaluator::journal_search_begin(std::string_view label,
   if (!journal_) return;
   // Everything that determines the deterministic outcome is recorded via
   // the canonical codec — the same encoding the CLI's --options file and
-  // the service wire protocol speak — except the thread count, which by
-  // contract changes nothing (and would break journal byte-identity
-  // across --threads values).
+  // the service wire protocol speak.
   journal_->event("search_begin")
       .str("algorithm", label)
       .raw("options", search_options_to_json(options_))
@@ -884,47 +776,18 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
     return result;
   }
 
-  // All (finalist, repeat) reruns are independent under derived seeds, so
-  // they fan out across the pool as one batch and fold back in top-k order.
   const int repeats = options_.final_repeats;
-  const std::size_t runs_per = static_cast<std::size_t>(repeats);
-  std::vector<Mapping> candidates;
-  std::vector<std::uint64_t> hashes;
-  candidates.reserve(top_.size());
-  hashes.reserve(top_.size());
-  for (const Entry& entry : top_) {
-    candidates.push_back(with_fallbacks(entry.mapping));
-    hashes.push_back(entry.mapping.hash());
-  }
-
-  std::vector<RunOutcome> outcomes;
-  const bool pre_executed =
-      pool_ != nullptr && candidates.size() * runs_per > 1;
-  if (pre_executed) {
-    outcomes.resize(candidates.size() * runs_per);
-    pool_->parallel_for(
-        outcomes.size(),
-        [&](std::size_t lane, std::size_t i) {
-          const std::size_t e = i / runs_per;
-          const int r = static_cast<int>(i % runs_per);
-          outcomes[i] =
-              execute_run(candidates[e], hashes[e], r, scratches_[lane]);
-        },
-        options_.pool_priority, options_.pool_stream);
-  }
-
   const bool robust = options_.resilience.aggregation != Aggregation::kMean;
   double best_final = kInf;
-  for (std::size_t e = 0; e < candidates.size(); ++e) {
+  for (std::size_t e = 0; e < top_.size(); ++e) {
+    const Mapping candidate = with_fallbacks(top_[e].mapping);
+    const std::uint64_t hash = top_[e].mapping.hash();
     double sum = 0.0;
     int ok_runs = 0;
     bool excluded = false;
     std::vector<double> values;  // per-survivor, robust aggregations only
     for (int r = 0; r < repeats; ++r) {
-      const RunOutcome out =
-          pre_executed
-              ? outcomes[e * runs_per + static_cast<std::size_t>(r)]
-              : execute_run(candidates[e], hashes[e], r, scratches_[0]);
+      const RunOutcome out = execute_run(candidate, hash, r);
       // charge_s carries lost attempts, retry backoff and failure
       // observation costs (zero for a fault-free success), so the fold is
       // one accumulation for every outcome shape.
@@ -966,7 +829,7 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
     if (journal_) {
       journal_->event("finalist")
           .integer("rank", static_cast<long long>(e))
-          .str("hash", hex_u64(hashes[e]))
+          .str("hash", hex_u64(hash))
           .boolean("excluded", excluded)
           .integer("ok_runs", ok_runs)
           .num("mean", final_mean)

@@ -11,16 +11,13 @@
 // execution times plus any per-suggestion algorithm overhead — so that the
 // Fig. 9 time axis reflects what a real deployment would pay.
 //
-// Candidate execution dominates search cost (§5.3: 99 % for CCD/CD), and
-// Simulator::run is const and seed-parameterized, so the candidates of a
-// batch are embarrassingly parallel. evaluate_batch fans them out across a
-// thread pool (SearchOptions::threads) and folds results back serially in
-// submission order. Every run's noise seed is *derived* from (search seed,
-// mapping hash, repeat index) instead of drawn from a shared sequential
-// generator, so a run's result does not depend on which thread executed it
-// or how many candidates preceded it — the folded statistics, trajectory,
-// top-k list and profiles database are bit-identical for every thread
-// count, including the serial path.
+// Candidate execution dominates search cost (§5.3: 99 % for CCD/CD).
+// evaluate_batch runs a batch's candidates one after another on the calling
+// thread, folding each result before the next candidate runs. Every run's
+// noise seed is *derived* from (search seed, mapping hash, repeat index)
+// instead of drawn from a shared sequential generator, so a run's result
+// does not depend on how many candidates preceded it — which keeps cache
+// hits, checkpoint resume and pruning on/off bit-identical.
 //
 // Incumbent-bounded pruning (SearchOptions::prune_candidates): most
 // candidates a hill-climbing search proposes are worse than the incumbent,
@@ -37,16 +34,15 @@
 // or the top-k list; an uncensored candidate's mean is exact and provably
 // at most T. The censoring arithmetic runs in both modes; the prune flag
 // only decides whether the simulator aborts at the line or burns real time
-// past it — so results stay bit-identical with pruning on or off, at any
-// thread count. The search clock is charged the simulated seconds actually
-// consumed up to the line (the cost a real bounded deployment would pay).
+// past it — so results stay bit-identical with pruning on or off. The
+// search clock is charged the simulated seconds actually consumed up to the
+// line (the cost a real bounded deployment would pay).
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <limits>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -54,7 +50,6 @@
 #include "src/mapping/mapping.hpp"
 #include "src/search/search.hpp"
 #include "src/sim/simulator.hpp"
-#include "src/support/thread_pool.hpp"
 
 namespace automap {
 
@@ -86,19 +81,18 @@ class Evaluator {
                   double interest_bound_s =
                       std::numeric_limits<double>::infinity());
 
-  /// Batch entry point: pre-executes every not-yet-cached candidate across
-  /// the thread pool (one budgeted run sequence per candidate), then folds
-  /// results back in submission order, replicating evaluate() exactly — a
-  /// candidate sees cache entries created by earlier batch members, and
-  /// folding stops once the simulated budget is exhausted (a serial loop
-  /// would not have proposed the remaining candidates). The censor
-  /// threshold derived from `interest_bound_s` is fixed once at submission,
-  /// before any run executes, so it cannot depend on fold order or thread
-  /// count. After each fold, `consume(index, mean)` is invoked; returning
-  /// false stops the batch and discards the unfolded tail entirely (no
-  /// statistics, cache or clock effects), which lets greedy-sequential
-  /// searches speculate over candidates whose construction depends on
-  /// earlier outcomes. Returns the number of candidates folded.
+  /// Batch entry point: evaluates the candidates in submission order,
+  /// replicating evaluate() exactly — a candidate sees cache entries created
+  /// by earlier batch members, and evaluation stops once the simulated
+  /// budget is exhausted (a serial loop would not have proposed the
+  /// remaining candidates). The censor threshold derived from
+  /// `interest_bound_s` is fixed once at submission, so every member is
+  /// censored against the same line however the earlier ones folded. After
+  /// each fold, `consume(index, mean)` is invoked; returning false stops the
+  /// batch before the next candidate runs (no statistics, cache or clock
+  /// effects from the tail), which lets greedy-sequential searches submit
+  /// candidates whose construction depends on earlier outcomes. Returns
+  /// the number of candidates folded.
   std::size_t evaluate_batch(
       std::span<const Mapping> mappings,
       const std::function<bool(std::size_t, double)>& consume,
@@ -117,7 +111,7 @@ class Evaluator {
 
   /// Records one completed CCD/CD rotation in the telemetry: the best mean
   /// before the rotation vs now, plus the cumulative counters. Deterministic
-  /// given the folded statistics, so thread-count invariance is preserved.
+  /// given the folded statistics.
   void note_rotation(int rotation, double best_before_s);
 
   /// True once the simulated search clock passed the configured budget —
@@ -132,8 +126,8 @@ class Evaluator {
   [[nodiscard]] bool cancelled() const;
 
   /// The finalist protocol (§5): re-runs the top-k mappings
-  /// `final_repeats` times each (fanned across the pool) and returns the
-  /// fastest, charging the reruns to the search clock.
+  /// `final_repeats` times each and returns the fastest, charging the
+  /// reruns to the search clock.
   [[nodiscard]] SearchResult finalize(std::string algorithm_name);
 
   /// Read-only accessors (best/stats/trajectory/profiles export) live on
@@ -159,8 +153,7 @@ class Evaluator {
 
   /// Emits the journal's `search_begin` record for this search: the
   /// algorithm label, the full (options, simulator) configuration that
-  /// determines the deterministic outcome — everything except the thread
-  /// count, which by contract changes nothing — and the serialized starting
+  /// determines the deterministic outcome, and the serialized starting
   /// mapping. Algorithms call this once before their first proposal; no-op
   /// when no journal is configured.
   void journal_search_begin(std::string_view label, const Mapping& start,
@@ -203,8 +196,8 @@ class Evaluator {
     /// search. Mutually exclusive with censored.
     bool quarantined = false;
   };
-  /// Result of one pre-executed simulated run, reduced to what folding
-  /// needs (full ExecutionReports would hold per-task vectors per run).
+  /// Result of one finalist-protocol run, reduced to what folding needs
+  /// (full ExecutionReports would hold per-task vectors per run).
   struct RunOutcome {
     bool ok = false;
     double objective = 0.0;
@@ -251,9 +244,9 @@ class Evaluator {
   };
 
   /// Deterministic per-(candidate, repeat, attempt) noise seed — the scheme
-  /// that makes parallel evaluation order-independent. Attempt 0 is the
-  /// original derivation; retries (attempt > 0) mix in the attempt index so
-  /// each re-execution sees fresh noise and fresh fault draws.
+  /// that makes a run's noise independent of evaluation order. Attempt 0 is
+  /// the original derivation; retries (attempt > 0) mix in the attempt index
+  /// so each re-execution sees fresh noise and fresh fault draws.
   [[nodiscard]] std::uint64_t run_seed(std::uint64_t mapping_hash,
                                        int repeat, int attempt,
                                        std::uint64_t salt) const;
@@ -268,8 +261,7 @@ class Evaluator {
   /// Executes one unbounded finalist-protocol run (retrying transient
   /// faults under the resilience policy) and reduces it to a RunOutcome.
   [[nodiscard]] RunOutcome execute_run(const Mapping& candidate,
-                                       std::uint64_t hash, int repeat,
-                                       SimScratch& scratch) const;
+                                       std::uint64_t hash, int repeat);
   /// Executes one candidate's `repeats` runs as a race against the censor
   /// threshold: after k runs the candidate is censored once its running sum
   /// crosses a noise-aware confidence line (capped at repeats x threshold,
@@ -281,8 +273,7 @@ class Evaluator {
   [[nodiscard]] CandOutcome run_candidate(const Mapping& candidate,
                                           std::uint64_t key,
                                           double threshold_s,
-                                          bool bound_runs,
-                                          SimScratch& scratch) const;
+                                          bool bound_runs);
   /// Simulated cost of observing a failed (OOM) evaluation: the runtime
   /// still performs dependence analysis and instance allocation for every
   /// task before aborting, so each failure charges one runtime-overhead
@@ -311,16 +302,9 @@ class Evaluator {
 
   const Simulator& sim_;
   SearchOptions options_;
-  /// Pool owned by this evaluator (null when options_.threads == 1 or a
-  /// shared pool was injected); `pool_` is the one actually used — the
-  /// owned pool, the injected SearchOptions::shared_pool, or null for the
-  /// zero-synchronization serial path.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
-  /// One simulation arena per pool lane (index 0 doubles as the serial
-  /// path's arena); lanes are exclusive within a parallel_for, so each
-  /// arena is touched by one run at a time.
-  std::vector<SimScratch> scratches_;
+  /// Reusable simulation arena shared by every run, so steady-state
+  /// evaluation allocates nothing.
+  SimScratch scratch_;
   std::unordered_map<std::uint64_t, Entry> profiles_;
   std::vector<Entry> top_;  // sorted ascending by mean, at most top_k
   double best_seconds_;
@@ -331,7 +315,7 @@ class Evaluator {
 
   // Observability handles, cached at construction from SearchOptions
   // (all null when the corresponding facility is disabled). Every update
-  // happens on the serial fold side, preserving thread-count invariance.
+  // happens at fold time, so the values are deterministic.
   Journal* journal_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
   Counter* m_suggested_ = nullptr;

@@ -77,11 +77,11 @@ SearchResult run_random_search(const Simulator& sim,
   const std::size_t cap = std::isfinite(options.time_budget_s)
                               ? std::size_t{1} << 20
                               : 2500;
-  // Proposals are independent of evaluation results, so random search is
-  // the ideal batch customer: draw a block of candidates, submit it whole.
-  // evaluate_batch folds with the same per-candidate budget checks the
-  // serial loop made, so results are bit-identical to one-at-a-time
-  // evaluation for every block size and thread count.
+  // Proposals are independent of evaluation results, so random search
+  // draws a block of candidates and submits it whole. evaluate_batch makes
+  // the same per-candidate budget checks a serial loop would, but fixes the
+  // censor threshold once per block, so kBlock is part of the search's
+  // definition: changing it changes which candidates are censored.
   constexpr std::size_t kBlock = 64;
   for (std::size_t i = 0; i < cap && !eval.budget_exhausted();) {
     const std::size_t block = std::min(kBlock, cap - i);

@@ -184,6 +184,20 @@ SearchOptions search_options_from_json(const std::string& text) {
   return search_options_from_json(parse_json(text));
 }
 
+void validate_search_options(const SearchOptions& o) {
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw Error(std::string("invalid search options: ") + what);
+  };
+  require(o.rotations > 0, "rotations must be positive");
+  require(o.repeats > 0, "repeats must be positive");
+  require(!std::isnan(o.time_budget_s), "budget must not be NaN");
+  require(o.top_k > 0, "top_k must be positive");
+  require(o.final_repeats > 0, "final_repeats must be positive");
+  require(o.resilience.max_retries >= 0, "max_retries must be >= 0");
+  require(o.resilience.quarantine_after >= 0,
+          "quarantine_after must be >= 0");
+}
+
 std::string sim_options_to_json(const SimOptions& o) {
   std::string out = "{\"schema\":" + std::to_string(kSearchOptionsSchema);
   out += ",\"iterations\":" + std::to_string(o.iterations);

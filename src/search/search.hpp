@@ -19,7 +19,6 @@ namespace automap {
 
 class Journal;
 class MetricsRegistry;
-class ThreadPool;
 struct JsonValue;
 struct SimOptions;
 
@@ -103,10 +102,8 @@ struct SearchOptions {
   /// incremental search resumes cheaply. Produced by
   /// SearchResult::profiles_db.
   std::string profiles_seed;
-  /// Worker threads for batch candidate evaluation (simulated runs are
-  /// independent per seed, so candidates fan out). Results are
-  /// bit-identical for every value; 1 disables the pool, 0 means one lane
-  /// per hardware thread.
+  /// Unread. Kept only because perfbench/ names it in designated
+  /// initializers; delete it with the next change there.
   int threads = 1;
   /// Incumbent-bounded candidate pruning: bounded simulation aborts a
   /// candidate's runs as soon as it provably cannot beat the caller's
@@ -114,9 +111,9 @@ struct SearchOptions {
   /// *censored* — folded to the censor threshold and cached as such). The
   /// censoring arithmetic and clock charges are applied identically with
   /// the flag off, so the search result — best mapping, counters, simulated
-  /// clock, trajectory — is bit-identical either way at any thread count;
-  /// the flag only controls whether the simulator skips the wall-clock work
-  /// past the bound. Only effective under Objective::kExecutionTime.
+  /// clock, trajectory — is bit-identical either way; the flag only
+  /// controls whether the simulator skips the wall-clock work past the
+  /// bound. Only effective under Objective::kExecutionTime.
   bool prune_candidates = true;
   /// Serialize the profiles database into SearchResult::profiles_db at
   /// finalize. On by default; callers that never reuse the database (e.g.
@@ -134,9 +131,9 @@ struct SearchOptions {
   /// non-empty, CCD/CD resume from that state instead of starting fresh.
   std::string resume_state;
   /// Provenance journal (src/report/journal.hpp). When set, the algorithms
-  /// and the evaluator append typed JSONL events for every decision; the
-  /// emission sites all sit on the serial fold side, so the journal is
-  /// byte-identical at any `threads` value. Null disables all emission.
+  /// and the evaluator append typed JSONL events for every decision as they
+  /// fold, so the journal is a pure function of the search's
+  /// configuration. Null disables all emission.
   Journal* journal = nullptr;
   /// Metrics registry (src/support/metrics.hpp). When set, the evaluator
   /// and algorithms update counters/gauges/histograms; pair it with
@@ -146,26 +143,8 @@ struct SearchOptions {
   /// appends a deterministic metrics snapshot to the journal; rotation
   /// boundaries always snapshot too. <= 0 disables periodic snapshots.
   int journal_snapshot_every = 256;
-  /// Service mode: schedule candidate batches on this externally owned
-  /// pool instead of constructing a private one (`threads` is then
-  /// ignored for pool sizing). Several concurrent searches may share one
-  /// pool — results stay bit-identical because folding remains serial per
-  /// search. The pool must outlive the search. Runtime wiring, excluded
-  /// from the canonical JSON codec like journal/metrics.
-  ThreadPool* shared_pool = nullptr;
-  /// Priority class for batches submitted to the shared pool (higher
-  /// drains first; deficit-round-robin across streams within a class).
-  /// Only meaningful with shared_pool; the service maps job priority onto
-  /// it.
-  int pool_priority = 0;
-  /// Fair-share stream id for batches submitted to the shared pool: the
-  /// pool interleaves equal-priority batches from different streams
-  /// deficit-round-robin instead of draining them in arrival order. The
-  /// service uses the job id; 0 (the default) is fine for searches that
-  /// never compete. Runtime wiring, excluded from the canonical codec.
-  std::uint64_t pool_stream = 0;
   /// Cooperative cancellation token (runtime wiring, excluded from the
-  /// canonical JSON codec like shared_pool). When non-null and set, the
+  /// canonical JSON codec like journal/metrics). When non-null and set, the
   /// evaluator reports the budget as exhausted: the search cuts at the
   /// next fold boundary exactly like a simulated-budget cut, the CCD/CD
   /// loops skip the post-cut checkpoint (leaving the last task-boundary
@@ -183,10 +162,10 @@ struct SearchOptions {
 /// Canonical JSON codec for the deterministic subset of SearchOptions —
 /// everything that decides the search outcome (seed, rotations, repeats,
 /// budget, objective, resilience, frozen tasks, …) and nothing that is
-/// runtime wiring (threads, pools, journal/metrics pointers, file paths,
-/// profile seeds). One encoding serves three consumers: the CLI
-/// (--options / --dump-options), the journal's `search_begin` fingerprint
-/// and the service wire protocol.
+/// runtime wiring (journal/metrics pointers, file paths, profile seeds).
+/// One encoding serves three consumers: the CLI (--options /
+/// --dump-options), the journal's `search_begin` fingerprint and the
+/// service wire protocol.
 ///
 /// The rendering is deterministic: fixed field order, %.17g doubles with
 /// non-finite values quoted ("inf"), the 64-bit seed as a string. Any
@@ -198,6 +177,13 @@ inline constexpr int kSearchOptionsSchema = 1;
 /// wire requests are validated by construction.
 [[nodiscard]] SearchOptions search_options_from_json(const JsonValue& v);
 [[nodiscard]] SearchOptions search_options_from_json(const std::string& text);
+
+/// Rejects option values no search can run with (non-positive repeats,
+/// rotations, top_k or final_repeats; a NaN budget; negative retry or
+/// quarantine counts) with a one-line Error naming the field. The Evaluator
+/// calls it on construction and the mapping service on submit, so a bad
+/// request fails before any work starts.
+void validate_search_options(const SearchOptions& o);
 
 /// Same codec for the simulator configuration that travels with a search
 /// (iterations, noise, fault model). record_trace / metrics stay out:
@@ -234,8 +220,8 @@ struct TrajectoryPoint {
 
 /// Telemetry of one CCD/CD rotation: what the rotation started from, what
 /// it reached, and what it cost — the per-rotation improvement deltas of
-/// the observability layer. Deterministic (derived from folded statistics),
-/// so thread-count invariance extends to it.
+/// the observability layer. Deterministic (derived from folded
+/// statistics).
 struct RotationTelemetry {
   int rotation = 0;
   /// Best mean before/after the rotation (infinity before any success).

@@ -189,11 +189,11 @@ constexpr const char* kOpLabels[] = {"ping",   "submit", "status",
 }  // namespace
 
 MappingService::MappingService(const ServiceConfig& config)
-    : config_(config),
-      pool_(config.eval_threads == 0 ? ThreadPool::hardware_threads()
-                                     : config.eval_threads),
-      recorder_(config.clock_ms) {
+    : config_(config), recorder_(config.clock_ms) {
   AM_REQUIRE(!config_.store_dir.empty(), "service store directory is empty");
+  if (config_.job_workers < 0)
+    throw Error("job workers must be >= 0 (serve --workers), got " +
+                std::to_string(config_.job_workers));
   clock_ms_ = config_.clock_ms ? config_.clock_ms
                                : std::function<double()>(&steady_ms);
   start_ms_ = clock_ms_();
@@ -242,7 +242,8 @@ MappingService::MappingService(const ServiceConfig& config)
                                   "Bytes under the job store", false);
   m_sim_runs_ = metrics_.counter(
       "automap_sim_runs_total",
-      "Simulator runs across all jobs (includes speculative pool work)",
+      "Simulator runs across all jobs (pruning on or off changes the "
+      "count: bounded runs abort early)",
       false);
   m_overloaded_ = metrics_.counter(
       "automap_service_overloaded_total",
@@ -613,8 +614,10 @@ std::string MappingService::dispatch(const std::string& request_json,
 std::string MappingService::handle_submit(const JsonValue& request,
                                           const std::string& request_json) {
   const SubmitSpec spec = parse_submit(request);
-  // Validate the full configuration before accepting: a malformed machine
-  // or unknown algorithm is a bad_request now, not a failed job later.
+  // Validate the full configuration before accepting: a malformed machine,
+  // an unknown algorithm or options no search can run with are a
+  // bad_request now, not a failed job (and a job dir) later.
+  validate_search_options(spec.options);
   (void)machine_from_string(spec.machine_text);
   (void)task_graph_from_string(spec.graph_text);
   AM_REQUIRE(find_search_algorithm(spec.algorithm) != nullptr,
@@ -1014,11 +1017,6 @@ void MappingService::run_job(std::uint64_t id, int worker) {
                "unknown algorithm '" + spec.algorithm + "'");
 
     SearchOptions options = spec.options;
-    options.shared_pool = &pool_;
-    options.pool_priority = spec.priority;
-    // Fair share: batches from different jobs at equal priority
-    // interleave deficit-round-robin on the shared pool, keyed by job id.
-    options.pool_stream = id;
     options.cancel = cancel.get();
     options.checkpoint_path = dir + "/checkpoint";
     // Checkpoint markers land as zero-length instants on the running

@@ -2,20 +2,14 @@
 
 // MappingService — the daemon's transport-independent core.
 //
-// The service owns the job table, the one shared evaluation thread pool,
-// and the two cross-job caches; the socket server (server.hpp) only moves
-// frames. `handle()` maps one request JSON to one response JSON, so every
-// protocol behavior — including size limits and structured errors — is
-// testable without sockets.
+// The service owns the job table and the two cross-job caches; the socket
+// server (server.hpp) only moves frames. `handle()` maps one request JSON to
+// one response JSON, so every protocol behavior — including size limits and
+// structured errors — is testable without sockets.
 //
-// Scheduling: each accepted job runs as one search on a job worker; all
-// workers' candidate batches land on the single shared ThreadPool, where
-// SearchOptions::pool_priority (from the request's `priority`) decides
-// which job's batch drains first when they compete — and within one
-// priority class the pool runs deficit-round-robin across job ids
-// (SearchOptions::pool_stream), so a huge submission cannot starve later
-// equal-priority ones. Queued jobs start in priority order (FIFO within a
-// class).
+// Scheduling: each accepted job runs as one single-threaded search on a job
+// worker. Queued jobs start in priority order (higher `priority` first, FIFO
+// within a class); once running, a job's priority changes nothing.
 //
 // Cancellation: a queued job cancels immediately (its store dir is
 // tombstoned and purged). A *running* job cancels cooperatively — the
@@ -61,7 +55,6 @@
 #include "src/service/wire.hpp"
 #include "src/support/deadline_wheel.hpp"
 #include "src/support/metrics.hpp"
-#include "src/support/thread_pool.hpp"
 
 namespace automap {
 
@@ -71,11 +64,13 @@ struct ServiceConfig {
   /// Job-store/cache directory (created if missing; probed with
   /// require_writable_path before the service accepts anything).
   std::string store_dir;
-  /// Lanes in the shared evaluation pool (0 = hardware threads). Results
-  /// are bit-identical for every value.
+  /// Unread. Kept only because perfbench/ names it in designated
+  /// initializers; delete it with the next change there.
   int eval_threads = 0;
-  /// Concurrent job workers. 0 = no worker threads: jobs run only via
-  /// drain(), which tests use for deterministic scheduling.
+  /// Concurrent job workers, each running one search at a time. 0 = no
+  /// worker threads: jobs run only via drain(), which tests use for
+  /// deterministic scheduling (a 0-worker daemon holds every job queued).
+  /// Negative is rejected.
   int job_workers = 2;
   /// Maximum accepted request payload; larger requests get a structured
   /// `too_large` error.
@@ -252,7 +247,6 @@ class MappingService {
   [[nodiscard]] std::string bucket_path(std::uint64_t bucket) const;
 
   ServiceConfig config_;
-  ThreadPool pool_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;

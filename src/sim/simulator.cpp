@@ -83,9 +83,9 @@ Simulator::Simulator(const MachineModel& machine, const TaskGraph& graph,
   num_nodes_ = machine_.num_nodes();
 
   if (options_.metrics) {
-    // Raw run counts include speculative pool work, so they are not
-    // thread-count invariant: deterministic=false keeps them out of the
-    // journal's metric snapshots (see MetricsRegistry).
+    // Raw run counts change with pruning on or off (bounded runs abort
+    // early): deterministic=false keeps them out of the journal's metric
+    // snapshots (see MetricsRegistry).
     runs_total_ = options_.metrics->counter(
         "automap_sim_runs_total", "Simulated runs executed (any outcome)",
         /*deterministic=*/false);
@@ -555,7 +555,7 @@ void Simulator::simulate(std::uint64_t seed, double time_bound,
   // Fault injection draws come from a *separate* derived stream: the noise
   // sequence above is untouched whether faults are on or off, and a
   // disabled model makes no draws at all, so fault-free configs reproduce
-  // the pre-fault-layer results bit for bit at any thread count.
+  // the pre-fault-layer results bit for bit.
   const FaultModel& faults = options_.faults;
   const bool inject = faults.enabled();
   Rng fault_rng(inject ? (mix64(seed ^ kFaultSalt) ^ scratch.plan_hash_) : 0);

@@ -57,8 +57,8 @@ class MetricsRegistry;
 /// Deterministic fault-injection model. All probabilities are per-event
 /// Bernoulli draws from a dedicated fault RNG stream derived from the
 /// (seed, mapping) pair — the same derivation discipline as the noise
-/// stream, so results stay bit-identical at any thread count, and a
-/// disabled model makes *zero* draws (fault-free configs reproduce the
+/// stream, so results do not depend on evaluation order, and a disabled
+/// model makes *zero* draws (fault-free configs reproduce the
 /// pre-fault-layer results bit for bit).
 struct FaultModel {
   /// Per-task probability of a transient crash. The crash point is sampled
@@ -96,23 +96,22 @@ struct SimOptions {
   /// Deterministic fault injection; disabled by default.
   FaultModel faults;
   /// Raw simulator run counters (src/support/metrics.hpp). These count
-  /// every simulated run, including the speculative tail a thread pool
-  /// pre-executes past an early-stopping fold — so they are NOT
-  /// thread-count invariant and are registered deterministic=false
-  /// (excluded from journal snapshots, present in --metrics-out). Null
-  /// disables; the counters are atomic, so pool workers may bump them.
+  /// every simulated run as executed, and a bounded run aborts early, so
+  /// they change with pruning on or off; they are registered
+  /// deterministic=false (excluded from journal snapshots, present in
+  /// --metrics-out). Null disables.
   MetricsRegistry* metrics = nullptr;
 };
 
 class Simulator;
 
-/// Reusable per-worker scratch arena for Simulator runs. All per-run state
-/// (memory resolution, the execution plan, the report itself) lives here,
-/// so a worker that evaluates thousands of candidates against one simulator
+/// Reusable scratch arena for Simulator runs. All per-run state (memory
+/// resolution, the execution plan, the report itself) lives here, so an
+/// evaluator that runs thousands of candidates against one simulator
 /// allocates only on its first run (or when switching simulators) and runs
 /// allocation-free afterwards. A SimScratch may be reused across different
 /// Simulator instances; it re-sizes itself on first use with each one. Not
-/// thread-safe: use one arena per worker lane.
+/// thread-safe: use one arena per thread.
 class SimScratch {
  public:
   SimScratch() = default;

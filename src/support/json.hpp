@@ -3,10 +3,10 @@
 // Minimal JSON support for the provenance journal (docs/file_formats.md).
 //
 // The journal is JSONL — one object per line — written with deterministic
-// formatting so journals are byte-comparable across runs and thread counts,
-// and read back by the `explain`/`replay` tooling. This header provides
-// both directions: escape/format helpers for the writer and a small
-// recursive-descent parser for the readers. It is deliberately not a
+// formatting so journals are byte-comparable across runs, and read back by
+// the `explain`/`replay` tooling. This header provides both directions:
+// escape/format helpers for the writer and a small recursive-descent parser
+// for the readers. It is deliberately not a
 // general-purpose JSON library: no streaming, no comments, objects keep
 // insertion order (journal events are small and key order matters for
 // byte-identity checks).

@@ -8,12 +8,12 @@
 // nothing on the hot path.
 //
 // Determinism contract: instruments marked `deterministic` depend only on
-// (seed, options), never on the thread count or wall clock — all evaluator
-// and search counters qualify because they are updated on the serial fold
-// side of evaluate_batch. Raw simulator run counts do NOT qualify (the
-// thread pool pre-executes speculative tails), so those instruments are
+// the search's configuration, never on the wall clock — all evaluator and
+// search counters qualify because they are updated as evaluate_batch folds
+// each candidate. Raw simulator run counts do NOT qualify (pruning on or off
+// changes them, because bounded runs abort early), so those instruments are
 // registered with deterministic=false: they are excluded from journal
-// snapshots (which must be byte-identical at any --threads value) and only
+// snapshots (which must be byte-identical with pruning on or off) and only
 // appear in the final --metrics-out exposition.
 
 #include <atomic>
@@ -24,8 +24,9 @@
 
 namespace automap {
 
-/// Monotone counter. Atomic so simulator threads may bump it from the
-/// pool; everything else in the registry is serial-only.
+/// Monotone counter. Atomic because the daemon's connection threads bump
+/// service counters outside the service mutex; everything else in the
+/// registry is single-threaded or updated under a lock.
 class Counter {
  public:
   void inc(std::uint64_t by = 1) {
@@ -110,7 +111,7 @@ class MetricsRegistry {
 
   /// JSON object fragment ({"name":value,...}) with deterministic
   /// counters and gauges only — embedded in journal `metrics` events,
-  /// which must stay byte-identical across thread counts. Histograms and
+  /// which must stay byte-identical with pruning on or off. Histograms and
   /// nondeterministic instruments are excluded.
   [[nodiscard]] std::string snapshot_json() const;
 

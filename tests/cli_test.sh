@@ -35,14 +35,22 @@ if "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --algorithm nosuch \
   exit 1
 fi
 
-# Parallel evaluation must not change the result: the search summary line
-# (best time, suggested/evaluated counts, search time) is byte-identical
-# across thread counts.
+# Pruning must not change the result: the search summary line (best time,
+# suggested/evaluated counts, search time) is byte-identical with
+# incumbent-bounded pruning on and off.
 "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --rotations 2 --repeats 3 \
-      --threads 1 | grep "best mapping" > "$DIR/serial.txt"
+      | grep "best mapping" > "$DIR/pruned.txt"
 "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --rotations 2 --repeats 3 \
-      --threads 4 | grep "best mapping" > "$DIR/parallel.txt"
-cmp "$DIR/serial.txt" "$DIR/parallel.txt"
+      --no-prune | grep "best mapping" > "$DIR/unpruned.txt"
+cmp "$DIR/pruned.txt" "$DIR/unpruned.txt"
+
+# A search runs on one thread: --threads is not an option.
+if "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --threads 1 \
+      > "$DIR/threads.out" 2>&1; then
+  echo "expected nonzero exit for --threads" >&2
+  exit 1
+fi
+grep -q "unknown option: --threads" "$DIR/threads.out"
 
 # The canonical options codec round-trips through the CLI: --dump-options
 # emits schema-versioned JSON that, fed back via --options, reproduces
@@ -53,7 +61,7 @@ python3 -c "import json,sys; d=json.load(open(sys.argv[1])); \
       assert d['schema'] == 1 and d['rotations'] == 2" "$DIR/options.json"
 "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --options "$DIR/options.json" \
       | grep "best mapping" > "$DIR/fromjson.txt"
-cmp "$DIR/serial.txt" "$DIR/fromjson.txt"
+cmp "$DIR/pruned.txt" "$DIR/fromjson.txt"
 
 # A corrupted options file fails loudly (strict parse: unknown keys are
 # errors), not by silently falling back to defaults.
@@ -121,27 +129,45 @@ fi
 grep -qi "error" "$DIR/garbled.err"
 test "$(wc -l < "$DIR/garbled.err")" -le 2
 
-# Same for a malformed numeric flag (std::stoi throws std::invalid_argument,
-# which only the top-level catch-all converts to a diagnostic).
-if "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --rotations banana \
-      > /dev/null 2> "$DIR/badflag.err"; then
-  echo "expected nonzero exit for malformed numeric flag" >&2
-  exit 1
-fi
-grep -qi "error" "$DIR/badflag.err"
-test "$(wc -l < "$DIR/badflag.err")" -le 2
+# Same for a malformed numeric flag: the whole token must decode into the
+# flag's type (no truncated fraction, no wrapped negative, no NaN), and the
+# one error line names the flag and the token.
+for bad in "--rotations banana" "--repeats abc" "--repeats 3.7" \
+           "--seed -1" "--budget nan"; do
+  read -r flag token <<< "$bad"
+  if "$CLI" search "$DIR/m.machine" "$DIR/g.graph" "$flag" "$token" \
+        > /dev/null 2> "$DIR/badflag.err"; then
+    echo "expected nonzero exit for $flag $token" >&2
+    exit 1
+  fi
+  grep -q "^error: $flag .*'$token'" "$DIR/badflag.err"
+  test "$(wc -l < "$DIR/badflag.err")" -eq 1
+done
 
-# Fault injection: the searched result under faults is thread-count
-# invariant and the resilience telemetry reaches the output.
+# Options no search can run with fail before the search starts.
+for bad in '"final_repeats":31/"final_repeats":-1' \
+           '"final_repeats":31/"final_repeats":0'; do
+  sed "s/$bad/" "$DIR/options.json" > "$DIR/bad-final.json"
+  if "$CLI" search "$DIR/m.machine" "$DIR/g.graph" \
+        --options "$DIR/bad-final.json" > "$DIR/badfinal.out" 2>&1; then
+    echo "expected nonzero exit for $bad" >&2
+    exit 1
+  fi
+  grep -q "^error: .*final_repeats must be positive" "$DIR/badfinal.out"
+  test "$(wc -l < "$DIR/badfinal.out")" -eq 1
+done
+
+# Fault injection: the searched result under faults is the same with
+# pruning on and off, and the resilience telemetry reaches the output.
 FAULTS=(--fault-crash 0.05 --fault-straggler 0.05 --retries 2 --quarantine 2)
 "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --rotations 2 --repeats 3 \
-      "${FAULTS[@]}" --threads 1 --telemetry > "$DIR/faulty1.txt"
+      "${FAULTS[@]}" --telemetry > "$DIR/faulty.txt"
 "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --rotations 2 --repeats 3 \
-      "${FAULTS[@]}" --threads 4 --telemetry > "$DIR/faulty4.txt"
-grep "best mapping" "$DIR/faulty1.txt" > "$DIR/faulty1.line"
-grep "best mapping" "$DIR/faulty4.txt" > "$DIR/faulty4.line"
-cmp "$DIR/faulty1.line" "$DIR/faulty4.line"
-grep -q "resilience:" "$DIR/faulty1.txt"
+      "${FAULTS[@]}" --no-prune --telemetry > "$DIR/faulty-unpruned.txt"
+grep "best mapping" "$DIR/faulty.txt" > "$DIR/faulty.line"
+grep "best mapping" "$DIR/faulty-unpruned.txt" > "$DIR/faulty-unpruned.line"
+cmp "$DIR/faulty.line" "$DIR/faulty-unpruned.line"
+grep -q "resilience:" "$DIR/faulty.txt"
 
 # Interrupt-and-resume: a search cut mid-flight by the simulated budget
 # leaves a mid-search checkpoint; resuming from it must land on the exact
@@ -198,11 +224,6 @@ grep -q "# TYPE automap_candidate_mean_seconds histogram" "$DIR/s.metrics.txt"
 grep -q "journal: " "$DIR/jtel.txt"
 grep -q "convergence: " "$DIR/jtel.txt"
 
-# Journals are byte-identical at any --threads value.
-"$CLI" search "$DIR/m.machine" "$DIR/s.graph" --rotations 3 --repeats 3 \
-      --threads 4 --journal "$DIR/s.journal.t4.jsonl" > /dev/null
-cmp "$DIR/s.journal.jsonl" "$DIR/s.journal.t4.jsonl"
-
 # explain renders per-decision provenance incl. co-location attribution.
 "$CLI" explain "$DIR/s.graph" "$DIR/s.journal.jsonl" > "$DIR/explain.txt"
 grep -q "decision provenance" "$DIR/explain.txt"
@@ -212,6 +233,12 @@ grep -q "processor = " "$DIR/explain.txt"
 # replay cross-checks the journal against a fresh run: no drift.
 "$CLI" replay "$DIR/m.machine" "$DIR/s.graph" "$DIR/s.journal.jsonl" \
       | grep -q "no drift"
+if "$CLI" replay "$DIR/m.machine" "$DIR/s.graph" "$DIR/s.journal.jsonl" \
+      --threads 1 > "$DIR/replay-threads.out" 2>&1; then
+  echo "expected nonzero exit for replay --threads" >&2
+  exit 1
+fi
+grep -q "unknown option: --threads" "$DIR/replay-threads.out"
 
 # A tampered journal must be caught (nonzero exit, drift report).
 sed 's/"type":"finalize","algorithm":"AM-CCD","best":/"type":"finalize","algorithm":"AM-CCD","best":9/' \

@@ -2,8 +2,8 @@
 // machinery built on top of it: simulator-side fault semantics (crash /
 // straggler / memory pressure / copy faults), the evaluator's retry,
 // quarantine and robust-aggregation policies, graceful degradation, and
-// checkpoint/resume — all under the same bit-identical-across-thread-counts
-// guarantee the fault-free engine provides.
+// checkpoint/resume — all under the same bit-identical-resume guarantee the
+// fault-free engine provides.
 
 #include <gtest/gtest.h>
 
@@ -312,29 +312,6 @@ TEST(Resilience, RobustAggregationsResistStragglers) {
   // the robust folds do not.
   EXPECT_LT(median, mean);
   EXPECT_LT(trimmed, mean);
-}
-
-TEST(Resilience, SearchUnderFaultsIsThreadCountInvariant) {
-  const MachineModel machine = make_shepard(1);
-  const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
-  Simulator sim(machine, app.graph,
-                {.iterations = 3, .noise_sigma = 0.02,
-                 .faults = {.crash_prob = 0.05,
-                            .straggler_prob = 0.1,
-                            .straggler_factor = 3.0,
-                            .mem_pressure_prob = 0.02,
-                            .copy_fault_prob = 0.02}});
-
-  SearchOptions options{.rotations = 2, .repeats = 3, .seed = 17};
-  options.resilience = {.max_retries = 2, .quarantine_after = 3};
-  options.threads = 1;
-  const SearchResult serial = run_ccd(sim, options);
-  EXPECT_GT(serial.stats.transient_failures, 0u);
-  for (const int threads : {2, 4}) {
-    options.threads = threads;
-    expect_identical(run_ccd(sim, options), serial,
-                     "faulty threads=" + std::to_string(threads));
-  }
 }
 
 TEST(Resilience, UnprofilableSearchDegradesToTheKnownIncumbent) {

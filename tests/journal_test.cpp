@@ -1,6 +1,6 @@
-// Tests for the provenance journal (src/report/journal.hpp), its
-// byte-identity contract across thread counts, the forced-move diff behind
-// `explain`'s co-location attributions, and the explain/replay tooling.
+// Tests for the provenance journal (src/report/journal.hpp), its schema and
+// sequence contract, the forced-move diff behind `explain`'s co-location
+// attributions, and the explain/replay tooling.
 
 #include <gtest/gtest.h>
 
@@ -26,11 +26,10 @@
 namespace automap {
 namespace {
 
-/// Runs a stencil CCD search with an in-memory journal at the given thread
-/// count and returns the journal text. Fresh registry per run: metric
-/// snapshots are embedded in the journal and counters must start at zero.
-std::string journal_of_stencil_ccd(int threads,
-                                   SearchResult* result = nullptr) {
+/// Runs a stencil CCD search with an in-memory journal and returns the
+/// journal text. Fresh registry per run: metric snapshots are embedded in
+/// the journal and counters must start at zero.
+std::string journal_of_stencil_ccd(SearchResult* result = nullptr) {
   const BenchmarkApp app = make_app_by_name("stencil", 2, 1);
   const MachineModel machine = make_shepard(2);
   const Simulator sim(machine, app.graph, {});
@@ -42,23 +41,13 @@ std::string journal_of_stencil_ccd(int threads,
                         .export_profiles_db = false,
                         .journal = &journal,
                         .metrics = &metrics};
-  options.threads = threads;
   const SearchResult r = run_ccd(sim, options);
   if (result != nullptr) *result = r;
   return journal.text();
 }
 
-TEST(Journal, ByteIdenticalAcrossThreadCounts) {
-  const std::string t1 = journal_of_stencil_ccd(1);
-  const std::string t4 = journal_of_stencil_ccd(4);
-  const std::string t8 = journal_of_stencil_ccd(8);
-  EXPECT_EQ(t1, t4);
-  EXPECT_EQ(t1, t8);
-  EXPECT_GT(t1.size(), 1000u);  // a real journal, not an empty file
-}
-
 TEST(Journal, SchemaRoundTripAndMonotoneSequence) {
-  const std::string text = journal_of_stencil_ccd(1);
+  const std::string text = journal_of_stencil_ccd();
   std::istringstream is(text);
   std::string line;
   long long expected_n = 0;
@@ -83,7 +72,7 @@ TEST(Journal, SchemaRoundTripAndMonotoneSequence) {
       ASSERT_NE(opts, nullptr);
       EXPECT_EQ(opts->str_or("seed", ""), "42");
       ASSERT_NE(ev.find("sim"), nullptr);
-      EXPECT_FALSE(ev.has("threads"));        // would break byte-identity
+      EXPECT_FALSE(ev.has("threads"));  // runtime wiring stays out
       EXPECT_FALSE(opts->has("threads"));
     } else if (type == "move") {
       saw_move = true;
@@ -102,7 +91,7 @@ TEST(Journal, SchemaRoundTripAndMonotoneSequence) {
       saw_metrics = true;
       const JsonValue* values = ev.find("values");
       ASSERT_NE(values, nullptr);
-      // Raw simulator run counters are thread-count-dependent and must
+      // Raw simulator run counters change with pruning on or off and must
       // never appear in journal snapshots.
       EXPECT_FALSE(values->has("automap_sim_runs_total"));
       EXPECT_TRUE(values->has("automap_candidates_suggested_total"));
@@ -133,7 +122,7 @@ TEST(Journal, DisabledJournalDoesNotPerturbTheSearch) {
       .rotations = 3, .repeats = 3, .seed = 42, .export_profiles_db = false};
   const SearchResult plain = run_ccd(sim, options);
   SearchResult journaled;
-  (void)journal_of_stencil_ccd(1, &journaled);
+  (void)journal_of_stencil_ccd(&journaled);
   EXPECT_EQ(plain.best_seconds, journaled.best_seconds);
   EXPECT_EQ(plain.best, journaled.best);
   EXPECT_EQ(plain.stats.suggested, journaled.stats.suggested);
@@ -246,7 +235,7 @@ TEST(ForcedMoves, ColocationEdgePinsTheSharedStencilCollection) {
 
 TEST(Explain, CoversEveryTaskAndCollectionArgument) {
   const BenchmarkApp app = make_app_by_name("stencil", 2, 1);
-  const std::string text = journal_of_stencil_ccd(1);
+  const std::string text = journal_of_stencil_ccd();
   const std::string rendered = render_explain(app.graph, text);
 
   for (const GroupTask& task : app.graph.tasks()) {
@@ -269,7 +258,7 @@ TEST(Explain, CoversEveryTaskAndCollectionArgument) {
 
 TEST(Explain, RejectsTamperedMoveChains) {
   const BenchmarkApp app = make_app_by_name("stencil", 2, 1);
-  std::string text = journal_of_stencil_ccd(1);
+  std::string text = journal_of_stencil_ccd();
   // Flip an accepted move's memory kind: the replayed chain no longer
   // reproduces the recorded mapping hash.
   const std::size_t pos = text.find("\"accepted\":true");
@@ -294,7 +283,7 @@ TEST(Explain, MalformedIntegerFieldsAreOneLineErrors) {
   // `line_has`. explain must refuse it with a one-line Error naming the
   // field, where a cast of the double would be undefined behaviour.
   const BenchmarkApp app = make_app_by_name("stencil", 2, 1);
-  const std::string text = journal_of_stencil_ccd(1);
+  const std::string text = journal_of_stencil_ccd();
   struct Case {
     const char* field;
     const char* line_has;  // explain replays only accepted moves
@@ -342,25 +331,22 @@ TEST(Explain, MalformedIntegerFieldsAreOneLineErrors) {
 TEST(Replay, FreshRunMatchesTheJournal) {
   const BenchmarkApp app = make_app_by_name("stencil", 2, 1);
   const MachineModel machine = make_shepard(2);
-  const std::string text = journal_of_stencil_ccd(1);
-  const ReplayOutcome at1 = replay_journal(machine, app.graph, text, 1);
-  EXPECT_FALSE(at1.drift) << at1.rendering;
-  EXPECT_NE(at1.rendering.find("no drift"), std::string::npos);
-  // By contract the fresh run's thread count cannot matter.
-  const ReplayOutcome at4 = replay_journal(machine, app.graph, text, 4);
-  EXPECT_FALSE(at4.drift) << at4.rendering;
+  const std::string text = journal_of_stencil_ccd();
+  const ReplayOutcome outcome = replay_journal(machine, app.graph, text);
+  EXPECT_FALSE(outcome.drift) << outcome.rendering;
+  EXPECT_NE(outcome.rendering.find("no drift"), std::string::npos);
 }
 
 TEST(Replay, DetectsDriftInATamperedJournal) {
   const BenchmarkApp app = make_app_by_name("stencil", 2, 1);
   const MachineModel machine = make_shepard(2);
-  std::string text = journal_of_stencil_ccd(1);
+  std::string text = journal_of_stencil_ccd();
   const std::size_t fin = text.find("\"type\":\"finalize\"");
   ASSERT_NE(fin, std::string::npos);
   const std::size_t best = text.find("\"best\":", fin);
   ASSERT_NE(best, std::string::npos);
   text.insert(best + 7, "9");  // 0.0055 -> 90.0055: a different final best
-  const ReplayOutcome outcome = replay_journal(machine, app.graph, text, 1);
+  const ReplayOutcome outcome = replay_journal(machine, app.graph, text);
   EXPECT_TRUE(outcome.drift);
   EXPECT_NE(outcome.rendering.find("DRIFT"), std::string::npos);
 }
@@ -368,15 +354,15 @@ TEST(Replay, DetectsDriftInATamperedJournal) {
 TEST(Replay, RefusesJournalsItCannotReproduce) {
   const BenchmarkApp app = make_app_by_name("stencil", 2, 1);
   const MachineModel machine = make_shepard(2);
-  const std::string text = journal_of_stencil_ccd(1);
+  const std::string text = journal_of_stencil_ccd();
   // No finalize: an interrupted search.
   const std::string truncated =
       text.substr(0, text.find("\"type\":\"finalize\""));
   EXPECT_THROW(
       (void)replay_journal(machine, app.graph,
-                           truncated.substr(0, truncated.rfind('\n') + 1), 1),
+                           truncated.substr(0, truncated.rfind('\n') + 1)),
       Error);
-  EXPECT_THROW((void)replay_journal(machine, app.graph, "", 1), Error);
+  EXPECT_THROW((void)replay_journal(machine, app.graph, ""), Error);
   // Version 1 spread the configuration over flat search_begin fields;
   // replay reads only the version-2 codec objects and says so.
   const std::string v1 =
@@ -385,7 +371,7 @@ TEST(Replay, RefusesJournalsItCannotReproduce) {
       "\"seed\":\"1\",\"rotations\":2}\n"
       "{\"n\":2,\"type\":\"finalize\",\"algorithm\":\"AM-CCD\",\"best\":1}\n";
   try {
-    (void)replay_journal(machine, app.graph, v1, 1);
+    (void)replay_journal(machine, app.graph, v1);
     ADD_FAILURE() << "a version-1 journal was replayed";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)

@@ -3,9 +3,8 @@
 // and only if the unbounded run would exceed the bound; a censored
 // evaluation folds to exactly the censor threshold (never beating the
 // incumbent); the full SearchResult is bit-identical with pruning on or
-// off at any thread count; and censored profiles-database entries answer
-// tight queries, re-resolve under looser ones, and survive an
-// export/import round trip.
+// off; and censored profiles-database entries answer tight queries,
+// re-resolve under looser ones, and survive an export/import round trip.
 
 #include <gtest/gtest.h>
 
@@ -194,8 +193,7 @@ TEST(Pruning, DuplicateCensoredCandidatesFoldOnce) {
   MiniApp app;
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.g, {.iterations = 2, .noise_sigma = 0.0});
-  const SearchOptions opts{.repeats = 3, .seed = 5, .top_k = 1,
-                           .threads = 2};
+  const SearchOptions opts{.repeats = 3, .seed = 5, .top_k = 1};
   const OrderedPair pair = ordered_pair(app, machine, sim, opts);
 
   Evaluator eval(sim, opts);
@@ -249,6 +247,36 @@ TEST(Pruning, CensoredEntryReResolvesUnderALooserBound) {
   EXPECT_EQ(eval.evaluate(pair.slow, pair.fast_mean), pair.slow_mean);
   EXPECT_EQ(eval.view().stats().evaluated, 3u);
   EXPECT_EQ(eval.view().stats().cache_hits, 2u);
+}
+
+TEST(Pruning, TightlyCensoredEntryReExecutesOnceForADuplicatedBatch) {
+  MiniApp app;
+  const MachineModel machine = make_shepard(1);
+  Simulator sim(machine, app.g, {.iterations = 2, .noise_sigma = 0.0});
+  const SearchOptions opts{.repeats = 3, .seed = 5, .top_k = 1};
+  const OrderedPair pair = ordered_pair(app, machine, sim, opts);
+
+  Evaluator eval(sim, opts);
+  EXPECT_EQ(eval.evaluate(pair.fast), pair.fast_mean);
+  EXPECT_EQ(eval.evaluate(pair.slow, pair.fast_mean), pair.fast_mean);
+  const SearchStats before = eval.view().stats();
+  ASSERT_EQ(before.censored, 1u);
+
+  // The slow candidate's entry is censored at the incumbent, tighter than
+  // this batch's (infinite) threshold. The first copy re-executes and
+  // overwrites the entry with the exact mean; the second is answered by
+  // that new entry.
+  const std::vector<Mapping> batch = {pair.slow, pair.slow};
+  const std::vector<double> means = eval.evaluate_batch(batch);
+  ASSERT_EQ(means.size(), 2u);
+  EXPECT_EQ(means[0], pair.slow_mean);
+  EXPECT_EQ(means[1], pair.slow_mean);
+  const SearchStats& after = eval.view().stats();
+  EXPECT_EQ(after.evaluated, before.evaluated + 1);
+  EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
+  EXPECT_EQ(after.censored, before.censored);
+  EXPECT_EQ(eval.view().export_profiles().find(" censored"),
+            std::string::npos);
 }
 
 TEST(Pruning, CensoredEntriesSurviveExportImportRoundTrip) {
@@ -306,29 +334,21 @@ void expect_identical(const SearchResult& a, const SearchResult& b,
   EXPECT_EQ(a.profiles_db, b.profiles_db) << context;
 }
 
-TEST(Pruning, CcdSearchResultBitIdenticalPruneOnOffAcrossThreadCounts) {
+TEST(Pruning, CcdSearchResultBitIdenticalPruneOnOff) {
   const MachineModel machine = make_shepard(1);
   const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
   Simulator sim(machine, app.graph, {.iterations = 3, .noise_sigma = 0.02});
 
   SearchOptions base{.rotations = 3, .repeats = 3, .seed = 42};
-  base.threads = 1;
   base.prune_candidates = false;
   const SearchResult reference = run_ccd(sim, base);
   // The search must actually exercise censoring, or this test proves
   // nothing about pruning.
   EXPECT_GT(reference.stats.censored, 0u);
 
-  for (const int threads : {1, 4, 8}) {
-    for (const bool prune : {true, false}) {
-      SearchOptions o = base;
-      o.threads = threads;
-      o.prune_candidates = prune;
-      expect_identical(run_ccd(sim, o), reference,
-                       "threads=" + std::to_string(threads) +
-                           " prune=" + std::to_string(prune));
-    }
-  }
+  SearchOptions pruned = base;
+  pruned.prune_candidates = true;
+  expect_identical(run_ccd(sim, pruned), reference, "prune on vs off");
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "src/apps/circuit.hpp"
 #include "src/apps/stencil.hpp"
@@ -130,6 +132,33 @@ TEST(Evaluator, BudgetExhaustionStopsSearch) {
   EXPECT_FALSE(eval.budget_exhausted());
   (void)eval.evaluate(search_starting_point(app.g, machine));
   EXPECT_TRUE(eval.budget_exhausted());
+}
+
+TEST(Evaluator, RejectsUnrunnableOptionsUpFront) {
+  // Each of these must fail before any work: final_repeats -1 would trip
+  // an internal invariant after the whole search, 0 would report a
+  // fault-rate degradation with no faults configured, and a NaN budget
+  // never runs out.
+  MiniApp app;
+  const MachineModel machine = make_shepard(1);
+  Simulator sim(machine, app.g, {.iterations = 2});
+  const std::pair<SearchOptions, const char*> cases[] = {
+      {{.final_repeats = -1}, "final_repeats"},
+      {{.final_repeats = 0}, "final_repeats"},
+      {{.time_budget_s = std::nan("")}, "budget"},
+      {{.repeats = 0}, "repeats"},
+  };
+  for (const auto& [options, field] : cases) {
+    try {
+      Evaluator eval(sim, options);
+      ADD_FAILURE() << field << ": options were accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+  EXPECT_NO_THROW(validate_search_options(SearchOptions{}));
 }
 
 TEST(Evaluator, FallbacksExtendPriorityLists) {

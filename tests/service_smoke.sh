@@ -41,7 +41,7 @@ sim_runs() {
 "$CLI" export-machine shepard 2 "$DIR/m.machine" > /dev/null
 "$CLI" export-app stencil 2 1 "$DIR/g.graph" > /dev/null
 
-"$CLI" serve --socket "$SOCK" --store "$STORE" --eval-threads 2 \
+"$CLI" serve --socket "$SOCK" --store "$STORE" \
       --workers 2 --service-trace "$TRACE_OUT" > "$DIR/serve.log" 2>&1 &
 SERVER_PID=$!
 wait_for_daemon
@@ -71,6 +71,13 @@ test -n "$RUNS_BEFORE"
 grep -q "(cached)" "$DIR/cached.txt"
 grep "best mapping" "$DIR/cached.txt" > "$DIR/cached.line"
 cmp "$DIR/cached.line" "$DIR/oneshot.line"
+test "$(sim_runs)" = "$RUNS_BEFORE"
+# The client's own retry flag is not a search option: the same submission
+# with it is still the cached job.
+"$CLIENT" submit "$DIR/m.machine" "$DIR/g.graph" --socket "$SOCK" \
+      --rotations 2 --repeats 3 --journal --retry-attempts 3 \
+      > "$DIR/cached-retry.txt"
+grep -q "^job 1 done (cached)$" "$DIR/cached-retry.txt"
 test "$(sim_runs)" = "$RUNS_BEFORE"
 # awk reads the whole stats listing (several stdio writes) before deciding:
 # exiting at the match would let the client's next write hit a closed pipe,
@@ -200,7 +207,7 @@ EOF
 
 # Warm restart on the same store: the finished job is served from disk —
 # still byte-identical — without a single new simulator run.
-"$CLI" serve --socket "$SOCK" --store "$STORE" --eval-threads 2 \
+"$CLI" serve --socket "$SOCK" --store "$STORE" \
       --workers 2 > "$DIR/serve2.log" 2>&1 &
 SERVER_PID=$!
 wait_for_daemon
@@ -217,7 +224,7 @@ SERVER_PID=""
 
 # --- Protocol fuzz + overload/deadline, on a daemon with a short frame
 # deadline, no workers, and a one-job queue. ---------------------------
-"$CLI" serve --socket "$SOCK" --store "$DIR/store3" --eval-threads 2 \
+"$CLI" serve --socket "$SOCK" --store "$DIR/store3" \
       --workers 0 --max-queued-jobs 1 --io-timeout-ms 300 \
       > "$DIR/serve3.log" 2>&1 &
 SERVER_PID=$!
@@ -322,5 +329,23 @@ fi
 wait "$FAKE_PID"
 test "$(wc -l < "$DIR/fake.err")" = "1"
 grep -q "'version'" "$DIR/fake.err"
+
+# Daemon settings are checked before it listens: --eval-threads is not an
+# option, and a negative worker count is one error line (such a daemon
+# would accept jobs and never run them). `timeout` bounds a daemon that
+# would start anyway.
+if timeout 10 "$CLI" serve --socket "$DIR/bad.sock" --store "$DIR/store-bad" \
+      --eval-threads 2 > "$DIR/bad-serve.out" 2>&1; then
+  echo "expected serve --eval-threads to be refused" >&2
+  exit 1
+fi
+grep -q "unknown option: --eval-threads" "$DIR/bad-serve.out"
+if timeout 10 "$CLI" serve --socket "$DIR/bad.sock" --store "$DIR/store-bad" \
+      --workers -1 > "$DIR/bad-workers.out" 2>&1; then
+  echo "expected serve --workers -1 to be refused" >&2
+  exit 1
+fi
+test "$(wc -l < "$DIR/bad-workers.out")" = "1"
+grep -q "^error: .*--workers" "$DIR/bad-workers.out"
 
 echo "service smoke test passed"

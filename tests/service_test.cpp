@@ -37,6 +37,7 @@
 #include "src/service/wire.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/durable.hpp"
+#include "src/support/error.hpp"
 #include "src/support/json.hpp"
 
 namespace automap {
@@ -129,7 +130,6 @@ OneShot one_shot_reference(const SearchOptions& options) {
   const TaskGraph graph = make_app_by_name("stencil", 2, 1).graph;
   const Simulator sim(machine, graph, {});
   SearchOptions local = options;
-  local.threads = 1;
   local.export_profiles_db = false;
   const SearchResult result =
       find_search_algorithm("ccd")->run(sim, local);
@@ -148,7 +148,6 @@ TEST(Wire, FrameRoundTripAndShortHeader) {
 
 TEST(Service, PingAndUnknownOp) {
   MappingService service({.store_dir = fresh_store("ping"),
-                          .eval_threads = 1,
                           .job_workers = 0});
   const JsonValue pong = handle_json(service, "{\"op\":\"ping\"}");
   EXPECT_EQ(pong.str_or("type", ""), "pong");
@@ -161,7 +160,6 @@ TEST(Service, PingAndUnknownOp) {
 
 TEST(Service, StructuredErrorsNotDroppedConnections) {
   MappingService service({.store_dir = fresh_store("errors"),
-                          .eval_threads = 1,
                           .job_workers = 0,
                           .max_request_bytes = 128});
   // Oversize request: a structured too_large error, not a disconnect.
@@ -190,11 +188,10 @@ TEST(Service, StructuredErrorsNotDroppedConnections) {
 }
 
 TEST(Service, ConcurrentJobsMatchOneShotSearch) {
-  // Two jobs with different seeds run concurrently on two workers that
-  // share one evaluation pool; each answer must be byte-identical to the
-  // serial one-shot search path for its options.
+  // Two jobs with different seeds run concurrently on two workers, one
+  // search each; each answer must be byte-identical to the one-shot search
+  // path for its options.
   MappingService service({.store_dir = fresh_store("concurrent"),
-                          .eval_threads = 4,
                           .job_workers = 2});
   const SearchOptions a = small_options(7);
   const SearchOptions b = small_options(1234);
@@ -220,7 +217,6 @@ TEST(Service, ConcurrentJobsMatchOneShotSearch) {
 
 TEST(Service, RepeatSubmissionAnsweredFromResultCache) {
   MappingService service({.store_dir = fresh_store("cache"),
-                          .eval_threads = 2,
                           .job_workers = 0});
   const SearchOptions options = small_options(42);
   const JsonValue first = handle_json(service, submit_request(options));
@@ -260,7 +256,7 @@ TEST(Service, RepeatSubmissionAnsweredFromResultCache) {
 TEST(Service, JournalStreamingReconstructsFileBytes) {
   const std::string store = fresh_store("journal");
   MappingService service(
-      {.store_dir = store, .eval_threads = 1, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   const JsonValue submitted = handle_json(
       service, submit_request(small_options(42), ",\"journal\":true"));
   const std::string id = job_id_of(submitted);
@@ -304,7 +300,7 @@ TEST(Service, WarmRestartServesPersistedResults) {
   std::string payload;
   {
     MappingService service(
-        {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+        {.store_dir = store, .job_workers = 0});
     id = job_id_of(handle_json(service, submit_request(options)));
     service.drain();
     payload = service.handle("{\"op\":\"result\",\"job\":" + id + "}");
@@ -313,7 +309,7 @@ TEST(Service, WarmRestartServesPersistedResults) {
   // A new daemon on the same store serves the identical bytes without
   // running anything (zero simulator runs since construction).
   MappingService revived(
-      {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   EXPECT_EQ(revived.handle("{\"op\":\"result\",\"job\":" + id + "}"),
             payload);
   EXPECT_EQ(metric_value(revived.expose_metrics(),
@@ -332,7 +328,7 @@ TEST(Service, WarmRestartResumesInterruptedJobToIdenticalResult) {
   std::string payload;
   {
     MappingService service(
-        {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+        {.store_dir = store, .job_workers = 0});
     id = job_id_of(handle_json(service, submit_request(options)));
     service.drain();
     payload = service.handle("{\"op\":\"result\",\"job\":" + id + "}");
@@ -343,7 +339,7 @@ TEST(Service, WarmRestartResumesInterruptedJobToIdenticalResult) {
   fs::remove(store + "/jobs/" + id + "/result.json");
 
   MappingService revived(
-      {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   EXPECT_EQ(handle_json(revived, "{\"op\":\"status\",\"job\":" + id + "}")
                 .str_or("status", ""),
             "queued");
@@ -356,7 +352,7 @@ TEST(Service, WarmRestartResumesInterruptedJobToIdenticalResult) {
 TEST(Service, CancelQueuedJobPurgesItsStoreDir) {
   const std::string store = fresh_store("cancel");
   MappingService service(
-      {.store_dir = store, .eval_threads = 1, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   const std::string id =
       job_id_of(handle_json(service, submit_request(small_options(9))));
   ASSERT_TRUE(fs::exists(store + "/jobs/" + id));
@@ -390,7 +386,7 @@ TEST(Service, RestartCleansTombstonedDirs) {
   std::string id;
   {
     MappingService service(
-        {.store_dir = store, .eval_threads = 1, .job_workers = 0});
+        {.store_dir = store, .job_workers = 0});
     id = job_id_of(handle_json(service, submit_request(small_options(3))));
   }
   const std::string dir = store + "/jobs/" + id;
@@ -398,7 +394,7 @@ TEST(Service, RestartCleansTombstonedDirs) {
   save_text(dir + "/cancelled", "purge\n");
 
   MappingService revived(
-      {.store_dir = store, .eval_threads = 1, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   EXPECT_FALSE(fs::exists(dir));
   EXPECT_EQ(handle_json(revived, "{\"op\":\"status\",\"job\":" + id + "}")
                 .str_or("code", ""),
@@ -421,7 +417,7 @@ TEST(Service, CancelRunningJobCheckpointsAndResumesByteIdentically) {
   std::string id;
   {
     MappingService service(
-        {.store_dir = store, .eval_threads = 2, .job_workers = 1});
+        {.store_dir = store, .job_workers = 1});
     id = job_id_of(handle_json(service, submit_request(options)));
     // Wait for the first task-boundary checkpoint, so the cancel provably
     // lands mid-search.
@@ -451,7 +447,7 @@ TEST(Service, CancelRunningJobCheckpointsAndResumesByteIdentically) {
 
   // Restart: the tombstoned job recovers as cancelled — not re-enqueued.
   MappingService revived(
-      {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   EXPECT_EQ(handle_json(revived, "{\"op\":\"status\",\"job\":" + id + "}")
                 .str_or("status", ""),
             "cancelled");
@@ -475,7 +471,6 @@ TEST(Service, CancelRunningJobCheckpointsAndResumesByteIdentically) {
 
   // ...to the exact bytes an uninterrupted daemon produces.
   MappingService reference({.store_dir = fresh_store("cancelref"),
-                            .eval_threads = 2,
                             .job_workers = 0});
   const std::string ref_id =
       job_id_of(handle_json(reference, submit_request(options)));
@@ -491,7 +486,6 @@ TEST(Service, ResultCacheEvictsLeastRecentlyServed) {
   std::string id_1;
   {
     MappingService service({.store_dir = store,
-                            .eval_threads = 2,
                             .job_workers = 0,
                             .max_result_cache = 2});
     id_1 = job_id_of(handle_json(service, submit_request(small_options(1))));
@@ -533,7 +527,6 @@ TEST(Service, ResultCacheEvictsLeastRecentlyServed) {
   }
   // Retained entries re-serve the identical bytes across a warm restart.
   MappingService revived({.store_dir = store,
-                          .eval_threads = 2,
                           .job_workers = 0,
                           .max_result_cache = 2});
   EXPECT_EQ(revived.handle("{\"op\":\"result\",\"job\":" + id_1 + "}"),
@@ -556,7 +549,7 @@ TEST(Service, StoreByteBudgetHoldsAcrossManyJobs) {
   {
     const std::string probe_store = fresh_store("soakprobe");
     MappingService probe(
-        {.store_dir = probe_store, .eval_threads = 2, .job_workers = 0});
+        {.store_dir = probe_store, .job_workers = 0});
     handle_json(probe, submit_request(small_options(100)));
     probe.drain();
     one_job = tree_bytes(probe_store + "/jobs");
@@ -566,7 +559,6 @@ TEST(Service, StoreByteBudgetHoldsAcrossManyJobs) {
   const std::string store = fresh_store("soak");
   const std::size_t budget = 3 * one_job + one_job / 2;
   MappingService service({.store_dir = store,
-                          .eval_threads = 2,
                           .job_workers = 0,
                           .max_store_bytes = budget});
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -590,7 +582,6 @@ TEST(Service, StoreByteBudgetHoldsAcrossManyJobs) {
 TEST(Service, EvalCacheBucketsEvictLeastRecentlyServed) {
   const std::string store = fresh_store("evalevict");
   MappingService service({.store_dir = store,
-                          .eval_threads = 2,
                           .job_workers = 0,
                           .max_eval_cache = 1});
   // Two different seeds measure under two different buckets; with a
@@ -631,40 +622,12 @@ TEST(Service, EvalCacheBucketsEvictLeastRecentlyServed) {
             0.0);
 }
 
-TEST(Service, EqualPriorityJobsShareThePoolAndStayByteIdentical) {
-  // Two equal-priority jobs whose batches interleave deficit-round-robin
-  // on the shared pool: fair-share scheduling must not leak into results —
-  // each answer stays byte-identical to the serial one-shot search.
-  MappingService service({.store_dir = fresh_store("fairshare"),
-                          .eval_threads = 4,
-                          .job_workers = 2});
-  const SearchOptions a = small_options(7);
-  const SearchOptions b = small_options(1234);
-  const std::string id_a =
-      job_id_of(handle_json(service, submit_request(a)));
-  const std::string id_b =
-      job_id_of(handle_json(service, submit_request(b)));
-  ASSERT_EQ(wait_for(service, id_a), "done");
-  ASSERT_EQ(wait_for(service, id_b), "done");
-  const JsonValue result_a =
-      handle_json(service, "{\"op\":\"result\",\"job\":" + id_a + "}");
-  const JsonValue result_b =
-      handle_json(service, "{\"op\":\"result\",\"job\":" + id_b + "}");
-  const OneShot ref_a = one_shot_reference(a);
-  const OneShot ref_b = one_shot_reference(b);
-  EXPECT_EQ(result_a.str_or("summary", ""), ref_a.summary);
-  EXPECT_EQ(result_a.str_or("mapping", ""), ref_a.mapping);
-  EXPECT_EQ(result_b.str_or("summary", ""), ref_b.summary);
-  EXPECT_EQ(result_b.str_or("mapping", ""), ref_b.mapping);
-}
-
 TEST(Service, EvalCacheSeedsRepeatMeasurements) {
   // Opt-in measurement reuse: the first job fills a bucket; a second job
   // over the same measurement configuration (different rotation budget,
   // so a different fingerprint) seeds from it and reports evaluator
   // cache hits.
   MappingService service({.store_dir = fresh_store("evalcache"),
-                          .eval_threads = 2,
                           .job_workers = 0});
   const SearchOptions first = small_options(42);
   handle_json(service, submit_request(first, ",\"reuse_measurements\":true"));
@@ -690,7 +653,6 @@ TEST(Service, EvalCacheSeedsRepeatMeasurements) {
 
 TEST(Service, OverloadedWhenQueueFullButDedupeStillAnswered) {
   MappingService service({.store_dir = fresh_store("overload-queue"),
-                          .eval_threads = 1,
                           .job_workers = 0,
                           .max_queued_jobs = 1});
   const SearchOptions a = small_options(1);
@@ -722,7 +684,6 @@ TEST(Service, OverloadedWhenQueueFullButDedupeStillAnswered) {
 
 TEST(Service, MaxInflightGatesRevivalOfCancelledJobs) {
   MappingService service({.store_dir = fresh_store("overload-revive"),
-                          .eval_threads = 1,
                           .job_workers = 0,
                           .max_inflight = 1});
   const SearchOptions a = small_options(1);
@@ -751,7 +712,7 @@ TEST(Service, MaxInflightGatesRevivalOfCancelledJobs) {
 TEST(Service, DeadlineExpiresQueuedJobAndResubmitRecovers) {
   const std::string store = fresh_store("deadline-queued");
   MappingService service(
-      {.store_dir = store, .eval_threads = 1, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   const SearchOptions options = small_options(42);
   const std::string id = job_id_of(handle_json(
       service, submit_request(options, ",\"deadline_ms\":25")));
@@ -782,7 +743,6 @@ TEST(Service, DeadlineExpiresQueuedJobAndResubmitRecovers) {
 
 TEST(Service, AbsurdDeadlineIsRejectedAtParseTime) {
   MappingService service({.store_dir = fresh_store("deadline-clamp"),
-                          .eval_threads = 1,
                           .job_workers = 0});
   // 1e300 is valid JSON; accepting it would make the int64 cast and the
   // steady_clock addition inside the wheel undefined. It must bounce as a
@@ -797,7 +757,6 @@ TEST(Service, AbsurdDeadlineIsRejectedAtParseTime) {
 
 TEST(Service, MistypedSubmitFieldsAreBadRequests) {
   MappingService service({.store_dir = fresh_store("strict-submit"),
-                          .eval_threads = 1,
                           .job_workers = 0});
   // Each of these was once accepted: read as the field's default (and so
   // landing on the default request's job), truncated, or cast out of range.
@@ -834,7 +793,6 @@ TEST(Service, MistypedSubmitFieldsAreBadRequests) {
 
 TEST(Service, JobIdsAndJournalCursorsMustBeIntegers) {
   MappingService service({.store_dir = fresh_store("strict-job"),
-                          .eval_threads = 1,
                           .job_workers = 0});
   const std::string id =
       job_id_of(handle_json(service, submit_request(small_options(7))));
@@ -863,10 +821,49 @@ TEST(Service, JobIdsAndJournalCursorsMustBeIntegers) {
             "queued");
 }
 
+TEST(Service, UnrunnableSearchOptionsAreBadRequestsWithoutAJob) {
+  // These parse, so without validation the daemon would queue them; the
+  // job would then fail with a precondition message (or, for a NaN budget,
+  // never run out) and leave a job directory behind.
+  const std::string store = fresh_store("unrunnable-options");
+  MappingService service({.store_dir = store, .job_workers = 0});
+  const std::string options = search_options_to_json(small_options(7));
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"repeats\":2", "\"repeats\":0"},
+           {"\"final_repeats\":31", "\"final_repeats\":0"},
+           {"\"final_repeats\":31", "\"final_repeats\":-1"},
+           {"\"budget\":\"inf\"", "\"budget\":\"nan\""}}) {
+    std::string edited = options;
+    ASSERT_NE(edited.find(from), std::string::npos) << from;
+    edited.replace(edited.find(from), from.size(), to);
+    const JsonValue response = handle_json(service, submit_request(edited));
+    EXPECT_EQ(response.str_or("code", ""), "bad_request") << to;
+    EXPECT_EQ(response.str_or("message", "").find('\n'), std::string::npos)
+        << to;
+  }
+  EXPECT_TRUE(
+      handle_json(service, "{\"op\":\"jobs\"}").find("jobs")->array.empty());
+  EXPECT_TRUE(fs::is_empty(fs::path(store) / "jobs"));
+}
+
+TEST(Service, NegativeJobWorkersAreRejected) {
+  // -1 workers would build a daemon that accepts jobs and never runs them.
+  try {
+    MappingService service(
+        {.store_dir = fresh_store("negative-workers"), .job_workers = -1});
+    ADD_FAILURE() << "a service with -1 job workers was constructed";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--workers"), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+}
+
 TEST(Service, RevivalPersistsTheAcceptedDeadline) {
   const std::string store = fresh_store("deadline-revive-persist");
   MappingService service(
-      {.store_dir = store, .eval_threads = 1, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   const SearchOptions options = small_options(42);
   const std::string id = job_id_of(handle_json(
       service, submit_request(options, ",\"deadline_ms\":25")));
@@ -887,7 +884,7 @@ TEST(Service, RevivalPersistsTheAcceptedDeadline) {
 TEST(Service, DeadlineCancelsRunningJobAndResumeIsByteIdentical) {
   const std::string store = fresh_store("deadline-running");
   MappingService service(
-      {.store_dir = store, .eval_threads = 2, .job_workers = 1});
+      {.store_dir = store, .job_workers = 1});
   SearchOptions options = small_options(42);
   options.rotations = 64;  // long enough that a 1ms deadline lands mid-run
   const std::string id = job_id_of(handle_json(
@@ -915,7 +912,7 @@ TEST(Service, CorruptRequestFileQuarantinedAtRestart) {
   std::string id;
   {
     MappingService service(
-        {.store_dir = store, .eval_threads = 1, .job_workers = 0});
+        {.store_dir = store, .job_workers = 0});
     id = job_id_of(handle_json(service, submit_request(small_options(9))));
   }
   // Garble the persisted request: the trailer no longer matches.
@@ -925,7 +922,7 @@ TEST(Service, CorruptRequestFileQuarantinedAtRestart) {
   // Recovery quarantines the whole job dir and starts clean — a corrupt
   // store entry must never wedge daemon startup.
   MappingService revived(
-      {.store_dir = store, .eval_threads = 1, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   EXPECT_EQ(
       handle_json(revived, "{\"op\":\"status\",\"job\":" + id + "}")
           .str_or("code", ""),
@@ -944,7 +941,7 @@ TEST(Service, CorruptResultQuarantinedAndRecomputedByteIdentically) {
   std::string payload;
   {
     MappingService service(
-        {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+        {.store_dir = store, .job_workers = 0});
     id = job_id_of(handle_json(service, submit_request(options)));
     service.drain();
     payload = service.handle("{\"op\":\"result\",\"job\":" + id + "}");
@@ -958,7 +955,7 @@ TEST(Service, CorruptResultQuarantinedAndRecomputedByteIdentically) {
   // Recovery quarantines the bad result and re-enqueues the job; the
   // surviving checkpoint resumes it to the byte-identical payload.
   MappingService revived(
-      {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   EXPECT_EQ(
       handle_json(revived, "{\"op\":\"status\",\"job\":" + id + "}")
           .str_or("status", ""),
@@ -978,7 +975,7 @@ TEST(Service, CorruptCheckpointQuarantinedAndJobRunsFresh) {
   std::string id;
   {
     MappingService service(
-        {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+        {.store_dir = store, .job_workers = 0});
     id = job_id_of(handle_json(service, submit_request(options)));
     service.drain();
   }
@@ -989,7 +986,7 @@ TEST(Service, CorruptCheckpointQuarantinedAndJobRunsFresh) {
   save_text(dir + "/checkpoint", checkpoint.substr(0, checkpoint.size() / 2));
 
   MappingService revived(
-      {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   revived.drain();
   // The torn checkpoint was quarantined, not trusted: the job re-ran from
   // scratch and still matches the one-shot answer.
@@ -1071,7 +1068,7 @@ void expect_timeline(const std::vector<SpanView>& spans,
 TEST(Service, TraceRecordsFinishedTimelineAndPersistsSpans) {
   const std::string store = fresh_store("trace-finished");
   MappingService service(
-      {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   const std::string id =
       job_id_of(handle_json(service, submit_request(small_options(42))));
   service.drain();
@@ -1106,7 +1103,6 @@ TEST(Service, TraceRecordsFinishedTimelineAndPersistsSpans) {
 
 TEST(Service, TraceRecordsCancelledAndExpiredTimelines) {
   MappingService service({.store_dir = fresh_store("trace-terminal"),
-                          .eval_threads = 1,
                           .job_workers = 0});
   // Client cancel of a queued job seals the chain as `cancelled`.
   const std::string cancelled =
@@ -1134,7 +1130,6 @@ TEST(Service, TraceSurvivesJobEviction) {
   // serving job 1 makes job 2 the LRU victim of job 3's arrival. The
   // recorder keeps answering for the evicted job and marks the eviction.
   MappingService service({.store_dir = fresh_store("trace-evict"),
-                          .eval_threads = 2,
                           .job_workers = 0,
                           .max_result_cache = 2});
   const std::string id_1 =
@@ -1168,7 +1163,7 @@ TEST(Service, TraceSurvivesWarmRestartAndRecordsRevival) {
   std::string id;
   {
     MappingService service(
-        {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+        {.store_dir = store, .job_workers = 0});
     id = job_id_of(handle_json(
         service, submit_request(options, ",\"deadline_ms\":25")));
     ASSERT_EQ(wait_for(service, id), "cancelled");
@@ -1176,7 +1171,7 @@ TEST(Service, TraceSurvivesWarmRestartAndRecordsRevival) {
 
   // The restored timeline replays the dead daemon's spans.
   MappingService revived(
-      {.store_dir = store, .eval_threads = 2, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   const JsonValue restored =
       handle_json(revived, "{\"op\":\"trace\",\"job\":" + id + "}");
   EXPECT_TRUE(restored.bool_or("terminal", false));
@@ -1199,7 +1194,6 @@ TEST(Service, TraceSurvivesWarmRestartAndRecordsRevival) {
 
 TEST(Service, JobsReportAgeWaitSpanAndOpErrorsCountPerOp) {
   MappingService service({.store_dir = fresh_store("jobs-fields"),
-                          .eval_threads = 1,
                           .job_workers = 0});
   const std::string id =
       job_id_of(handle_json(service, submit_request(small_options(3))));
@@ -1259,13 +1253,13 @@ TEST(Service, SpansFileWithNonIntegerCountersIsQuarantined) {
   std::string id;
   {
     MappingService service(
-        {.store_dir = store, .eval_threads = 1, .job_workers = 0});
+        {.store_dir = store, .job_workers = 0});
     id = job_id_of(handle_json(service, submit_request(small_options(9))));
   }
   const std::string spans = store + "/jobs/" + id + "/spans.json";
   save_checksummed(spans, "{\"dropped\":1e300,\"spans\":[]}", "spans");
   MappingService revived(
-      {.store_dir = store, .eval_threads = 1, .job_workers = 0});
+      {.store_dir = store, .job_workers = 0});
   EXPECT_TRUE(fs::exists(spans + ".corrupt"));
   EXPECT_EQ(metric_value(revived.expose_metrics(),
                          "automap_service_store_quarantined_total"),
@@ -1279,7 +1273,6 @@ TEST(Service, StatsQuantilesMatchHistogramUnderFakeClock) {
   auto tick = std::make_shared<double>(0.0);
   ServiceConfig config;
   config.store_dir = fresh_store("fake-clock");
-  config.eval_threads = 1;
   config.job_workers = 0;
   config.clock_ms = [tick] {
     *tick += 100.0;
@@ -1325,8 +1318,6 @@ struct LiveServer {
              ServiceConfig service_config = {})
       : service([&] {
           service_config.store_dir = fresh_store("proto-" + name);
-          if (service_config.eval_threads == 0)
-            service_config.eval_threads = 2;
           return service_config;
         }()),
         server(service, socket_path(name), server_config),

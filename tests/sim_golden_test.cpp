@@ -236,7 +236,6 @@ TEST(SimGolden, HtrRobustSearchMatchesPin) {
                         .seed = 1,
                         .top_k = 5,
                         .final_repeats = 31,
-                        .threads = 1,
                         .prune_candidates = true,
                         .export_profiles_db = false};
   options.resilience.aggregation = Aggregation::kMedian;

@@ -1,10 +1,8 @@
 // Tests for Simulator::run_repeats, the multi-seed wrapper over
 // run_prepared: every per-seed report must be byte-identical — reports
 // *and* traces — to the run_prepared of the same seed, across unbounded,
-// censored and fault-injected runs. Also checks that the evaluator's
-// repeat fold stays thread-count invariant under median aggregation and
-// that an infinite censor threshold folds exactly like one that never
-// binds (this test also runs under TSan in CI).
+// censored and fault-injected runs. Also checks that an infinite censor
+// threshold folds exactly like one that never binds.
 
 #include <gtest/gtest.h>
 
@@ -195,39 +193,6 @@ TEST(RunRepeats, EmptySeedSpanYieldsEmptySpan) {
 }
 
 // --- evaluator repeat fold ------------------------------------------------
-
-TEST(RunRepeats, EvaluatorMedianAggregationIsThreadCountInvariant) {
-  // Robust aggregation disables censoring, so every candidate runs all its
-  // repeats to completion; the fold must stay bit-identical at any thread
-  // count (TSan covers the pool in CI).
-  StencilFixture f;
-  Simulator sim(f.machine, f.app.graph, f.app.sim);
-  std::vector<Mapping> candidates;
-  candidates.push_back(search_starting_point(f.app.graph, f.machine));
-  candidates.push_back(f.mapping);
-
-  SearchOptions base;
-  base.repeats = 5;
-  base.seed = 3;
-  base.resilience.aggregation = Aggregation::kMedian;
-
-  std::vector<double> reference;
-  {
-    SearchOptions o = base;
-    o.threads = 1;
-    Evaluator eval(sim, o);
-    reference = eval.evaluate_batch(candidates);
-  }
-  for (const int threads : {2, 8}) {
-    SearchOptions o = base;
-    o.threads = threads;
-    Evaluator eval(sim, o);
-    const std::vector<double> means = eval.evaluate_batch(candidates);
-    ASSERT_EQ(means.size(), reference.size());
-    for (std::size_t i = 0; i < means.size(); ++i)
-      EXPECT_EQ(bits(means[i]), bits(reference[i])) << "threads=" << threads;
-  }
-}
 
 TEST(RunRepeats, EvaluatorInfiniteThresholdMatchesNonBindingThreshold) {
   // With kMean and no incumbent the censor threshold is infinite; the

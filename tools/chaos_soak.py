@@ -65,7 +65,7 @@ class Daemon:
         self.log_file = open(log_path, "ab")
         self.proc = subprocess.Popen(
             [cli, "serve", "--socket", sock, "--store", store,
-             "--eval-threads", "2", "--workers", str(workers)],
+             "--workers", str(workers)],
             stdout=self.log_file, stderr=subprocess.STDOUT, env=env)
 
     def wait_ready(self, client):

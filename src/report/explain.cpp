@@ -362,9 +362,6 @@ ReplayOutcome replay_journal(const MachineModel& machine,
   AM_REQUIRE(fin != nullptr,
              "journal has no finalize record (interrupted search cannot "
              "be replayed)");
-  AM_REQUIRE(!sb->bool_or("resumed", false),
-             "journal records a resumed search; replay needs the original "
-             "checkpoint state it does not carry");
   AM_REQUIRE(!sb->bool_or("seeded_profiles", false),
              "journal records a search seeded from a profiles database; "
              "replay cannot reconstruct it");

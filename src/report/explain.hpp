@@ -39,9 +39,10 @@ struct ReplayOutcome {
 };
 
 /// Reruns the journal's recorded search and cross-checks it. Requires a
-/// single-search journal (exactly one search_begin) that was neither
-/// resumed nor seeded from a profiles database — those depend on state the
-/// journal does not carry.
+/// single-search journal (exactly one search_begin) that was not seeded
+/// from a profiles database — that depends on state the journal does not
+/// carry. A resumed search's journal is complete (resume re-runs the
+/// search against its checkpoint log), so it replays like any other.
 [[nodiscard]] ReplayOutcome replay_journal(const MachineModel& machine,
                                            const TaskGraph& graph,
                                            const std::string& journal_text);

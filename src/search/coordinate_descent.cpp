@@ -1,18 +1,12 @@
 #include "src/search/coordinate_descent.hpp"
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
 #include <cstddef>
-#include <cstdio>
 #include <functional>
-#include <limits>
 #include <set>
-#include <sstream>
 #include <string>
 
-#include "src/io/line_reader.hpp"
-#include "src/io/text_io.hpp"
 #include "src/report/journal.hpp"
 #include "src/support/durable.hpp"
 #include "src/support/error.hpp"
@@ -466,82 +460,6 @@ void optimize_task(TaskId t, Mapping& f, double& p, Evaluator& eval,
   }
 }
 
-/// A parsed CCD/CD checkpoint: where the killed search stood. Checkpoints
-/// are always *pre-finalize* states that an uninterrupted run passes
-/// through, so resuming replays the remaining rotations and the finalist
-/// protocol deterministically — the resumed SearchResult is bit-identical
-/// to the uninterrupted one (wall_time_s excepted).
-struct ResumePoint {
-  int rotation = 0;
-  std::size_t position = 0;  // index into `order`; 0 = rotation start
-  double best_before = std::numeric_limits<double>::infinity();
-  double incumbent_mean = std::numeric_limits<double>::infinity();
-  std::vector<TaskId> order;  // the rotation's coordinate order, mid-rotation
-};
-
-/// Durably publishes a checkpoint: rotation/position cursor, the
-/// rotation's coordinate order (mid-rotation), the incumbent mapping, and
-/// the evaluator's full state. save_checksummed gives write-temp + fsync
-/// + rename + dir fsync (the previous checkpoint survives a mid-write
-/// death, even across power loss) and appends the checksum trailer that
-/// lets a resuming reader tell a torn checkpoint from a complete one.
-void write_checkpoint(const std::string& path, const char* algorithm,
-                      int rotation, std::size_t position, double best_before,
-                      double incumbent_mean,
-                      const std::vector<TaskId>& order, const Mapping& f,
-                      const Evaluator& eval) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "automap-checkpoint 1\n";
-  os << "algorithm " << algorithm << "\n";
-  os << "rotation " << rotation << "\n";
-  os << "position " << position << "\n";
-  os << "best_before " << best_before << "\n";
-  os << "incumbent_mean " << incumbent_mean << "\n";
-  os << "order " << (position > 0 ? order.size() : 0);
-  if (position > 0)
-    for (const TaskId t : order) os << " " << t.index();
-  os << "\n";
-  os << f.serialize();
-  os << eval.serialize_state();
-  save_checksummed(path, os.str(), "checkpoint");
-}
-
-/// Parses a checkpoint produced by write_checkpoint: the mapping goes into
-/// `f` and the evaluator-state tail into `eval`.
-ResumePoint parse_checkpoint(const std::string& text, const char* algorithm,
-                             const TaskGraph& graph, Mapping& f,
-                             Evaluator& eval) {
-  std::istringstream is(text);
-  LineReader reader(is);
-  reader.expect(reader.tagged("automap-checkpoint", 1)[1] == "1",
-                "unsupported checkpoint version");
-  const std::string label = reader.tagged("algorithm", 1)[1];
-  if (label != algorithm)
-    reader.fail("checkpoint was written by " + label +
-                ", cannot resume as " + algorithm);
-  const auto tasks = static_cast<long long>(graph.num_tasks());
-  ResumePoint rp;
-  rp.rotation = static_cast<int>(
-      reader.to_int(reader.tagged("rotation", 1)[1], 0, INT_MAX));
-  rp.position = static_cast<std::size_t>(
-      reader.to_int(reader.tagged("position", 1)[1], 0, tasks));
-  rp.best_before = reader.to_double(reader.tagged("best_before", 1)[1]);
-  rp.incumbent_mean = reader.to_double(reader.tagged("incumbent_mean", 1)[1]);
-  std::vector<std::string> t;
-  reader.expect(reader.next(t) && t[0] == "order" && t.size() >= 2,
-                "expected: order <count> <task id>...");
-  reader.expect(t.size() == 2 + static_cast<std::size_t>(
-                                    reader.to_int(t[1], 0, tasks)),
-                "order count does not match its task ids");
-  for (std::size_t i = 2; i < t.size(); ++i)
-    rp.order.push_back(
-        TaskId(static_cast<std::size_t>(reader.to_int(t[i], 0, tasks - 1))));
-  f = Mapping::read(reader, graph);
-  eval.restore_state(reader);
-  return rp;
-}
-
 SearchResult run_coordinate_descent(const Simulator& sim,
                                     const SearchOptions& options,
                                     bool constrained,
@@ -569,17 +487,8 @@ SearchResult run_coordinate_descent(const Simulator& sim,
 
   Mapping f = start != nullptr ? *start
                                : search_starting_point(graph, machine);
-
-  // Resume: restore the evaluator and the rotation cursor from a
-  // checkpoint instead of starting fresh. The initial incumbent evaluation
-  // is already inside the restored state, so it is skipped.
-  const bool resuming = !options.resume_state.empty();
-  ResumePoint rp;
-  if (resuming) {
-    rp = parse_checkpoint(options.resume_state, algorithm, graph, f, eval);
-  }
-  eval.journal_search_begin(algorithm, f, /*custom_start=*/start != nullptr);
-  double p = resuming ? rp.incumbent_mean : eval.evaluate(f);
+  eval.begin_search(algorithm, f, /*custom_start=*/start != nullptr);
+  double p = eval.evaluate(f);
 
   // The overlap graph C, including same-collection coupling edges (a == b)
   // for collections used by more than one task.
@@ -625,54 +534,35 @@ SearchResult run_coordinate_descent(const Simulator& sim,
   const int rotations = constrained ? options.rotations : 1;
   Rng profile_rng(mix64(options.seed) ^ 0x1b873593ULL);
 
-  // Relax the data-movement constraint: drop 1/(N-1) of the lightest
-  // edges per rotation so the final rotation runs unconstrained. Resume
-  // replay passes quiet=true: the dropped journal events were already
-  // written by the run that produced the checkpoint.
-  const auto drop_edges = [&](bool quiet) {
-    if (!constrained || rotations <= 1) return;
-    const std::size_t drop =
-        (original_edges + static_cast<std::size_t>(rotations) - 2) /
-        static_cast<std::size_t>(rotations - 1);
-    const std::size_t keep = edges.size() > drop ? edges.size() - drop : 0;
-    const std::size_t dropped = edges.size() - keep;
-    edges.resize(keep);
-    if (quiet) return;
-    if (ins.edges_active != nullptr) {
-      ins.edges_active->set(static_cast<double>(edges.size()));
+  // Durably publishes the evaluator's checkpoint log at a task or rotation
+  // boundary. save_checksummed gives write-temp + fsync + rename + dir
+  // fsync (the previous checkpoint survives a mid-write death, even across
+  // power loss) and appends the checksum trailer that lets a resuming
+  // reader tell a torn checkpoint from a complete one. Any prefix of the
+  // log resumes onto the uninterrupted run's trajectory; the write is
+  // still skipped once the budget is exhausted (or the search cancelled),
+  // so checkpoints land where a larger-budget run also writes them.
+  const auto checkpoint = [&](int rotation, int position) {
+    if (options.checkpoint_path.empty() || eval.budget_exhausted()) return;
+    save_checksummed(options.checkpoint_path, eval.serialize_state(),
+                     "checkpoint");
+    if (ins.checkpoints != nullptr) ins.checkpoints->inc();
+    if (ins.journal != nullptr) {
+      ins.journal->event("checkpoint")
+          .integer("at_rotation", rotation)
+          .integer("at_position", position);
     }
-    if (ins.journal != nullptr && dropped > 0) {
-      ins.journal->event("edges_pruned")
-          .integer("dropped", static_cast<long long>(dropped))
-          .integer("remaining", static_cast<long long>(edges.size()));
-    }
+    if (options.on_checkpoint) options.on_checkpoint(rotation, position);
   };
 
-  // Resume replay: each completed rotation consumed one profiling-seed
-  // draw and one edge-drop step; a mid-rotation checkpoint additionally
-  // burned the draw of the rotation in flight (its coordinate order is
-  // restored from the checkpoint instead of recomputed). Discarding the
-  // same draws keeps every later rotation's order identical to the
-  // uninterrupted run's.
-  const int start_rotation = resuming ? rp.rotation : 0;
-  if (resuming) {
-    const int draws = start_rotation + (rp.position > 0 ? 1 : 0);
-    for (int i = 0; i < draws; ++i) (void)profile_rng.next();
-    for (int i = 0; i < start_rotation; ++i) drop_edges(/*quiet=*/true);
-  }
-
-  for (int rotation = start_rotation; rotation < rotations; ++rotation) {
+  for (int rotation = 0; rotation < rotations; ++rotation) {
     if (eval.budget_exhausted()) break;
-    const bool mid_resume =
-        resuming && rotation == start_rotation && rp.position > 0;
-    const double best_before =
-        mid_resume ? rp.best_before : eval.view().best_seconds();
+    const double best_before = eval.view().best_seconds();
 
     const detail::OverlapMap overlap =
         detail::build_overlap_map(graph, edges, &frozen);
     const std::vector<TaskId> order =
-        mid_resume ? rp.order
-                   : detail::tasks_by_runtime(sim, f, profile_rng.next());
+        detail::tasks_by_runtime(sim, f, profile_rng.next());
 
     if (ins.journal != nullptr) {
       ins.journal->set_rotation(rotation);
@@ -693,8 +583,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
     const std::size_t failed_before =
         eval.view().stats().oom + eval.view().stats().quarantined;
 
-    for (std::size_t pos = mid_resume ? rp.position : 0; pos < order.size();
-         ++pos) {
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
       const TaskId t = order[pos];
       if (eval.budget_exhausted()) break;
       if (frozen.contains(t)) continue;  // §3.3 subset search
@@ -704,46 +593,31 @@ SearchResult run_coordinate_descent(const Simulator& sim,
       }
       optimize_task(t, f, p, eval, sim, constrained ? &overlap : nullptr,
                     options.search_distribution_strategies, &ins);
-      // Task-boundary checkpoint: every state written here is one the
-      // uninterrupted run passes through, so a kill at any moment resumes
-      // onto the same trajectory. A budget-cut optimize_task folds only a
-      // prefix of its batch — a state no uninterrupted run visits — so the
-      // write is skipped once the budget is exhausted.
-      if (!options.checkpoint_path.empty() && !eval.budget_exhausted()) {
-        write_checkpoint(options.checkpoint_path, algorithm, rotation,
-                         pos + 1, best_before, p, order, f, eval);
-        if (ins.checkpoints != nullptr) ins.checkpoints->inc();
-        if (ins.journal != nullptr) {
-          ins.journal->event("checkpoint")
-              .integer("at_rotation", rotation)
-              .integer("at_position", static_cast<long long>(pos + 1));
-        }
-        if (options.on_checkpoint)
-          options.on_checkpoint(rotation, static_cast<int>(pos + 1));
-      }
+      checkpoint(rotation, static_cast<int>(pos + 1));
     }
     if (ins.journal != nullptr) ins.journal->clear_coordinate();
     eval.note_rotation(rotation, best_before);
     if (ins.rotations != nullptr) ins.rotations->inc();
 
-    drop_edges(/*quiet=*/false);
-
-    // Skip the rotation-boundary checkpoint when the budget cut the
-    // rotation short: the boundary state would record note_rotation over an
-    // incomplete rotation, which an uninterrupted (larger-budget) run never
-    // passes through. The last task-boundary checkpoint stays on disk and
-    // resumes onto the true trajectory instead.
-    if (!options.checkpoint_path.empty() && !eval.budget_exhausted()) {
-      write_checkpoint(options.checkpoint_path, algorithm, rotation + 1, 0,
-                       best_before, p, order, f, eval);
-      if (ins.checkpoints != nullptr) ins.checkpoints->inc();
-      if (ins.journal != nullptr) {
-        ins.journal->event("checkpoint")
-            .integer("at_rotation", rotation + 1)
-            .integer("at_position", 0);
+    // Relax the data-movement constraint: drop 1/(N-1) of the lightest
+    // edges per rotation so the final rotation runs unconstrained.
+    if (constrained && rotations > 1) {
+      const std::size_t drop =
+          (original_edges + static_cast<std::size_t>(rotations) - 2) /
+          static_cast<std::size_t>(rotations - 1);
+      const std::size_t keep = edges.size() > drop ? edges.size() - drop : 0;
+      const std::size_t dropped = edges.size() - keep;
+      edges.resize(keep);
+      if (ins.edges_active != nullptr) {
+        ins.edges_active->set(static_cast<double>(edges.size()));
       }
-      if (options.on_checkpoint) options.on_checkpoint(rotation + 1, 0);
+      if (ins.journal != nullptr && dropped > 0) {
+        ins.journal->event("edges_pruned")
+            .integer("dropped", static_cast<long long>(dropped))
+            .integer("remaining", static_cast<long long>(edges.size()));
+      }
     }
+    checkpoint(rotation + 1, 0);
 
     // Graceful-degradation circuit breaker (fault injection only): when
     // every candidate executed this rotation failed (OOM or quarantined),

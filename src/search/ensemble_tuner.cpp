@@ -116,7 +116,7 @@ SearchResult run_ensemble_tuner(const Simulator& sim,
   // starting point so the tuner has at least one valid incumbent.
   std::vector<Mapping> elites;
   elites.push_back(search_starting_point(graph, machine));
-  eval.journal_search_begin("AM-OT", elites.front());
+  eval.begin_search("AM-OT", elites.front());
   double best = eval.evaluate(elites.front());
 
   // §3.3 subset search: frozen tasks keep the starting-point decisions.

@@ -1,16 +1,21 @@
 #include "src/search/evaluator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <climits>
 #include <cmath>
+#include <cstdio>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "src/io/line_reader.hpp"
 #include "src/report/journal.hpp"
+#include "src/support/durable.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
 #include "src/support/metrics.hpp"
@@ -24,7 +29,77 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // reruns of the same mapping must see independent noise streams.
 constexpr std::uint64_t kEvalSalt = 0x5bf03635f0a5a1edULL;
 constexpr std::uint64_t kFinalSalt = 0xa0761d6478bd642fULL;
+
+/// RunRecord::Status names, in enumerator order.
+constexpr const char* kStatusNames[] = {"evaluated", "censored", "oom",
+                                        "quarantined"};
+
+const char* status_name(RunRecord::Status status) {
+  return kStatusNames[static_cast<int>(status)];
+}
+
+/// The checkpoint header's lines after the algorithm label: everything
+/// besides the proposals that decides a candidate's outcome. The budget is
+/// rendered as infinity, so a budget-cut search can resume under a larger
+/// budget.
+std::array<std::pair<const char*, std::string>, 3> pinned_config(
+    SearchOptions options, const SimOptions& sim) {
+  options.time_budget_s = kInf;
+  return {{{"options", search_options_to_json(options)},
+           {"sim", sim_options_to_json(sim)},
+           {"profiles_seed", hex_u64(hash_text(options.profiles_seed))}}};
+}
+
+std::uint64_t read_hash(const LineReader& reader, const std::string& token) {
+  reader.expect(token.size() == 16 &&
+                    token.find_first_not_of("0123456789abcdef") ==
+                        std::string::npos,
+                "expected a 16-digit hex mapping hash, got: " + token);
+  return std::stoull(token, nullptr, 16);
+}
 }  // namespace
+
+CheckpointLog read_checkpoint_log(const std::string& text,
+                                  const SearchOptions& options,
+                                  const SimOptions& sim) {
+  std::istringstream is(text);
+  LineReader reader(is);
+  const std::string version = reader.tagged("automap-checkpoint", 1)[1];
+  if (version != "2")
+    reader.fail("unsupported checkpoint version " + version +
+                " (this build reads version 2)");
+  CheckpointLog log;
+  log.algorithm = reader.tagged("algorithm", 1)[1];
+  for (const auto& [tag, value] : pinned_config(options, sim))
+    if (reader.tagged(tag, 1)[1] != value)
+      reader.fail(std::string("this search's ") + tag +
+                  " differ from the checkpoint's");
+  std::vector<std::string> t;
+  while (reader.next(t)) {
+    reader.expect(t.size() == 6,
+                  "expected: <hash> <status> <value> <charge> "
+                  "<transient failures> <retries>");
+    RunRecord run;
+    run.hash = read_hash(reader, t[0]);
+    const auto* status =
+        std::find(std::begin(kStatusNames), std::end(kStatusNames), t[1]);
+    reader.expect(status != std::end(kStatusNames),
+                  "unknown status: " + t[1]);
+    run.status = static_cast<RunRecord::Status>(
+        std::distance(std::begin(kStatusNames), status));
+    run.value = reader.to_double(t[2]);
+    run.charge_s = reader.to_double(t[3]);
+    reader.expect(!std::isnan(run.value) && std::isfinite(run.charge_s) &&
+                      run.charge_s >= 0.0,
+                  "expected a value and a finite, non-negative charge");
+    run.transient_failures = static_cast<int>(reader.to_int(t[4], 0, INT_MAX));
+    run.retries = static_cast<int>(reader.to_int(t[5], 0, INT_MAX));
+    log.records.push_back(run);
+  }
+  // Every record ends in a newline: a last line without one was cut.
+  reader.expect(text.back() == '\n', "checkpoint ends mid-record");
+  return log;
+}
 
 Evaluator::Evaluator(const Simulator& sim, const SearchOptions& options)
     : sim_(sim), options_(options), best_seconds_(kInf),
@@ -32,6 +107,18 @@ Evaluator::Evaluator(const Simulator& sim, const SearchOptions& options)
   validate_search_options(options_);
   if (!options_.profiles_seed.empty())
     import_profiles(options_.profiles_seed);
+
+  for (const auto& [tag, value] : pinned_config(options_, sim_.options()))
+    log_config_ += std::string(tag) + " " + value + "\n";
+  keep_log_ =
+      !options_.checkpoint_path.empty() || !options_.resume_state.empty();
+  if (!options_.resume_state.empty()) {
+    resumed_ =
+        read_checkpoint_log(options_.resume_state, options_, sim_.options());
+    // The log keeps every resumed record from the start, so a checkpoint
+    // written while they replay never holds less than the resumed file.
+    for (const RunRecord& run : resumed_.records) append_record(run);
+  }
 
   // Observability handles. All instruments below are updated at fold time,
   // so they are deterministic and eligible for journal snapshots.
@@ -95,25 +182,27 @@ double Evaluator::retry_backoff(int attempt) const {
   return quantum * static_cast<double>(1ULL << std::min(attempt, 62));
 }
 
-double Evaluator::aggregate_objective(const CandOutcome& out) const {
-  AM_CHECK(out.survivors > 0, "aggregating a candidate with no survivors");
-  const double n = static_cast<double>(out.survivors);
+double Evaluator::aggregate_objective(double objective_sum, int survivors,
+                                      std::vector<double> objectives) const {
+  AM_CHECK(survivors > 0, "aggregating a candidate with no survivors");
+  const double n = static_cast<double>(survivors);
   switch (options_.resilience.aggregation) {
     case Aggregation::kMean:
-      return out.objective_sum / n;
+      return objective_sum / n;
     case Aggregation::kMedian: {
-      std::vector<double> v = out.objectives;
-      std::sort(v.begin(), v.end());
-      const std::size_t m = v.size() / 2;
-      return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+      std::sort(objectives.begin(), objectives.end());
+      const std::size_t m = objectives.size() / 2;
+      return objectives.size() % 2 == 1
+                 ? objectives[m]
+                 : 0.5 * (objectives[m - 1] + objectives[m]);
     }
     case Aggregation::kTrimmedMean: {
       // Drop the single min and max; degenerates to the mean below three
       // survivors (nothing left to trim).
-      if (out.survivors < 3) return out.objective_sum / n;
+      if (survivors < 3) return objective_sum / n;
       const auto [lo, hi] =
-          std::minmax_element(out.objectives.begin(), out.objectives.end());
-      return (out.objective_sum - *lo - *hi) / (n - 2.0);
+          std::minmax_element(objectives.begin(), objectives.end());
+      return (objective_sum - *lo - *hi) / (n - 2.0);
     }
   }
   AM_CHECK(false, "unknown aggregation");
@@ -159,10 +248,9 @@ Evaluator::RunOutcome Evaluator::execute_run(const Mapping& candidate,
   }
 }
 
-Evaluator::CandOutcome Evaluator::run_candidate(const Mapping& candidate,
-                                                std::uint64_t key,
-                                                double threshold_s,
-                                                bool bound_runs) {
+RunRecord Evaluator::run_candidate(const Mapping& candidate,
+                                   std::uint64_t key, double threshold_s,
+                                   bool bound_runs) {
   // Racing schedule against the censor threshold T: after k completed runs
   // the candidate is censored when its running sum exceeds
   //
@@ -183,16 +271,27 @@ Evaluator::CandOutcome Evaluator::run_candidate(const Mapping& candidate,
   // determined and the trailing repeats are skipped. With pruning off the
   // runs execute unbounded but the same verdict and charge are computed
   // from their totals (a post-censor run charges and contributes nothing),
-  // so both modes produce the same CandOutcome bit for bit.
-  CandOutcome out;
+  // so both modes produce the same record bit for bit.
+  RunRecord run{.hash = key};
+  const auto fail = [&run](RunRecord::Status status) {
+    run.status = status;
+    run.value = kInf;
+    return run;
+  };
+  // An OOM surfaces before the event loop (placement is mapping-
+  // deterministic), so censoring never masks it. It still costs some time
+  // to observe (the runtime aborts during instance allocation): the charge
+  // is the machine-derived observation cost plus whatever transient
+  // attempts preceded the verdict (zero in fault-free operation).
+  const auto oom = [&]() {
+    run.charge_s = failure_observation_cost() + run.charge_s;
+    return fail(RunRecord::Status::kOom);
+  };
   // One validation + memory resolution serves every repeat: placement is
   // noise-independent, so begin_runs hoists it out of the repeat loop. A
   // failure here is an OOM (constraint-1 validity was already checked by
   // the caller).
-  if (!sim_.begin_runs(candidate, scratch_)) {
-    out.oom = true;
-    return out;
-  }
+  if (!sim_.begin_runs(candidate, scratch_)) return oom();
   const ResiliencePolicy& policy = options_.resilience;
   const bool inject = sim_.options().faults.enabled();
   const bool robust = policy.aggregation != Aggregation::kMean;
@@ -203,6 +302,9 @@ Evaluator::CandOutcome Evaluator::run_candidate(const Mapping& candidate,
   const double repeats_d = static_cast<double>(options_.repeats);
   const double slack = 3.0 * sim_.options().noise_sigma;
   double sum = 0.0;
+  double objective_sum = 0.0;
+  int survivors = 0;
+  std::vector<double> objectives;  // per survivor, robust aggregations only
   int consecutive_lost = 0;
   for (int r = 0; r < options_.repeats; ++r) {
     double allowance = kInf;  // what this run may add before censoring
@@ -226,52 +328,78 @@ Evaluator::CandOutcome Evaluator::run_candidate(const Mapping& candidate,
         if (report.censored || report.total_seconds > allowance) {
           // Censor verdict: charge what the line allowed and stop. Every
           // remaining repeat would see a zero allowance and contribute
-          // nothing, so the historical post-censor loop folds away.
-          out.charge_s += allowance;
-          out.censored = true;
-          return out;
+          // nothing, so the historical post-censor loop folds away. The
+          // value is exactly the threshold (not budget/repeats, whose
+          // rounding could land one ulp below it and leak past a caller's
+          // `mean < bound` acceptance test).
+          run.charge_s += allowance;
+          run.status = RunRecord::Status::kCensored;
+          run.value = threshold_s;
+          return run;
         }
         const double objective = options_.objective == Objective::kEnergy
                                      ? report.energy_joules
                                      : report.total_seconds;
-        out.objective_sum += objective;
-        out.charge_s += report.total_seconds;
+        objective_sum += objective;
+        run.charge_s += report.total_seconds;
         sum += report.total_seconds;
-        ++out.survivors;
-        if (robust) out.objectives.push_back(objective);
+        ++survivors;
+        if (robust) objectives.push_back(objective);
         break;
       }
-      if (!report.transient) {
-        out.oom = true;
-        return out;
-      }
+      if (!report.transient) return oom();
       // Injected transient fault: the clock paid for the partial run and
       // the abort observation.
-      ++out.transient_failures;
-      out.charge_s += report.total_seconds + failure_observation_cost();
+      ++run.transient_failures;
+      run.charge_s += report.total_seconds + failure_observation_cost();
       if (attempt >= policy.max_retries) {
         repeat_lost = true;  // retry budget exhausted
         break;
       }
-      ++out.retries;
-      out.charge_s += retry_backoff(attempt);
+      ++run.retries;
+      run.charge_s += retry_backoff(attempt);
     }
     if (repeat_lost) {
       ++consecutive_lost;
+      // Quarantine: the candidate keeps failing under its whole retry
+      // budget; stop wasting repeats and cache it as failed.
       if (policy.quarantine_after > 0 &&
-          consecutive_lost >= policy.quarantine_after) {
-        // Quarantine: the candidate keeps failing under its whole retry
-        // budget; stop wasting repeats and cache it as failed.
-        out.failed = true;
-        out.quarantined = true;
-        return out;
-      }
+          consecutive_lost >= policy.quarantine_after)
+        return fail(RunRecord::Status::kQuarantined);
     } else {
       consecutive_lost = 0;
     }
   }
-  if (out.survivors == 0) out.failed = true;
-  return out;
+  // Every repeat was lost to transient faults: quarantined whether or not
+  // the consecutive-loss cutoff fired early. Fault draws come from a
+  // derived stream, so re-executing under the same policy would lose the
+  // same way — the cached failure is the honest answer.
+  if (survivors == 0) return fail(RunRecord::Status::kQuarantined);
+  run.value =
+      aggregate_objective(objective_sum, survivors, std::move(objectives));
+  return run;
+}
+
+RunRecord Evaluator::next_replayed(std::uint64_t hash, double threshold_s) {
+  const RunRecord& run = resumed_.records[replayed_++];
+  const std::string where = "checkpoint record " + std::to_string(replayed_);
+  if (run.hash != hash)
+    throw Error(where + " ran mapping " + hex_u64(run.hash) +
+                ", but the resumed search executes " + hex_u64(hash));
+  if (run.status == RunRecord::Status::kCensored && run.value != threshold_s)
+    throw Error(where + " was censored at " + json_double(run.value) +
+                " s, but the resumed search censors at " +
+                json_double(threshold_s) + " s");
+  return run;
+}
+
+void Evaluator::append_record(const RunRecord& run) {
+  char line[128];
+  const int n = std::snprintf(
+      line, sizeof line, "%016llx %s %.17g %.17g %d %d\n",
+      static_cast<unsigned long long>(run.hash), status_name(run.status),
+      run.value, run.charge_s, run.transient_failures, run.retries);
+  log_.append(line, static_cast<std::size_t>(n));
 }
 
 std::string Evaluator::export_profiles() const {
@@ -299,10 +427,6 @@ std::string Evaluator::export_profiles() const {
 void Evaluator::import_profiles(const std::string& text) {
   std::istringstream is(text);
   LineReader reader(is);
-  import_profiles_impl(reader, /*update_top=*/true);
-}
-
-void Evaluator::import_profiles_impl(LineReader& reader, bool update_top) {
   const std::string entries = reader.tagged("profiles", 1)[1];
   const TaskGraph& graph = sim_.graph();
   std::vector<std::string> t;
@@ -322,14 +446,11 @@ void Evaluator::import_profiles_impl(LineReader& reader, bool update_top) {
     const bool quarantined = t.size() == 3 && t[2] == "quarantined";
     Mapping mapping = Mapping::read(reader, graph);
     const std::uint64_t key = mapping.hash();
-    if (update_top && mean < kInf && !censored) {
+    if (mean < kInf && !censored) {
       // insert_top dedupes by hash, so importing the same database twice
       // (or re-importing after a search) does not stack duplicate
       // finalists. Censored entries stay out of the finalist list and the
-      // incumbent — their stored value is a bound, not a mean. (During a
-      // checkpoint restore the top-k list is restored verbatim from its
-      // own section instead — re-deriving it here could break mean ties in
-      // a different order than the original chronological insertions.)
+      // incumbent — their stored value is a bound, not a mean.
       insert_top(mapping, mean);
       best_seconds_ = std::min(best_seconds_, mean);
     }
@@ -458,55 +579,44 @@ std::size_t Evaluator::evaluate_batch(
       mean = kInf;
       status = "invalid";
     } else {
-      const CandOutcome out =
-          run_candidate(candidate, key, threshold, bound_runs);
+      // A resumed search takes each executed candidate's outcome from its
+      // log until the log is spent; from then on candidates simulate, and
+      // a checkpointing search logs what they returned.
+      RunRecord run;
+      if (replayed_ < resumed_.records.size()) {
+        run = next_replayed(key, threshold);
+      } else {
+        run = run_candidate(candidate, key, threshold, bound_runs);
+        if (keep_log_) append_record(run);
+      }
       ++stats_.evaluated;
       stats_.transient_failures +=
-          static_cast<std::size_t>(out.transient_failures);
-      stats_.retries += static_cast<std::size_t>(out.retries);
-      if (out.oom) {
-        // An OOM surfaces before the event loop (placement is mapping-
-        // deterministic), so censoring never masks it. It still costs some
-        // time to observe (the runtime aborts during instance allocation),
-        // so charge the machine-derived observation cost to the search
-        // clock, plus whatever transient attempts preceded the verdict
-        // (zero in fault-free operation).
-        ++stats_.oom;
-        stats_.search_time_s += failure_observation_cost() + out.charge_s;
-        stats_.evaluation_time_s += failure_observation_cost() + out.charge_s;
-        profiles_.insert_or_assign(key, Entry{mapping, kInf});
-        mean = kInf;
-        status = "oom";
-      } else if (out.failed) {
-        // Every repeat was lost to transient faults. Cache the candidate
-        // as quarantined whether or not the consecutive-loss cutoff fired
-        // early: fault draws come from a derived stream, so re-executing
-        // under the same policy would lose the same way — the cache answer
-        // is the honest one.
-        ++stats_.quarantined;
-        stats_.search_time_s += out.charge_s;
-        stats_.evaluation_time_s += out.charge_s;
-        profiles_.insert_or_assign(
-            key, Entry{mapping, kInf, /*censored=*/false,
-                       /*quarantined=*/true});
-        mean = kInf;
-        status = "quarantined";
-      } else {
-        stats_.search_time_s += out.charge_s;
-        stats_.evaluation_time_s += out.charge_s;
-        if (out.censored) {
-          // Fold to exactly the threshold (not budget/repeats, whose
-          // rounding could land one ulp below it and leak past a caller's
-          // `mean < bound` acceptance test). Censored candidates never
-          // update the incumbent, trajectory or finalist list.
+          static_cast<std::size_t>(run.transient_failures);
+      stats_.retries += static_cast<std::size_t>(run.retries);
+      stats_.search_time_s += run.charge_s;
+      stats_.evaluation_time_s += run.charge_s;
+      mean = run.value;
+      status = status_name(run.status);
+      // A censored entry is re-executed only if a later batch needs it
+      // resolved under a looser threshold; a quarantined one never is.
+      profiles_.insert_or_assign(
+          key, Entry{mapping, mean,
+                     /*censored=*/run.status == RunRecord::Status::kCensored,
+                     /*quarantined=*/run.status ==
+                         RunRecord::Status::kQuarantined});
+      switch (run.status) {
+        case RunRecord::Status::kOom:
+          ++stats_.oom;
+          break;
+        case RunRecord::Status::kQuarantined:
+          ++stats_.quarantined;
+          break;
+        case RunRecord::Status::kCensored:
+          // Censored candidates never update the incumbent, trajectory or
+          // finalist list.
           ++stats_.censored;
-          mean = threshold;
-          profiles_.insert_or_assign(key,
-                                     Entry{mapping, mean, /*censored=*/true});
-          status = "censored";
-        } else {
-          mean = aggregate_objective(out);
-          profiles_.insert_or_assign(key, Entry{mapping, mean});
+          break;
+        case RunRecord::Status::kEvaluated:
           if (mean < best_seconds_) {
             best_seconds_ = mean;
             trajectory_.push_back({stats_.search_time_s, mean});
@@ -523,8 +633,7 @@ std::size_t Evaluator::evaluate_batch(
           }
           // Maintain the top-k list for the finalist protocol.
           if (mean < kInf) insert_top(mapping, mean);
-          status = "evaluated";
-        }
+          break;
       }
     }
 
@@ -584,9 +693,12 @@ void Evaluator::journal_metrics_snapshot(bool force) {
       .raw("values", metrics_->snapshot_json());
 }
 
-void Evaluator::journal_search_begin(std::string_view label,
-                                     const Mapping& start,
-                                     bool custom_start) {
+void Evaluator::begin_search(std::string_view label, const Mapping& start,
+                             bool custom_start) {
+  if (!options_.resume_state.empty() && resumed_.algorithm != label)
+    throw Error("checkpoint was written by " + resumed_.algorithm +
+                ", cannot resume as " + std::string(label));
+  label_ = label;
   if (!journal_) return;
   // Everything that determines the deterministic outcome is recorded via
   // the canonical codec — the same encoding the CLI's --options file and
@@ -645,104 +757,8 @@ void Evaluator::mark_degraded() {
 }
 
 std::string Evaluator::serialize_state() const {
-  // Text format (version 1), all doubles at precision 17 so a restored
-  // state reproduces the original bit for bit:
-  //
-  //   evaluator-state 1
-  //   best_seconds <v>
-  //   counters <suggested> <evaluated> <invalid> <oom> <censored>
-  //            <cache_hits> <transient_failures> <retries> <quarantined>
-  //            <degraded-0/1>                        (one line, ten fields)
-  //   clocks <search_time_s> <evaluation_time_s>
-  //   rotations <n> / rotation <r> <before> <after> <evaluated> <time> ...
-  //   trajectory <n> / point <time> <value> ...
-  //   top <n> / finalist <mean> + serialized mapping ...
-  //   <profiles database export>
-  //
-  // wall_time_s is deliberately not stored: it is real time, excluded from
-  // every determinism guarantee.
-  std::ostringstream os;
-  os.precision(17);
-  os << "evaluator-state 1\n";
-  os << "best_seconds " << best_seconds_ << "\n";
-  os << "counters " << stats_.suggested << " " << stats_.evaluated << " "
-     << stats_.invalid << " " << stats_.oom << " " << stats_.censored << " "
-     << stats_.cache_hits << " " << stats_.transient_failures << " "
-     << stats_.retries << " " << stats_.quarantined << " "
-     << (stats_.degraded ? 1 : 0) << "\n";
-  os << "clocks " << stats_.search_time_s << " " << stats_.evaluation_time_s
-     << "\n";
-  os << "rotations " << stats_.rotations.size() << "\n";
-  for (const RotationTelemetry& rt : stats_.rotations)
-    os << "rotation " << rt.rotation << " " << rt.best_before_s << " "
-       << rt.best_after_s << " " << rt.evaluated << " " << rt.search_time_s
-       << "\n";
-  os << "trajectory " << trajectory_.size() << "\n";
-  for (const TrajectoryPoint& p : trajectory_)
-    os << "point " << p.search_time_s << " " << p.best_exec_s << "\n";
-  // The top-k list is serialized in its exact order: re-deriving it from
-  // the profiles database could break mean ties in a different order than
-  // the original chronological insertions, and finalize() resolves ties by
-  // position.
-  os << "top " << top_.size() << "\n";
-  for (const Entry& e : top_)
-    os << "finalist " << e.mean_seconds << "\n" << e.mapping.serialize();
-  os << export_profiles();
-  return os.str();
-}
-
-void Evaluator::restore_state(const std::string& text) {
-  std::istringstream is(text);
-  LineReader reader(is);
-  restore_state(reader);
-}
-
-void Evaluator::restore_state(LineReader& reader) {
-  AM_REQUIRE(profiles_.empty() && top_.empty() && stats_.suggested == 0,
-             "restore_state requires a freshly constructed evaluator");
-  const auto count = [&reader](const std::string& field) {
-    return static_cast<std::size_t>(reader.to_int(field, 0));
-  };
-  reader.expect(reader.tagged("evaluator-state", 1)[1] == "1",
-                "unsupported evaluator state version");
-  best_seconds_ = reader.to_double(reader.tagged("best_seconds", 1)[1]);
-  const auto counters = reader.tagged("counters", 10);
-  stats_.suggested = count(counters[1]);
-  stats_.evaluated = count(counters[2]);
-  stats_.invalid = count(counters[3]);
-  stats_.oom = count(counters[4]);
-  stats_.censored = count(counters[5]);
-  stats_.cache_hits = count(counters[6]);
-  stats_.transient_failures = count(counters[7]);
-  stats_.retries = count(counters[8]);
-  stats_.quarantined = count(counters[9]);
-  stats_.degraded = reader.to_int(counters[10], 0, 1) == 1;
-  const auto clocks = reader.tagged("clocks", 2);
-  stats_.search_time_s = reader.to_double(clocks[1]);
-  stats_.evaluation_time_s = reader.to_double(clocks[2]);
-  for (std::size_t i = 0, n = count(reader.tagged("rotations", 1)[1]); i < n;
-       ++i) {
-    const auto f = reader.tagged("rotation", 5);
-    stats_.rotations.push_back(
-        {.rotation = static_cast<int>(reader.to_int(f[1], 0, INT_MAX)),
-         .best_before_s = reader.to_double(f[2]),
-         .best_after_s = reader.to_double(f[3]),
-         .evaluated = count(f[4]),
-         .search_time_s = reader.to_double(f[5])});
-  }
-  for (std::size_t i = 0, n = count(reader.tagged("trajectory", 1)[1]); i < n;
-       ++i) {
-    const auto f = reader.tagged("point", 2);
-    trajectory_.push_back({reader.to_double(f[1]), reader.to_double(f[2])});
-  }
-  const TaskGraph& graph = sim_.graph();
-  for (std::size_t i = 0, n = count(reader.tagged("top", 1)[1]); i < n; ++i) {
-    const double mean = reader.to_double(reader.tagged("finalist", 1)[1]);
-    top_.push_back(Entry{Mapping::read(reader, graph), mean});
-  }
-  // The profiles section is a verbatim database export; the top-k list and
-  // incumbent were restored above, so the import must not rebuild them.
-  import_profiles_impl(reader, /*update_top=*/false);
+  return "automap-checkpoint 2\nalgorithm " + label_ + "\n" + log_config_ +
+         log_;
 }
 
 const Mapping& EvaluatorView::best() const {
@@ -816,11 +832,7 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
     // ok_runs == repeats rule bit for bit.
     double final_mean = kInf;
     if (!excluded && ok_runs * 2 > repeats) {
-      CandOutcome agg;
-      agg.objective_sum = sum;
-      agg.survivors = ok_runs;
-      agg.objectives = std::move(values);
-      final_mean = aggregate_objective(agg);
+      final_mean = aggregate_objective(sum, ok_runs, std::move(values));
       if (final_mean < best_final) {
         best_final = final_mean;
         result.best = top_[e].mapping;

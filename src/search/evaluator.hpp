@@ -19,6 +19,16 @@
 // does not depend on how many candidates preceded it — which keeps cache
 // hits, checkpoint resume and pruning on/off bit-identical.
 //
+// Checkpoint resume (SearchOptions::checkpoint_path / resume_state): a
+// candidate's outcome is a pure function of its mapping and its batch's
+// censor threshold, so a checkpoint is a log of what each executed
+// candidate returned — no mappings, no snapshot of this state. A resumed
+// search restarts its algorithm from the first proposal and, for each
+// candidate that would execute, takes the next logged outcome instead of
+// simulating; once the log is spent it runs live. The one fold below builds
+// the counters, clock, top-k list, trajectory, journal and metrics either
+// way.
+//
 // Incumbent-bounded pruning (SearchOptions::prune_candidates): most
 // candidates a hill-climbing search proposes are worse than the incumbent,
 // and simulating them to completion only confirms that. evaluate_batch
@@ -44,6 +54,7 @@
 #include <iosfwd>
 #include <limits>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -58,8 +69,43 @@ class EvaluatorView;
 class Gauge;
 class Histogram;
 class Journal;
-class LineReader;
 class MetricsRegistry;
+
+/// One candidate a search executed, as its checkpoint log records it: what
+/// the fold needs, keyed by the mapping's structural hash instead of the
+/// mapping itself.
+struct RunRecord {
+  /// The journal's words for an executed candidate.
+  enum class Status { kEvaluated, kCensored, kOom, kQuarantined };
+  std::uint64_t hash = 0;
+  Status status = Status::kEvaluated;
+  /// The folded value: the aggregated objective, the batch's censor
+  /// threshold (censored), or infinity (oom, quarantined).
+  double value = 0.0;
+  /// Simulated seconds charged to the search clock: the run totals up to
+  /// the censor line, fault losses, retry backoff and an OOM's observation
+  /// cost. Independent of prune_candidates by construction.
+  double charge_s = 0.0;
+  int transient_failures = 0;
+  int retries = 0;
+};
+
+/// A parsed checkpoint log (docs/file_formats.md, "Checkpoint").
+struct CheckpointLog {
+  std::string algorithm;
+  std::vector<RunRecord> records;
+};
+
+/// Parses a checkpoint log and checks that its header pins the
+/// configuration of `options` and `sim` — the budget aside, so a budget-cut
+/// search can resume under a larger one. Throws Error naming the line on a
+/// malformed log, a version other than 2 or a configuration mismatch. The
+/// algorithm label is returned, not checked: Evaluator::begin_search checks
+/// it, and the mapping service vets a job's checkpoint with this function
+/// before resuming it.
+[[nodiscard]] CheckpointLog read_checkpoint_log(const std::string& text,
+                                                const SearchOptions& options,
+                                                const SimOptions& sim);
 
 class Evaluator {
  public:
@@ -151,32 +197,25 @@ class Evaluator {
   /// returning the best-known incumbent instead of throwing.
   void mark_degraded();
 
-  /// Emits the journal's `search_begin` record for this search: the
-  /// algorithm label, the full (options, simulator) configuration that
-  /// determines the deterministic outcome, and the serialized starting
-  /// mapping. Algorithms call this once before their first proposal; no-op
-  /// when no journal is configured.
-  void journal_search_begin(std::string_view label, const Mapping& start,
-                            bool custom_start = false);
+  /// Algorithms call this once before their first proposal. It pins the
+  /// algorithm label the checkpoint log records — a resumed log must carry
+  /// the same label, or this throws Error — and emits the journal's
+  /// `search_begin` record: the label, the full (options, simulator)
+  /// configuration that determines the deterministic outcome, and the
+  /// serialized starting mapping.
+  void begin_search(std::string_view label, const Mapping& start,
+                    bool custom_start = false);
 
   /// The journal configured in SearchOptions (null when disabled) — the
   /// algorithms emit their own structural events (moves, constraint edges,
   /// rotations) through this.
   [[nodiscard]] Journal* journal() const { return journal_; }
 
-  /// Serializes the evaluator's full mutable state — counters, clock,
-  /// trajectory, top-k list, profiles database — for the checkpoint file.
-  /// Deterministic (entries sorted by structural hash), so a resumed search
-  /// exports a byte-identical profiles database.
+  /// Renders the checkpoint log: a header pinning the label and the
+  /// configuration, then one line per candidate run_candidate executed
+  /// (docs/file_formats.md, "Checkpoint"). The records are kept only when
+  /// the search checkpoints or resumes; otherwise the log is the header.
   [[nodiscard]] std::string serialize_state() const;
-  /// Restores state serialized by serialize_state. Must be called on a
-  /// freshly constructed evaluator (before any proposal); throws Error on
-  /// malformed text. The wall-clock anchor restarts at zero — wall_time_s
-  /// is explicitly excluded from determinism guarantees.
-  void restore_state(const std::string& text);
-  /// Same, from a reader positioned at the state (checkpoints embed it
-  /// after their own header and mapping); reads to the end of input.
-  void restore_state(LineReader& reader);
 
  private:
   friend class EvaluatorView;
@@ -215,34 +254,6 @@ class Evaluator {
     int transient_failures = 0;
     int retries = 0;
   };
-  /// Result of one candidate's budgeted run sequence.
-  struct CandOutcome {
-    bool oom = false;
-    /// The candidate exhausted its simulated-seconds budget: its true mean
-    /// provably exceeds the batch's censor threshold.
-    bool censored = false;
-    /// Every repeat was lost to transient faults (retries exhausted); the
-    /// candidate folds to infinity.
-    bool failed = false;
-    /// failed via quarantine_after consecutive lost repeats — the candidate
-    /// is additionally cached so it is never proposed for execution again.
-    bool quarantined = false;
-    /// Sum of the objective over the completed (uncensored) runs; unused
-    /// when censored or oom.
-    double objective_sum = 0.0;
-    /// Simulated seconds to charge to the search clock: the full run
-    /// totals, clipped at the budget, plus fault losses and retry backoff.
-    /// Independent of prune_candidates by construction.
-    double charge_s = 0.0;
-    /// Repeats that produced a valid observation (== repeats fault-free).
-    int survivors = 0;
-    int transient_failures = 0;
-    int retries = 0;
-    /// Per-survivor objective values, recorded only under the robust
-    /// aggregations (the mean needs just the sum).
-    std::vector<double> objectives;
-  };
-
   /// Deterministic per-(candidate, repeat, attempt) noise seed — the scheme
   /// that makes a run's noise independent of evaluation order. Attempt 0 is
   /// the original derivation; retries (attempt > 0) mix in the attempt index
@@ -256,8 +267,11 @@ class Evaluator {
   /// Folds a candidate's surviving repeats into one recorded value per the
   /// configured Aggregation. For kMean this is objective_sum / survivors —
   /// bit-identical to the historical objective_sum / repeats when nothing
-  /// was lost.
-  [[nodiscard]] double aggregate_objective(const CandOutcome& out) const;
+  /// was lost. `objectives` holds every survivor's value under the robust
+  /// aggregations (the mean needs just the sum).
+  [[nodiscard]] double aggregate_objective(
+      double objective_sum, int survivors,
+      std::vector<double> objectives) const;
   /// Executes one unbounded finalist-protocol run (retrying transient
   /// faults under the resilience policy) and reduces it to a RunOutcome.
   [[nodiscard]] RunOutcome execute_run(const Mapping& candidate,
@@ -270,10 +284,17 @@ class Evaluator {
   /// objective sum are pure functions of the unbounded run totals and the
   /// threshold, so prune (`bound_runs`) on and off produce identical
   /// outcomes — pruning only skips the simulation work past the line.
-  [[nodiscard]] CandOutcome run_candidate(const Mapping& candidate,
-                                          std::uint64_t key,
-                                          double threshold_s,
-                                          bool bound_runs);
+  [[nodiscard]] RunRecord run_candidate(const Mapping& candidate,
+                                        std::uint64_t key, double threshold_s,
+                                        bool bound_runs);
+  /// The next record of the log being resumed, checked against the
+  /// candidate the search executes now: the mapping hash must match, and a
+  /// censored record must carry this batch's threshold. Throws Error naming
+  /// the record otherwise.
+  [[nodiscard]] RunRecord next_replayed(std::uint64_t hash,
+                                        double threshold_s);
+  /// Appends `run` to the checkpoint log as one line.
+  void append_record(const RunRecord& run);
   /// Simulated cost of observing a failed (OOM) evaluation: the runtime
   /// still performs dependence analysis and instance allocation for every
   /// task before aborting, so each failure charges one runtime-overhead
@@ -282,11 +303,6 @@ class Evaluator {
   /// Inserts into the top-k finalist list unless an entry with the same
   /// structural hash and mapping is already present (dedupe on import).
   void insert_top(const Mapping& mapping, double mean);
-  /// Shared core of import_profiles and restore_state: reads a profiles
-  /// section to the end of input. When `update_top` is false the top-k
-  /// list and incumbent are left untouched (restore_state rebuilds them
-  /// verbatim from the checkpoint's own section to preserve tie order).
-  void import_profiles_impl(LineReader& reader, bool update_top);
   /// Serializes the profiles database (every measured mapping with its
   /// mean) for reuse via SearchOptions::profiles_seed.
   [[nodiscard]] std::string export_profiles() const;
@@ -330,6 +346,19 @@ class Evaluator {
   Histogram* m_candidate_mean_ = nullptr;
   /// Folds since the last journal metrics snapshot (cadence counter).
   int folds_since_snapshot_ = 0;
+
+  // Checkpoint log (serialize_state). The header's configuration lines are
+  // rendered once; the label arrives with begin_search.
+  std::string log_config_;
+  std::string label_;
+  /// Whether run_candidate's records are appended to log_: only when the
+  /// search checkpoints or resumes.
+  bool keep_log_ = false;
+  std::string log_;
+  /// The log being resumed; evaluate_batch consumes its records in order
+  /// before it simulates anything.
+  CheckpointLog resumed_;
+  std::size_t replayed_ = 0;
 };
 
 /// Read-only window onto an Evaluator for reporting and analysis code: the

@@ -70,7 +70,7 @@ SearchResult run_random_search(const Simulator& sim,
   Evaluator eval(sim, options);
   Rng rng(mix64(options.seed) ^ 0x2545f4914f6cdd1dULL);
   const Mapping start = search_starting_point(sim.graph(), sim.machine());
-  eval.journal_search_begin("AM-Random", start);
+  eval.begin_search("AM-Random", start);
   (void)eval.evaluate(start);
   // Random search has no natural end; without a budget, sample as many
   // candidates as a five-rotation CCD would propose.
@@ -115,7 +115,7 @@ SearchResult run_simulated_annealing(const Simulator& sim,
   Rng rng(mix64(options.seed) ^ 0x94d049bb133111ebULL);
 
   Mapping current = search_starting_point(sim.graph(), sim.machine());
-  eval.journal_search_begin("AM-Anneal", current);
+  eval.begin_search("AM-Anneal", current);
   double current_cost = eval.evaluate(current);
   AM_CHECK(std::isfinite(current_cost), "starting point failed to execute");
 
@@ -186,7 +186,7 @@ SearchResult run_heft_static(const Simulator& sim,
                            {machine.best_memory_for(tm.proc)});
   }
 
-  eval.journal_search_begin("HEFT-static", mapping);
+  eval.begin_search("HEFT-static", mapping);
   (void)eval.evaluate(mapping);
   return eval.finalize("HEFT-static");
 }
@@ -201,11 +201,15 @@ SearchResult run_ccd_multistart(const Simulator& sim,
   // a random valid mapping and inherits the accumulated profiles database,
   // so re-proposed candidates are free and the finalist pool spans every
   // pass. The passes always export their database (that is the chaining
-  // mechanism), whatever the caller asked for the final result.
+  // mechanism), whatever the caller asked for the final result. Only the
+  // first pass checkpoints: a resumed multistart replays that pass from its
+  // log and reruns the later ones live.
   SearchOptions chained = options;
   chained.export_profiles_db = true;
   SearchResult result = run_ccd(sim, chained);
   SearchStats combined = result.stats;
+  chained.checkpoint_path.clear();
+  chained.resume_state.clear();
 
   for (int s = 0; s < extra_starts; ++s) {
     if (std::isfinite(options.time_budget_s) &&

@@ -123,12 +123,15 @@ struct SearchOptions {
   bool export_profiles_db = true;
   /// Retry / quarantine / aggregation behaviour under fault injection.
   ResiliencePolicy resilience;
-  /// When non-empty, CCD/CD periodically serialize their search state
-  /// (incumbent, rotation position, profiles database) to this file —
-  /// atomically, so a kill mid-write leaves the previous checkpoint intact.
+  /// When non-empty, CCD/CD publish the evaluator's checkpoint log — what
+  /// every executed candidate returned — to this file at task and rotation
+  /// boundaries, atomically, so a kill mid-write leaves the previous
+  /// checkpoint intact.
   std::string checkpoint_path;
   /// Contents of a checkpoint file written via checkpoint_path; when
-  /// non-empty, CCD/CD resume from that state instead of starting fresh.
+  /// non-empty, the search starts afresh but takes each executed
+  /// candidate's outcome from this log instead of simulating it, until the
+  /// log is spent.
   std::string resume_state;
   /// Provenance journal (src/report/journal.hpp). When set, the algorithms
   /// and the evaluator append typed JSONL events for every decision as they
@@ -153,7 +156,7 @@ struct SearchOptions {
   /// returned result is partial and meant to be discarded.
   const std::atomic<bool>* cancel = nullptr;
   /// Called right after each checkpoint write with the (rotation,
-  /// position) the checkpoint resumes at. Runtime wiring, excluded from
+  /// position) boundary it was written at. Runtime wiring, excluded from
   /// the canonical codec; the service's flight recorder hangs
   /// "checkpointed" markers on a running job's span timeline through it.
   std::function<void(int rotation, int position)> on_checkpoint;

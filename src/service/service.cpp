@@ -13,6 +13,7 @@
 #include "src/io/text_io.hpp"
 #include "src/report/journal.hpp"
 #include "src/search/algorithms.hpp"
+#include "src/search/evaluator.hpp"
 #include "src/search/search.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/durable.hpp"
@@ -1027,18 +1028,6 @@ void MappingService::run_job(std::uint64_t id, int worker) {
                         {{"rotation", std::to_string(rotation)},
                          {"position", std::to_string(position)}});
     };
-    // Warm restart: a checkpoint left by an interrupted run resumes the
-    // search; byte-identity of the final result is the PR 4 contract. A
-    // torn checkpoint (bad checksum trailer) is quarantined and the
-    // search starts fresh — same final bytes, just more work.
-    {
-      DurableLoad checkpoint = load_checksummed(options.checkpoint_path);
-      if (checkpoint.status == DurableLoad::Status::kOk)
-        options.resume_state = std::move(checkpoint.payload);
-      else if (checkpoint.status == DurableLoad::Status::kCorrupt)
-        quarantine_path(options.checkpoint_path);
-    }
-
     std::optional<Journal> journal;
     if (spec.want_journal) journal.emplace(dir + "/journal.jsonl");
     MetricsRegistry job_metrics;
@@ -1066,6 +1055,28 @@ void MappingService::run_job(std::uint64_t id, int worker) {
       }
     } else {
       options.export_profiles_db = false;
+    }
+
+    // Warm restart: a checkpoint left by an interrupted run resumes the
+    // search to the byte-identical result. A torn checkpoint (bad checksum
+    // trailer) is quarantined and the search starts fresh — same final
+    // bytes, just more work — and so is one the search would refuse: an
+    // older format, or a log written under another configuration (for
+    // example before the job's eval-cache bucket changed). The search
+    // alone checks the algorithm label, since a multistart job's first
+    // pass logs as AM-CCD.
+    {
+      DurableLoad checkpoint = load_checksummed(options.checkpoint_path);
+      if (checkpoint.status == DurableLoad::Status::kOk) {
+        try {
+          (void)read_checkpoint_log(checkpoint.payload, options, spec.sim);
+          options.resume_state = std::move(checkpoint.payload);
+        } catch (const Error&) {
+          checkpoint.status = DurableLoad::Status::kCorrupt;
+        }
+      }
+      if (checkpoint.status == DurableLoad::Status::kCorrupt)
+        quarantine_path(options.checkpoint_path);
     }
 
     SimOptions sim_options = spec.sim;

@@ -202,6 +202,25 @@ fi
       > "$DIR/resumed.txt"
 cmp "$DIR/uninterrupted.txt" "$DIR/resumed.txt"
 
+# Resume of a search seeded from a profiles database: the checkpoint log
+# pins the database it was seeded from, so each run starts from its own
+# copy of the same seed database (a finished search rewrites its
+# --profiles file). The resumed search replays its log over that seed and
+# lands on the uninterrupted run's summary and database.
+"$CLI" search "$DIR/m.machine" "$DIR/g.graph" --rotations 1 --repeats 3 \
+      --seed 5 --profiles "$DIR/seed_db.txt" > /dev/null
+for run in full cut resumed; do cp "$DIR/seed_db.txt" "$DIR/db_$run.txt"; done
+"$CLI" search "$DIR/m.machine" "$DIR/g.graph" --rotations 3 --repeats 3 \
+      --profiles "$DIR/db_full.txt" | grep "best mapping" > "$DIR/seeded_full.txt"
+"$CLI" search "$DIR/m.machine" "$DIR/g.graph" --rotations 3 --repeats 3 \
+      --profiles "$DIR/db_cut.txt" --budget 0.4 \
+      --checkpoint "$DIR/ck_seeded.txt" > /dev/null
+"$CLI" search "$DIR/m.machine" "$DIR/g.graph" --rotations 3 --repeats 3 \
+      --profiles "$DIR/db_resumed.txt" --resume "$DIR/ck_seeded.txt" \
+      | grep "best mapping" > "$DIR/seeded_resumed.txt"
+cmp "$DIR/seeded_full.txt" "$DIR/seeded_resumed.txt"
+cmp "$DIR/db_full.txt" "$DIR/db_resumed.txt"
+
 # Provenance journal + metrics: the journal is valid JSONL, the metrics
 # dump is Prometheus text, and the telemetry digest points at both.
 "$CLI" export-app stencil 2 1 "$DIR/s.graph" > /dev/null
@@ -239,6 +258,24 @@ if "$CLI" replay "$DIR/m.machine" "$DIR/s.graph" "$DIR/s.journal.jsonl" \
   exit 1
 fi
 grep -q "unknown option: --threads" "$DIR/replay-threads.out"
+
+# A resumed search re-runs from its first proposal against its checkpoint
+# log, so its journal is complete: it replays with no drift and equals the
+# uninterrupted run's journal apart from search_begin's "resumed" flag.
+"$CLI" search "$DIR/m.machine" "$DIR/s.graph" --rotations 3 --repeats 3 \
+      --checkpoint "$DIR/ck_whole.txt" --journal "$DIR/whole.jsonl" > /dev/null
+"$CLI" search "$DIR/m.machine" "$DIR/s.graph" --rotations 3 --repeats 3 \
+      --budget 0.7 --checkpoint "$DIR/ck_cut.txt" \
+      --journal "$DIR/cut.jsonl" > /dev/null
+"$CLI" search "$DIR/m.machine" "$DIR/s.graph" --rotations 3 --repeats 3 \
+      --resume "$DIR/ck_cut.txt" --checkpoint "$DIR/ck_cut.txt" \
+      --journal "$DIR/resumed.jsonl" > /dev/null
+"$CLI" replay "$DIR/m.machine" "$DIR/s.graph" "$DIR/resumed.jsonl" \
+      | grep -q "no drift"
+grep -q '"resumed":true' "$DIR/resumed.jsonl"
+sed 's/"resumed":true/"resumed":false/' "$DIR/resumed.jsonl" \
+      | cmp - "$DIR/whole.jsonl"
+cmp "$DIR/ck_cut.txt" "$DIR/ck_whole.txt"
 
 # A tampered journal must be caught (nonzero exit, drift report).
 sed 's/"type":"finalize","algorithm":"AM-CCD","best":/"type":"finalize","algorithm":"AM-CCD","best":9/' \

@@ -7,18 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "src/apps/registry.hpp"
 #include "src/apps/stencil.hpp"
 #include "src/io/text_io.hpp"
 #include "src/machine/machine.hpp"
 #include "src/report/analysis.hpp"
 #include "src/report/profile.hpp"
+#include "src/search/algorithms.hpp"
 #include "src/search/coordinate_descent.hpp"
 #include "src/search/evaluator.hpp"
+#include "src/search/extra_algorithms.hpp"
 #include "src/search/search.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/durable.hpp"
@@ -362,36 +366,6 @@ TEST(Checkpoint, WritingCheckpointsDoesNotChangeTheResult) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, EvaluatorStateRoundTripsExactly) {
-  MiniApp app;
-  const MachineModel machine = make_shepard(1);
-  Simulator sim(machine, app.g,
-                {.iterations = 2, .noise_sigma = 0.02,
-                 .faults = {.crash_prob = 0.1}});
-
-  SearchOptions options{.repeats = 3, .seed = 12};
-  options.resilience = {.max_retries = 1, .quarantine_after = 2};
-  Evaluator original(sim, options);
-  std::vector<Mapping> candidates;
-  candidates.push_back(search_starting_point(app.g, machine));
-  Mapping b = candidates[0];
-  b.at(app.producer).proc = ProcKind::kCpu;
-  b.at(app.producer).arg_memories.assign(2, {MemKind::kSystem});
-  candidates.push_back(b);
-  (void)original.evaluate_batch(candidates);
-
-  const std::string state = original.serialize_state();
-  Evaluator restored(sim, options);
-  restored.restore_state(state);
-  EXPECT_EQ(restored.serialize_state(), state);
-  EXPECT_EQ(restored.view().export_profiles(),
-            original.view().export_profiles());
-  EXPECT_EQ(restored.view().best_seconds(),
-            original.view().best_seconds());
-  EXPECT_EQ(restored.view().stats().search_time_s,
-            original.view().stats().search_time_s);
-}
-
 TEST(Checkpoint, ResumedSearchMatchesTheUninterruptedRun) {
   const MachineModel machine = make_shepard(1);
   const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
@@ -425,6 +399,249 @@ TEST(Checkpoint, ResumedSearchMatchesTheUninterruptedRun) {
   std::remove(path.c_str());
 }
 
+/// Size of a checkpoint log's header: the version, algorithm, options, sim
+/// and profiles_seed lines. Records follow, one line each.
+std::size_t header_bytes(const std::string& log) {
+  std::size_t end = 0;
+  for (int line = 0; line < 5; ++line) end = log.find('\n', end) + 1;
+  return end;
+}
+
+/// Runs `algorithm` once without checkpoints and once with, capturing the
+/// log at every checkpoint, then resumes from every `stride`-th capture and
+/// the last. Each resumed search must return the uninterrupted result; the
+/// one resumed from the first capture also checkpoints, and must leave the
+/// uninterrupted run's final log behind.
+void expect_resumes_from_checkpoints(const Simulator& sim,
+                                     const SearchOptions& options,
+                                     const char* algorithm,
+                                     std::size_t stride,
+                                     const std::string& context) {
+  const SearchAlgorithmInfo* info = find_search_algorithm(algorithm);
+  ASSERT_NE(info, nullptr);
+  const SearchResult plain = info->run(sim, options);
+  // Named per test: ctest runs the sweeps in parallel processes.
+  const std::string path =
+      ::testing::TempDir() + "automap_ckpt_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
+  std::vector<std::string> logs;
+  SearchOptions checkpointed = options;
+  checkpointed.checkpoint_path = path;
+  checkpointed.on_checkpoint = [&](int, int) {
+    logs.push_back(load_checksummed(path).payload);
+  };
+  expect_identical(info->run(sim, checkpointed), plain,
+                   context + ", checkpointing");
+  ASSERT_GT(logs.size(), 1u) << context;
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    if (i % stride != 0 && i + 1 != logs.size()) continue;
+    const std::string at = context + ", checkpoint " + std::to_string(i);
+    SearchOptions resumed = options;
+    resumed.resume_state = logs[i];
+    if (i == 0) resumed.checkpoint_path = path;
+    expect_identical(info->run(sim, resumed), plain, at);
+    if (i == 0) {
+      EXPECT_EQ(load_checksummed(path).payload, logs.back()) << at;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+/// CCD and CD, faults off and on, pruning on and off (each resumed under
+/// its own options) on `app`.
+void expect_resumes_on(const std::string& app, int rotations,
+                       std::size_t stride) {
+  const MachineModel machine = make_shepard(1);
+  const BenchmarkApp bench = make_app_by_name(app, 1, 0);
+  for (const bool faults : {false, true}) {
+    SimOptions sim_options{.iterations = 2, .noise_sigma = 0.02};
+    if (faults)
+      sim_options.faults = {.crash_prob = 0.05,
+                            .straggler_prob = 0.05,
+                            .straggler_factor = 3.0};
+    const Simulator sim(machine, bench.graph, sim_options);
+    for (const char* algorithm : {"ccd", "cd"}) {
+      for (const bool prune : {true, false}) {
+        SearchOptions options{
+            .rotations = rotations, .repeats = 2, .seed = 23};
+        options.prune_candidates = prune;
+        options.resilience = {.max_retries = 1, .quarantine_after = 2};
+        expect_resumes_from_checkpoints(
+            sim, options, algorithm, stride,
+            app + " " + algorithm + (faults ? " faults" : "") +
+                (prune ? "" : " no-prune"));
+      }
+    }
+  }
+}
+
+TEST(Checkpoint, StencilResumesFromEveryCheckpoint) {
+  expect_resumes_on("stencil", 3, 1);
+}
+
+TEST(Checkpoint, HtrResumesFromEveryTenthCheckpoint) {
+  expect_resumes_on("htr", 2, 10);
+}
+
+TEST(Checkpoint, ResumeFromAnyPrefixOfTheLogMatches) {
+  // Any prefix of whole records is a log an uninterrupted run passes
+  // through, wherever it was cut — not only at task boundaries.
+  const MachineModel machine = make_shepard(1);
+  const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
+  const Simulator sim(machine, app.graph,
+                      {.iterations = 2,
+                       .noise_sigma = 0.02,
+                       .faults = {.crash_prob = 0.05,
+                                  .straggler_prob = 0.05,
+                                  .straggler_factor = 3.0}});
+  SearchOptions options{.rotations = 5, .repeats = 2, .seed = 11};
+  options.resilience = {.max_retries = 1, .quarantine_after = 2};
+  const SearchResult reference = run_ccd(sim, options);
+
+  const std::string path = ::testing::TempDir() + "automap_ckpt_prefix.txt";
+  SearchOptions checkpointed = options;
+  checkpointed.checkpoint_path = path;
+  (void)run_ccd(sim, checkpointed);
+  const std::string log = load_checksummed(path).payload;
+  std::remove(path.c_str());
+  std::vector<std::size_t> ends;  // byte offset after each record
+  for (std::size_t at = header_bytes(log); at < log.size();
+       at = log.find('\n', at) + 1)
+    ends.push_back(at);
+  ends.push_back(log.size());
+  const std::size_t records = ends.size() - 1;
+  ASSERT_GT(records, 60u);
+
+  std::vector<std::size_t> cuts;
+  for (std::size_t k = 0; k < 50; ++k) cuts.push_back(k);
+  for (std::size_t i = 0; i < 10; ++i)
+    cuts.push_back(50 + (records - 50) * i / 9);
+  for (const std::size_t k : cuts) {
+    SearchOptions resumed = options;
+    resumed.resume_state = log.substr(0, ends[k]);
+    expect_identical(run_ccd(sim, resumed), reference,
+                     "log cut after " + std::to_string(k) + " records");
+  }
+}
+
+TEST(Checkpoint, ReplayRefusesARecordOfAnotherCandidate) {
+  const MachineModel machine = make_shepard(1);
+  const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
+  const Simulator sim(machine, app.graph,
+                      {.iterations = 2, .noise_sigma = 0.02});
+  const std::string path = ::testing::TempDir() + "automap_ckpt_records.txt";
+  SearchOptions options{.rotations = 2, .repeats = 2, .seed = 5};
+  options.checkpoint_path = path;
+  (void)run_ccd(sim, options);
+  const std::string log = load_checksummed(path).payload;
+  std::remove(path.c_str());
+
+  const auto refusal = [&](const std::string& text) -> std::string {
+    SearchOptions resumed{.rotations = 2, .repeats = 2, .seed = 5};
+    resumed.resume_state = text;
+    try {
+      (void)run_ccd(sim, resumed);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  // Another mapping's hash in the first record.
+  const std::size_t first = header_bytes(log);
+  std::string other = log;
+  other[first] = other[first] == '0' ? '1' : '0';
+  EXPECT_NE(refusal(other).find("checkpoint record 1 "), std::string::npos)
+      << refusal(other);
+  // A censored record whose value is not its batch's threshold.
+  const std::size_t censored = log.find(" censored ");
+  ASSERT_NE(censored, std::string::npos);
+  const std::size_t value = censored + std::string(" censored ").size();
+  std::string moved = log;
+  moved.replace(value, log.find(' ', value) - value, "1e9");
+  const std::string index = std::to_string(
+      std::count(log.begin() + static_cast<std::ptrdiff_t>(first),
+                 log.begin() + static_cast<std::ptrdiff_t>(censored), '\n') +
+      1);
+  EXPECT_NE(refusal(moved).find("checkpoint record " + index +
+                                " was censored at 1000000000"),
+            std::string::npos)
+      << refusal(moved);
+}
+
+TEST(Checkpoint, MultistartResumesFromItsFirstPass) {
+  // Only the first pass checkpoints; a resume replays it and reruns the
+  // later passes live, which must not inherit the resume state.
+  const MachineModel machine = make_shepard(1);
+  const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
+  const Simulator sim(machine, app.graph,
+                      {.iterations = 2, .noise_sigma = 0.02});
+  const SearchOptions options{.rotations = 2, .repeats = 2, .seed = 3};
+  const SearchResult reference = run_ccd_multistart(sim, options);
+
+  const std::string path = ::testing::TempDir() + "automap_ckpt_multi.txt";
+  SearchOptions cut = options;
+  cut.checkpoint_path = path;
+  cut.time_budget_s = run_ccd(sim, options).stats.search_time_s * 0.5;
+  (void)run_ccd_multistart(sim, cut);
+
+  SearchOptions resumed = options;
+  resumed.resume_state = load_checksummed(path).payload;
+  resumed.checkpoint_path = path;
+  expect_identical(run_ccd_multistart(sim, resumed), reference,
+                   "resumed multistart");
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ProfilesSeededSearchResumesOverTheSameDatabase) {
+  const MachineModel machine = make_shepard(1);
+  const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
+  const Simulator sim(machine, app.graph,
+                      {.iterations = 2, .noise_sigma = 0.02});
+  SearchOptions options{.rotations = 1, .repeats = 2, .seed = 8};
+  options.profiles_seed = run_ccd(sim, options).profiles_db;
+  options.rotations = 3;
+  const SearchResult reference = run_ccd(sim, options);
+
+  const std::string path = ::testing::TempDir() + "automap_ckpt_seeded.txt";
+  SearchOptions cut = options;
+  cut.checkpoint_path = path;
+  cut.time_budget_s = reference.stats.search_time_s * 0.5;
+  (void)run_ccd(sim, cut);
+
+  SearchOptions resumed = options;
+  resumed.resume_state = load_checksummed(path).payload;
+  expect_identical(run_ccd(sim, resumed), reference, "resumed seeded search");
+  // The log pins the database it was seeded from.
+  resumed.profiles_seed.clear();
+  EXPECT_THROW((void)run_ccd(sim, resumed), Error);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, LogHoldsOneShortRecordPerExecutedCandidate) {
+  // Pennant CCD (shepard(1), step 0, seed 1). Records hold no mappings, so
+  // the log grows by one short line per executed candidate.
+  const MachineModel machine = make_shepard(1);
+  const BenchmarkApp app = make_app_by_name("pennant", 1, 0);
+  const Simulator sim(machine, app.graph, {});
+  const std::string path = ::testing::TempDir() + "automap_ckpt_pennant.txt";
+  SearchOptions options{.seed = 1};
+  options.checkpoint_path = path;
+  options.export_profiles_db = false;
+  const SearchResult result = run_ccd(sim, options);
+  const std::string log = load_checksummed(path).payload;
+  std::remove(path.c_str());
+
+  const std::size_t header = header_bytes(log);
+  const std::size_t executed = result.stats.evaluated;
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(log.begin() + static_cast<std::ptrdiff_t>(header),
+                           log.end(), '\n')),
+            executed);
+  EXPECT_LE(log.size(), header + 128 * executed);
+  EXPECT_EQ(log.find("\ntask "), std::string::npos) << "a mapping line";
+}
+
 TEST(Checkpoint, ResumeRejectsAlgorithmMismatch) {
   MiniApp app;
   const MachineModel machine = make_shepard(1);
@@ -440,36 +657,6 @@ TEST(Checkpoint, ResumeRejectsAlgorithmMismatch) {
   wrong.resume_state = load_checksummed(path).payload;
   EXPECT_THROW((void)run_cd(sim, wrong), Error);
   std::remove(path.c_str());
-}
-
-TEST(Checkpoint, ResumeRejectsANegativeOrFractionalRotation) {
-  const MachineModel machine = make_shepard(1);
-  const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
-  Simulator sim(machine, app.graph, {.iterations = 2, .noise_sigma = 0.02});
-
-  const std::string path = ::testing::TempDir() + "automap_ckpt_cursor.txt";
-  SearchOptions options{.rotations = 2, .repeats = 2, .seed = 5};
-  options.checkpoint_path = path;
-  const SearchResult reference = run_ccd(sim, options);
-  const std::string payload = load_checksummed(path).payload;
-  std::remove(path.c_str());
-
-  // The last checkpoint sits at the end of the final rotation. Resumed
-  // as written it replays nothing and lands on the same result; edited,
-  // its cursor must be refused rather than cast into a different search
-  // (rotation -1 would rerun the whole descent and report 5 rotations).
-  const std::string cursor = "\nrotation 2\n";
-  ASSERT_NE(payload.find(cursor), std::string::npos);
-  SearchOptions resumed{.rotations = 2, .repeats = 2, .seed = 5};
-  resumed.resume_state = payload;
-  EXPECT_EQ(run_ccd(sim, resumed).stats.rotations.size(),
-            reference.stats.rotations.size());
-  for (const char* bad : {"rotation -1", "rotation 1.5"}) {
-    resumed.resume_state = payload;
-    resumed.resume_state.replace(payload.find(cursor), cursor.size(),
-                                 "\n" + std::string(bad) + "\n");
-    EXPECT_THROW((void)run_ccd(sim, resumed), Error) << bad;
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the text formats: machine models and task graphs (the §3.3
 // search-space/machine files), and the malformed-input handling of every
-// format read through LineReader (mappings, profiles databases, evaluator
-// state, checkpoints).
+// format read through LineReader (mappings, profiles databases,
+// checkpoint logs).
 
 #include <gtest/gtest.h>
 
@@ -269,49 +269,64 @@ TEST_F(LineFormats, MalformedProfilesDatabaseNamesTheLine) {
       });
 }
 
-TEST_F(LineFormats, MalformedEvaluatorStateNamesTheLine) {
-  const auto lines = lines_of(measured.serialize_state());
-  const std::size_t counters = line_starting(lines, "counters ");
-  const std::size_t clocks = line_starting(lines, "clocks ");
-  const std::size_t finalist = line_starting(lines, "finalist ");
-  expect_refused_naming_the_line(
-      {{"truncated", joined(lines.begin(), lines.begin() + clocks + 1)},
-       {"extra field", with_line(lines, counters, lines[counters] + " 0")},
-       {"bad number", with_line(lines, clocks, "clocks 1e 0")},
-       {"negative count", with_line(lines, counters,
-                                    "counters -1 0 0 0 0 0 0 0 0 0")},
-       {"repeated task",
-        with_line(lines, finalist + 2, lines[finalist + 1])}},
-      [&](const std::string& text) {
-        Evaluator eval(sim, {.repeats = 1});
-        eval.restore_state(text);
-      });
-}
-
 TEST_F(LineFormats, MalformedCheckpointNamesTheLine) {
   const std::string path = ::testing::TempDir() + "automap_line_formats.ckpt";
   SearchOptions options{.rotations = 1, .repeats = 1, .seed = 2};
   options.checkpoint_path = path;
   (void)run_ccd(sim, options);
-  const auto lines = lines_of(load_checksummed(path).payload);
+  const std::string log = load_checksummed(path).payload;
   std::remove(path.c_str());
-  const std::size_t position = line_starting(lines, "position ");
-  const std::size_t order = line_starting(lines, "order ");
+  // automap-checkpoint 2 / algorithm / options / sim / profiles_seed, then
+  // one record per executed candidate:
+  // <hash> <status> <value> <charge> <transient failures> <retries>.
+  const auto lines = lines_of(log);
+  const std::size_t first = line_starting(lines, "profiles_seed ") + 1;
+  ASSERT_LT(first + 1, lines.size());
+  const auto record_with = [&](std::size_t field, const std::string& value) {
+    std::istringstream is(lines[first]);
+    std::vector<std::string> tokens;
+    for (std::string token; is >> token;) tokens.push_back(token);
+    tokens.at(field) = value;
+    std::string record;
+    for (const std::string& token : tokens)
+      record += (record.empty() ? "" : " ") + token;
+    return with_line(lines, first, record);
+  };
+  const std::size_t options_at = line_starting(lines, "options ");
+  std::string other_seed = lines[options_at];
+  const std::string seed = "\"seed\":\"2\"";
+  ASSERT_NE(other_seed.find(seed), std::string::npos);
+  other_seed.replace(other_seed.find(seed), seed.size(), "\"seed\":\"3\"");
+
+  const auto resume = [&](const std::string& text) {
+    SearchOptions resume{.rotations = 1, .repeats = 1, .seed = 2};
+    resume.resume_state = text;
+    return run_ccd(sim, resume);
+  };
   expect_refused_naming_the_line(
-      {{"truncated", joined(lines.begin(), lines.end() - 1)},
-       {"extra field", with_line(lines, position, lines[position] + " 0")},
-       {"bad number", with_line(lines, position, "position 1.5")},
-       {"rotation past int", with_line(lines, position - 1,
-                                       "rotation 1e300")},
-       {"position past the last task", with_line(lines, position,
-                                                 "position 999")},
-       {"order id out of range", with_line(lines, order, "order 1 999")},
-       {"repeated task", with_line(lines, order + 2, lines[order + 1])}},
-      [&](const std::string& text) {
-        SearchOptions resume{.rotations = 1, .repeats = 1, .seed = 2};
-        resume.resume_state = text;
-        (void)run_ccd(sim, resume);
-      });
+      {{"bad version", with_line(lines, 0, "automap-checkpoint 1")},
+       {"other options", with_line(lines, options_at, other_seed)},
+       {"extra field", with_line(lines, first, lines[first] + " 0")},
+       {"bad number", record_with(2, "0.5x")},
+       {"negative charge", record_with(3, "-1")},
+       {"NaN value", record_with(2, "nan")},
+       {"bad hash", record_with(0, "abc")},
+       {"negative count", record_with(5, "-1")},
+       {"unknown status", record_with(1, "measured")},
+       {"record cut mid-line",
+        joined(lines.begin(), lines.end() - 1) +
+            lines.back().substr(0, lines.back().size() / 2)},
+       {"record without its newline", log.substr(0, log.size() - 1)}},
+      [&](const std::string& text) { (void)resume(text); });
+
+  // A prefix of whole records is a valid, shorter log: the search replays
+  // it and runs the rest live, to the same result.
+  const SearchResult full = resume(log);
+  const SearchResult shorter =
+      resume(joined(lines.begin(), lines.begin() + first + 1));
+  EXPECT_EQ(shorter.best, full.best);
+  EXPECT_EQ(shorter.best_seconds, full.best_seconds);
+  EXPECT_EQ(shorter.stats.search_time_s, full.stats.search_time_s);
 }
 
 }  // namespace

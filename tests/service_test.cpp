@@ -480,6 +480,52 @@ TEST(Service, CancelRunningJobCheckpointsAndResumesByteIdentically) {
             reference.handle("{\"op\":\"result\",\"job\":" + ref_id + "}"));
 }
 
+TEST(Service, CancelledReuseJobResumesOverItsUnchangedBucket) {
+  // A reuse_measurements job seeds its search from its eval-cache bucket.
+  // Cancelled after its first checkpoint and resubmitted with the bucket
+  // unchanged, it replays its checkpoint log over the same seed and lands
+  // on the bytes of a job that was never interrupted.
+  const std::string reuse = ",\"reuse_measurements\":true";
+  const SearchOptions filler = small_options(42);
+  SearchOptions options = small_options(42);
+  options.rotations = 64;  // same bucket; long enough to cancel mid-run
+  const std::string store = fresh_store("cancelreuse");
+  MappingService service({.store_dir = store, .job_workers = 1});
+  ASSERT_EQ(wait_for(service, job_id_of(handle_json(
+                                  service, submit_request(filler, reuse)))),
+            "done");
+  const std::string id =
+      job_id_of(handle_json(service, submit_request(options, reuse)));
+  const std::string dir = store + "/jobs/" + id;
+  for (int i = 0; i < 3000 && !fs::exists(dir + "/checkpoint"); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(fs::exists(dir + "/checkpoint"));
+  ASSERT_EQ(handle_json(service, "{\"op\":\"cancel\",\"job\":" + id + "}")
+                .str_or("type", ""),
+            "cancelled");
+  ASSERT_EQ(wait_for(service, id), "cancelled");
+
+  ASSERT_EQ(job_id_of(handle_json(service, submit_request(options, reuse))),
+            id);
+  ASSERT_EQ(wait_for(service, id), "done");
+  // The checkpoint was resumed, not quarantined.
+  EXPECT_FALSE(fs::exists(dir + "/checkpoint.corrupt"));
+  EXPECT_EQ(metric_value(service.expose_metrics(),
+                         "automap_service_store_quarantined_total"),
+            0.0);
+
+  MappingService reference({.store_dir = fresh_store("cancelreuse-ref"),
+                            .job_workers = 0});
+  handle_json(reference, submit_request(filler, reuse));
+  reference.drain();
+  const std::string ref_id =
+      job_id_of(handle_json(reference, submit_request(options, reuse)));
+  reference.drain();
+  ASSERT_EQ(ref_id, id);  // both stores number jobs from 1
+  EXPECT_EQ(service.handle("{\"op\":\"result\",\"job\":" + id + "}"),
+            reference.handle("{\"op\":\"result\",\"job\":" + id + "}"));
+}
+
 TEST(Service, ResultCacheEvictsLeastRecentlyServed) {
   const std::string store = fresh_store("lru");
   std::string payload_1;
@@ -999,6 +1045,46 @@ TEST(Service, CorruptCheckpointQuarantinedAndJobRunsFresh) {
   const OneShot ref = one_shot_reference(options);
   EXPECT_EQ(result.str_or("summary", ""), ref.summary);
   EXPECT_EQ(result.str_or("mapping", ""), ref.mapping);
+}
+
+TEST(Service, RefusedCheckpointQuarantinedAndJobRunsFresh) {
+  // A checkpoint the search would refuse is quarantined like a torn one,
+  // and the job reruns from scratch to the one-shot answer: a version-1
+  // file an older build left, or a log written under another
+  // configuration (here another seed's job).
+  const std::string store = fresh_store("refused-checkpoint");
+  const SearchOptions options = small_options(42);
+  std::string id;
+  std::string foreign;
+  {
+    MappingService service({.store_dir = store, .job_workers = 0});
+    id = job_id_of(handle_json(service, submit_request(options)));
+    const std::string other =
+        job_id_of(handle_json(service, submit_request(small_options(43))));
+    service.drain();
+    foreign = load_checksummed(store + "/jobs/" + other + "/checkpoint")
+                  .payload;
+  }
+  ASSERT_FALSE(foreign.empty());
+  const std::string version_1 =
+      "automap-checkpoint 1\nalgorithm AM-CCD\nrotation 1\nposition 0\n";
+  const std::string dir = store + "/jobs/" + id;
+  const OneShot ref = one_shot_reference(options);
+  for (const std::string& planted : {version_1, foreign}) {
+    fs::remove(dir + "/result.json");
+    fs::remove(dir + "/checkpoint.corrupt");
+    save_checksummed(dir + "/checkpoint", planted, "checkpoint");
+    MappingService revived({.store_dir = store, .job_workers = 0});
+    revived.drain();
+    EXPECT_TRUE(fs::exists(dir + "/checkpoint.corrupt"));
+    EXPECT_EQ(metric_value(revived.expose_metrics(),
+                           "automap_service_store_quarantined_total"),
+              1.0);
+    const JsonValue result =
+        handle_json(revived, "{\"op\":\"result\",\"job\":" + id + "}");
+    EXPECT_EQ(result.str_or("summary", ""), ref.summary);
+    EXPECT_EQ(result.str_or("mapping", ""), ref.mapping);
+  }
 }
 
 // ---------------------------------------------------------------------

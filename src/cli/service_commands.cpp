@@ -46,14 +46,8 @@ int cmd_serve(const Args& args) {
   config.job_workers = args.int_or("--workers", 2);
   config.max_store_bytes =
       static_cast<std::size_t>(args.u64_or("--max-store-bytes", 0));
-  config.max_result_cache =
-      static_cast<std::size_t>(args.u64_or("--max-result-cache", 0));
-  config.max_eval_cache =
-      static_cast<std::size_t>(args.u64_or("--max-eval-cache", 0));
   config.max_queued_jobs =
       static_cast<std::size_t>(args.u64_or("--max-queued-jobs", 0));
-  config.max_inflight =
-      static_cast<std::size_t>(args.u64_or("--max-inflight", 0));
 
   ServerConfig server_config;
   server_config.io_timeout_ms = args.int_or("--io-timeout-ms", 10000);
@@ -467,20 +461,12 @@ void register_service_commands(CommandRegistry& registry) {
                                     "each (default 2; 0 queues jobs "
                                     "without running them, for tests)"},
                  {"--max-store-bytes", "N",
-                  "byte budget for the job store; finished jobs are "
-                  "evicted LRU first (default 0 = unbounded)"},
-                 {"--max-result-cache", "N",
-                  "max completed jobs kept answerable by fingerprint "
-                  "(default 0 = unbounded)"},
-                 {"--max-eval-cache", "N",
-                  "max cross-job profiles-db buckets kept under cache/ "
-                  "(default 0 = unbounded)"},
+                  "byte budget for the whole store (jobs/ and cache/); "
+                  "finished jobs and eval-cache buckets are evicted "
+                  "least-recently-served first (default 0 = unbounded)"},
                  {"--max-queued-jobs", "N",
                   "admission cap on queued jobs; excess submits get a "
                   "structured `overloaded` error (default 0 = unbounded)"},
-                 {"--max-inflight", "N",
-                  "admission cap on queued+running jobs (default 0 = "
-                  "unbounded)"},
                  {"--io-timeout-ms", "MS",
                   "per-frame I/O deadline; a slower peer is dropped "
                   "(default 10000, 0 = unbounded)"},

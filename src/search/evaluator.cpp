@@ -104,7 +104,7 @@ CheckpointLog read_checkpoint_log(const std::string& text,
 Evaluator::Evaluator(const Simulator& sim, const SearchOptions& options)
     : sim_(sim), options_(options), best_seconds_(kInf),
       wall_start_(std::chrono::steady_clock::now()) {
-  validate_search_options(options_);
+  validate_search_options(options_, sim_.graph().num_tasks());
   if (!options_.profiles_seed.empty())
     import_profiles(options_.profiles_seed);
 
@@ -747,8 +747,7 @@ bool Evaluator::budget_exhausted() const {
 }
 
 bool Evaluator::cancelled() const {
-  return options_.cancel != nullptr &&
-         options_.cancel->load(std::memory_order_relaxed);
+  return options_.cancel && options_.cancel();
 }
 
 void Evaluator::mark_degraded() {

@@ -161,12 +161,12 @@ class Evaluator {
   void note_rotation(int rotation, double best_before_s);
 
   /// True once the simulated search clock passed the configured budget —
-  /// or the SearchOptions::cancel token fired (cancellation is delivered
+  /// or the SearchOptions::cancel predicate fired (cancellation is delivered
   /// as a budget cut, so every algorithm's existing budget checks double
   /// as cancellation points).
   [[nodiscard]] bool budget_exhausted() const;
 
-  /// True iff the SearchOptions::cancel token is set and fired. Callers
+  /// True iff the SearchOptions::cancel predicate is set and fired. Callers
   /// that must distinguish a cancel from a genuine budget cut (e.g. the
   /// service discarding a cancelled job's result) ask this directly.
   [[nodiscard]] bool cancelled() const;

@@ -184,9 +184,9 @@ SearchOptions search_options_from_json(const std::string& text) {
   return search_options_from_json(parse_json(text));
 }
 
-void validate_search_options(const SearchOptions& o) {
-  const auto require = [](bool ok, const char* what) {
-    if (!ok) throw Error(std::string("invalid search options: ") + what);
+void validate_search_options(const SearchOptions& o, std::size_t num_tasks) {
+  const auto require = [](bool ok, const std::string& what) {
+    if (!ok) throw Error("invalid search options: " + what);
   };
   require(o.rotations > 0, "rotations must be positive");
   require(o.repeats > 0, "repeats must be positive");
@@ -196,6 +196,11 @@ void validate_search_options(const SearchOptions& o) {
   require(o.resilience.max_retries >= 0, "max_retries must be >= 0");
   require(o.resilience.quarantine_after >= 0,
           "quarantine_after must be >= 0");
+  for (const TaskId t : o.frozen_tasks)
+    require(t.index() < num_tasks,
+            "frozen task " + std::to_string(t.index()) +
+                " is not in the graph (" + std::to_string(num_tasks) +
+                " tasks)");
 }
 
 std::string sim_options_to_json(const SimOptions& o) {

@@ -3,7 +3,6 @@
 // Common search-layer types: options, statistics, results, and the starting
 // point shared by the coordinate-descent algorithms (§4.1).
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -146,15 +145,17 @@ struct SearchOptions {
   /// appends a deterministic metrics snapshot to the journal; rotation
   /// boundaries always snapshot too. <= 0 disables periodic snapshots.
   int journal_snapshot_every = 256;
-  /// Cooperative cancellation token (runtime wiring, excluded from the
-  /// canonical JSON codec like journal/metrics). When non-null and set, the
-  /// evaluator reports the budget as exhausted: the search cuts at the
-  /// next fold boundary exactly like a simulated-budget cut, the CCD/CD
-  /// loops skip the post-cut checkpoint (leaving the last task-boundary
-  /// checkpoint on disk, from which a resume is byte-identical to an
-  /// uninterrupted run), and finalize() skips the finalist reruns — the
-  /// returned result is partial and meant to be discarded.
-  const std::atomic<bool>* cancel = nullptr;
+  /// Cooperative cancellation predicate (runtime wiring, excluded from the
+  /// canonical JSON codec like journal/metrics). When set and it returns
+  /// true, the evaluator reports the budget as exhausted: the search cuts
+  /// at the next fold boundary exactly like a simulated-budget cut, the
+  /// CCD/CD loops skip the post-cut checkpoint (leaving the last
+  /// task-boundary checkpoint on disk, from which a resume is
+  /// byte-identical to an uninterrupted run), and finalize() skips the
+  /// finalist reruns — the returned result is partial and meant to be
+  /// discarded. It may be called from the search's thread at every budget
+  /// check, and once it returns true it must keep returning true.
+  std::function<bool()> cancel;
   /// Called right after each checkpoint write with the (rotation,
   /// position) boundary it was written at. Runtime wiring, excluded from
   /// the canonical codec; the service's flight recorder hangs
@@ -181,12 +182,13 @@ inline constexpr int kSearchOptionsSchema = 1;
 [[nodiscard]] SearchOptions search_options_from_json(const JsonValue& v);
 [[nodiscard]] SearchOptions search_options_from_json(const std::string& text);
 
-/// Rejects option values no search can run with (non-positive repeats,
-/// rotations, top_k or final_repeats; a NaN budget; negative retry or
-/// quarantine counts) with a one-line Error naming the field. The Evaluator
-/// calls it on construction and the mapping service on submit, so a bad
-/// request fails before any work starts.
-void validate_search_options(const SearchOptions& o);
+/// Rejects option values no search over a graph of `num_tasks` tasks can
+/// run with (non-positive repeats, rotations, top_k or final_repeats; a
+/// NaN budget; negative retry or quarantine counts; a frozen task id
+/// outside the graph) with a one-line Error naming the field. The
+/// Evaluator calls it on construction and the mapping service on submit,
+/// so a bad request fails before any work starts.
+void validate_search_options(const SearchOptions& o, std::size_t num_tasks);
 
 /// Same codec for the simulator configuration that travels with a search
 /// (iterations, noise, fault model). record_trace / metrics stay out:

@@ -5,8 +5,9 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <limits>
 #include <optional>
-#include <sstream>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -22,15 +23,10 @@
 
 namespace automap {
 
-namespace {
-
 namespace fs = std::filesystem;
 
 /// Everything a submit request carries, decoded once and shared by the
 /// submit handler, the job runner and store recovery.
-/// Largest accepted per-submit deadline (~366 days in milliseconds).
-constexpr double kMaxDeadlineMs = 31622400000.0;
-
 struct SubmitSpec {
   std::string machine_text;
   std::string graph_text;
@@ -40,10 +36,11 @@ struct SubmitSpec {
   int priority = 0;
   bool want_journal = false;
   bool reuse_measurements = false;
-  /// Wall-clock deadline for the job (0 = none). Deliberately OUTSIDE the
-  /// fingerprint — like `priority`, it decides how a job runs, not what
-  /// it computes, so a resubmission with a different deadline still maps
-  /// onto the existing job (and resumes its checkpoint byte-identically).
+  /// Deadline for the job (0 = none), in milliseconds from enqueue on the
+  /// service clock. Deliberately OUTSIDE the fingerprint — like
+  /// `priority`, it decides how a job runs, not what it computes, so a
+  /// resubmission with a different deadline still maps onto the existing
+  /// job (and resumes its checkpoint byte-identically).
   double deadline_ms = 0;
   /// Canonical re-encodings — the fingerprint inputs, so two requests
   /// spelling the same configuration differently still collide.
@@ -51,6 +48,11 @@ struct SubmitSpec {
   std::string sim_json;
   std::uint64_t fingerprint = 0;
 };
+
+namespace {
+
+/// Largest accepted per-submit deadline (~366 days in milliseconds).
+constexpr double kMaxDeadlineMs = 31622400000.0;
 
 SubmitSpec parse_submit(const JsonValue& request) {
   SubmitSpec spec;
@@ -75,7 +77,7 @@ SubmitSpec parse_submit(const JsonValue& request) {
     spec.want_journal = json_bool(*v, "journal");
   if (const JsonValue* v = request.find("reuse_measurements"))
     spec.reuse_measurements = json_bool(*v, "reuse_measurements");
-  // The upper bound keeps the later int64 cast and steady_clock addition
+  // The upper bound keeps the deadline arithmetic on the service clock
   // well-defined for any wire-supplied double (1e300 is valid JSON). ~A
   // year is far beyond any real deadline.
   if (const JsonValue* v = request.find("deadline_ms"))
@@ -148,29 +150,23 @@ std::size_t dir_bytes(const std::string& dir) {
   return total;
 }
 
-/// The cancellation tombstone: written into a job dir *before* any
-/// destructive step so a crash mid-delete cannot revive a corrupt job on
-/// restart. "purge" marks a dir whose deletion is pending (restart
-/// finishes the cleanup); "keep" marks a cancelled-while-running job whose
-/// checkpoint is deliberately retained for a later resume.
+/// The tombstone: a one-line `jobs/<id>/cancelled` file naming how a job
+/// ended when that is not a result. "keep <reason>" marks a cancelled job
+/// (reason "client" or "deadline") and "failed <message>" a failed one;
+/// both keep the dir, checkpoint included, for a later resubmit-and-resume.
+/// "purge" is written *before* an eviction deletes the dir, so a crash
+/// mid-delete cannot revive a half-deleted job on restart.
 constexpr const char* kTombstoneName = "cancelled";
 
-void write_tombstone(const std::string& dir, const char* mode) {
+void write_tombstone(const std::string& dir, const std::string& state) {
   try {
-    // Durable but trailer-less: tombstones are a one-word sentinel whose
+    // Durable but trailer-less: tombstones are a one-line sentinel whose
     // presence is the signal, so recovery reads them as plain text.
-    save_durable(dir + "/" + kTombstoneName, std::string(mode) + "\n",
-                 "tombstone");
+    save_durable(dir + "/" + kTombstoneName, state + "\n", "tombstone");
   } catch (const std::exception&) {
     // Best effort: a missing tombstone only costs a spurious re-run after
     // a crash, never corruption.
   }
-}
-
-/// Milliseconds cast for the deadline wheel (deadline_ms is validated
-/// into [0, kMaxDeadlineMs] at parse time, so the cast is exact).
-std::chrono::milliseconds deadline_delay(double deadline_ms) {
-  return std::chrono::milliseconds(static_cast<std::int64_t>(deadline_ms));
 }
 
 double steady_ms() {
@@ -239,8 +235,9 @@ MappingService::MappingService(const ServiceConfig& config)
   m_eval_cache_entries_ =
       metrics_.gauge("automap_service_eval_cache_entries",
                      "Evaluation-cache buckets on disk", false);
-  m_store_bytes_ = metrics_.gauge("automap_service_store_bytes",
-                                  "Bytes under the job store", false);
+  m_store_bytes_ = metrics_.gauge(
+      "automap_service_store_bytes",
+      "Bytes under the job store (jobs/ and cache/)", false);
   m_sim_runs_ = metrics_.counter(
       "automap_sim_runs_total",
       "Simulator runs across all jobs (pruning on or off changes the "
@@ -248,7 +245,7 @@ MappingService::MappingService(const ServiceConfig& config)
       false);
   m_overloaded_ = metrics_.counter(
       "automap_service_overloaded_total",
-      "Submits refused by admission control (queue/inflight caps)", false);
+      "Submits refused by admission control (the queue cap)", false);
   m_deadline_expired_ = metrics_.counter(
       "automap_service_deadline_expired_total",
       "Jobs whose per-submit deadline_ms expired", false);
@@ -289,18 +286,10 @@ MappingService::MappingService(const ServiceConfig& config)
                          "Error responses per op", false)};
   }
 
-  // The wheel must exist before recover_store: recovered queued jobs with
-  // a deadline re-arm a fresh window.
-  wheel_ = std::make_unique<DeadlineWheel>(
-      [this](std::uint64_t id) { on_deadline(id); });
-
   {
-    // The wheel thread is already live and its expiry callback locks
-    // mutex_, so recovery must hold it too: an expiry racing the rebuild
-    // of jobs_ would otherwise be concurrent unordered_map access.
     const std::lock_guard<std::mutex> lock(mutex_);
     recover_store_locked();
-    enforce_budgets_locked();
+    evict_locked();
   }
 
   for (int i = 0; i < config_.job_workers; ++i)
@@ -314,9 +303,6 @@ MappingService::~MappingService() {
   }
   work_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  // After the workers: an expiry callback may touch jobs_ until the last
-  // worker settles, so the wheel outlives them and dies here.
-  wheel_.reset();
 }
 
 const char* MappingService::status_name(JobStatus status) {
@@ -366,175 +352,224 @@ std::string MappingService::render_service_trace() const {
   return recorder_.chrome_trace();
 }
 
-void MappingService::touch_locked(Job& job) {
-  job.last_served = ++serve_tick_;
-}
-
-void MappingService::update_cache_gauges_locked() {
-  m_result_cache_entries_->set(
-      static_cast<double>(by_fingerprint_.size()));
-  m_eval_cache_entries_->set(static_cast<double>(eval_buckets_.size()));
-  m_store_bytes_->set(static_cast<double>(store_bytes_total_));
-}
-
-void MappingService::evict_job_locked(std::uint64_t id) {
-  Job& job = jobs_.at(id);
-  wheel_->disarm(id);
-  const std::string dir = job_dir(id);
-  // Tombstone before deleting: a crash mid-removal leaves a dir that
-  // restart scanning recognizes and finishes cleaning, instead of a
-  // partial job it would try to revive.
-  write_tombstone(dir, "purge");
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  store_bytes_total_ -= std::min(job.store_bytes, store_bytes_total_);
-  if (const auto it = by_fingerprint_.find(job.fingerprint);
-      it != by_fingerprint_.end() && it->second == id) {
-    by_fingerprint_.erase(it);
-    m_result_cache_evictions_->inc();
-  }
-  // Post-terminal marker; the recorder keeps the timeline (bounded
-  // separately), so `trace` still answers for a just-evicted job.
-  recorder_.instant(id, "evicted");
-  recorder_.service_event("evicted", {{"job", std::to_string(id)}});
-  jobs_.erase(id);
-}
-
-void MappingService::touch_bucket_locked(std::uint64_t bucket) {
-  eval_buckets_[bucket] = ++serve_tick_;
-}
-
-void MappingService::enforce_budgets_locked() {
-  // Result-cache entry budget: evict the least-recently-served completed
-  // job (the whole job — an evicted fingerprint simply recomputes later).
-  while (config_.max_result_cache > 0 &&
-         by_fingerprint_.size() > config_.max_result_cache) {
-    std::uint64_t victim = 0;
-    std::uint64_t oldest = 0;
-    for (const auto& [fp, id] : by_fingerprint_) {
-      const Job& job = jobs_.at(id);
-      if (victim == 0 || job.last_served < oldest) {
-        victim = id;
-        oldest = job.last_served;
-      }
-    }
-    if (victim == 0) break;
-    evict_job_locked(victim);
-  }
-
-  // Store byte budget: evict least-recently-served *finished* jobs
-  // (done, failed or cancelled — never queued/running work) until the
-  // accounted total fits.
-  while (config_.max_store_bytes > 0 &&
-         store_bytes_total_ > config_.max_store_bytes) {
-    std::uint64_t victim = 0;
-    std::uint64_t oldest = 0;
-    for (const auto& [id, job] : jobs_) {
-      if (job.status == JobStatus::kQueued ||
-          job.status == JobStatus::kRunning)
-        continue;
-      if (victim == 0 || job.last_served < oldest) {
-        victim = id;
-        oldest = job.last_served;
-      }
-    }
-    if (victim == 0) break;  // only active jobs left: cannot evict
-    evict_job_locked(victim);
-  }
-
-  // Evaluation-cache entry budget, least-recently-served buckets first.
-  while (config_.max_eval_cache > 0 &&
-         eval_buckets_.size() > config_.max_eval_cache) {
-    auto victim = eval_buckets_.begin();
-    for (auto it = eval_buckets_.begin(); it != eval_buckets_.end(); ++it)
-      if (it->second < victim->second) victim = it;
-    std::error_code ec;
-    fs::remove(bucket_path(victim->first), ec);
-    eval_buckets_.erase(victim);
-    m_eval_cache_evictions_->inc();
-  }
-
-  update_cache_gauges_locked();
-}
-
 void MappingService::note_io_timeout() { m_io_timeouts_->inc(); }
 
 void MappingService::note_idle_reaped() { m_idle_reaped_->inc(); }
 
-std::string MappingService::admission_error_locked() {
-  std::size_t queued = 0;
-  std::size_t running = 0;
-  for (const auto& [id, job] : jobs_) {
-    if (job.status == JobStatus::kQueued) ++queued;
-    if (job.status == JobStatus::kRunning) ++running;
+void MappingService::update_cache_gauges_locked() {
+  m_result_cache_entries_->set(static_cast<double>(done_jobs_));
+  m_eval_cache_entries_->set(static_cast<double>(buckets_.size()));
+  m_store_bytes_->set(static_cast<double>(store_bytes_total_));
+}
+
+void MappingService::remeasure_locked(Job& job) {
+  const std::size_t bytes = dir_bytes(job_dir(job.id));
+  store_bytes_total_ -= std::min(job.store_bytes, store_bytes_total_);
+  store_bytes_total_ += bytes;
+  job.store_bytes = bytes;
+}
+
+void MappingService::touch_bucket_locked(std::uint64_t bucket) {
+  Bucket& entry = buckets_[bucket];
+  store_bytes_total_ -= std::min(entry.bytes, store_bytes_total_);
+  std::error_code ec;
+  const auto bytes = fs::file_size(bucket_path(bucket), ec);
+  if (ec) {
+    // Gone (quarantined, or never written): nothing left to account.
+    buckets_.erase(bucket);
+    return;
   }
-  const std::size_t inflight = queued + running;
-  const bool over_queued =
-      config_.max_queued_jobs > 0 && queued >= config_.max_queued_jobs;
-  const bool over_inflight =
-      config_.max_inflight > 0 && inflight >= config_.max_inflight;
-  if (!over_queued && !over_inflight) return {};
+  entry.bytes = static_cast<std::size_t>(bytes);
+  entry.last_served = ++serve_tick_;
+  store_bytes_total_ += entry.bytes;
+}
+
+MappingService::Job& MappingService::add_job_locked(std::uint64_t id,
+                                                    const SubmitSpec& spec) {
+  Job& job = jobs_[id];
+  job.id = id;
+  job.fingerprint = spec.fingerprint;
+  job.algorithm = spec.algorithm;
+  job.want_journal = spec.want_journal;
+  job.reuse_measurements = spec.reuse_measurements;
+  std::uint64_t& indexed = by_fingerprint_[spec.fingerprint];
+  indexed = std::max(indexed, id);
+  next_id_ = std::max(next_id_, id + 1);
+  return job;
+}
+
+void MappingService::enqueue_locked(Job& job, const SubmitSpec& spec,
+                                    const std::string& request_json,
+                                    std::vector<SpanAttr> attrs) {
+  const std::string dir = job_dir(job.id);
+  fs::create_directories(dir);
+  // A revival's request replaces the stored one, so a restart re-applies
+  // the priority and deadline this client was told were accepted. The
+  // request is durable before the tombstone goes: a crash in between
+  // leaves the job in its terminal state.
+  if (job.request_json != request_json) {
+    save_checksummed(dir + "/request.json", request_json, "request");
+    job.request_json = request_json;
+  }
+  std::error_code ec;
+  fs::remove(dir + "/" + kTombstoneName, ec);
+  job.status = JobStatus::kQueued;
+  job.priority = spec.priority;
+  job.cancel = std::make_shared<std::atomic<bool>>(false);
+  job.cancel_reason.clear();
+  job.error.clear();
+  // Every enqueue opens a fresh window: a revival's (or a recovered
+  // job's — the original instant died with the old process) deadline
+  // counts from now.
+  job.deadline_at_ms =
+      spec.deadline_ms > 0 ? clock_ms_() + spec.deadline_ms : 0;
+  queue_.emplace(-job.priority, job.id);
+  if (job.deadline_at_ms > 0) deadlines_.emplace(job.deadline_at_ms, job.id);
+  remeasure_locked(job);
+  attrs.push_back({"queue_depth", std::to_string(queue_.size())});
+  recorder_.transition(job.id, "queued", -1, std::move(attrs));
+  work_cv_.notify_one();
+}
+
+void MappingService::dequeue_locked(const Job& job) {
+  queue_.erase({-job.priority, job.id});
+  deadlines_.erase({job.deadline_at_ms, job.id});
+}
+
+void MappingService::expire_overdue_locked() {
+  if (deadlines_.empty()) return;
+  const double now = clock_ms_();
+  while (!deadlines_.empty() && deadlines_.begin()->first <= now)
+    cancel_locked(jobs_.at(deadlines_.begin()->second), "deadline");
+}
+
+void MappingService::cancel_locked(Job& job, const char* reason) {
+  if (job.cancel_reason.empty()) job.cancel_reason = reason;
+  if (job.status == JobStatus::kRunning) {
+    // Cooperative: the search's cancel predicate fires at its next task
+    // boundary and run_job settles the job, last checkpoint on disk.
+    job.cancel->store(true);
+    return;
+  }
+  dequeue_locked(job);
+  settle_locked(job, JobStatus::kCancelled, {});
+}
+
+void MappingService::settle_locked(Job& job, JobStatus status,
+                                   std::string detail) {
+  const std::string dir = job_dir(job.id);
+  // Terminal span: how the job ended, finer-grained than JobStatus —
+  // cancellation splits into client "cancelled" vs deadline "expired".
+  const char* span = "finished";
+  job.status = status;
+  if (status == JobStatus::kDone) {
+    job.result_json = std::move(detail);
+    ++done_jobs_;
+    m_completed_->inc();
+  } else if (status == JobStatus::kFailed) {
+    job.error = std::move(detail);
+    write_tombstone(dir, "failed " + job.error);
+    span = "failed";
+    m_failed_->inc();
+  } else {
+    write_tombstone(dir, "keep " + job.cancel_reason);
+    m_cancelled_->inc();
+    if (job.cancel_reason == "deadline") {
+      span = "expired";
+      m_deadline_expired_->inc();
+      recorder_.service_event("deadline_expired",
+                              {{"job", std::to_string(job.id)}});
+    } else {
+      span = "cancelled";
+    }
+  }
+  job.last_served = ++serve_tick_;
+  const double age_ms = recorder_.terminal(
+      job.id, span, {{"store_bytes", std::to_string(dir_bytes(dir))}});
+  m_job_duration_->observe(age_ms / 1000.0);
+  // Persist the sealed timeline next to the job's other artifacts so a
+  // restarted daemon still answers `trace`. Best-effort: observability
+  // must never fail a job.
+  try {
+    save_checksummed(dir + "/spans.json", recorder_.serialize(job.id),
+                     "spans");
+  } catch (const std::exception&) {
+  }
+  remeasure_locked(job);
+  evict_locked();  // last: it may evict this very job
+}
+
+void MappingService::evict_locked() {
+  while (config_.max_store_bytes > 0 &&
+         store_bytes_total_ > config_.max_store_bytes) {
+    // The least-recently-served finished job or bucket; queued and
+    // running jobs are never evicted.
+    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
+    Job* job = nullptr;
+    for (auto& [id, candidate] : jobs_) {
+      if (candidate.status == JobStatus::kQueued ||
+          candidate.status == JobStatus::kRunning ||
+          candidate.last_served >= oldest)
+        continue;
+      job = &candidate;
+      oldest = candidate.last_served;
+    }
+    auto bucket = buckets_.end();
+    for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {
+      if (it->second.last_served >= oldest) continue;
+      bucket = it;
+      oldest = it->second.last_served;
+    }
+    if (bucket != buckets_.end()) {
+      std::error_code ec;
+      fs::remove(bucket_path(bucket->first), ec);
+      store_bytes_total_ -= std::min(bucket->second.bytes, store_bytes_total_);
+      buckets_.erase(bucket);
+      m_eval_cache_evictions_->inc();
+      continue;
+    }
+    if (job == nullptr) break;  // only active jobs left: cannot evict
+    const std::uint64_t id = job->id;
+    const std::string dir = job_dir(id);
+    // Tombstone before deleting: a crash mid-removal leaves a dir that
+    // restart scanning recognizes and finishes cleaning, instead of a
+    // partial job it would try to revive.
+    write_tombstone(dir, "purge");
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+    store_bytes_total_ -= std::min(job->store_bytes, store_bytes_total_);
+    if (job->status == JobStatus::kDone) {
+      --done_jobs_;
+      m_result_cache_evictions_->inc();
+    }
+    if (const auto it = by_fingerprint_.find(job->fingerprint);
+        it != by_fingerprint_.end() && it->second == id)
+      by_fingerprint_.erase(it);
+    // Post-terminal marker; the recorder keeps the timeline (bounded
+    // separately), so `trace` still answers for a just-evicted job.
+    recorder_.instant(id, "evicted");
+    recorder_.service_event("evicted", {{"job", std::to_string(id)}});
+    jobs_.erase(id);
+  }
+  update_cache_gauges_locked();
+}
+
+std::string MappingService::admission_error_locked() {
+  const std::size_t queued = queue_.size();
+  if (config_.max_queued_jobs == 0 || queued < config_.max_queued_jobs)
+    return {};
   m_overloaded_->inc();
   recorder_.service_event("admission_rejected",
-                          {{"queued", std::to_string(queued)},
-                           {"inflight", std::to_string(inflight)}});
+                          {{"queued", std::to_string(queued)}});
   // Deterministic hint scaled to backlog depth; retrying clients honor it
   // as their minimum wait, so a deeper queue spreads retries out further.
   const std::size_t retry_after_ms =
-      std::min<std::size_t>(5000, 100 * (inflight + 1));
-  const std::string message =
-      over_queued ? "queue full (" + std::to_string(queued) + "/" +
+      std::min<std::size_t>(5000, 100 * (queued + 1));
+  return wire_error("overloaded",
+                    "queue full (" + std::to_string(queued) + "/" +
                         std::to_string(config_.max_queued_jobs) +
-                        " queued jobs)"
-                  : "at capacity (" + std::to_string(inflight) + "/" +
-                        std::to_string(config_.max_inflight) +
-                        " jobs in flight)";
-  return wire_error("overloaded", message,
+                        " queued jobs)",
                     "\"retry_after_ms\":" + std::to_string(retry_after_ms));
-}
-
-void MappingService::on_deadline(std::uint64_t id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return;
-  Job& job = it->second;
-  if (job.status == JobStatus::kQueued) {
-    // Expire in place: the dir (request + any checkpoint) is kept under a
-    // "keep" tombstone, so resubmitting the identical request revives the
-    // job and resumes to the byte-identical result.
-    job.status = JobStatus::kCancelled;
-    if (job.cancel_reason.empty()) job.cancel_reason = "deadline";
-    write_tombstone(job_dir(id), "keep");
-    const double age_ms = recorder_.terminal(id, "expired", {});
-    m_job_duration_->observe(age_ms / 1000.0);
-    recorder_.service_event("deadline_expired",
-                            {{"job", std::to_string(id)}});
-    try {
-      save_checksummed(job_dir(id) + "/spans.json",
-                       recorder_.serialize(id), "spans");
-    } catch (const std::exception&) {
-    }
-    const std::size_t bytes = dir_bytes(job_dir(id));
-    store_bytes_total_ += bytes;
-    store_bytes_total_ -= std::min(job.store_bytes, store_bytes_total_);
-    job.store_bytes = bytes;
-    m_cancelled_->inc();
-    m_deadline_expired_->inc();
-    update_cache_gauges_locked();
-  } else if (job.status == JobStatus::kRunning &&
-             job.cancel_reason.empty()) {
-    // Same cooperative path as a client cancel: the search observes the
-    // token as a budget cut at the next task boundary and run_job settles
-    // the job as cancelled with its checkpoint on disk. A non-empty
-    // reason means a client cancel raced ahead of the wheel's disarm —
-    // that cancellation already owns the job, so neither the token nor
-    // the expiry metric is touched.
-    job.cancel_reason = "deadline";
-    job.cancel->store(true);
-    m_deadline_expired_->inc();
-    recorder_.service_event("deadline_expired",
-                            {{"job", std::to_string(id)}});
-  }
 }
 
 bool MappingService::quarantine_path(const std::string& path) {
@@ -585,6 +620,11 @@ std::string MappingService::dispatch(const std::string& request_json,
     if (op == "ping")
       return "{\"type\":\"pong\",\"version\":" +
              std::to_string(kWireVersion) + "}";
+    {
+      // No op reads a job that should have expired by now.
+      const std::lock_guard<std::mutex> lock(mutex_);
+      expire_overdue_locked();
+    }
     if (op == "submit") return handle_submit(request, request_json);
     if (op == "status") return handle_status(request);
     if (op == "result") return handle_result(request);
@@ -618,106 +658,64 @@ std::string MappingService::handle_submit(const JsonValue& request,
   // Validate the full configuration before accepting: a malformed machine,
   // an unknown algorithm or options no search can run with are a
   // bad_request now, not a failed job (and a job dir) later.
-  validate_search_options(spec.options);
   (void)machine_from_string(spec.machine_text);
-  (void)task_graph_from_string(spec.graph_text);
+  validate_search_options(spec.options,
+                          task_graph_from_string(spec.graph_text).num_tasks());
   AM_REQUIRE(find_search_algorithm(spec.algorithm) != nullptr,
              "unknown algorithm '" + spec.algorithm + "' (expected " +
                  std::string(search_algorithm_names()) + ")");
 
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Result cache: an identical request maps onto the existing job — done
-  // jobs answer instantly with zero new simulator runs; queued/running
-  // ones dedupe onto the in-flight search; a cancelled one re-enqueues
-  // and resumes from whatever checkpoint its cancelled run left behind.
-  for (auto& [id, job] : jobs_) {
-    if (job.fingerprint != spec.fingerprint) continue;
-    if (job.status == JobStatus::kFailed) continue;
-    if (job.status == JobStatus::kCancelled) {
-      if (std::string overloaded = admission_error_locked();
-          !overloaded.empty())
-        return overloaded;
-      job.status = JobStatus::kQueued;
-      job.cancel = std::make_shared<std::atomic<bool>>(false);
-      job.error.clear();
-      job.cancel_reason.clear();
-      // The revival's deadline (if any) replaces the expired one — a
-      // fresh window, armed below once the job is queued again. The new
-      // request text also replaces the persisted one: after a crash,
-      // recover_store_locked must re-arm the deadline this client was
-      // told was accepted, not the stale one from the first submission.
-      job.deadline_ms = spec.deadline_ms;
-      job.priority = spec.priority;
-      job.request_json = request_json;
-      fs::create_directories(job_dir(id));
-      std::error_code ec;
-      fs::remove(job_dir(id) + "/" + kTombstoneName, ec);
-      save_checksummed(job_dir(id) + "/request.json", job.request_json,
-                       "request");
-      const std::size_t bytes = dir_bytes(job_dir(id));
-      store_bytes_total_ += bytes;
-      store_bytes_total_ -= std::min(job.store_bytes, store_bytes_total_);
-      job.store_bytes = bytes;
-      m_result_cache_misses_->inc();
-      m_submitted_->inc();
-      update_cache_gauges_locked();
-      std::size_t queued = 0;
-      for (const auto& [jid, j] : jobs_)
-        if (j.status == JobStatus::kQueued) ++queued;
-      // Reopens the sealed timeline: the revival rides the same spans as
-      // a fresh submission, flagged so traces show the job came back.
-      recorder_.transition(id, "queued", -1,
-                           {{"revived", "true"},
-                            {"queue_depth", std::to_string(queued)}});
-      if (job.deadline_ms > 0) wheel_->arm(id, deadline_delay(job.deadline_ms));
-      work_cv_.notify_one();
-      return "{\"type\":\"submitted\",\"job\":" + std::to_string(id) +
-             ",\"status\":\"queued\",\"cached\":false}";
-    }
-    const bool done = job.status == JobStatus::kDone;
-    if (done) {
-      touch_locked(job);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  // One job per fingerprint: done jobs answer instantly with zero new
+  // simulator runs; queued/running ones dedupe onto the in-flight search;
+  // cancelled and failed ones re-enqueue and resume from whatever
+  // checkpoint their last run left behind.
+  Job* job = nullptr;
+  if (const auto it = by_fingerprint_.find(spec.fingerprint);
+      it != by_fingerprint_.end()) {
+    job = &jobs_.at(it->second);
+    if (job->status == JobStatus::kDone) {
+      job->last_served = ++serve_tick_;
       m_result_cache_hits_->inc();
     }
-    return "{\"type\":\"submitted\",\"job\":" + std::to_string(id) +
-           ",\"status\":\"" + status_name(job.status) +
-           "\",\"cached\":" + (done ? "true" : "false") + "}";
+    if (job->status == JobStatus::kDone ||
+        job->status == JobStatus::kQueued ||
+        job->status == JobStatus::kRunning)
+      return "{\"type\":\"submitted\",\"job\":" + std::to_string(job->id) +
+             ",\"status\":\"" + status_name(job->status) +
+             "\",\"cached\":" +
+             (job->status == JobStatus::kDone ? "true" : "false") + "}";
   }
-
-  if (std::string overloaded = admission_error_locked();
-      !overloaded.empty())
+  if (std::string overloaded = admission_error_locked(); !overloaded.empty())
     return overloaded;
 
-  Job job;
-  job.id = next_id_++;
-  job.priority = spec.priority;
-  job.request_json = request_json;
-  job.fingerprint = spec.fingerprint;
-  job.algorithm = spec.algorithm;
-  job.want_journal = spec.want_journal;
-  job.reuse_measurements = spec.reuse_measurements;
-  job.deadline_ms = spec.deadline_ms;
-  job.cancel = std::make_shared<std::atomic<bool>>(false);
-  fs::create_directories(job_dir(job.id));
-  save_checksummed(job_dir(job.id) + "/request.json", request_json,
-                   "request");
-  job.store_bytes = dir_bytes(job_dir(job.id));
-  store_bytes_total_ += job.store_bytes;
-  const std::uint64_t id = job.id;
-  jobs_.emplace(id, std::move(job));
+  const bool fresh = job == nullptr;
+  std::vector<SpanAttr> attrs;
+  if (fresh) {
+    job = &add_job_locked(next_id_, spec);
+    recorder_.transition(
+        job->id, "submitted", -1,
+        {{"fingerprint", "\"" + hex_u64(spec.fingerprint) + "\""}});
+  } else {
+    // Reopens the sealed timeline: the revival rides the same spans as a
+    // fresh submission, flagged so traces show the job came back.
+    attrs.push_back({"revived", "true"});
+  }
+  const std::uint64_t id = job->id;
+  try {
+    enqueue_locked(*job, spec, request_json, std::move(attrs));
+  } catch (const std::exception&) {
+    // Enqueue throws only while persisting the request, before it changes
+    // the job: a revived job stays as it was, a new one never existed.
+    if (fresh) {
+      by_fingerprint_.erase(spec.fingerprint);
+      jobs_.erase(id);
+    }
+    throw;
+  }
   m_submitted_->inc();
   m_result_cache_misses_->inc();
-  enforce_budgets_locked();
-  std::size_t queued = 0;
-  for (const auto& [jid, j] : jobs_)
-    if (j.status == JobStatus::kQueued) ++queued;
-  recorder_.transition(
-      id, "submitted", -1,
-      {{"fingerprint", "\"" + hex_u64(spec.fingerprint) + "\""}});
-  recorder_.transition(id, "queued", -1,
-                       {{"queue_depth", std::to_string(queued)}});
-  if (spec.deadline_ms > 0) wheel_->arm(id, deadline_delay(spec.deadline_ms));
-  work_cv_.notify_one();
+  evict_locked();
   return "{\"type\":\"submitted\",\"job\":" + std::to_string(id) +
          ",\"status\":\"queued\",\"cached\":false}";
 }
@@ -768,7 +766,7 @@ std::string MappingService::handle_result(const JsonValue& request) {
     return wire_error("not_found", "no job " + id_text);
   Job& job = it->second;
   if (job.status == JobStatus::kDone) {
-    touch_locked(job);
+    job.last_served = ++serve_tick_;
     return job.result_json;
   }
   if (job.status == JobStatus::kFailed)
@@ -830,43 +828,14 @@ std::string MappingService::handle_cancel(const JsonValue& request) {
   if (it == jobs_.end())
     return wire_error("not_found", "no job " + id_text);
   Job& job = it->second;
-  if (job.status == JobStatus::kQueued) {
-    job.status = JobStatus::kCancelled;
-    if (job.cancel_reason.empty()) job.cancel_reason = "client";
-    wheel_->disarm(job.id);
-    m_cancelled_->inc();
-    const double age_ms =
-        recorder_.terminal(job.id, "cancelled", {{"queued", "true"}});
-    m_job_duration_->observe(age_ms / 1000.0);
-    // Tombstone, then delete: if remove_all fails partway, restart
-    // scanning finds the tombstone and finishes the cleanup instead of
-    // reviving a half-deleted job.
-    const std::string dir = job_dir(job.id);
-    write_tombstone(dir, "purge");
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    const std::size_t remaining = fs::exists(dir, ec) ? dir_bytes(dir) : 0;
-    store_bytes_total_ += remaining;
-    store_bytes_total_ -=
-        std::min(job.store_bytes, store_bytes_total_);
-    job.store_bytes = remaining;
-    update_cache_gauges_locked();
-    return "{\"type\":\"cancelled\",\"job\":" + id_text +
-           ",\"status\":\"cancelled\"}";
-  }
-  if (job.status == JobStatus::kRunning) {
-    // Cooperative: the worker's search observes the token as a budget cut
-    // at its next task boundary, then marks the job cancelled. The last
-    // task-boundary checkpoint stays on disk for a later resume.
-    if (job.cancel_reason.empty()) job.cancel_reason = "client";
-    wheel_->disarm(job.id);
-    job.cancel->store(true);
-    return "{\"type\":\"cancelled\",\"job\":" + id_text +
-           ",\"status\":\"cancelling\"}";
-  }
-  return wire_error("bad_state",
-                    "only queued or running jobs can be cancelled; job " +
-                        id_text + " is " + status_name(job.status));
+  if (job.status != JobStatus::kQueued && job.status != JobStatus::kRunning)
+    return wire_error("bad_state",
+                      "only queued or running jobs can be cancelled; job " +
+                          id_text + " is " + status_name(job.status));
+  const bool running = job.status == JobStatus::kRunning;
+  cancel_locked(job, "client");
+  return "{\"type\":\"cancelled\",\"job\":" + id_text + ",\"status\":\"" +
+         (running ? "cancelling" : "cancelled") + "\"}";
 }
 
 std::string MappingService::handle_jobs() {
@@ -889,17 +858,12 @@ std::string MappingService::handle_jobs() {
 }
 
 std::uint64_t MappingService::claim_next_locked() {
-  std::uint64_t best = 0;
-  int best_priority = 0;
-  for (auto& [id, job] : jobs_) {
-    if (job.status != JobStatus::kQueued) continue;
-    if (best == 0 || job.priority > best_priority) {
-      best = id;  // map iteration is id-ascending: FIFO within a class
-      best_priority = job.priority;
-    }
-  }
-  if (best != 0) jobs_.at(best).status = JobStatus::kRunning;
-  return best;
+  expire_overdue_locked();  // no worker starts an overdue job
+  if (queue_.empty()) return 0;
+  Job& job = jobs_.at(queue_.begin()->second);
+  dequeue_locked(job);
+  job.status = JobStatus::kRunning;
+  return job.id;
 }
 
 void MappingService::worker_loop(int worker) {
@@ -907,12 +871,7 @@ void MappingService::worker_loop(int worker) {
     std::uint64_t id = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] {
-        if (stopping_) return true;
-        for (const auto& [jid, job] : jobs_)
-          if (job.status == JobStatus::kQueued) return true;
-        return false;
-      });
+      work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (stopping_) return;
       id = claim_next_locked();
     }
@@ -936,76 +895,31 @@ void MappingService::drain() {
 
 void MappingService::run_job(std::uint64_t id, int worker) {
   std::string request_json;
-  std::shared_ptr<std::atomic<bool>> cancel;
+  std::function<bool()> cancelled;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const Job& job = jobs_.at(id);
     request_json = job.request_json;
-    cancel = job.cancel;
-    std::size_t queued = 0;
-    for (const auto& [jid, j] : jobs_)
-      if (j.status == JobStatus::kQueued) ++queued;
+    // The client's token, or the deadline on the service clock. A job
+    // without a deadline never reads the clock here.
+    cancelled = [this, token = job.cancel, deadline = job.deadline_at_ms] {
+      return token->load(std::memory_order_relaxed) ||
+             (deadline > 0 && clock_ms_() >= deadline);
+    };
     // Closing the "queued" span IS the queue-wait measurement.
     const double waited_ms = recorder_.transition(
         id, "admitted", worker,
-        {{"queue_depth", std::to_string(queued)}});
+        {{"queue_depth", std::to_string(queue_.size())}});
     m_queue_wait_->observe(waited_ms / 1000.0);
     recorder_.transition(id, "running", worker);
   }
 
   const std::string dir = job_dir(id);
-  // Re-measures the job dir and lands the final status under the mutex;
-  // shared by the done / cancelled / failed outcomes.
-  const auto settle = [&](JobStatus status, const char* error,
-                          std::string payload, bool index_result,
-                          std::uint64_t bucket_written,
-                          std::uint64_t sim_runs) {
-    // Terminal span: how the job ended, finer-grained than JobStatus —
-    // cancellation splits into client "cancelled" vs deadline "expired".
-    const char* span_name = "finished";
-    if (status == JobStatus::kFailed) span_name = "failed";
-    if (status == JobStatus::kCancelled) {
-      std::string reason;
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        reason = jobs_.at(id).cancel_reason;
-      }
-      span_name = reason == "deadline" ? "expired" : "cancelled";
-    }
-    const double age_ms = recorder_.terminal(
-        id, span_name,
-        {{"store_bytes", std::to_string(dir_bytes(dir))}});
-    // Persist the sealed timeline next to the job's other artifacts so a
-    // restarted daemon still answers `trace`. Best-effort: observability
-    // must never fail a job.
-    try {
-      std::error_code ec;
-      if (fs::exists(dir, ec))
-        save_checksummed(dir + "/spans.json", recorder_.serialize(id),
-                         "spans");
-    } catch (const std::exception&) {
-    }
-    const std::size_t bytes = dir_bytes(dir);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    m_job_duration_->observe(age_ms / 1000.0);
-    wheel_->disarm(id);
-    Job& job = jobs_.at(id);
-    job.status = status;
-    if (error != nullptr) job.error = error;
-    store_bytes_total_ += bytes;
-    store_bytes_total_ -= std::min(job.store_bytes, store_bytes_total_);
-    job.store_bytes = bytes;
-    if (index_result) {
-      job.result_json = std::move(payload);
-      by_fingerprint_[job.fingerprint] = id;
-      touch_locked(job);
-      m_completed_->inc();
-    }
-    if (bucket_written != 0) touch_bucket_locked(bucket_written);
-    m_sim_runs_->inc(sim_runs);
-    enforce_budgets_locked();
-  };
-
+  bool cut = false;
+  std::optional<std::string> error;
+  std::string payload;
+  std::uint64_t bucket = 0;
+  std::uint64_t sim_runs = 0;
   try {
     const SubmitSpec spec = parse_submit(parse_json(request_json));
     // The simulator keeps references; the job owns machine and graph for
@@ -1018,7 +932,7 @@ void MappingService::run_job(std::uint64_t id, int worker) {
                "unknown algorithm '" + spec.algorithm + "'");
 
     SearchOptions options = spec.options;
-    options.cancel = cancel.get();
+    options.cancel = cancelled;
     options.checkpoint_path = dir + "/checkpoint";
     // Checkpoint markers land as zero-length instants on the running
     // span; the recorder has its own lock, so this is safe from the
@@ -1034,27 +948,23 @@ void MappingService::run_job(std::uint64_t id, int worker) {
     options.journal = journal.has_value() ? &*journal : nullptr;
     options.metrics = &job_metrics;
 
-    std::uint64_t bucket = 0;
+    options.export_profiles_db = spec.reuse_measurements;
     if (spec.reuse_measurements) {
       bucket = bucket_key(spec);
-      options.export_profiles_db = true;
       DurableLoad seeded = load_checksummed(bucket_path(bucket));
+      // A torn bucket is a cache miss, never poison: quarantine it and
+      // let this job rebuild the bucket from scratch.
+      if (seeded.status == DurableLoad::Status::kCorrupt)
+        quarantine_path(bucket_path(bucket));
+      const std::lock_guard<std::mutex> lock(mutex_);
       if (seeded.status == DurableLoad::Status::kOk) {
         options.profiles_seed = std::move(seeded.payload);
-        const std::lock_guard<std::mutex> lock(mutex_);
         m_eval_cache_seeded_->inc();
-        touch_bucket_locked(bucket);
-        update_cache_gauges_locked();
       } else {
-        // A torn bucket is a cache miss, never poison: quarantine it and
-        // let this job rebuild the bucket from scratch.
-        if (seeded.status == DurableLoad::Status::kCorrupt)
-          quarantine_path(bucket_path(bucket));
-        const std::lock_guard<std::mutex> lock(mutex_);
         m_eval_cache_misses_->inc();
       }
-    } else {
-      options.export_profiles_db = false;
+      touch_bucket_locked(bucket);
+      update_cache_gauges_locked();
     }
 
     // Warm restart: a checkpoint left by an interrupted run resumes the
@@ -1083,101 +993,79 @@ void MappingService::run_job(std::uint64_t id, int worker) {
     sim_options.metrics = &job_metrics;
     const Simulator sim(machine, graph, sim_options);
     const SearchResult result = algorithm->run(sim, options);
+    sim_runs = job_metrics
+                   .counter("automap_sim_runs_total",
+                            "Simulator runs executed", false)
+                   ->value();
+    // Cancelled mid-run: the search cut at a task boundary and its last
+    // task-boundary checkpoint is on disk; the partial result is
+    // discarded, poisoning no cache.
+    cut = cancelled();
+    if (!cut) {
+      // The response payload. `summary` is the CLI's summary line
+      // verbatim and `mapping` the exact bytes `search -o` writes, so
+      // daemon answers are byte-comparable to the one-shot path.
+      // wall-clock time is excluded: responses must be byte-identical
+      // across runs.
+      const SearchStats& stats = result.stats;
+      payload = "{\"type\":\"result\",\"job\":" + std::to_string(id) +
+                ",\"algorithm\":\"" + json_escape(result.algorithm) + "\"";
+      payload += ",\"summary\":\"" +
+                 json_escape(render_search_summary(result)) + "\"";
+      payload += ",\"best\":" + json_double(result.best_seconds);
+      payload += ",\"mapping\":\"" + json_escape(result.best.serialize()) +
+                 "\"";
+      payload += ",\"describe\":\"" +
+                 json_escape(result.best.describe(graph)) + "\"";
+      payload += ",\"stats\":{";
+      payload += "\"suggested\":" + std::to_string(stats.suggested);
+      payload += ",\"evaluated\":" + std::to_string(stats.evaluated);
+      payload += ",\"invalid\":" + std::to_string(stats.invalid);
+      payload += ",\"oom\":" + std::to_string(stats.oom);
+      payload += ",\"censored\":" + std::to_string(stats.censored);
+      payload += ",\"cache_hits\":" + std::to_string(stats.cache_hits);
+      payload += ",\"transient_failures\":" +
+                 std::to_string(stats.transient_failures);
+      payload += ",\"retries\":" + std::to_string(stats.retries);
+      payload += ",\"quarantined\":" + std::to_string(stats.quarantined);
+      payload += ",\"degraded\":";
+      payload += stats.degraded ? "true" : "false";
+      payload += ",\"search_time_s\":" + json_double(stats.search_time_s);
+      payload += ",\"evaluation_time_s\":" +
+                 json_double(stats.evaluation_time_s);
+      payload += "}}";
 
-    const Counter* sim_runs = job_metrics.counter(
-        "automap_sim_runs_total", "Simulator runs executed", false);
-
-    if (cancel->load()) {
-      // Cancelled mid-run: the search cut at a task boundary and its last
-      // task-boundary checkpoint is on disk. Keep the dir (tombstoned
-      // "keep" so a restart recovers the job as cancelled instead of
-      // re-running it) and poison nothing: no result payload, no
-      // fingerprint index entry, no eval-cache bucket write.
-      write_tombstone(dir, "keep");
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        m_cancelled_->inc();
-      }
-      settle(JobStatus::kCancelled, nullptr, {}, /*index_result=*/false,
-             /*bucket_written=*/0, sim_runs->value());
-      work_cv_.notify_all();
-      return;
-    }
-
-    // The response payload. `summary` is the CLI's summary line verbatim
-    // and `mapping` the exact bytes `search -o` writes, so daemon answers
-    // are byte-comparable to the one-shot path. wall-clock time is
-    // excluded: responses must be byte-identical across runs.
-    const SearchStats& stats = result.stats;
-    std::string payload = "{\"type\":\"result\",\"job\":" +
-                          std::to_string(id) + ",\"algorithm\":\"" +
-                          json_escape(result.algorithm) + "\"";
-    payload += ",\"summary\":\"" +
-               json_escape(render_search_summary(result)) + "\"";
-    payload += ",\"best\":" + json_double(result.best_seconds);
-    payload += ",\"mapping\":\"" + json_escape(result.best.serialize()) +
-               "\"";
-    payload += ",\"describe\":\"" +
-               json_escape(result.best.describe(graph)) + "\"";
-    payload += ",\"stats\":{";
-    payload += "\"suggested\":" + std::to_string(stats.suggested);
-    payload += ",\"evaluated\":" + std::to_string(stats.evaluated);
-    payload += ",\"invalid\":" + std::to_string(stats.invalid);
-    payload += ",\"oom\":" + std::to_string(stats.oom);
-    payload += ",\"censored\":" + std::to_string(stats.censored);
-    payload += ",\"cache_hits\":" + std::to_string(stats.cache_hits);
-    payload += ",\"transient_failures\":" +
-               std::to_string(stats.transient_failures);
-    payload += ",\"retries\":" + std::to_string(stats.retries);
-    payload += ",\"quarantined\":" + std::to_string(stats.quarantined);
-    payload += ",\"degraded\":";
-    payload += stats.degraded ? "true" : "false";
-    payload += ",\"search_time_s\":" + json_double(stats.search_time_s);
-    payload += ",\"evaluation_time_s\":" +
-               json_double(stats.evaluation_time_s);
-    payload += "}}";
-
-    save_checksummed(dir + "/result.json", payload, "result");
-    std::uint64_t bucket_written = 0;
-    if (spec.reuse_measurements && !result.profiles_db.empty()) {
+      save_checksummed(dir + "/result.json", payload, "result");
       // The export includes imported entries, so the fresh export IS the
       // union of the bucket and this job's new measurements.
-      save_checksummed(bucket_path(bucket), result.profiles_db, "bucket");
-      bucket_written = bucket;
+      if (spec.reuse_measurements && !result.profiles_db.empty())
+        save_checksummed(bucket_path(bucket), result.profiles_db, "bucket");
     }
-
-    settle(JobStatus::kDone, nullptr, std::move(payload),
-           /*index_result=*/true, bucket_written, sim_runs->value());
   } catch (const std::exception& e) {
-    if (cancel->load()) {
-      // A cancel can surface as an exception (e.g. the cut left no
-      // profilable finalist); the user asked for cancellation, so report
-      // that, not a failure.
-      write_tombstone(dir, "keep");
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        m_cancelled_->inc();
-      }
-      settle(JobStatus::kCancelled, nullptr, {}, /*index_result=*/false,
-             /*bucket_written=*/0, /*sim_runs=*/0);
-    } else {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        m_failed_->inc();
-      }
-      settle(JobStatus::kFailed, e.what(), {}, /*index_result=*/false,
-             /*bucket_written=*/0, /*sim_runs=*/0);
-    }
+    // A cancel can surface as an exception (e.g. the cut left no
+    // profilable finalist); the user asked for cancellation, so report
+    // that, not a failure.
+    cut = cancelled();
+    if (!cut) error = e.what();
   }
-  work_cv_.notify_all();
+
+  const std::lock_guard<std::mutex> lock(mutex_);
+  m_sim_runs_->inc(sim_runs);
+  Job& job = jobs_.at(id);
+  if (cut) {
+    // The predicate fired without a client token: the deadline passed.
+    if (job.cancel_reason.empty()) job.cancel_reason = "deadline";
+    settle_locked(job, JobStatus::kCancelled, {});
+  } else if (error.has_value()) {
+    settle_locked(job, JobStatus::kFailed, std::move(*error));
+  } else {
+    if (bucket != 0) touch_bucket_locked(bucket);
+    settle_locked(job, JobStatus::kDone, std::move(payload));
+  }
 }
 
 void MappingService::recover_store_locked() {
   const fs::path jobs_root = fs::path(config_.store_dir) / "jobs";
-  // Deadlines are armed only after the recovery loop finishes: arming a
-  // job before (or in the same statement as) its jobs_.emplace leaves a
-  // window where the expiry finds no job and is dropped forever.
-  std::vector<std::pair<std::uint64_t, std::chrono::milliseconds>> arms;
   std::error_code ec;
   for (const fs::directory_entry& entry :
        fs::directory_iterator(jobs_root, ec)) {
@@ -1191,16 +1079,17 @@ void MappingService::recover_store_locked() {
     } catch (const std::exception&) {
       continue;
     }
-    // Tombstones first: a "purge" tombstone marks a deletion that did not
-    // finish — complete it and skip the dir. A "keep" tombstone marks a
-    // job cancelled while running; it recovers as cancelled below, with
-    // its checkpoint intact for a later resubmit-and-resume.
-    bool keep_cancelled = false;
-    if (const std::optional<std::string> tombstone = read_if_exists(
-            (entry.path() / kTombstoneName).string())) {
-      if (tombstone->rfind("keep", 0) == 0) {
-        keep_cancelled = true;
-      } else {
+    // Tombstones first: "purge" marks an eviction that did not finish —
+    // complete it and skip the dir. "keep <reason>" and "failed
+    // <message>" mark a job that ended cancelled or failed; it recovers
+    // as such below, checkpoint intact for a later resubmit-and-resume.
+    std::optional<std::string> tombstone =
+        read_if_exists((entry.path() / kTombstoneName).string());
+    if (tombstone.has_value()) {
+      if (!tombstone->empty() && tombstone->back() == '\n')
+        tombstone->pop_back();
+      if (tombstone->rfind("keep", 0) != 0 &&
+          tombstone->rfind("failed", 0) != 0) {
         std::error_code rec;
         fs::remove_all(entry.path(), rec);
         continue;
@@ -1216,41 +1105,43 @@ void MappingService::recover_store_locked() {
       quarantine_path(entry.path().string());
       continue;
     }
-    Job job;
+    std::optional<SubmitSpec> spec;
     try {
-      const SubmitSpec spec = parse_submit(parse_json(request.payload));
-      job.id = id;
-      job.priority = spec.priority;
-      job.request_json = request.payload;
-      job.fingerprint = spec.fingerprint;
-      job.algorithm = spec.algorithm;
-      job.want_journal = spec.want_journal;
-      job.reuse_measurements = spec.reuse_measurements;
-      job.deadline_ms = spec.deadline_ms;
+      spec = parse_submit(parse_json(request.payload));
     } catch (const std::exception&) {
       // Checksum intact but not a valid submit (e.g. hand-edited):
       // quarantine rather than abort the daemon.
       quarantine_path(entry.path().string());
       continue;
     }
-    job.cancel = std::make_shared<std::atomic<bool>>(false);
-    if (keep_cancelled) {
-      job.status = JobStatus::kCancelled;
+    Job& job = add_job_locked(id, *spec);
+    job.request_json = std::move(request.payload);
+    if (tombstone.has_value()) {
+      // A bare "keep" (written by an older build) carries no reason.
+      const std::size_t space = tombstone->find(' ');
+      const std::string detail =
+          space == std::string::npos ? "" : tombstone->substr(space + 1);
+      if (tombstone->rfind("failed", 0) == 0) {
+        job.status = JobStatus::kFailed;
+        job.error = detail;
+      } else {
+        job.status = JobStatus::kCancelled;
+        job.cancel_reason = detail;
+      }
     } else {
       DurableLoad result =
           load_checksummed((entry.path() / "result.json").string());
+      // Missing: interrupted before completing — re-enqueue below;
+      // run_job resumes from the checkpoint the interrupted run left (if
+      // any). Corrupt: quarantine just the torn result and recompute the
+      // same way; the checkpoint makes the re-run byte-identical and
+      // cheap.
       if (result.status == DurableLoad::Status::kOk) {
         job.status = JobStatus::kDone;
         job.result_json = std::move(result.payload);
-        by_fingerprint_[job.fingerprint] = id;
-      } else {
-        // Missing: interrupted before completing — re-enqueue; run_job
-        // resumes from the checkpoint the interrupted run left (if any).
-        // Corrupt: quarantine just the torn result and recompute the same
-        // way; the checkpoint makes the re-run byte-identical and cheap.
-        if (result.status == DurableLoad::Status::kCorrupt)
-          quarantine_path((entry.path() / "result.json").string());
-        job.status = JobStatus::kQueued;
+        ++done_jobs_;
+      } else if (result.status == DurableLoad::Status::kCorrupt) {
+        quarantine_path((entry.path() / "result.json").string());
       }
     }
     // Restore the persisted span timeline; its timestamps shift so the
@@ -1272,29 +1163,18 @@ void MappingService::recover_store_locked() {
       }
     }
     if (job.status == JobStatus::kQueued)
-      recorder_.transition(id, "queued", -1, {{"recovered", "true"}});
-    job.store_bytes = dir_bytes(entry.path().string());
-    store_bytes_total_ += job.store_bytes;
-    next_id_ = std::max(next_id_, id + 1);
-    // A recovered queued job re-arms a fresh deadline window from daemon
-    // start — the original submission instant is gone with the crash, and
-    // expiring everything immediately would punish the restart itself.
-    if (job.status == JobStatus::kQueued && job.deadline_ms > 0)
-      arms.emplace_back(id, deadline_delay(job.deadline_ms));
-    jobs_.emplace(id, std::move(job));
+      enqueue_locked(job, *spec, job.request_json, {{"recovered", "true"}});
+    else
+      remeasure_locked(job);
   }
-  for (const auto& [id, delay] : arms) wheel_->arm(id, delay);
-  // Deterministic LRU seed: recovered jobs rank oldest-first by id, so
-  // eviction order after a restart does not depend on directory iteration
-  // order.
+  // Deterministic LRU seed: recovered jobs rank oldest-first by id, then
+  // the eval-cache buckets oldest-first by key, so eviction order after a
+  // restart does not depend on directory iteration order.
   for (auto& [id, job] : jobs_) job.last_served = ++serve_tick_;
-
-  // Re-index the evaluation-cache buckets already on disk (oldest-first
-  // by key — a deterministic, if arbitrary, restart order).
-  const fs::path cache_root = fs::path(config_.store_dir) / "cache";
+  std::set<std::uint64_t> buckets;
   std::error_code cec;
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(cache_root, cec)) {
+  for (const fs::directory_entry& entry : fs::directory_iterator(
+           fs::path(config_.store_dir) / "cache", cec)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
     try {
@@ -1303,13 +1183,12 @@ void MappingService::recover_store_locked() {
           std::stoull(entry.path().stem().string(), &used, 16);
       // Only files our own bucket naming produced participate in the
       // budget; anything else in cache/ is left alone.
-      if (hex_u64(key) + ".profiles" != name) continue;
-      eval_buckets_.emplace(key, 0);
+      if (hex_u64(key) + ".profiles" == name) buckets.insert(key);
     } catch (const std::exception&) {
       continue;
     }
   }
-  for (auto& [key, tick] : eval_buckets_) tick = ++serve_tick_;
+  for (const std::uint64_t key : buckets) touch_bucket_locked(key);
 }
 
 }  // namespace automap

@@ -11,14 +11,21 @@
 // worker. Queued jobs start in priority order (higher `priority` first, FIFO
 // within a class); once running, a job's priority changes nothing.
 //
-// Cancellation: a queued job cancels immediately (its store dir is
-// tombstoned and purged). A *running* job cancels cooperatively — the
-// worker's search observes the job's cancel token as a budget cut at the
-// next task boundary, leaves the last task-boundary checkpoint on disk,
-// and the job lands in `cancelled` without touching the result cache or
-// the profiles-db buckets. Re-submitting the identical request re-enqueues
-// the cancelled job, which resumes from that checkpoint to the
-// byte-identical result.
+// Lifecycle: every job moves through four transitions, each with one
+// implementation — enqueue (new, revived and recovered jobs), cancel
+// (client cancels and expired deadlines), settle (the terminal state:
+// done, failed or cancelled) and evict (the store byte budget). A
+// cancelled or failed job keeps its store dir and checkpoint; re-submitting
+// the identical request re-enqueues the same job, which resumes from that
+// checkpoint to the byte-identical result. A cancel of a *running* job is
+// cooperative: the search's cancel predicate fires at the next task
+// boundary, and the job lands in `cancelled` without touching the result
+// cache or the profiles-db buckets.
+//
+// Deadlines are instants on the service clock (ServiceConfig::clock_ms).
+// Nothing fires them: a running search checks its own in its cancel
+// predicate, and every op except `ping`, and every worker claim, first
+// expires the overdue queued jobs.
 //
 // Caches, layered on the profiles-db format:
 //  - Result cache: request fingerprint (machine, graph, algorithm,
@@ -35,10 +42,12 @@
 //    one-shot CLI.
 //
 // Persistence: every job writes store/jobs/<id>/{request.json, checkpoint,
-// journal.jsonl, result.json}; cache buckets live in store/cache/. On
+// journal.jsonl, result.json, spans.json}, plus a `cancelled` tombstone
+// once it is cancelled or failed; cache buckets live in store/cache/. On
 // construction the service rescans the store — completed jobs re-enter the
-// result cache, interrupted jobs re-enqueue and resume from their PR 4
-// checkpoint — so a daemon restart loses nothing.
+// result cache, cancelled and failed ones come back as such, interrupted
+// jobs re-enqueue and resume from their checkpoint — so a daemon restart
+// loses nothing.
 
 #include <atomic>
 #include <condition_variable>
@@ -47,18 +56,20 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/service/flight_recorder.hpp"
 #include "src/service/wire.hpp"
-#include "src/support/deadline_wheel.hpp"
 #include "src/support/metrics.hpp"
 
 namespace automap {
 
 struct JsonValue;
+struct SubmitSpec;
 
 struct ServiceConfig {
   /// Job-store/cache directory (created if missing; probed with
@@ -75,31 +86,23 @@ struct ServiceConfig {
   /// Maximum accepted request payload; larger requests get a structured
   /// `too_large` error.
   std::size_t max_request_bytes = kDefaultMaxFrameBytes;
-  /// Byte budget for the job store (the jobs/ tree). When the total
-  /// exceeds it, finished (done/failed/cancelled) job dirs are evicted
+  /// Byte budget for the whole store: the jobs/ tree and the eval-cache
+  /// buckets under cache/. When the total exceeds it, finished
+  /// (done/failed/cancelled) job dirs and buckets are evicted
   /// least-recently-served first; queued and running jobs are never
   /// evicted, so a budget smaller than the active working set is exceeded
   /// until those jobs finish. 0 = unbounded.
   std::size_t max_store_bytes = 0;
-  /// Entry budget for the result cache (completed jobs answerable by
-  /// fingerprint). Evicting an entry deletes the whole job — a later
-  /// identical submission simply recomputes. 0 = unbounded.
-  std::size_t max_result_cache = 0;
-  /// Entry budget for the cross-job evaluation cache (profiles-db buckets
-  /// under cache/), least-recently-served eviction. 0 = unbounded.
-  std::size_t max_eval_cache = 0;
   /// Admission control: maximum jobs waiting in `queued`. A submit that
   /// would exceed it is answered with a structured
   /// `{"type":"error","code":"overloaded","retry_after_ms":N}` instead of
   /// silently growing the queue. 0 = unbounded.
   std::size_t max_queued_jobs = 0;
-  /// Admission control: maximum queued + running jobs. Same `overloaded`
-  /// answer when exceeded. 0 = unbounded.
-  std::size_t max_inflight = 0;
-  /// Clock for the flight recorder and the latency histograms,
-  /// milliseconds on an arbitrary steady epoch. Empty =
+  /// Clock for deadlines, the flight recorder and the latency histograms:
+  /// non-negative milliseconds on an arbitrary steady epoch. Empty =
   /// std::chrono::steady_clock; tests inject a fake for deterministic
-  /// span and quantile assertions.
+  /// deadline, span and quantile assertions. Running searches read it
+  /// from their worker threads.
   std::function<double()> clock_ms;
 };
 
@@ -160,27 +163,34 @@ class MappingService {
     /// Completed response payload (op=result body) or failure message.
     std::string result_json;
     std::string error;
-    /// Cooperative cancel token, shared with the search running the job
-    /// (SearchOptions::cancel). Fresh per enqueue — a revived cancelled
-    /// job gets a new one.
+    /// Client cancel token, read by the running search's cancel
+    /// predicate. Fresh per enqueue.
     std::shared_ptr<std::atomic<bool>> cancel;
     /// Why the job was (or is being) cancelled: "client" for an explicit
     /// cancel op, "deadline" for an expired per-submit deadline_ms.
     /// Reported in the `status` response's "reason" field.
     std::string cancel_reason;
-    /// Per-submit wall-clock deadline; 0 = none. Armed on the deadline
-    /// wheel at enqueue (and re-armed fresh on recovery/revival).
-    double deadline_ms = 0;
-    /// Last tick this job's result was served (completion, result-cache
-    /// hit, or result fetch) — the LRU key for eviction.
+    /// Service-clock instant the per-submit deadline_ms ends at, set at
+    /// every enqueue (a revived or recovered job gets a fresh window);
+    /// 0 = none.
+    double deadline_at_ms = 0;
+    /// Last tick this job was served (settled, result-cache hit, or
+    /// result fetch) — the LRU key for eviction.
     std::uint64_t last_served = 0;
     /// Bytes this job's store dir currently holds (request, checkpoint,
-    /// journal, result). Re-measured when the job finishes.
+    /// journal, result, spans, tombstone).
     std::size_t store_bytes = 0;
+  };
+
+  /// One eval-cache bucket file under cache/.
+  struct Bucket {
+    std::uint64_t last_served = 0;
+    std::size_t bytes = 0;
   };
 
   [[nodiscard]] static const char* status_name(JobStatus status);
   [[nodiscard]] std::string job_dir(std::uint64_t id) const;
+  [[nodiscard]] std::string bucket_path(std::uint64_t bucket) const;
 
   /// handle() minus the timing wrapper: dispatches one request and
   /// reports which op label it ran as (a member of the fixed label set,
@@ -189,7 +199,7 @@ class MappingService {
   [[nodiscard]] std::string dispatch(const std::string& request_json,
                                      std::string& op_label);
 
-  // Request handlers (mutex_ held by caller where noted).
+  // Request handlers; each takes mutex_ itself.
   [[nodiscard]] std::string handle_submit(const JsonValue& request,
                                           const std::string& request_json);
   [[nodiscard]] std::string handle_status(const JsonValue& request);
@@ -199,52 +209,70 @@ class MappingService {
   [[nodiscard]] std::string handle_trace(const JsonValue& request);
   [[nodiscard]] std::string handle_jobs();
 
-  /// Runs one job to completion (no service mutex held during the search)
-  /// and stores + persists its outcome. `worker` tags the job's running
-  /// span with its lane in the flight recorder.
-  void run_job(std::uint64_t id, int worker);
-  /// Picks the highest-priority queued job (FIFO within a class) and
-  /// marks it running; 0 when none. mutex_ held by caller.
+  // The job lifecycle. Each transition has exactly one implementation;
+  // all four run with mutex_ held.
+
+  /// Queues `job` for `spec`: persists request.json when its text changed
+  /// (a revival's new priority or deadline), clears the tombstone and the
+  /// previous run's outcome, re-measures the job dir, sets the deadline,
+  /// opens the `queued` span (with `attrs`) and wakes a worker. Serves
+  /// new, revived and recovered jobs alike. Throws only while persisting
+  /// the request, before it changes anything.
+  void enqueue_locked(Job& job, const SubmitSpec& spec,
+                      const std::string& request_json,
+                      std::vector<SpanAttr> attrs);
+  /// Cancels a queued or running job for `reason` ("client" or
+  /// "deadline"). A queued job settles as cancelled at once (see
+  /// settle_locked); a running job's token fires and run_job settles it.
+  void cancel_locked(Job& job, const char* reason);
+  /// Lands a job in its terminal state: `detail` is the result payload
+  /// (done) or the failure message (failed). Cancelled and failed jobs
+  /// persist their state in the tombstone; every job seals and persists
+  /// its span timeline and counts as served. Ends by evicting, which may
+  /// remove this very job: callers must not touch `job` afterwards.
+  void settle_locked(Job& job, JobStatus status, std::string detail);
+  /// While the store exceeds max_store_bytes, deletes the
+  /// least-recently-served finished job or eval-cache bucket.
+  void evict_locked();
+
+  /// Registers a job for `spec` in jobs_ and the fingerprint index; the
+  /// newer id keeps a fingerprint two recovered jobs share.
+  Job& add_job_locked(std::uint64_t id, const SubmitSpec& spec);
+  /// Removes a queued job from the run queue and the deadline set.
+  void dequeue_locked(const Job& job);
+  /// Expires every queued job whose deadline has passed. One comparison,
+  /// and no clock read, when no queued job has a deadline.
+  void expire_overdue_locked();
+  /// Admission control: the structured `overloaded` response when the
+  /// queue is at max_queued_jobs; empty when the submit may proceed.
+  [[nodiscard]] std::string admission_error_locked();
+  /// Re-measures the job dir into its byte accounting.
+  void remeasure_locked(Job& job);
+  /// Re-measures an eval-cache bucket file into the byte accounting and
+  /// bumps its LRU tick; forgets the bucket when the file is gone.
+  void touch_bucket_locked(std::uint64_t bucket);
+  /// Refreshes the entries and store-bytes gauges.
+  void update_cache_gauges_locked();
+
+  /// Picks the highest-priority queued job (FIFO within a class), after
+  /// expiring overdue ones, and marks it running; 0 when none.
   [[nodiscard]] std::uint64_t claim_next_locked();
+  /// Runs one job to completion (no service mutex held during the search)
+  /// and settles it. `worker` tags the job's running span with its lane
+  /// in the flight recorder.
+  void run_job(std::uint64_t id, int worker);
   void worker_loop(int worker);
 
   /// Rescans the store directory: completed jobs re-enter the result
   /// cache, interrupted ones re-enqueue (resuming from their checkpoint),
-  /// tombstoned dirs are cleaned up or recovered as cancelled. Torn or
-  /// corrupt artifacts (bad checksum trailer) are quarantined — renamed
-  /// to `*.corrupt`, counted — never a startup failure. mutex_ held by
-  /// caller (the deadline-wheel thread is already live during recovery).
+  /// tombstoned dirs are cleaned up or recovered as cancelled or failed.
+  /// Torn or corrupt artifacts (bad checksum trailer) are quarantined —
+  /// renamed to `*.corrupt`, counted — never a startup failure.
   void recover_store_locked();
-
-  /// Admission control: when the queued/inflight caps are exceeded,
-  /// returns the structured `overloaded` response; empty string when the
-  /// submit may proceed. mutex_ held by caller.
-  [[nodiscard]] std::string admission_error_locked();
-
-  /// Deadline-wheel expiry callback: flips the job's cancel token (running)
-  /// or lands it in `cancelled` with reason "deadline" (queued),
-  /// checkpoint and store dir kept for a byte-identical resume.
-  void on_deadline(std::uint64_t id);
 
   /// Renames a torn/corrupt file or dir to a fresh `*.corrupt[.N]` path
   /// and counts it. Returns false when the rename itself failed.
   bool quarantine_path(const std::string& path);
-
-  /// Bumps a job's LRU clock. mutex_ held by caller.
-  void touch_locked(Job& job);
-  /// Deletes one finished job entirely — tombstone, dir, maps, byte
-  /// accounting. mutex_ held by caller.
-  void evict_job_locked(std::uint64_t id);
-  /// Records that the eval-cache bucket `bucket` was just read or written
-  /// and evicts over-budget buckets. mutex_ held by caller.
-  void touch_bucket_locked(std::uint64_t bucket);
-  /// Enforces max_result_cache and max_store_bytes by evicting
-  /// least-recently-served finished jobs. mutex_ held by caller.
-  void enforce_budgets_locked();
-  /// Refreshes the entries gauges after any cache mutation. mutex_ held.
-  void update_cache_gauges_locked();
-
-  [[nodiscard]] std::string bucket_path(std::uint64_t bucket) const;
 
   ServiceConfig config_;
 
@@ -252,14 +280,20 @@ class MappingService {
   std::condition_variable work_cv_;
   std::map<std::uint64_t, Job> jobs_;  // ordered: `jobs` lists by id
   std::uint64_t next_id_ = 1;
-  /// fingerprint → completed job id (the result cache index).
+  /// fingerprint → job id, over every job (one job per fingerprint).
   std::map<std::uint64_t, std::uint64_t> by_fingerprint_;
-  /// Monotone LRU clock for jobs and eval-cache buckets.
+  /// Queued jobs as (-priority, id): begin() is the next to run.
+  std::set<std::pair<int, std::uint64_t>> queue_;
+  /// Queued jobs with a deadline as (deadline_at_ms, id).
+  std::set<std::pair<double, std::uint64_t>> deadlines_;
+  /// Eval-cache bucket key → LRU tick and size (files under cache/).
+  std::map<std::uint64_t, Bucket> buckets_;
+  /// Monotone LRU clock shared by jobs and eval-cache buckets.
   std::uint64_t serve_tick_ = 0;
-  /// Total bytes under jobs/ per the jobs_ accounting.
+  /// Bytes under jobs/ and cache/ per the jobs_ and buckets_ accounting.
   std::size_t store_bytes_total_ = 0;
-  /// eval-cache bucket key → last-served tick (files under cache/).
-  std::map<std::uint64_t, std::uint64_t> eval_buckets_;
+  /// Completed jobs (the result-cache entries).
+  std::size_t done_jobs_ = 0;
   bool shutdown_ = false;
   bool stopping_ = false;
 
@@ -301,11 +335,6 @@ class MappingService {
   /// steady_clock); start_ms_ anchors the uptime gauge.
   std::function<double()> clock_ms_;
   double start_ms_ = 0;
-
-  /// Arms per-job deadline_ms; expiry calls on_deadline. Constructed
-  /// before recover_store_locked (recovered queued jobs re-arm) and torn
-  /// down after the workers join.
-  std::unique_ptr<DeadlineWheel> wheel_;
 
   std::vector<std::thread> workers_;
 };

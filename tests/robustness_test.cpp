@@ -1,16 +1,13 @@
 // Tests for the crash-consistency support layer (src/support/durable.*,
-// crash_points.*, deadline_wheel.*) and the client's deterministic retry
-// backoff: checksum-trailer round trips, torn-file detection, the
-// crash-point registry the chaos harness iterates, deadline-wheel
-// arm/expire/disarm semantics, and full-jitter schedule reproducibility.
+// crash_points.*) and the client's deterministic retry backoff:
+// checksum-trailer round trips, torn-file detection, the crash-point
+// registry the chaos harness iterates, and full-jitter schedule
+// reproducibility.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <filesystem>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,7 +15,6 @@
 #include "src/io/text_io.hpp"
 #include "src/service/client.hpp"
 #include "src/support/crash_points.hpp"
-#include "src/support/deadline_wheel.hpp"
 #include "src/support/durable.hpp"
 
 namespace automap {
@@ -130,76 +126,6 @@ TEST(CrashPoints, UnarmedProcessNeverCrashes) {
     crash_point(kind.c_str(), step.c_str());
   }
   SUCCEED();
-}
-
-/// Collects expiry callbacks with a latch the test can wait on.
-struct ExpiryLog {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<std::uint64_t> ids;
-
-  void note(std::uint64_t id) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    ids.push_back(id);
-    cv.notify_all();
-  }
-
-  bool wait_for_count(std::size_t n, std::chrono::milliseconds budget) {
-    std::unique_lock<std::mutex> lock(mutex);
-    return cv.wait_for(lock, budget, [&] { return ids.size() >= n; });
-  }
-
-  std::vector<std::uint64_t> snapshot() {
-    const std::lock_guard<std::mutex> lock(mutex);
-    return ids;
-  }
-};
-
-TEST(DeadlineWheel, ExpiresArmedIds) {
-  ExpiryLog log;
-  DeadlineWheel wheel([&](std::uint64_t id) { log.note(id); });
-  wheel.arm(7, std::chrono::milliseconds(5));
-  wheel.arm(9, std::chrono::milliseconds(10));
-  ASSERT_TRUE(log.wait_for_count(2, std::chrono::seconds(5)));
-  const std::vector<std::uint64_t> ids = log.snapshot();
-  EXPECT_TRUE(std::count(ids.begin(), ids.end(), 7));
-  EXPECT_TRUE(std::count(ids.begin(), ids.end(), 9));
-  EXPECT_EQ(wheel.armed(), 0u);
-}
-
-TEST(DeadlineWheel, DisarmPreventsExpiry) {
-  ExpiryLog log;
-  DeadlineWheel wheel([&](std::uint64_t id) { log.note(id); });
-  wheel.arm(1, std::chrono::hours(1));
-  EXPECT_EQ(wheel.armed(), 1u);
-  wheel.disarm(1);
-  EXPECT_EQ(wheel.armed(), 0u);
-  // A short-fuse sibling proves the loop is alive while 1 stays silent.
-  wheel.arm(2, std::chrono::milliseconds(5));
-  ASSERT_TRUE(log.wait_for_count(1, std::chrono::seconds(5)));
-  EXPECT_EQ(log.snapshot(), std::vector<std::uint64_t>{2});
-  // Disarming an unknown id is a no-op, not an error.
-  wheel.disarm(42);
-}
-
-TEST(DeadlineWheel, RearmReplacesTheDeadline) {
-  ExpiryLog log;
-  DeadlineWheel wheel([&](std::uint64_t id) { log.note(id); });
-  // First armed far out, then re-armed short: one expiry, soon.
-  wheel.arm(3, std::chrono::hours(1));
-  wheel.arm(3, std::chrono::milliseconds(5));
-  EXPECT_EQ(wheel.armed(), 1u);
-  ASSERT_TRUE(log.wait_for_count(1, std::chrono::seconds(5)));
-  EXPECT_EQ(log.snapshot(), std::vector<std::uint64_t>{3});
-}
-
-TEST(DeadlineWheel, DestructionWithArmedIdsIsClean) {
-  ExpiryLog log;
-  {
-    DeadlineWheel wheel([&](std::uint64_t id) { log.note(id); });
-    wheel.arm(5, std::chrono::hours(1));
-  }
-  EXPECT_TRUE(log.snapshot().empty());
 }
 
 TEST(RetryBackoff, DeterministicPerSeedAndBounded) {

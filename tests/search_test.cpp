@@ -137,8 +137,9 @@ TEST(Evaluator, BudgetExhaustionStopsSearch) {
 TEST(Evaluator, RejectsUnrunnableOptionsUpFront) {
   // Each of these must fail before any work: final_repeats -1 would trip
   // an internal invariant after the whole search, 0 would report a
-  // fault-rate degradation with no faults configured, and a NaN budget
-  // never runs out.
+  // fault-rate degradation with no faults configured, a NaN budget never
+  // runs out, and CCD would simulate its starting point before tripping
+  // over a frozen task id the graph does not have.
   MiniApp app;
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.g, {.iterations = 2});
@@ -147,6 +148,7 @@ TEST(Evaluator, RejectsUnrunnableOptionsUpFront) {
       {{.final_repeats = 0}, "final_repeats"},
       {{.time_budget_s = std::nan("")}, "budget"},
       {{.repeats = 0}, "repeats"},
+      {{.frozen_tasks = {TaskId(999)}}, "frozen"},
   };
   for (const auto& [options, field] : cases) {
     try {
@@ -158,7 +160,7 @@ TEST(Evaluator, RejectsUnrunnableOptionsUpFront) {
       EXPECT_EQ(what.find('\n'), std::string::npos) << what;
     }
   }
-  EXPECT_NO_THROW(validate_search_options(SearchOptions{}));
+  EXPECT_NO_THROW(validate_search_options(SearchOptions{}, app.g.num_tasks()));
 }
 
 TEST(Evaluator, FallbacksExtendPriorityLists) {

@@ -330,16 +330,21 @@ wait "$FAKE_PID"
 test "$(wc -l < "$DIR/fake.err")" = "1"
 grep -q "'version'" "$DIR/fake.err"
 
-# Daemon settings are checked before it listens: --eval-threads is not an
-# option, and a negative worker count is one error line (such a daemon
-# would accept jobs and never run them). `timeout` bounds a daemon that
-# would start anyway.
-if timeout 10 "$CLI" serve --socket "$DIR/bad.sock" --store "$DIR/store-bad" \
-      --eval-threads 2 > "$DIR/bad-serve.out" 2>&1; then
-  echo "expected serve --eval-threads to be refused" >&2
-  exit 1
-fi
-grep -q "unknown option: --eval-threads" "$DIR/bad-serve.out"
+# Daemon settings are checked before it listens: --eval-threads and the
+# removed caps (--max-inflight; the entry budgets --max-result-cache and
+# --max-eval-cache, which --max-store-bytes replaced) are not options, and
+# a negative worker count is one error line (such a daemon would accept
+# jobs and never run them). `timeout` bounds a daemon that would start
+# anyway.
+for flag in --eval-threads --max-inflight --max-result-cache \
+      --max-eval-cache; do
+  if timeout 10 "$CLI" serve --socket "$DIR/bad.sock" \
+        --store "$DIR/store-bad" "$flag" 1 > "$DIR/bad-serve.out" 2>&1; then
+    echo "expected serve $flag to be refused" >&2
+    exit 1
+  fi
+  grep -q "unknown option: $flag" "$DIR/bad-serve.out"
+done
 if timeout 10 "$CLI" serve --socket "$DIR/bad.sock" --store "$DIR/store-bad" \
       --workers -1 > "$DIR/bad-workers.out" 2>&1; then
   echo "expected serve --workers -1 to be refused" >&2

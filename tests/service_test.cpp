@@ -107,6 +107,11 @@ std::string wait_for(MappingService& service, const std::string& id) {
   return "timeout";
 }
 
+std::string status_of(MappingService& service, const std::string& id) {
+  return handle_json(service, "{\"op\":\"status\",\"job\":" + id + "}")
+      .str_or("status", "");
+}
+
 /// Value of one counter in a Prometheus-format exposition; -1 if absent.
 double metric_value(const std::string& exposition, const std::string& name) {
   std::istringstream is(exposition);
@@ -349,33 +354,44 @@ TEST(Service, WarmRestartResumesInterruptedJobToIdenticalResult) {
             payload);
 }
 
-TEST(Service, CancelQueuedJobPurgesItsStoreDir) {
+TEST(Service, CancelQueuedJobKeepsItsStoreDir) {
   const std::string store = fresh_store("cancel");
-  MappingService service(
-      {.store_dir = store, .job_workers = 0});
-  const std::string id =
-      job_id_of(handle_json(service, submit_request(small_options(9))));
-  ASSERT_TRUE(fs::exists(store + "/jobs/" + id));
-  const JsonValue cancelled =
-      handle_json(service, "{\"op\":\"cancel\",\"job\":" + id + "}");
-  EXPECT_EQ(cancelled.str_or("type", ""), "cancelled");
-  EXPECT_EQ(handle_json(service, "{\"op\":\"status\",\"job\":" + id + "}")
-                .str_or("status", ""),
-            "cancelled");
-  // The store dir is gone (tombstone and all) and draining runs nothing.
-  EXPECT_FALSE(fs::exists(store + "/jobs/" + id));
-  service.drain();
-  EXPECT_EQ(metric_value(service.expose_metrics(),
-                         "automap_sim_runs_total"),
-            0.0);
-  // A finished job cannot be cancelled.
-  const std::string done_id =
-      job_id_of(handle_json(service, submit_request(small_options(10))));
-  service.drain();
-  EXPECT_EQ(handle_json(service,
-                        "{\"op\":\"cancel\",\"job\":" + done_id + "}")
-                .str_or("code", ""),
-            "bad_state");
+  std::string id;
+  {
+    MappingService service({.store_dir = store, .job_workers = 0});
+    id = job_id_of(handle_json(service, submit_request(small_options(9))));
+    ASSERT_TRUE(fs::exists(store + "/jobs/" + id));
+    const JsonValue cancelled =
+        handle_json(service, "{\"op\":\"cancel\",\"job\":" + id + "}");
+    EXPECT_EQ(cancelled.str_or("type", ""), "cancelled");
+    EXPECT_EQ(cancelled.str_or("status", ""), "cancelled");
+    const JsonValue status =
+        handle_json(service, "{\"op\":\"status\",\"job\":" + id + "}");
+    EXPECT_EQ(status.str_or("status", ""), "cancelled");
+    EXPECT_EQ(status.str_or("reason", ""), "client");
+    // Every cancel keeps the dir, under a "keep" tombstone naming the
+    // reason, and draining runs nothing.
+    EXPECT_TRUE(fs::exists(store + "/jobs/" + id + "/request.json"));
+    EXPECT_EQ(load_text(store + "/jobs/" + id + "/cancelled"), "keep client\n");
+    service.drain();
+    EXPECT_EQ(metric_value(service.expose_metrics(),
+                           "automap_sim_runs_total"),
+              0.0);
+    // A finished job cannot be cancelled.
+    const std::string done_id =
+        job_id_of(handle_json(service, submit_request(small_options(10))));
+    service.drain();
+    EXPECT_EQ(handle_json(service,
+                          "{\"op\":\"cancel\",\"job\":" + done_id + "}")
+                  .str_or("code", ""),
+              "bad_state");
+  }
+  // The cancelled job, and why, survive a restart.
+  MappingService revived({.store_dir = store, .job_workers = 0});
+  const JsonValue status =
+      handle_json(revived, "{\"op\":\"status\",\"job\":" + id + "}");
+  EXPECT_EQ(status.str_or("status", ""), "cancelled");
+  EXPECT_EQ(status.str_or("reason", ""), "client");
 }
 
 TEST(Service, RestartCleansTombstonedDirs) {
@@ -526,14 +542,43 @@ TEST(Service, CancelledReuseJobResumesOverItsUnchangedBucket) {
             reference.handle("{\"op\":\"result\",\"job\":" + id + "}"));
 }
 
+/// Bytes of regular files under `dir` — the budget assertions' measure.
+std::size_t tree_bytes(const std::string& dir) {
+  std::size_t total = 0;
+  for (auto it = fs::recursive_directory_iterator(dir);
+       it != fs::recursive_directory_iterator(); ++it)
+    if (it->is_regular_file()) total += it->file_size();
+  return total;
+}
+
+/// The whole store: job dirs plus eval-cache buckets.
+std::size_t store_bytes(const std::string& store) {
+  return tree_bytes(store + "/jobs") + tree_bytes(store + "/cache");
+}
+
+/// One finished small job's store footprint, measured on a probe store
+/// named after the calling test (ctest runs tests as parallel processes),
+/// so budget tests do not hard-code file sizes.
+std::size_t one_job_bytes(const std::string& name,
+                          const std::string& extra = "") {
+  const std::string probe_store = fresh_store(name + "-probe");
+  MappingService probe({.store_dir = probe_store, .job_workers = 0});
+  handle_json(probe, submit_request(small_options(100), extra));
+  probe.drain();
+  return store_bytes(probe_store);
+}
+
 TEST(Service, ResultCacheEvictsLeastRecentlyServed) {
+  // A budget of two and a half job sizes holds two finished jobs: the
+  // third one's completion evicts the least-recently-served.
   const std::string store = fresh_store("lru");
+  const std::size_t budget = 5 * one_job_bytes("lru") / 2;
   std::string payload_1;
   std::string id_1;
   {
     MappingService service({.store_dir = store,
                             .job_workers = 0,
-                            .max_result_cache = 2});
+                            .max_store_bytes = budget});
     id_1 = job_id_of(handle_json(service, submit_request(small_options(1))));
     service.drain();
     const std::string id_2 =
@@ -574,34 +619,14 @@ TEST(Service, ResultCacheEvictsLeastRecentlyServed) {
   // Retained entries re-serve the identical bytes across a warm restart.
   MappingService revived({.store_dir = store,
                           .job_workers = 0,
-                          .max_result_cache = 2});
+                          .max_store_bytes = budget});
   EXPECT_EQ(revived.handle("{\"op\":\"result\",\"job\":" + id_1 + "}"),
             payload_1);
 }
 
-/// Bytes of regular files under `dir` — the soak assertion's measure.
-std::size_t tree_bytes(const std::string& dir) {
-  std::size_t total = 0;
-  for (auto it = fs::recursive_directory_iterator(dir);
-       it != fs::recursive_directory_iterator(); ++it)
-    if (it->is_regular_file()) total += it->file_size();
-  return total;
-}
-
 TEST(Service, StoreByteBudgetHoldsAcrossManyJobs) {
-  // Calibrate: one finished job's dir size sets the budget scale, so the
-  // test does not hard-code file sizes.
-  std::size_t one_job = 0;
-  {
-    const std::string probe_store = fresh_store("soakprobe");
-    MappingService probe(
-        {.store_dir = probe_store, .job_workers = 0});
-    handle_json(probe, submit_request(small_options(100)));
-    probe.drain();
-    one_job = tree_bytes(probe_store + "/jobs");
-    ASSERT_GT(one_job, 0u);
-  }
-
+  const std::size_t one_job = one_job_bytes("soak");
+  ASSERT_GT(one_job, 0u);
   const std::string store = fresh_store("soak");
   const std::size_t budget = 3 * one_job + one_job / 2;
   MappingService service({.store_dir = store,
@@ -625,24 +650,67 @@ TEST(Service, StoreByteBudgetHoldsAcrossManyJobs) {
             0.0);
 }
 
-TEST(Service, EvalCacheBucketsEvictLeastRecentlyServed) {
-  const std::string store = fresh_store("evalevict");
+TEST(Service, StoreByteBudgetCoversEvalCacheBuckets) {
+  // reuse_measurements jobs each write a bucket under cache/; the one
+  // byte budget bounds jobs/ and cache/ together.
+  const std::string reuse = ",\"reuse_measurements\":true";
+  const std::size_t one_job = one_job_bytes("soak-reuse", reuse);
+  const std::string store = fresh_store("soak-reuse");
+  const std::size_t budget = 3 * one_job + one_job / 2;
   MappingService service({.store_dir = store,
                           .job_workers = 0,
-                          .max_eval_cache = 1});
-  // Two different seeds measure under two different buckets; with a
-  // one-bucket budget the older one is evicted.
-  handle_json(service,
-              submit_request(small_options(42), ",\"reuse_measurements\":true"));
+                          .max_store_bytes = budget});
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    handle_json(service, submit_request(small_options(seed), reuse));
+    service.drain();
+    EXPECT_LE(store_bytes(store), budget) << "after seed " << seed;
+  }
+  const std::string exposition = service.expose_metrics();
+  EXPECT_GT(metric_value(exposition,
+                         "automap_service_eval_cache_evictions_total"),
+            0.0);
+  EXPECT_EQ(metric_value(exposition, "automap_service_store_bytes"),
+            static_cast<double>(store_bytes(store)));
+}
+
+TEST(Service, EvalCacheBucketsEvictLeastRecentlyServed) {
+  // Jobs and buckets share one least-recently-served order. Job 42 writes
+  // its bucket and then settles, so the bucket is older than the job:
+  // a budget one half-bucket short of both jobs' footprint evicts seed
+  // 42's bucket and keeps every job.
+  const std::string reuse = ",\"reuse_measurements\":true";
+  const std::string probe = fresh_store("evalevict-probe");
+  {
+    MappingService service({.store_dir = probe, .job_workers = 0});
+    handle_json(service, submit_request(small_options(42), reuse));
+    service.drain();
+    handle_json(service, submit_request(small_options(43), reuse));
+    service.drain();
+  }
+  std::size_t bucket_bytes = 0;
+  for (auto it = fs::directory_iterator(probe + "/cache");
+       it != fs::directory_iterator(); ++it)
+    bucket_bytes = std::max<std::size_t>(bucket_bytes, it->file_size());
+  ASSERT_GT(bucket_bytes, 0u);
+
+  const std::string store = fresh_store("evalevict");
+  MappingService service(
+      {.store_dir = store,
+       .job_workers = 0,
+       .max_store_bytes = store_bytes(probe) - bucket_bytes / 2});
+  handle_json(service, submit_request(small_options(42), reuse));
   service.drain();
-  handle_json(service,
-              submit_request(small_options(43), ",\"reuse_measurements\":true"));
+  handle_json(service, submit_request(small_options(43), reuse));
   service.drain();
   std::size_t bucket_files = 0;
   for (auto it = fs::directory_iterator(store + "/cache");
        it != fs::directory_iterator(); ++it)
     if (it->is_regular_file()) ++bucket_files;
   EXPECT_EQ(bucket_files, 1u);
+  EXPECT_EQ(handle_json(service, "{\"op\":\"jobs\"}")
+                .find("jobs")
+                ->array.size(),
+            2u);
   std::string exposition = service.expose_metrics();
   EXPECT_EQ(metric_value(exposition,
                          "automap_service_eval_cache_evictions_total"),
@@ -650,15 +718,16 @@ TEST(Service, EvalCacheBucketsEvictLeastRecentlyServed) {
   EXPECT_EQ(metric_value(exposition,
                          "automap_service_eval_cache_entries"),
             1.0);
+  EXPECT_EQ(metric_value(exposition,
+                         "automap_service_result_cache_evictions_total"),
+            0.0);
 
   // Seed 42's bucket is the one that went: a new job in that measurement
   // configuration records an eval-cache miss and recomputes fine.
   SearchOptions more = small_options(42);
   more.rotations = 3;  // different fingerprint, same bucket
-  const std::string id = job_id_of(handle_json(
-      service, submit_request(more, ",\"reuse_measurements\":true")));
+  handle_json(service, submit_request(more, reuse));
   service.drain();
-  EXPECT_EQ(wait_for(service, id), "done");
   exposition = service.expose_metrics();
   EXPECT_EQ(metric_value(exposition,
                          "automap_service_eval_cache_misses_total"),
@@ -666,6 +735,8 @@ TEST(Service, EvalCacheBucketsEvictLeastRecentlyServed) {
   EXPECT_EQ(metric_value(exposition,
                          "automap_service_eval_cache_seeded_total"),
             0.0);
+  EXPECT_EQ(metric_value(exposition, "automap_service_jobs_completed_total"),
+            3.0);
 }
 
 TEST(Service, EvalCacheSeedsRepeatMeasurements) {
@@ -728,10 +799,10 @@ TEST(Service, OverloadedWhenQueueFullButDedupeStillAnswered) {
             1.0);
 }
 
-TEST(Service, MaxInflightGatesRevivalOfCancelledJobs) {
+TEST(Service, QueueCapGatesRevivalOfCancelledJobs) {
   MappingService service({.store_dir = fresh_store("overload-revive"),
                           .job_workers = 0,
-                          .max_inflight = 1});
+                          .max_queued_jobs = 1});
   const SearchOptions a = small_options(1);
   const std::string id_a =
       job_id_of(handle_json(service, submit_request(a)));
@@ -741,11 +812,12 @@ TEST(Service, MaxInflightGatesRevivalOfCancelledJobs) {
                 .str_or("status", ""),
             "queued");
   // ...so reviving the cancelled job must pass admission like any other
-  // enqueue — and is refused at capacity.
+  // enqueue — and is refused while the queue is full.
   EXPECT_EQ(handle_json(service, submit_request(a)).str_or("code", ""),
             "overloaded");
   service.drain();
   const JsonValue revived = handle_json(service, submit_request(a));
+  EXPECT_EQ(job_id_of(revived), id_a);
   EXPECT_EQ(revived.str_or("status", ""), "queued");
   service.drain();
   const JsonValue result = handle_json(
@@ -762,7 +834,8 @@ TEST(Service, DeadlineExpiresQueuedJobAndResubmitRecovers) {
   const SearchOptions options = small_options(42);
   const std::string id = job_id_of(handle_json(
       service, submit_request(options, ",\"deadline_ms\":25")));
-  // No workers: the job sits queued until the deadline wheel fires.
+  // No workers: the job sits queued until a status poll after its
+  // deadline expires it.
   ASSERT_EQ(wait_for(service, id), "cancelled");
   const JsonValue status =
       handle_json(service, "{\"op\":\"status\",\"job\":" + id + "}");
@@ -790,9 +863,9 @@ TEST(Service, DeadlineExpiresQueuedJobAndResubmitRecovers) {
 TEST(Service, AbsurdDeadlineIsRejectedAtParseTime) {
   MappingService service({.store_dir = fresh_store("deadline-clamp"),
                           .job_workers = 0});
-  // 1e300 is valid JSON; accepting it would make the int64 cast and the
-  // steady_clock addition inside the wheel undefined. It must bounce as a
-  // bad_request, not crash or arm anything.
+  // 1e300 is valid JSON; accepting it would make the deadline arithmetic
+  // on the service clock meaningless. It must bounce as a bad_request,
+  // not crash or queue anything.
   const JsonValue refused = handle_json(
       service, submit_request(small_options(7), ",\"deadline_ms\":1e300"));
   EXPECT_EQ(refused.str_or("type", ""), "error");
@@ -879,18 +952,39 @@ TEST(Service, UnrunnableSearchOptionsAreBadRequestsWithoutAJob) {
            {"\"repeats\":2", "\"repeats\":0"},
            {"\"final_repeats\":31", "\"final_repeats\":0"},
            {"\"final_repeats\":31", "\"final_repeats\":-1"},
-           {"\"budget\":\"inf\"", "\"budget\":\"nan\""}}) {
+           {"\"budget\":\"inf\"", "\"budget\":\"nan\""},
+           {"\"frozen\":[]", "\"frozen\":[999]"}}) {
     std::string edited = options;
     ASSERT_NE(edited.find(from), std::string::npos) << from;
     edited.replace(edited.find(from), from.size(), to);
     const JsonValue response = handle_json(service, submit_request(edited));
     EXPECT_EQ(response.str_or("code", ""), "bad_request") << to;
-    EXPECT_EQ(response.str_or("message", "").find('\n'), std::string::npos)
-        << to;
+    const std::string message = response.str_or("message", "");
+    EXPECT_EQ(message.find('\n'), std::string::npos) << to;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
   }
   EXPECT_TRUE(
       handle_json(service, "{\"op\":\"jobs\"}").find("jobs")->array.empty());
   EXPECT_TRUE(fs::is_empty(fs::path(store) / "jobs"));
+}
+
+TEST(Service, SubmitWhoseRequestCannotBePersistedLeavesNoJob) {
+  // A regular file where job 1's dir belongs makes persisting its request
+  // fail: the submit is an error, and no job is left queued forever.
+  const std::string store = fresh_store("unpersisted");
+  MappingService service({.store_dir = store, .job_workers = 0});
+  save_text(store + "/jobs/1", "in the way\n");
+  EXPECT_EQ(handle_json(service, submit_request(small_options(7)))
+                .str_or("type", ""),
+            "error");
+  EXPECT_TRUE(
+      handle_json(service, "{\"op\":\"jobs\"}").find("jobs")->array.empty());
+  fs::remove(store + "/jobs/1");
+  const JsonValue retried =
+      handle_json(service, submit_request(small_options(7)));
+  EXPECT_EQ(retried.str_or("status", ""), "queued");
+  service.drain();
+  EXPECT_EQ(status_of(service, job_id_of(retried)), "done");
 }
 
 TEST(Service, NegativeJobWorkersAreRejected) {
@@ -1212,12 +1306,14 @@ TEST(Service, TraceRecordsCancelledAndExpiredTimelines) {
 }
 
 TEST(Service, TraceSurvivesJobEviction) {
-  // Mirrors ResultCacheEvictsLeastRecentlyServed: with a two-entry cache,
-  // serving job 1 makes job 2 the LRU victim of job 3's arrival. The
-  // recorder keeps answering for the evicted job and marks the eviction.
+  // Mirrors ResultCacheEvictsLeastRecentlyServed: with room for two
+  // finished jobs, serving job 1 makes job 2 the LRU victim of job 3's
+  // completion. The recorder keeps answering for the evicted job and
+  // marks the eviction.
   MappingService service({.store_dir = fresh_store("trace-evict"),
                           .job_workers = 0,
-                          .max_result_cache = 2});
+                          .max_store_bytes =
+                              5 * one_job_bytes("trace-evict") / 2});
   const std::string id_1 =
       job_id_of(handle_json(service, submit_request(small_options(1))));
   service.drain();
@@ -1386,6 +1482,252 @@ TEST(Service, StatsQuantilesMatchHistogramUnderFakeClock) {
   EXPECT_GT(metric_value(service.expose_metrics(),
                          "automap_service_uptime_seconds"),
             0.0);
+}
+
+// ---------------------------------------------------------------------
+// The job lifecycle on an injected clock: deadlines are instants on the
+// service clock, checked by a sweep before every op and worker claim, so
+// these tests move time by hand instead of sleeping.
+
+/// A service clock that only moves when the test says so.
+struct ManualClock {
+  std::shared_ptr<double> now = std::make_shared<double>(0.0);
+  std::function<double()> fn() const {
+    return [now = now] { return *now; };
+  }
+  void set(double ms) const { *now = ms; }
+};
+
+TEST(Service, QueuedJobExpiresOnceTheServiceClockPassesItsDeadline) {
+  const ManualClock clock;
+  MappingService service({.store_dir = fresh_store("clock-expire"),
+                          .job_workers = 0,
+                          .clock_ms = clock.fn()});
+  const std::string id = job_id_of(handle_json(
+      service, submit_request(small_options(42), ",\"deadline_ms\":1000")));
+  clock.set(999);
+  EXPECT_EQ(status_of(service, id), "queued");
+  clock.set(1000);
+  // No worker starts an overdue job: the claim expires it first.
+  service.drain();
+  const JsonValue status =
+      handle_json(service, "{\"op\":\"status\",\"job\":" + id + "}");
+  EXPECT_EQ(status.str_or("status", ""), "cancelled");
+  EXPECT_EQ(status.str_or("reason", ""), "deadline");
+  const std::string exposition = service.expose_metrics();
+  EXPECT_EQ(metric_value(exposition, "automap_sim_runs_total"), 0.0);
+  EXPECT_EQ(metric_value(exposition, "automap_service_deadline_expired_total"),
+            1.0);
+}
+
+TEST(Service, JobsSettledBeforeTheirDeadlineNeverExpire) {
+  const ManualClock clock;
+  MappingService service({.store_dir = fresh_store("clock-settled"),
+                          .job_workers = 0,
+                          .clock_ms = clock.fn()});
+  const std::string deadline = ",\"deadline_ms\":1000";
+  const std::string done = job_id_of(
+      handle_json(service, submit_request(small_options(1), deadline)));
+  service.drain();
+  const std::string cancelled = job_id_of(
+      handle_json(service, submit_request(small_options(2), deadline)));
+  handle_json(service, "{\"op\":\"cancel\",\"job\":" + cancelled + "}");
+  clock.set(5000);
+  EXPECT_EQ(status_of(service, done), "done");
+  const JsonValue status =
+      handle_json(service, "{\"op\":\"status\",\"job\":" + cancelled + "}");
+  EXPECT_EQ(status.str_or("status", ""), "cancelled");
+  EXPECT_EQ(status.str_or("reason", ""), "client");
+  expect_timeline(
+      spans_of(handle_json(service,
+                           "{\"op\":\"trace\",\"job\":" + cancelled + "}")),
+      {"submitted", "queued", "cancelled"});
+  EXPECT_EQ(metric_value(service.expose_metrics(),
+                         "automap_service_deadline_expired_total"),
+            0.0);
+}
+
+TEST(Service, RevivedJobGetsAFreshDeadlineWindow) {
+  const ManualClock clock;
+  MappingService service({.store_dir = fresh_store("clock-revive"),
+                          .job_workers = 0,
+                          .clock_ms = clock.fn()});
+  const std::string request =
+      submit_request(small_options(42), ",\"deadline_ms\":1000");
+  const std::string id = job_id_of(handle_json(service, request));
+  clock.set(1000);
+  ASSERT_EQ(status_of(service, id), "cancelled");
+  // Revived at 1500, the job's window runs to 2500, not to the first
+  // submission's 1000.
+  clock.set(1500);
+  ASSERT_EQ(job_id_of(handle_json(service, request)), id);
+  clock.set(2499);
+  EXPECT_EQ(status_of(service, id), "queued");
+  clock.set(2500);
+  EXPECT_EQ(status_of(service, id), "cancelled");
+  EXPECT_EQ(metric_value(service.expose_metrics(),
+                         "automap_service_deadline_expired_total"),
+            2.0);
+}
+
+TEST(Service, ServiceDestroyedWithDeadlinesPendingShutsDownCleanly) {
+  const ManualClock clock;
+  const std::string store = fresh_store("clock-destroy");
+  std::string id;
+  {
+    MappingService service(
+        {.store_dir = store, .job_workers = 2, .clock_ms = clock.fn()});
+    id = job_id_of(handle_json(
+        service, submit_request(small_options(42),
+                                ",\"deadline_ms\":31622400000")));
+  }
+  // Nothing fired behind the service's back: the job recovers queued,
+  // with a fresh window on the new service's clock.
+  clock.set(1e9);
+  MappingService revived(
+      {.store_dir = store, .job_workers = 0, .clock_ms = clock.fn()});
+  const std::string state = status_of(revived, id);
+  EXPECT_TRUE(state == "queued" || state == "done") << state;
+  EXPECT_EQ(metric_value(revived.expose_metrics(),
+                         "automap_service_deadline_expired_total"),
+            0.0);
+}
+
+TEST(Service, ExpiredJobReportsItsReasonAfterRestart) {
+  const ManualClock clock;
+  const std::string store = fresh_store("clock-reason");
+  std::string id;
+  {
+    MappingService service(
+        {.store_dir = store, .job_workers = 0, .clock_ms = clock.fn()});
+    id = job_id_of(handle_json(
+        service, submit_request(small_options(42), ",\"deadline_ms\":10")));
+    clock.set(10);
+    ASSERT_EQ(status_of(service, id), "cancelled");
+  }
+  MappingService revived({.store_dir = store, .job_workers = 0});
+  const JsonValue status =
+      handle_json(revived, "{\"op\":\"status\",\"job\":" + id + "}");
+  EXPECT_EQ(status.str_or("status", ""), "cancelled");
+  EXPECT_EQ(status.str_or("reason", ""), "deadline");
+}
+
+/// A machine whose memories hold 1 KiB: no stencil mapping fits, so every
+/// candidate runs out of memory and the search fails at its finalists.
+std::string tiny_memory_submit() {
+  std::string machine = stencil_machine_text();
+  const std::string key = " capacity ";
+  for (std::size_t at = machine.find(key); at != std::string::npos;
+       at = machine.find(key, at + key.size())) {
+    const std::size_t end = machine.find('\n', at);
+    machine.replace(at + key.size(), end - at - key.size(), "1024");
+  }
+  return "{\"op\":\"submit\",\"machine\":\"" + json_escape(machine) +
+         "\",\"graph\":\"" + json_escape(stencil_graph_text()) +
+         "\",\"options\":" + search_options_to_json(small_options(42)) + "}";
+}
+
+/// Non-instant spans named `name` in a job's trace.
+std::size_t span_count(MappingService& service, const std::string& id,
+                       const std::string& name) {
+  std::size_t n = 0;
+  for (const SpanView& s : spans_of(handle_json(
+           service, "{\"op\":\"trace\",\"job\":" + id + "}")))
+    n += !s.instant && s.name == name;
+  return n;
+}
+
+TEST(Service, FailedJobStaysFailedAcrossRestartAndRevivesInPlace) {
+  const std::string store = fresh_store("failed-restart");
+  const std::string failure = "finalist protocol found no executable mapping";
+  std::string id;
+  {
+    MappingService service({.store_dir = store, .job_workers = 0});
+    id = job_id_of(handle_json(service, tiny_memory_submit()));
+    service.drain();
+    ASSERT_EQ(status_of(service, id), "failed");
+  }
+  MappingService revived({.store_dir = store, .job_workers = 0});
+  const JsonValue status =
+      handle_json(revived, "{\"op\":\"status\",\"job\":" + id + "}");
+  EXPECT_EQ(status.str_or("status", ""), "failed");
+  EXPECT_NE(status.str_or("message", "").find(failure), std::string::npos)
+      << status.str_or("message", "");
+  // A restart never re-runs it...
+  revived.drain();
+  EXPECT_EQ(span_count(revived, id, "admitted"), 1u);
+  EXPECT_EQ(span_count(revived, id, "running"), 1u);
+  EXPECT_EQ(metric_value(revived.expose_metrics(), "automap_sim_runs_total"),
+            0.0);
+  // ...and resubmitting the request revives the same job.
+  const JsonValue again = handle_json(revived, tiny_memory_submit());
+  EXPECT_EQ(job_id_of(again), id);
+  EXPECT_EQ(again.str_or("status", ""), "queued");
+}
+
+TEST(Service, RecoveryIndexesTheNewerOfTwoJobsSharingAFingerprint) {
+  // Older stores may hold a failed job (persisted without a result) and
+  // its retry under one fingerprint. Recovery answers for the newer one
+  // and keeps the other listable.
+  const std::string store = fresh_store("duplicate-fingerprint");
+  {
+    MappingService service({.store_dir = store, .job_workers = 0});
+    handle_json(service, submit_request(small_options(42)));
+    service.drain();
+  }
+  fs::copy(store + "/jobs/1", store + "/jobs/2");
+  fs::remove(store + "/jobs/1/result.json");
+  MappingService revived({.store_dir = store, .job_workers = 0});
+  const JsonValue again =
+      handle_json(revived, submit_request(small_options(42)));
+  EXPECT_EQ(job_id_of(again), "2");
+  EXPECT_TRUE(again.bool_or("cached", false));
+  EXPECT_EQ(status_of(revived, "1"), "queued");
+  EXPECT_EQ(
+      handle_json(revived, "{\"op\":\"jobs\"}").find("jobs")->array.size(),
+      2u);
+}
+
+TEST(Service, RevivedJobCancelledWhileQueuedKeepsItsCheckpoint) {
+  // A cancel keeps the job dir whatever state the job is in: here a job
+  // cut mid-run (checkpoint on disk) is revived, cancelled again while
+  // queued, and still resumes to the uninterrupted bytes.
+  const std::string store = fresh_store("revive-cancel");
+  SearchOptions options = small_options(42);
+  options.rotations = 64;  // long enough to reliably cancel mid-run
+  const std::string checkpoint_of_job_1 = store + "/jobs/1/checkpoint";
+  std::string id;
+  {
+    MappingService service({.store_dir = store, .job_workers = 1});
+    id = job_id_of(handle_json(service, submit_request(options)));
+    ASSERT_EQ(id, "1");
+    for (int i = 0; i < 3000 && !fs::exists(checkpoint_of_job_1); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(fs::exists(checkpoint_of_job_1));
+    handle_json(service, "{\"op\":\"cancel\",\"job\":" + id + "}");
+    ASSERT_EQ(wait_for(service, id), "cancelled");
+  }
+  const std::string checkpoint = load_text(checkpoint_of_job_1);
+  {
+    MappingService service({.store_dir = store, .job_workers = 0});
+    ASSERT_EQ(job_id_of(handle_json(service, submit_request(options))), id);
+    ASSERT_EQ(status_of(service, id), "queued");
+    ASSERT_EQ(handle_json(service, "{\"op\":\"cancel\",\"job\":" + id + "}")
+                  .str_or("status", ""),
+              "cancelled");
+    EXPECT_EQ(load_text(checkpoint_of_job_1), checkpoint);
+  }
+  MappingService revived({.store_dir = store, .job_workers = 0});
+  EXPECT_EQ(status_of(revived, id), "cancelled");
+  EXPECT_EQ(load_text(checkpoint_of_job_1), checkpoint);
+  ASSERT_EQ(job_id_of(handle_json(revived, submit_request(options))), id);
+  revived.drain();
+  MappingService reference({.store_dir = fresh_store("revive-cancel-ref"),
+                            .job_workers = 0});
+  handle_json(reference, submit_request(options));
+  reference.drain();
+  EXPECT_EQ(revived.handle("{\"op\":\"result\",\"job\":" + id + "}"),
+            reference.handle("{\"op\":\"result\",\"job\":" + id + "}"));
 }
 
 // ---------------------------------------------------------------------

@@ -222,8 +222,8 @@ class Soak:
         sock = os.path.join(d, "s.sock")
         store = os.path.join(d, "store")
         log1 = os.path.join(d, "serve1.log")
-        # --workers 0: the job stays queued, so cancel takes the
-        # tombstone-then-purge path deterministically.
+        # --workers 0: the job stays queued, so the cancel settles it at
+        # once and writes its "keep" tombstone deterministically.
         daemon = Daemon(self.cli, sock, store, log1, crash_point=point,
                         workers=0)
         daemon.wait_ready(self.client)

@@ -70,15 +70,12 @@ int main() {
             sim, SearchAlgorithm::kCcd,
             {.rotations = 5, .repeats = 7, .seed = 42,
              .memory_fallbacks = true});
-        // Measure with the same fallback lists the search used. Read the
-        // outcome through the evaluator's read-only view — reporting code
-        // never needs the mutating interface.
+        // Measure with the same fallback lists the search used.
         Evaluator measure(sim, {.repeats = 31, .seed = 2,
                                 .memory_fallbacks = true});
         measure.evaluate(result.best);
-        const EvaluatorView measured = measure.view();
-        const double am_s = measured.has_best()
-                                ? measured.best_seconds()
+        const double am_s = measure.has_best()
+                                ? measure.best_seconds()
                                 : std::numeric_limits<double>::infinity();
         const auto report =
             sim.run(measure.with_fallbacks(result.best), 99);

@@ -309,7 +309,7 @@ std::vector<FlagSpec> search_option_flags() {
       {"--quarantine", "K", "quarantine after K consecutive lost repeats"},
       {"--backoff", "S", "retry backoff quantum (default: machine restart "
                          "overhead)"},
-      {"--aggregate", "KIND", "repeat aggregation: mean|median|trimmed"},
+      {"--aggregate", "KIND", "repeat aggregation: mean|median|trimmed_mean"},
       {"--fault-crash", "P", "per-run crash probability"},
       {"--fault-straggler", "P", "per-run straggler probability"},
       {"--fault-straggler-factor", "X", "straggler slowdown factor"},
@@ -335,19 +335,9 @@ void apply_search_flags(const Args& args, std::string& algorithm_name,
       args.int_or("--quarantine", options.resilience.quarantine_after);
   options.resilience.retry_backoff_s =
       args.num_or("--backoff", options.resilience.retry_backoff_s);
-  if (args.has("--aggregate")) {
-    const std::string name = args.value_or("--aggregate");
-    if (name == "mean") {
-      options.resilience.aggregation = Aggregation::kMean;
-    } else if (name == "median") {
-      options.resilience.aggregation = Aggregation::kMedian;
-    } else if (name == "trimmed") {
-      options.resilience.aggregation = Aggregation::kTrimmedMean;
-    } else {
-      throw Error("unknown aggregation: " + name +
-                  " (expected mean|median|trimmed)");
-    }
-  }
+  if (args.has("--aggregate"))
+    options.resilience.aggregation =
+        parse_aggregation(args.value_or("--aggregate"));
   faults.crash_prob = args.num_or("--fault-crash", faults.crash_prob);
   faults.straggler_prob =
       args.num_or("--fault-straggler", faults.straggler_prob);

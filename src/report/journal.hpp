@@ -9,7 +9,7 @@
 // clock and the current rotation/coordinate cursor.
 //
 // Ordering contract: a search runs on one thread, and every emission site
-// sits in the evaluate_batch fold loop or the algorithm's own control flow.
+// sits in Evaluator::evaluate's fold or the algorithm's own control flow.
 // Events therefore carry a single monotone sequence number with no locking,
 // and a journal is byte-identical with pruning on or off (the same
 // guarantee the SearchResult already has). A null Journal* in

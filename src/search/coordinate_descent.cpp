@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <functional>
 #include <set>
 #include <string>
 
@@ -209,13 +208,11 @@ std::vector<std::size_t> args_by_size(const TaskGraph& graph,
   return order;
 }
 
-/// Builds one candidate of a sweep from the current incumbent.
-using CandidateGen = std::function<Mapping(const Mapping&)>;
-
-/// What decision a sweep generator proposes — recorded alongside each
-/// generator so the provenance journal can describe the move without
+/// One decision of a coordinate sweep (Algorithm 1 ll. 11-18): a
+/// distribution setting, or a processor kind with one argument's memory
+/// kind. The provenance journal describes the move from it without
 /// re-deriving it from a mapping diff.
-struct MoveInfo {
+struct Move {
   bool is_dist = false;  // distribution move vs placement move
   bool distribute = false;
   bool blocked = false;
@@ -236,17 +233,6 @@ struct CcdInstruments {
   [[nodiscard]] bool active() const {
     return journal != nullptr || moves_accepted != nullptr;
   }
-};
-
-/// Context a sweep needs to journal its moves: which coordinate is being
-/// optimized and under which (possibly null) co-location map.
-struct MoveContext {
-  const CcdInstruments* ins = nullptr;
-  const Evaluator* eval = nullptr;
-  const std::vector<MoveInfo>* infos = nullptr;
-  TaskId t;
-  const OverlapMap* overlap = nullptr;  // null under plain CD
-  const TaskGraph* graph = nullptr;
 };
 
 std::string render_forced(const std::vector<ForcedMove>& moves,
@@ -277,186 +263,121 @@ std::string render_forced(const std::vector<ForcedMove>& moves,
 }
 
 /// Emits one `move` journal event (and bumps the accepted/rejected
-/// counters) for the sweep candidate at generator index `g`. Runs inside
-/// the serial fold, so ordering and byte-identity are free.
-void emit_move(const MoveContext& mc, std::size_t g, const Mapping& base,
-               const Mapping& candidate, bool accepted, double mean,
-               double incumbent) {
-  const CcdInstruments& ins = *mc.ins;
+/// counters) for `candidate`, the result of `move` on task `t` of the
+/// pre-move incumbent `base`. `overlap` is the active co-location map
+/// (null under plain CD).
+void emit_move(const CcdInstruments& ins, const Move& move, TaskId t,
+               const OverlapMap* overlap, const TaskGraph& graph,
+               const Mapping& base, const Mapping& candidate, bool accepted,
+               double mean, double incumbent, double clock) {
   if (ins.moves_accepted != nullptr) {
     (accepted ? ins.moves_accepted : ins.moves_rejected)->inc();
   }
   if (ins.journal == nullptr) return;
-  const MoveInfo& info = (*mc.infos)[g];
   auto ev = ins.journal->event("move");
-  ev.str("kind", info.is_dist ? "distribution" : "placement");
-  if (info.is_dist) {
-    ev.boolean("distribute", info.distribute)
-        .boolean("blocked", info.blocked);
+  ev.str("kind", move.is_dist ? "distribution" : "placement");
+  if (move.is_dist) {
+    ev.boolean("distribute", move.distribute)
+        .boolean("blocked", move.blocked);
   } else {
-    ev.integer("arg", static_cast<long long>(info.arg))
-        .str("proc", to_string(info.proc))
-        .str("mem", to_string(info.mem));
+    ev.integer("arg", static_cast<long long>(move.arg))
+        .str("proc", to_string(move.proc))
+        .str("mem", to_string(move.mem));
   }
   ev.boolean("accepted", accepted).num("mean", mean);
   if (std::isfinite(mean) && std::isfinite(incumbent)) {
     ev.num("delta", mean - incumbent);
   }
-  ev.num("clock", mc.eval->view().stats().search_time_s);
+  ev.num("clock", clock);
   if (accepted) {
     ev.str("hash", hex_u64(candidate.hash()));
-    if (!info.is_dist) {
+    if (!move.is_dist) {
       ev.raw("forced",
-             render_forced(forced_moves(base, candidate, mc.t, info.arg,
-                                        mc.overlap, *mc.graph),
-                           /*constrained=*/mc.overlap != nullptr));
+             render_forced(
+                 forced_moves(base, candidate, t, move.arg, overlap, graph),
+                 /*constrained=*/overlap != nullptr));
     }
   }
 }
 
-/// One greedy-sequential coordinate sweep (Algorithm 1 ll. 10-24), batched.
-/// Semantically identical to the serial loop
-///
-///   for gen in gens:
-///     if budget_exhausted: return
-///     candidate = gen(f); pt = evaluate(candidate)
-///     if pt < p: f = candidate; p = pt        // TestMapping
-///
-/// except that the censor threshold is fixed per batch: the whole
-/// not-yet-tested tail is built from the current incumbent and submitted as
-/// one batch, and the moment a candidate improves the incumbent, evaluation
-/// stops — the tail was built from a now-stale incumbent, so it is discarded
-/// without touching any statistics and rebuilt from the new one.
-///
-/// The batch exists for its threshold, max(incumbent, k-th finalist), which
-/// holds for every member. Submitting candidates one at a time would
-/// tighten the threshold mid-sweep whenever a rejected candidate entered the
-/// top-k list, changing which later candidates are censored and every
-/// counter after them.
-void batched_sweep(Evaluator& eval, const std::vector<CandidateGen>& gens,
-                   Mapping& f, double& p,
-                   const MoveContext* mc = nullptr) {
-  std::size_t next = 0;
-  while (next < gens.size()) {
-    if (eval.budget_exhausted()) return;
-    std::vector<Mapping> batch;
-    batch.reserve(gens.size() - next);
-    for (std::size_t i = next; i < gens.size(); ++i)
-      batch.push_back(gens[i](f));
-
-    std::ptrdiff_t improved = -1;
-    double improved_mean = 0.0;
-    // The incumbent mean is the interest bound: a candidate that cannot
-    // beat p will be rejected below, so the evaluator may censor it at p
-    // (pruning its simulation) without changing any acceptance decision.
-    const std::size_t folded = eval.evaluate_batch(
-        batch,
-        [&](std::size_t i, double mean) {
-          const bool accepted = mean < p;
-          // Journal the move on the fold side, before the incumbent is
-          // updated: `f` is still the pre-move base the forced-move diff
-          // needs, and `p` the delta baseline. Discarded tails never reach
-          // this point, matching the serial semantics.
-          if (mc != nullptr) {
-            emit_move(*mc, next + i, f, batch[i], accepted, mean, p);
-          }
-          if (accepted) {
-            improved = static_cast<std::ptrdiff_t>(i);
-            improved_mean = mean;
-            return false;
-          }
-          return true;
-        },
-        /*interest_bound_s=*/p);
-
-    if (improved >= 0) {
-      f = std::move(batch[static_cast<std::size_t>(improved)]);
-      p = improved_mean;
-      next += static_cast<std::size_t>(improved) + 1;
-      continue;
-    }
-    if (folded < batch.size()) return;  // budget ran out mid-batch
-    next = gens.size();
+/// Applies `move` to task `t` of the incumbent `f`. Under CCD the
+/// co-location constraints are then re-established (Algorithm 2); under
+/// plain CD the task's other arguments are repaired so the processor
+/// switch yields an executable mapping (the runtime's fallback).
+Mapping apply_move(const Mapping& f, TaskId t, const Move& move,
+                   const OverlapMap* overlap, const TaskGraph& graph,
+                   const MachineModel& machine) {
+  Mapping candidate = f;
+  if (move.is_dist) {
+    candidate.at(t).distribute = move.distribute;
+    candidate.at(t).blocked = move.blocked;
+    return candidate;
   }
+  candidate.at(t).proc = move.proc;
+  candidate.set_primary_memory(t, move.arg, move.mem);
+  if (overlap != nullptr)
+    return detail::colocation_constraints(candidate, t, move.arg, move.proc,
+                                          move.mem, *overlap, graph, machine);
+  for (std::size_t other = 0; other < graph.task(t).args.size(); ++other) {
+    if (other == move.arg) continue;
+    if (!machine.addressable(move.proc, candidate.primary_memory(t, other)))
+      candidate.set_primary_memory(t, other,
+                                   machine.best_memory_for(move.proc));
+  }
+  return candidate;
 }
 
-/// OptimizeTask (Algorithm 1 ll. 10-19): the per-coordinate candidate
-/// sweep over distribution, processor and memory kinds, expressed as a
-/// generator list so batched_sweep can rebuild its tail from a new
-/// incumbent.
+/// OptimizeTask (Algorithm 1 ll. 10-24): tests every distribution,
+/// processor and memory move of task `t` one at a time, each built from
+/// the current incumbent, and keeps a move iff its mean beats the
+/// incumbent's (TestMapping).
+///
+/// The incumbent mean p is the interest bound: a candidate that cannot
+/// beat p is rejected, so the evaluator may censor it (pruning its
+/// simulation) without changing any acceptance decision. The censor
+/// threshold, max(p, k-th finalist), is derived once per incumbent — when
+/// the task's sweep starts and when a move is accepted — and not when a
+/// rejected candidate enters the top-k list, which would change which
+/// later candidates are censored and every counter after them.
 void optimize_task(TaskId t, Mapping& f, double& p, Evaluator& eval,
                    const Simulator& sim, const OverlapMap* overlap,
                    bool search_distribution_strategies,
-                   const CcdInstruments* ins = nullptr) {
+                   const CcdInstruments& ins) {
   const TaskGraph& graph = sim.graph();
   const MachineModel& machine = sim.machine();
   const GroupTask& task = graph.task(t);
 
-  std::vector<CandidateGen> gens;
-  std::vector<MoveInfo> infos;  // parallel to gens, journal only
-
   // Distribution setting. The paper searches only distributed-vs-leader;
   // the extension also proposes a blocked decomposition.
-  struct DistOption {
-    bool distribute;
-    bool blocked;
-  };
-  std::vector<DistOption> dist_options = {{true, false}, {false, false}};
+  std::vector<Move> moves = {{.is_dist = true, .distribute = true}};
   if (search_distribution_strategies)
-    dist_options.insert(dist_options.begin() + 1, {true, true});
-  for (const DistOption d : dist_options) {
-    gens.push_back([t, d](const Mapping& base) {
-      Mapping candidate = base;
-      candidate.at(t).distribute = d.distribute;
-      candidate.at(t).blocked = d.blocked;
-      return candidate;
-    });
-    infos.push_back({.is_dist = true,
-                     .distribute = d.distribute,
-                     .blocked = d.blocked});
-  }
-
+    moves.push_back({.is_dist = true, .distribute = true, .blocked = true});
+  moves.push_back({.is_dist = true});
   // Processor kind x per-collection memory kind.
   for (const ProcKind k : machine.proc_kinds()) {
     if (k == ProcKind::kGpu && !task.cost.has_gpu_variant()) continue;
-    for (const std::size_t a : args_by_size(graph, task)) {
-      for (const MemKind r : machine.memories_addressable_by(k)) {
-        gens.push_back([t, k, a, r, overlap, &task, &graph,
-                        &machine](const Mapping& base) {
-          Mapping candidate = base;
-          candidate.at(t).proc = k;
-          candidate.set_primary_memory(t, a, r);
-          if (overlap != nullptr) {
-            candidate = detail::colocation_constraints(
-                candidate, t, a, k, r, *overlap, graph, machine);
-          } else {
-            // Plain CD: repair the task's other arguments so the processor
-            // switch yields an executable mapping (the runtime's fallback).
-            for (std::size_t other = 0; other < task.args.size(); ++other) {
-              if (other == a) continue;
-              if (!machine.addressable(k,
-                                       candidate.primary_memory(t, other)))
-                candidate.set_primary_memory(t, other,
-                                             machine.best_memory_for(k));
-            }
-          }
-          return candidate;
-        });
-        infos.push_back({.arg = a, .proc = k, .mem = r});
-      }
-    }
+    for (const std::size_t a : args_by_size(graph, task))
+      for (const MemKind r : machine.memories_addressable_by(k))
+        moves.push_back({.arg = a, .proc = k, .mem = r});
   }
 
-  if (ins != nullptr && ins->active()) {
-    const MoveContext mc{.ins = ins,
-                         .eval = &eval,
-                         .infos = &infos,
-                         .t = t,
-                         .overlap = overlap,
-                         .graph = &graph};
-    batched_sweep(eval, gens, f, p, &mc);
-  } else {
-    batched_sweep(eval, gens, f, p);
+  double threshold = eval.censor_threshold(p);
+  for (const Move& move : moves) {
+    if (eval.budget_exhausted()) return;
+    Mapping candidate = apply_move(f, t, move, overlap, graph, machine);
+    const double mean = eval.evaluate(candidate, threshold);
+    const bool accepted = mean < p;
+    // Journal the move before the incumbent is updated: `f` is still the
+    // pre-move base the forced-move diff needs, and `p` the delta baseline.
+    if (ins.active()) {
+      emit_move(ins, move, t, overlap, graph, f, candidate, accepted, mean,
+                p, eval.stats().search_time_s);
+    }
+    if (accepted) {
+      f = std::move(candidate);
+      p = mean;
+      threshold = eval.censor_threshold(p);
+    }
   }
 }
 
@@ -557,7 +478,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
 
   for (int rotation = 0; rotation < rotations; ++rotation) {
     if (eval.budget_exhausted()) break;
-    const double best_before = eval.view().best_seconds();
+    const double best_before = eval.best_seconds();
 
     const detail::OverlapMap overlap =
         detail::build_overlap_map(graph, edges, &frozen);
@@ -579,9 +500,9 @@ SearchResult run_coordinate_descent(const Simulator& sim,
     }
 
     // Counters for the degraded-rotation circuit breaker below.
-    const std::size_t evaluated_before = eval.view().stats().evaluated;
+    const std::size_t evaluated_before = eval.stats().evaluated;
     const std::size_t failed_before =
-        eval.view().stats().oom + eval.view().stats().quarantined;
+        eval.stats().oom + eval.stats().quarantined;
 
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
       const TaskId t = order[pos];
@@ -592,7 +513,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
                                     static_cast<int>(t.index()));
       }
       optimize_task(t, f, p, eval, sim, constrained ? &overlap : nullptr,
-                    options.search_distribution_strategies, &ins);
+                    options.search_distribution_strategies, ins);
       checkpoint(rotation, static_cast<int>(pos + 1));
     }
     if (ins.journal != nullptr) ins.journal->clear_coordinate();
@@ -626,9 +547,9 @@ SearchResult run_coordinate_descent(const Simulator& sim,
     // burning the remaining rotations on noise.
     if (sim.options().faults.enabled()) {
       const std::size_t d_eval =
-          eval.view().stats().evaluated - evaluated_before;
-      const std::size_t d_failed = eval.view().stats().oom +
-                                   eval.view().stats().quarantined -
+          eval.stats().evaluated - evaluated_before;
+      const std::size_t d_failed = eval.stats().oom +
+                                   eval.stats().quarantined -
                                    failed_before;
       if (d_eval > 0 && d_failed == d_eval) {
         eval.mark_degraded();

@@ -133,7 +133,7 @@ SearchResult run_ensemble_tuner(const Simulator& sim,
   Mapping candidate = elites.front();
   while (!eval.budget_exhausted() &&
          suggestions < config.max_suggestions &&
-         eval.view().stats().evaluated < config.max_evaluations) {
+         eval.stats().evaluated < config.max_evaluations) {
     // OpenTuner-style allocation: half the proposals follow the bandit's
     // exploit choice, half are uniform exploration across the ensemble.
     // Exploration keeps feeding the pure-random technique, whose proposals
@@ -168,10 +168,10 @@ SearchResult run_ensemble_tuner(const Simulator& sim,
     ++suggestions;
     eval.charge_overhead(config.overhead_per_suggestion_s);
     // Candidates worse than the tuner's incumbent only need to be known as
-    // such: pass `best` as the interest bound so they may be censored. A
+    // such: censor at `best` (or the k-th finalist, when that is looser). A
     // censored value folds to the censor threshold (>= best), which takes
     // the same not-improved branch below an exact mean would.
-    const double value = eval.evaluate(candidate, best);
+    const double value = eval.evaluate(candidate, eval.censor_threshold(best));
 
     const bool improved = value < best;
     if (improved) {

@@ -209,42 +209,21 @@ double Evaluator::aggregate_objective(double objective_sum, int survivors,
   return kInf;
 }
 
-Evaluator::RunOutcome Evaluator::execute_run(const Mapping& candidate,
-                                             std::uint64_t hash, int repeat) {
-  // Finalist reruns are never bounded: the protocol's whole point is an
-  // exact mean over the top-k, and top-k entries are never censored.
-  // Transient faults retry under the same policy as search-time evaluation;
-  // all clock costs beyond a successful run's own time ride in charge_s so
-  // the fold stays a pure accumulation.
-  RunOutcome out;
-  if (!sim_.begin_runs(candidate, scratch_)) {
-    // Deterministic failure (OOM): one observation cost, same as the
-    // search loop charges.
-    out.charge_s += failure_observation_cost();
-    return out;
-  }
+const ExecutionReport& Evaluator::run_repeat(const Mapping& candidate,
+                                             std::uint64_t hash, int repeat,
+                                             std::uint64_t salt,
+                                             double bound_s, RunRecord& run) {
   for (int attempt = 0;; ++attempt) {
     const ExecutionReport& report = sim_.run_prepared(
-        candidate, run_seed(hash, repeat, attempt, kFinalSalt), scratch_,
-        kInf);
-    if (report.ok) {
-      out.ok = true;
-      out.objective = options_.objective == Objective::kEnergy
-                          ? report.energy_joules
-                          : report.total_seconds;
-      out.total_seconds = report.total_seconds;
-      return out;
-    }
-    // Injected transient fault (a prepared run fails no other way): the
-    // clock paid for the partial run and the abort observation.
-    ++out.transient_failures;
-    out.charge_s += report.total_seconds + failure_observation_cost();
-    if (attempt >= options_.resilience.max_retries) {
-      out.transient = true;  // repeat lost, retry budget exhausted
-      return out;
-    }
-    ++out.retries;
-    out.charge_s += retry_backoff(attempt);
+        candidate, run_seed(hash, repeat, attempt, salt), scratch_, bound_s);
+    // A prepared run fails only by an injected transient fault: the clock
+    // pays for the partial run and the abort observation.
+    if (report.ok) return report;
+    ++run.transient_failures;
+    run.charge_s += report.total_seconds + failure_observation_cost();
+    if (attempt >= options_.resilience.max_retries) return report;
+    ++run.retries;
+    run.charge_s += retry_backoff(attempt);
   }
 }
 
@@ -278,20 +257,16 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
     run.value = kInf;
     return run;
   };
-  // An OOM surfaces before the event loop (placement is mapping-
-  // deterministic), so censoring never masks it. It still costs some time
-  // to observe (the runtime aborts during instance allocation): the charge
-  // is the machine-derived observation cost plus whatever transient
-  // attempts preceded the verdict (zero in fault-free operation).
-  const auto oom = [&]() {
-    run.charge_s = failure_observation_cost() + run.charge_s;
-    return fail(RunRecord::Status::kOom);
-  };
   // One validation + memory resolution serves every repeat: placement is
   // noise-independent, so begin_runs hoists it out of the repeat loop. A
   // failure here is an OOM (constraint-1 validity was already checked by
-  // the caller).
-  if (!sim_.begin_runs(candidate, scratch_)) return oom();
+  // the caller), which surfaces before the event loop, so censoring never
+  // masks it. It still costs some time to observe: the runtime aborts
+  // during instance allocation.
+  if (!sim_.begin_runs(candidate, scratch_)) {
+    run.charge_s = failure_observation_cost();
+    return fail(RunRecord::Status::kOom);
+  }
   const ResiliencePolicy& policy = options_.resilience;
   const bool inject = sim_.options().faults.enabled();
   const bool robust = policy.aggregation != Aggregation::kMean;
@@ -315,60 +290,44 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
                    repeats_d * race_threshold_s);
       allowance = line - sum;  // >= 0: the schedule is nondecreasing
     }
-    bool repeat_lost = false;
-    for (int attempt = 0;; ++attempt) {
-      // Under fault injection every run executes unbounded: a bounded
-      // abort at the censor line would mask a crash draw the fault stream
-      // scheduled past it, making prune on/off observably different. The
-      // censor verdict is still computed from the totals below.
-      const ExecutionReport& report = sim_.run_prepared(
-          candidate, run_seed(key, r, attempt, kEvalSalt), scratch_,
-          (bound_runs && !inject) ? allowance : kInf);
-      if (report.ok) {
-        if (report.censored || report.total_seconds > allowance) {
-          // Censor verdict: charge what the line allowed and stop. Every
-          // remaining repeat would see a zero allowance and contribute
-          // nothing, so the historical post-censor loop folds away. The
-          // value is exactly the threshold (not budget/repeats, whose
-          // rounding could land one ulp below it and leak past a caller's
-          // `mean < bound` acceptance test).
-          run.charge_s += allowance;
-          run.status = RunRecord::Status::kCensored;
-          run.value = threshold_s;
-          return run;
-        }
-        const double objective = options_.objective == Objective::kEnergy
-                                     ? report.energy_joules
-                                     : report.total_seconds;
-        objective_sum += objective;
-        run.charge_s += report.total_seconds;
-        sum += report.total_seconds;
-        ++survivors;
-        if (robust) objectives.push_back(objective);
-        break;
-      }
-      if (!report.transient) return oom();
-      // Injected transient fault: the clock paid for the partial run and
-      // the abort observation.
-      ++run.transient_failures;
-      run.charge_s += report.total_seconds + failure_observation_cost();
-      if (attempt >= policy.max_retries) {
-        repeat_lost = true;  // retry budget exhausted
-        break;
-      }
-      ++run.retries;
-      run.charge_s += retry_backoff(attempt);
-    }
-    if (repeat_lost) {
+    // Under fault injection every run executes unbounded: a bounded abort
+    // at the censor line would mask a crash draw the fault stream scheduled
+    // past it, making prune on/off observably different. The censor
+    // verdict is still computed from the totals below.
+    const ExecutionReport& report =
+        run_repeat(candidate, key, r, kEvalSalt,
+                   (bound_runs && !inject) ? allowance : kInf, run);
+    if (!report.ok) {
+      // The retry budget ran out and the repeat is lost. Quarantine: the
+      // candidate keeps failing under its whole retry budget; stop wasting
+      // repeats and cache it as failed.
       ++consecutive_lost;
-      // Quarantine: the candidate keeps failing under its whole retry
-      // budget; stop wasting repeats and cache it as failed.
       if (policy.quarantine_after > 0 &&
           consecutive_lost >= policy.quarantine_after)
         return fail(RunRecord::Status::kQuarantined);
-    } else {
-      consecutive_lost = 0;
+      continue;
     }
+    consecutive_lost = 0;
+    if (report.censored || report.total_seconds > allowance) {
+      // Censor verdict: charge what the line allowed and stop. Every
+      // remaining repeat would see a zero allowance and contribute nothing,
+      // so the historical post-censor loop folds away. The value is exactly
+      // the threshold (not budget/repeats, whose rounding could land one
+      // ulp below it and leak past a caller's `mean < bound` acceptance
+      // test).
+      run.charge_s += allowance;
+      run.status = RunRecord::Status::kCensored;
+      run.value = threshold_s;
+      return run;
+    }
+    const double objective = options_.objective == Objective::kEnergy
+                                 ? report.energy_joules
+                                 : report.total_seconds;
+    objective_sum += objective;
+    run.charge_s += report.total_seconds;
+    sum += report.total_seconds;
+    ++survivors;
+    if (robust) objectives.push_back(objective);
   }
   // Every repeat was lost to transient faults: quarantined whether or not
   // the consecutive-loss cutoff fired early. Fault draws come from a
@@ -496,152 +455,106 @@ Mapping Evaluator::with_fallbacks(const Mapping& mapping) const {
   return out;
 }
 
-double Evaluator::evaluate(const Mapping& mapping, double interest_bound_s) {
-  double mean = kInf;
-  (void)evaluate_batch(
-      std::span<const Mapping>(&mapping, 1),
-      [&](std::size_t, double value) {
-        mean = value;
-        return true;
-      },
-      interest_bound_s);
-  return mean;
+double Evaluator::censor_threshold(double interest_bound_s) const {
+  if (options_.objective != Objective::kExecutionTime) return kInf;
+  const double top_guard =
+      top_.size() >= static_cast<std::size_t>(options_.top_k)
+          ? top_.back().mean_seconds
+          : kInf;
+  return std::max(interest_bound_s, top_guard);
 }
 
-std::vector<double> Evaluator::evaluate_batch(
-    std::span<const Mapping> mappings, double interest_bound_s) {
-  std::vector<double> means;
-  means.reserve(mappings.size());
-  (void)evaluate_batch(
-      mappings,
-      [&](std::size_t, double value) {
-        means.push_back(value);
-        return true;
-      },
-      interest_bound_s);
-  return means;
-}
+double Evaluator::evaluate(const Mapping& mapping, double threshold_s) {
+  const std::uint64_t key = mapping.hash();
+  ++stats_.suggested;
 
-std::size_t Evaluator::evaluate_batch(
-    std::span<const Mapping> mappings,
-    const std::function<bool(std::size_t, double)>& consume,
-    double interest_bound_s) {
-  // Censor threshold, fixed once at submission so every member of the
-  // batch races the same line: a candidate is only worth resolving exactly
-  // if its mean could still beat the caller's interest bound *or* displace
-  // the k-th finalist (run_ccd_multistart re-imports the database across
-  // passes, so finalist-grade means must stay exact even when the caller's
-  // incumbent is tighter). The threshold — not the prune flag — drives the
-  // censoring arithmetic; prune only decides whether the simulator actually
-  // stops at the budget.
-  double threshold = kInf;
-  if (options_.objective == Objective::kExecutionTime) {
-    const double top_guard =
-        top_.size() >= static_cast<std::size_t>(options_.top_k)
-            ? top_.back().mean_seconds
-            : kInf;
-    threshold = std::max(interest_bound_s, top_guard);
-  }
-  const bool bound_runs =
-      options_.prune_candidates && std::isfinite(threshold);
+  // A cached entry answers the query unless it is censored at a bound
+  // tighter than this threshold — then the caller needs the mean resolved
+  // further and the candidate re-executes, overwriting the entry.
+  const auto it = profiles_.find(key);
+  const bool cached =
+      it != profiles_.end() && it->second.mapping == mapping &&
+      (!it->second.censored || it->second.mean_seconds >= threshold_s);
+  Mapping extended;  // the fallback-extended copy, when one is needed
+  if (!cached && options_.memory_fallbacks)
+    extended = with_fallbacks(mapping);
+  const Mapping& candidate = options_.memory_fallbacks ? extended : mapping;
 
-  // Each candidate is resolved and folded before the next one runs, so a
-  // later batch member sees every cache entry an earlier one created — a
-  // same-batch duplicate is answered by its earlier copy's entry.
-  std::size_t folded = 0;
-  for (std::size_t j = 0; j < mappings.size(); ++j) {
-    if (j > 0 && budget_exhausted()) break;
-    const Mapping& mapping = mappings[j];
-    const std::uint64_t key = mapping.hash();
-    ++stats_.suggested;
-
-    // A cached entry answers the query unless it is censored at a bound
-    // tighter than this batch's threshold — then the caller needs the mean
-    // resolved further and the candidate re-executes, overwriting the entry.
-    const auto it = profiles_.find(key);
-    const bool cached =
-        it != profiles_.end() && it->second.mapping == mapping &&
-        (!it->second.censored || it->second.mean_seconds >= threshold);
-    Mapping extended;  // the fallback-extended copy, when one is needed
-    if (!cached && options_.memory_fallbacks)
-      extended = with_fallbacks(mapping);
-    const Mapping& candidate = options_.memory_fallbacks ? extended : mapping;
-
-    double mean;
-    const char* status;
-    if (cached) {
-      mean = it->second.mean_seconds;
-      ++stats_.cache_hits;
-      status = "cached";
-    } else if (!candidate.valid(sim_.graph(), sim_.machine())) {
-      ++stats_.invalid;
-      profiles_.insert_or_assign(key, Entry{mapping, kInf});
-      mean = kInf;
-      status = "invalid";
+  double mean;
+  const char* status;
+  if (cached) {
+    mean = it->second.mean_seconds;
+    ++stats_.cache_hits;
+    status = "cached";
+  } else if (!candidate.valid(sim_.graph(), sim_.machine())) {
+    ++stats_.invalid;
+    profiles_.insert_or_assign(key, Entry{mapping, kInf});
+    mean = kInf;
+    status = "invalid";
+  } else {
+    // A resumed search takes each executed candidate's outcome from its
+    // log until the log is spent; from then on candidates simulate, and a
+    // checkpointing search logs what they returned. The threshold — not the
+    // prune flag — drives the censoring arithmetic; prune only decides
+    // whether the simulator actually stops at the line.
+    RunRecord run;
+    if (replayed_ < resumed_.records.size()) {
+      run = next_replayed(key, threshold_s);
     } else {
-      // A resumed search takes each executed candidate's outcome from its
-      // log until the log is spent; from then on candidates simulate, and
-      // a checkpointing search logs what they returned.
-      RunRecord run;
-      if (replayed_ < resumed_.records.size()) {
-        run = next_replayed(key, threshold);
-      } else {
-        run = run_candidate(candidate, key, threshold, bound_runs);
-        if (keep_log_) append_record(run);
-      }
-      ++stats_.evaluated;
-      stats_.transient_failures +=
-          static_cast<std::size_t>(run.transient_failures);
-      stats_.retries += static_cast<std::size_t>(run.retries);
-      stats_.search_time_s += run.charge_s;
-      stats_.evaluation_time_s += run.charge_s;
-      mean = run.value;
-      status = status_name(run.status);
-      // A censored entry is re-executed only if a later batch needs it
-      // resolved under a looser threshold; a quarantined one never is.
-      profiles_.insert_or_assign(
-          key, Entry{mapping, mean,
-                     /*censored=*/run.status == RunRecord::Status::kCensored,
-                     /*quarantined=*/run.status ==
-                         RunRecord::Status::kQuarantined});
-      switch (run.status) {
-        case RunRecord::Status::kOom:
-          ++stats_.oom;
-          break;
-        case RunRecord::Status::kQuarantined:
-          ++stats_.quarantined;
-          break;
-        case RunRecord::Status::kCensored:
-          // Censored candidates never update the incumbent, trajectory or
-          // finalist list.
-          ++stats_.censored;
-          break;
-        case RunRecord::Status::kEvaluated:
-          if (mean < best_seconds_) {
-            best_seconds_ = mean;
-            trajectory_.push_back({stats_.search_time_s, mean});
-            if (journal_) {
-              // 1:1 with trajectory points — the replay drift check and
-              // the Chrome-trace search row both reconstruct the Fig. 9
-              // curve from these.
-              journal_->event("incumbent")
-                  .num("clock", stats_.search_time_s)
-                  .num("best", mean)
-                  .integer("seq",
-                           static_cast<long long>(stats_.suggested));
-            }
-          }
-          // Maintain the top-k list for the finalist protocol.
-          if (mean < kInf) insert_top(mapping, mean);
-          break;
-      }
+      run = run_candidate(
+          candidate, key, threshold_s,
+          options_.prune_candidates && std::isfinite(threshold_s));
+      if (keep_log_) append_record(run);
     }
-
-    if (journal_ || metrics_) journal_candidate(status, mean, key);
-    ++folded;
-    if (!consume(j, mean)) break;
+    ++stats_.evaluated;
+    stats_.transient_failures +=
+        static_cast<std::size_t>(run.transient_failures);
+    stats_.retries += static_cast<std::size_t>(run.retries);
+    stats_.search_time_s += run.charge_s;
+    stats_.evaluation_time_s += run.charge_s;
+    mean = run.value;
+    status = status_name(run.status);
+    // A censored entry is re-executed only if a later evaluation needs it
+    // resolved under a looser threshold; a quarantined one never is.
+    profiles_.insert_or_assign(
+        key, Entry{mapping, mean,
+                   /*censored=*/run.status == RunRecord::Status::kCensored,
+                   /*quarantined=*/run.status ==
+                       RunRecord::Status::kQuarantined});
+    switch (run.status) {
+      case RunRecord::Status::kOom:
+        ++stats_.oom;
+        break;
+      case RunRecord::Status::kQuarantined:
+        ++stats_.quarantined;
+        break;
+      case RunRecord::Status::kCensored:
+        // Censored candidates never update the incumbent, trajectory or
+        // finalist list.
+        ++stats_.censored;
+        break;
+      case RunRecord::Status::kEvaluated:
+        if (mean < best_seconds_) {
+          best_seconds_ = mean;
+          trajectory_.push_back({stats_.search_time_s, mean});
+          if (journal_) {
+            // 1:1 with trajectory points — the replay drift check and the
+            // Chrome-trace search row both reconstruct the Fig. 9 curve
+            // from these.
+            journal_->event("incumbent")
+                .num("clock", stats_.search_time_s)
+                .num("best", mean)
+                .integer("seq", static_cast<long long>(stats_.suggested));
+          }
+        }
+        // Maintain the top-k list for the finalist protocol.
+        if (mean < kInf) insert_top(mapping, mean);
+        break;
+    }
   }
-  return folded;
+
+  if (journal_ || metrics_) journal_candidate(status, mean, key);
+  return mean;
 }
 
 void Evaluator::journal_candidate(const char* status, double mean,
@@ -760,9 +673,9 @@ std::string Evaluator::serialize_state() const {
          log_;
 }
 
-const Mapping& EvaluatorView::best() const {
-  AM_REQUIRE(!eval_->top_.empty(), "no successful evaluation yet");
-  return eval_->top_.front().mapping;
+const Mapping& Evaluator::best() const {
+  AM_REQUIRE(!top_.empty(), "no successful evaluation yet");
+  return top_.front().mapping;
 }
 
 SearchResult Evaluator::finalize(std::string algorithm_name) {
@@ -791,6 +704,17 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
     return result;
   }
 
+  // Nothing to verify: every candidate the search executed ran out of
+  // memory or lost its repeats to injected faults, or was invalid.
+  if (top_.empty())
+    throw Error("finalist protocol found no executable mapping: no "
+                "candidate completed a run (" +
+                std::to_string(stats_.evaluated) + " executed: " +
+                std::to_string(stats_.oom) + " out of memory, " +
+                std::to_string(stats_.quarantined) +
+                " quarantined after repeated transient faults; " +
+                std::to_string(stats_.invalid) + " invalid)");
+
   const int repeats = options_.final_repeats;
   const bool robust = options_.resilience.aggregation != Aggregation::kMean;
   double best_final = kInf;
@@ -799,32 +723,34 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
     const std::uint64_t hash = top_[e].mapping.hash();
     double sum = 0.0;
     int ok_runs = 0;
-    bool excluded = false;
     std::vector<double> values;  // per-survivor, robust aggregations only
-    for (int r = 0; r < repeats; ++r) {
-      const RunOutcome out = execute_run(candidate, hash, r);
-      // charge_s carries lost attempts, retry backoff and failure
-      // observation costs (zero for a fault-free success), so the fold is
-      // one accumulation for every outcome shape.
-      stats_.search_time_s += out.charge_s;
-      stats_.evaluation_time_s += out.charge_s;
+    // Finalist reruns are never bounded: the protocol's whole point is an
+    // exact mean over the top-k, and top-k entries are never censored. A
+    // finalist that cannot be placed (OOM) can never complete, so it is
+    // excluded after one observation cost, the historical exclusion rule.
+    const bool excluded = !sim_.begin_runs(candidate, scratch_);
+    if (excluded) {
+      stats_.search_time_s += failure_observation_cost();
+      stats_.evaluation_time_s += failure_observation_cost();
+    }
+    for (int r = 0; !excluded && r < repeats; ++r) {
+      RunRecord lost;  // this repeat's lost attempts and their charge
+      const ExecutionReport& report =
+          run_repeat(candidate, hash, r, kFinalSalt, kInf, lost);
+      stats_.search_time_s += lost.charge_s;
+      stats_.evaluation_time_s += lost.charge_s;
       stats_.transient_failures +=
-          static_cast<std::size_t>(out.transient_failures);
-      stats_.retries += static_cast<std::size_t>(out.retries);
-      if (!out.ok) {
-        if (!out.transient) {
-          // Deterministic failure (OOM): the finalist can never complete,
-          // so stop rerunning it — the historical exclusion rule.
-          excluded = true;
-          break;
-        }
-        continue;  // transient-exhausted repeat: lost, keep folding
-      }
-      sum += out.objective;
-      stats_.search_time_s += out.total_seconds;
-      stats_.evaluation_time_s += out.total_seconds;
+          static_cast<std::size_t>(lost.transient_failures);
+      stats_.retries += static_cast<std::size_t>(lost.retries);
+      if (!report.ok) continue;  // retry budget spent: repeat lost
+      const double objective = options_.objective == Objective::kEnergy
+                                   ? report.energy_joules
+                                   : report.total_seconds;
+      sum += objective;
+      stats_.search_time_s += report.total_seconds;
+      stats_.evaluation_time_s += report.total_seconds;
       ++ok_runs;
-      if (robust) values.push_back(out.objective);
+      if (robust) values.push_back(objective);
     }
     // A finalist scores when a strict majority of its repeats survived —
     // fault-free that is all of them, reproducing the historical
@@ -851,10 +777,7 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
     result.best_seconds = best_final;
   } else {
     // Graceful degradation: the fault rate left every finalist
-    // unprofilable. Return the best-known incumbent with the degraded flag
-    // instead of throwing away the whole search.
-    AM_CHECK(!top_.empty(),
-             "finalist protocol found no executable mapping");
+    // unprofilable. Return the best-known incumbent with the degraded flag.
     stats_.degraded = true;
     result.best = top_.front().mapping;
     result.best_seconds = top_.front().mean_seconds;

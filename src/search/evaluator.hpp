@@ -1,7 +1,6 @@
 #pragma once
 
-// Candidate-mapping evaluator with a profiles database and a batch
-// evaluation engine.
+// Candidate-mapping evaluator with a profiles database.
 //
 // This is AutoMap's driver-side measurement machinery (§3, Figure 4): every
 // candidate is executed `repeats` times and the mean is recorded; results
@@ -12,48 +11,47 @@
 // Fig. 9 time axis reflects what a real deployment would pay.
 //
 // Candidate execution dominates search cost (§5.3: 99 % for CCD/CD).
-// evaluate_batch runs a batch's candidates one after another on the calling
-// thread, folding each result before the next candidate runs. Every run's
-// noise seed is *derived* from (search seed, mapping hash, repeat index)
-// instead of drawn from a shared sequential generator, so a run's result
-// does not depend on how many candidates preceded it — which keeps cache
-// hits, checkpoint resume and pruning on/off bit-identical.
+// evaluate runs one candidate on the calling thread and folds its result
+// before it returns, the paper's TestMapping. Every run's noise seed is
+// *derived* from (search seed, mapping hash, repeat index) instead of drawn
+// from a shared sequential generator, so a run's result does not depend on
+// how many candidates preceded it — which keeps cache hits, checkpoint
+// resume and pruning on/off bit-identical.
 //
 // Checkpoint resume (SearchOptions::checkpoint_path / resume_state): a
-// candidate's outcome is a pure function of its mapping and its batch's
-// censor threshold, so a checkpoint is a log of what each executed
-// candidate returned — no mappings, no snapshot of this state. A resumed
-// search restarts its algorithm from the first proposal and, for each
-// candidate that would execute, takes the next logged outcome instead of
-// simulating; once the log is spent it runs live. The one fold below builds
-// the counters, clock, top-k list, trajectory, journal and metrics either
-// way.
+// candidate's outcome is a pure function of its mapping and the censor
+// threshold it was evaluated under, so a checkpoint is a log of what each
+// executed candidate returned — no mappings, no snapshot of this state. A
+// resumed search restarts its algorithm from the first proposal and, for
+// each candidate that would execute, takes the next logged outcome instead
+// of simulating; once the log is spent it runs live. The one fold below
+// builds the counters, clock, top-k list, trajectory, journal and metrics
+// either way.
 //
 // Incumbent-bounded pruning (SearchOptions::prune_candidates): most
 // candidates a hill-climbing search proposes are worse than the incumbent,
-// and simulating them to completion only confirms that. evaluate_batch
-// fixes a censor threshold T at batch submission — the larger of the
-// caller's interest bound and the current k-th best finalist mean — and
-// races every executed candidate against it: after k runs the candidate is
-// *censored* once its running sum crosses a noise-aware confidence line
-// (capped at repeats x T, at which point mean > T is proven outright), and
-// each run simulates under a time bound of whatever the line leaves. A
-// censored candidate folds to exactly T, is recorded in the profiles
-// database with a censored flag (re-executed only if a later batch needs
-// it resolved under a looser threshold), and never enters the trajectory
-// or the top-k list; an uncensored candidate's mean is exact and provably
-// at most T. The censoring arithmetic runs in both modes; the prune flag
-// only decides whether the simulator aborts at the line or burns real time
-// past it — so results stay bit-identical with pruning on or off. The
-// search clock is charged the simulated seconds actually consumed up to the
-// line (the cost a real bounded deployment would pay).
+// and simulating them to completion only confirms that. The caller holds a
+// censor threshold T — censor_threshold(incumbent), the larger of its
+// interest bound and the current k-th best finalist mean, re-derived when
+// the incumbent changes — and evaluate races the candidate against it:
+// after k runs the candidate is *censored* once its running sum crosses a
+// noise-aware confidence line (capped at repeats x T, at which point
+// mean > T is proven outright), and each run simulates under a time bound
+// of whatever the line leaves. A censored candidate folds to exactly T, is
+// recorded in the profiles database with a censored flag (re-executed only
+// if a later evaluation needs it resolved under a looser threshold), and
+// never enters the trajectory or the top-k list; an uncensored candidate's
+// mean is exact and provably at most T. The censoring arithmetic runs in
+// both modes; the prune flag only decides whether the simulator aborts at
+// the line or burns real time past it — so results stay bit-identical with
+// pruning on or off. The search clock is charged the simulated seconds
+// actually consumed up to the line (the cost a real bounded deployment
+// would pay).
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <limits>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,7 +63,6 @@
 namespace automap {
 
 class Counter;
-class EvaluatorView;
 class Gauge;
 class Histogram;
 class Journal;
@@ -79,8 +76,9 @@ struct RunRecord {
   enum class Status { kEvaluated, kCensored, kOom, kQuarantined };
   std::uint64_t hash = 0;
   Status status = Status::kEvaluated;
-  /// The folded value: the aggregated objective, the batch's censor
-  /// threshold (censored), or infinity (oom, quarantined).
+  /// The folded value: the aggregated objective, the censor threshold the
+  /// candidate was evaluated under (censored), or infinity (oom,
+  /// quarantined).
   double value = 0.0;
   /// Simulated seconds charged to the search clock: the run totals up to
   /// the censor line, fault losses, retry backoff and an OOM's observation
@@ -111,45 +109,30 @@ class Evaluator {
  public:
   Evaluator(const Simulator& sim, const SearchOptions& options);
 
-  /// Proposes a mapping for evaluation. Returns its mean execution time in
-  /// seconds; infinity when the mapping is invalid (constraint 1) or runs
-  /// out of memory. Cached mappings return instantly without re-execution.
-  /// Equivalent to a one-element evaluate_batch.
+  /// The censor threshold for a caller whose interest ends at
+  /// `interest_bound_s` (typically its incumbent mean): a candidate is worth
+  /// resolving exactly only if its mean could still beat the bound *or*
+  /// displace the k-th finalist (run_ccd_multistart re-imports the database
+  /// across passes, so finalist-grade means must stay exact even when the
+  /// caller's incumbent is tighter). Returns max(bound, k-th finalist
+  /// mean); infinity while the top-k list is not full, and always under
+  /// Objective::kEnergy, whose values the time-based race cannot bound.
+  [[nodiscard]] double censor_threshold(double interest_bound_s) const;
+
+  /// Proposes a mapping for evaluation (the paper's TestMapping) and folds
+  /// the outcome. Returns its mean execution time in seconds; infinity when
+  /// the mapping is invalid (constraint 1), runs out of memory or is
+  /// quarantined. Cached mappings return instantly without re-execution.
   ///
-  /// `interest_bound_s` declares how slow a candidate may be and still be
-  /// useful to the caller (typically the caller's incumbent mean): a
-  /// candidate whose mean provably exceeds both the bound and the k-th
-  /// finalist mean is censored and returns the censor threshold instead of
-  /// an exact mean. Pass infinity (the default) when the exact value
+  /// A candidate whose mean provably exceeds `threshold_s` is censored and
+  /// returns exactly `threshold_s`. Pass censor_threshold(bound) to prune
+  /// against an incumbent, or infinity (the default) when the exact value
   /// matters — e.g. to seed an incumbent, or for simulated annealing's
-  /// acceptance probabilities.
+  /// acceptance probabilities. Never checks the budget: a search checks
+  /// budget_exhausted() before it proposes.
   double evaluate(const Mapping& mapping,
-                  double interest_bound_s =
+                  double threshold_s =
                       std::numeric_limits<double>::infinity());
-
-  /// Batch entry point: evaluates the candidates in submission order,
-  /// replicating evaluate() exactly — a candidate sees cache entries created
-  /// by earlier batch members, and evaluation stops once the simulated
-  /// budget is exhausted (a serial loop would not have proposed the
-  /// remaining candidates). The censor threshold derived from
-  /// `interest_bound_s` is fixed once at submission, so every member is
-  /// censored against the same line however the earlier ones folded. After
-  /// each fold, `consume(index, mean)` is invoked; returning false stops the
-  /// batch before the next candidate runs (no statistics, cache or clock
-  /// effects from the tail), which lets greedy-sequential searches submit
-  /// candidates whose construction depends on earlier outcomes. Returns
-  /// the number of candidates folded.
-  std::size_t evaluate_batch(
-      std::span<const Mapping> mappings,
-      const std::function<bool(std::size_t, double)>& consume,
-      double interest_bound_s = std::numeric_limits<double>::infinity());
-
-  /// Convenience overload folding the whole batch (budget permitting):
-  /// returns the means of the folded prefix; the result is shorter than
-  /// `mappings` iff the budget ran out mid-batch.
-  std::vector<double> evaluate_batch(
-      std::span<const Mapping> mappings,
-      double interest_bound_s = std::numeric_limits<double>::infinity());
 
   /// Charges algorithm-side overhead (e.g. the ensemble tuner's proposal
   /// machinery) to the search clock without touching evaluation counters.
@@ -173,13 +156,23 @@ class Evaluator {
 
   /// The finalist protocol (§5): re-runs the top-k mappings
   /// `final_repeats` times each and returns the fastest, charging the
-  /// reruns to the search clock.
+  /// reruns to the search clock. Throws Error naming the failures when no
+  /// candidate completed a run, so there is nothing to rerun.
   [[nodiscard]] SearchResult finalize(std::string algorithm_name);
 
-  /// Read-only accessors (best/stats/trajectory/profiles export) live on
-  /// EvaluatorView; pass a view to reporting code instead of the mutating
-  /// evaluator.
-  [[nodiscard]] EvaluatorView view() const;
+  /// Best mapping so far and its (search-time) mean.
+  [[nodiscard]] const Mapping& best() const;
+  [[nodiscard]] double best_seconds() const { return best_seconds_; }
+  [[nodiscard]] bool has_best() const { return !top_.empty(); }
+
+  [[nodiscard]] const SearchStats& stats() const { return stats_; }
+  [[nodiscard]] const std::vector<TrajectoryPoint>& trajectory() const {
+    return trajectory_;
+  }
+
+  /// Serializes the profiles database (every measured mapping with its
+  /// mean) for reuse via SearchOptions::profiles_seed.
+  [[nodiscard]] std::string export_profiles() const;
 
   /// If memory_fallbacks is on, returns a copy of `mapping` whose argument
   /// priority lists are extended with the remaining addressable memory
@@ -218,8 +211,6 @@ class Evaluator {
   [[nodiscard]] std::string serialize_state() const;
 
  private:
-  friend class EvaluatorView;
-
   struct Entry {
     Mapping mapping;
     double mean_seconds;
@@ -234,25 +225,6 @@ class Evaluator {
     /// and is cached as failed (mean infinity) — never re-run under this
     /// search. Mutually exclusive with censored.
     bool quarantined = false;
-  };
-  /// Result of one finalist-protocol run, reduced to what folding needs
-  /// (full ExecutionReports would hold per-task vectors per run).
-  struct RunOutcome {
-    bool ok = false;
-    double objective = 0.0;
-    double total_seconds = 0.0;
-    /// The run's failure (ok == false) was a transient injected fault and
-    /// its retry budget is exhausted — the repeat is lost, but the finalist
-    /// is not excluded outright the way a deterministic failure excludes.
-    bool transient = false;
-    /// Simulated seconds consumed by this run *beyond* total_seconds: lost
-    /// attempts, retry backoff, and failure observation cost. Charged to
-    /// the search clock by the fold; zero in fault-free operation for ok
-    /// runs (for failed runs it carries failure_observation_cost(), which
-    /// the fold previously added at the call site).
-    double charge_s = 0.0;
-    int transient_failures = 0;
-    int retries = 0;
   };
   /// Deterministic per-(candidate, repeat, attempt) noise seed — the scheme
   /// that makes a run's noise independent of evaluation order. Attempt 0 is
@@ -272,10 +244,17 @@ class Evaluator {
   [[nodiscard]] double aggregate_objective(
       double objective_sum, int survivors,
       std::vector<double> objectives) const;
-  /// Executes one unbounded finalist-protocol run (retrying transient
-  /// faults under the resilience policy) and reduces it to a RunOutcome.
-  [[nodiscard]] RunOutcome execute_run(const Mapping& candidate,
-                                       std::uint64_t hash, int repeat);
+  /// Runs repeat `repeat` of the candidate prepared by the last begin_runs
+  /// under `bound_s`, retrying injected transient faults under the
+  /// resilience policy. Each lost attempt adds its partial run, failure
+  /// observation and backoff to `run.charge_s` and its counts to `run`;
+  /// the returned report's own run is left to the caller to charge. A
+  /// prepared run fails only by an injected fault, so a report that is not
+  /// ok means the retry budget ran out and the repeat is lost.
+  const ExecutionReport& run_repeat(const Mapping& candidate,
+                                    std::uint64_t hash, int repeat,
+                                    std::uint64_t salt, double bound_s,
+                                    RunRecord& run);
   /// Executes one candidate's `repeats` runs as a race against the censor
   /// threshold: after k runs the candidate is censored once its running sum
   /// crosses a noise-aware confidence line (capped at repeats x threshold,
@@ -289,8 +268,8 @@ class Evaluator {
                                         bool bound_runs);
   /// The next record of the log being resumed, checked against the
   /// candidate the search executes now: the mapping hash must match, and a
-  /// censored record must carry this batch's threshold. Throws Error naming
-  /// the record otherwise.
+  /// censored record must carry the threshold it is evaluated under now.
+  /// Throws Error naming the record otherwise.
   [[nodiscard]] RunRecord next_replayed(std::uint64_t hash,
                                         double threshold_s);
   /// Appends `run` to the checkpoint log as one line.
@@ -303,9 +282,6 @@ class Evaluator {
   /// Inserts into the top-k finalist list unless an entry with the same
   /// structural hash and mapping is already present (dedupe on import).
   void insert_top(const Mapping& mapping, double mean);
-  /// Serializes the profiles database (every measured mapping with its
-  /// mean) for reuse via SearchOptions::profiles_seed.
-  [[nodiscard]] std::string export_profiles() const;
 
   /// Emits one fold-side `candidate` journal event and updates the
   /// per-candidate metrics. `status` is one of evaluated / cached /
@@ -355,39 +331,10 @@ class Evaluator {
   /// search checkpoints or resumes.
   bool keep_log_ = false;
   std::string log_;
-  /// The log being resumed; evaluate_batch consumes its records in order
-  /// before it simulates anything.
+  /// The log being resumed; evaluate consumes its records in order before
+  /// it simulates anything.
   CheckpointLog resumed_;
   std::size_t replayed_ = 0;
 };
-
-/// Read-only window onto an Evaluator for reporting and analysis code: the
-/// best mapping so far, counters, the Fig. 9 trajectory and the profiles
-/// database export — none of the propose/charge/finalize machinery. Cheap
-/// to copy; valid as long as the evaluator it views.
-class EvaluatorView {
- public:
-  explicit EvaluatorView(const Evaluator& eval) : eval_(&eval) {}
-
-  /// Best mapping so far and its (search-time) mean.
-  [[nodiscard]] const Mapping& best() const;
-  [[nodiscard]] double best_seconds() const { return eval_->best_seconds_; }
-  [[nodiscard]] bool has_best() const { return !eval_->top_.empty(); }
-
-  [[nodiscard]] const SearchStats& stats() const { return eval_->stats_; }
-  [[nodiscard]] const std::vector<TrajectoryPoint>& trajectory() const {
-    return eval_->trajectory_;
-  }
-
-  /// Serialized profiles database for SearchOptions::profiles_seed.
-  [[nodiscard]] std::string export_profiles() const {
-    return eval_->export_profiles();
-  }
-
- private:
-  const Evaluator* eval_;
-};
-
-inline EvaluatorView Evaluator::view() const { return EvaluatorView(*this); }
 
 }  // namespace automap

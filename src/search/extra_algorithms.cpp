@@ -1,6 +1,5 @@
 #include "src/search/extra_algorithms.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/search/coordinate_descent.hpp"
@@ -77,30 +76,18 @@ SearchResult run_random_search(const Simulator& sim,
   const std::size_t cap = std::isfinite(options.time_budget_s)
                               ? std::size_t{1} << 20
                               : 2500;
-  // Proposals are independent of evaluation results, so random search
-  // draws a block of candidates and submits it whole. evaluate_batch makes
-  // the same per-candidate budget checks a serial loop would, but fixes the
-  // censor threshold once per block, so kBlock is part of the search's
-  // definition: changing it changes which candidates are censored.
+  // Random search never compares candidates against each other — only the
+  // finalist list matters — so the interest bound is zero and the evaluator
+  // censors at the k-th finalist mean. The threshold is refreshed every
+  // kBlock proposals, not after every fold, so kBlock is part of the
+  // search's definition: changing it changes which candidates are censored.
   constexpr std::size_t kBlock = 64;
-  for (std::size_t i = 0; i < cap && !eval.budget_exhausted();) {
-    const std::size_t block = std::min(kBlock, cap - i);
-    std::vector<Mapping> batch;
-    batch.reserve(block);
-    for (std::size_t b = 0; b < block; ++b) {
-      Mapping candidate =
-          random_valid_mapping(sim.graph(), sim.machine(), rng);
-      for (const TaskId t : options.frozen_tasks)
-        candidate.at(t) = start.at(t);
-      batch.push_back(std::move(candidate));
-    }
-    // Random search never compares candidates against each other — only
-    // the finalist list matters — so the interest bound is zero and the
-    // evaluator censors at the k-th finalist mean.
-    const std::size_t folded =
-        eval.evaluate_batch(batch, /*interest_bound_s=*/0.0).size();
-    if (folded < batch.size()) break;  // budget ran out mid-block
-    i += folded;
+  double threshold = 0.0;
+  for (std::size_t i = 0; i < cap && !eval.budget_exhausted(); ++i) {
+    if (i % kBlock == 0) threshold = eval.censor_threshold(0.0);
+    Mapping candidate = random_valid_mapping(sim.graph(), sim.machine(), rng);
+    for (const TaskId t : options.frozen_tasks) candidate.at(t) = start.at(t);
+    (void)eval.evaluate(candidate, threshold);
   }
   return eval.finalize("AM-Random");
 }
@@ -117,7 +104,10 @@ SearchResult run_simulated_annealing(const Simulator& sim,
   Mapping current = search_starting_point(sim.graph(), sim.machine());
   eval.begin_search("AM-Anneal", current);
   double current_cost = eval.evaluate(current);
-  AM_CHECK(std::isfinite(current_cost), "starting point failed to execute");
+  // A start that completed no run leaves no temperature scale to anneal
+  // with; finalize reports the failure unless a seeded database holds
+  // finalists.
+  if (!std::isfinite(current_cost)) return eval.finalize("AM-Anneal");
 
   double temperature = config.initial_temperature * current_cost;
   const std::size_t cap = std::isfinite(options.time_budget_s)

@@ -54,14 +54,6 @@ const char* aggregation_name(Aggregation a) {
   return "mean";
 }
 
-Aggregation parse_aggregation(const std::string& name) {
-  if (name == "mean") return Aggregation::kMean;
-  if (name == "median") return Aggregation::kMedian;
-  if (name == "trimmed_mean") return Aggregation::kTrimmedMean;
-  throw Error("unknown aggregation '" + name +
-              "' (expected mean|median|trimmed_mean)");
-}
-
 /// Doubles that may be non-finite travel as the quoted strings the
 /// journal writes ("inf"/"-inf"/"nan"); accept both shapes.
 double json_wide(const JsonValue& v, const std::string& key) {
@@ -87,6 +79,14 @@ void check_schema(const JsonValue& v, const char* what) {
 }
 
 }  // namespace
+
+Aggregation parse_aggregation(const std::string& name) {
+  if (name == "mean") return Aggregation::kMean;
+  if (name == "median") return Aggregation::kMedian;
+  if (name == "trimmed_mean") return Aggregation::kTrimmedMean;
+  throw Error("unknown aggregation '" + name +
+              "' (expected mean|median|trimmed_mean)");
+}
 
 std::string search_options_to_json(const SearchOptions& o) {
   std::string out = "{\"schema\":" + std::to_string(kSearchOptionsSchema);

@@ -182,6 +182,11 @@ inline constexpr int kSearchOptionsSchema = 1;
 [[nodiscard]] SearchOptions search_options_from_json(const JsonValue& v);
 [[nodiscard]] SearchOptions search_options_from_json(const std::string& text);
 
+/// Decodes an aggregation by the name the codec writes
+/// (mean|median|trimmed_mean); throws Error listing the names otherwise.
+/// The CLI's --aggregate flag decodes through it too.
+[[nodiscard]] Aggregation parse_aggregation(const std::string& name);
+
 /// Rejects option values no search over a graph of `num_tasks` tasks can
 /// run with (non-positive repeats, rotations, top_k or final_repeats; a
 /// NaN budget; negative retry or quarantine counts; a frozen task id
@@ -251,7 +256,7 @@ struct SearchStats {
   std::size_t invalid = 0;
   /// Executions that failed with an out-of-memory error.
   std::size_t oom = 0;
-  /// Executions censored at the batch's censor threshold: the candidate
+  /// Executions censored at the threshold they ran under: the candidate
   /// provably could not beat the incumbent or enter the top-k, so its runs
   /// were cut off at the budget (identical count with pruning on or off —
   /// the flag only decides whether the cut saves wall-clock time).

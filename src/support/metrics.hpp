@@ -9,12 +9,12 @@
 //
 // Determinism contract: instruments marked `deterministic` depend only on
 // the search's configuration, never on the wall clock — all evaluator and
-// search counters qualify because they are updated as evaluate_batch folds
-// each candidate. Raw simulator run counts do NOT qualify (pruning on or off
-// changes them, because bounded runs abort early), so those instruments are
-// registered with deterministic=false: they are excluded from journal
-// snapshots (which must be byte-identical with pruning on or off) and only
-// appear in the final --metrics-out exposition.
+// search counters qualify because they are updated as Evaluator::evaluate
+// folds each candidate. Raw simulator run counts do NOT qualify (pruning on
+// or off changes them, because bounded runs abort early), so those
+// instruments are registered with deterministic=false: they are excluded
+// from journal snapshots (which must be byte-identical with pruning on or
+// off) and only appear in the final --metrics-out exposition.
 
 #include <atomic>
 #include <cstdint>

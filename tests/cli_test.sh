@@ -169,6 +169,41 @@ grep "best mapping" "$DIR/faulty-unpruned.txt" > "$DIR/faulty-unpruned.line"
 cmp "$DIR/faulty.line" "$DIR/faulty-unpruned.line"
 grep -q "resilience:" "$DIR/faulty.txt"
 
+# A search in which no candidate ever completes a run fails with one error
+# line naming the cause, never an invariant message with a source
+# location: at this crash rate every Pennant run crashes, so the default
+# search and annealing (whose starting mapping then has no cost) both see
+# every candidate quarantined.
+"$CLI" export-machine shepard 1 "$DIR/m1.machine" > /dev/null
+"$CLI" export-app pennant 1 0 "$DIR/p.graph" > /dev/null
+for algorithm in "ccd" "anneal --budget 30"; do
+  if "$CLI" search "$DIR/m1.machine" "$DIR/p.graph" --fault-crash 0.02 \
+        --algorithm $algorithm > "$DIR/nocomplete.out" 2>&1; then
+    echo "expected nonzero exit when no candidate completes ($algorithm)" >&2
+    exit 1
+  fi
+  test "$(grep -c '^error:' "$DIR/nocomplete.out")" -eq 1
+  grep -q "^error: .*no candidate completed a run (.* quarantined" \
+        "$DIR/nocomplete.out"
+  if grep -q '\.cpp' "$DIR/nocomplete.out"; then
+    echo "error names a source file ($algorithm)" >&2
+    exit 1
+  fi
+done
+
+# --aggregate takes the names the options codec writes: the trimmed mean
+# round-trips through --dump-options, and a name outside the codec gets
+# the codec's one-line error listing the names.
+"$CLI" search "$DIR/m.machine" "$DIR/g.graph" --aggregate trimmed_mean \
+      --dump-options | grep -q '"aggregation":"trimmed_mean"'
+if "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --aggregate trimmed \
+      > "$DIR/badagg.out" 2>&1; then
+  echo "expected nonzero exit for --aggregate trimmed" >&2
+  exit 1
+fi
+grep -q "^error: .*'trimmed'.*mean|median|trimmed_mean" "$DIR/badagg.out"
+test "$(wc -l < "$DIR/badagg.out")" -eq 1
+
 # Interrupt-and-resume: a search cut mid-flight by the simulated budget
 # leaves a mid-search checkpoint; resuming from it must land on the exact
 # summary line of the uninterrupted run (deterministic cut).

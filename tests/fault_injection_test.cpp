@@ -31,7 +31,7 @@
 namespace automap {
 namespace {
 
-/// Same tiny app as evaluator_batch_test: GPU-friendly producer, a CPU-only
+/// Same tiny app as evaluator_test: GPU-friendly producer, a CPU-only
 /// task, two collections, one data dependence (so copy faults have a leg to
 /// hit).
 struct MiniApp {
@@ -236,12 +236,12 @@ TEST(Resilience, RetryRecoversTransientCrashesAndChargesTheClock) {
   const double mean = eval.evaluate(m);
   EXPECT_TRUE(std::isfinite(mean));
 
-  const SearchStats& s = eval.view().stats();
+  const SearchStats& s = eval.stats();
   EXPECT_GE(s.transient_failures, 1u);
   EXPECT_GE(s.retries, 1u);
   EXPECT_EQ(s.quarantined, 0u);
   // Lost attempts and backoff are charged to the simulated search clock.
-  EXPECT_GT(s.search_time_s, reference.view().stats().search_time_s);
+  EXPECT_GT(s.search_time_s, reference.stats().search_time_s);
 }
 
 TEST(Resilience, QuarantineCachesAlwaysCrashingCandidates) {
@@ -256,7 +256,7 @@ TEST(Resilience, QuarantineCachesAlwaysCrashingCandidates) {
   Evaluator eval(sim, options);
 
   EXPECT_TRUE(std::isinf(eval.evaluate(m)));
-  const SearchStats& s = eval.view().stats();
+  const SearchStats& s = eval.stats();
   EXPECT_EQ(s.quarantined, 1u);
   // The quarantine cutoff fired after exactly two lost repeats; the
   // remaining repeats were never attempted.
@@ -266,9 +266,9 @@ TEST(Resilience, QuarantineCachesAlwaysCrashingCandidates) {
 
   // Quarantined candidates are cached as failed: re-proposal costs nothing.
   EXPECT_TRUE(std::isinf(eval.evaluate(m)));
-  EXPECT_EQ(eval.view().stats().cache_hits, 1u);
-  EXPECT_EQ(eval.view().stats().evaluated, 1u);
-  EXPECT_NE(eval.view().export_profiles().find("quarantined"),
+  EXPECT_EQ(eval.stats().cache_hits, 1u);
+  EXPECT_EQ(eval.stats().evaluated, 1u);
+  EXPECT_NE(eval.export_profiles().find("quarantined"),
             std::string::npos);
 }
 
@@ -284,7 +284,7 @@ TEST(Resilience, FullyLostCandidateFailsEvenWithoutQuarantineCutoff) {
   Evaluator eval(sim, options);
 
   EXPECT_TRUE(std::isinf(eval.evaluate(m)));
-  const SearchStats& s = eval.view().stats();
+  const SearchStats& s = eval.stats();
   // Every repeat was attempted (no cutoff), every one was lost; the
   // candidate is still cached as failed so it is never re-run.
   EXPECT_EQ(s.transient_failures, 3u);
@@ -553,7 +553,7 @@ TEST(Checkpoint, ReplayRefusesARecordOfAnotherCandidate) {
   other[first] = other[first] == '0' ? '1' : '0';
   EXPECT_NE(refusal(other).find("checkpoint record 1 "), std::string::npos)
       << refusal(other);
-  // A censored record whose value is not its batch's threshold.
+  // A censored record whose value is not the threshold it is replayed at.
   const std::size_t censored = log.find(" censored ");
   ASSERT_NE(censored, std::string::npos);
   const std::size_t value = censored + std::string(" censored ").size();

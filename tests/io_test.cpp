@@ -255,7 +255,7 @@ TEST_F(LineFormats, MalformedMappingNamesTheLine) {
 
 TEST_F(LineFormats, MalformedProfilesDatabaseNamesTheLine) {
   // profiles 1 / entry <mean> / task 0 ... / task 1 ...
-  const auto lines = lines_of(measured.view().export_profiles());
+  const auto lines = lines_of(measured.export_profiles());
   ASSERT_GE(lines.size(), 4u);
   expect_refused_naming_the_line(
       {{"truncated", joined(lines.begin(), lines.end() - 1)},

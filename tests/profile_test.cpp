@@ -323,7 +323,7 @@ TEST(OomAccounting, FailedEvaluationChargesObservationCost) {
   const double mean = eval.evaluate(Mapping(app.g));
   EXPECT_TRUE(std::isinf(mean));
 
-  const SearchStats& stats = eval.view().stats();
+  const SearchStats& stats = eval.stats();
   EXPECT_EQ(stats.oom, 1u);
   EXPECT_EQ(stats.evaluated, 1u);
   // The runtime performs dependence analysis and instance allocation for
@@ -335,33 +335,34 @@ TEST(OomAccounting, FailedEvaluationChargesObservationCost) {
   EXPECT_DOUBLE_EQ(stats.evaluation_time_s, expected);
 }
 
-TEST(OomAccounting, BatchChargeMatchesSerialEvaluate) {
+TEST(OomAccounting, OomLeavesTheNextEvaluationUnchanged) {
   OomApp app;
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.g, {.iterations = 2, .noise_sigma = 0.02});
 
-  // A failing candidate next to a valid CPU/System one, folded as a batch,
-  // charges the clock exactly what two single evaluations charge.
+  // A valid CPU/System candidate evaluated right after a failing one: the
+  // failed placement leaves nothing behind in the shared simulation arena,
+  // and the clock is charged exactly the observation cost plus what the
+  // valid candidate alone charges.
   const Mapping oom(app.g);
   Mapping good(app.g);
   good.at(app.task).proc = ProcKind::kCpu;
   good.at(app.task).arg_memories.assign(1, {MemKind::kSystem});
-  const std::vector<Mapping> batch = {oom, good};
 
-  Evaluator batched(sim, {.repeats = 3, .seed = 11});
-  const std::vector<double> means = batched.evaluate_batch(batch);
-  ASSERT_EQ(means.size(), 2u);
-  EXPECT_TRUE(std::isinf(means[0]));
-  EXPECT_FALSE(std::isinf(means[1]));
+  Evaluator after_oom(sim, {.repeats = 3, .seed = 11});
+  EXPECT_TRUE(std::isinf(after_oom.evaluate(oom)));
+  const double mean = after_oom.evaluate(good);
 
-  Evaluator serial(sim, {.repeats = 3, .seed = 11});
-  EXPECT_EQ(serial.evaluate(oom), means[0]);
-  EXPECT_EQ(serial.evaluate(good), means[1]);
-  EXPECT_EQ(batched.view().stats().oom, serial.view().stats().oom);
-  EXPECT_EQ(batched.view().stats().search_time_s,
-            serial.view().stats().search_time_s);
-  EXPECT_EQ(batched.view().stats().evaluation_time_s,
-            serial.view().stats().evaluation_time_s);
+  Evaluator alone(sim, {.repeats = 3, .seed = 11});
+  EXPECT_EQ(alone.evaluate(good), mean);
+  EXPECT_TRUE(std::isfinite(mean));
+  const double observation =
+      machine.runtime_overhead() * static_cast<double>(app.g.num_tasks());
+  EXPECT_EQ(after_oom.stats().oom, 1u);
+  EXPECT_EQ(after_oom.stats().search_time_s,
+            observation + alone.stats().search_time_s);
+  EXPECT_EQ(after_oom.stats().evaluation_time_s,
+            observation + alone.stats().evaluation_time_s);
 }
 
 // --- bugfix: inter-node copies share one interconnect -----------------------
@@ -476,7 +477,7 @@ TEST(ProfilesImport, DuplicateImportDoesNotStackFinalists) {
   }
   (void)source.evaluate(Mapping(app.g));
   (void)source.evaluate(cpu);
-  const std::string db = source.view().export_profiles();
+  const std::string db = source.export_profiles();
 
   // Importing once vs twice must leave identical finalist state: the
   // finalize pass re-runs each finalist, so stacked duplicates would both
@@ -509,7 +510,7 @@ TEST(Telemetry, RotationsRecordImprovementsAndCacheHitsAreCounted) {
   (void)eval.evaluate(start);  // answered from the profiles cache
   eval.note_rotation(1, first);
 
-  const SearchStats& stats = eval.view().stats();
+  const SearchStats& stats = eval.stats();
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_GT(stats.cache_hit_rate(), 0.0);
   ASSERT_EQ(stats.rotations.size(), 2u);

@@ -25,8 +25,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Tiny app with a non-trivial mapping space (GPU-friendly producer, a
-/// CPU-only task, two collections) — same shape as the evaluate_batch
-/// tests.
+/// CPU-only task, two collections) — same shape as the evaluator tests.
 struct MiniApp {
   TaskGraph g;
   CollectionId shared, other;
@@ -156,13 +155,15 @@ TEST(Pruning, CensoredCandidateNeverBeatsTheIncumbent) {
   // The slow candidate races against the incumbent's mean and is censored:
   // it folds to exactly the threshold, so it can never appear better than
   // the incumbent, and it stays out of the finalist list.
-  const double value = eval.evaluate(pair.slow, pair.fast_mean);
+  const double threshold = eval.censor_threshold(pair.fast_mean);
+  EXPECT_EQ(threshold, pair.fast_mean);
+  const double value = eval.evaluate(pair.slow, threshold);
   EXPECT_EQ(value, pair.fast_mean);
   EXPECT_GE(value, pair.fast_mean);
-  EXPECT_EQ(eval.view().stats().censored, 1u);
-  EXPECT_EQ(eval.view().stats().evaluated, 2u);
-  EXPECT_EQ(eval.view().best_seconds(), pair.fast_mean);
-  EXPECT_EQ(eval.view().best(), pair.fast);
+  EXPECT_EQ(eval.stats().censored, 1u);
+  EXPECT_EQ(eval.stats().evaluated, 2u);
+  EXPECT_EQ(eval.best_seconds(), pair.fast_mean);
+  EXPECT_EQ(eval.best(), pair.fast);
 }
 
 TEST(Pruning, CensorArithmeticIsIdenticalWithPruningOff) {
@@ -180,13 +181,13 @@ TEST(Pruning, CensorArithmeticIsIdenticalWithPruningOff) {
   Evaluator a(sim, pruned);
   Evaluator b(sim, unpruned);
   EXPECT_EQ(a.evaluate(pair.fast), b.evaluate(pair.fast));
-  EXPECT_EQ(a.evaluate(pair.slow, pair.fast_mean),
-            b.evaluate(pair.slow, pair.fast_mean));
-  EXPECT_EQ(a.view().stats().censored, b.view().stats().censored);
-  EXPECT_EQ(a.view().stats().search_time_s, b.view().stats().search_time_s);
-  EXPECT_EQ(a.view().stats().evaluation_time_s,
-            b.view().stats().evaluation_time_s);
-  EXPECT_EQ(a.view().export_profiles(), b.view().export_profiles());
+  EXPECT_EQ(a.evaluate(pair.slow, a.censor_threshold(pair.fast_mean)),
+            b.evaluate(pair.slow, b.censor_threshold(pair.fast_mean)));
+  EXPECT_EQ(a.stats().censored, b.stats().censored);
+  EXPECT_EQ(a.stats().search_time_s, b.stats().search_time_s);
+  EXPECT_EQ(a.stats().evaluation_time_s,
+            b.stats().evaluation_time_s);
+  EXPECT_EQ(a.export_profiles(), b.export_profiles());
 }
 
 TEST(Pruning, DuplicateCensoredCandidatesFoldOnce) {
@@ -199,19 +200,16 @@ TEST(Pruning, DuplicateCensoredCandidatesFoldOnce) {
   Evaluator eval(sim, opts);
   EXPECT_EQ(eval.evaluate(pair.fast), pair.fast_mean);
 
-  // Two copies of the slow candidate in one bounded batch: the first is
+  // The slow candidate twice under one threshold: the first copy is
   // executed (and censored), the second is answered by the cache entry the
   // first one folded.
-  const std::vector<Mapping> batch = {pair.slow, pair.slow};
-  const std::vector<double> means =
-      eval.evaluate_batch(batch, pair.fast_mean);
-  ASSERT_EQ(means.size(), 2u);
-  EXPECT_EQ(means[0], pair.fast_mean);
-  EXPECT_EQ(means[1], pair.fast_mean);
-  EXPECT_EQ(eval.view().stats().suggested, 3u);
-  EXPECT_EQ(eval.view().stats().evaluated, 2u);
-  EXPECT_EQ(eval.view().stats().censored, 1u);
-  EXPECT_EQ(eval.view().stats().cache_hits, 1u);
+  const double threshold = eval.censor_threshold(pair.fast_mean);
+  EXPECT_EQ(eval.evaluate(pair.slow, threshold), pair.fast_mean);
+  EXPECT_EQ(eval.evaluate(pair.slow, threshold), pair.fast_mean);
+  EXPECT_EQ(eval.stats().suggested, 3u);
+  EXPECT_EQ(eval.stats().evaluated, 2u);
+  EXPECT_EQ(eval.stats().censored, 1u);
+  EXPECT_EQ(eval.stats().cache_hits, 1u);
 }
 
 // --- censored profiles-database entries ------------------------------------
@@ -225,31 +223,32 @@ TEST(Pruning, CensoredEntryReResolvesUnderALooserBound) {
 
   Evaluator eval(sim, opts);
   EXPECT_EQ(eval.evaluate(pair.fast), pair.fast_mean);
-  EXPECT_EQ(eval.evaluate(pair.slow, pair.fast_mean), pair.fast_mean);
-  EXPECT_EQ(eval.view().stats().evaluated, 2u);
-  EXPECT_EQ(eval.view().stats().censored, 1u);
-  EXPECT_NE(eval.view().export_profiles().find(" censored"),
+  const double tight = eval.censor_threshold(pair.fast_mean);
+  EXPECT_EQ(eval.evaluate(pair.slow, tight), pair.fast_mean);
+  EXPECT_EQ(eval.stats().evaluated, 2u);
+  EXPECT_EQ(eval.stats().censored, 1u);
+  EXPECT_NE(eval.export_profiles().find(" censored"),
             std::string::npos);
 
   // An equally tight query is answered by the censored entry.
-  EXPECT_EQ(eval.evaluate(pair.slow, pair.fast_mean), pair.fast_mean);
-  EXPECT_EQ(eval.view().stats().evaluated, 2u);
-  EXPECT_EQ(eval.view().stats().cache_hits, 1u);
+  EXPECT_EQ(eval.evaluate(pair.slow, tight), pair.fast_mean);
+  EXPECT_EQ(eval.stats().evaluated, 2u);
+  EXPECT_EQ(eval.stats().cache_hits, 1u);
 
   // A looser query (exact value wanted) re-executes and overwrites the
   // entry with the exact mean.
   EXPECT_EQ(eval.evaluate(pair.slow), pair.slow_mean);
-  EXPECT_EQ(eval.view().stats().evaluated, 3u);
-  EXPECT_EQ(eval.view().export_profiles().find(" censored"),
+  EXPECT_EQ(eval.stats().evaluated, 3u);
+  EXPECT_EQ(eval.export_profiles().find(" censored"),
             std::string::npos);
 
   // Once resolved exactly, even tight queries are cache hits.
-  EXPECT_EQ(eval.evaluate(pair.slow, pair.fast_mean), pair.slow_mean);
-  EXPECT_EQ(eval.view().stats().evaluated, 3u);
-  EXPECT_EQ(eval.view().stats().cache_hits, 2u);
+  EXPECT_EQ(eval.evaluate(pair.slow, tight), pair.slow_mean);
+  EXPECT_EQ(eval.stats().evaluated, 3u);
+  EXPECT_EQ(eval.stats().cache_hits, 2u);
 }
 
-TEST(Pruning, TightlyCensoredEntryReExecutesOnceForADuplicatedBatch) {
+TEST(Pruning, TightlyCensoredEntryReExecutesOnceThenHitsTheCache) {
   MiniApp app;
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.g, {.iterations = 2, .noise_sigma = 0.0});
@@ -258,24 +257,22 @@ TEST(Pruning, TightlyCensoredEntryReExecutesOnceForADuplicatedBatch) {
 
   Evaluator eval(sim, opts);
   EXPECT_EQ(eval.evaluate(pair.fast), pair.fast_mean);
-  EXPECT_EQ(eval.evaluate(pair.slow, pair.fast_mean), pair.fast_mean);
-  const SearchStats before = eval.view().stats();
+  EXPECT_EQ(eval.evaluate(pair.slow, eval.censor_threshold(pair.fast_mean)),
+            pair.fast_mean);
+  const SearchStats before = eval.stats();
   ASSERT_EQ(before.censored, 1u);
 
   // The slow candidate's entry is censored at the incumbent, tighter than
-  // this batch's (infinite) threshold. The first copy re-executes and
+  // an infinite threshold. The first exact query re-executes and
   // overwrites the entry with the exact mean; the second is answered by
   // that new entry.
-  const std::vector<Mapping> batch = {pair.slow, pair.slow};
-  const std::vector<double> means = eval.evaluate_batch(batch);
-  ASSERT_EQ(means.size(), 2u);
-  EXPECT_EQ(means[0], pair.slow_mean);
-  EXPECT_EQ(means[1], pair.slow_mean);
-  const SearchStats& after = eval.view().stats();
+  EXPECT_EQ(eval.evaluate(pair.slow), pair.slow_mean);
+  EXPECT_EQ(eval.evaluate(pair.slow), pair.slow_mean);
+  const SearchStats& after = eval.stats();
   EXPECT_EQ(after.evaluated, before.evaluated + 1);
   EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
   EXPECT_EQ(after.censored, before.censored);
-  EXPECT_EQ(eval.view().export_profiles().find(" censored"),
+  EXPECT_EQ(eval.export_profiles().find(" censored"),
             std::string::npos);
 }
 
@@ -288,25 +285,28 @@ TEST(Pruning, CensoredEntriesSurviveExportImportRoundTrip) {
 
   Evaluator first(sim, opts);
   EXPECT_EQ(first.evaluate(pair.fast), pair.fast_mean);
-  EXPECT_EQ(first.evaluate(pair.slow, pair.fast_mean), pair.fast_mean);
-  const std::string text = first.view().export_profiles();
+  EXPECT_EQ(first.evaluate(pair.slow, first.censor_threshold(pair.fast_mean)),
+            pair.fast_mean);
+  const std::string text = first.export_profiles();
   ASSERT_NE(text.find(" censored"), std::string::npos);
 
   SearchOptions seeded = opts;
   seeded.profiles_seed = text;
   Evaluator resumed(sim, seeded);
   // The exact entry seeds the incumbent; the censored one does not.
-  EXPECT_TRUE(resumed.view().has_best());
-  EXPECT_EQ(resumed.view().best_seconds(), pair.fast_mean);
-  EXPECT_EQ(resumed.view().best(), pair.fast);
+  EXPECT_TRUE(resumed.has_best());
+  EXPECT_EQ(resumed.best_seconds(), pair.fast_mean);
+  EXPECT_EQ(resumed.best(), pair.fast);
 
   // A query at the bound the entry was censored at is a cache hit...
-  EXPECT_EQ(resumed.evaluate(pair.slow, pair.fast_mean), pair.fast_mean);
-  EXPECT_EQ(resumed.view().stats().evaluated, 0u);
-  EXPECT_EQ(resumed.view().stats().cache_hits, 1u);
+  const double tight = resumed.censor_threshold(pair.fast_mean);
+  EXPECT_EQ(tight, pair.fast_mean);
+  EXPECT_EQ(resumed.evaluate(pair.slow, tight), pair.fast_mean);
+  EXPECT_EQ(resumed.stats().evaluated, 0u);
+  EXPECT_EQ(resumed.stats().cache_hits, 1u);
   // ...and a looser one re-executes the candidate.
   EXPECT_EQ(resumed.evaluate(pair.slow), pair.slow_mean);
-  EXPECT_EQ(resumed.view().stats().evaluated, 1u);
+  EXPECT_EQ(resumed.stats().evaluated, 1u);
 }
 
 // --- end-to-end search invariance ------------------------------------------

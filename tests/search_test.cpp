@@ -91,8 +91,8 @@ TEST(Evaluator, CachesRepeatedMappings) {
   const double first = eval.evaluate(m);
   const double second = eval.evaluate(m);
   EXPECT_DOUBLE_EQ(first, second);
-  EXPECT_EQ(eval.view().stats().suggested, 2u);
-  EXPECT_EQ(eval.view().stats().evaluated, 1u);
+  EXPECT_EQ(eval.stats().suggested, 2u);
+  EXPECT_EQ(eval.stats().evaluated, 1u);
 }
 
 TEST(Evaluator, InvalidMappingsGetPenaltyWithoutExecution) {
@@ -103,9 +103,9 @@ TEST(Evaluator, InvalidMappingsGetPenaltyWithoutExecution) {
   Mapping bad = search_starting_point(app.g, machine);
   bad.set_primary_memory(app.cpu_only, 0, MemKind::kFrameBuffer);
   EXPECT_TRUE(std::isinf(eval.evaluate(bad)));
-  EXPECT_EQ(eval.view().stats().invalid, 1u);
-  EXPECT_EQ(eval.view().stats().evaluated, 0u);
-  EXPECT_EQ(eval.view().stats().evaluation_time_s, 0.0);
+  EXPECT_EQ(eval.stats().invalid, 1u);
+  EXPECT_EQ(eval.stats().evaluated, 0u);
+  EXPECT_EQ(eval.stats().evaluation_time_s, 0.0);
 }
 
 TEST(Evaluator, TracksBestAndTrajectory) {
@@ -119,9 +119,9 @@ TEST(Evaluator, TracksBestAndTrajectory) {
   b.at(app.producer).proc = ProcKind::kCpu;
   b.at(app.producer).arg_memories.assign(2, {MemKind::kSystem});
   const double vb = eval.evaluate(b);
-  EXPECT_EQ(eval.view().best_seconds(), std::min(va, vb));
-  EXPECT_FALSE(eval.view().trajectory().empty());
-  EXPECT_EQ(eval.view().best(), va <= vb ? a : b);
+  EXPECT_EQ(eval.best_seconds(), std::min(va, vb));
+  EXPECT_FALSE(eval.trajectory().empty());
+  EXPECT_EQ(eval.best(), va <= vb ? a : b);
 }
 
 TEST(Evaluator, BudgetExhaustionStopsSearch) {
@@ -347,13 +347,13 @@ TEST(ProfilesDb, ExportImportRoundTrip) {
   // A fresh evaluator seeded with the export returns the cached means
   // without executing anything.
   SearchOptions seeded{.repeats = 3, .seed = 5};
-  seeded.profiles_seed = first.view().export_profiles();
+  seeded.profiles_seed = first.export_profiles();
   Evaluator second(sim, seeded);
   EXPECT_DOUBLE_EQ(second.evaluate(a), va);
   EXPECT_DOUBLE_EQ(second.evaluate(b), vb);
-  EXPECT_EQ(second.view().stats().evaluated, 0u);
-  EXPECT_EQ(second.view().stats().evaluation_time_s, 0.0);
-  EXPECT_EQ(second.view().best_seconds(), std::min(va, vb));
+  EXPECT_EQ(second.stats().evaluated, 0u);
+  EXPECT_EQ(second.stats().evaluation_time_s, 0.0);
+  EXPECT_EQ(second.best_seconds(), std::min(va, vb));
 }
 
 TEST(ProfilesDb, SeededSearchSkipsKnownCandidates) {

@@ -1665,6 +1665,38 @@ TEST(Service, FailedJobStaysFailedAcrossRestartAndRevivesInPlace) {
   EXPECT_EQ(again.str_or("status", ""), "queued");
 }
 
+TEST(Service, SearchWithNoCompletedRunFailsWithItsOneLineCause) {
+  // Every run crashes, so every candidate is quarantined and neither CCD
+  // nor annealing (whose starting mapping then has no cost) has a mapping
+  // to return: the job settles failed with the search's one-line error,
+  // which names the cause and no source location.
+  MappingService service({.store_dir = fresh_store("no-completed-run"),
+                          .job_workers = 0});
+  SimOptions crashing;
+  crashing.faults.crash_prob = 1.0;
+  for (const std::string algorithm : {"ccd", "anneal"}) {
+    SearchOptions options = small_options(42);
+    options.time_budget_s = 30.0;
+    const std::string id = job_id_of(handle_json(
+        service, submit_request(options, ",\"algorithm\":\"" + algorithm +
+                                             "\",\"sim\":" +
+                                             sim_options_to_json(crashing))));
+    service.drain();
+    const JsonValue status =
+        handle_json(service, "{\"op\":\"status\",\"job\":" + id + "}");
+    EXPECT_EQ(status.str_or("status", ""), "failed") << algorithm;
+    const std::string message = status.str_or("message", "");
+    EXPECT_NE(message.find("no candidate completed a run"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(" quarantined after repeated transient faults"),
+              std::string::npos)
+        << message;
+    EXPECT_EQ(message.find(".cpp"), std::string::npos) << message;
+    EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+  }
+}
+
 TEST(Service, RecoveryIndexesTheNewerOfTwoJobsSharingAFingerprint) {
   // Older stores may hold a failed job (persisted without a result) and
   // its retry under one fingerprint. Recovery answers for the newer one

@@ -58,6 +58,17 @@ class LineReader {
     if (!condition) fail(message);
   }
 
+  /// `parse(token)` for a name decoder that throws Error on an unknown
+  /// name (parse_proc_kind, parse_mem_kind), failing naming the line.
+  template <typename Parse>
+  [[nodiscard]] auto decode(Parse parse, const std::string& token) const {
+    try {
+      return parse(token);
+    } catch (const Error& e) {
+      fail(e.what());
+    }
+  }
+
   [[nodiscard]] double to_double(const std::string& s) const {
     std::size_t pos = 0;
     double v = 0.0;

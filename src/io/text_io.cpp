@@ -131,7 +131,7 @@ MachineModel read_machine(std::istream& is) {
                         t[4] == "speed" && t[6] == "launch_overhead",
                     "proc <kind> count <n> speed <s> launch_overhead <s> "
                     "[watts <w>]");
-      ProcGroup group{.kind = parse_proc_kind(t[1]),
+      ProcGroup group{.kind = reader.decode(parse_proc_kind, t[1]),
                       .count_per_node = static_cast<int>(reader.to_int(t[3])),
                       .speed = reader.to_double(t[5]),
                       .launch_overhead_s = reader.to_double(t[7])};
@@ -144,14 +144,15 @@ MachineModel read_machine(std::istream& is) {
       reader.expect(t.size() == 6 && t[2] == "count" && t[4] == "capacity",
                     "mem <kind> count <n> capacity <bytes>");
       machine.add_mem_group(
-          {.kind = parse_mem_kind(t[1]),
+          {.kind = reader.decode(parse_mem_kind, t[1]),
            .count_per_node = static_cast<int>(reader.to_int(t[3])),
            .capacity_bytes =
                static_cast<std::uint64_t>(reader.to_int(t[5]))});
     } else if (t[0] == "affinity") {
       reader.expect(t.size() == 7 && t[3] == "bandwidth" && t[5] == "latency",
                     "affinity <proc> <mem> bandwidth <b> latency <l>");
-      machine.set_affinity(parse_proc_kind(t[1]), parse_mem_kind(t[2]),
+      machine.set_affinity(reader.decode(parse_proc_kind, t[1]),
+                           reader.decode(parse_mem_kind, t[2]),
                            {reader.to_double(t[4]), reader.to_double(t[6])});
     } else if (t[0] == "channel") {
       reader.expect(t.size() == 8 && t[4] == "bandwidth" && t[6] == "latency",
@@ -159,7 +160,8 @@ MachineModel read_machine(std::istream& is) {
                     "latency <l>");
       reader.expect(t[3] == "intra" || t[3] == "inter",
                     "channel scope must be intra or inter");
-      machine.set_channel(parse_mem_kind(t[1]), parse_mem_kind(t[2]),
+      machine.set_channel(reader.decode(parse_mem_kind, t[1]),
+                          reader.decode(parse_mem_kind, t[2]),
                           t[3] == "inter",
                           {reader.to_double(t[5]), reader.to_double(t[7])});
     } else if (t[0] == "cross_socket") {

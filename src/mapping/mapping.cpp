@@ -170,18 +170,20 @@ Mapping Mapping::read(LineReader& reader, const TaskGraph& graph) {
       reader.fail("bad distribution flag: " + t[2]);
     tm.distribute = t[2] != "leader";
     tm.blocked = t[2] == "blocked";
-    try {
-      tm.proc = parse_proc_kind(t[3]);
-      for (std::size_t a = 0; a < num_args; ++a) {
-        MemPriority& priority = tm.arg_memories[a];
-        priority.clear();
-        std::istringstream ms(t[4 + a]);
-        std::string one;
-        while (std::getline(ms, one, ','))
-          priority.push_back(parse_mem_kind(one));
+    tm.proc = reader.decode(parse_proc_kind, t[3]);
+    for (std::size_t a = 0; a < num_args; ++a) {
+      MemPriority& priority = tm.arg_memories[a];
+      priority.clear();
+      std::istringstream ms(t[4 + a]);
+      std::string one;
+      while (std::getline(ms, one, ',')) {
+        const MemKind kind = reader.decode(parse_mem_kind, one);
+        // A repeat could never place data its first occurrence could not.
+        if (std::ranges::find(priority, kind) != priority.end())
+          reader.fail("task " + t[1] + " argument " + std::to_string(a) +
+                      " lists " + std::string(to_string(kind)) + " twice");
+        priority.push_back(kind);
       }
-    } catch (const Error& e) {
-      reader.fail(e.what());
     }
   }
   return mapping;

@@ -9,7 +9,11 @@
 // of memory kinds; the first kind whose concrete memory can hold the data is
 // used, which is how the memory-constrained experiments avoid hard failures.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,8 +27,53 @@ namespace automap {
 class LineReader;
 
 /// Memory priority list for one collection argument. Usually size one; the
-/// memory-constrained mode appends fallbacks.
-using MemPriority = std::vector<MemKind>;
+/// memory-constrained mode appends fallbacks. A list names each kind at
+/// most once, so it holds at most kNumMemKinds entries, stored inline: the
+/// list is trivially copyable and copying a mapping allocates nothing per
+/// argument. Offers the vector operations its callers use.
+class MemPriority {
+ public:
+  MemPriority() = default;
+  MemPriority(std::initializer_list<MemKind> kinds) {
+    for (const MemKind kind : kinds) push_back(kind);
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  // Element access goes through a span of the live entries, so a
+  // -D_GLIBCXX_ASSERTIONS build checks every index against size().
+  [[nodiscard]] const MemKind& operator[](std::size_t i) const {
+    return live()[i];
+  }
+  [[nodiscard]] MemKind& front() { return live().front(); }
+  [[nodiscard]] const MemKind& front() const { return live().front(); }
+  [[nodiscard]] const MemKind* begin() const { return kinds_.data(); }
+  [[nodiscard]] const MemKind* end() const { return kinds_.data() + size_; }
+
+  void push_back(MemKind kind) {
+    AM_REQUIRE(size_ < kNumMemKinds,
+               "memory priority list already holds every memory kind");
+    kinds_[size_++] = kind;
+  }
+  void clear() { size_ = 0; }
+  void assign(std::size_t count, MemKind kind) {
+    clear();
+    for (std::size_t i = 0; i < count; ++i) push_back(kind);
+  }
+
+  bool operator==(const MemPriority& other) const {
+    return std::ranges::equal(live(), other.live());
+  }
+
+ private:
+  [[nodiscard]] std::span<MemKind> live() { return {kinds_.data(), size_}; }
+  [[nodiscard]] std::span<const MemKind> live() const {
+    return {kinds_.data(), size_};
+  }
+
+  std::array<MemKind, kNumMemKinds> kinds_{};
+  std::uint8_t size_ = 0;
+};
 
 /// Kind-level mapping of one group task and all of its collection arguments.
 struct TaskMapping {

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "src/report/journal.hpp"
 #include "src/support/durable.hpp"
@@ -57,12 +58,11 @@ OverlapMap build_overlap_map(const TaskGraph& graph,
   return map;
 }
 
-Mapping colocation_constraints(const Mapping& f, TaskId t, std::size_t arg,
+Mapping colocation_constraints(Mapping fp, TaskId t, std::size_t arg,
                                ProcKind k, MemKind r,
                                const OverlapMap& overlap,
                                const TaskGraph& graph,
                                const MachineModel& machine) {
-  Mapping fp = f;
   std::set<TaskId> t_check;
   std::set<ArgRef> c_check;
 
@@ -316,8 +316,9 @@ Mapping apply_move(const Mapping& f, TaskId t, const Move& move,
   candidate.at(t).proc = move.proc;
   candidate.set_primary_memory(t, move.arg, move.mem);
   if (overlap != nullptr)
-    return detail::colocation_constraints(candidate, t, move.arg, move.proc,
-                                          move.mem, *overlap, graph, machine);
+    return detail::colocation_constraints(std::move(candidate), t, move.arg,
+                                          move.proc, move.mem, *overlap, graph,
+                                          machine);
   for (std::size_t other = 0; other < graph.task(t).args.size(); ++other) {
     if (other == move.arg) continue;
     if (!machine.addressable(move.proc, candidate.primary_memory(t, other)))

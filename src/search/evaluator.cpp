@@ -263,7 +263,7 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
   // the caller), which surfaces before the event loop, so censoring never
   // masks it. It still costs some time to observe: the runtime aborts
   // during instance allocation.
-  if (!sim_.begin_runs(candidate, scratch_)) {
+  if (!sim_.begin_runs(candidate, plan_hash(candidate, key), scratch_)) {
     run.charge_s = failure_observation_cost();
     return fail(RunRecord::Status::kOom);
   }
@@ -410,7 +410,7 @@ void Evaluator::import_profiles(const std::string& text) {
       // (or re-importing after a search) does not stack duplicate
       // finalists. Censored entries stay out of the finalist list and the
       // incumbent — their stored value is a bound, not a mean.
-      insert_top(mapping, mean);
+      insert_top(mapping, key, mean);
       best_seconds_ = std::min(best_seconds_, mean);
     }
     profiles_.insert_or_assign(
@@ -420,16 +420,21 @@ void Evaluator::import_profiles(const std::string& text) {
                 "profiles database holds more than " + entries + " entries");
 }
 
-void Evaluator::insert_top(const Mapping& mapping, double mean) {
-  const std::uint64_t key = mapping.hash();
-  for (const Entry& e : top_)
-    if (e.mapping.hash() == key && e.mapping == mapping) return;
+void Evaluator::insert_top(const Mapping& mapping, std::uint64_t hash,
+                           double mean) {
+  for (const Finalist& f : top_)
+    if (f.hash == hash && f.mapping == mapping) return;
   const auto pos = std::lower_bound(
       top_.begin(), top_.end(), mean,
-      [](const Entry& e, double v) { return e.mean_seconds < v; });
-  top_.insert(pos, Entry{mapping, mean});
+      [](const Finalist& f, double v) { return f.mean_seconds < v; });
+  top_.insert(pos, Finalist{mapping, hash, mean});
   if (top_.size() > static_cast<std::size_t>(options_.top_k))
     top_.pop_back();
+}
+
+std::uint64_t Evaluator::plan_hash(const Mapping& candidate,
+                                   std::uint64_t key) const {
+  return options_.memory_fallbacks ? candidate.hash() : key;
 }
 
 Mapping Evaluator::with_fallbacks(const Mapping& mapping) const {
@@ -548,7 +553,7 @@ double Evaluator::evaluate(const Mapping& mapping, double threshold_s) {
           }
         }
         // Maintain the top-k list for the finalist protocol.
-        if (mean < kInf) insert_top(mapping, mean);
+        if (mean < kInf) insert_top(mapping, key, mean);
         break;
     }
   }
@@ -720,7 +725,7 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
   double best_final = kInf;
   for (std::size_t e = 0; e < top_.size(); ++e) {
     const Mapping candidate = with_fallbacks(top_[e].mapping);
-    const std::uint64_t hash = top_[e].mapping.hash();
+    const std::uint64_t hash = top_[e].hash;
     double sum = 0.0;
     int ok_runs = 0;
     std::vector<double> values;  // per-survivor, robust aggregations only
@@ -728,7 +733,8 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
     // exact mean over the top-k, and top-k entries are never censored. A
     // finalist that cannot be placed (OOM) can never complete, so it is
     // excluded after one observation cost, the historical exclusion rule.
-    const bool excluded = !sim_.begin_runs(candidate, scratch_);
+    const bool excluded =
+        !sim_.begin_runs(candidate, plan_hash(candidate, hash), scratch_);
     if (excluded) {
       stats_.search_time_s += failure_observation_cost();
       stats_.evaluation_time_s += failure_observation_cost();

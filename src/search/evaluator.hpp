@@ -226,6 +226,12 @@ class Evaluator {
     /// search. Mutually exclusive with censored.
     bool quarantined = false;
   };
+  /// A top-k finalist with the hash it was inserted under.
+  struct Finalist {
+    Mapping mapping;
+    std::uint64_t hash = 0;
+    double mean_seconds = 0.0;
+  };
   /// Deterministic per-(candidate, repeat, attempt) noise seed — the scheme
   /// that makes a run's noise independent of evaluation order. Attempt 0 is
   /// the original derivation; retries (attempt > 0) mix in the attempt index
@@ -279,9 +285,16 @@ class Evaluator {
   /// task before aborting, so each failure charges one runtime-overhead
   /// quantum per task to the search clock.
   [[nodiscard]] double failure_observation_cost() const;
+  /// The hash begin_runs seeds `candidate`'s runs with, where `key` is the
+  /// proposed mapping's: the plan hash seeds the noise and fault streams of
+  /// the mapping actually simulated, which under memory_fallbacks is the
+  /// fallback-extended copy.
+  [[nodiscard]] std::uint64_t plan_hash(const Mapping& candidate,
+                                        std::uint64_t key) const;
   /// Inserts into the top-k finalist list unless an entry with the same
   /// structural hash and mapping is already present (dedupe on import).
-  void insert_top(const Mapping& mapping, double mean);
+  /// `hash` is mapping.hash(), which the entry keeps.
+  void insert_top(const Mapping& mapping, std::uint64_t hash, double mean);
 
   /// Emits one fold-side `candidate` journal event and updates the
   /// per-candidate metrics. `status` is one of evaluated / cached /
@@ -298,7 +311,7 @@ class Evaluator {
   /// evaluation allocates nothing.
   SimScratch scratch_;
   std::unordered_map<std::uint64_t, Entry> profiles_;
-  std::vector<Entry> top_;  // sorted ascending by mean, at most top_k
+  std::vector<Finalist> top_;  // sorted ascending by mean, at most top_k
   double best_seconds_;
   SearchStats stats_;
   std::vector<TrajectoryPoint> trajectory_;

@@ -388,13 +388,13 @@ void Simulator::resolve_memories(const Mapping& mapping,
   scratch.resolve_ok_ = true;
 }
 
-void Simulator::build_plan(const Mapping& mapping,
+void Simulator::build_plan(const Mapping& mapping, std::uint64_t hash,
                            SimScratch& scratch) const {
   // Every mapping-dependent quantity of the event loop, flattened into
   // parallel arrays in topo visit order. All derived doubles are computed
   // with the exact expressions (and operand order) the historical per-run
   // loop used, so a plan-driven run is bit-identical to the original.
-  scratch.plan_hash_ = mapping.hash();
+  scratch.plan_hash_ = hash;
   scratch.plan_tasks_.clear();
   scratch.plan_edges_.clear();
   scratch.plan_legs_.clear();
@@ -812,6 +812,11 @@ void Simulator::simulate(std::uint64_t seed, double time_bound,
 
 bool Simulator::begin_runs(const Mapping& mapping,
                            SimScratch& scratch) const {
+  return begin_runs(mapping, mapping.hash(), scratch);
+}
+
+bool Simulator::begin_runs(const Mapping& mapping, std::uint64_t hash,
+                           SimScratch& scratch) const {
   prepare(scratch);
 
   {
@@ -840,7 +845,7 @@ bool Simulator::begin_runs(const Mapping& mapping,
     }
     return false;
   }
-  build_plan(mapping, scratch);
+  build_plan(mapping, hash, scratch);
   return true;
 }
 

@@ -199,7 +199,9 @@ class SimScratch {
   /// Precomputed trace strings per leg (record_trace only; empty otherwise).
   std::vector<std::string> leg_names_;
   std::vector<std::string> leg_resources_;
-  /// mapping.hash() cached at begin_runs — every run's RNG seeding reuses it.
+  /// The mapping's structural hash, handed to begin_runs by a caller that
+  /// already holds it (or computed there): every run's noise and fault
+  /// streams are seeded from it.
   std::uint64_t plan_hash_ = 0;
 
   // Event-loop state.
@@ -231,6 +233,10 @@ class Simulator {
   /// out of memory (no runs are possible then). On success, run_prepared()
   /// simulates individual runs against the cached plan.
   bool begin_runs(const Mapping& mapping, SimScratch& scratch) const;
+  /// begin_runs for a caller that already holds `hash`, which must equal
+  /// mapping.hash(): the search hashes each candidate once.
+  bool begin_runs(const Mapping& mapping, std::uint64_t hash,
+                  SimScratch& scratch) const;
 
   /// One run against the plan cached by the last successful begin_runs()
   /// on this scratch. Must be called with that same mapping; behavior is
@@ -311,8 +317,10 @@ class Simulator {
   /// PlanLeg) for a resolved mapping: one row per task/edge/copy-leg in
   /// topo visit order, every duration and channel time precomputed with the
   /// exact operation order of the historical event loop (bit-identical
-  /// doubles). Called by begin_runs after resolve_memories succeeds.
-  void build_plan(const Mapping& mapping, SimScratch& scratch) const;
+  /// doubles); `hash` is the structural hash that seeds the plan's runs.
+  /// Called by begin_runs after resolve_memories succeeds.
+  void build_plan(const Mapping& mapping, std::uint64_t hash,
+                  SimScratch& scratch) const;
 
   /// The event loop proper: one simulated run against the plan held in
   /// `scratch`, written into `report`.

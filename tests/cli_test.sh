@@ -114,6 +114,41 @@ if "$CLI" validate "$DIR/m.machine" "$DIR/g.graph" "$DIR/broken.mapping" \
   exit 1
 fi
 
+# Malformed mapping and machine files end in one error line that names
+# the offending line and no source file: a priority list naming a kind
+# twice, and an unknown processor or memory kind name.
+expect_one_error() {
+  local pattern="$1"
+  shift
+  if "$@" > "$DIR/one-error.out" 2>&1; then
+    echo "expected nonzero exit: $*" >&2
+    exit 1
+  fi
+  test "$(wc -l < "$DIR/one-error.out")" -eq 1
+  grep -q "^error: $pattern" "$DIR/one-error.out"
+  if grep -q '\.cpp' "$DIR/one-error.out"; then
+    echo "error names a source file: $*" >&2
+    exit 1
+  fi
+}
+cat > "$DIR/twice.mapping" <<'EOF'
+task 0 dist CPU ZeroCopy,ZeroCopy,ZeroCopy,ZeroCopy,System System System System System System
+task 1 dist GPU FrameBuffer FrameBuffer FrameBuffer FrameBuffer FrameBuffer
+task 2 dist GPU FrameBuffer FrameBuffer FrameBuffer FrameBuffer
+EOF
+expect_one_error "line 1: task 0 argument 0 lists ZeroCopy twice" \
+      "$CLI" validate "$DIR/m.machine" "$DIR/g.graph" "$DIR/twice.mapping"
+sed '1s/ZeroCopy,[^ ]*/Bogus/' "$DIR/twice.mapping" > "$DIR/bogus.mapping"
+expect_one_error "line 1: unknown memory kind 'Bogus'" \
+      "$CLI" validate "$DIR/m.machine" "$DIR/g.graph" "$DIR/bogus.mapping"
+sed '1s/ CPU / TPU /' "$DIR/broken.mapping" > "$DIR/tpu.mapping"
+expect_one_error "line 1: unknown processor kind 'TPU'" \
+      "$CLI" evaluate "$DIR/m.machine" "$DIR/g.graph" "$DIR/tpu.mapping"
+sed 's/^mem ZeroCopy /mem Bogus /' "$DIR/m.machine" > "$DIR/bogus.machine"
+zc_line="$(grep -n '^mem ZeroCopy ' "$DIR/m.machine" | cut -d: -f1)"
+expect_one_error "line $zc_line: unknown memory kind 'Bogus'" \
+      "$CLI" describe "$DIR/bogus.machine" "$DIR/g.graph"
+
 # A garbled profiles database must fail with a one-line diagnostic and a
 # nonzero exit, not a raw uncaught exception / abort.
 cat > "$DIR/garbled.txt" <<'EOF'

@@ -184,6 +184,18 @@ TEST(Service, StructuredErrorsNotDroppedConnections) {
       service,
       "{\"op\":\"submit\",\"machine\":\"bogus\",\"graph\":\"bogus\"}");
   EXPECT_EQ(bad_machine.str_or("code", ""), "bad_request");
+  // An unknown kind name in the machine text names its line, not a
+  // source location.
+  const JsonValue bad_kind = handle_json(
+      service,
+      "{\"op\":\"submit\",\"machine\":\"machine m nodes 1\\nmem Bogus count "
+      "1 capacity 8\",\"graph\":\"x\"}");
+  EXPECT_EQ(bad_kind.str_or("code", ""), "bad_request");
+  const std::string kind_message = bad_kind.str_or("message", "");
+  EXPECT_NE(kind_message.find("line 2: unknown memory kind 'Bogus'"),
+            std::string::npos)
+      << kind_message;
+  EXPECT_EQ(kind_message.find(".cpp"), std::string::npos) << kind_message;
 
   // Job-keyed ops on a missing job are not_found.
   EXPECT_EQ(

@@ -32,8 +32,7 @@ void pin_hf(Mapping& m, const BenchmarkApp& app) {
   for (const TaskId t : maestro_hf_tasks(app)) {
     m.at(t).proc = ProcKind::kGpu;
     m.at(t).distribute = true;
-    m.at(t).arg_memories.assign(app.graph.task(t).args.size(),
-                                {MemKind::kFrameBuffer});
+    std::ranges::fill(m.memories(t), MemPriority{MemKind::kFrameBuffer});
   }
 }
 
@@ -43,7 +42,7 @@ Mapping lf_strategy(const BenchmarkApp& app, ProcKind proc, MemKind mem) {
   for (const TaskId t : maestro_lf_tasks(app)) {
     m.at(t).proc = proc;
     m.at(t).distribute = true;
-    m.at(t).arg_memories.assign(app.graph.task(t).args.size(), {mem});
+    std::ranges::fill(m.memories(t), MemPriority{mem});
   }
   return m;
 }

@@ -30,7 +30,7 @@ Mapping all_zero_copy(const TaskGraph& graph) {
   for (const GroupTask& t : graph.tasks()) {
     m.at(t.id).proc =
         t.cost.has_gpu_variant() ? ProcKind::kGpu : ProcKind::kCpu;
-    m.at(t.id).arg_memories.assign(t.args.size(), {MemKind::kZeroCopy});
+    std::ranges::fill(m.memories(t.id), MemPriority{MemKind::kZeroCopy});
   }
   return m;
 }

@@ -45,12 +45,11 @@ int main(int argc, char** argv) {
     Mapping m(app.graph);
     for (const TaskId t : maestro_hf_tasks(app)) {
       m.at(t).proc = ProcKind::kGpu;
-      m.at(t).arg_memories.assign(app.graph.task(t).args.size(),
-                                  {MemKind::kFrameBuffer});
+      std::ranges::fill(m.memories(t), MemPriority{MemKind::kFrameBuffer});
     }
     for (const TaskId t : maestro_lf_tasks(app)) {
       m.at(t).proc = proc;
-      m.at(t).arg_memories.assign(app.graph.task(t).args.size(), {mem});
+      std::ranges::fill(m.memories(t), MemPriority{mem});
     }
     return m;
   };

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   for (const GroupTask& t : app.graph.tasks()) {
     all_zc.at(t.id).proc =
         t.cost.has_gpu_variant() ? ProcKind::kGpu : ProcKind::kCpu;
-    all_zc.at(t.id).arg_memories.assign(t.args.size(), {MemKind::kZeroCopy});
+    std::ranges::fill(all_zc.memories(t.id), MemPriority{MemKind::kZeroCopy});
   }
   const double zc_s = measure_mapping(sim, all_zc, 31, 1);
   std::cout << "all in Zero-Copy   : " << format_seconds(zc_s) << "\n";

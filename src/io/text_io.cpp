@@ -1,5 +1,6 @@
 #include "src/io/text_io.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -12,6 +13,11 @@
 namespace automap {
 
 namespace {
+
+/// Largest value an `int` field (node, processor, memory and point counts)
+/// accepts, and the largest index among `count` defined entries.
+constexpr long long kMaxInt = INT_MAX;
+long long last(std::size_t count) { return static_cast<long long>(count) - 1; }
 
 const char* privilege_name(Privilege p) { return to_string(p); }
 
@@ -116,7 +122,7 @@ MachineModel read_machine(std::istream& is) {
   reader.expect(reader.next(t), "empty machine file");
   reader.expect(t.size() == 4 && t[0] == "machine" && t[2] == "nodes",
                 "expected: machine <name> nodes <count>");
-  MachineModel machine(t[1], static_cast<int>(reader.to_int(t[3])));
+  MachineModel machine(t[1], static_cast<int>(reader.to_int(t[3], 1, kMaxInt)));
 
   while (reader.next(t)) {
     if (t[0] == "runtime_overhead") {
@@ -132,7 +138,8 @@ MachineModel read_machine(std::istream& is) {
                     "proc <kind> count <n> speed <s> launch_overhead <s> "
                     "[watts <w>]");
       ProcGroup group{.kind = reader.decode(parse_proc_kind, t[1]),
-                      .count_per_node = static_cast<int>(reader.to_int(t[3])),
+                      .count_per_node =
+                          static_cast<int>(reader.to_int(t[3], 1, kMaxInt)),
                       .speed = reader.to_double(t[5]),
                       .launch_overhead_s = reader.to_double(t[7])};
       if (t.size() == 10) {
@@ -145,9 +152,9 @@ MachineModel read_machine(std::istream& is) {
                     "mem <kind> count <n> capacity <bytes>");
       machine.add_mem_group(
           {.kind = reader.decode(parse_mem_kind, t[1]),
-           .count_per_node = static_cast<int>(reader.to_int(t[3])),
+           .count_per_node = static_cast<int>(reader.to_int(t[3], 1, kMaxInt)),
            .capacity_bytes =
-               static_cast<std::uint64_t>(reader.to_int(t[5]))});
+               static_cast<std::uint64_t>(reader.to_int(t[5], 1))});
     } else if (t[0] == "affinity") {
       reader.expect(t.size() == 7 && t[3] == "bandwidth" && t[5] == "latency",
                     "affinity <proc> <mem> bandwidth <b> latency <l>");
@@ -231,20 +238,24 @@ TaskGraph read_task_graph(std::istream& is) {
                     "region <name> elem_bytes <n> bounds <rect>");
       std::size_t cursor = 5;
       const Rect bounds = read_rect(reader, t, cursor);
+      if (bounds.empty()) reader.fail("region " + t[1] + " has empty bounds");
       graph.add_region(t[1], bounds,
-                       static_cast<std::uint64_t>(reader.to_int(t[3])));
+                       static_cast<std::uint64_t>(reader.to_int(t[3], 1)));
     } else if (t[0] == "collection") {
       reader.expect(t.size() >= 6 && t[2] == "region" && t[4] == "rect",
                     "collection <name> region <id> rect <rect>");
       std::size_t cursor = 5;
       const Rect rect = read_rect(reader, t, cursor);
-      graph.add_collection(RegionId(reader.to_int(t[3])), t[1], rect);
+      const RegionId region(reader.to_int(t[3], 0, last(graph.num_regions())));
+      if (rect.empty() || !graph.region(region).bounds.contains(rect))
+        reader.fail("collection " + t[1] + " is empty or outside its region");
+      graph.add_collection(region, t[1], rect);
     } else if (t[0] == "task") {
       reader.expect(t.size() == 8 && t[2] == "points" && t[4] == "cpu" &&
                         t[6] == "gpu",
                     "task <name> points <n> cpu <s> gpu <s>");
       current_task = graph.add_task(
-          t[1], static_cast<int>(reader.to_int(t[3])),
+          t[1], static_cast<int>(reader.to_int(t[3], 1, kMaxInt)),
           {.cpu_seconds_per_point = reader.to_double(t[5]),
            .gpu_seconds_per_point = reader.to_double(t[7])},
           {});
@@ -255,7 +266,8 @@ TaskGraph read_task_graph(std::istream& is) {
       // mutating through a fresh add is not possible, so args are parsed
       // into the task via the dedicated hook below.
       graph.append_task_arg(*current_task,
-                            {CollectionId(reader.to_int(t[1])),
+                            {CollectionId(reader.to_int(
+                                 t[1], 0, last(graph.num_collections()))),
                              parse_privilege(reader, t[2]),
                              reader.to_double(t[3])});
     } else if (t[0] == "edge") {
@@ -263,15 +275,19 @@ TaskGraph read_task_graph(std::istream& is) {
                         t[9] == "fraction" && t[11] == "data",
                     "edge <p> <c> <pcol> <ccol> bytes <n> cross <0|1> "
                     "fraction <f> data <0|1>");
+      const long long tasks = last(graph.num_tasks());
+      const long long cols = last(graph.num_collections());
+      const bool data = reader.to_int(t[12], 0, 1) != 0;
       graph.add_dependence(
-          {.producer = TaskId(reader.to_int(t[1])),
-           .consumer = TaskId(reader.to_int(t[2])),
-           .producer_collection = CollectionId(reader.to_int(t[3])),
-           .consumer_collection = CollectionId(reader.to_int(t[4])),
-           .bytes = static_cast<std::uint64_t>(reader.to_int(t[6])),
-           .cross_iteration = reader.to_int(t[8]) != 0,
+          {.producer = TaskId(reader.to_int(t[1], 0, tasks)),
+           .consumer = TaskId(reader.to_int(t[2], 0, tasks)),
+           .producer_collection = CollectionId(reader.to_int(t[3], 0, cols)),
+           .consumer_collection = CollectionId(reader.to_int(t[4], 0, cols)),
+           // A data-carrying edge moves at least one byte.
+           .bytes = static_cast<std::uint64_t>(reader.to_int(t[6], data)),
+           .cross_iteration = reader.to_int(t[8], 0, 1) != 0,
            .internode_fraction = reader.to_double(t[10]),
-           .carries_data = reader.to_int(t[12]) != 0});
+           .carries_data = data});
     } else {
       reader.fail("unknown task graph directive: " + t[0]);
     }

@@ -72,13 +72,20 @@ void MachineModel::set_restart_overhead(double seconds) {
 }
 
 void MachineModel::validate() const {
-  AM_REQUIRE(!proc_groups_.empty(), "machine has no processors");
-  AM_REQUIRE(!mem_groups_.empty(), "machine has no memories");
+  // Machines come from files and wire requests: a defect is a plain
+  // Error naming what is missing.
+  const auto invalid = [](const std::string& what) {
+    return Error("invalid machine: " + what);
+  };
+  if (proc_groups_.empty()) throw invalid("no 'proc' processor group");
+  if (mem_groups_.empty()) throw invalid("no 'mem' memory group");
   for (const auto& pg : proc_groups_) {
     bool any = false;
     for (const auto& mg : mem_groups_)
       if (addressable(pg.kind, mg.kind)) any = true;
-    AM_CHECK(any, "processor kind addresses no memory kind");
+    if (!any)
+      throw invalid(std::string(to_string(pg.kind)) +
+                    " has no 'affinity' to a declared memory kind");
   }
   // Every pair of declared memory kinds must have both intra- and inter-node
   // channels so any producer/consumer placement is executable.
@@ -86,15 +93,16 @@ void MachineModel::validate() const {
     for (const auto& b : mem_groups_) {
       for (const bool inter : {false, true}) {
         if (num_nodes_ == 1 && inter) continue;
-        AM_CHECK(channels_[index_of(a.kind)][index_of(b.kind)][inter ? 1 : 0]
-                     .has_value(),
-                 "missing channel between declared memory kinds");
+        if (!channels_[index_of(a.kind)][index_of(b.kind)][inter ? 1 : 0])
+          throw invalid("no " + std::string(inter ? "inter" : "intra") +
+                        " 'channel' between " +
+                        std::string(to_string(a.kind)) + " and " +
+                        std::string(to_string(b.kind)));
       }
     }
   }
-  if (mems_per_node(MemKind::kSystem) > 1)
-    AM_CHECK(cross_socket_.has_value(),
-             "multi-socket System memory needs a cross-socket channel");
+  if (mems_per_node(MemKind::kSystem) > 1 && !cross_socket_)
+    throw invalid("multi-socket System memory needs a 'cross_socket' channel");
 }
 
 bool MachineModel::has_proc_kind(ProcKind k) const {

@@ -24,9 +24,10 @@ class HeuristicCustomMapper final : public Mapper {
 
   [[nodiscard]] std::string name() const override { return name_; }
 
-  [[nodiscard]] TaskMapping map_task(const GroupTask& task,
-                                     const TaskGraph& graph,
-                                     const MachineModel& machine) override {
+  [[nodiscard]] TaskMapping map_task(
+      const GroupTask& task, const TaskGraph& graph,
+      const MachineModel& machine,
+      std::span<MemPriority> memories) override {
     TaskMapping tm;
     tm.distribute = true;
     tm.blocked = blocked_;
@@ -35,12 +36,11 @@ class HeuristicCustomMapper final : public Mapper {
                      !machine.has_proc_kind(ProcKind::kGpu);
     tm.proc = cpu ? ProcKind::kCpu : ProcKind::kGpu;
     const MemKind fast = machine.best_memory_for(tm.proc);
-    tm.arg_memories.reserve(task.args.size());
-    for (const CollectionUse& use : task.args) {
-      const std::string& col = graph.collection(use.collection).name;
+    for (std::size_t a = 0; a < task.args.size(); ++a) {
+      const std::string& col = graph.collection(task.args[a].collection).name;
       const bool zc = demote_ && demote_(col) &&
                       machine.addressable(tm.proc, MemKind::kZeroCopy);
-      tm.arg_memories.push_back({zc ? MemKind::kZeroCopy : fast});
+      memories[a] = {zc ? MemKind::kZeroCopy : fast};
     }
     return tm;
   }

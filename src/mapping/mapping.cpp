@@ -8,29 +8,34 @@
 
 namespace automap {
 
-Mapping::Mapping(const TaskGraph& graph) {
-  tasks_.reserve(graph.num_tasks());
-  for (const auto& t : graph.tasks()) {
-    TaskMapping tm;
-    tm.arg_memories.assign(t.args.size(), {MemKind::kFrameBuffer});
-    tasks_.push_back(std::move(tm));
-  }
+Mapping::Mapping(const TaskGraph& graph)
+    : tasks_(graph.num_tasks()),
+      arg_off_(graph.arg_offsets()),
+      memories_(graph.num_collection_args(), {MemKind::kFrameBuffer}) {}
+
+void Mapping::copy_task(TaskId id, const Mapping& other) {
+  const auto from = other.memories(id);
+  const auto to = memories(id);
+  AM_REQUIRE(from.size() == to.size(),
+             "copy_task requires equal-shaped mappings");
+  tasks_[id.index()] = other.tasks_[id.index()];
+  std::ranges::copy(from, to.begin());
 }
 
 MemKind Mapping::primary_memory(TaskId id, std::size_t arg) const {
-  const TaskMapping& tm = at(id);
-  AM_REQUIRE(arg < tm.arg_memories.size(), "argument index out of range");
-  AM_REQUIRE(!tm.arg_memories[arg].empty(), "empty memory priority list");
-  return tm.arg_memories[arg].front();
+  const auto mems = memories(id);
+  AM_REQUIRE(arg < mems.size(), "argument index out of range");
+  AM_REQUIRE(!mems[arg].empty(), "empty memory priority list");
+  return mems[arg].front();
 }
 
 void Mapping::set_primary_memory(TaskId id, std::size_t arg, MemKind kind) {
-  TaskMapping& tm = at(id);
-  AM_REQUIRE(arg < tm.arg_memories.size(), "argument index out of range");
-  if (tm.arg_memories[arg].empty()) {
-    tm.arg_memories[arg] = {kind};
+  const auto mems = memories(id);
+  AM_REQUIRE(arg < mems.size(), "argument index out of range");
+  if (mems[arg].empty()) {
+    mems[arg] = {kind};
   } else {
-    tm.arg_memories[arg].front() = kind;
+    mems[arg].front() = kind;
   }
 }
 
@@ -42,7 +47,8 @@ std::vector<std::string> Mapping::violations(
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     const GroupTask& task = graph.task(TaskId(i));
     const TaskMapping& tm = tasks_[i];
-    if (tm.arg_memories.size() != task.args.size()) {
+    const auto mems = memories(TaskId(i));
+    if (mems.size() != task.args.size()) {
       out.push_back("task " + task.name + ": argument count mismatch");
       continue;
     }
@@ -54,13 +60,13 @@ std::vector<std::string> Mapping::violations(
     if (tm.proc == ProcKind::kGpu && !task.cost.has_gpu_variant()) {
       out.push_back("task " + task.name + ": no GPU variant");
     }
-    for (std::size_t a = 0; a < tm.arg_memories.size(); ++a) {
-      if (tm.arg_memories[a].empty()) {
+    for (std::size_t a = 0; a < mems.size(); ++a) {
+      if (mems[a].empty()) {
         out.push_back("task " + task.name + " arg " + std::to_string(a) +
                       ": empty memory priority list");
         continue;
       }
-      for (const MemKind m : tm.arg_memories[a]) {
+      for (const MemKind m : mems[a]) {
         if (!machine.addressable(tm.proc, m)) {
           out.push_back("task " + task.name + " arg " + std::to_string(a) +
                         ": " + std::string(to_string(m)) +
@@ -81,11 +87,11 @@ bool Mapping::valid(const TaskGraph& graph, const MachineModel& machine) const {
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     const GroupTask& task = graph.task(TaskId(i));
     const TaskMapping& tm = tasks_[i];
-    if (tm.arg_memories.size() != task.args.size()) return false;
+    if (memories(TaskId(i)).size() != task.args.size()) return false;
     if (!machine.has_proc_kind(tm.proc)) return false;
     if (tm.proc == ProcKind::kGpu && !task.cost.has_gpu_variant())
       return false;
-    for (const auto& mems : tm.arg_memories) {
+    for (const MemPriority& mems : memories(TaskId(i))) {
       if (mems.empty()) return false;
       for (const MemKind m : mems)
         if (!machine.addressable(tm.proc, m)) return false;
@@ -97,11 +103,12 @@ bool Mapping::valid(const TaskGraph& graph, const MachineModel& machine) const {
 std::uint64_t Mapping::hash() const {
   std::uint64_t h = 0x243f6a8885a308d3ULL;
   auto absorb = [&h](std::uint64_t v) { h = mix64(h ^ v); };
-  for (const auto& tm : tasks_) {
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    const TaskMapping& tm = tasks_[i];
     absorb(tm.distribute ? 1 : 2);
     absorb((tm.distribute && tm.blocked) ? 3 : 4);
     absorb(static_cast<std::uint64_t>(index_of(tm.proc)) + 10);
-    for (const auto& mems : tm.arg_memories) {
+    for (const MemPriority& mems : memories(TaskId(i))) {
       absorb(0xabcdULL);
       for (const MemKind m : mems)
         absorb(static_cast<std::uint64_t>(index_of(m)) + 100);
@@ -123,7 +130,7 @@ std::string Mapping::serialize() const {
     out += tm.distribute ? (tm.blocked ? "blocked" : "dist") : "leader";
     out += ' ';
     out += to_string(tm.proc);
-    for (const auto& mems : tm.arg_memories) {
+    for (const MemPriority& mems : memories(TaskId(i))) {
       out += ' ';
       for (std::size_t m = 0; m < mems.size(); ++m) {
         if (m > 0) out += ',';
@@ -172,7 +179,7 @@ Mapping Mapping::read(LineReader& reader, const TaskGraph& graph) {
     tm.blocked = t[2] == "blocked";
     tm.proc = reader.decode(parse_proc_kind, t[3]);
     for (std::size_t a = 0; a < num_args; ++a) {
-      MemPriority& priority = tm.arg_memories[a];
+      MemPriority& priority = mapping.memories(TaskId(index))[a];
       priority.clear();
       std::istringstream ms(t[4 + a]);
       std::string one;
@@ -196,11 +203,12 @@ std::string Mapping::describe(const TaskGraph& graph) const {
     const TaskMapping& tm = tasks_[i];
     os << task.name << ": " << (tm.distribute ? "distributed" : "leader-only")
        << " on " << to_string(tm.proc) << "\n";
-    for (std::size_t a = 0; a < tm.arg_memories.size(); ++a) {
+    const auto mems = memories(TaskId(i));
+    for (std::size_t a = 0; a < mems.size(); ++a) {
       os << "  " << graph.collection(task.args[a].collection).name << " -> ";
-      for (std::size_t m = 0; m < tm.arg_memories[a].size(); ++m) {
+      for (std::size_t m = 0; m < mems[a].size(); ++m) {
         if (m > 0) os << " | ";
-        os << to_string(tm.arg_memories[a][m]);
+        os << to_string(mems[a][m]);
       }
       os << "\n";
     }
@@ -226,10 +234,11 @@ std::vector<std::string> Mapping::diff(const Mapping& other,
       out.push_back(task.name + ": proc " + std::string(to_string(a.proc)) +
                     " -> " + std::string(to_string(b.proc)));
     }
-    const std::size_t args =
-        std::min(a.arg_memories.size(), b.arg_memories.size());
+    const auto a_mems = memories(TaskId(i));
+    const auto b_mems = other.memories(TaskId(i));
+    const std::size_t args = std::min(a_mems.size(), b_mems.size());
     for (std::size_t arg = 0; arg < args; ++arg) {
-      if (a.arg_memories[arg] != b.arg_memories[arg]) {
+      if (a_mems[arg] != b_mems[arg]) {
         out.push_back(task.name + "/" +
                       graph.collection(task.args[arg].collection).name +
                       ": memory changed");

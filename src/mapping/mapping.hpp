@@ -75,7 +75,8 @@ class MemPriority {
   std::uint8_t size_ = 0;
 };
 
-/// Kind-level mapping of one group task and all of its collection arguments.
+/// Kind-level decisions of one group task. Its arguments' memory priority
+/// lists live in the mapping's flat list (Mapping::memories).
 struct TaskMapping {
   /// True: points are distributed across all nodes; false: the whole group
   /// runs on the initial leader node (§3.1).
@@ -88,19 +89,18 @@ struct TaskMapping {
   /// serialization and hashing) when `distribute` is false.
   bool blocked = false;
   ProcKind proc = ProcKind::kGpu;
-  /// One priority list per collection argument, aligned with GroupTask::args.
-  std::vector<MemPriority> arg_memories;
 
   bool operator==(const TaskMapping&) const = default;
 };
 
-/// A complete mapping for a task graph.
+/// A complete mapping for a task graph: one TaskMapping per task and one
+/// priority list per collection argument, indexed by the graph's flat
+/// argument ids (TaskGraph::arg_offsets). A copy allocates three times.
 class Mapping {
  public:
   Mapping() = default;
-  /// Creates a mapping shaped after the graph: every task gets a default
-  /// TaskMapping with one empty-initialized slot per collection argument
-  /// (proc = GPU, memory = FrameBuffer, distributed).
+  /// Creates a mapping shaped after the graph: every task distributed on
+  /// the GPU, every argument in FrameBuffer.
   explicit Mapping(const TaskGraph& graph);
 
   [[nodiscard]] std::size_t num_tasks() const { return tasks_.size(); }
@@ -114,6 +114,20 @@ class Mapping {
     AM_REQUIRE(id.index() < tasks_.size(), "task id out of range");
     return tasks_[id.index()];
   }
+  /// Priority lists of task `id`'s arguments, aligned with GroupTask::args.
+  [[nodiscard]] std::span<MemPriority> memories(TaskId id) {
+    AM_REQUIRE(id.index() < tasks_.size(), "task id out of range");
+    return {memories_.data() + arg_off_[id.index()],
+            memories_.data() + arg_off_[id.index() + 1]};
+  }
+  [[nodiscard]] std::span<const MemPriority> memories(TaskId id) const {
+    AM_REQUIRE(id.index() < tasks_.size(), "task id out of range");
+    return {memories_.data() + arg_off_[id.index()],
+            memories_.data() + arg_off_[id.index() + 1]};
+  }
+  /// Copies task `id`'s decisions and memory lists from the equal-shaped
+  /// `other`. (Assigning at(id) copies the decisions only.)
+  void copy_task(TaskId id, const Mapping& other);
 
   /// Primary (first-priority) memory kind of argument `arg` of task `id`.
   [[nodiscard]] MemKind primary_memory(TaskId id, std::size_t arg) const;
@@ -157,6 +171,8 @@ class Mapping {
 
  private:
   std::vector<TaskMapping> tasks_;
+  std::vector<std::uint32_t> arg_off_;  // the graph's arg_offsets()
+  std::vector<MemPriority> memories_;   // by flat argument id
 };
 
 }  // namespace automap

@@ -40,9 +40,9 @@ std::string generate_mapper_source(const TaskGraph& graph,
 
   std::ostringstream os;
   os << "// Generated by AutoMap: a tuned mapping as a reviewable,\n"
-     << "// editable custom mapper. Unknown tasks fall back to the default\n"
-     << "// strategy, so the mapper stays usable as the application\n"
-     << "// evolves.\n"
+     << "// editable custom mapper. Unknown tasks, and tasks whose argument\n"
+     << "// count changed, fall back to the default strategy, so the mapper\n"
+     << "// stays usable as the application evolves.\n"
      << "#include \"src/runtime/mapper.hpp\"\n\n"
      << "namespace automap {\n\n"
      << "class " << class_name << " final : public Mapper {\n"
@@ -52,35 +52,35 @@ std::string generate_mapper_source(const TaskGraph& graph,
      << "  }\n\n"
      << "  [[nodiscard]] TaskMapping map_task(\n"
      << "      const GroupTask& task, const TaskGraph& graph,\n"
-     << "      const MachineModel& machine) override {\n";
+     << "      const MachineModel& machine,\n"
+     << "      std::span<MemPriority> memories) override {\n";
 
   for (const GroupTask& task : graph.tasks()) {
     const TaskMapping& tm = mapping.at(task.id);
-    os << "    if (task.name == \"" << task.name << "\") {\n"
+    const auto mems = mapping.memories(task.id);
+    os << "    if (task.name == \"" << task.name
+       << "\" && memories.size() == " << mems.size() << ") {\n"
        << "      TaskMapping tm;\n"
        << "      tm.distribute = " << (tm.distribute ? "true" : "false")
        << ";\n";
     if (tm.distribute && tm.blocked) os << "      tm.blocked = true;\n";
-    os << "      tm.proc = " << proc_expr(tm.proc) << ";\n"
-       << "      tm.arg_memories = {";
-    for (std::size_t a = 0; a < tm.arg_memories.size(); ++a) {
-      if (a > 0) os << ", ";
-      os << "{";
-      for (std::size_t m = 0; m < tm.arg_memories[a].size(); ++m) {
+    os << "      tm.proc = " << proc_expr(tm.proc) << ";\n";
+    for (std::size_t a = 0; a < mems.size(); ++a) {
+      os << "      memories[" << a << "] = {";
+      for (std::size_t m = 0; m < mems[a].size(); ++m) {
         if (m > 0) os << ", ";
-        os << mem_expr(tm.arg_memories[a][m]);
+        os << mem_expr(mems[a][m]);
       }
-      os << "}";
+      os << "};\n";
     }
-    os << "};\n"
-       << "      return tm;\n"
+    os << "      return tm;\n"
        << "    }\n";
   }
 
-  os << "    // Fallback: the default strategy for tasks added after this\n"
-     << "    // mapper was generated.\n"
+  os << "    // Fallback: the default strategy for tasks added, or whose\n"
+     << "    // arguments changed, after this mapper was generated.\n"
      << "    DefaultMapper fallback;\n"
-     << "    return fallback.map_task(task, graph, machine);\n"
+     << "    return fallback.map_task(task, graph, machine, memories);\n"
      << "  }\n"
      << "};\n\n"
      << "}  // namespace automap\n";

@@ -17,8 +17,8 @@
 namespace automap {
 
 /// Emits a self-contained C++ source defining `class <class_name> :
-/// public Mapper` that replays `mapping` by task name (with a
-/// DefaultMapper-style fallback for unknown tasks).
+/// public Mapper` that replays `mapping` by task name and argument count
+/// (with a DefaultMapper fallback for unknown or reshaped tasks).
 [[nodiscard]] std::string generate_mapper_source(
     const TaskGraph& graph, const Mapping& mapping,
     const std::string& class_name);

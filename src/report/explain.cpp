@@ -92,7 +92,7 @@ struct Segment {
   long long rejected = 0;
   std::vector<Provenance> dist_prov;
   std::vector<Provenance> proc_prov;
-  std::vector<std::vector<Provenance>> mem_prov;
+  std::vector<Provenance> mem_prov;  // by flat argument id
   bool finalized = false;
   double best = kInf;
   std::string winner_serialized;
@@ -107,9 +107,7 @@ Segment make_segment(const TaskGraph& graph, const JsonValue& sb) {
   seg.current = Mapping::parse(start, graph);
   seg.dist_prov.resize(graph.num_tasks());
   seg.proc_prov.resize(graph.num_tasks());
-  seg.mem_prov.resize(graph.num_tasks());
-  for (const GroupTask& task : graph.tasks())
-    seg.mem_prov[task.id.index()].resize(task.args.size());
+  seg.mem_prov.resize(graph.num_collection_args());
   return seg;
 }
 
@@ -138,7 +136,7 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
     seg.dist_prov[task.index()] = primary;
   } else if (kind == "placement") {
     const int arg = json_int_or(ev, "arg", -1, 0,
-                                last_index(seg.mem_prov[task.index()].size()));
+                                last_index(graph.task(task).args.size()));
     AM_REQUIRE(arg >= 0, "placement move n=" + std::to_string(n) +
                              " has no arg field");
     const ProcKind proc = parse_proc_kind(ev.str_or("proc", ""));
@@ -151,7 +149,7 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
         mem) {
       seg.current.set_primary_memory(task, static_cast<std::size_t>(arg),
                                      mem);
-      seg.mem_prov[task.index()][static_cast<std::size_t>(arg)] = primary;
+      seg.mem_prov[graph.arg_offsets()[task.index()] + arg] = primary;
     }
     if (const JsonValue* forced = ev.find("forced")) {
       for (const JsonValue& f : forced->array) {
@@ -168,10 +166,11 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
           seg.proc_prov[ft] = prov;
         } else {
           const auto fa = static_cast<std::size_t>(
-              json_int_or(f, "arg", 0, 0, last_index(seg.mem_prov[ft].size())));
+              json_int_or(f, "arg", 0, 0,
+                          last_index(graph.task(TaskId(ft)).args.size())));
           seg.current.set_primary_memory(TaskId(ft), fa,
                                          parse_mem_kind(f.str_or("mem", "")));
-          seg.mem_prov[ft][fa] = prov;
+          seg.mem_prov[graph.arg_offsets()[ft] + fa] = prov;
         }
       }
     }
@@ -323,8 +322,8 @@ std::string render_explain(const TaskGraph& graph,
          << graph.collection(task.args[a].collection).name
          << ") memory = " << to_string(mem) << ": ";
       if (mem == seg->current.primary_memory(task.id, a))
-        os << describe_provenance(seg->mem_prov[ti][a], graph,
-                                  seg->custom_start);
+        os << describe_provenance(seg->mem_prov[graph.arg_offsets()[ti] + a],
+                                  graph, seg->custom_start);
       else
         os << "set by the finalist protocol";
       os << "\n";

@@ -1,5 +1,7 @@
 #include "src/runtime/mapper.hpp"
 
+#include <algorithm>
+
 #include "src/support/error.hpp"
 
 namespace automap {
@@ -7,7 +9,8 @@ namespace automap {
 Mapping Mapper::map_all(const TaskGraph& graph, const MachineModel& machine) {
   Mapping mapping(graph);
   for (const GroupTask& task : graph.tasks())
-    mapping.at(task.id) = map_task(task, graph, machine);
+    mapping.at(task.id) =
+        map_task(task, graph, machine, mapping.memories(task.id));
   const auto violations = mapping.violations(graph, machine);
   AM_CHECK(violations.empty(),
            "mapper " + name() + " produced an invalid mapping: " +
@@ -17,27 +20,14 @@ Mapping Mapper::map_all(const TaskGraph& graph, const MachineModel& machine) {
 
 TaskMapping DefaultMapper::map_task(const GroupTask& task,
                                     const TaskGraph& graph,
-                                    const MachineModel& machine) {
+                                    const MachineModel& machine,
+                                    std::span<MemPriority> memories) {
   (void)graph;
-  TaskMapping tm;
-  tm.distribute = true;
   const bool gpu =
       task.cost.has_gpu_variant() && machine.has_proc_kind(ProcKind::kGpu);
-  tm.proc = gpu ? ProcKind::kGpu : ProcKind::kCpu;
-  const MemKind mem = machine.best_memory_for(tm.proc);
-  tm.arg_memories.assign(task.args.size(), {mem});
+  const TaskMapping tm{.proc = gpu ? ProcKind::kGpu : ProcKind::kCpu};
+  std::ranges::fill(memories, MemPriority{machine.best_memory_for(tm.proc)});
   return tm;
-}
-
-FixedMapper::FixedMapper(std::string name, Mapping mapping)
-    : name_(std::move(name)), mapping_(std::move(mapping)) {}
-
-TaskMapping FixedMapper::map_task(const GroupTask& task,
-                                  const TaskGraph& graph,
-                                  const MachineModel& machine) {
-  (void)graph;
-  (void)machine;
-  return mapping_.at(task.id);
 }
 
 }  // namespace automap

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -19,40 +18,29 @@ namespace detail {
 OverlapMap build_overlap_map(const TaskGraph& graph,
                              const std::vector<OverlapEdge>& edges,
                              const FrozenTaskSet* frozen) {
-  // arg_refs[collection] -> all (task, arg) uses of that collection.
-  std::vector<std::vector<ArgRef>> uses(graph.num_collections());
+  // The active edges as a symmetric collection adjacency matrix (a == b
+  // encodes the same-collection coupling across tasks).
+  const std::size_t n = graph.num_collections();
+  std::vector<std::uint8_t> adjacent(n * n, 0);
+  for (const OverlapEdge& e : edges)
+    adjacent[e.a.index() * n + e.b.index()] =
+        adjacent[e.b.index() * n + e.a.index()] = 1;
+
+  // Every argument that may co-move, in flat order.
+  std::vector<std::pair<ArgRef, CollectionId>> movable;
   for (const GroupTask& task : graph.tasks()) {
     if (frozen != nullptr && frozen->contains(task.id)) continue;
     for (std::size_t a = 0; a < task.args.size(); ++a)
-      uses[task.args[a].collection.index()].push_back({task.id, a});
+      movable.push_back({{task.id, a}, task.args[a].collection});
   }
 
-  // Adjacency over collections from the active edges (a == b encodes the
-  // same-collection coupling across tasks).
-  std::vector<std::vector<CollectionId>> adj(graph.num_collections());
-  for (const OverlapEdge& e : edges) {
-    if (e.a == e.b) {
-      adj[e.a.index()].push_back(e.a);
-    } else {
-      adj[e.a.index()].push_back(e.b);
-      adj[e.b.index()].push_back(e.a);
-    }
-  }
-
-  OverlapMap map(graph.num_tasks());
+  OverlapMap map(graph.num_collection_args());
   for (const GroupTask& task : graph.tasks()) {
-    map[task.id.index()].resize(task.args.size());
     for (std::size_t a = 0; a < task.args.size(); ++a) {
-      const ArgRef self{task.id, a};
-      const CollectionId c = task.args[a].collection;
-      std::set<ArgRef> related;
-      for (const CollectionId other : adj[c.index()]) {
-        for (const ArgRef& ref : uses[other.index()]) {
-          if (ref == self) continue;
-          related.insert(ref);
-        }
-      }
-      map[task.id.index()][a].assign(related.begin(), related.end());
+      const std::size_t row = task.args[a].collection.index() * n;
+      for (const auto& [ref, c] : movable)
+        if (adjacent[row + c.index()] != 0 && ref != ArgRef{task.id, a})
+          map[graph.arg_offsets()[task.id.index()] + a].push_back(ref);
     }
   }
   return map;
@@ -63,26 +51,34 @@ Mapping colocation_constraints(Mapping fp, TaskId t, std::size_t arg,
                                const OverlapMap& overlap,
                                const TaskGraph& graph,
                                const MachineModel& machine) {
-  std::set<TaskId> t_check;
-  std::set<ArgRef> c_check;
+  const std::vector<std::uint32_t>& off = graph.arg_offsets();
+  // The work lists: one flag per task and per flat argument, each popped
+  // lowest id first (`size()` when empty), as the paper's sets are.
+  std::vector<std::uint8_t> t_check(graph.num_tasks(), 0);
+  std::vector<std::uint8_t> c_check(graph.num_collection_args(), 0);
+  const auto pop = [](std::vector<std::uint8_t>& check) {
+    const auto it = std::ranges::find(check, 1);
+    if (it != check.end()) *it = 0;
+    return static_cast<std::size_t>(it - check.begin());
+  };
 
   // Map every argument co-located with (t, arg) to r (Algorithm 2 ll. 4-6).
-  t_check.insert(t);
-  for (const ArgRef& ref : overlap[t.index()][arg]) {
+  t_check[t.index()] = 1;
+  for (const ArgRef& ref : overlap[off[t.index()] + arg]) {
     fp.set_primary_memory(ref.task, ref.arg, r);
-    t_check.insert(ref.task);
+    t_check[ref.task.index()] = 1;
   }
 
   // Fixed point (ll. 7-26). The loop terminates because in the limit every
   // task lands on k and every collection on a k-addressable kind; the guard
-  // below only protects against implementation bugs.
+  // below only protects against implementation bugs. Each round drains
+  // c_check, so only t_check can hold work after it.
   int guard = static_cast<int>(graph.num_collection_args()) * 8 + 64;
-  while (!t_check.empty() || !c_check.empty()) {
+  do {
     AM_CHECK(--guard > 0, "co-location fixed point failed to converge");
 
-    while (!t_check.empty()) {
-      const TaskId ti = *t_check.begin();
-      t_check.erase(t_check.begin());
+    for (std::size_t i; (i = pop(t_check)) < t_check.size();) {
+      const TaskId ti(i);
       const GroupTask& task_i = graph.task(ti);
       // First pass: does any argument violate constraint 1 under the
       // task's current processor? If so, pull the task to k…
@@ -96,19 +92,20 @@ Mapping colocation_constraints(Mapping fp, TaskId t, std::size_t arg,
       // so a processor switch cannot orphan arguments scanned earlier.
       for (std::size_t ai = 0; ai < task_i.args.size(); ++ai) {
         if (!machine.addressable(fp.at(ti).proc, fp.primary_memory(ti, ai)))
-          c_check.insert({ti, ai});
+          c_check[off[i] + ai] = 1;
       }
     }
 
-    while (!c_check.empty()) {
-      const ArgRef ref = *c_check.begin();
-      c_check.erase(c_check.begin());
+    for (std::size_t id; (id = pop(c_check)) < c_check.size();) {
+      const auto ti = static_cast<std::size_t>(
+          std::ranges::upper_bound(off, id) - off.begin() - 1);
+      const ArgRef ref{TaskId(ti), id - off[ti]};
 
       // Arguments co-located with the primary decision must stay on r
       // (Algorithm 2 ll. 17-18). A propagation from a different co-location
       // class may have overwritten them meanwhile, so re-assert r — and
       // pull the task to k when its current processor cannot address r.
-      const auto& related = overlap[ref.task.index()][ref.arg];
+      const auto& related = overlap[id];
       const bool tied_to_primary =
           (ref.task == t && ref.arg == arg) ||
           std::find(related.begin(), related.end(), ArgRef{t, arg}) !=
@@ -117,7 +114,7 @@ Mapping colocation_constraints(Mapping fp, TaskId t, std::size_t arg,
         fp.set_primary_memory(ref.task, ref.arg, r);
         if (!machine.addressable(fp.at(ref.task).proc, r)) {
           if (ref.task != t) fp.at(ref.task).proc = k;
-          t_check.insert(ref.task);
+          t_check[ti] = 1;
         }
         continue;
       }
@@ -128,11 +125,11 @@ Mapping colocation_constraints(Mapping fp, TaskId t, std::size_t arg,
         if (fp.primary_memory(other.task, other.arg) == m) continue;
         fp.set_primary_memory(other.task, other.arg, m);
         if (!machine.addressable(fp.at(other.task).proc, m))
-          t_check.insert(other.task);
-        c_check.erase(other);
+          t_check[other.task.index()] = 1;
+        c_check[off[other.task.index()] + other.arg] = 0;
       }
     }
-  }
+  } while (std::ranges::find(t_check, 1) != t_check.end());
   return fp;
 }
 
@@ -181,7 +178,8 @@ std::vector<ForcedMove> forced_moves(const Mapping& base,
       if (m == base.primary_memory(ti, ai)) continue;
       bool direct = false;
       if (overlap != nullptr) {
-        const auto& related = (*overlap)[t.index()][arg];
+        const auto& related =
+            (*overlap)[graph.arg_offsets()[t.index()] + arg];
         direct = std::find(related.begin(), related.end(),
                            ArgRef{ti, ai}) != related.end();
       }

@@ -47,10 +47,11 @@ struct ArgRef {
 };
 
 /// The co-location map O (Algorithm 1 line 5): for every collection
-/// argument, the arguments it must move together with under the current
-/// (partially pruned) overlap graph — other uses of the same collection and
-/// uses of overlapping collections.
-using OverlapMap = std::vector<std::vector<std::vector<ArgRef>>>;
+/// argument, by flat id (TaskGraph::arg_offsets), the arguments it must
+/// move together with under the current (partially pruned) overlap graph —
+/// other uses of the same collection and uses of overlapping collections,
+/// in ascending order.
+using OverlapMap = std::vector<std::vector<ArgRef>>;
 
 /// Builds O from the still-active overlap edges. `edges` uses collection
 /// ids; same-collection coupling is expressed as an edge with a == b.

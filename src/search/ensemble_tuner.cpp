@@ -32,7 +32,7 @@ void random_mapping_into(Mapping& m, const TaskGraph& graph, Rng& rng) {
     tm.distribute = rng.bernoulli(0.5);
     tm.blocked = false;
     tm.proc = random_proc(rng);
-    for (auto& mem : tm.arg_memories) mem.assign(1, random_mem(rng));
+    for (auto& mem : m.memories(task.id)) mem.assign(1, random_mem(rng));
   }
 }
 
@@ -41,14 +41,15 @@ void mutate(Mapping& m, const TaskGraph& graph, Rng& rng, int count) {
   for (int i = 0; i < count; ++i) {
     const TaskId t(rng.uniform_index(graph.num_tasks()));
     TaskMapping& tm = m.at(t);
-    const std::size_t dims = 2 + tm.arg_memories.size();
+    const auto memories = m.memories(t);
+    const std::size_t dims = 2 + memories.size();
     const std::size_t dim = rng.uniform_index(dims);
     if (dim == 0) {
       tm.distribute = !tm.distribute;
     } else if (dim == 1) {
       tm.proc = random_proc(rng);
     } else {
-      tm.arg_memories[dim - 2] = {random_mem(rng)};
+      memories[dim - 2] = {random_mem(rng)};
     }
   }
 }
@@ -59,7 +60,7 @@ void crossover_into(Mapping& child, const Mapping& a, const Mapping& b,
                     const TaskGraph& graph, Rng& rng) {
   child = a;
   for (const GroupTask& task : graph.tasks()) {
-    if (rng.bernoulli(0.5)) child.at(task.id) = b.at(task.id);
+    if (rng.bernoulli(0.5)) child.copy_task(task.id, b);
   }
 }
 
@@ -123,7 +124,7 @@ SearchResult run_ensemble_tuner(const Simulator& sim,
   // (Copied: the elite pool reallocates as the search progresses.)
   const Mapping start = elites.front();
   auto restore_frozen = [&](Mapping& m) {
-    for (const TaskId t : options.frozen_tasks) m.at(t) = start.at(t);
+    for (const TaskId t : options.frozen_tasks) m.copy_task(t, start);
   };
 
   std::size_t suggestions = 1;

@@ -442,14 +442,14 @@ Mapping Evaluator::with_fallbacks(const Mapping& mapping) const {
   Mapping out = mapping;
   const MachineModel& machine = sim_.machine();
   for (const GroupTask& task : sim_.graph().tasks()) {
-    TaskMapping& tm = out.at(task.id);
+    const ProcKind proc = out.at(task.id).proc;
     // Addressable kinds from this task's processor, best bandwidth first.
-    std::vector<MemKind> order = machine.memories_addressable_by(tm.proc);
+    std::vector<MemKind> order = machine.memories_addressable_by(proc);
     std::sort(order.begin(), order.end(), [&](MemKind a, MemKind b) {
-      return machine.affinity(tm.proc, a).bandwidth_bytes_per_s >
-             machine.affinity(tm.proc, b).bandwidth_bytes_per_s;
+      return machine.affinity(proc, a).bandwidth_bytes_per_s >
+             machine.affinity(proc, b).bandwidth_bytes_per_s;
     });
-    for (auto& priority : tm.arg_memories) {
+    for (MemPriority& priority : out.memories(task.id)) {
       if (priority.empty()) continue;
       const MemKind primary = priority.front();
       priority.assign(1, primary);

@@ -22,7 +22,7 @@ Mapping random_valid_mapping(const TaskGraph& graph,
                   ? ProcKind::kGpu
                   : ProcKind::kCpu;
     const auto mems = machine.memories_addressable_by(tm.proc);
-    for (auto& priority : tm.arg_memories)
+    for (MemPriority& priority : mapping.memories(task.id))
       priority = {mems[rng.uniform_index(mems.size())]};
   }
   return mapping;
@@ -37,7 +37,8 @@ void mutate_valid(Mapping& mapping, const TaskGraph& graph,
     const TaskId t(rng.uniform_index(graph.num_tasks()));
     const GroupTask& task = graph.task(t);
     TaskMapping& tm = mapping.at(t);
-    const std::size_t dims = 2 + tm.arg_memories.size();
+    const auto memories = mapping.memories(t);
+    const std::size_t dims = 2 + memories.size();
     const std::size_t dim = rng.uniform_index(dims);
     if (dim == 0) {
       tm.distribute = !tm.distribute;
@@ -50,14 +51,14 @@ void mutate_valid(Mapping& mapping, const TaskGraph& graph,
            !machine.has_proc_kind(ProcKind::kGpu)))
         continue;
       tm.proc = other;
-      for (auto& priority : tm.arg_memories) {
+      for (MemPriority& priority : memories) {
         if (!priority.empty() &&
             !machine.addressable(tm.proc, priority.front()))
           priority = {machine.best_memory_for(tm.proc)};
       }
     } else {
       const auto mems = machine.memories_addressable_by(tm.proc);
-      tm.arg_memories[dim - 2] = {mems[rng.uniform_index(mems.size())]};
+      memories[dim - 2] = {mems[rng.uniform_index(mems.size())]};
     }
   }
 }
@@ -86,7 +87,7 @@ SearchResult run_random_search(const Simulator& sim,
   for (std::size_t i = 0; i < cap && !eval.budget_exhausted(); ++i) {
     if (i % kBlock == 0) threshold = eval.censor_threshold(0.0);
     Mapping candidate = random_valid_mapping(sim.graph(), sim.machine(), rng);
-    for (const TaskId t : options.frozen_tasks) candidate.at(t) = start.at(t);
+    for (const TaskId t : options.frozen_tasks) candidate.copy_task(t, start);
     (void)eval.evaluate(candidate, threshold);
   }
   return eval.finalize("AM-Random");
@@ -118,7 +119,7 @@ SearchResult run_simulated_annealing(const Simulator& sim,
     mutate_valid(candidate, sim.graph(), sim.machine(), rng,
                  config.mutations);
     for (const TaskId t : options.frozen_tasks)
-      candidate.at(t) = current.at(t);
+      candidate.copy_task(t, current);
     const double cost = eval.evaluate(candidate);
     const bool accept =
         cost < current_cost ||
@@ -172,8 +173,8 @@ SearchResult run_heft_static(const Simulator& sim,
         tm.proc = k;
       }
     }
-    tm.arg_memories.assign(task.args.size(),
-                           {machine.best_memory_for(tm.proc)});
+    std::ranges::fill(mapping.memories(task.id),
+                      MemPriority{machine.best_memory_for(tm.proc)});
   }
 
   eval.begin_search("HEFT-static", mapping);
@@ -188,12 +189,14 @@ SearchResult run_ccd_multistart(const Simulator& sim,
   Rng rng(mix64(options.seed) ^ 0xd6e8feb86659fd93ULL);
 
   // First pass from the §4.1 starting point; each further pass begins from
-  // a random valid mapping and inherits the accumulated profiles database,
-  // so re-proposed candidates are free and the finalist pool spans every
+  // a random valid mapping, in which frozen tasks (§3.3) keep their
+  // starting decisions, and inherits the accumulated profiles database, so
+  // re-proposed candidates are free and the finalist pool spans every
   // pass. The passes always export their database (that is the chaining
   // mechanism), whatever the caller asked for the final result. Only the
   // first pass checkpoints: a resumed multistart replays that pass from its
   // log and reruns the later ones live.
+  const Mapping first = search_starting_point(sim.graph(), sim.machine());
   SearchOptions chained = options;
   chained.export_profiles_db = true;
   SearchResult result = run_ccd(sim, chained);
@@ -210,8 +213,8 @@ SearchResult run_ccd_multistart(const Simulator& sim,
     next.profiles_seed = result.profiles_db;
     if (std::isfinite(options.time_budget_s))
       next.time_budget_s = options.time_budget_s - combined.search_time_s;
-    const Mapping start =
-        random_valid_mapping(sim.graph(), sim.machine(), rng);
+    Mapping start = random_valid_mapping(sim.graph(), sim.machine(), rng);
+    for (const TaskId t : options.frozen_tasks) start.copy_task(t, first);
     result = run_ccd_from(sim, next, start);
     combined.suggested += result.stats.suggested;
     combined.evaluated += result.stats.evaluated;

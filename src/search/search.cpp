@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/runtime/mapper.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/error.hpp"
 #include "src/support/format.hpp"
@@ -27,17 +28,7 @@ FrozenTaskSet::FrozenTaskSet(const std::vector<TaskId>& tasks,
 
 Mapping search_starting_point(const TaskGraph& graph,
                               const MachineModel& machine) {
-  Mapping m(graph);
-  for (const GroupTask& task : graph.tasks()) {
-    TaskMapping& tm = m.at(task.id);
-    tm.distribute = true;
-    const bool gpu =
-        task.cost.has_gpu_variant() && machine.has_proc_kind(ProcKind::kGpu);
-    tm.proc = gpu ? ProcKind::kGpu : ProcKind::kCpu;
-    tm.arg_memories.assign(task.args.size(),
-                           {machine.best_memory_for(tm.proc)});
-  }
-  return m;
+  return DefaultMapper().map_all(graph, machine);
 }
 
 namespace {
@@ -67,15 +58,16 @@ double json_wide(const JsonValue& v, const std::string& key) {
 }
 
 void check_schema(const JsonValue& v, const char* what) {
-  AM_REQUIRE(v.kind == JsonValue::Kind::kObject,
-             std::string(what) + " must be a JSON object");
+  if (v.kind != JsonValue::Kind::kObject)
+    throw Error(std::string(what) + " must be a JSON object");
   const JsonValue* schema = v.find("schema");
-  AM_REQUIRE(schema != nullptr, std::string(what) + " is missing 'schema'");
+  if (schema == nullptr)
+    throw Error(std::string(what) + " is missing 'schema'");
   const int version = json_int(*schema, "schema");
-  AM_REQUIRE(version == kSearchOptionsSchema,
-             "unsupported " + std::string(what) + " schema " +
-                 std::to_string(version) + " (this build speaks " +
-                 std::to_string(kSearchOptionsSchema) + ")");
+  if (version != kSearchOptionsSchema)
+    throw Error("unsupported " + std::string(what) + " schema " +
+                std::to_string(version) + " (this build speaks " +
+                std::to_string(kSearchOptionsSchema) + ")");
 }
 
 }  // namespace
@@ -158,8 +150,8 @@ SearchOptions search_options_from_json(const JsonValue& v) {
     } else if (key == "prune") {
       o.prune_candidates = json_bool(value, key);
     } else if (key == "frozen") {
-      AM_REQUIRE(value.kind == JsonValue::Kind::kArray,
-                 "field 'frozen' must be an array");
+      if (value.kind != JsonValue::Kind::kArray)
+        throw Error("field 'frozen' must be an array");
       for (const JsonValue& f : value.array)
         o.frozen_tasks.push_back(
             TaskId(static_cast<std::size_t>(json_int(f, key, 0))));

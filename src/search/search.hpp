@@ -315,9 +315,10 @@ struct SearchResult {
 /// daemon response is byte-comparable to the one-shot CLI output.
 [[nodiscard]] std::string render_search_summary(const SearchResult& result);
 
-/// The §4.1 starting point: group tasks distributed across all nodes, every
-/// task with a GPU variant on the GPU, collections in the chosen
-/// processor's highest-bandwidth memory (Frame-Buffer for GPU tasks).
+/// The §4.1 starting point, DefaultMapper's mapping: group tasks
+/// distributed across all nodes, every task with a GPU variant on the GPU,
+/// collections in the chosen processor's highest-bandwidth memory
+/// (Frame-Buffer for GPU tasks).
 [[nodiscard]] Mapping search_starting_point(const TaskGraph& graph,
                                             const MachineModel& machine);
 

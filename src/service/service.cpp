@@ -57,13 +57,12 @@ constexpr double kMaxDeadlineMs = 31622400000.0;
 SubmitSpec parse_submit(const JsonValue& request) {
   SubmitSpec spec;
   const JsonValue* machine = request.find("machine");
-  AM_REQUIRE(machine != nullptr &&
-                 machine->kind == JsonValue::Kind::kString,
-             "submit needs a 'machine' text field");
+  if (machine == nullptr || machine->kind != JsonValue::Kind::kString)
+    throw Error("submit needs a 'machine' text field");
   spec.machine_text = machine->string;
   const JsonValue* graph = request.find("graph");
-  AM_REQUIRE(graph != nullptr && graph->kind == JsonValue::Kind::kString,
-             "submit needs a 'graph' text field");
+  if (graph == nullptr || graph->kind != JsonValue::Kind::kString)
+    throw Error("submit needs a 'graph' text field");
   spec.graph_text = graph->string;
   if (const JsonValue* v = request.find("algorithm"))
     spec.algorithm = json_str(*v, "algorithm");
@@ -127,8 +126,8 @@ std::optional<std::string> read_if_exists(const std::string& path) {
 
 std::string require_job_field(const JsonValue& request) {
   const JsonValue* job = request.find("job");
-  AM_REQUIRE(job != nullptr && job->kind == JsonValue::Kind::kNumber,
-             "request needs a numeric 'job' field");
+  if (job == nullptr || job->kind != JsonValue::Kind::kNumber)
+    throw Error("request needs a numeric 'job' field");
   return std::to_string(json_u64(*job, "job"));
 }
 
@@ -613,8 +612,8 @@ std::string MappingService::dispatch(const std::string& request_json,
                           "-byte limit");
   try {
     const JsonValue request = parse_json(request_json);
-    AM_REQUIRE(request.kind == JsonValue::Kind::kObject,
-               "request must be a JSON object");
+    if (request.kind != JsonValue::Kind::kObject)
+      throw Error("request must be a JSON object");
     const std::string op = request.str_or("op", "");
     if (op_metrics_.count(op) != 0) op_label = op;
     if (op == "ping")
@@ -661,9 +660,9 @@ std::string MappingService::handle_submit(const JsonValue& request,
   (void)machine_from_string(spec.machine_text);
   validate_search_options(spec.options,
                           task_graph_from_string(spec.graph_text).num_tasks());
-  AM_REQUIRE(find_search_algorithm(spec.algorithm) != nullptr,
-             "unknown algorithm '" + spec.algorithm + "' (expected " +
-                 std::string(search_algorithm_names()) + ")");
+  if (find_search_algorithm(spec.algorithm) == nullptr)
+    throw Error("unknown algorithm '" + spec.algorithm + "' (expected " +
+                search_algorithm_names() + ")");
 
   const std::lock_guard<std::mutex> lock(mutex_);
   // One job per fingerprint: done jobs answer instantly with zero new

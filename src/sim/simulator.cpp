@@ -103,14 +103,7 @@ Simulator::Simulator(const MachineModel& machine, const TaskGraph& graph,
   }
 
   const std::size_t num_tasks = graph_.num_tasks();
-
-  // Flattened collection-argument space: arg_off_[t] .. arg_off_[t+1].
-  arg_off_.assign(num_tasks + 1, 0);
-  for (std::size_t t = 0; t < num_tasks; ++t)
-    arg_off_[t + 1] =
-        arg_off_[t] +
-        static_cast<std::uint32_t>(graph_.task(TaskId(t)).args.size());
-  num_flat_args_ = arg_off_[num_tasks];
+  const std::vector<std::uint32_t>& arg_off = graph_.arg_offsets();
 
   // CSR incoming adjacency. A counting pass followed by an in-order fill
   // keeps each consumer's in-edge order equal to the global edge order,
@@ -127,11 +120,11 @@ Simulator::Simulator(const MachineModel& machine, const TaskGraph& graph,
       EdgeIn in;
       in.producer = static_cast<std::uint32_t>(e.producer.index());
       in.producer_arg =
-          arg_off_[e.producer.index()] +
+          arg_off[e.producer.index()] +
           static_cast<std::uint32_t>(
               arg_index_of(graph_.task(e.producer), e.producer_collection));
       in.consumer_arg =
-          arg_off_[e.consumer.index()] +
+          arg_off[e.consumer.index()] +
           static_cast<std::uint32_t>(
               arg_index_of(graph_.task(e.consumer), e.consumer_collection));
       in.cross_iteration = e.cross_iteration;
@@ -159,7 +152,8 @@ Simulator::Simulator(const MachineModel& machine, const TaskGraph& graph,
   dur_compute_.assign(num_tasks * kNumProcKinds * 2, kNaN);
   dur_launch_.assign(num_tasks * kNumProcKinds * 2, kNaN);
   energy_coeff_.assign(num_tasks * kNumProcKinds * 2, kNaN);
-  arg_sec_.assign(num_flat_args_ * kNumProcKinds * 2 * kNumMemKinds, kNaN);
+  arg_sec_.assign(
+      graph_.num_collection_args() * kNumProcKinds * 2 * kNumMemKinds, kNaN);
 
   for (std::size_t t = 0; t < num_tasks; ++t) {
     const GroupTask& task = graph_.task(TaskId(t));
@@ -238,7 +232,7 @@ Simulator::Simulator(const MachineModel& machine, const TaskGraph& graph,
             } else {
               seconds += node_bytes / bw;
             }
-            arg_sec_[arg_sec_index(arg_off_[t] + a, index_of(proc),
+            arg_sec_[arg_sec_index(arg_off[t] + a, index_of(proc),
                                    static_cast<std::size_t>(dist),
                                    index_of(mem))] = seconds;
           }
@@ -269,7 +263,7 @@ Simulator::Simulator(const MachineModel& machine, const TaskGraph& graph,
 void Simulator::prepare(SimScratch& scratch) const {
   if (scratch.prepared_for_ == this) return;
   scratch.prepared_for_ = this;
-  scratch.resolved_.resize(num_flat_args_);
+  scratch.resolved_.resize(graph_.num_collection_args());
   scratch.footprints_.reserve(kNumMemKinds);
   scratch.used_.resize(static_cast<std::size_t>(num_nodes_) * kNumMemKinds);
   scratch.instantiated_.resize(graph_.num_collections() * kNumMemKinds * 2);
@@ -296,10 +290,11 @@ void Simulator::resolve_memories(const Mapping& mapping,
 
   for (const GroupTask& task : graph_.tasks()) {
     const TaskMapping& tm = mapping.at(task.id);
-    AM_REQUIRE(tm.arg_memories.size() == task.args.size(),
+    const auto memories = mapping.memories(task.id);
+    AM_REQUIRE(memories.size() == task.args.size(),
                "mapping shape mismatch for task " + task.name);
     SimScratch::ResolvedArg* resolved =
-        scratch.resolved_.data() + arg_off_[task.id.index()];
+        scratch.resolved_.data() + graph_.arg_offsets()[task.id.index()];
 
     const bool distributed = tm.distribute && num_nodes_ > 1;
     const int nodes_used = distributed ? num_nodes_ : 1;
@@ -313,8 +308,8 @@ void Simulator::resolve_memories(const Mapping& mapping,
           total_bytes / static_cast<std::uint64_t>(nodes_used);
 
       bool placed = false;
-      for (std::size_t pri = 0; pri < tm.arg_memories[a].size(); ++pri) {
-        const MemKind kind = tm.arg_memories[a][pri];
+      for (std::size_t pri = 0; pri < memories[a].size(); ++pri) {
+        const MemKind kind = memories[a][pri];
         if (!machine_.addressable(tm.proc, kind)) continue;
 
         std::uint8_t& known =
@@ -522,7 +517,8 @@ void Simulator::build_plan(const Mapping& mapping, std::uint64_t hash,
     const std::size_t dist = c_dist ? 1 : 0;
     const std::size_t di = dur_index(ti, pk, dist);
     double mem_time = 0.0;
-    for (std::uint32_t a = arg_off_[ti]; a < arg_off_[ti + 1]; ++a) {
+    for (std::uint32_t a = graph_.arg_offsets()[ti];
+         a < graph_.arg_offsets()[ti + 1]; ++a) {
       mem_time += arg_sec_[arg_sec_index(
           a, pk, dist, index_of(scratch.resolved_[a].memory))];
     }

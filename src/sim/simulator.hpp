@@ -187,7 +187,7 @@ class SimScratch {
   ResolveFailure failure_kind_ = ResolveFailure::kNone;
   std::uint32_t failure_task_ = 0;
   std::uint32_t failure_collection_ = 0;
-  std::vector<ResolvedArg> resolved_;       // flat, Simulator::arg_off_
+  std::vector<ResolvedArg> resolved_;  // by flat argument id
   std::vector<MemoryFootprint> footprints_;
   std::vector<std::uint64_t> used_;         // [node][mem kind]
   std::vector<std::uint8_t> instantiated_;  // [collection][kind][distributed]
@@ -357,9 +357,6 @@ class Simulator {
   /// global edge order per consumer, preserving RNG draw order).
   std::vector<std::uint32_t> in_off_;  // size num_tasks + 1
   std::vector<EdgeIn> in_edges_;
-  /// CSR offsets of the flattened collection-argument space.
-  std::vector<std::uint32_t> arg_off_;  // size num_tasks + 1
-  std::size_t num_flat_args_ = 0;
   /// Per (task, proc kind, distributed): wave-execution compute time
   /// (launch overhead included) and the launch-overhead share, pre-noise.
   /// NaN for invalid combinations (missing variant / missing proc kind),

@@ -63,6 +63,8 @@ TaskId TaskGraph::add_task(std::string name, int num_points, TaskCost cost,
                     .num_points = num_points,
                     .cost = cost,
                     .args = std::move(args)});
+  arg_off_.push_back(arg_off_.back() +
+                     static_cast<std::uint32_t>(tasks_.back().args.size()));
   return id;
 }
 
@@ -73,6 +75,8 @@ void TaskGraph::append_task_arg(TaskId task, CollectionUse use) {
   AM_REQUIRE(use.access_fraction > 0.0 && use.access_fraction <= 1.0,
              "access_fraction must be in (0, 1]");
   tasks_[task.index()].args.push_back(use);
+  for (std::size_t t = task.index() + 1; t < arg_off_.size(); ++t)
+    ++arg_off_[t];
 }
 
 void TaskGraph::add_dependence(DependenceEdge edge) {
@@ -85,12 +89,6 @@ void TaskGraph::add_dependence(DependenceEdge edge) {
   AM_REQUIRE(edge.internode_fraction >= 0.0 && edge.internode_fraction <= 1.0,
              "internode_fraction must be in [0, 1]");
   edges_.push_back(edge);
-}
-
-std::size_t TaskGraph::num_collection_args() const {
-  std::size_t n = 0;
-  for (const auto& t : tasks_) n += t.args.size();
-  return n;
 }
 
 const Region& TaskGraph::region(RegionId id) const {

@@ -146,7 +146,15 @@ class TaskGraph {
   [[nodiscard]] std::size_t num_edges() const { return edges_.size(); }
   /// Total number of collection arguments over all tasks — the paper's
   /// "Collection Arguments" column in Fig. 5.
-  [[nodiscard]] std::size_t num_collection_args() const;
+  [[nodiscard]] std::size_t num_collection_args() const {
+    return arg_off_.back();
+  }
+  /// The one numbering of collection arguments: task t owns the flat ids
+  /// [arg_offsets()[t], arg_offsets()[t + 1]), in GroupTask::args order.
+  /// Mappings, the co-location map and the simulator index by it.
+  [[nodiscard]] const std::vector<std::uint32_t>& arg_offsets() const {
+    return arg_off_;
+  }
 
   [[nodiscard]] const Region& region(RegionId id) const;
   [[nodiscard]] const Collection& collection(CollectionId id) const;
@@ -185,6 +193,7 @@ class TaskGraph {
   std::vector<Region> regions_;
   std::vector<Collection> collections_;
   std::vector<GroupTask> tasks_;
+  std::vector<std::uint32_t> arg_off_ = {0};  // see arg_offsets()
   std::vector<DependenceEdge> edges_;
 };
 

@@ -68,7 +68,7 @@ TEST_F(AnalysisFixture, PerKindBreakdownTracksTheMapping) {
   Mapping cpu(app.graph);
   for (const GroupTask& t : app.graph.tasks()) {
     cpu.at(t.id).proc = ProcKind::kCpu;
-    cpu.at(t.id).arg_memories.assign(t.args.size(), {MemKind::kSystem});
+    std::ranges::fill(cpu.memories(t.id), MemPriority{MemKind::kSystem});
   }
   const ExecutionReport cpu_report = sim.run(cpu, 1);
   ASSERT_TRUE(cpu_report.ok);
@@ -95,7 +95,7 @@ TEST_F(AnalysisFixture, CompareRunsShowsImprovementDirection) {
   for (const GroupTask& t : app.graph.tasks()) {
     slow.at(t.id).proc =
         t.cost.has_gpu_variant() ? ProcKind::kGpu : ProcKind::kCpu;
-    slow.at(t.id).arg_memories.assign(t.args.size(), {MemKind::kZeroCopy});
+    std::ranges::fill(slow.memories(t.id), MemPriority{MemKind::kZeroCopy});
   }
   const ExecutionReport slow_report = sim.run(slow, 1);
   ASSERT_TRUE(slow_report.ok);
@@ -126,8 +126,7 @@ TEST(Analysis, CopyWaitAppearsUnderMixedMappings) {
                 {.iterations = 3, .noise_sigma = 0.0, .record_trace = true});
   Mapping mixed(app.graph);
   mixed.at(TaskId(1)).proc = ProcKind::kCpu;
-  mixed.at(TaskId(1)).arg_memories.assign(
-      app.graph.task(TaskId(1)).args.size(), {MemKind::kSystem});
+  std::ranges::fill(mixed.memories(TaskId(1)), MemPriority{MemKind::kSystem});
   const ExecutionReport report = sim.run(mixed, 1);
   ASSERT_TRUE(report.ok);
   const ExecutionProfile p = compute_profile(app.graph, report);

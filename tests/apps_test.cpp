@@ -191,7 +191,7 @@ TEST(Apps, CircuitCrossoverSmallCpuLargeGpu) {
     Mapping cpu(app.graph);
     for (const GroupTask& t : app.graph.tasks()) {
       cpu.at(t.id).proc = ProcKind::kCpu;
-      cpu.at(t.id).arg_memories.assign(t.args.size(), {MemKind::kSystem});
+      std::ranges::fill(cpu.memories(t.id), MemPriority{MemKind::kSystem});
     }
     return sim.run(cpu, 1).total_seconds / sim.run(gpu, 1).total_seconds;
   };
@@ -208,7 +208,7 @@ TEST(Apps, HtrChemistryDominatesOnGpuAtScale) {
   Mapping cpu(app.graph);
   for (const GroupTask& t : app.graph.tasks()) {
     cpu.at(t.id).proc = ProcKind::kCpu;
-    cpu.at(t.id).arg_memories.assign(t.args.size(), {MemKind::kSystem});
+    std::ranges::fill(cpu.memories(t.id), MemPriority{MemKind::kSystem});
   }
   EXPECT_LT(sim.run(gpu, 1).total_seconds, sim.run(cpu, 1).total_seconds);
 }
@@ -266,8 +266,7 @@ TEST(Apps, MaestroHfAloneBaselineRunsAndScales) {
   Mapping gpu_zc = mapper.map_all(both.graph, machine);
   for (const TaskId t : maestro_lf_tasks(both)) {
     gpu_zc.at(t).proc = ProcKind::kGpu;
-    gpu_zc.at(t).arg_memories.assign(both.graph.task(t).args.size(),
-                                     {MemKind::kZeroCopy});
+    std::ranges::fill(gpu_zc.memories(t), MemPriority{MemKind::kZeroCopy});
   }
   const auto r2 = sim2.run(gpu_zc, 1);
   ASSERT_TRUE(r2.ok) << r2.failure;

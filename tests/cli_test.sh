@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end test of the automap_cli workflow (§3.3): export, describe,
-# search (with profiles persistence), evaluate, visualize, codegen.
+# search (with profiles persistence), evaluate, visualize, codegen (the
+# generated mapper is syntax-checked with ${CXX:-c++} against the headers
+# of the repository this script sits in).
 # Usage: cli_test.sh <path-to-automap_cli>
 set -euo pipefail
 
 CLI="$1"
+ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
@@ -97,6 +100,9 @@ grep -q "traceEvents" "$DIR/trace.json"
 "$CLI" codegen "$DIR/g.graph" "$DIR/best.mapping" TunedMapper \
       "$DIR/mapper.cpp" > /dev/null
 grep -q "class TunedMapper final : public Mapper" "$DIR/mapper.cpp"
+# The generated mapper compiles against this library's Mapper API.
+"${CXX:-c++}" -std=c++20 -Wall -Wextra -Werror -fsyntax-only -I"$ROOT" \
+      "$DIR/mapper.cpp"
 
 "$CLI" validate "$DIR/m.machine" "$DIR/g.graph" "$DIR/best.mapping" \
       | grep -q "valid and executable"
@@ -148,6 +154,25 @@ sed 's/^mem ZeroCopy /mem Bogus /' "$DIR/m.machine" > "$DIR/bogus.machine"
 zc_line="$(grep -n '^mem ZeroCopy ' "$DIR/m.machine" | cut -d: -f1)"
 expect_one_error "line $zc_line: unknown memory kind 'Bogus'" \
       "$CLI" describe "$DIR/bogus.machine" "$DIR/g.graph"
+# Negative sizes fail at their own line instead of wrapping round to huge
+# unsigned values, and a machine without processors names what is missing.
+sed 's/^\(mem FrameBuffer count [0-9]* capacity \)[0-9]*/\1-5/' \
+      "$DIR/m.machine" > "$DIR/capacity.machine"
+fb_line="$(grep -n '^mem FrameBuffer ' "$DIR/m.machine" | cut -d: -f1)"
+expect_one_error "line $fb_line: integer -5 outside" \
+      "$CLI" describe "$DIR/capacity.machine" "$DIR/g.graph"
+sed '0,/elem_bytes [0-9]*/s//elem_bytes -64/' "$DIR/g.graph" \
+      > "$DIR/elem.graph"
+region_line="$(grep -n -m1 'elem_bytes' "$DIR/g.graph" | cut -d: -f1)"
+expect_one_error "line $region_line: integer -64 outside" \
+      "$CLI" describe "$DIR/m.machine" "$DIR/elem.graph"
+sed '0,/ bytes [0-9]* /s// bytes -1 /' "$DIR/g.graph" > "$DIR/edge.graph"
+edge_line="$(grep -n -m1 '^edge ' "$DIR/g.graph" | cut -d: -f1)"
+expect_one_error "line $edge_line: integer -1 outside" \
+      "$CLI" evaluate "$DIR/m.machine" "$DIR/edge.graph" "$DIR/best.mapping"
+echo "machine m nodes 1" > "$DIR/header.machine"
+expect_one_error "invalid machine: no 'proc' processor group" \
+      "$CLI" describe "$DIR/header.machine" "$DIR/g.graph"
 
 # A garbled profiles database must fail with a one-line diagnostic and a
 # nonzero exit, not a raw uncaught exception / abort.

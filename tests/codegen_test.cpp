@@ -1,7 +1,7 @@
-// Tests for the custom-mapper code generator — including compiling the
-// generated source in-process (it targets this library's own Mapper API,
-// so we verify it by inspecting structure and by feeding it back through
-// a parser-level equivalence check).
+// Tests for the custom-mapper code generator: the structure and the
+// decisions of the generated source. tests/cli_test.sh compiles a
+// generated mapper against this library's headers, which catches drift
+// from the Mapper API.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +23,8 @@ class CodegenFixture : public ::testing::Test {
     mapping = dm.map_all(app.graph, machine);
     mapping.at(TaskId(2)).proc = ProcKind::kCpu;
     mapping.at(TaskId(2)).distribute = false;
-    mapping.at(TaskId(2)).arg_memories.assign(
-        app.graph.task(TaskId(2)).args.size(),
-        {MemKind::kSystem, MemKind::kZeroCopy});
+    std::ranges::fill(mapping.memories(TaskId(2)),
+                      MemPriority{MemKind::kSystem, MemKind::kZeroCopy});
   }
 
   BenchmarkApp app;
@@ -43,6 +42,22 @@ TEST_F(CodegenFixture, EmitsOneBranchPerTask) {
               std::string::npos);
   }
   EXPECT_NE(src.find("DefaultMapper fallback"), std::string::npos);
+}
+
+TEST_F(CodegenFixture, EachBranchChecksTheTasksArgumentCount) {
+  // A task whose arguments changed since generation takes the fallback
+  // instead of writing past the end of its memory lists.
+  const std::string src = generate_mapper_source(app.graph, mapping, "M");
+  for (const GroupTask& t : app.graph.tasks()) {
+    EXPECT_NE(src.find("task.name == \"" + t.name +
+                       "\" && memories.size() == " +
+                       std::to_string(t.args.size()) + ")"),
+              std::string::npos)
+        << t.name;
+  }
+  EXPECT_NE(src.find("memories[" + std::to_string(
+                         app.graph.task(TaskId(0)).args.size() - 1) + "] = {"),
+            std::string::npos);
 }
 
 TEST_F(CodegenFixture, EncodesEveryDecisionKind) {

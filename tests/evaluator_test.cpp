@@ -56,7 +56,7 @@ std::vector<Mapping> three_candidates(const MiniApp& app,
   out.push_back(search_starting_point(app.g, machine));
   Mapping b = out[0];
   b.at(app.producer).proc = ProcKind::kCpu;
-  b.at(app.producer).arg_memories.assign(2, {MemKind::kSystem});
+  std::ranges::fill(b.memories(app.producer), MemPriority{MemKind::kSystem});
   out.push_back(b);
   Mapping c = out[0];
   c.set_primary_memory(app.producer, 0, MemKind::kZeroCopy);

@@ -10,6 +10,7 @@
 #include "src/machine/machine.hpp"
 #include "src/mappers/custom_mappers.hpp"
 #include "src/runtime/mapper.hpp"
+#include "src/search/algorithms.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace automap {
@@ -45,8 +46,8 @@ TEST(Energy, GpuMappingsDrawMorePowerThanCpuForEqualWork) {
   Mapping cpu_mapping(app.graph);
   for (const GroupTask& t : app.graph.tasks()) {
     cpu_mapping.at(t.id).proc = ProcKind::kCpu;
-    cpu_mapping.at(t.id).arg_memories.assign(t.args.size(),
-                                             {MemKind::kSystem});
+    std::ranges::fill(cpu_mapping.memories(t.id),
+                      MemPriority{MemKind::kSystem});
   }
   const auto cpu = sim.run(cpu_mapping, 1);
   ASSERT_TRUE(gpu.ok);
@@ -123,25 +124,30 @@ TEST(DistributionSearch, DisabledByDefaultNeverProposesBlocked) {
 // --- §3.3 subset search (frozen tasks) --------------------------------------
 
 TEST(SubsetSearch, FrozenTasksKeepTheirStartingMapping) {
+  // Freeze the first task. At these input sizes an unconstrained search
+  // moves its decisions or its memory lists, so the pin is observable.
   const MachineModel machine = make_shepard(1);
-  const BenchmarkApp app = make_circuit(circuit_config_for(1, 0));
-  Simulator sim(machine, app.graph, app.sim);
+  for (const BenchmarkApp& app : {make_circuit(circuit_config_for(1, 0)),
+                                  make_stencil(stencil_config_for(1, 0))}) {
+    Simulator sim(machine, app.graph, app.sim);
+    SearchOptions options{.rotations = 3, .repeats = 5, .seed = 7};
+    options.frozen_tasks = {TaskId(0)};
+    const Mapping start = search_starting_point(app.graph, machine);
 
-  // Freeze the first task; at this input size an unconstrained search
-  // moves everything to the CPU, so the pin is observable.
-  SearchOptions options{.rotations = 3, .repeats = 5, .seed = 7};
-  options.frozen_tasks = {TaskId(0)};
-  const Mapping start = search_starting_point(app.graph, machine);
-
-  for (const SearchAlgorithm algorithm :
-       {SearchAlgorithm::kCcd, SearchAlgorithm::kCd,
-        SearchAlgorithm::kEnsembleTuner}) {
-    SearchOptions o = options;
-    if (algorithm == SearchAlgorithm::kEnsembleTuner) o.time_budget_s = 5.0;
-    const SearchResult r = automap_optimize(sim, algorithm, o);
-    EXPECT_EQ(r.best.at(TaskId(0)), start.at(TaskId(0)))
-        << to_string(algorithm);
-    EXPECT_TRUE(r.best.valid(app.graph, machine));
+    for (const SearchAlgorithmInfo& algorithm : search_algorithms()) {
+      SearchOptions o = options;
+      // The open-ended algorithms run to a simulated budget; multistart's
+      // random starts run inside it too.
+      for (const char* budgeted : {"ot", "random", "anneal", "multistart"})
+        if (algorithm.name == budgeted) o.time_budget_s = 20.0;
+      const SearchResult r = algorithm.run(sim, o);
+      const std::string what = app.name + " " + algorithm.name;
+      EXPECT_EQ(r.best.at(TaskId(0)), start.at(TaskId(0))) << what;
+      EXPECT_TRUE(std::ranges::equal(r.best.memories(TaskId(0)),
+                                     start.memories(TaskId(0))))
+          << what;
+      EXPECT_TRUE(r.best.valid(app.graph, machine)) << what;
+    }
   }
 }
 

@@ -66,7 +66,7 @@ TEST_F(ExtraAlgorithms, HeftPicksFastProcessorsStatistically) {
   // single-memory-per-processor assumption of §6.
   for (const GroupTask& t : app.graph.tasks()) {
     const TaskMapping& tm = r.best.at(t.id);
-    for (std::size_t a = 0; a < tm.arg_memories.size(); ++a) {
+    for (std::size_t a = 0; a < t.args.size(); ++a) {
       EXPECT_EQ(r.best.primary_memory(t.id, a),
                 machine.best_memory_for(tm.proc));
     }

@@ -77,7 +77,7 @@ TEST(Integration, MemoryConstrainedSearchBeatsAllZeroCopy) {
   for (const GroupTask& t : app.graph.tasks()) {
     all_zc.at(t.id).proc =
         t.cost.has_gpu_variant() ? ProcKind::kGpu : ProcKind::kCpu;
-    all_zc.at(t.id).arg_memories.assign(t.args.size(), {MemKind::kZeroCopy});
+    std::ranges::fill(all_zc.memories(t.id), MemPriority{MemKind::kZeroCopy});
   }
   const double zc = measure_mapping(sim, all_zc, 15, 1);
 
@@ -104,12 +104,11 @@ TEST(Integration, MaestroAutoMapMatchesOrBeatsFixedStrategies) {
     Mapping m(app.graph);
     for (const TaskId t : maestro_hf_tasks(app)) {
       m.at(t).proc = ProcKind::kGpu;
-      m.at(t).arg_memories.assign(app.graph.task(t).args.size(),
-                                  {MemKind::kFrameBuffer});
+      std::ranges::fill(m.memories(t), MemPriority{MemKind::kFrameBuffer});
     }
     for (const TaskId t : maestro_lf_tasks(app)) {
       m.at(t).proc = proc;
-      m.at(t).arg_memories.assign(app.graph.task(t).args.size(), {mem});
+      std::ranges::fill(m.memories(t), MemPriority{mem});
     }
     return measure_mapping(sim, m, 15, 1);
   };

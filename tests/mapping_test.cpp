@@ -51,8 +51,8 @@ TEST_F(MappingFixture, DefaultShapeIsGpuFrameBuffer) {
   EXPECT_EQ(m.at(t0).proc, ProcKind::kGpu);
   EXPECT_TRUE(m.at(t0).distribute);
   EXPECT_EQ(m.primary_memory(t0, 0), MemKind::kFrameBuffer);
-  EXPECT_EQ(m.at(t0).arg_memories.size(), 2u);
-  EXPECT_EQ(m.at(t1).arg_memories.size(), 1u);
+  EXPECT_EQ(m.memories(t0).size(), 2u);
+  EXPECT_EQ(m.memories(t1).size(), 1u);
 }
 
 TEST_F(MappingFixture, ValidityCatchesMissingGpuVariant) {
@@ -107,11 +107,22 @@ TEST_F(MappingFixture, SerializeParseRoundTrip) {
   m.set_primary_memory(t0, 1, MemKind::kZeroCopy);
   m.at(t1).proc = ProcKind::kCpu;
   m.at(t1).blocked = true;
-  m.at(t1).arg_memories[0] = {MemKind::kSystem, MemKind::kZeroCopy};
+  m.memories(t1)[0] = {MemKind::kSystem, MemKind::kZeroCopy};
 
   const Mapping parsed = Mapping::parse(m.serialize(), g);
   EXPECT_EQ(parsed, m);
   EXPECT_EQ(parsed.hash(), m.hash());
+}
+
+TEST_F(MappingFixture, CopyTaskCopiesTheMemoryLists) {
+  Mapping from(g);
+  from.at(t0).proc = ProcKind::kCpu;
+  from.memories(t0)[1] = {MemKind::kSystem, MemKind::kZeroCopy};
+  Mapping to(g);
+  to.at(t0) = from.at(t0);  // the three decisions only
+  EXPECT_NE(to, from);
+  to.copy_task(t0, from);
+  EXPECT_EQ(to, from);
 }
 
 TEST_F(MappingFixture, ParseRejectsMalformedText) {
@@ -135,7 +146,7 @@ TEST_F(MappingFixture, ParseRejectsARepeatedTaskLine) {
 
 TEST_F(MappingFixture, PriorityListsSerialize) {
   Mapping m(g);
-  m.at(t0).arg_memories[0] = {MemKind::kFrameBuffer, MemKind::kZeroCopy};
+  m.memories(t0)[0] = {MemKind::kFrameBuffer, MemKind::kZeroCopy};
   const std::string text = m.serialize();
   EXPECT_NE(text.find("FrameBuffer,ZeroCopy"), std::string::npos);
   EXPECT_EQ(Mapping::parse(text, g), m);
@@ -286,7 +297,7 @@ TEST(MappingPins, HashAndSerializeMatchPins) {
     const Mapping start = search_starting_point(app.graph, machine);
     Mapping all_kinds = start;
     for (const GroupTask& task : app.graph.tasks()) {
-      for (MemPriority& priority : all_kinds.at(task.id).arg_memories) {
+      for (MemPriority& priority : all_kinds.memories(task.id)) {
         const MemKind primary = priority.front();
         for (const MemKind m : kAllMemKinds)
           if (m != primary) priority.push_back(m);

@@ -347,7 +347,7 @@ TEST(OomAccounting, OomLeavesTheNextEvaluationUnchanged) {
   const Mapping oom(app.g);
   Mapping good(app.g);
   good.at(app.task).proc = ProcKind::kCpu;
-  good.at(app.task).arg_memories.assign(1, {MemKind::kSystem});
+  std::ranges::fill(good.memories(app.task), MemPriority{MemKind::kSystem});
 
   Evaluator after_oom(sim, {.repeats = 3, .seed = 11});
   EXPECT_TRUE(std::isinf(after_oom.evaluate(oom)));
@@ -411,7 +411,7 @@ TEST(SharedInterconnect, InterNodeCopiesNeverOverlapAcrossKindPairs) {
   Mapping mapping(g);  // default: GPU / FrameBuffer, distributed
   for (const TaskId t : {pa, qa}) {
     mapping.at(t).proc = ProcKind::kCpu;
-    mapping.at(t).arg_memories.assign(1, {MemKind::kSystem});
+    std::ranges::fill(mapping.memories(t), MemPriority{MemKind::kSystem});
   }
 
   Simulator sim(machine, g,
@@ -473,7 +473,7 @@ TEST(ProfilesImport, DuplicateImportDoesNotStackFinalists) {
   Mapping cpu(app.g);
   for (const TaskId t : {app.produce, app.relax, app.reduce}) {
     cpu.at(t).proc = ProcKind::kCpu;
-    cpu.at(t).arg_memories.assign(1, {MemKind::kSystem});
+    std::ranges::fill(cpu.memories(t), MemPriority{MemKind::kSystem});
   }
   (void)source.evaluate(Mapping(app.g));
   (void)source.evaluate(cpu);

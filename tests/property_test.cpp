@@ -47,7 +47,7 @@ Mapping random_valid_mapping(const TaskGraph& g, const MachineModel& m,
                   ? ProcKind::kGpu
                   : ProcKind::kCpu;
     const auto mems = m.memories_addressable_by(tm.proc);
-    for (auto& priority : tm.arg_memories)
+    for (auto& priority : mapping.memories(t.id))
       priority = {mems[rng.uniform_index(mems.size())]};
   }
   return mapping;
@@ -133,7 +133,7 @@ TEST_P(SeededProperty, ColocationAlwaysYieldsValidMappings) {
   EXPECT_TRUE(fp.valid(g, machine)) << fp.violations(g, machine).front();
   // …and constraint 2 for the primary argument's co-location class: every
   // argument overlapping (t, arg) ended on the same memory kind.
-  for (const detail::ArgRef& ref : overlap[t.index()][arg]) {
+  for (const detail::ArgRef& ref : overlap[g.arg_offsets()[t.index()] + arg]) {
     EXPECT_EQ(fp.primary_memory(ref.task, ref.arg), r);
   }
   // The primary decision itself was preserved.

@@ -65,7 +65,7 @@ OrderedPair ordered_pair(const MiniApp& app, const MachineModel& machine,
   Mapping a = search_starting_point(app.g, machine);
   Mapping b = a;
   b.at(app.producer).proc = ProcKind::kCpu;
-  b.at(app.producer).arg_memories.assign(2, {MemKind::kSystem});
+  std::ranges::fill(b.memories(app.producer), MemPriority{MemKind::kSystem});
   // A throwaway evaluator with an empty finalist list measures both
   // exactly (the censor threshold is infinite until top_k finalists
   // exist). Means are reproducible: run seeds derive from (search seed,

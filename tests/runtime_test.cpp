@@ -186,22 +186,5 @@ TEST(Mapper, DefaultMapperUsesGpuAndFrameBuffer) {
   EXPECT_EQ(m.primary_memory(TaskId(1), 0), MemKind::kSystem);
 }
 
-TEST(Mapper, FixedMapperReplaysItsMapping) {
-  Program p;
-  const RegionId r = p.add_region("r", Rect::line(0, 999), 8);
-  const CollectionId c = p.add_collection(r, "c", Rect::line(0, 999));
-  p.launch("t", 2, kCost, {{c, Privilege::kReadWrite, 1.0}});
-  const TaskGraph g = p.lower();
-  const MachineModel machine = make_shepard(1);
-
-  Mapping custom(g);
-  custom.at(TaskId(0)).proc = ProcKind::kCpu;
-  custom.set_primary_memory(TaskId(0), 0, MemKind::kZeroCopy);
-
-  FixedMapper mapper("replay", custom);
-  EXPECT_EQ(mapper.map_all(g, machine), custom);
-  EXPECT_EQ(mapper.name(), "replay");
-}
-
 }  // namespace
 }  // namespace automap

@@ -117,7 +117,7 @@ TEST(Evaluator, TracksBestAndTrajectory) {
   const double va = eval.evaluate(a);
   Mapping b = a;
   b.at(app.producer).proc = ProcKind::kCpu;
-  b.at(app.producer).arg_memories.assign(2, {MemKind::kSystem});
+  std::ranges::fill(b.memories(app.producer), MemPriority{MemKind::kSystem});
   const double vb = eval.evaluate(b);
   EXPECT_EQ(eval.best_seconds(), std::min(va, vb));
   EXPECT_FALSE(eval.trajectory().empty());
@@ -171,10 +171,10 @@ TEST(Evaluator, FallbacksExtendPriorityLists) {
   const Mapping m = search_starting_point(app.g, machine);
   const Mapping extended = eval.with_fallbacks(m);
   // GPU task: FB primary, ZC fallback.
-  EXPECT_EQ(extended.at(app.producer).arg_memories[0].size(), 2u);
-  EXPECT_EQ(extended.at(app.producer).arg_memories[0][0],
+  EXPECT_EQ(extended.memories(app.producer)[0].size(), 2u);
+  EXPECT_EQ(extended.memories(app.producer)[0][0],
             MemKind::kFrameBuffer);
-  EXPECT_EQ(extended.at(app.producer).arg_memories[0][1],
+  EXPECT_EQ(extended.memories(app.producer)[0][1],
             MemKind::kZeroCopy);
 }
 
@@ -185,11 +185,12 @@ TEST(OverlapMap, ConnectsOverlappingAndSharedCollections) {
   // connects producer and consumer.
   edges.push_back({app.shared, app.shared, app.g.collection_bytes(app.shared)});
   const auto map = detail::build_overlap_map(app.g, edges);
-  const auto& related = map[app.producer.index()][0];  // (produce, shared)
+  const std::size_t produce = app.g.arg_offsets()[app.producer.index()];
+  const auto& related = map[produce];  // (produce, shared)
   ASSERT_EQ(related.size(), 1u);
   EXPECT_EQ(related[0].task, app.consumer);
   // (produce, other) is coupled to nothing: no edge was added for `other`.
-  EXPECT_TRUE(map[app.producer.index()][1].empty());
+  EXPECT_TRUE(map[produce + 1].empty());
 }
 
 TEST(Colocation, MovesOverlappingArgumentsTogether) {

@@ -197,6 +197,31 @@ TEST(Service, StructuredErrorsNotDroppedConnections) {
       << kind_message;
   EXPECT_EQ(kind_message.find(".cpp"), std::string::npos) << kind_message;
 
+  // Every other request that cannot be served is a bad_request naming what
+  // is wrong, never a source location: not an object, a submit without
+  // machine or graph, an unknown algorithm, a job op without a numeric
+  // job, malformed options, a machine without processors.
+  MappingService roomy({.store_dir = fresh_store("errors-roomy"),
+                        .job_workers = 0});
+  const std::string options = search_options_to_json(small_options(1));
+  std::vector<std::string> requests = {
+      "[1]",
+      "{\"op\":\"submit\",\"graph\":\"x\"}",
+      "{\"op\":\"submit\",\"machine\":\"x\"}",
+      submit_request(options, ",\"algorithm\":\"nosuch\""),
+      submit_request("{}"),
+      submit_request("{\"schema\":9}"),
+      submit_request("[]"),
+      "{\"op\":\"submit\",\"machine\":\"machine m nodes 1\",\"graph\":\"x\"}"};
+  for (const char* op : {"status", "result", "journal", "cancel", "trace"})
+    requests.push_back("{\"op\":\"" + std::string(op) + "\",\"job\":\"7\"}");
+  for (const std::string& request : requests) {
+    const JsonValue answer = handle_json(roomy, request);
+    const std::string message = answer.str_or("message", "");
+    EXPECT_EQ(answer.str_or("code", ""), "bad_request") << message;
+    EXPECT_EQ(message.find(".cpp"), std::string::npos) << message;
+  }
+
   // Job-keyed ops on a missing job are not_found.
   EXPECT_EQ(
       handle_json(service, "{\"op\":\"result\",\"job\":7}").str_or("code",

@@ -143,7 +143,7 @@ Mapping mixed_mapping(const TaskGraph& graph, const MachineModel& machine) {
     TaskMapping& tm = m.at(task.id);
     if (i % 2 == 0 && task.cost.cpu_seconds_per_point >= 0.0) {
       tm.proc = ProcKind::kCpu;
-      tm.arg_memories.assign(task.args.size(), {MemKind::kSystem});
+      std::ranges::fill(m.memories(task.id), MemPriority{MemKind::kSystem});
     }
     tm.distribute = i % 3 != 0;
     tm.blocked = i % 5 != 0;

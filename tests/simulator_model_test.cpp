@@ -77,7 +77,7 @@ TEST(SimulatorModel, ChannelContentionSerializesCopies) {
   Mapping m(g);
   for (const TaskId consumer : {s1, s2}) {
     m.at(consumer).proc = ProcKind::kCpu;
-    m.at(consumer).arg_memories.assign(1, {MemKind::kSystem});
+    std::ranges::fill(m.memories(consumer), MemPriority{MemKind::kSystem});
   }
   const auto report = sim.run(m, 1);
   ASSERT_TRUE(report.ok);
@@ -132,7 +132,7 @@ TEST(SimulatorModel, CpuOnlyMachineRunsGpuVariantAppsOnCpu) {
   Simulator sim(machine, g, {.iterations = 2, .noise_sigma = 0.0});
   Mapping m(g);
   m.at(TaskId(0)).proc = ProcKind::kCpu;
-  m.at(TaskId(0)).arg_memories.assign(1, {MemKind::kSystem});
+  std::ranges::fill(m.memories(TaskId(0)), MemPriority{MemKind::kSystem});
   const auto report = sim.run(m, 1);
   ASSERT_TRUE(report.ok);
   EXPECT_GT(report.total_seconds, 0.0);
@@ -161,10 +161,10 @@ TEST(SimulatorModel, EnergyIncludesCopyCosts) {
   Mapping no_copy(g);
   for (const TaskId t : {p, s}) {
     no_copy.at(t).proc = ProcKind::kCpu;
-    no_copy.at(t).arg_memories.assign(1, {MemKind::kZeroCopy});
+    std::ranges::fill(no_copy.memories(t), MemPriority{MemKind::kZeroCopy});
   }
   Mapping with_copy = no_copy;
-  with_copy.at(s).arg_memories.assign(1, {MemKind::kSystem});
+  std::ranges::fill(with_copy.memories(s), MemPriority{MemKind::kSystem});
 
   const auto r_no = sim.run(no_copy, 1);
   const auto r_yes = sim.run(with_copy, 1);
@@ -219,7 +219,7 @@ TEST(SimulatorModel, DifferentKindsCreateSeparateInstances) {
   Mapping m(g);
   m.at(a).proc = ProcKind::kGpu;
   m.at(b).proc = ProcKind::kCpu;
-  m.at(b).arg_memories.assign(1, {MemKind::kSystem});
+  std::ranges::fill(m.memories(b), MemPriority{MemKind::kSystem});
   const auto report = sim.run(m, 1);
   ASSERT_TRUE(report.ok);
   int kinds_holding_data = 0;
@@ -246,8 +246,8 @@ TEST(SimulatorModel, DemotionPrefersEarlierPriorityEntries) {
   Simulator sim(machine, g, {.iterations = 1, .noise_sigma = 0.0});
 
   Mapping m(g);
-  m.at(t).arg_memories.assign(
-      2, {MemKind::kFrameBuffer, MemKind::kZeroCopy});
+  std::ranges::fill(m.memories(t),
+                    MemPriority{MemKind::kFrameBuffer, MemKind::kZeroCopy});
   const auto report = sim.run(m, 1);
   ASSERT_TRUE(report.ok) << report.failure;
   EXPECT_EQ(report.demoted_args, 1);
@@ -280,7 +280,7 @@ TEST(SimulatorModel, CrossIterationEdgesIdleInFirstIteration) {
   // Force the cross-iteration edge to need a copy: producer in FB,
   // consumer in ZC.
   Mapping m(g);
-  m.at(a).arg_memories.assign(1, {MemKind::kZeroCopy});
+  std::ranges::fill(m.memories(a), MemPriority{MemKind::kZeroCopy});
   const auto r1 = one.run(m, 1);
   const auto r2 = two.run(m, 1);
   ASSERT_TRUE(r1.ok);

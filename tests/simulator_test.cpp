@@ -161,7 +161,7 @@ TEST(Simulator, PriorityListDemotesInsteadOfFailing) {
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.g, {});
   Mapping m = app.map(ProcKind::kGpu, MemKind::kFrameBuffer);
-  m.at(app.t).arg_memories[0] = {MemKind::kFrameBuffer, MemKind::kZeroCopy};
+  m.memories(app.t)[0] = {MemKind::kFrameBuffer, MemKind::kZeroCopy};
   const auto report = sim.run(m, 1);
   ASSERT_TRUE(report.ok);
   EXPECT_EQ(report.demoted_args, 1);

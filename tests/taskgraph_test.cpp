@@ -82,6 +82,12 @@ TEST_F(TaskGraphFixture, CollectionArgCount) {
               {halo_lo, Privilege::kReadOnly, 1.0}});
   EXPECT_EQ(g.num_collection_args(), 3u);
   EXPECT_EQ(g.num_tasks(), 2u);
+  // The one argument numbering: task t owns [off[t], off[t + 1]), and an
+  // argument appended to an earlier task renumbers every later one.
+  EXPECT_EQ(g.arg_offsets(), (std::vector<std::uint32_t>{0, 1, 3}));
+  g.append_task_arg(TaskId(0), {halo_hi, Privilege::kReadOnly, 1.0});
+  EXPECT_EQ(g.arg_offsets(), (std::vector<std::uint32_t>{0, 2, 4}));
+  EXPECT_EQ(g.num_collection_args(), 4u);
 }
 
 TEST_F(TaskGraphFixture, TopologicalOrderRespectsEdges) {

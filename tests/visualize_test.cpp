@@ -21,8 +21,8 @@ class VisualizeFixture : public ::testing::Test {
     DefaultMapper dm;
     mapping = dm.map_all(app.graph, machine);
     mapping.at(TaskId(1)).proc = ProcKind::kCpu;
-    mapping.at(TaskId(1)).arg_memories.assign(
-        app.graph.task(TaskId(1)).args.size(), {MemKind::kZeroCopy});
+    std::ranges::fill(mapping.memories(TaskId(1)),
+                      MemPriority{MemKind::kZeroCopy});
   }
 
   BenchmarkApp app;

@@ -1,0 +1,163 @@
+// Deterministic work counts of fixed CCD searches, gated like a benchmark.
+//
+// Wall time drifts with the host; counts do not. This binary runs the
+// searches perfbench's `search_mean` workload times (HTR and Pennant on an
+// exported shepard(1) machine, step 0, the paper protocol) and checks:
+//   * the search counters (suggested, evaluated, cache hits) and the
+//     simulator counters (runs, events) equal recorded pins exactly — a
+//     change that moves one re-records it and says why in CHANGES.md;
+//   * the heap allocations of each `automap_optimize` call stay at or
+//     below a recorded ceiling (the count after the change that set it,
+//     rounded up to the next 1,000, which absorbs libstdc++ differences);
+//   * one copy of a starting mapping allocates at most three times (the
+//     task decisions, the argument offsets and the flat memory lists).
+// Allocations are counted by the replacement global operator new below,
+// which is linked into this test binary only.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "src/apps/registry.hpp"
+#include "src/automap/automap.hpp"
+#include "src/io/text_io.hpp"
+#include "src/machine/machine.hpp"
+#include "src/support/metrics.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_malloc(std::size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+// The nothrow forms are replaced too (std::stable_sort's buffer uses
+// them): a sanitizer runtime supplies its own, and a block it allocates
+// must not reach the free() below.
+void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace automap {
+namespace {
+
+/// perfbench's inputs: the machine and the step-0 graph written to text
+/// and read back, a registry on SimOptions::metrics, default noise.
+struct Inputs {
+  explicit Inputs(const std::string& app)
+      : machine(machine_from_string(machine_to_string(make_shepard(1)))),
+        graph(task_graph_from_string(
+            task_graph_to_string(make_app_by_name(app, 1, 0).graph))),
+        sim(machine, graph, SimOptions{.metrics = &metrics}) {}
+
+  [[nodiscard]] std::uint64_t counter(const char* name) {
+    return metrics.counter(name, "", /*deterministic=*/false)->value();
+  }
+
+  MetricsRegistry metrics;
+  MachineModel machine;
+  TaskGraph graph;
+  Simulator sim;
+};
+
+/// perfbench's search options: 5 rotations, 7 repeats, top-5 finalists
+/// re-run 31 times, pruning on, no profiles export.
+SearchOptions paper_protocol(std::uint64_t seed) {
+  return {.rotations = 5,
+          .repeats = 7,
+          .seed = seed,
+          .top_k = 5,
+          .final_repeats = 31,
+          .prune_candidates = true,
+          .export_profiles_db = false};
+}
+
+struct Pin {
+  const char* app;
+  std::uint64_t seed;
+  std::uint64_t suggested;
+  std::uint64_t evaluated;
+  std::uint64_t cache_hits;
+  std::uint64_t sim_runs;
+  std::uint64_t sim_events;
+  /// Ceiling on the heap allocations of one automap_optimize call.
+  std::uint64_t max_allocations;
+};
+
+// The search and simulator counts were recorded before the flat Mapping
+// and the flag work lists of the co-location fixed point, and did not move
+// with them; the allocation ceilings were recorded after (HTR 15,616 /
+// 15,365 / 15,101, Pennant 19,929 / 19,949 / 19,910 with GCC 12's
+// libstdc++).
+constexpr Pin kPins[] = {
+    {"htr", 1, 1721, 823, 898, 3768, 1137511, 16000},
+    {"htr", 2, 1721, 774, 947, 3860, 1119855, 16000},
+    {"htr", 3, 1721, 718, 1003, 3452, 989299, 16000},
+    {"pennant", 1, 2251, 1062, 1189, 5817, 2659075, 20000},
+    {"pennant", 2, 2251, 1098, 1153, 5688, 2535734, 20000},
+    {"pennant", 3, 2251, 1089, 1162, 5732, 2629987, 20000},
+};
+
+TEST(WorkCounts, CcdSearchesMatchPins) {
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(std::string(pin.app) + " seed " + std::to_string(pin.seed));
+    Inputs in(pin.app);
+    const std::uint64_t runs = in.counter("automap_sim_runs_total");
+    const std::uint64_t events = in.counter("automap_sim_events_total");
+    const std::uint64_t allocations = g_allocations.load();
+    const SearchResult result = automap_optimize(
+        in.sim, SearchAlgorithm::kCcd, paper_protocol(pin.seed));
+    const std::uint64_t allocated = g_allocations.load() - allocations;
+
+    EXPECT_EQ(result.stats.suggested, pin.suggested);
+    EXPECT_EQ(result.stats.evaluated, pin.evaluated);
+    EXPECT_EQ(result.stats.cache_hits, pin.cache_hits);
+    EXPECT_EQ(in.counter("automap_sim_runs_total") - runs, pin.sim_runs);
+    EXPECT_EQ(in.counter("automap_sim_events_total") - events,
+              pin.sim_events);
+    EXPECT_LE(allocated, pin.max_allocations);
+    std::printf("%s seed %llu: allocations %llu\n", pin.app,
+                static_cast<unsigned long long>(pin.seed),
+                static_cast<unsigned long long>(allocated));
+  }
+}
+
+TEST(WorkCounts, MappingCopyAllocatesAtMostThreeTimes) {
+  for (const char* app : {"htr", "pennant"}) {
+    SCOPED_TRACE(app);
+    const MachineModel machine = make_shepard(1);
+    const TaskGraph graph = make_app_by_name(app, 1, 0).graph;
+    const Mapping start = search_starting_point(graph, machine);
+    const std::uint64_t allocations = g_allocations.load();
+    const Mapping copy = start;
+    const std::uint64_t allocated = g_allocations.load() - allocations;
+    EXPECT_EQ(copy, start);
+    EXPECT_LE(allocated, 3u);
+  }
+}
+
+}  // namespace
+}  // namespace automap

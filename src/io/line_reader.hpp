@@ -6,8 +6,11 @@
 // are whitespace-separated, and every error names the line it was found on.
 
 #include <climits>
+#include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -69,6 +72,7 @@ class LineReader {
     }
   }
 
+  /// Any number std::stod reads, infinities and NaN included.
   [[nodiscard]] double to_double(const std::string& s) const {
     std::size_t pos = 0;
     double v = 0.0;
@@ -78,6 +82,30 @@ class LineReader {
       fail("expected a number, got: " + s);
     }
     if (pos != s.size()) fail("trailing characters in number: " + s);
+    return v;
+  }
+
+  /// As `lo`, makes a range positive: (0, hi].
+  static constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+  /// As `hi`, bounds a range only by finiteness.
+  static constexpr double kFinite = std::numeric_limits<double>::max();
+
+  /// Finite number in [lo, hi]; NaN, an infinity or an out-of-range value
+  /// fails naming the line.
+  [[nodiscard]] double to_double(const std::string& s, double lo,
+                                 double hi) const {
+    const double v = to_double(s);
+    if (!std::isfinite(v)) fail("expected a finite number, got: " + s);
+    if (v < lo || v > hi) {
+      const auto bound = [](double b) {
+        char text[32];
+        std::snprintf(text, sizeof text, "%g", b);
+        return std::string(text);
+      };
+      fail("number " + s + " outside " +
+           (lo == kPositive ? "(0" : "[" + bound(lo)) + ", " +
+           (hi == kFinite ? "inf)" : bound(hi) + "]"));
+    }
     return v;
   }
 

@@ -19,6 +19,15 @@ namespace {
 constexpr long long kMaxInt = INT_MAX;
 long long last(std::size_t count) { return static_cast<long long>(count) - 1; }
 
+/// The real-valued fields: finite, and in the range their builder
+/// requires.
+double positive(const LineReader& reader, const std::string& s) {
+  return reader.to_double(s, LineReader::kPositive, LineReader::kFinite);
+}
+double non_negative(const LineReader& reader, const std::string& s) {
+  return reader.to_double(s, 0.0, LineReader::kFinite);
+}
+
 const char* privilege_name(Privilege p) { return to_string(p); }
 
 Privilege parse_privilege(const LineReader& reader, const std::string& s) {
@@ -127,11 +136,11 @@ MachineModel read_machine(std::istream& is) {
   while (reader.next(t)) {
     if (t[0] == "runtime_overhead") {
       reader.expect(t.size() == 2, "runtime_overhead <seconds>");
-      machine.set_runtime_overhead(reader.to_double(t[1]));
+      machine.set_runtime_overhead(non_negative(reader, t[1]));
     } else if (t[0] == "restart_overhead") {
       // Optional (absent in machine files written before the fault layer).
       reader.expect(t.size() == 2, "restart_overhead <seconds>");
-      machine.set_restart_overhead(reader.to_double(t[1]));
+      machine.set_restart_overhead(non_negative(reader, t[1]));
     } else if (t[0] == "proc") {
       reader.expect((t.size() == 8 || t.size() == 10) && t[2] == "count" &&
                         t[4] == "speed" && t[6] == "launch_overhead",
@@ -140,11 +149,11 @@ MachineModel read_machine(std::istream& is) {
       ProcGroup group{.kind = reader.decode(parse_proc_kind, t[1]),
                       .count_per_node =
                           static_cast<int>(reader.to_int(t[3], 1, kMaxInt)),
-                      .speed = reader.to_double(t[5]),
-                      .launch_overhead_s = reader.to_double(t[7])};
+                      .speed = positive(reader, t[5]),
+                      .launch_overhead_s = non_negative(reader, t[7])};
       if (t.size() == 10) {
         reader.expect(t[8] == "watts", "expected: watts <w>");
-        group.watts_busy = reader.to_double(t[9]);
+        group.watts_busy = non_negative(reader, t[9]);
       }
       machine.add_proc_group(group);
     } else if (t[0] == "mem") {
@@ -160,7 +169,7 @@ MachineModel read_machine(std::istream& is) {
                     "affinity <proc> <mem> bandwidth <b> latency <l>");
       machine.set_affinity(reader.decode(parse_proc_kind, t[1]),
                            reader.decode(parse_mem_kind, t[2]),
-                           {reader.to_double(t[4]), reader.to_double(t[6])});
+                           {positive(reader, t[4]), non_negative(reader, t[6])});
     } else if (t[0] == "channel") {
       reader.expect(t.size() == 8 && t[4] == "bandwidth" && t[6] == "latency",
                     "channel <mem> <mem> <intra|inter> bandwidth <b> "
@@ -170,12 +179,12 @@ MachineModel read_machine(std::istream& is) {
       machine.set_channel(reader.decode(parse_mem_kind, t[1]),
                           reader.decode(parse_mem_kind, t[2]),
                           t[3] == "inter",
-                          {reader.to_double(t[5]), reader.to_double(t[7])});
+                          {positive(reader, t[5]), non_negative(reader, t[7])});
     } else if (t[0] == "cross_socket") {
       reader.expect(t.size() == 5 && t[1] == "bandwidth" && t[3] == "latency",
                     "cross_socket bandwidth <b> latency <l>");
       machine.set_cross_socket_channel(
-          {reader.to_double(t[2]), reader.to_double(t[4])});
+          {positive(reader, t[2]), non_negative(reader, t[4])});
     } else {
       reader.fail("unknown machine directive: " + t[0]);
     }
@@ -256,8 +265,11 @@ TaskGraph read_task_graph(std::istream& is) {
                     "task <name> points <n> cpu <s> gpu <s>");
       current_task = graph.add_task(
           t[1], static_cast<int>(reader.to_int(t[3], 1, kMaxInt)),
-          {.cpu_seconds_per_point = reader.to_double(t[5]),
-           .gpu_seconds_per_point = reader.to_double(t[7])},
+          // A negative GPU cost means no GPU variant.
+          {.cpu_seconds_per_point = positive(reader, t[5]),
+           .gpu_seconds_per_point =
+               reader.to_double(t[7], -LineReader::kFinite,
+                                LineReader::kFinite)},
           {});
     } else if (t[0] == "arg") {
       reader.expect(current_task.has_value(), "arg before any task");
@@ -269,7 +281,8 @@ TaskGraph read_task_graph(std::istream& is) {
                             {CollectionId(reader.to_int(
                                  t[1], 0, last(graph.num_collections()))),
                              parse_privilege(reader, t[2]),
-                             reader.to_double(t[3])});
+                             reader.to_double(t[3], LineReader::kPositive,
+                                              1.0)});
     } else if (t[0] == "edge") {
       reader.expect(t.size() == 13 && t[5] == "bytes" && t[7] == "cross" &&
                         t[9] == "fraction" && t[11] == "data",
@@ -278,16 +291,20 @@ TaskGraph read_task_graph(std::istream& is) {
       const long long tasks = last(graph.num_tasks());
       const long long cols = last(graph.num_collections());
       const bool data = reader.to_int(t[12], 0, 1) != 0;
-      graph.add_dependence(
-          {.producer = TaskId(reader.to_int(t[1], 0, tasks)),
-           .consumer = TaskId(reader.to_int(t[2], 0, tasks)),
-           .producer_collection = CollectionId(reader.to_int(t[3], 0, cols)),
-           .consumer_collection = CollectionId(reader.to_int(t[4], 0, cols)),
-           // A data-carrying edge moves at least one byte.
-           .bytes = static_cast<std::uint64_t>(reader.to_int(t[6], data)),
-           .cross_iteration = reader.to_int(t[8], 0, 1) != 0,
-           .internode_fraction = reader.to_double(t[10]),
-           .carries_data = data});
+      const DependenceEdge edge{
+          .producer = TaskId(reader.to_int(t[1], 0, tasks)),
+          .consumer = TaskId(reader.to_int(t[2], 0, tasks)),
+          .producer_collection = CollectionId(reader.to_int(t[3], 0, cols)),
+          .consumer_collection = CollectionId(reader.to_int(t[4], 0, cols)),
+          // A data-carrying edge moves at least one byte.
+          .bytes = static_cast<std::uint64_t>(reader.to_int(t[6], data)),
+          .cross_iteration = reader.to_int(t[8], 0, 1) != 0,
+          .internode_fraction = reader.to_double(t[10], 0.0, 1.0),
+          .carries_data = data};
+      if (const std::string missing = graph.missing_edge_arg(edge);
+          !missing.empty())
+        reader.fail(missing);
+      graph.add_dependence(edge);
     } else {
       reader.fail("unknown task graph directive: " + t[0]);
     }
@@ -320,29 +337,33 @@ TaskGraph task_graph_from_string(const std::string& text) {
   return read_task_graph(is);
 }
 
+// A missing or unwritable file is bad input, not a broken invariant: a
+// plain Error naming the path.
+
 void save_text(const std::string& path, const std::string& text) {
   std::ofstream os(path);
-  AM_REQUIRE(os.good(), "cannot open for writing: " + path);
+  if (!os.good()) throw Error("cannot open for writing: " + path);
   os << text;
-  AM_REQUIRE(os.good(), "write failed: " + path);
+  if (!os.good()) throw Error("write failed: " + path);
 }
 
 std::string load_text(const std::string& path) {
   std::ifstream is(path);
-  AM_REQUIRE(is.good(), "cannot open for reading: " + path);
+  if (!is.good()) throw Error("cannot open for reading: " + path);
   std::ostringstream os;
   os << is.rdbuf();
   return os.str();
 }
 
 void require_writable_path(const std::string& path) {
-  AM_REQUIRE(!path.empty(), "output path is empty");
+  if (path.empty()) throw Error("output path is empty");
   // Append mode probes writability without truncating an existing file.
   const bool existed = static_cast<bool>(std::ifstream(path));
   {
     std::ofstream os(path, std::ios::app);
-    AM_REQUIRE(os.good(), "cannot write output file: " + path +
-                              " (missing directory or no permission?)");
+    if (!os.good())
+      throw Error("cannot write output file: " + path +
+                  " (missing directory or no permission?)");
   }
   if (!existed) std::remove(path.c_str());
 }

@@ -397,6 +397,26 @@ MappingService::Job& MappingService::add_job_locked(std::uint64_t id,
   return job;
 }
 
+MappingService::Job* MappingService::find_fingerprint_locked(
+    std::uint64_t fingerprint) {
+  const auto it = by_fingerprint_.find(fingerprint);
+  return it == by_fingerprint_.end() ? nullptr : &jobs_.at(it->second);
+}
+
+std::string MappingService::resubmit_answer_locked(Job& job) {
+  const bool done = job.status == JobStatus::kDone;
+  if (done) {
+    job.last_served = ++serve_tick_;
+    m_result_cache_hits_->inc();
+  } else if (job.status != JobStatus::kQueued &&
+             job.status != JobStatus::kRunning) {
+    return {};
+  }
+  return "{\"type\":\"submitted\",\"job\":" + std::to_string(job.id) +
+         ",\"status\":\"" + status_name(job.status) +
+         "\",\"cached\":" + (done ? "true" : "false") + "}";
+}
+
 void MappingService::enqueue_locked(Job& job, const SubmitSpec& spec,
                                     const std::string& request_json,
                                     std::vector<SpanAttr> attrs) {
@@ -654,9 +674,20 @@ std::string MappingService::dispatch(const std::string& request_json,
 std::string MappingService::handle_submit(const JsonValue& request,
                                           const std::string& request_json) {
   const SubmitSpec spec = parse_submit(request);
-  // Validate the full configuration before accepting: a malformed machine,
-  // an unknown algorithm or options no search can run with are a
-  // bad_request now, not a failed job (and a job dir) later.
+  {
+    // A request this process already validated is answered from its job
+    // without parsing the machine and graph texts again.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (Job* job = find_fingerprint_locked(spec.fingerprint);
+        job != nullptr && job->validated) {
+      if (std::string answer = resubmit_answer_locked(*job); !answer.empty())
+        return answer;
+    }
+  }
+  // Validate the full configuration before accepting, outside the mutex: a
+  // malformed machine or graph, an unknown algorithm or options no search
+  // can run with are a bad_request now, not a failed job (and a job dir)
+  // later.
   (void)machine_from_string(spec.machine_text);
   validate_search_options(spec.options,
                           task_graph_from_string(spec.graph_text).num_tasks());
@@ -669,21 +700,11 @@ std::string MappingService::handle_submit(const JsonValue& request,
   // simulator runs; queued/running ones dedupe onto the in-flight search;
   // cancelled and failed ones re-enqueue and resume from whatever
   // checkpoint their last run left behind.
-  Job* job = nullptr;
-  if (const auto it = by_fingerprint_.find(spec.fingerprint);
-      it != by_fingerprint_.end()) {
-    job = &jobs_.at(it->second);
-    if (job->status == JobStatus::kDone) {
-      job->last_served = ++serve_tick_;
-      m_result_cache_hits_->inc();
-    }
-    if (job->status == JobStatus::kDone ||
-        job->status == JobStatus::kQueued ||
-        job->status == JobStatus::kRunning)
-      return "{\"type\":\"submitted\",\"job\":" + std::to_string(job->id) +
-             ",\"status\":\"" + status_name(job->status) +
-             "\",\"cached\":" +
-             (job->status == JobStatus::kDone ? "true" : "false") + "}";
+  Job* job = find_fingerprint_locked(spec.fingerprint);
+  if (job != nullptr) {
+    job->validated = true;
+    if (std::string answer = resubmit_answer_locked(*job); !answer.empty())
+      return answer;
   }
   if (std::string overloaded = admission_error_locked(); !overloaded.empty())
     return overloaded;
@@ -692,6 +713,7 @@ std::string MappingService::handle_submit(const JsonValue& request,
   std::vector<SpanAttr> attrs;
   if (fresh) {
     job = &add_job_locked(next_id_, spec);
+    job->validated = true;
     recorder_.transition(
         job->id, "submitted", -1,
         {{"fingerprint", "\"" + hex_u64(spec.fingerprint) + "\""}});

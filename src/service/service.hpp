@@ -160,6 +160,12 @@ class MappingService {
     std::string algorithm;  // registry label once known, name before
     bool want_journal = false;
     bool reuse_measurements = false;
+    /// This process validated the job's request (its machine, graph,
+    /// options and algorithm), so a resubmission that finds the job done,
+    /// queued or running is answered without validating again. False for
+    /// a job recovered from the store: a build's rules can change across
+    /// a restart.
+    bool validated = false;
     /// Completed response payload (op=result body) or failure message.
     std::string result_json;
     std::string error;
@@ -238,6 +244,12 @@ class MappingService {
   /// Registers a job for `spec` in jobs_ and the fingerprint index; the
   /// newer id keeps a fingerprint two recovered jobs share.
   Job& add_job_locked(std::uint64_t id, const SubmitSpec& spec);
+  /// The job the fingerprint index names, or nullptr.
+  [[nodiscard]] Job* find_fingerprint_locked(std::uint64_t fingerprint);
+  /// The `submitted` answer to a resubmission that maps onto `job` when
+  /// the job is done (a result-cache hit, which counts as served), queued
+  /// or running; empty when it ended cancelled or failed and is revived.
+  [[nodiscard]] std::string resubmit_answer_locked(Job& job);
   /// Removes a queued job from the run queue and the deadline set.
   void dequeue_locked(const Job& job);
   /// Expires every queued job whose deadline has passed. One comparison,

@@ -125,38 +125,109 @@ std::vector<const DependenceEdge*> TaskGraph::outgoing(TaskId id) const {
   return out;
 }
 
-std::vector<TaskId> TaskGraph::topological_order() const {
-  std::vector<std::size_t> in_degree(tasks_.size(), 0);
-  for (const auto& e : edges_)
+namespace {
+
+/// Kahn's algorithm over the same-iteration edges. The order leaves out
+/// exactly the tasks on a cycle or downstream of one.
+std::vector<TaskId> kahn_order(std::size_t num_tasks,
+                               const std::vector<DependenceEdge>& edges) {
+  std::vector<std::size_t> in_degree(num_tasks, 0);
+  for (const auto& e : edges)
     if (!e.cross_iteration) ++in_degree[e.consumer.index()];
 
   std::queue<std::size_t> ready;
-  for (std::size_t i = 0; i < tasks_.size(); ++i)
+  for (std::size_t i = 0; i < num_tasks; ++i)
     if (in_degree[i] == 0) ready.push(i);
 
   std::vector<TaskId> order;
-  order.reserve(tasks_.size());
+  order.reserve(num_tasks);
   while (!ready.empty()) {
     const std::size_t i = ready.front();
     ready.pop();
     order.push_back(TaskId(i));
-    for (const auto& e : edges_) {
+    for (const auto& e : edges) {
       if (e.cross_iteration || e.producer.index() != i) continue;
       if (--in_degree[e.consumer.index()] == 0)
         ready.push(e.consumer.index());
     }
   }
+  return order;
+}
+
+}  // namespace
+
+std::vector<TaskId> TaskGraph::topological_order() const {
+  std::vector<TaskId> order = kahn_order(tasks_.size(), edges_);
   AM_CHECK(order.size() == tasks_.size(),
            "same-iteration dependence graph has a cycle");
   return order;
 }
 
+std::string TaskGraph::missing_edge_arg(const DependenceEdge& edge) const {
+  const auto lacks = [&](const char* role, TaskId t,
+                         CollectionId c) -> std::string {
+    const GroupTask& owner = task(t);
+    for (const CollectionUse& use : owner.args)
+      if (use.collection == c) return {};
+    return std::string(role) + " task " + std::to_string(t.index()) + " '" +
+           owner.name + "' does not take collection " +
+           std::to_string(c.index()) + " '" + collection(c).name +
+           "' as an argument";
+  };
+  std::string missing =
+      lacks("producer", edge.producer, edge.producer_collection);
+  return missing.empty()
+             ? lacks("consumer", edge.consumer, edge.consumer_collection)
+             : missing;
+}
+
 void TaskGraph::validate() const {
-  for (const auto& e : edges_) {
-    AM_CHECK(!e.carries_data || e.bytes > 0,
-             "data-carrying dependence edge with zero bytes");
+  // Graphs come from files and wire requests: a defect is a plain Error.
+  const auto invalid = [](const std::string& what) {
+    return Error("invalid task graph: " + what);
+  };
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    const DependenceEdge& e = edges_[i];
+    const std::string missing = e.carries_data && e.bytes == 0
+                                    ? "carries data but moves zero bytes"
+                                    : missing_edge_arg(e);
+    if (!missing.empty())
+      throw invalid("edge " + std::to_string(i) + ": " + missing);
   }
-  (void)topological_order();  // throws on cycles
+
+  const std::vector<TaskId> order = kahn_order(tasks_.size(), edges_);
+  if (order.size() == tasks_.size()) return;
+  // Every task left out waits on a same-iteration producer that was left
+  // out too, so walking producers back from one must revisit a task; the
+  // walk from its first visit on is a cycle, seen backwards.
+  std::vector<bool> placed(tasks_.size(), false);
+  for (const TaskId t : order) placed[t.index()] = true;
+  std::vector<int> seen_at(tasks_.size(), -1);
+  std::vector<std::size_t> walk;
+  std::size_t at = static_cast<std::size_t>(
+      std::find(placed.begin(), placed.end(), false) - placed.begin());
+  while (seen_at[at] < 0) {
+    seen_at[at] = static_cast<int>(walk.size());
+    walk.push_back(at);
+    for (const auto& e : edges_) {
+      if (!e.cross_iteration && e.consumer.index() == at &&
+          !placed[e.producer.index()]) {
+        at = e.producer.index();
+        break;
+      }
+    }
+  }
+  std::vector<std::size_t> cycle(walk.begin() + seen_at[at], walk.end());
+  std::reverse(cycle.begin(), cycle.end());
+  std::rotate(cycle.begin(), std::min_element(cycle.begin(), cycle.end()),
+              cycle.end());
+  cycle.push_back(cycle.front());
+  std::string path;
+  for (const std::size_t t : cycle) {
+    if (!path.empty()) path += " -> ";
+    path += "task " + std::to_string(t) + " '" + tasks_[t].name + "'";
+  }
+  throw invalid("same-iteration dependence cycle: " + path);
 }
 
 std::vector<OverlapEdge> TaskGraph::build_overlap_graph() const {

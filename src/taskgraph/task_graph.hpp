@@ -132,9 +132,15 @@ class TaskGraph {
   void append_task_arg(TaskId task, CollectionUse use);
   void add_dependence(DependenceEdge edge);
 
-  /// Checks referential integrity and acyclicity of the same-iteration
-  /// subgraph. Throws Error when malformed.
+  /// Checks that every edge's endpoint tasks take its collections as
+  /// arguments, that a data-carrying edge moves bytes, and that the
+  /// same-iteration subgraph is acyclic. Throws a one-line Error naming
+  /// the edge, or the tasks on a cycle.
   void validate() const;
+  /// Empty when both endpoint tasks of `edge` take its collections as
+  /// arguments; otherwise which task lacks which collection, by index and
+  /// name. The edge's indices must be in range.
+  [[nodiscard]] std::string missing_edge_arg(const DependenceEdge& edge) const;
 
   // --- access --------------------------------------------------------------
 

@@ -173,6 +173,60 @@ expect_one_error "line $edge_line: integer -1 outside" \
 echo "machine m nodes 1" > "$DIR/header.machine"
 expect_one_error "invalid machine: no 'proc' processor group" \
       "$CLI" describe "$DIR/header.machine" "$DIR/g.graph"
+# Real-valued fields are finite and in their builder's range, checked at
+# their line: one case per machine and graph directive family.
+double_case() {
+  local file="$1" prefix="$2" from="$3" to="$4" pattern="$5"
+  shift 5
+  local line
+  line="$(grep -n -m1 "^$prefix" "$DIR/$file" | cut -d: -f1)"
+  sed "${line}s/$from/$to/" "$DIR/$file" > "$DIR/double.${file##*.}"
+  expect_one_error "line $line: $pattern" "$@"
+}
+for spec in "runtime_overhead |runtime_overhead [^ ]*|runtime_overhead nan" \
+            "restart_overhead |restart_overhead [^ ]*|restart_overhead -1" \
+            "proc CPU |speed [^ ]*|speed inf" \
+            "affinity CPU System |bandwidth [^ ]*|bandwidth 0" \
+            "channel System System intra |latency [^ ]*|latency nan" \
+            "cross_socket |bandwidth [^ ]*|bandwidth inf"; do
+  IFS='|' read -r prefix from to <<< "$spec"
+  value="${to##* }"
+  case "$value" in
+    nan|inf) pattern="expected a finite number, got: $value" ;;
+    *) pattern="number $value outside" ;;
+  esac
+  double_case m.machine "$prefix" "$from" "$to" "$pattern" \
+        "$CLI" describe "$DIR/double.machine" "$DIR/g.graph"
+done
+for spec in "task |cpu [^ ]*|cpu inf" "  arg |RW 1|RW nan" \
+            "edge |fraction [^ ]*|fraction 2"; do
+  IFS='|' read -r prefix from to <<< "$spec"
+  value="${to##* }"
+  case "$value" in
+    nan|inf) pattern="expected a finite number, got: $value" ;;
+    *) pattern="number $value outside" ;;
+  esac
+  double_case g.graph "$prefix" "$from" "$to" "$pattern" \
+        "$CLI" describe "$DIR/m.machine" "$DIR/double.graph"
+done
+# Graph structure: an edge on a collection its task does not take fails
+# at its line, and a same-iteration cycle names its tasks.
+edge_line="$(grep -n -m1 '^edge 0 0 4 4 ' "$DIR/g.graph" | cut -d: -f1)"
+sed "${edge_line}s/^edge 0 0 4 4 /edge 0 0 3 3 /" "$DIR/g.graph" \
+      > "$DIR/lacking.graph"
+expect_one_error "line $edge_line: producer task 0 'calc_new_currents' does not take collection 3 'node_attrs'" \
+      "$CLI" search "$DIR/m.machine" "$DIR/lacking.graph" --rotations 1
+cross_line="$(grep -n -m1 '^edge 1 0 2 1 .* cross 1 ' "$DIR/g.graph" \
+      | cut -d: -f1)"
+sed "${cross_line}s/cross 1/cross 0/" "$DIR/g.graph" > "$DIR/cycle.graph"
+expect_one_error "invalid task graph: same-iteration dependence cycle: task 0 'calc_new_currents' -> task 1 'distribute_charge' -> task 0" \
+      "$CLI" search "$DIR/m.machine" "$DIR/cycle.graph" --rotations 1
+# A missing input and an unwritable output are one plain line each.
+expect_one_error "cannot open for reading: $DIR/nonexistent.graph" \
+      "$CLI" search "$DIR/m.machine" "$DIR/nonexistent.graph"
+expect_one_error "cannot write output file: $DIR/nonexistent_dir/x.mapping" \
+      "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --rotations 1 \
+      -o "$DIR/nonexistent_dir/x.mapping"
 
 # A garbled profiles database must fail with a one-line diagnostic and a
 # nonzero exit, not a raw uncaught exception / abort.

@@ -154,6 +154,116 @@ TEST(TaskGraphIo, RejectsMalformedInput) {
       Error);
 }
 
+/// `text` with the first occurrence of `from` on line `line` (1-based)
+/// replaced by `to`.
+std::string edited(const std::string& text, int line, const std::string& from,
+                   const std::string& to) {
+  std::istringstream is(text);
+  std::string out;
+  int n = 0;
+  for (std::string l; std::getline(is, l);) {
+    if (++n == line) {
+      const std::size_t at = l.find(from);
+      EXPECT_NE(at, std::string::npos) << "line " << line << ": " << l;
+      if (at != std::string::npos) l.replace(at, from.size(), to);
+    }
+    out += l + "\n";
+  }
+  return out;
+}
+
+/// Reading `text` must fail with exactly `message`.
+template <class Read>
+void expect_error(const Read& read, const std::string& text,
+                  const std::string& message) {
+  try {
+    (void)read(text);
+    ADD_FAILURE() << "accepted; expected: " << message;
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+}
+
+TEST(MachineIo, RealValuedFieldsAreFiniteAndInRangeAtTheirLine) {
+  // shepard(2): runtime_overhead (2), restart_overhead (3), proc CPU (4),
+  // affinity CPU System (9), channel System System intra (13),
+  // cross_socket (25).
+  const std::string text = machine_to_string(make_shepard(2));
+  const auto read = [](const std::string& t) { return machine_from_string(t); };
+  expect_error(read, edited(text, 2, "5.0000000000000002e-05", "nan"),
+               "line 2: expected a finite number, got: nan");
+  expect_error(read, edited(text, 3, "0.050000000000000003", "-1"),
+               "line 3: number -1 outside [0, inf)");
+  expect_error(read, edited(text, 4, "speed 1", "speed inf"),
+               "line 4: expected a finite number, got: inf");
+  expect_error(read, edited(text, 4, "speed 1", "speed 0"),
+               "line 4: number 0 outside (0, inf)");
+  expect_error(read, edited(text, 4, "watts 6", "watts inf"),
+               "line 4: expected a finite number, got: inf");
+  expect_error(read, edited(text, 4, "1.0000000000000001e-05", "-1e-9"),
+               "line 4: number -1e-9 outside [0, inf)");
+  expect_error(read, edited(text, 9, "190000000000", "0"),
+               "line 9: number 0 outside (0, inf)");
+  expect_error(read, edited(text, 9, "9.9999999999999995e-08", "nan"),
+               "line 9: expected a finite number, got: nan");
+  expect_error(read, edited(text, 13, "38000000000", "inf"),
+               "line 13: expected a finite number, got: inf");
+  expect_error(read, edited(text, 25, "34000000000", "-5"),
+               "line 25: number -5 outside (0, inf)");
+  expect_error(read, edited(text, 25, "34000000000", "1e400"),
+               "line 25: expected a number, got: 1e400");
+}
+
+TEST(TaskGraphIo, RealValuedFieldsAreFiniteAndInRangeAtTheirLine) {
+  // circuit(1, 1): task calc_new_currents (14), its second arg (16), the
+  // first edge (32).
+  const std::string text =
+      task_graph_to_string(make_circuit(circuit_config_for(1, 1)).graph);
+  const auto read = [](const std::string& t) {
+    return task_graph_from_string(t);
+  };
+  expect_error(read, edited(text, 14, "0.00015000000000000001", "inf"),
+               "line 14: expected a finite number, got: inf");
+  expect_error(read, edited(text, 14, "0.00015000000000000001", "0"),
+               "line 14: number 0 outside (0, inf)");
+  expect_error(read, edited(text, 14, "1.4999999999999998e-06", "nan"),
+               "line 14: expected a finite number, got: nan");
+  expect_error(read, edited(text, 16, "RO 0.5", "RO nan"),
+               "line 16: expected a finite number, got: nan");
+  expect_error(read, edited(text, 16, "RO 0.5", "RO 1.5"),
+               "line 16: number 1.5 outside (0, 1]");
+  expect_error(read, edited(text, 32, "fraction 0", "fraction nan"),
+               "line 32: expected a finite number, got: nan");
+  expect_error(read, edited(text, 32, "fraction 0", "fraction -0.5"),
+               "line 32: number -0.5 outside [0, 1]");
+  // A negative GPU cost still means "no GPU variant".
+  EXPECT_FALSE(read(edited(text, 14, "1.4999999999999998e-06", "-1"))
+                   .task(TaskId(0))
+                   .cost.has_gpu_variant());
+}
+
+TEST(TaskGraphIo, EdgeOnACollectionItsTaskLacksFailsAtItsLine) {
+  const std::string text =
+      task_graph_to_string(make_circuit(circuit_config_for(1, 1)).graph);
+  const auto read = [](const std::string& t) {
+    return task_graph_from_string(t);
+  };
+  // Line 32 is `edge 0 0 4 4 ...`; calc_new_currents takes collection 4
+  // (wire_state), not 3 (node_attrs).
+  expect_error(read, edited(text, 32, "edge 0 0 4 4 ", "edge 0 0 3 3 "),
+               "line 32: producer task 0 'calc_new_currents' does not take "
+               "collection 3 'node_attrs' as an argument");
+  expect_error(read, edited(text, 32, "edge 0 0 4 4 ", "edge 0 0 4 3 "),
+               "line 32: consumer task 0 'calc_new_currents' does not take "
+               "collection 3 'node_attrs' as an argument");
+  // Line 35 is `edge 1 0 2 1 ... cross 1`; made same-iteration, it closes
+  // a cycle with the edge from calc_new_currents to distribute_charge.
+  expect_error(read, edited(text, 35, "cross 1", "cross 0"),
+               "invalid task graph: same-iteration dependence cycle: task 0 "
+               "'calc_new_currents' -> task 1 'distribute_charge' -> task 0 "
+               "'calc_new_currents'");
+}
+
 TEST(FileIo, SaveLoadRoundTrip) {
   const std::string machine_path = "/tmp/automap_io_test.machine";
   const std::string graph_path = "/tmp/automap_io_test.graph";
@@ -168,6 +278,27 @@ TEST(FileIo, SaveLoadRoundTrip) {
 TEST(FileIo, MissingFilesThrow) {
   EXPECT_THROW((void)load_machine("/nonexistent/path.machine"), Error);
   EXPECT_THROW(save_text("/nonexistent/dir/file.txt", "x"), Error);
+}
+
+TEST(FileIo, MissingOrUnwritableFilesAreOneLineErrors) {
+  expect_error([](const std::string& path) { return load_text(path); },
+               "/nonexistent/path.graph",
+               "cannot open for reading: /nonexistent/path.graph");
+  expect_error(
+      [](const std::string& path) {
+        save_text(path, "x");
+        return 0;
+      },
+      "/nonexistent/dir/file.txt",
+      "cannot open for writing: /nonexistent/dir/file.txt");
+  expect_error(
+      [](const std::string& path) {
+        require_writable_path(path);
+        return 0;
+      },
+      "/nonexistent/dir/x.mapping",
+      "cannot write output file: /nonexistent/dir/x.mapping (missing "
+      "directory or no permission?)");
 }
 
 // --- formats read through LineReader ----------------------------------------

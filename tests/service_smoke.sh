@@ -4,7 +4,8 @@
 # path, the cross-job result cache (a repeat submission runs zero new
 # simulator runs), journal streaming, the flight recorder (`trace`, `top`,
 # and the --service-trace Chrome export), warm restart from the persisted
-# store, clean shutdown, and the client's strict decoding of replies.
+# store and a cached resubmission after it, clean shutdown, and the
+# client's strict decoding of replies.
 # Usage: service_smoke.sh <path-to-automap_cli> <path-to-automap_client>
 # Set AUTOMAP_SMOKE_TRACE to keep the Chrome trace at a fixed path (CI
 # uploads it as an artifact); it defaults to the throwaway temp dir.
@@ -216,6 +217,17 @@ wait_for_daemon
 grep "best mapping" "$DIR/revived.txt" > "$DIR/revived.line"
 cmp "$DIR/revived.line" "$DIR/oneshot.line"
 cmp "$DIR/revived.mapping" "$DIR/oneshot.mapping"
+test "$(sim_runs)" = "0"
+# The identical submission maps onto the recovered job: the restarted
+# daemon validates its request once, then answers from the cache, still
+# byte-identical and still without a simulator run.
+"$CLIENT" submit "$DIR/m.machine" "$DIR/g.graph" --socket "$SOCK" \
+      --rotations 2 --repeats 3 --journal --wait \
+      -o "$DIR/resubmitted.mapping" > "$DIR/resubmitted.txt"
+grep -q "^job 1 done (cached)$" "$DIR/resubmitted.txt"
+grep "best mapping" "$DIR/resubmitted.txt" > "$DIR/resubmitted.line"
+cmp "$DIR/resubmitted.line" "$DIR/oneshot.line"
+cmp "$DIR/resubmitted.mapping" "$DIR/oneshot.mapping"
 test "$(sim_runs)" = "0"
 
 "$CLIENT" shutdown --socket "$SOCK" > /dev/null

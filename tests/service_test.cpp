@@ -39,6 +39,7 @@
 #include "src/support/durable.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
+#include "src/taskgraph/task_graph.hpp"
 
 namespace automap {
 namespace {
@@ -1003,6 +1004,164 @@ TEST(Service, UnrunnableSearchOptionsAreBadRequestsWithoutAJob) {
   EXPECT_TRUE(
       handle_json(service, "{\"op\":\"jobs\"}").find("jobs")->array.empty());
   EXPECT_TRUE(fs::is_empty(fs::path(store) / "jobs"));
+}
+
+TEST(Service, GraphStructureErrorsAreBadRequestsWithoutAJob) {
+  // Both graphs are well-formed line by line. Without the structure
+  // checks the first would be queued and its job would fail in the
+  // simulator, and the second's error would name no task.
+  const std::string store = fresh_store("graph-structure");
+  MappingService service({.store_dir = store, .job_workers = 0});
+  const std::string graph =
+      task_graph_to_string(make_app_by_name("circuit", 2, 1).graph);
+  const auto request_with = [&](const std::string& from,
+                                const std::string& to) {
+    std::string edited = graph;
+    EXPECT_NE(edited.find(from), std::string::npos) << from;
+    edited.replace(edited.find(from), from.size(), to);
+    return "{\"op\":\"submit\",\"machine\":\"" +
+           json_escape(stencil_machine_text()) + "\",\"graph\":\"" +
+           json_escape(edited) + "\"}";
+  };
+  for (const auto& [request, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {request_with("edge 0 0 4 4 ", "edge 0 0 3 3 "),
+            "line 32: producer task 0 'calc_new_currents' does not take "
+            "collection 3 'node_attrs' as an argument"},
+           {request_with("edge 1 0 2 1 bytes 2560 cross 1",
+                         "edge 1 0 2 1 bytes 2560 cross 0"),
+            "invalid task graph: same-iteration dependence cycle: task 0 "
+            "'calc_new_currents' -> task 1 'distribute_charge' -> task 0 "
+            "'calc_new_currents'"}}) {
+    const JsonValue response = handle_json(service, request);
+    EXPECT_EQ(response.str_or("code", ""), "bad_request");
+    EXPECT_EQ(response.str_or("message", ""), message);
+  }
+  EXPECT_TRUE(
+      handle_json(service, "{\"op\":\"jobs\"}").find("jobs")->array.empty());
+  EXPECT_TRUE(fs::is_empty(fs::path(store) / "jobs"));
+}
+
+TEST(Service, ConcurrentFirstResubmissionsOfARecoveredJobAgree) {
+  // A recovered job starts unvalidated, so its first resubmissions each
+  // validate the request, outside the service mutex and at the same time
+  // here. They must all answer from the cache, with the same bytes, and
+  // count one hit each.
+  const std::string store = fresh_store("concurrent-first-hits");
+  const std::string request = submit_request(small_options(42));
+  {
+    MappingService service({.store_dir = store, .job_workers = 0});
+    (void)service.handle(request);
+    service.drain();
+  }
+  MappingService revived({.store_dir = store, .job_workers = 0});
+  constexpr int kClients = 4;
+  std::vector<std::string> answers(kClients);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kClients) std::this_thread::yield();
+      answers[i] = revived.handle(request);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  const std::string cached =
+      "{\"type\":\"submitted\",\"job\":1,\"status\":\"done\",\"cached\":true}";
+  for (const std::string& answer : answers) EXPECT_EQ(answer, cached);
+  // Validated now: a later resubmission answers the same, without it.
+  EXPECT_EQ(revived.handle(request), cached);
+  const std::string exposition = revived.expose_metrics();
+  EXPECT_EQ(
+      metric_value(exposition, "automap_service_result_cache_hits_total"),
+      kClients + 1.0);
+  EXPECT_EQ(metric_value(exposition, "automap_sim_runs_total"), 0.0);
+}
+
+TEST(Service, RecoveredRequestThisBuildRejectsIsStillABadRequest) {
+  // A store written by another build can hold a finished job whose
+  // request this build refuses: here a machine with a negative capacity,
+  // under a valid checksum. Recovery does not validate, so the job comes
+  // back done, but resubmitting its request stays a bad_request, every
+  // time, and is never a cache hit.
+  const std::string store = fresh_store("recovered-rejected");
+  std::string machine = stencil_machine_text();
+  const std::size_t at = machine.find("capacity ", machine.find("mem FrameBuffer"));
+  ASSERT_NE(at, std::string::npos);
+  machine.replace(at, machine.find('\n', at) - at, "capacity -5");
+  const std::string request =
+      "{\"op\":\"submit\",\"machine\":\"" + json_escape(machine) +
+      "\",\"graph\":\"" + json_escape(stencil_graph_text()) + "\"}";
+  fs::create_directories(store + "/jobs/1");
+  save_checksummed(store + "/jobs/1/request.json", request, "request");
+  save_checksummed(store + "/jobs/1/result.json",
+                   "{\"type\":\"result\",\"job\":1}", "result");
+
+  MappingService revived({.store_dir = store, .job_workers = 0});
+  EXPECT_EQ(status_of(revived, "1"), "done");
+  const std::string line =
+      std::to_string(std::count(machine.begin(), machine.begin() + at, '\n') + 1);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const JsonValue answer = handle_json(revived, request);
+    EXPECT_EQ(answer.str_or("code", ""), "bad_request");
+    EXPECT_EQ(answer.str_or("message", "").rfind("line " + line + ": integer -5 outside", 0), 0u)
+        << answer.str_or("message", "");
+  }
+  EXPECT_EQ(metric_value(revived.expose_metrics(),
+                         "automap_service_result_cache_hits_total"),
+            0.0);
+  EXPECT_EQ(revived.handle("{\"op\":\"result\",\"job\":1}"),
+            "{\"type\":\"result\",\"job\":1}");
+}
+
+TEST(Service, ValidationRunsOutsideTheServiceMutex) {
+  // A submit whose graph is long and wrong only at its last line keeps one
+  // thread validating for most of each call. Validation holds no lock, so
+  // another thread's `jobs` ops, which take the service mutex, stay fast
+  // meanwhile. Were validation under the mutex, one op per submit would
+  // wait out the rest of that parse, most of a submit. "Slow" is half the
+  // median submit of the same run, so a loaded host slows both sides.
+  MappingService service(
+      {.store_dir = fresh_store("validation-unlocked"), .job_workers = 0});
+  TaskGraph graph;
+  const RegionId region = graph.add_region("r", Rect::line(0, 99), 8);
+  const CollectionId all =
+      graph.add_collection(region, "all", Rect::line(0, 99));
+  for (int i = 0; i < 20000; ++i)
+    graph.add_task("t" + std::to_string(i), 1, {.cpu_seconds_per_point = 1e-3},
+                   {{all, Privilege::kReadOnly, 1.0}});
+  const std::string request =
+      "{\"op\":\"submit\",\"machine\":\"" +
+      json_escape(stencil_machine_text()) + "\",\"graph\":\"" +
+      json_escape(task_graph_to_string(graph) + "bogus\n") + "\"}";
+  ASSERT_EQ(handle_json(service, request).str_or("code", ""), "bad_request");
+
+  using Clock = std::chrono::steady_clock;
+  constexpr int kSubmits = 6;
+  std::vector<Clock::duration> submits;
+  std::atomic<bool> submitting{true};
+  std::thread submitter([&] {
+    for (int i = 0; i < kSubmits; ++i) {
+      const Clock::time_point start = Clock::now();
+      (void)service.handle(request);
+      submits.push_back(Clock::now() - start);
+    }
+    submitting = false;
+  });
+  std::vector<Clock::duration> ops;
+  while (submitting) {
+    const Clock::time_point start = Clock::now();
+    (void)service.handle("{\"op\":\"jobs\"}");
+    ops.push_back(Clock::now() - start);
+  }
+  submitter.join();
+  std::sort(submits.begin(), submits.end());
+  const Clock::duration slow = submits[kSubmits / 2] / 2;
+  const auto slow_ops = std::count_if(
+      ops.begin(), ops.end(), [&](Clock::duration op) { return op > slow; });
+  EXPECT_GT(ops.size(), static_cast<std::size_t>(kSubmits));
+  EXPECT_LT(slow_ops, kSubmits / 2) << ops.size() << " ops";
 }
 
 TEST(Service, SubmitWhoseRequestCannotBePersistedLeavesNoJob) {

@@ -107,8 +107,10 @@ TEST_F(TaskGraphFixture, TopologicalOrderRespectsEdges) {
 }
 
 TEST_F(TaskGraphFixture, CycleDetection) {
-  const TaskId a = g.add_task("a", 1, {.cpu_seconds_per_point = 1e-3}, {});
-  const TaskId b = g.add_task("b", 1, {.cpu_seconds_per_point = 1e-3}, {});
+  const std::vector<CollectionUse> rw = {
+      {interior, Privilege::kReadWrite, 1.0}};
+  const TaskId a = g.add_task("a", 1, {.cpu_seconds_per_point = 1e-3}, rw);
+  const TaskId b = g.add_task("b", 1, {.cpu_seconds_per_point = 1e-3}, rw);
   g.add_dependence({.producer = a, .consumer = b,
                     .producer_collection = interior,
                     .consumer_collection = interior, .bytes = 1});
@@ -118,9 +120,57 @@ TEST_F(TaskGraphFixture, CycleDetection) {
   EXPECT_THROW(g.validate(), Error);
 }
 
+TEST_F(TaskGraphFixture, CycleErrorNamesTheTasksOnTheCycle) {
+  // c feeds a cycle b -> d -> b; a is upstream of it. The error names the
+  // cycle's tasks only, from the lowest index, in edge order.
+  const std::vector<CollectionUse> rw = {
+      {interior, Privilege::kReadWrite, 1.0}};
+  const auto task = [&](const char* name) {
+    return g.add_task(name, 1, {.cpu_seconds_per_point = 1e-3}, rw);
+  };
+  const TaskId a = task("a"), b = task("b"), c = task("c"), d = task("d");
+  const auto edge = [&](TaskId from, TaskId to) {
+    g.add_dependence({.producer = from, .consumer = to,
+                      .producer_collection = interior,
+                      .consumer_collection = interior, .bytes = 1});
+  };
+  edge(a, c);
+  edge(c, b);
+  edge(b, d);
+  edge(d, b);
+  try {
+    g.validate();
+    FAIL() << "expected a cycle error";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "invalid task graph: same-iteration dependence cycle: "
+                 "task 1 'b' -> task 3 'd' -> task 1 'b'");
+  }
+}
+
+TEST_F(TaskGraphFixture, EdgeOnACollectionItsTaskLacksIsAnError) {
+  const TaskId a = g.add_task("a", 1, {.cpu_seconds_per_point = 1e-3},
+                              {{interior, Privilege::kWriteOnly, 1.0}});
+  const TaskId b = g.add_task("b", 1, {.cpu_seconds_per_point = 1e-3},
+                              {{halo_lo, Privilege::kReadOnly, 1.0}});
+  g.add_dependence({.producer = a, .consumer = b,
+                    .producer_collection = interior,
+                    .consumer_collection = interior, .bytes = 80});
+  try {
+    g.validate();
+    FAIL() << "expected an edge error";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "invalid task graph: edge 0: consumer task 1 'b' does not "
+                 "take collection 0 'interior' as an argument");
+  }
+}
+
 TEST_F(TaskGraphFixture, CrossIterationEdgesDoNotFormCycles) {
-  const TaskId a = g.add_task("a", 1, {.cpu_seconds_per_point = 1e-3}, {});
-  const TaskId b = g.add_task("b", 1, {.cpu_seconds_per_point = 1e-3}, {});
+  const std::vector<CollectionUse> rw = {
+      {interior, Privilege::kReadWrite, 1.0}};
+  const TaskId a = g.add_task("a", 1, {.cpu_seconds_per_point = 1e-3}, rw);
+  const TaskId b = g.add_task("b", 1, {.cpu_seconds_per_point = 1e-3}, rw);
   g.add_dependence({.producer = a, .consumer = b,
                     .producer_collection = interior,
                     .consumer_collection = interior, .bytes = 1});

@@ -10,7 +10,12 @@
 //     below a recorded ceiling (the count after the change that set it,
 //     rounded up to the next 1,000, which absorbs libstdc++ differences);
 //   * one copy of a starting mapping allocates at most three times (the
-//     task decisions, the argument offsets and the flat memory lists).
+//     task decisions, the argument offsets and the flat memory lists);
+//   * a mapping daemon restarted on a store of finished jobs (perfbench's
+//     `service_cached` requests) validates each request on its first
+//     resubmission, and answers every later one from the result cache
+//     within a recorded allocation ceiling: decoding and fingerprinting
+//     the request, never parsing its machine or graph again.
 // Allocations are counted by the replacement global operator new below,
 // which is linked into this test binary only.
 
@@ -20,13 +25,19 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/apps/registry.hpp"
 #include "src/automap/automap.hpp"
 #include "src/io/text_io.hpp"
 #include "src/machine/machine.hpp"
+#include "src/search/search.hpp"
+#include "src/service/service.hpp"
+#include "src/support/json.hpp"
 #include "src/support/metrics.hpp"
 
 namespace {
@@ -157,6 +168,74 @@ TEST(WorkCounts, MappingCopyAllocatesAtMostThreeTimes) {
     EXPECT_EQ(copy, start);
     EXPECT_LE(allocated, 3u);
   }
+}
+
+/// perfbench's `service_cached` request for one app: the exported
+/// shepard(1) machine and step-0 graph, one CCD rotation, no profiles
+/// export.
+std::string cached_request(const char* app) {
+  const SearchOptions options{
+      .rotations = 1, .seed = 1, .export_profiles_db = false};
+  return "{\"op\":\"submit\",\"machine\":\"" +
+         json_escape(machine_to_string(make_shepard(1))) +
+         "\",\"graph\":\"" +
+         json_escape(task_graph_to_string(make_app_by_name(app, 1, 0).graph)) +
+         "\",\"options\":" + search_options_to_json(options) + "}";
+}
+
+double result_cache_hits(MappingService& service) {
+  std::istringstream is(service.expose_metrics());
+  const std::string name = "automap_service_result_cache_hits_total ";
+  for (std::string line; std::getline(is, line);)
+    if (line.rfind(name, 0) == 0) return std::stod(line.substr(name.size()));
+  return -1;
+}
+
+// Ceiling on the allocations of one cached resubmission of a validated
+// request, recorded after the change that set it (Circuit 51, Stencil 52,
+// HTR 54 with GCC 12's libstdc++) and rounded up to the next 100. A
+// resubmission that parses the machine and graph allocates far more
+// (Circuit 377, Stencil 457, HTR 1,122 before that change).
+constexpr std::uint64_t kMaxCachedResubmitAllocations = 100;
+
+TEST(WorkCounts, CachedResubmitsValidateOnceThenStayUnderTheirCeiling) {
+  const std::string store =
+      (std::filesystem::path(::testing::TempDir()) / "automap-work-counts")
+          .string();
+  std::filesystem::remove_all(store);
+  std::vector<std::string> requests;
+  for (const char* app : {"circuit", "stencil", "htr"})
+    requests.push_back(cached_request(app));
+  {
+    MappingService service({.store_dir = store, .job_workers = 0});
+    for (const std::string& request : requests) (void)service.handle(request);
+    service.drain();
+  }
+
+  // A restarted daemon recovers the finished jobs unvalidated.
+  MappingService service({.store_dir = store, .job_workers = 0});
+  double hits = 0;
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    for (int resubmit = 0; resubmit < 3; ++resubmit) {
+      SCOPED_TRACE("request " + std::to_string(r) + " resubmit " +
+                   std::to_string(resubmit));
+      const std::uint64_t allocations = g_allocations.load();
+      const std::string answer = service.handle(requests[r]);
+      const std::uint64_t allocated = g_allocations.load() - allocations;
+      EXPECT_EQ(answer, "{\"type\":\"submitted\",\"job\":" +
+                            std::to_string(r + 1) +
+                            ",\"status\":\"done\",\"cached\":true}");
+      EXPECT_EQ(result_cache_hits(service), ++hits);
+      // The first resubmission validates; the later ones must not.
+      if (resubmit == 0)
+        EXPECT_GT(allocated, kMaxCachedResubmitAllocations);
+      else
+        EXPECT_LE(allocated, kMaxCachedResubmitAllocations);
+      std::printf("request %zu resubmit %d: allocations %llu\n", r, resubmit,
+                  static_cast<unsigned long long>(allocated));
+    }
+  }
+  std::filesystem::remove_all(store);
 }
 
 }  // namespace

@@ -3,36 +3,18 @@
 #include <limits>
 
 #include "src/runtime/mapper.hpp"
-#include "src/search/coordinate_descent.hpp"
-#include "src/search/ensemble_tuner.hpp"
+#include "src/search/algorithms.hpp"
 #include "src/support/error.hpp"
 #include "src/support/rng.hpp"
 
 namespace automap {
 
-std::string to_string(SearchAlgorithm algorithm) {
-  switch (algorithm) {
-    case SearchAlgorithm::kCcd:
-      return "AM-CCD";
-    case SearchAlgorithm::kCd:
-      return "AM-CD";
-    case SearchAlgorithm::kEnsembleTuner:
-      return "AM-OT";
-  }
-  AM_UNREACHABLE("bad SearchAlgorithm");
-}
-
 SearchResult automap_optimize(const Simulator& sim, SearchAlgorithm algorithm,
                               const SearchOptions& options) {
-  switch (algorithm) {
-    case SearchAlgorithm::kCcd:
-      return run_ccd(sim, options);
-    case SearchAlgorithm::kCd:
-      return run_cd(sim, options);
-    case SearchAlgorithm::kEnsembleTuner:
-      return run_ensemble_tuner(sim, options);
-  }
-  AM_UNREACHABLE("bad SearchAlgorithm");
+  // Registry names, in SearchAlgorithm order.
+  static constexpr const char* kNames[] = {"ccd", "cd", "ot"};
+  return find_search_algorithm(kNames[static_cast<int>(algorithm)])
+      ->run(sim, options);
 }
 
 double measure_mapping(const Simulator& sim, const Mapping& mapping,

@@ -6,20 +6,18 @@
 // entry point: it requires no modification to the application — only its
 // lowered task graph (the "search space file" of §3.3) and a machine model.
 
-#include <string>
-
 #include "src/search/search.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace automap {
 
+/// The paper's three algorithms; each names a row of the search-algorithm
+/// registry (src/search/algorithms.hpp): "ccd", "cd" and "ot".
 enum class SearchAlgorithm {
   kCcd,            // constrained coordinate-wise descent (the default)
   kCd,             // plain coordinate-wise descent
   kEnsembleTuner,  // generic OpenTuner-style ensemble
 };
-
-[[nodiscard]] std::string to_string(SearchAlgorithm algorithm);
 
 /// Runs the offline mapping search and returns the best mapping found,
 /// selected by the finalist protocol (top-5 re-run 31 times, §5).

@@ -14,17 +14,17 @@ namespace {
 
 /// Decodes the whole of `token` as a T: no leading space or sign the type
 /// cannot hold, no trailing characters, no out-of-range value, no NaN. A
-/// failure is one Error line naming the flag and the token.
+/// failure is one Error line naming the flag or argument and the token.
 template <typename T>
-T decode_flag(const std::string& flag, const std::string& token,
-              const char* expected) {
+T decode(const std::string& name, const std::string& token,
+         const char* expected) {
   T value{};
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, value);
   if (ec == std::errc::result_out_of_range)
-    throw Error(flag + " value '" + token + "' is out of range");
+    throw Error(name + " value '" + token + "' is out of range");
   if (ec != std::errc() || ptr != end || std::isnan(value))
-    throw Error(flag + " expects " + expected + ", got '" + token + "'");
+    throw Error(name + " expects " + expected + ", got '" + token + "'");
   return value;
 }
 
@@ -43,20 +43,28 @@ std::string Args::value_or(const std::string& flag,
   return fallback;
 }
 
+int Args::pos_int(std::size_t i, const std::string& name) const {
+  return decode<int>(name, pos(i), "an integer");
+}
+
+std::uint64_t Args::pos_u64(std::size_t i, const std::string& name) const {
+  return decode<std::uint64_t>(name, pos(i), "a non-negative integer");
+}
+
 int Args::int_or(const std::string& flag, int fallback) const {
-  return has(flag) ? decode_flag<int>(flag, value_or(flag), "an integer")
+  return has(flag) ? decode<int>(flag, value_or(flag), "an integer")
                    : fallback;
 }
 
 double Args::num_or(const std::string& flag, double fallback) const {
-  return has(flag) ? decode_flag<double>(flag, value_or(flag), "a number")
+  return has(flag) ? decode<double>(flag, value_or(flag), "a number")
                    : fallback;
 }
 
 std::uint64_t Args::u64_or(const std::string& flag,
                            std::uint64_t fallback) const {
-  return has(flag) ? decode_flag<std::uint64_t>(flag, value_or(flag),
-                                                "a non-negative integer")
+  return has(flag) ? decode<std::uint64_t>(flag, value_or(flag),
+                                           "a non-negative integer")
                    : fallback;
 }
 

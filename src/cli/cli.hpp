@@ -29,8 +29,8 @@ struct FlagSpec {
 /// Parsed invocation of one command: positional arguments in order plus
 /// the flag values seen. Numeric accessors decode the whole token strictly
 /// (range-checked into the target type, NaN rejected) and throw an Error
-/// naming the flag and the token — the tools' top-level handler turns it
-/// into the usual one-line "error:" diagnostic.
+/// naming the flag or positional argument and the token — the tools'
+/// top-level handler turns it into the usual one-line "error:" diagnostic.
 class Args {
  public:
   [[nodiscard]] const std::vector<std::string>& positional() const {
@@ -39,6 +39,11 @@ class Args {
   [[nodiscard]] const std::string& pos(std::size_t i) const {
     return positionals_.at(i);
   }
+  /// Positional `i` decoded as strictly as a flag; `name` ("<nodes>")
+  /// labels it in the Error.
+  [[nodiscard]] int pos_int(std::size_t i, const std::string& name) const;
+  [[nodiscard]] std::uint64_t pos_u64(std::size_t i,
+                                      const std::string& name) const;
 
   [[nodiscard]] bool has(const std::string& flag) const;
   /// Value of a present valued flag; empty string when absent.

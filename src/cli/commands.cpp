@@ -38,7 +38,7 @@ void emit_observability(const MachineModel& machine, const TaskGraph& graph,
   Simulator sim(machine, graph,
                 {.iterations = 10, .noise_sigma = 0.0, .record_trace = true});
   const ExecutionReport report = sim.run(mapping, 1);
-  AM_REQUIRE(report.ok, "mapping failed to execute: " + report.failure);
+  if (!report.ok) throw Error("mapping failed to execute: " + report.failure);
   if (profile) {
     std::cout << "\n" << render_profile(graph, compute_profile(graph, report));
   }
@@ -49,12 +49,23 @@ void emit_observability(const MachineModel& machine, const TaskGraph& graph,
   }
 }
 
+/// The <nodes> positional of the export commands: an integer >= 1.
+int nodes_arg(const Args& args) {
+  const int nodes = args.pos_int(1, "<nodes>");
+  if (nodes < 1)
+    throw Error("<nodes> must be >= 1, got " + std::to_string(nodes));
+  return nodes;
+}
+
 int cmd_export_machine(const Args& args) {
-  const int nodes = std::stoi(args.pos(1));
+  const std::string& preset = args.pos(0);
+  const int nodes = nodes_arg(args);
   const MachineModel machine =
-      args.pos(0) == "lassen"        ? make_lassen(nodes)
-      : args.pos(0) == "cpu-cluster" ? make_cpu_cluster(nodes)
-                                     : make_shepard(nodes);
+      preset == "shepard"       ? make_shepard(nodes)
+      : preset == "lassen"      ? make_lassen(nodes)
+      : preset == "cpu-cluster" ? make_cpu_cluster(nodes)
+      : throw Error("unknown machine preset '" + preset +
+                    "' (expected shepard|lassen|cpu-cluster)");
   save_machine(args.pos(2), machine);
   std::cout << "wrote " << args.pos(2) << "\n" << machine.describe();
   return 0;
@@ -62,9 +73,19 @@ int cmd_export_machine(const Args& args) {
 
 int cmd_export_app(const Args& args) {
   const std::string& name = args.pos(0);
-  AM_REQUIRE(is_app_name(name), "unknown application: " + name);
-  const int nodes = std::stoi(args.pos(1));
-  const int step = std::stoi(args.pos(2));
+  if (!is_app_name(name)) {
+    std::string names;
+    for (const std::string& n : app_names())
+      names += (names.empty() ? "" : "|") + n;
+    throw Error("unknown application '" + name + "' (expected " + names +
+                ")");
+  }
+  const int nodes = nodes_arg(args);
+  const int step = args.pos_int(2, "<step>");
+  if (step < 0 || step >= app_num_steps(name))
+    throw Error("<step> must be in [0, " +
+                std::to_string(app_num_steps(name) - 1) + "] for " + name +
+                ", got " + std::to_string(step));
   const BenchmarkApp app = make_app_by_name(name, nodes, step);
   save_task_graph(args.pos(3), app.graph);
   std::cout << "wrote " << args.pos(3) << " (" << app.name << " " << app.input
@@ -121,11 +142,11 @@ int cmd_search(const Args& args) {
     // torn file (crash mid-write, partial copy) fails with one clear line
     // instead of a confusing parse error deep in the search.
     DurableLoad checkpoint = load_checksummed(resume_path);
-    AM_REQUIRE(checkpoint.status != DurableLoad::Status::kMissing,
-               "no checkpoint at " + resume_path);
-    AM_REQUIRE(checkpoint.status == DurableLoad::Status::kOk,
-               "checkpoint " + resume_path +
-                   " is torn or corrupt (checksum trailer mismatch)");
+    if (checkpoint.status == DurableLoad::Status::kMissing)
+      throw Error("no checkpoint at " + resume_path);
+    if (checkpoint.status != DurableLoad::Status::kOk)
+      throw Error("checkpoint " + resume_path +
+                  " is torn or corrupt (checksum trailer mismatch)");
     options.resume_state = std::move(checkpoint.payload);
     std::cout << "resuming from checkpoint " << resume_path << "\n";
   }
@@ -199,6 +220,8 @@ int cmd_evaluate(const Args& args) {
   const TaskGraph graph = load_task_graph(args.pos(1));
   const Mapping mapping = Mapping::parse(load_text(args.pos(2)), graph);
   const int repeats = args.int_or("--repeats", 31);
+  if (repeats < 1)
+    throw Error("--repeats must be >= 1, got " + std::to_string(repeats));
   const bool profile = args.has("--profile");
   const std::string trace_json_path = args.value_or("--trace-json");
 
@@ -247,7 +270,7 @@ int cmd_visualize(const Args& args) {
     Simulator sim(machine, graph,
                   {.iterations = 10, .noise_sigma = 0.0, .record_trace = true});
     const ExecutionReport report = sim.run(mapping, 1);
-    AM_REQUIRE(report.ok, "mapping failed to execute: " + report.failure);
+    if (!report.ok) throw Error("mapping failed to execute: " + report.failure);
     save_text(trace_path, render_chrome_trace(report));
     std::cout << "wrote " << trace_path
               << " (open in a Chrome-tracing / Perfetto viewer)\n";

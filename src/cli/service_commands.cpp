@@ -38,8 +38,8 @@ void stop_on_signal(int) {
 int cmd_serve(const Args& args) {
   const std::string socket_path = args.value_or("--socket");
   const std::string store_dir = args.value_or("--store");
-  AM_REQUIRE(!socket_path.empty(), "serve needs --socket PATH");
-  AM_REQUIRE(!store_dir.empty(), "serve needs --store DIR");
+  if (socket_path.empty()) throw Error("serve needs --socket PATH");
+  if (store_dir.empty()) throw Error("serve needs --store DIR");
 
   ServiceConfig config;
   config.store_dir = store_dir;
@@ -104,9 +104,9 @@ JsonValue call(const std::string& socket_path, const RetryPolicy& retry,
 
 /// Positional job id, normalized to the decimal text the wire carries.
 std::string job_id_arg(const Args& args, const std::string& action) {
-  AM_REQUIRE(args.positional().size() == 2,
-             "client " + action + " needs <job>");
-  return std::to_string(std::stoull(args.pos(1)));
+  if (args.positional().size() != 2)
+    throw Error("client " + action + " needs <job>");
+  return std::to_string(args.pos_u64(1, "<job>"));
 }
 
 /// Fetches and prints a completed job: the summary line and mapping bytes
@@ -143,8 +143,8 @@ int wait_for_result(const std::string& socket_path,
 
 int client_submit(const Args& args, const std::string& socket_path,
                   const RetryPolicy& retry) {
-  AM_REQUIRE(args.positional().size() == 3,
-             "client submit needs <machine> <graph>");
+  if (args.positional().size() != 3)
+    throw Error("client submit needs <machine> <graph>");
   const std::string machine_text = load_text(args.pos(1));
   const std::string graph_text = load_text(args.pos(2));
 
@@ -380,7 +380,7 @@ int client_jobs(const std::string& socket_path, const RetryPolicy& retry) {
 
 int cmd_client(const Args& args) {
   const std::string socket_path = args.value_or("--socket");
-  AM_REQUIRE(!socket_path.empty(), "client needs --socket PATH");
+  if (socket_path.empty()) throw Error("client needs --socket PATH");
   const RetryPolicy retry = retry_policy_from_args(args);
   const std::string& action = args.pos(0);
 

@@ -53,6 +53,9 @@ class LineReader {
     return t;
   }
 
+  /// Number of the line `next` returned last.
+  [[nodiscard]] int line() const { return line_number_; }
+
   [[noreturn]] void fail(const std::string& message) const {
     throw Error("line " + std::to_string(line_number_) + ": " + message);
   }

@@ -237,8 +237,15 @@ TaskGraph read_task_graph(std::istream& is) {
   TaskGraph graph;
 
   reader.expect(reader.next(t), "empty task graph file");
-  reader.expect(!t.empty() && t[0] == "taskgraph",
-                "expected a taskgraph header");
+  reader.expect(t.size() == 9 && t[0] == "taskgraph" && t[1] == "regions" &&
+                    t[3] == "collections" && t[5] == "tasks" &&
+                    t[7] == "edges",
+                "expected: taskgraph regions <n> collections <n> tasks <n> "
+                "edges <n>");
+  const int header_line = reader.line();
+  const long long declared[] = {
+      reader.to_int(t[2], 0, kMaxInt), reader.to_int(t[4], 0, kMaxInt),
+      reader.to_int(t[6], 0, kMaxInt), reader.to_int(t[8], 0, kMaxInt)};
 
   std::optional<TaskId> current_task;
   while (reader.next(t)) {
@@ -308,6 +315,16 @@ TaskGraph read_task_graph(std::istream& is) {
     } else {
       reader.fail("unknown task graph directive: " + t[0]);
     }
+  }
+  const std::size_t found[] = {graph.num_regions(), graph.num_collections(),
+                               graph.num_tasks(), graph.num_edges()};
+  const char* const names[] = {"regions", "collections", "tasks", "edges"};
+  for (int i = 0; i < 4; ++i) {
+    if (static_cast<std::size_t>(declared[i]) != found[i])
+      throw Error("line " + std::to_string(header_line) +
+                  ": the header declares " + std::to_string(declared[i]) +
+                  " " + names[i] + " but the file holds " +
+                  std::to_string(found[i]));
   }
   graph.validate();
   return graph;

@@ -24,6 +24,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// A journal is outside input: a check on it fails with a plain one-line
+/// Error.
+void require(bool ok, const std::string& message) {
+  if (!ok) throw Error(message);
+}
+
 /// Largest valid index into a container of `size` elements, as the upper
 /// bound of a strict integer field (-1 when empty: every index is refused).
 int last_index(std::size_t size) {
@@ -48,20 +54,20 @@ std::vector<JsonValue> parse_journal(const std::string& text) {
                   e.what());
     }
   }
-  AM_REQUIRE(!events.empty(), "journal is empty");
-  AM_REQUIRE(events.front().str_or("type", "") == "journal",
-             "journal does not start with a header record");
+  require(!events.empty(), "journal is empty");
+  require(events.front().str_or("type", "") == "journal",
+          "journal does not start with a header record");
   const int version = json_int_or(events.front(), "version", -1);
-  AM_REQUIRE(version >= 1 && version <= kJournalVersion,
-             "unsupported journal schema version " +
-                 std::to_string(version) + " (this build reads <= " +
-                 std::to_string(kJournalVersion) + ")");
+  require(version >= 1 && version <= kJournalVersion,
+          "unsupported journal schema version " +
+              std::to_string(version) + " (this build reads <= " +
+              std::to_string(kJournalVersion) + ")");
   long long prev = -1;
   for (const JsonValue& ev : events) {
     const long long n = json_int_or(ev, "n", -1, 0);
-    AM_REQUIRE(n == prev + 1, "journal sequence broken at event n=" +
-                                  std::to_string(n) + " (expected " +
-                                  std::to_string(prev + 1) + ")");
+    if (n != prev + 1)
+      throw Error("journal sequence broken at event n=" + std::to_string(n) +
+                  " (expected " + std::to_string(prev + 1) + ")");
     prev = n;
   }
   return events;
@@ -103,7 +109,7 @@ Segment make_segment(const TaskGraph& graph, const JsonValue& sb) {
   seg.algorithm = sb.str_or("algorithm", "?");
   seg.custom_start = sb.bool_or("custom_start", false);
   const std::string start = sb.str_or("start", "");
-  AM_REQUIRE(!start.empty(), "search_begin record has no start mapping");
+  require(!start.empty(), "search_begin record has no start mapping");
   seg.current = Mapping::parse(start, graph);
   seg.dist_prov.resize(graph.num_tasks());
   seg.proc_prov.resize(graph.num_tasks());
@@ -118,8 +124,8 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
   const int n = json_int_or(ev, "n", -1, 0);
   const int rotation = json_int_or(ev, "rot", -1, 0);
   const int t = json_int_or(ev, "task", -1, 0, last_index(graph.num_tasks()));
-  AM_REQUIRE(t >= 0, "move event n=" + std::to_string(n) +
-                         " has no task cursor");
+  require(t >= 0, "move event n=" + std::to_string(n) +
+                      " has no task cursor");
   const TaskId task(static_cast<std::size_t>(t));
   const bool has_delta = ev.has("delta");
   const double delta = ev.num_or("delta", 0.0);
@@ -137,8 +143,8 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
   } else if (kind == "placement") {
     const int arg = json_int_or(ev, "arg", -1, 0,
                                 last_index(graph.task(task).args.size()));
-    AM_REQUIRE(arg >= 0, "placement move n=" + std::to_string(n) +
-                             " has no arg field");
+    require(arg >= 0, "placement move n=" + std::to_string(n) +
+                          " has no arg field");
     const ProcKind proc = parse_proc_kind(ev.str_or("proc", ""));
     const MemKind mem = parse_mem_kind(ev.str_or("mem", ""));
     if (seg.current.at(task).proc != proc) {
@@ -183,10 +189,10 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
   // move produced. A mismatch means the journal was edited or the replay
   // semantics drifted from the emitting code.
   const std::string recorded = ev.str_or("hash", "");
-  AM_REQUIRE(recorded == hex_u64(seg.current.hash()),
-             "journal hash mismatch at event n=" + std::to_string(n) +
-                 ": the accepted-move chain does not reproduce the "
-                 "recorded mapping (corrupted or edited journal?)");
+  if (recorded != hex_u64(seg.current.hash()))
+    throw Error("journal hash mismatch at event n=" + std::to_string(n) +
+                ": the accepted-move chain does not reproduce the "
+                "recorded mapping (corrupted or edited journal?)");
 }
 
 /// Walks all events into segments. Every accepted move is replayed;
@@ -215,7 +221,7 @@ std::vector<Segment> build_segments(const std::vector<JsonValue>& events,
       seg.winner_serialized = ev.str_or("winner", "");
     }
   }
-  AM_REQUIRE(!segments.empty(), "journal has no search_begin record");
+  require(!segments.empty(), "journal has no search_begin record");
   return segments;
 }
 
@@ -344,9 +350,9 @@ ReplayOutcome replay_journal(const MachineModel& machine,
   for (const JsonValue& ev : events) {
     const std::string type = ev.str_or("type", "");
     if (type == "search_begin") {
-      AM_REQUIRE(sb == nullptr,
-                 "replay requires a single-search journal; this one holds "
-                 "several search_begin records (multi-start?)");
+      require(sb == nullptr,
+              "replay requires a single-search journal; this one holds "
+              "several search_begin records (multi-start?)");
       sb = &ev;
     } else if (type == "incumbent") {
       recorded.emplace_back(ev.wide_num_or("clock", 0.0),
@@ -357,31 +363,31 @@ ReplayOutcome replay_journal(const MachineModel& machine,
       ++candidates;
     }
   }
-  AM_REQUIRE(sb != nullptr, "journal has no search_begin record");
-  AM_REQUIRE(fin != nullptr,
-             "journal has no finalize record (interrupted search cannot "
-             "be replayed)");
-  AM_REQUIRE(!sb->bool_or("seeded_profiles", false),
-             "journal records a search seeded from a profiles database; "
-             "replay cannot reconstruct it");
-  AM_REQUIRE(!sb->bool_or("custom_start", false),
-             "journal records a custom starting mapping; replay only "
-             "covers registry entry points");
+  require(sb != nullptr, "journal has no search_begin record");
+  require(fin != nullptr,
+          "journal has no finalize record (interrupted search cannot "
+          "be replayed)");
+  require(!sb->bool_or("seeded_profiles", false),
+          "journal records a search seeded from a profiles database; "
+          "replay cannot reconstruct it");
+  require(!sb->bool_or("custom_start", false),
+          "journal records a custom starting mapping; replay only "
+          "covers registry entry points");
 
   const std::string label = sb->str_or("algorithm", "?");
   const SearchAlgorithmInfo* info = nullptr;
   for (const SearchAlgorithmInfo& row : search_algorithms())
     if (row.label == label) info = &row;
-  AM_REQUIRE(info != nullptr,
-             "journal algorithm '" + label + "' is not in the registry");
+  require(info != nullptr,
+          "journal algorithm '" + label + "' is not in the registry");
 
   // Rebuild the recorded configuration: every deterministic input is in
   // the search_begin record.
   const JsonValue* opts = sb->find("options");
   const JsonValue* sim_obj = sb->find("sim");
-  AM_REQUIRE(opts != nullptr && sim_obj != nullptr,
-             "search_begin has no 'options'/'sim' record; replay needs a "
-             "journal of version 2 or later");
+  require(opts != nullptr && sim_obj != nullptr,
+          "search_begin has no 'options'/'sim' record; replay needs a "
+          "journal of version 2 or later");
   SearchOptions options = search_options_from_json(*opts);
   const SimOptions sim_options = sim_options_from_json(*sim_obj);
   options.export_profiles_db = false;

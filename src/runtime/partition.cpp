@@ -4,21 +4,6 @@
 
 namespace automap {
 
-std::vector<CollectionUse> BlockPartition1D::piece_uses(
-    int piece, Privilege block_privilege, double access_fraction) const {
-  AM_REQUIRE(piece >= 0 && piece < num_pieces(), "piece out of range");
-  std::vector<CollectionUse> uses;
-  uses.push_back({blocks[static_cast<std::size_t>(piece)], block_privilege,
-                  access_fraction});
-  if (halo_lo[static_cast<std::size_t>(piece)].valid())
-    uses.push_back({halo_lo[static_cast<std::size_t>(piece)],
-                    Privilege::kReadOnly, 1.0});
-  if (halo_hi[static_cast<std::size_t>(piece)].valid())
-    uses.push_back({halo_hi[static_cast<std::size_t>(piece)],
-                    Privilege::kReadOnly, 1.0});
-  return uses;
-}
-
 BlockPartition1D make_block_partition_1d(Program& program, RegionId region,
                                          std::int64_t lo, std::int64_t hi,
                                          int pieces, std::int64_t halo_width,
@@ -57,67 +42,6 @@ BlockPartition1D make_block_partition_1d(Program& program, RegionId region,
           Rect::line(block_hi + 1, block_hi + halo_width)));
     } else {
       part.halo_hi.push_back(CollectionId());
-    }
-  }
-  return part;
-}
-
-BlockPartition2D make_block_partition_2d(Program& program, RegionId region,
-                                         std::int64_t lo_x, std::int64_t hi_x,
-                                         std::int64_t lo_y, std::int64_t hi_y,
-                                         int pieces_x, int pieces_y,
-                                         std::int64_t halo_width,
-                                         const std::string& prefix) {
-  AM_REQUIRE(pieces_x > 0 && pieces_y > 0, "need at least one piece per dim");
-  AM_REQUIRE(hi_x >= lo_x && hi_y >= lo_y, "empty rectangle");
-  const std::int64_t ex = hi_x - lo_x + 1;
-  const std::int64_t ey = hi_y - lo_y + 1;
-  AM_REQUIRE(ex >= pieces_x && ey >= pieces_y,
-             "fewer elements than pieces in a dimension");
-  AM_REQUIRE(halo_width >= 0, "negative halo width");
-  AM_REQUIRE(halo_width <= ex / pieces_x && halo_width <= ey / pieces_y,
-             "halo wider than the smallest block");
-
-  BlockPartition2D part;
-  part.pieces_x = pieces_x;
-  part.pieces_y = pieces_y;
-  const std::size_t n =
-      static_cast<std::size_t>(pieces_x) * static_cast<std::size_t>(pieces_y);
-  part.blocks.reserve(n);
-  part.halo_xm.reserve(n);
-  part.halo_xp.reserve(n);
-  part.halo_ym.reserve(n);
-  part.halo_yp.reserve(n);
-
-  for (int py = 0; py < pieces_y; ++py) {
-    const std::int64_t by_lo = lo_y + ey * py / pieces_y;
-    const std::int64_t by_hi = lo_y + ey * (py + 1) / pieces_y - 1;
-    for (int px = 0; px < pieces_x; ++px) {
-      const std::int64_t bx_lo = lo_x + ex * px / pieces_x;
-      const std::int64_t bx_hi = lo_x + ex * (px + 1) / pieces_x - 1;
-      const std::string tag =
-          "_" + std::to_string(px) + "_" + std::to_string(py);
-
-      part.blocks.push_back(program.add_collection(
-          region, prefix + "_block" + tag,
-          Rect::plane(bx_lo, bx_hi, by_lo, by_hi)));
-
-      auto edge = [&](bool present, std::int64_t xl, std::int64_t xh,
-                      std::int64_t yl, std::int64_t yh, const char* name) {
-        if (!present || halo_width == 0) return CollectionId();
-        return program.add_collection(region, prefix + name + tag,
-                                      Rect::plane(xl, xh, yl, yh));
-      };
-      part.halo_xm.push_back(edge(px > 0, bx_lo - halo_width, bx_lo - 1,
-                                  by_lo, by_hi, "_halo_xm"));
-      part.halo_xp.push_back(edge(px + 1 < pieces_x, bx_hi + 1,
-                                  bx_hi + halo_width, by_lo, by_hi,
-                                  "_halo_xp"));
-      part.halo_ym.push_back(edge(py > 0, bx_lo, bx_hi, by_lo - halo_width,
-                                  by_lo - 1, "_halo_ym"));
-      part.halo_yp.push_back(edge(py + 1 < pieces_y, bx_lo, bx_hi,
-                                  by_hi + 1, by_hi + halo_width,
-                                  "_halo_yp"));
     }
   }
   return part;

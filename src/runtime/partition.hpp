@@ -4,7 +4,7 @@
 // Program API. Most task-based codes follow the same pattern: block a
 // region into per-piece sub-collections plus halo views of the neighbors'
 // boundary data (the overlap structure that drives both the dependence
-// analysis and CCD's co-location constraints). These builders construct
+// analysis and CCD's co-location constraints). This builder constructs
 // that structure mechanically.
 
 #include <string>
@@ -23,16 +23,6 @@ struct BlockPartition1D {
   std::vector<CollectionId> blocks;
   std::vector<CollectionId> halo_lo;
   std::vector<CollectionId> halo_hi;
-
-  [[nodiscard]] int num_pieces() const {
-    return static_cast<int>(blocks.size());
-  }
-
-  /// Collection uses for piece i under the given privileges: the block
-  /// plus its existing halos (halo privilege is ReadOnly).
-  [[nodiscard]] std::vector<CollectionUse> piece_uses(
-      int piece, Privilege block_privilege,
-      double access_fraction = 1.0) const;
 };
 
 /// Partitions [lo, hi] of `region` into `pieces` blocks named
@@ -42,28 +32,5 @@ struct BlockPartition1D {
 [[nodiscard]] BlockPartition1D make_block_partition_1d(
     Program& program, RegionId region, std::int64_t lo, std::int64_t hi,
     int pieces, std::int64_t halo_width, const std::string& prefix);
-
-/// A 2-D block partition with four-sided halos, indexed piece-major
-/// (py * pieces_x + px). Halos are full-edge strips extending into the
-/// neighbouring blocks; absent at domain boundaries.
-struct BlockPartition2D {
-  int pieces_x = 0;
-  int pieces_y = 0;
-  std::vector<CollectionId> blocks;
-  std::vector<CollectionId> halo_xm, halo_xp, halo_ym, halo_yp;
-
-  [[nodiscard]] int num_pieces() const { return pieces_x * pieces_y; }
-  [[nodiscard]] std::size_t index(int px, int py) const {
-    return static_cast<std::size_t>(py) * static_cast<std::size_t>(pieces_x) +
-           static_cast<std::size_t>(px);
-  }
-};
-
-/// Tiles the rectangle [lo_x, hi_x] x [lo_y, hi_y] of `region` into
-/// pieces_x x pieces_y blocks with `halo_width`-wide edge halos.
-[[nodiscard]] BlockPartition2D make_block_partition_2d(
-    Program& program, RegionId region, std::int64_t lo_x, std::int64_t hi_x,
-    std::int64_t lo_y, std::int64_t hi_y, int pieces_x, int pieces_y,
-    std::int64_t halo_width, const std::string& prefix);
 
 }  // namespace automap

@@ -37,8 +37,6 @@ class Program {
   TaskId launch(std::string name, int num_points, TaskCost cost,
                 std::vector<CollectionUse> args, bool in_main_loop = true);
 
-  [[nodiscard]] std::size_t num_launches() const { return launches_.size(); }
-
   /// Runs dependence analysis and returns the task graph. May be called
   /// repeatedly; later launches invalidate earlier results.
   [[nodiscard]] TaskGraph lower() const;

@@ -8,36 +8,19 @@ namespace automap {
 
 const std::vector<SearchAlgorithmInfo>& search_algorithms() {
   static const std::vector<SearchAlgorithmInfo> registry = {
-      {"ccd", "AM-CCD",
-       "constrained coordinate-wise descent (paper default)",
-       [](const Simulator& sim, const SearchOptions& options) {
-         return run_ccd(sim, options);
-       }},
-      {"cd", "AM-CD", "plain coordinate-wise descent",
-       [](const Simulator& sim, const SearchOptions& options) {
-         return run_cd(sim, options);
-       }},
-      {"ot", "AM-OT", "OpenTuner-style ensemble tuner",
-       [](const Simulator& sim, const SearchOptions& options) {
-         return run_ensemble_tuner(sim, options);
-       }},
+      {"ccd", "AM-CCD", "constrained coordinate-wise descent (paper default)",
+       run_ccd},
+      {"cd", "AM-CD", "plain coordinate-wise descent", run_cd},
+      {"ot", "AM-OT", "OpenTuner-style ensemble tuner", run_ensemble_tuner},
       {"random", "AM-Random", "uniform random sampling of valid mappings",
-       [](const Simulator& sim, const SearchOptions& options) {
-         return run_random_search(sim, options);
-       }},
+       run_random_search},
       {"anneal", "AM-Anneal", "simulated annealing over valid mappings",
-       [](const Simulator& sim, const SearchOptions& options) {
-         return run_simulated_annealing(sim, options);
-       }},
+       run_simulated_annealing},
       {"heft", "HEFT-static", "HEFT-style static list scheduler (no search)",
-       [](const Simulator& sim, const SearchOptions& options) {
-         return run_heft_static(sim, options);
-       }},
+       run_heft_static},
       {"multistart", "AM-CCD-multistart",
        "CCD from the default plus random starting points",
-       [](const Simulator& sim, const SearchOptions& options) {
-         return run_ccd_multistart(sim, options);
-       }},
+       run_ccd_multistart},
   };
   return registry;
 }

@@ -104,9 +104,10 @@ struct Bandit {
 }  // namespace
 
 SearchResult run_ensemble_tuner(const Simulator& sim,
-                                const SearchOptions& options,
-                                const EnsembleTunerConfig& config) {
-  AM_REQUIRE(config.overhead_per_suggestion_s >= 0.0, "negative overhead");
+                                const SearchOptions& options) {
+  constexpr double kOverheadPerSuggestionS = 120e-3;
+  constexpr std::size_t kMaxSuggestions = 200000;
+  constexpr std::size_t kMaxEvaluations = 2000;
   Evaluator eval(sim, options);
   const TaskGraph& graph = sim.graph();
   const MachineModel& machine = sim.machine();
@@ -133,8 +134,8 @@ SearchResult run_ensemble_tuner(const Simulator& sim,
   // suggestion.
   Mapping candidate = elites.front();
   while (!eval.budget_exhausted() &&
-         suggestions < config.max_suggestions &&
-         eval.stats().evaluated < config.max_evaluations) {
+         suggestions < kMaxSuggestions &&
+         eval.stats().evaluated < kMaxEvaluations) {
     // OpenTuner-style allocation: half the proposals follow the bandit's
     // exploit choice, half are uniform exploration across the ensemble.
     // Exploration keeps feeding the pure-random technique, whose proposals
@@ -167,7 +168,7 @@ SearchResult run_ensemble_tuner(const Simulator& sim,
 
     restore_frozen(candidate);
     ++suggestions;
-    eval.charge_overhead(config.overhead_per_suggestion_s);
+    eval.charge_overhead(kOverheadPerSuggestionS);
     // Candidates worse than the tuner's incumbent only need to be known as
     // such: censor at `best` (or the k-th finalist, when that is looser). A
     // censored value folds to the censor threshold (>= best), which takes

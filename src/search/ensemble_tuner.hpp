@@ -21,19 +21,12 @@
 
 namespace automap {
 
-struct EnsembleTunerConfig {
-  /// Simulated cost of the tuner's own proposal machinery per suggestion
-  /// (OpenTuner's Python search/results-database stack costs tens of
-  /// milliseconds per proposal — the reason the paper measures it spending
-  /// only 13-45 % of the search budget on actual evaluations).
-  double overhead_per_suggestion_s = 120e-3;
-  /// Hard caps so an unbudgeted run still terminates.
-  std::size_t max_suggestions = 200000;
-  std::size_t max_evaluations = 2000;
-};
-
-[[nodiscard]] SearchResult run_ensemble_tuner(
-    const Simulator& sim, const SearchOptions& options,
-    const EnsembleTunerConfig& config = {});
+/// Each suggestion charges 120 ms of simulated tuner overhead to the search
+/// clock (OpenTuner's Python search/results-database stack costs tens of
+/// milliseconds per proposal — the reason the paper measures it spending
+/// only 13-45 % of the search budget on actual evaluations). An unbudgeted
+/// run stops after 200,000 suggestions or 2,000 evaluations.
+[[nodiscard]] SearchResult run_ensemble_tuner(const Simulator& sim,
+                                              const SearchOptions& options);
 
 }  // namespace automap

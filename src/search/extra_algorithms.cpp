@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/search/coordinate_descent.hpp"
-#include "src/support/error.hpp"
 
 namespace automap {
 
@@ -94,11 +93,10 @@ SearchResult run_random_search(const Simulator& sim,
 }
 
 SearchResult run_simulated_annealing(const Simulator& sim,
-                                     const SearchOptions& options,
-                                     const AnnealingConfig& config) {
-  AM_REQUIRE(config.initial_temperature > 0.0, "temperature must be > 0");
-  AM_REQUIRE(config.cooling > 0.0 && config.cooling < 1.0,
-             "cooling must be in (0, 1)");
+                                     const SearchOptions& options) {
+  constexpr double kInitialTemperature = 0.2;  // x the starting cost
+  constexpr double kCooling = 0.995;           // per proposal
+  constexpr int kMutations = 2;                // per proposal
   Evaluator eval(sim, options);
   Rng rng(mix64(options.seed) ^ 0x94d049bb133111ebULL);
 
@@ -110,14 +108,13 @@ SearchResult run_simulated_annealing(const Simulator& sim,
   // finalists.
   if (!std::isfinite(current_cost)) return eval.finalize("AM-Anneal");
 
-  double temperature = config.initial_temperature * current_cost;
+  double temperature = kInitialTemperature * current_cost;
   const std::size_t cap = std::isfinite(options.time_budget_s)
                               ? std::size_t{1} << 20
                               : 2500;
   for (std::size_t i = 0; i < cap && !eval.budget_exhausted(); ++i) {
     Mapping candidate = current;
-    mutate_valid(candidate, sim.graph(), sim.machine(), rng,
-                 config.mutations);
+    mutate_valid(candidate, sim.graph(), sim.machine(), rng, kMutations);
     for (const TaskId t : options.frozen_tasks)
       candidate.copy_task(t, current);
     const double cost = eval.evaluate(candidate);
@@ -129,7 +126,7 @@ SearchResult run_simulated_annealing(const Simulator& sim,
       current = std::move(candidate);
       current_cost = cost;
     }
-    temperature *= config.cooling;
+    temperature *= kCooling;
   }
   return eval.finalize("AM-Anneal");
 }
@@ -183,9 +180,8 @@ SearchResult run_heft_static(const Simulator& sim,
 }
 
 SearchResult run_ccd_multistart(const Simulator& sim,
-                                const SearchOptions& options,
-                                int extra_starts) {
-  AM_REQUIRE(extra_starts >= 0, "negative extra start count");
+                                const SearchOptions& options) {
+  constexpr int kExtraStarts = 2;
   Rng rng(mix64(options.seed) ^ 0xd6e8feb86659fd93ULL);
 
   // First pass from the §4.1 starting point; each further pass begins from
@@ -204,7 +200,7 @@ SearchResult run_ccd_multistart(const Simulator& sim,
   chained.checkpoint_path.clear();
   chained.resume_state.clear();
 
-  for (int s = 0; s < extra_starts; ++s) {
+  for (int s = 0; s < kExtraStarts; ++s) {
     if (std::isfinite(options.time_budget_s) &&
         combined.search_time_s >= options.time_budget_s)
       break;

@@ -24,19 +24,11 @@ namespace automap {
 [[nodiscard]] SearchResult run_random_search(const Simulator& sim,
                                              const SearchOptions& options);
 
-struct AnnealingConfig {
-  /// Initial acceptance temperature as a fraction of the starting cost.
-  double initial_temperature = 0.2;
-  /// Multiplicative cooling per proposal.
-  double cooling = 0.995;
-  /// Mutations per proposal.
-  int mutations = 2;
-};
-
-/// Simulated annealing over the valid-mapping space.
+/// Simulated annealing over the valid-mapping space: two mutations per
+/// proposal, an initial temperature of 0.2 x the starting cost, cooled by
+/// 0.995 per proposal.
 [[nodiscard]] SearchResult run_simulated_annealing(
-    const Simulator& sim, const SearchOptions& options,
-    const AnnealingConfig& config = {});
+    const Simulator& sim, const SearchOptions& options);
 
 /// HEFT-style static mapping: no search at all. Each task goes to the
 /// processor kind with the lower static execution estimate (compute +
@@ -48,11 +40,10 @@ struct AnnealingConfig {
 
 /// Multi-start CCD (an "improved algorithm" in the direction the paper's
 /// §7 leaves open): runs CCD from the standard §4.1 starting point plus
-/// `extra_starts` random valid starting points, sharing one profiles
-/// database and one finalist pool. Costs proportionally more search time;
-/// can escape starting-point bias on rugged instances.
+/// two random valid starting points, sharing one profiles database and one
+/// finalist pool. Costs proportionally more search time; can escape
+/// starting-point bias on rugged instances.
 [[nodiscard]] SearchResult run_ccd_multistart(const Simulator& sim,
-                                              const SearchOptions& options,
-                                              int extra_starts = 2);
+                                              const SearchOptions& options);
 
 }  // namespace automap

@@ -13,6 +13,7 @@
 #include "src/service/wire.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
+#include "src/support/rng.hpp"
 
 namespace automap {
 
@@ -81,15 +82,6 @@ std::string ServiceClient::call(const std::string& request_json) const {
 }
 
 namespace {
-
-/// splitmix64 step — small, seedable, and good enough for jitter.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 /// True for an `{"type":"error","code":"overloaded",...}` response;
 /// copies out its retry_after_ms hint. Unparseable responses are not

@@ -1,7 +1,6 @@
 #include "src/service/flight_recorder.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <set>
 #include <utility>
@@ -13,12 +12,6 @@
 namespace automap {
 
 namespace {
-
-double steady_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string attrs_json(const std::vector<SpanAttr>& attrs) {
   std::string out;
@@ -51,8 +44,7 @@ FlightRecorder::FlightRecorder(std::function<double()> clock_ms)
     : clock_ms_(std::move(clock_ms)) {}
 
 double FlightRecorder::now_at_least(double floor) const {
-  const double now = clock_ms_ ? clock_ms_() : steady_ms();
-  return std::max(now, floor);
+  return std::max(clock_ms_(), floor);
 }
 
 double FlightRecorder::newest_ms(const Timeline& timeline) const {
@@ -215,12 +207,6 @@ double FlightRecorder::queue_wait_ms(std::uint64_t job) const {
   // growing.
   if (timeline.terminal) return newest_ms(timeline) - start;
   return now_at_least(newest_ms(timeline)) - start;
-}
-
-std::uint64_t FlightRecorder::dropped_for(std::uint64_t job) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = timelines_.find(job);
-  return it == timelines_.end() ? 0 : it->second.dropped;
 }
 
 std::string FlightRecorder::span_json(const Span& span) {

@@ -61,9 +61,9 @@ struct SpanAttr {
 
 class FlightRecorder {
  public:
-  /// `clock_ms` returns milliseconds on an arbitrary steady epoch. Empty =
-  /// std::chrono::steady_clock; tests inject a fake for deterministic span
-  /// timing.
+  /// `clock_ms` returns milliseconds on an arbitrary steady epoch; the
+  /// service passes its own clock (steady_clock unless a test injects a
+  /// fake for deterministic span timing).
   explicit FlightRecorder(std::function<double()> clock_ms);
 
   /// Closes the job's open span (if any) at now and opens `span` at the
@@ -99,8 +99,6 @@ class FlightRecorder {
   /// Time from the first span start until the job first reached
   /// "running" — still growing while it waits; 0 for an unknown job.
   [[nodiscard]] double queue_wait_ms(std::uint64_t job) const;
-  /// Spans dropped to the per-job ring bound for this job.
-  [[nodiscard]] std::uint64_t dropped_for(std::uint64_t job) const;
 
   /// The job's spans as a JSON array (oldest first); "[]" for an unknown
   /// job. Each element: {"name":...,"start_ms":...,"end_ms":<num|null>

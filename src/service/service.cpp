@@ -185,14 +185,15 @@ constexpr const char* kOpLabels[] = {"ping",   "submit", "status",
 }  // namespace
 
 MappingService::MappingService(const ServiceConfig& config)
-    : config_(config), recorder_(config.clock_ms) {
+    : config_(config),
+      clock_ms_(config.clock_ms ? config.clock_ms
+                                : std::function<double()>(&steady_ms)),
+      start_ms_(clock_ms_()),
+      recorder_(clock_ms_) {
   AM_REQUIRE(!config_.store_dir.empty(), "service store directory is empty");
   if (config_.job_workers < 0)
     throw Error("job workers must be >= 0 (serve --workers), got " +
                 std::to_string(config_.job_workers));
-  clock_ms_ = config_.clock_ms ? config_.clock_ms
-                               : std::function<double()>(&steady_ms);
-  start_ms_ = clock_ms_();
   fs::create_directories(fs::path(config_.store_dir) / "jobs");
   fs::create_directories(fs::path(config_.store_dir) / "cache");
   // The existing up-front writability probe, applied to the store before
@@ -624,11 +625,11 @@ std::string MappingService::handle(const std::string& request_json) {
 
 std::string MappingService::dispatch(const std::string& request_json,
                                      std::string& op_label) {
-  if (request_json.size() > config_.max_request_bytes)
+  if (request_json.size() > kDefaultMaxFrameBytes)
     return wire_error("too_large",
                       "request of " + std::to_string(request_json.size()) +
                           " bytes exceeds the " +
-                          std::to_string(config_.max_request_bytes) +
+                          std::to_string(kDefaultMaxFrameBytes) +
                           "-byte limit");
   try {
     const JsonValue request = parse_json(request_json);
@@ -691,6 +692,7 @@ std::string MappingService::handle_submit(const JsonValue& request,
   (void)machine_from_string(spec.machine_text);
   validate_search_options(spec.options,
                           task_graph_from_string(spec.graph_text).num_tasks());
+  validate_sim_options(spec.sim);
   if (find_search_algorithm(spec.algorithm) == nullptr)
     throw Error("unknown algorithm '" + spec.algorithm + "' (expected " +
                 search_algorithm_names() + ")");

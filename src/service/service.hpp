@@ -83,9 +83,6 @@ struct ServiceConfig {
   /// deterministic scheduling (a 0-worker daemon holds every job queued).
   /// Negative is rejected.
   int job_workers = 2;
-  /// Maximum accepted request payload; larger requests get a structured
-  /// `too_large` error.
-  std::size_t max_request_bytes = kDefaultMaxFrameBytes;
   /// Byte budget for the whole store: the jobs/ tree and the eval-cache
   /// buckets under cache/. When the total exceeds it, finished
   /// (done/failed/cancelled) job dirs and buckets are evicted
@@ -339,14 +336,14 @@ class MappingService {
   /// labels never come from client-controlled strings).
   std::map<std::string, std::pair<Histogram*, Counter*>> op_metrics_;
 
-  /// Per-job lifecycle span timelines + service-event ring. Has its own
-  /// mutex and never calls back into the service, so both locked and
-  /// unlocked paths record directly.
-  FlightRecorder recorder_;
   /// Milliseconds clock shared with the recorder (config_.clock_ms or
   /// steady_clock); start_ms_ anchors the uptime gauge.
   std::function<double()> clock_ms_;
   double start_ms_ = 0;
+  /// Per-job lifecycle span timelines + service-event ring. Has its own
+  /// mutex and never calls back into the service, so both locked and
+  /// unlocked paths record directly.
+  FlightRecorder recorder_;
 
   std::vector<std::thread> workers_;
 };

@@ -72,10 +72,6 @@ struct FaultCounts {
   /// Simulated seconds consumed by fault effects: straggler inflation,
   /// partial work lost to a crash, and re-issued copy attempts.
   double lost_seconds = 0.0;
-
-  [[nodiscard]] int total() const {
-    return crashes + stragglers + mem_pressure + copy_retries;
-  }
 };
 
 /// Result of simulating one execution of the application under a mapping.
@@ -97,8 +93,6 @@ struct ExecutionReport {
   /// crossed the bound — a strict lower bound on the true makespan — and
   /// every other field is partial and must not be consumed.
   bool censored = false;
-  /// The bound a censored run was cut at (infinity when unbounded).
-  double time_bound = 0.0;
 
   /// End-to-end wall time of the simulated run (seconds); for censored
   /// runs, the bound-crossing clock value (a lower bound on the true
@@ -112,10 +106,6 @@ struct ExecutionReport {
   /// (events/second), reported by the BM_SimThroughput* benchmarks and the
   /// automap_sim_events_total counter.
   std::uint64_t events = 0;
-  /// total_seconds / iterations — the per-iteration metric of Figure 9.
-  [[nodiscard]] double seconds_per_iteration() const {
-    return iterations > 0 ? total_seconds / iterations : total_seconds;
-  }
 
   /// Bytes moved by inferred copies, per iteration.
   std::uint64_t intra_node_copy_bytes = 0;

@@ -35,14 +35,12 @@ constexpr std::uint64_t kFaultSalt = 0x8f6a3c1db94e527bULL;
 
 /// Resets a scratch-held report to the state a fresh run expects. Vectors
 /// are cleared, not deallocated, so steady-state runs reuse their capacity.
-void clear_report(ExecutionReport& report, int iterations,
-                  double time_bound) {
+void clear_report(ExecutionReport& report, int iterations) {
   report.ok = false;
   report.failure.clear();
   report.transient = false;
   report.faults = FaultCounts{};
   report.censored = false;
-  report.time_bound = time_bound;
   report.total_seconds = 0.0;
   report.iterations = iterations;
   report.intra_node_copy_bytes = 0;
@@ -57,24 +55,36 @@ void clear_report(ExecutionReport& report, int iterations,
 
 }  // namespace
 
+void validate_sim_options(const SimOptions& options) {
+  const auto require = [](bool ok, const char* field, const char* rule,
+                          double value) {
+    if (ok) return;
+    std::ostringstream os;
+    os << "invalid sim options: " << field << " must be " << rule << ", got "
+       << value;
+    throw Error(os.str());
+  };
+  const auto probability = [&](double p, const char* field) {
+    require(p >= 0.0 && p <= 1.0, field, "in [0, 1]", p);
+  };
+  require(options.iterations >= 1, "iterations", ">= 1", options.iterations);
+  require(std::isfinite(options.noise_sigma) && options.noise_sigma >= 0.0,
+          "noise_sigma", "finite and >= 0", options.noise_sigma);
+  const FaultModel& fm = options.faults;
+  probability(fm.crash_prob, "fault_crash");
+  probability(fm.straggler_prob, "fault_straggler");
+  require(std::isfinite(fm.straggler_factor) && fm.straggler_factor >= 1.0,
+          "fault_straggler_factor", "finite and >= 1", fm.straggler_factor);
+  probability(fm.mem_pressure_prob, "fault_mem_pressure");
+  require(fm.mem_pressure_headroom > 0.0 && fm.mem_pressure_headroom <= 1.0,
+          "fault_mem_headroom", "in (0, 1]", fm.mem_pressure_headroom);
+  probability(fm.copy_fault_prob, "fault_copy");
+}
+
 Simulator::Simulator(const MachineModel& machine, const TaskGraph& graph,
                      SimOptions options)
     : machine_(machine), graph_(graph), options_(options) {
-  AM_REQUIRE(options_.iterations > 0, "iterations must be positive");
-  AM_REQUIRE(options_.noise_sigma >= 0.0, "noise sigma must be >= 0");
-  const FaultModel& fm = options_.faults;
-  AM_REQUIRE(fm.crash_prob >= 0.0 && fm.crash_prob <= 1.0,
-             "crash probability must be in [0, 1]");
-  AM_REQUIRE(fm.straggler_prob >= 0.0 && fm.straggler_prob <= 1.0,
-             "straggler probability must be in [0, 1]");
-  AM_REQUIRE(fm.straggler_factor >= 1.0, "straggler factor must be >= 1");
-  AM_REQUIRE(fm.mem_pressure_prob >= 0.0 && fm.mem_pressure_prob <= 1.0,
-             "memory-pressure probability must be in [0, 1]");
-  AM_REQUIRE(
-      fm.mem_pressure_headroom > 0.0 && fm.mem_pressure_headroom <= 1.0,
-      "memory-pressure headroom must be in (0, 1]");
-  AM_REQUIRE(fm.copy_fault_prob >= 0.0 && fm.copy_fault_prob <= 1.0,
-             "copy-fault probability must be in [0, 1]");
+  validate_sim_options(options_);
   machine_.validate();
   graph_.validate();
   topo_order_ = graph_.topological_order();
@@ -270,14 +280,11 @@ void Simulator::prepare(SimScratch& scratch) const {
   scratch.finish_prev_.resize(graph_.num_tasks());
   scratch.finish_cur_.resize(graph_.num_tasks());
   scratch.report_.tasks.reserve(graph_.num_tasks());
-  scratch.resolve_ok_ = false;
 }
 
-void Simulator::resolve_memories(const Mapping& mapping,
+bool Simulator::resolve_memories(const Mapping& mapping,
                                  SimScratch& scratch) const {
-  scratch.resolve_ok_ = false;
   scratch.demoted_args_ = 0;
-  scratch.failure_kind_ = SimScratch::ResolveFailure::kNone;
   scratch.footprints_.clear();
 
   // Per (node, mem kind): bytes committed to the *fullest single instance*
@@ -361,10 +368,9 @@ void Simulator::resolve_memories(const Mapping& mapping,
         // Record only the offending ids: the message is built lazily by
         // begin_runs, so the resolve pass — probed on every candidate —
         // stays allocation-free.
-        scratch.failure_kind_ = SimScratch::ResolveFailure::kOutOfMemory;
         scratch.failure_task_ = static_cast<std::uint32_t>(task.id.index());
         scratch.failure_collection_ = static_cast<std::uint32_t>(cid.value());
-        return;
+        return false;
       }
     }
   }
@@ -380,7 +386,7 @@ void Simulator::resolve_memories(const Mapping& mapping,
          .peak_instance_bytes = peak,
          .capacity_bytes = machine_.mem_capacity(kind)});
   }
-  scratch.resolve_ok_ = true;
+  return true;
 }
 
 void Simulator::build_plan(const Mapping& mapping, std::uint64_t hash,
@@ -536,7 +542,7 @@ void Simulator::simulate(std::uint64_t seed, double time_bound,
                          SimScratch& scratch, ExecutionReport& report) const {
   // Everything mapping-dependent was flattened into the plan by
   // begin_runs; the loop below never touches the Mapping again.
-  clear_report(report, options_.iterations, time_bound);
+  clear_report(report, options_.iterations);
   report.footprints = scratch.footprints_;
   report.demoted_args = scratch.demoted_args_;
 
@@ -818,27 +824,24 @@ bool Simulator::begin_runs(const Mapping& mapping, std::uint64_t hash,
   {
     const auto violations = mapping.violations(graph_, machine_);
     if (!violations.empty()) {
-      clear_report(scratch.report_, options_.iterations, kInf);
+      clear_report(scratch.report_, options_.iterations);
       scratch.report_.failure = "invalid mapping: " + violations.front();
       return false;
     }
   }
 
-  resolve_memories(mapping, scratch);
-  if (!scratch.resolve_ok_) {
-    clear_report(scratch.report_, options_.iterations, kInf);
+  if (!resolve_memories(mapping, scratch)) {
+    clear_report(scratch.report_, options_.iterations);
     // The resolve pass records only ids; the human-readable message is
     // built here, on the (cold) failure path.
-    if (scratch.failure_kind_ == SimScratch::ResolveFailure::kOutOfMemory) {
-      const CollectionId cid(scratch.failure_collection_);
-      std::ostringstream os;
-      os << "out of memory: no memory kind in the priority list of task "
-         << graph_.task(TaskId(scratch.failure_task_)).name << " argument "
-         << graph_.collection(cid).name << " ("
-         << format_bytes(graph_.collection_bytes(cid))
-         << ") has capacity left";
-      scratch.report_.failure = os.str();
-    }
+    const CollectionId cid(scratch.failure_collection_);
+    std::ostringstream os;
+    os << "out of memory: no memory kind in the priority list of task "
+       << graph_.task(TaskId(scratch.failure_task_)).name << " argument "
+       << graph_.collection(cid).name << " ("
+       << format_bytes(graph_.collection_bytes(cid))
+       << ") has capacity left";
+    scratch.report_.failure = os.str();
     return false;
   }
   build_plan(mapping, hash, scratch);

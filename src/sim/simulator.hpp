@@ -103,6 +103,13 @@ struct SimOptions {
   MetricsRegistry* metrics = nullptr;
 };
 
+/// Throws Error naming the first field, by its SimOptions JSON key, that
+/// no simulator can run with: iterations >= 1, noise_sigma finite and
+/// >= 0, every fault probability in [0, 1], fault_straggler_factor finite
+/// and >= 1, fault_mem_headroom in (0, 1]. The Simulator constructor
+/// checks it; the daemon checks it at submit.
+void validate_sim_options(const SimOptions& options);
+
 class Simulator;
 
 /// Reusable scratch arena for Simulator runs. All per-run state (memory
@@ -178,13 +185,10 @@ class SimScratch {
   const Simulator* prepared_for_ = nullptr;
 
   // Memory-resolution state (valid between resolve and the runs using it).
-  // Failures are recorded as an enum plus the offending ids; the message
+  // An out-of-memory failure is recorded as the offending ids; the message
   // string is built lazily by begin_runs so the resolve pass itself stays
   // allocation-free.
-  enum class ResolveFailure : std::uint8_t { kNone, kOutOfMemory };
-  bool resolve_ok_ = false;
   int demoted_args_ = 0;
-  ResolveFailure failure_kind_ = ResolveFailure::kNone;
   std::uint32_t failure_task_ = 0;
   std::uint32_t failure_collection_ = 0;
   std::vector<ResolvedArg> resolved_;  // by flat argument id
@@ -310,8 +314,10 @@ class Simulator {
 
   /// Allocation pass: picks a concrete memory kind per argument from its
   /// priority list under per-instance capacity accounting. Fills the
-  /// resolution state of `scratch`.
-  void resolve_memories(const Mapping& mapping, SimScratch& scratch) const;
+  /// resolution state of `scratch`; false when some argument fits nowhere
+  /// (out of memory).
+  [[nodiscard]] bool resolve_memories(const Mapping& mapping,
+                                      SimScratch& scratch) const;
 
   /// Builds the scratch-held execution plan (SimScratch::PlanTask/PlanEdge/
   /// PlanLeg) for a resolved mapping: one row per task/edge/copy-leg in

@@ -80,11 +80,6 @@ class Histogram {
   double sum_ = 0.0;
 };
 
-/// "p50=<v> p95=<v> p99=<v>" with deterministic json_double formatting —
-/// the human-readable quantile line `stats` and `top` print per latency
-/// histogram. Empty histograms render "p50=- p95=- p99=-".
-[[nodiscard]] std::string render_quantiles(const Histogram& histogram);
-
 /// Insertion-ordered registry. Registration is idempotent by name (the
 /// evaluator and CCD both run per search; re-registering returns the
 /// existing instrument), lookups during search go through cached pointers.

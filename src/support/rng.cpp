@@ -140,6 +140,4 @@ bool Rng::in_wedge(std::size_t layer, double x) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-Rng Rng::fork() { return Rng(next() ^ 0xa0761d6478bd642fULL); }
-
 }  // namespace automap

@@ -18,7 +18,6 @@ class Table {
   void add_row(std::vector<std::string> cells);
 
   [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
-  [[nodiscard]] std::size_t num_columns() const { return headers_.size(); }
 
   /// Renders with column alignment and a header separator.
   void print(std::ostream& os) const;

@@ -58,10 +58,6 @@ Rect Rect::intersect(const Rect& other) const {
   return out;
 }
 
-bool Rect::overlaps(const Rect& other) const {
-  return dims == other.dims && !intersect(other).empty();
-}
-
 bool Rect::contains(const Rect& other) const {
   if (dims != other.dims || other.empty()) return false;
   for (int d = 0; d < dims; ++d)

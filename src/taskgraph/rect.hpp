@@ -36,8 +36,6 @@ struct Rect {
   [[nodiscard]] std::uint64_t volume() const;
   /// Component-wise intersection (same dimensionality required).
   [[nodiscard]] Rect intersect(const Rect& other) const;
-  /// True when the rectangles share at least one point.
-  [[nodiscard]] bool overlaps(const Rect& other) const;
   /// True when other is fully contained in *this.
   [[nodiscard]] bool contains(const Rect& other) const;
 

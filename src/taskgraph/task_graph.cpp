@@ -111,20 +111,6 @@ std::uint64_t TaskGraph::collection_bytes(CollectionId id) const {
   return c.volume() * region(c.region).bytes_per_element;
 }
 
-std::vector<const DependenceEdge*> TaskGraph::incoming(TaskId id) const {
-  std::vector<const DependenceEdge*> out;
-  for (const auto& e : edges_)
-    if (e.consumer == id) out.push_back(&e);
-  return out;
-}
-
-std::vector<const DependenceEdge*> TaskGraph::outgoing(TaskId id) const {
-  std::vector<const DependenceEdge*> out;
-  for (const auto& e : edges_)
-    if (e.producer == id) out.push_back(&e);
-  return out;
-}
-
 namespace {
 
 /// Kahn's algorithm over the same-iteration edges. The order leaves out
@@ -186,6 +172,7 @@ void TaskGraph::validate() const {
   const auto invalid = [](const std::string& what) {
     return Error("invalid task graph: " + what);
   };
+  if (tasks_.empty()) throw invalid("no tasks");
   for (std::size_t i = 0; i < edges_.size(); ++i) {
     const DependenceEdge& e = edges_[i];
     const std::string missing = e.carries_data && e.bytes == 0

@@ -132,10 +132,10 @@ class TaskGraph {
   void append_task_arg(TaskId task, CollectionUse use);
   void add_dependence(DependenceEdge edge);
 
-  /// Checks that every edge's endpoint tasks take its collections as
-  /// arguments, that a data-carrying edge moves bytes, and that the
-  /// same-iteration subgraph is acyclic. Throws a one-line Error naming
-  /// the edge, or the tasks on a cycle.
+  /// Checks that the graph has a task, that every edge's endpoint tasks
+  /// take its collections as arguments, that a data-carrying edge moves
+  /// bytes, and that the same-iteration subgraph is acyclic. Throws a
+  /// one-line Error naming the edge, or the tasks on a cycle.
   void validate() const;
   /// Empty when both endpoint tasks of `edge` take its collections as
   /// arguments; otherwise which task lacks which collection, by index and
@@ -176,10 +176,6 @@ class TaskGraph {
 
   /// Bytes of one collection (volume x element size of its region).
   [[nodiscard]] std::uint64_t collection_bytes(CollectionId id) const;
-
-  /// Incoming dependences of a task (same-iteration and cross-iteration).
-  [[nodiscard]] std::vector<const DependenceEdge*> incoming(TaskId id) const;
-  [[nodiscard]] std::vector<const DependenceEdge*> outgoing(TaskId id) const;
 
   /// Topological order of the same-iteration subgraph.
   [[nodiscard]] std::vector<TaskId> topological_order() const;

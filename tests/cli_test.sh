@@ -227,6 +227,43 @@ expect_one_error "cannot open for reading: $DIR/nonexistent.graph" \
 expect_one_error "cannot write output file: $DIR/nonexistent_dir/x.mapping" \
       "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --rotations 1 \
       -o "$DIR/nonexistent_dir/x.mapping"
+# The graph header's counts must match what follows, and a graph needs a
+# task.
+sed '1s/ tasks [0-9]* / tasks 99 /' "$DIR/g.graph" > "$DIR/count.graph"
+expect_one_error "line 1: the header declares 99 tasks but the file holds 3" \
+      "$CLI" search "$DIR/m.machine" "$DIR/count.graph" --rotations 1
+echo "taskgraph" > "$DIR/bare.graph"
+expect_one_error "line 1: expected: taskgraph regions <n> collections <n>" \
+      "$CLI" search "$DIR/m.machine" "$DIR/bare.graph" --rotations 1
+echo "taskgraph regions 0 collections 0 tasks 0 edges 0" > "$DIR/none.graph"
+expect_one_error "invalid task graph: no tasks" \
+      "$CLI" describe "$DIR/m.machine" "$DIR/none.graph"
+# Simulator options are checked where they enter.
+expect_one_error "invalid sim options: fault_crash must be in \[0, 1\], got 2" \
+      "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --fault-crash 2
+# Positional numbers decode strictly, presets and apps are checked by
+# name, and out-of-range arguments are plain errors.
+expect_one_error "<nodes> expects an integer, got 'x'" \
+      "$CLI" export-machine shepard x "$DIR/x.machine"
+expect_one_error "<nodes> must be >= 1, got 0" \
+      "$CLI" export-machine shepard 0 "$DIR/x.machine"
+expect_one_error "unknown machine preset 'nosuch' (expected shepard|lassen|cpu-cluster)" \
+      "$CLI" export-machine nosuch 1 "$DIR/x.machine"
+test ! -e "$DIR/x.machine"
+expect_one_error "unknown application 'nosuch' (expected circuit|stencil|pennant|htr|maestro)" \
+      "$CLI" export-app nosuch 1 0 "$DIR/x.graph"
+expect_one_error "<step> must be in \[0, 7\] for circuit, got 99" \
+      "$CLI" export-app circuit 1 99 "$DIR/x.graph"
+expect_one_error "<step> expects an integer, got '1.5'" \
+      "$CLI" export-app circuit 1 1.5 "$DIR/x.graph"
+test ! -e "$DIR/x.graph"
+expect_one_error "<job> expects a non-negative integer, got 'abc'" \
+      "$CLI" client --socket "$DIR/no.sock" status abc
+expect_one_error "no checkpoint at $DIR/missing.ckpt" \
+      "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --resume "$DIR/missing.ckpt"
+expect_one_error "--repeats must be >= 1, got 0" \
+      "$CLI" evaluate "$DIR/m.machine" "$DIR/g.graph" "$DIR/best.mapping" \
+      --repeats 0
 
 # A garbled profiles database must fail with a one-line diagnostic and a
 # nonzero exit, not a raw uncaught exception / abort.
@@ -435,6 +472,15 @@ if "$CLI" replay "$DIR/m.machine" "$DIR/s.graph" "$DIR/tampered.jsonl" \
   exit 1
 fi
 grep -q "DRIFT" "$DIR/tampered.out"
+
+# A file that is not a search journal is one plain error line.
+expect_one_error "journal does not start with a header record" \
+      "$CLI" explain "$DIR/g.graph" "$DIR/options.json"
+head -1 "$DIR/s.journal.jsonl" > "$DIR/header-only.jsonl"
+expect_one_error "journal has no search_begin record" \
+      "$CLI" explain "$DIR/s.graph" "$DIR/header-only.jsonl"
+expect_one_error "journal has no search_begin record" \
+      "$CLI" replay "$DIR/m.machine" "$DIR/s.graph" "$DIR/header-only.jsonl"
 
 # Unwritable output paths fail up front with one Error line, before any
 # search work runs.

@@ -48,14 +48,6 @@ TEST_F(ExtraAlgorithms, AnnealingImprovesOnStartingPoint) {
   EXPECT_LE(quiet.run(r.best, 0).total_seconds, start * 1.02);
 }
 
-TEST_F(ExtraAlgorithms, AnnealingRejectsBadConfigs) {
-  EXPECT_THROW((void)run_simulated_annealing(
-                   sim, budgeted, {.initial_temperature = 0.0}),
-               Error);
-  EXPECT_THROW(
-      (void)run_simulated_annealing(sim, budgeted, {.cooling = 1.5}), Error);
-}
-
 TEST_F(ExtraAlgorithms, HeftPicksFastProcessorsStatistically) {
   const SearchResult r = run_heft_static(sim, budgeted);
   EXPECT_EQ(r.algorithm, "HEFT-static");
@@ -90,7 +82,7 @@ TEST_F(ExtraAlgorithms, CcdBeatsTheBaselinesOnSmallInputs) {
 TEST_F(ExtraAlgorithms, MultistartNeverWorseThanSingleStart) {
   const SearchOptions unbudgeted{.rotations = 3, .repeats = 3, .seed = 11};
   const SearchResult single = run_ccd(sim, unbudgeted);
-  const SearchResult multi = run_ccd_multistart(sim, unbudgeted, 2);
+  const SearchResult multi = run_ccd_multistart(sim, unbudgeted);
   EXPECT_EQ(multi.algorithm, "AM-CCD-multistart");
   EXPECT_TRUE(multi.best.valid(app.graph, machine));
   // The multistart finalist pool includes the single-start candidates via
@@ -103,10 +95,9 @@ TEST_F(ExtraAlgorithms, MultistartRespectsBudget) {
   SearchOptions capped{.rotations = 3, .repeats = 3, .seed = 11};
   const SearchResult single = run_ccd(sim, capped);
   capped.time_budget_s = single.stats.search_time_s;  // room for ~one pass
-  const SearchResult multi = run_ccd_multistart(sim, capped, 5);
+  const SearchResult multi = run_ccd_multistart(sim, capped);
   // Later passes were skipped or truncated by the budget.
-  EXPECT_LT(multi.stats.search_time_s, 3 * single.stats.search_time_s);
-  EXPECT_THROW((void)run_ccd_multistart(sim, capped, -1), Error);
+  EXPECT_LT(multi.stats.search_time_s, 2 * single.stats.search_time_s);
 }
 
 TEST_F(ExtraAlgorithms, DeterministicPerSeed) {

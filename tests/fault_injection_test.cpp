@@ -27,6 +27,7 @@
 #include "src/sim/simulator.hpp"
 #include "src/support/durable.hpp"
 #include "src/support/error.hpp"
+#include "tests/process_temp_dir.hpp"
 
 namespace automap {
 namespace {
@@ -356,8 +357,7 @@ TEST(Checkpoint, WritingCheckpointsDoesNotChangeTheResult) {
   SearchOptions options{.rotations = 2, .repeats = 3, .seed = 31};
   const SearchResult plain = run_ccd(sim, options);
 
-  const std::string path =
-      ::testing::TempDir() + "automap_ckpt_inert.txt";
+  const std::string path = process_temp_path("ckpt_inert.txt");
   options.checkpoint_path = path;
   const SearchResult checkpointed = run_ccd(sim, options);
   expect_identical(checkpointed, plain, "checkpointing run");
@@ -381,8 +381,7 @@ TEST(Checkpoint, ResumedSearchMatchesTheUninterruptedRun) {
 
   // Kill the search mid-flight via the budget: checkpoints stop at the last
   // state the uninterrupted run also passes through.
-  const std::string path =
-      ::testing::TempDir() + "automap_ckpt_resume.txt";
+  const std::string path = process_temp_path("ckpt_resume.txt");
   SearchOptions truncated = options;
   truncated.checkpoint_path = path;
   truncated.time_budget_s = reference.stats.search_time_s * 0.5;
@@ -421,10 +420,10 @@ void expect_resumes_from_checkpoints(const Simulator& sim,
   ASSERT_NE(info, nullptr);
   const SearchResult plain = info->run(sim, options);
   // Named per test: ctest runs the sweeps in parallel processes.
-  const std::string path =
-      ::testing::TempDir() + "automap_ckpt_" +
+  const std::string path = process_temp_path(
+      std::string("ckpt_") +
       ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-      ".txt";
+      ".txt");
   std::vector<std::string> logs;
   SearchOptions checkpointed = options;
   checkpointed.checkpoint_path = path;
@@ -499,7 +498,7 @@ TEST(Checkpoint, ResumeFromAnyPrefixOfTheLogMatches) {
   options.resilience = {.max_retries = 1, .quarantine_after = 2};
   const SearchResult reference = run_ccd(sim, options);
 
-  const std::string path = ::testing::TempDir() + "automap_ckpt_prefix.txt";
+  const std::string path = process_temp_path("ckpt_prefix.txt");
   SearchOptions checkpointed = options;
   checkpointed.checkpoint_path = path;
   (void)run_ccd(sim, checkpointed);
@@ -530,7 +529,7 @@ TEST(Checkpoint, ReplayRefusesARecordOfAnotherCandidate) {
   const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
   const Simulator sim(machine, app.graph,
                       {.iterations = 2, .noise_sigma = 0.02});
-  const std::string path = ::testing::TempDir() + "automap_ckpt_records.txt";
+  const std::string path = process_temp_path("ckpt_records.txt");
   SearchOptions options{.rotations = 2, .repeats = 2, .seed = 5};
   options.checkpoint_path = path;
   (void)run_ccd(sim, options);
@@ -579,7 +578,7 @@ TEST(Checkpoint, MultistartResumesFromItsFirstPass) {
   const SearchOptions options{.rotations = 2, .repeats = 2, .seed = 3};
   const SearchResult reference = run_ccd_multistart(sim, options);
 
-  const std::string path = ::testing::TempDir() + "automap_ckpt_multi.txt";
+  const std::string path = process_temp_path("ckpt_multi.txt");
   SearchOptions cut = options;
   cut.checkpoint_path = path;
   cut.time_budget_s = run_ccd(sim, options).stats.search_time_s * 0.5;
@@ -603,7 +602,7 @@ TEST(Checkpoint, ProfilesSeededSearchResumesOverTheSameDatabase) {
   options.rotations = 3;
   const SearchResult reference = run_ccd(sim, options);
 
-  const std::string path = ::testing::TempDir() + "automap_ckpt_seeded.txt";
+  const std::string path = process_temp_path("ckpt_seeded.txt");
   SearchOptions cut = options;
   cut.checkpoint_path = path;
   cut.time_budget_s = reference.stats.search_time_s * 0.5;
@@ -624,7 +623,7 @@ TEST(Checkpoint, LogHoldsOneShortRecordPerExecutedCandidate) {
   const MachineModel machine = make_shepard(1);
   const BenchmarkApp app = make_app_by_name("pennant", 1, 0);
   const Simulator sim(machine, app.graph, {});
-  const std::string path = ::testing::TempDir() + "automap_ckpt_pennant.txt";
+  const std::string path = process_temp_path("ckpt_pennant.txt");
   SearchOptions options{.seed = 1};
   options.checkpoint_path = path;
   options.export_profiles_db = false;
@@ -647,8 +646,7 @@ TEST(Checkpoint, ResumeRejectsAlgorithmMismatch) {
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.g, {.iterations = 2, .noise_sigma = 0.02});
 
-  const std::string path =
-      ::testing::TempDir() + "automap_ckpt_mismatch.txt";
+  const std::string path = process_temp_path("ckpt_mismatch.txt");
   SearchOptions options{.rotations = 2, .repeats = 2, .seed = 3};
   options.checkpoint_path = path;
   (void)run_ccd(sim, options);

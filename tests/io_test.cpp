@@ -22,6 +22,7 @@
 #include "src/sim/simulator.hpp"
 #include "src/support/durable.hpp"
 #include "src/support/error.hpp"
+#include "tests/process_temp_dir.hpp"
 
 namespace automap {
 namespace {
@@ -264,9 +265,38 @@ TEST(TaskGraphIo, EdgeOnACollectionItsTaskLacksFailsAtItsLine) {
                "'calc_new_currents'");
 }
 
+TEST(TaskGraphIo, HeaderCountsMustMatchWhatFollows) {
+  const std::string text =
+      task_graph_to_string(make_circuit(circuit_config_for(1, 1)).graph);
+  ASSERT_EQ(text.rfind("taskgraph regions 5 collections 7 tasks 3 edges 15\n",
+                       0),
+            0u);
+  const auto read = [](const std::string& t) {
+    return task_graph_from_string(t);
+  };
+  expect_error(read, edited(text, 1, "regions 5", "regions 4"),
+               "line 1: the header declares 4 regions but the file holds 5");
+  expect_error(read, edited(text, 1, "collections 7", "collections 8"),
+               "line 1: the header declares 8 collections but the file "
+               "holds 7");
+  expect_error(read, edited(text, 1, "tasks 3", "tasks 99"),
+               "line 1: the header declares 99 tasks but the file holds 3");
+  expect_error(read, edited(text, 1, "edges 15", "edges 4"),
+               "line 1: the header declares 4 edges but the file holds 15");
+  // The counts are required and range-checked at the header's own line.
+  expect_error(read, "# comment\n" + edited(text, 1, "edges 15", "edges -1"),
+               "line 2: integer -1 outside [0, 2147483647]");
+  expect_error(read, "taskgraph\n",
+               "line 1: expected: taskgraph regions <n> collections <n> "
+               "tasks <n> edges <n>");
+  // A header that matches an empty file still holds no task graph.
+  expect_error(read, "taskgraph regions 0 collections 0 tasks 0 edges 0\n",
+               "invalid task graph: no tasks");
+}
+
 TEST(FileIo, SaveLoadRoundTrip) {
-  const std::string machine_path = "/tmp/automap_io_test.machine";
-  const std::string graph_path = "/tmp/automap_io_test.graph";
+  const std::string machine_path = process_temp_path("io_test.machine");
+  const std::string graph_path = process_temp_path("io_test.graph");
   save_machine(machine_path, make_shepard(2));
   save_task_graph(graph_path, make_circuit(circuit_config_for(1, 1)).graph);
   EXPECT_EQ(load_machine(machine_path).num_nodes(), 2);
@@ -401,7 +431,7 @@ TEST_F(LineFormats, MalformedProfilesDatabaseNamesTheLine) {
 }
 
 TEST_F(LineFormats, MalformedCheckpointNamesTheLine) {
-  const std::string path = ::testing::TempDir() + "automap_line_formats.ckpt";
+  const std::string path = process_temp_path("line_formats.ckpt");
   SearchOptions options{.rotations = 1, .repeats = 1, .seed = 2};
   options.checkpoint_path = path;
   (void)run_ccd(sim, options);

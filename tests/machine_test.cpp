@@ -38,7 +38,8 @@ TEST(Machine, LassenShape) {
   const MachineModel m = make_lassen(4);
   EXPECT_EQ(m.procs_per_node(ProcKind::kGpu), 4);  // four V100s
   EXPECT_EQ(m.mems_per_node(MemKind::kFrameBuffer), 4);
-  EXPECT_EQ(m.total_capacity(MemKind::kFrameBuffer), 4ull * 4 * (16ull << 30));
+  EXPECT_EQ(m.mem_capacity(MemKind::kFrameBuffer), 16ull << 30);
+  EXPECT_EQ(m.num_nodes(), 4);
 }
 
 TEST(Machine, AddressabilityMatrix) {
@@ -109,12 +110,6 @@ TEST(Machine, ChannelsAreSymmetric) {
       }
     }
   }
-}
-
-TEST(Machine, WithNodesRescales) {
-  const MachineModel m = make_shepard(1).with_nodes(8);
-  EXPECT_EQ(m.num_nodes(), 8);
-  EXPECT_EQ(m.total_capacity(MemKind::kZeroCopy), 8ull * (60ull << 30));
 }
 
 TEST(Machine, ValidatesMalformedMachines) {

@@ -12,14 +12,20 @@ namespace {
 
 class PartitionFixture : public ::testing::Test {
  protected:
+  /// The partition's collections as a task graph, which needs a task.
+  TaskGraph lower() {
+    p.launch("t", 1, {.cpu_seconds_per_point = 1e-3}, {});
+    return p.lower();
+  }
+
   Program p;
   RegionId region = p.add_region("r", Rect::line(0, 999), 8);
 };
 
 TEST_F(PartitionFixture, BlocksTileTheRangeExactly) {
   const auto part = make_block_partition_1d(p, region, 0, 999, 4, 2, "f");
-  ASSERT_EQ(part.num_pieces(), 4);
-  const TaskGraph g = p.lower();
+  ASSERT_EQ(part.blocks.size(), 4u);
+  const TaskGraph g = lower();
   std::int64_t expected_lo = 0;
   std::uint64_t total = 0;
   for (const CollectionId block : part.blocks) {
@@ -34,8 +40,8 @@ TEST_F(PartitionFixture, BlocksTileTheRangeExactly) {
 
 TEST_F(PartitionFixture, HalosOverlapNeighbourBlocksOnly) {
   const auto part = make_block_partition_1d(p, region, 0, 999, 4, 3, "f");
-  const TaskGraph g = p.lower();
-  for (int i = 0; i < part.num_pieces(); ++i) {
+  const TaskGraph g = lower();
+  for (std::size_t i = 0; i < part.blocks.size(); ++i) {
     if (part.halo_lo[i].valid()) {
       // A low halo overlaps exactly the previous block, by halo_width.
       EXPECT_EQ(g.overlap_bytes(part.halo_lo[i], part.blocks[i - 1]),
@@ -60,27 +66,15 @@ TEST_F(PartitionFixture, BoundaryPiecesLackOuterHalos) {
 
 TEST_F(PartitionFixture, ZeroHaloWidthProducesNoHalos) {
   const auto part = make_block_partition_1d(p, region, 0, 999, 4, 0, "f");
-  for (int i = 0; i < part.num_pieces(); ++i) {
+  for (std::size_t i = 0; i < part.blocks.size(); ++i) {
     EXPECT_FALSE(part.halo_lo[i].valid());
     EXPECT_FALSE(part.halo_hi[i].valid());
   }
 }
 
-TEST_F(PartitionFixture, PieceUsesIncludeBlockAndExistingHalos) {
-  const auto part = make_block_partition_1d(p, region, 0, 999, 4, 2, "f");
-  const auto edge = part.piece_uses(0, Privilege::kReadWrite);
-  EXPECT_EQ(edge.size(), 2u);  // block + hi halo
-  EXPECT_EQ(edge[0].privilege, Privilege::kReadWrite);
-  EXPECT_EQ(edge[1].privilege, Privilege::kReadOnly);
-  const auto middle = part.piece_uses(1, Privilege::kWriteOnly, 0.5);
-  EXPECT_EQ(middle.size(), 3u);  // block + both halos
-  EXPECT_EQ(middle[0].access_fraction, 0.5);
-  EXPECT_THROW((void)part.piece_uses(9, Privilege::kReadOnly), Error);
-}
-
 TEST_F(PartitionFixture, UnevenSplitsCoverEverything) {
   const auto part = make_block_partition_1d(p, region, 0, 999, 7, 1, "f");
-  const TaskGraph g = p.lower();
+  const TaskGraph g = lower();
   std::uint64_t total = 0;
   for (const CollectionId block : part.blocks)
     total += g.collection(block).rect.volume();
@@ -96,70 +90,6 @@ TEST_F(PartitionFixture, RejectsDegenerateInputs) {
   // Halo wider than the smallest block.
   EXPECT_THROW(make_block_partition_1d(p, region, 0, 999, 4, 300, "f"),
                Error);
-}
-
-class Partition2DFixture : public ::testing::Test {
- protected:
-  Program p;
-  RegionId region = p.add_region("r", Rect::plane(0, 99, 0, 79), 8);
-};
-
-TEST_F(Partition2DFixture, BlocksTileTheRectangle) {
-  const auto part = make_block_partition_2d(p, region, 0, 99, 0, 79,
-                                            4, 2, 2, "f");
-  EXPECT_EQ(part.num_pieces(), 8);
-  const TaskGraph g = p.lower();
-  std::uint64_t total = 0;
-  for (const CollectionId block : part.blocks)
-    total += g.collection(block).rect.volume();
-  EXPECT_EQ(total, 100u * 80u);
-  // Blocks are pairwise disjoint.
-  for (std::size_t i = 0; i < part.blocks.size(); ++i)
-    for (std::size_t j = i + 1; j < part.blocks.size(); ++j)
-      EXPECT_EQ(g.overlap_bytes(part.blocks[i], part.blocks[j]), 0u);
-}
-
-TEST_F(Partition2DFixture, HalosOverlapTheRightNeighbours) {
-  const auto part = make_block_partition_2d(p, region, 0, 99, 0, 79,
-                                            4, 2, 2, "f");
-  const TaskGraph g = p.lower();
-  // Interior piece (1, 1): all four halos exist and overlap neighbours.
-  const std::size_t i11 = part.index(1, 1);
-  ASSERT_TRUE(part.halo_xm[i11].valid());
-  ASSERT_TRUE(part.halo_xp[i11].valid());
-  ASSERT_TRUE(part.halo_ym[i11].valid());
-  EXPECT_FALSE(part.halo_yp[i11].valid());  // py = 1 is the top row
-  EXPECT_GT(g.overlap_bytes(part.halo_xm[i11],
-                            part.blocks[part.index(0, 1)]),
-            0u);
-  EXPECT_GT(g.overlap_bytes(part.halo_xp[i11],
-                            part.blocks[part.index(2, 1)]),
-            0u);
-  EXPECT_GT(g.overlap_bytes(part.halo_ym[i11],
-                            part.blocks[part.index(1, 0)]),
-            0u);
-  // No overlap with the piece's own block.
-  EXPECT_EQ(g.overlap_bytes(part.halo_xm[i11], part.blocks[i11]), 0u);
-}
-
-TEST_F(Partition2DFixture, CornersLackOutwardHalos) {
-  const auto part = make_block_partition_2d(p, region, 0, 99, 0, 79,
-                                            4, 2, 2, "f");
-  const std::size_t origin = part.index(0, 0);
-  EXPECT_FALSE(part.halo_xm[origin].valid());
-  EXPECT_FALSE(part.halo_ym[origin].valid());
-  EXPECT_TRUE(part.halo_xp[origin].valid());
-  EXPECT_TRUE(part.halo_yp[origin].valid());
-}
-
-TEST_F(Partition2DFixture, RejectsDegenerateInputs) {
-  EXPECT_THROW(
-      make_block_partition_2d(p, region, 0, 99, 0, 79, 0, 2, 1, "f"), Error);
-  EXPECT_THROW(
-      make_block_partition_2d(p, region, 10, 9, 0, 79, 2, 2, 1, "f"), Error);
-  EXPECT_THROW(
-      make_block_partition_2d(p, region, 0, 99, 0, 79, 4, 2, 50, "f"),
-      Error);
 }
 
 TEST(Registry, KnowsAllFiveApps) {

@@ -16,6 +16,7 @@
 #include "src/service/client.hpp"
 #include "src/support/crash_points.hpp"
 #include "src/support/durable.hpp"
+#include "tests/process_temp_dir.hpp"
 
 namespace automap {
 namespace {
@@ -23,9 +24,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string temp_file(const std::string& name) {
-  const std::string path =
-      (fs::path(::testing::TempDir()) / ("automap-durable-" + name))
-          .string();
+  const std::string path = process_temp_path("durable-" + name);
   fs::remove(path);
   return path;
 }

@@ -311,8 +311,7 @@ TEST(EnsembleTuner, SuggestsOrdersOfMagnitudeMoreThanItEvaluates) {
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.graph, {.iterations = 3, .noise_sigma = 0.02});
   const SearchResult ot = run_ensemble_tuner(
-      sim, {.repeats = 3, .time_budget_s = 30.0, .seed = 5},
-      {.overhead_per_suggestion_s = 1e-3});
+      sim, {.repeats = 3, .time_budget_s = 30.0, .seed = 5});
   EXPECT_GT(ot.stats.suggested, 4 * ot.stats.evaluated);
   EXPECT_GT(ot.stats.invalid, 0u);
   // OpenTuner wastes most of its time outside evaluation (paper: 13-45 %
@@ -325,11 +324,9 @@ TEST(EnsembleTuner, TerminatesWithoutBudgetViaCaps) {
   MiniApp app;
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.g, {.iterations = 2, .noise_sigma = 0.0});
-  const SearchResult ot = run_ensemble_tuner(
-      sim, {.repeats = 2, .seed = 5},
-      {.overhead_per_suggestion_s = 0.0, .max_suggestions = 500,
-       .max_evaluations = 100});
-  EXPECT_LE(ot.stats.suggested, 500u);
+  const SearchResult ot = run_ensemble_tuner(sim, {.repeats = 2, .seed = 5});
+  EXPECT_LE(ot.stats.suggested, 200000u);
+  EXPECT_LE(ot.stats.evaluated, 2000u);
 }
 
 TEST(ProfilesDb, ExportImportRoundTrip) {

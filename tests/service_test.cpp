@@ -40,18 +40,16 @@
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
 #include "src/taskgraph/task_graph.hpp"
+#include "tests/process_temp_dir.hpp"
 
 namespace automap {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// A fresh store directory per test; gtest's TempDir persists across the
-/// binary's lifetime, so each test namespaces itself.
+/// A fresh store directory per test; each test namespaces itself.
 std::string fresh_store(const std::string& name) {
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / ("automap-service-" + name))
-          .string();
+  const std::string dir = process_temp_path("store-" + name);
   fs::remove_all(dir);
   return dir;
 }
@@ -166,12 +164,11 @@ TEST(Service, PingAndUnknownOp) {
 
 TEST(Service, StructuredErrorsNotDroppedConnections) {
   MappingService service({.store_dir = fresh_store("errors"),
-                          .job_workers = 0,
-                          .max_request_bytes = 128});
+                          .job_workers = 0});
   // Oversize request: a structured too_large error, not a disconnect.
   const JsonValue big = handle_json(
-      service, "{\"op\":\"ping\",\"pad\":\"" + std::string(256, 'x') +
-                   "\"}");
+      service, "{\"op\":\"ping\",\"pad\":\"" +
+                   std::string(kDefaultMaxFrameBytes, 'x') + "\"}");
   EXPECT_EQ(big.str_or("type", ""), "error");
   EXPECT_EQ(big.str_or("code", ""), "too_large");
 
@@ -1006,6 +1003,52 @@ TEST(Service, UnrunnableSearchOptionsAreBadRequestsWithoutAJob) {
   EXPECT_TRUE(fs::is_empty(fs::path(store) / "jobs"));
 }
 
+/// One SimOptions field at a value no simulator runs with: its JSON key
+/// and the value's JSON text.
+struct BadSimField {
+  const char* key;
+  const char* value;
+};
+
+/// Names each case by its field in the test list.
+void PrintTo(const BadSimField& field, std::ostream* os) { *os << field.key; }
+
+class UnrunnableSimOptions : public ::testing::TestWithParam<BadSimField> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, UnrunnableSimOptions,
+    ::testing::Values(BadSimField{"iterations", "0"},
+                      BadSimField{"noise_sigma", "\"inf\""},
+                      BadSimField{"fault_crash", "2"},
+                      BadSimField{"fault_straggler", "-0.5"},
+                      BadSimField{"fault_straggler_factor", "0.5"},
+                      BadSimField{"fault_mem_pressure", "\"nan\""},
+                      BadSimField{"fault_mem_headroom", "0"},
+                      BadSimField{"fault_copy", "1.5"}));
+
+TEST_P(UnrunnableSimOptions, AreBadRequestsWithoutAJob) {
+  // These parse, so without the check at submit the daemon would queue
+  // the request; its job would then fail in the Simulator constructor and
+  // keep its job directory.
+  const BadSimField& bad = GetParam();
+  const std::string store = fresh_store(std::string("bad-sim-") + bad.key);
+  MappingService service({.store_dir = store, .job_workers = 0});
+  const std::string sim = "{\"schema\":" +
+                          std::to_string(kSearchOptionsSchema) + ",\"" +
+                          bad.key + "\":" + bad.value + "}";
+  const JsonValue response = handle_json(
+      service, submit_request(small_options(7), ",\"sim\":" + sim));
+  EXPECT_EQ(response.str_or("code", ""), "bad_request");
+  const std::string message = response.str_or("message", "");
+  EXPECT_EQ(message.rfind(std::string("invalid sim options: ") + bad.key +
+                              " must be ",
+                          0),
+            0u)
+      << message;
+  EXPECT_EQ(message.find(".cpp"), std::string::npos) << message;
+  EXPECT_TRUE(fs::is_empty(fs::path(store) / "jobs"));
+}
+
 TEST(Service, GraphStructureErrorsAreBadRequestsWithoutAJob) {
   // Both graphs are well-formed line by line. Without the structure
   // checks the first would be queued and its job would fail in the
@@ -1612,7 +1655,7 @@ TEST(Service, JobsReportAgeWaitSpanAndOpErrorsCountPerOp) {
 TEST(Service, SpansFileWithNonIntegerCountersIsQuarantined) {
   // restore() refuses a count that is not a bounded integer (a cast of the
   // double would be undefined behaviour), so recovery quarantines the file.
-  FlightRecorder recorder({});
+  FlightRecorder recorder([] { return 0.0; });
   const std::string span = "{\"name\":\"queued\",\"start_ms\":1";
   const std::vector<std::string> malformed = {
       "{\"dropped\":1e300,\"spans\":[]}",
@@ -1625,7 +1668,7 @@ TEST(Service, SpansFileWithNonIntegerCountersIsQuarantined) {
     EXPECT_THROW(recorder.restore(1, payload), Error) << payload;
   recorder.restore(1,
                    "{\"dropped\":3,\"spans\":[" + span + ",\"worker\":0}]}");
-  EXPECT_EQ(recorder.dropped_for(1), 3u);
+  EXPECT_NE(recorder.serialize(1).find("\"dropped\":3,"), std::string::npos);
 
   const std::string store = fresh_store("quarantine-spans");
   std::string id;
@@ -1985,9 +2028,7 @@ struct LiveServer {
   }
 
   static std::string socket_path(const std::string& name) {
-    const std::string path =
-        (fs::path(::testing::TempDir()) / ("automap-" + name + ".sock"))
-            .string();
+    const std::string path = process_temp_path(name + ".sock");
     fs::remove(path);
     return path;
   }

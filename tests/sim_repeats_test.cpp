@@ -34,7 +34,6 @@ void expect_report_eq(const ExecutionReport& a, const ExecutionReport& b) {
   EXPECT_EQ(a.failure, b.failure);
   EXPECT_EQ(a.transient, b.transient);
   EXPECT_EQ(a.censored, b.censored);
-  EXPECT_EQ(bits(a.time_bound), bits(b.time_bound));
   EXPECT_EQ(bits(a.total_seconds), bits(b.total_seconds));
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.events, b.events);

@@ -73,7 +73,8 @@ TEST(Rng, LognormalFactorHasMedianOne) {
   Rng rng(17);
   std::vector<double> xs;
   for (int i = 0; i < 50000; ++i) xs.push_back(rng.lognormal_factor(0.1));
-  EXPECT_NEAR(percentile(xs, 50.0), 1.0, 0.01);
+  std::nth_element(xs.begin(), xs.begin() + xs.size() / 2, xs.end());
+  EXPECT_NEAR(xs[xs.size() / 2], 1.0, 0.01);
   for (double x : xs) EXPECT_GT(x, 0.0);
 }
 
@@ -209,12 +210,6 @@ TEST(Rng, NormalStreamIsPinned) {
   EXPECT_EQ(sizeof(Rng), 32u) << "xoshiro256** state only, no cached draw";
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(5);
-  Rng child = a.fork();
-  EXPECT_NE(a.next(), child.next());
-}
-
 TEST(Rng, RejectsBadArguments) {
   Rng rng(1);
   EXPECT_THROW(rng.uniform_index(0), Error);
@@ -229,54 +224,6 @@ TEST(OnlineStats, MeanAndVarianceMatchClosedForm) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
   EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(OnlineStats, MergeEqualsSequential) {
-  OnlineStats all, left, right;
-  Rng rng(23);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    all.add(x);
-    (i < 500 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(left.count(), all.count());
-}
-
-TEST(OnlineStats, Ci95ShrinksWithSamples) {
-  OnlineStats small, large;
-  Rng rng(29);
-  for (int i = 0; i < 10; ++i) small.add(rng.normal());
-  for (int i = 0; i < 1000; ++i) large.add(rng.normal());
-  EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
-}
-
-TEST(Stats, PercentileInterpolates) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 4.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 2.5);
-}
-
-TEST(Stats, SummarizeBasics) {
-  const std::vector<double> xs = {3.0, 1.0, 2.0};
-  const SampleSummary s = summarize(xs);
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.0);
-  EXPECT_DOUBLE_EQ(s.median, 2.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 3.0);
-}
-
-TEST(Stats, GeometricMean) {
-  const std::vector<double> xs = {1.0, 4.0, 16.0};
-  EXPECT_NEAR(geometric_mean(xs), 4.0, 1e-12);
-  const std::vector<double> bad = {1.0, -1.0};
-  EXPECT_THROW((void)geometric_mean(bad), Error);
 }
 
 TEST(Format, Bytes) {

@@ -39,6 +39,7 @@
 #include "src/service/service.hpp"
 #include "src/support/json.hpp"
 #include "src/support/metrics.hpp"
+#include "tests/process_temp_dir.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -199,9 +200,7 @@ double result_cache_hits(MappingService& service) {
 constexpr std::uint64_t kMaxCachedResubmitAllocations = 100;
 
 TEST(WorkCounts, CachedResubmitsValidateOnceThenStayUnderTheirCeiling) {
-  const std::string store =
-      (std::filesystem::path(::testing::TempDir()) / "automap-work-counts")
-          .string();
+  const std::string store = process_temp_path("work-counts");
   std::filesystem::remove_all(store);
   std::vector<std::string> requests;
   for (const char* app : {"circuit", "stencil", "htr"})

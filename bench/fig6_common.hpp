@@ -63,8 +63,8 @@ inline BenchObservability parse_bench_observability(int argc, char** argv) {
   return opts;
 }
 
-/// Re-runs `mapping` noise-free with trace recording and emits the profile
-/// digest and/or Chrome-trace JSON.
+/// Re-runs `mapping` noise-free (Simulator::run records its events) and
+/// emits the profile digest and/or Chrome-trace JSON.
 inline void emit_bench_observability(const MachineModel& machine,
                                      const BenchmarkApp& app,
                                      const Mapping& mapping,
@@ -72,7 +72,6 @@ inline void emit_bench_observability(const MachineModel& machine,
   if (!opts.profile && opts.trace_json.empty()) return;
   SimOptions sim_options = app.sim;
   sim_options.noise_sigma = 0.0;
-  sim_options.record_trace = true;
   Simulator sim(machine, app.graph, sim_options);
   const ExecutionReport report = sim.run(mapping, 1);
   if (!report.ok) return;
@@ -82,7 +81,7 @@ inline void emit_bench_observability(const MachineModel& machine,
   }
   if (!opts.trace_json.empty()) {
     std::ofstream os(opts.trace_json);
-    os << render_chrome_trace(report);
+    os << render_chrome_trace(app.graph, report);
     std::cout << "wrote " << opts.trace_json
               << " (open in a Chrome-tracing / Perfetto viewer)\n";
   }

@@ -96,11 +96,9 @@ int main(int argc, char** argv) {
             << ")\n\n"
             << res.best.describe(graph);
 
-  // Rerun the winner with trace recording for the execution profile.
-  SimOptions traced_options = sim.options();
-  traced_options.record_trace = true;
-  const auto report =
-      Simulator(machine, graph, traced_options).run(res.best, 7);
+  // Rerun the winner for the execution profile: Simulator::run records
+  // every event of the run.
+  const auto report = sim.run(res.best, 7);
   if (report.ok)
     std::cout << "\n" << render_profile(graph, compute_profile(graph, report));
   return 0;

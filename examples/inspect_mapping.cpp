@@ -48,10 +48,11 @@ int main(int argc, char** argv) {
               << ", copies intra " << format_bytes(r.intra_node_copy_bytes)
               << " inter " << format_bytes(r.inter_node_copy_bytes)
               << " per iter\n";
-    for (const auto& tr : r.tasks) {
-      std::cout << "    " << app.graph.task(tr.task).name << ": compute "
-                << format_seconds(tr.compute_seconds) << ", wait "
-                << format_seconds(tr.copy_wait_seconds) << "\n";
+    if (!r.ok) return;
+    for (const TaskTimeBreakdown& t : task_times(app.graph, r)) {
+      std::cout << "    " << app.graph.task(t.task).name << ": compute "
+                << format_seconds(t.busy_seconds) << ", wait "
+                << format_seconds(t.copy_wait_seconds) << "\n";
     }
   };
   report("default", def);
@@ -67,14 +68,10 @@ int main(int argc, char** argv) {
     std::cout << "\nwhy the discovered mapping wins:\n"
               << compare_runs(app.graph, base_report, best_report);
   }
-  SimOptions traced_options = app.sim;
-  traced_options.record_trace = true;
-  const Simulator traced(machine, app.graph, traced_options);
-  const auto traced_report = traced.run(res.best, 99);
-  if (traced_report.ok) {
+  if (best_report.ok) {
     std::cout << "\nexecution profile of the discovered mapping:\n"
               << render_profile(app.graph,
-                                compute_profile(app.graph, traced_report));
+                                compute_profile(app.graph, best_report));
   }
 
   std::cout << "\nFig. 3-style rendering:\n"

@@ -27,24 +27,24 @@ namespace automap::cli {
 
 namespace {
 
-/// Reruns `mapping` noise-free with trace recording and emits the requested
-/// observability outputs: the profile digest to stdout and/or Chrome-trace
-/// JSON to `trace_json_path`.
+/// Reruns `mapping` noise-free (Simulator::run records its events) and
+/// emits the requested observability outputs: the profile digest to stdout
+/// and/or Chrome-trace JSON to `trace_json_path`, announced after `gap`.
 void emit_observability(const MachineModel& machine, const TaskGraph& graph,
                         const Mapping& mapping, bool profile,
                         const std::string& trace_json_path,
-                        const std::vector<TrajectoryPoint>& trajectory = {}) {
+                        const std::vector<TrajectoryPoint>& trajectory = {},
+                        const char* gap = "\n") {
   if (!profile && trace_json_path.empty()) return;
-  Simulator sim(machine, graph,
-                {.iterations = 10, .noise_sigma = 0.0, .record_trace = true});
+  Simulator sim(machine, graph, {.iterations = 10, .noise_sigma = 0.0});
   const ExecutionReport report = sim.run(mapping, 1);
   if (!report.ok) throw Error("mapping failed to execute: " + report.failure);
   if (profile) {
     std::cout << "\n" << render_profile(graph, compute_profile(graph, report));
   }
   if (!trace_json_path.empty()) {
-    save_text(trace_json_path, render_chrome_trace(report, trajectory));
-    std::cout << "\nwrote " << trace_json_path
+    save_text(trace_json_path, render_chrome_trace(graph, report, trajectory));
+    std::cout << gap << "wrote " << trace_json_path
               << " (open in a Chrome-tracing / Perfetto viewer)\n";
   }
 }
@@ -259,22 +259,14 @@ int cmd_visualize(const Args& args) {
   const TaskGraph graph = load_task_graph(args.pos(1));
   const Mapping mapping = Mapping::parse(load_text(args.pos(2)), graph);
   const std::string dot_path = args.value_or("--dot");
-  const std::string trace_path = args.value_or("--trace");
 
   std::cout << render_mapping(graph, mapping);
   if (!dot_path.empty()) {
     save_text(dot_path, render_mapping_dot(graph, mapping));
     std::cout << "\nwrote " << dot_path << " (render with: dot -Tsvg)\n";
   }
-  if (!trace_path.empty()) {
-    Simulator sim(machine, graph,
-                  {.iterations = 10, .noise_sigma = 0.0, .record_trace = true});
-    const ExecutionReport report = sim.run(mapping, 1);
-    if (!report.ok) throw Error("mapping failed to execute: " + report.failure);
-    save_text(trace_path, render_chrome_trace(report));
-    std::cout << "wrote " << trace_path
-              << " (open in a Chrome-tracing / Perfetto viewer)\n";
-  }
+  emit_observability(machine, graph, mapping, /*profile=*/false,
+                     args.value_or("--trace"), {}, /*gap=*/"");
   return 0;
 }
 

@@ -13,9 +13,8 @@ std::string compare_runs(const TaskGraph& graph,
                          const ExecutionReport& baseline,
                          const ExecutionReport& improved) {
   AM_REQUIRE(baseline.ok && improved.ok, "cannot compare failed runs");
-  AM_REQUIRE(baseline.tasks.size() == improved.tasks.size() &&
-                 baseline.tasks.size() == graph.num_tasks(),
-             "reports do not match the graph");
+  const std::vector<TaskTimeBreakdown> before = task_times(graph, baseline);
+  const std::vector<TaskTimeBreakdown> after = task_times(graph, improved);
 
   std::ostringstream os;
   os << "total: " << format_seconds(baseline.total_seconds) << " -> "
@@ -29,10 +28,9 @@ std::string compare_runs(const TaskGraph& graph,
   };
   std::vector<Delta> deltas;
   for (std::size_t i = 0; i < graph.num_tasks(); ++i) {
-    const double d = (baseline.tasks[i].compute_seconds +
-                      baseline.tasks[i].copy_wait_seconds) -
-                     (improved.tasks[i].compute_seconds +
-                      improved.tasks[i].copy_wait_seconds);
+    const double d =
+        (before[i].busy_seconds + before[i].copy_wait_seconds) -
+        (after[i].busy_seconds + after[i].copy_wait_seconds);
     deltas.push_back({TaskId(i), d});
   }
   std::stable_sort(deltas.begin(), deltas.end(),

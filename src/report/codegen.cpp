@@ -1,5 +1,6 @@
 #include "src/report/codegen.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 
@@ -30,13 +31,11 @@ const char* mem_expr(MemKind k) {
 std::string generate_mapper_source(const TaskGraph& graph,
                                    const Mapping& mapping,
                                    const std::string& class_name) {
-  AM_REQUIRE(!class_name.empty() &&
-                 (std::isalpha(static_cast<unsigned char>(class_name[0])) ||
-                  class_name[0] == '_'),
-             "class name must be a C++ identifier");
-  for (const char c : class_name)
-    AM_REQUIRE(std::isalnum(static_cast<unsigned char>(c)) || c == '_',
-               "class name must be a C++ identifier");
+  const auto word = [](unsigned char c) { return std::isalnum(c) || c == '_'; };
+  if (class_name.empty() || (class_name[0] >= '0' && class_name[0] <= '9') ||
+      !std::ranges::all_of(class_name, word))
+    throw Error("<ClassName> must be a C++ identifier, got '" + class_name +
+                "'");
 
   std::ostringstream os;
   os << "// Generated by AutoMap: a tuned mapping as a reviewable,\n"

@@ -18,7 +18,8 @@ namespace automap {
 
 /// Emits a self-contained C++ source defining `class <class_name> :
 /// public Mapper` that replays `mapping` by task name and argument count
-/// (with a DefaultMapper fallback for unknown or reshaped tasks).
+/// (with a DefaultMapper fallback for unknown or reshaped tasks). Throws
+/// Error naming `<ClassName>` when class_name is not a C++ identifier.
 [[nodiscard]] std::string generate_mapper_source(
     const TaskGraph& graph, const Mapping& mapping,
     const std::string& class_name);

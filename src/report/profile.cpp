@@ -14,17 +14,11 @@ namespace automap {
 
 namespace {
 
-/// A resource is a processor pool iff the simulator labeled it "<kind> pool".
-bool is_pool_resource(const std::string& resource) {
-  return resource.size() >= 4 &&
-         resource.compare(resource.size() - 4, 4, "pool") == 0;
-}
-
 /// Walks the trace backwards from the event that ends last: each step's
 /// predecessor is an event ending exactly when the step starts — the
 /// simulator computes every start as max(data ready, resource free), both of
 /// which are some earlier event's end (or 0), so the chain is gap-free.
-std::vector<CriticalPathStep> extract_critical_path(
+std::vector<TraceEvent> extract_critical_path(
     const std::vector<TraceEvent>& trace, double makespan) {
   const double eps = 1e-9 * std::max(makespan, 1e-12);
   auto end_of = [&](std::size_t i) {
@@ -69,18 +63,10 @@ std::vector<CriticalPathStep> extract_critical_path(
     chain.push_back(cur);
   }
 
-  std::reverse(chain.begin(), chain.end());
-  std::vector<CriticalPathStep> path;
+  std::vector<TraceEvent> path;
   path.reserve(chain.size());
-  for (const std::size_t i : chain) {
-    const TraceEvent& e = trace[i];
-    path.push_back({.kind = e.kind,
-                    .name = e.name,
-                    .resource = e.resource,
-                    .iteration = e.iteration,
-                    .start_s = e.start_s,
-                    .duration_s = e.duration_s});
-  }
+  for (auto i = chain.rbegin(); i != chain.rend(); ++i)
+    path.push_back(trace[*i]);
   return path;
 }
 
@@ -90,10 +76,7 @@ ExecutionProfile compute_profile(const TaskGraph& graph,
                                  const ExecutionReport& report) {
   AM_REQUIRE(report.ok, "cannot profile a failed run");
   AM_REQUIRE(!report.trace.empty(),
-             "report has no trace; run the simulator with "
-             "SimOptions::record_trace");
-  AM_REQUIRE(report.tasks.size() == graph.num_tasks(),
-             "report does not match graph");
+             "report has no events; only Simulator::run records them");
 
   ExecutionProfile p;
   p.makespan_s = report.total_seconds;
@@ -106,18 +89,22 @@ ExecutionProfile compute_profile(const TaskGraph& graph,
   // (each pool/channel is a serialized busy-until state in the simulator).
   // kFault annotations overlap the task/copy they describe, so counting
   // them would double-book the resource; they feed the fault attribution
-  // totals instead.
+  // totals instead, and stay out of the timeline the critical path walks.
   std::map<std::string, ResourceUsage> rows;
+  std::vector<TraceEvent> timeline;
+  timeline.reserve(report.trace.size());
   for (const TraceEvent& e : report.trace) {
     if (e.kind == TraceEvent::Kind::kFault) {
       ++p.fault_events;
       p.fault_lost_s += e.duration_s;
       continue;
     }
-    ResourceUsage& row = rows[e.resource];
+    timeline.push_back(e);
+    const std::string resource = trace_resource(e);
+    ResourceUsage& row = rows[resource];
     if (row.events == 0) {
-      row.resource = e.resource;
-      row.is_processor = is_pool_resource(e.resource);
+      row.resource = resource;
+      row.is_processor = e.kind == TraceEvent::Kind::kTask;
     }
     row.busy_seconds += e.duration_s;
     row.bytes += e.bytes;
@@ -133,43 +120,18 @@ ExecutionProfile compute_profile(const TaskGraph& graph,
                      return a.busy_seconds > b.busy_seconds;
                    });
 
-  // Per-task breakdown from the report's per-iteration averages. The noise
-  // multiplier applies to the whole duration while the overhead terms are
-  // recorded un-noised, so clamp the residual at zero.
-  for (const TaskReport& tr : report.tasks) {
-    TaskTimeBreakdown b;
-    b.task = tr.task;
-    b.proc = tr.proc;
-    b.busy_seconds = tr.compute_seconds;
-    b.launch_overhead_seconds = tr.launch_overhead_seconds;
-    b.runtime_overhead_seconds = tr.runtime_overhead_seconds;
-    b.compute_seconds =
-        std::max(0.0, tr.compute_seconds - tr.launch_overhead_seconds -
-                          tr.runtime_overhead_seconds);
-    b.copy_wait_seconds = tr.copy_wait_seconds;
-    p.tasks.push_back(b);
-  }
+  p.tasks = task_times(graph, report);
   std::stable_sort(p.tasks.begin(), p.tasks.end(),
                    [](const TaskTimeBreakdown& a, const TaskTimeBreakdown& b) {
                      return a.busy_seconds > b.busy_seconds;
                    });
 
-  if (p.fault_events == 0) {
-    p.critical_path = extract_critical_path(report.trace, p.makespan_s);
-  } else {
-    // Fault annotations are not schedulable work; walking through one would
-    // corrupt the back-to-back chain. Filter them out first.
-    std::vector<TraceEvent> timeline;
-    timeline.reserve(report.trace.size() - p.fault_events);
-    for (const TraceEvent& e : report.trace)
-      if (e.kind != TraceEvent::Kind::kFault) timeline.push_back(e);
-    p.critical_path = extract_critical_path(timeline, p.makespan_s);
-  }
+  p.critical_path = extract_critical_path(timeline, p.makespan_s);
   if (!p.critical_path.empty()) {
-    const CriticalPathStep& last = p.critical_path.back();
+    const TraceEvent& last = p.critical_path.back();
     p.critical_path_s =
         last.start_s + last.duration_s - p.critical_path.front().start_s;
-    for (const CriticalPathStep& s : p.critical_path) {
+    for (const TraceEvent& s : p.critical_path) {
       (s.kind == TraceEvent::Kind::kTask ? p.critical_task_s
                                          : p.critical_copy_s) += s.duration_s;
     }
@@ -216,14 +178,15 @@ std::string render_profile(const TaskGraph& graph,
   // The full chain repeats per iteration; show the last iteration's steps.
   const int last_iter =
       p.critical_path.empty() ? 0 : p.critical_path.back().iteration;
-  for (const CriticalPathStep& s : p.critical_path) {
+  for (const TraceEvent& s : p.critical_path) {
     if (s.iteration != last_iter) continue;
     os << "  " << format_fixed(s.start_s, 6) << "s +"
        << format_seconds(s.duration_s) << "  ["
        << (s.kind == TraceEvent::Kind::kTask   ? "task"
            : s.kind == TraceEvent::Kind::kCopy ? "copy"
                                                : "fault")
-       << "] " << s.name << " on " << s.resource << "\n";
+       << "] " << trace_name(graph, s) << " on " << trace_resource(s)
+       << "\n";
   }
   if (p.fault_events > 0) {
     os << "\ninjected faults: " << p.fault_events << " events, "

@@ -2,7 +2,7 @@
 
 // Execution observability (ROADMAP: make mapping decisions explainable).
 //
-// The simulator's trace buffer (ExecutionReport::trace) records every task
+// The events Simulator::run records (ExecutionReport::trace) hold every task
 // wave and copy leg with its resource, start and duration; this module
 // digests that buffer into the quantities the paper's analysis sections
 // (§5, Figs. 6-8) reason about: per-resource utilization/occupancy (proc
@@ -40,32 +40,6 @@ struct ResourceUsage {
   std::uint64_t bytes = 0;
 };
 
-/// Per-iteration time breakdown of one group task.
-struct TaskTimeBreakdown {
-  TaskId task;
-  ProcKind proc = ProcKind::kCpu;
-  /// Total pool busy time per iteration (= TaskReport::compute_seconds).
-  double busy_seconds = 0.0;
-  /// Pure compute + memory-access share (busy minus the overhead terms).
-  double compute_seconds = 0.0;
-  /// Per-wave launch overhead share.
-  double launch_overhead_seconds = 0.0;
-  /// Mapping-independent per-launch runtime cost share.
-  double runtime_overhead_seconds = 0.0;
-  /// Time blocked on incoming copies before the pool could start.
-  double copy_wait_seconds = 0.0;
-};
-
-/// One step of the extracted critical path (chronological order).
-struct CriticalPathStep {
-  TraceEvent::Kind kind = TraceEvent::Kind::kTask;
-  std::string name;
-  std::string resource;
-  int iteration = 0;
-  double start_s = 0.0;
-  double duration_s = 0.0;
-};
-
 struct ExecutionProfile {
   double makespan_s = 0.0;
   int iterations = 0;
@@ -77,13 +51,14 @@ struct ExecutionProfile {
 
   /// Sorted by busy time, descending.
   std::vector<ResourceUsage> resources;
-  /// Sorted by busy time, descending.
+  /// task_times, sorted by busy time, descending.
   std::vector<TaskTimeBreakdown> tasks;
 
-  /// Chain of back-to-back events ending at the makespan: each step starts
-  /// exactly when its predecessor ends (the simulator's start = max(ready,
-  /// busy) guarantees such a predecessor exists down to t = 0).
-  std::vector<CriticalPathStep> critical_path;
+  /// Chain of back-to-back events ending at the makespan, in chronological
+  /// order: each step starts exactly when its predecessor ends (the
+  /// simulator's start = max(ready, busy) guarantees such a predecessor
+  /// exists down to t = 0).
+  std::vector<TraceEvent> critical_path;
   /// End-to-end span of the chain (last end - first start). When the chain
   /// reaches back to t = 0 this equals the makespan.
   double critical_path_s = 0.0;
@@ -100,8 +75,8 @@ struct ExecutionProfile {
   double fault_lost_s = 0.0;
 };
 
-/// Digests a traced execution report. Requires report.ok and a non-empty
-/// trace (run the simulator with SimOptions::record_trace).
+/// Digests a recorded execution report. Requires report.ok and a non-empty
+/// trace (a report from Simulator::run).
 [[nodiscard]] ExecutionProfile compute_profile(const TaskGraph& graph,
                                                const ExecutionReport& report);
 

@@ -6,6 +6,7 @@
 
 #include "src/support/error.hpp"
 #include "src/support/format.hpp"
+#include "src/support/json.hpp"
 
 namespace automap {
 
@@ -45,16 +46,6 @@ std::string dot_escape(const std::string& s) {
     if (c == '"' || c == '\\' || c == '{' || c == '}' || c == '|' ||
         c == '<' || c == '>')
       out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
     out.push_back(c);
   }
   return out;
@@ -185,18 +176,14 @@ std::string render_mapping_dot(const TaskGraph& graph,
   return os.str();
 }
 
-std::string render_chrome_trace(const ExecutionReport& report) {
-  return render_chrome_trace(report, {});
-}
-
 std::string render_chrome_trace(
-    const ExecutionReport& report,
+    const TaskGraph& graph, const ExecutionReport& report,
     const std::vector<TrajectoryPoint>& trajectory) {
   AM_REQUIRE(report.ok, "cannot render a trace of a failed run");
   // Stable row ids per resource.
   std::map<std::string, int> rows;
   for (const TraceEvent& e : report.trace)
-    rows.emplace(e.resource, static_cast<int>(rows.size()) + 1);
+    rows.emplace(trace_resource(e), static_cast<int>(rows.size()) + 1);
 
   ChromeTraceBuilder trace;
   for (const auto& [resource, tid] : rows) trace.lane(tid, resource);
@@ -209,8 +196,8 @@ std::string render_chrome_trace(
                        "\"";
     if (e.kind == TraceEvent::Kind::kCopy)
       args += ",\"bytes\":" + std::to_string(e.bytes);
-    trace.complete(rows.at(e.resource), e.name, e.start_s * 1e6,
-                   e.duration_s * 1e6, args);
+    trace.complete(rows.at(trace_resource(e)), trace_name(graph, e),
+                   e.start_s * 1e6, e.duration_s * 1e6, args);
   }
   if (!trajectory.empty()) {
     // The search clock (simulated hours of candidate evaluation) and the

@@ -58,18 +58,15 @@ class ChromeTraceBuilder {
 [[nodiscard]] std::string render_mapping_dot(const TaskGraph& graph,
                                              const Mapping& mapping);
 
-/// Chrome tracing JSON ("traceEvents" array of complete events) of an
-/// execution report recorded with SimOptions::record_trace. Resources
-/// become rows (tid); durations are exported in microseconds.
-[[nodiscard]] std::string render_chrome_trace(const ExecutionReport& report);
-
-/// Same, with the search's incumbent-improvement trajectory overlaid as
-/// instant events on a dedicated "search" row (tid 0): each improvement
-/// appears at its fraction of the search clock mapped onto the rendered
-/// run's duration, tagged with the new best and the simulated search time.
-/// An empty trajectory renders identically to the plain overload.
+/// Chrome tracing JSON ("traceEvents" array of complete events) of the
+/// events of a Simulator::run report. Resources become rows (tid);
+/// durations are exported in microseconds. A non-empty `trajectory` (the
+/// search's incumbent improvements) is overlaid as instant events on a
+/// dedicated "search" row (tid 0): each improvement appears at its fraction
+/// of the search clock mapped onto the rendered run's duration, tagged with
+/// the new best and the simulated search time.
 [[nodiscard]] std::string render_chrome_trace(
-    const ExecutionReport& report,
-    const std::vector<TrajectoryPoint>& trajectory);
+    const TaskGraph& graph, const ExecutionReport& report,
+    const std::vector<TrajectoryPoint>& trajectory = {});
 
 }  // namespace automap

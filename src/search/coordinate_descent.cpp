@@ -139,8 +139,8 @@ std::vector<TaskId> tasks_by_runtime(const Simulator& sim, const Mapping& f,
   std::vector<double> runtime(graph.num_tasks(), 0.0);
   const ExecutionReport report = sim.run(f, seed);
   if (report.ok) {
-    for (const TaskReport& tr : report.tasks)
-      runtime[tr.task.index()] = tr.compute_seconds;
+    for (const TaskTimeBreakdown& t : task_times(graph, report))
+      runtime[t.task.index()] = t.busy_seconds;
   } else {
     // Fall back to the static CPU cost estimate when profiling fails.
     for (const GroupTask& task : graph.tasks())

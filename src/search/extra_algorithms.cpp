@@ -212,12 +212,22 @@ SearchResult run_ccd_multistart(const Simulator& sim,
     Mapping start = random_valid_mapping(sim.graph(), sim.machine(), rng);
     for (const TaskId t : options.frozen_tasks) start.copy_task(t, first);
     result = run_ccd_from(sim, next, start);
-    combined.suggested += result.stats.suggested;
-    combined.evaluated += result.stats.evaluated;
-    combined.invalid += result.stats.invalid;
-    combined.oom += result.stats.oom;
-    combined.search_time_s += result.stats.search_time_s;
-    combined.evaluation_time_s += result.stats.evaluation_time_s;
+    const SearchStats& pass = result.stats;
+    combined.suggested += pass.suggested;
+    combined.evaluated += pass.evaluated;
+    combined.invalid += pass.invalid;
+    combined.oom += pass.oom;
+    combined.censored += pass.censored;
+    combined.cache_hits += pass.cache_hits;
+    combined.transient_failures += pass.transient_failures;
+    combined.retries += pass.retries;
+    combined.quarantined += pass.quarantined;
+    combined.degraded = combined.degraded || pass.degraded;
+    combined.search_time_s += pass.search_time_s;
+    combined.evaluation_time_s += pass.evaluation_time_s;
+    combined.wall_time_s += pass.wall_time_s;
+    combined.rotations.insert(combined.rotations.end(),
+                              pass.rotations.begin(), pass.rotations.end());
   }
 
   result.algorithm = "AM-CCD-multistart";

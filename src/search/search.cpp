@@ -182,7 +182,11 @@ void validate_search_options(const SearchOptions& o, std::size_t num_tasks) {
   };
   require(o.rotations > 0, "rotations must be positive");
   require(o.repeats > 0, "repeats must be positive");
-  require(!std::isnan(o.time_budget_s), "budget must not be NaN");
+  if (!(o.time_budget_s > 0.0)) {
+    std::ostringstream os;
+    os << "budget must be positive, got " << o.time_budget_s;
+    require(false, os.str());
+  }
   require(o.top_k > 0, "top_k must be positive");
   require(o.final_repeats > 0, "final_repeats must be positive");
   require(o.resilience.max_retries >= 0, "max_retries must be >= 0");

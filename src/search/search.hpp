@@ -188,16 +188,16 @@ inline constexpr int kSearchOptionsSchema = 1;
 [[nodiscard]] Aggregation parse_aggregation(const std::string& name);
 
 /// Rejects option values no search over a graph of `num_tasks` tasks can
-/// run with (non-positive repeats, rotations, top_k or final_repeats; a
-/// NaN budget; negative retry or quarantine counts; a frozen task id
-/// outside the graph) with a one-line Error naming the field. The
+/// run with (non-positive repeats, rotations, top_k, final_repeats or
+/// budget, NaN included; negative retry or quarantine counts; a frozen
+/// task id outside the graph) with a one-line Error naming the field. The
 /// Evaluator calls it on construction and the mapping service on submit,
 /// so a bad request fails before any work starts.
 void validate_search_options(const SearchOptions& o, std::size_t num_tasks);
 
 /// Same codec for the simulator configuration that travels with a search
-/// (iterations, noise, fault model). record_trace / metrics stay out:
-/// they are runtime wiring, not search identity.
+/// (iterations, noise, fault model). The metrics registry stays out: it
+/// is runtime wiring, not search identity.
 [[nodiscard]] std::string sim_options_to_json(const SimOptions& o);
 [[nodiscard]] SimOptions sim_options_from_json(const JsonValue& v);
 [[nodiscard]] SimOptions sim_options_from_json(const std::string& text);

@@ -12,22 +12,7 @@
 
 namespace automap {
 
-/// Per-group-task measurements for one run.
-struct TaskReport {
-  TaskId task;
-  /// Processor kind the task executed on.
-  ProcKind proc = ProcKind::kCpu;
-  /// Busy time of the task's processor pool per iteration (seconds).
-  double compute_seconds = 0.0;
-  /// Time spent waiting on incoming copies per iteration (seconds).
-  double copy_wait_seconds = 0.0;
-  /// Share of compute_seconds that is per-wave launch overhead (seconds per
-  /// iteration, before noise) — the term the profile module splits out.
-  double launch_overhead_seconds = 0.0;
-  /// Share of compute_seconds that is the mapping-independent per-launch
-  /// runtime cost (seconds per iteration, before noise).
-  double runtime_overhead_seconds = 0.0;
-};
+class TaskGraph;
 
 /// Memory-kind footprint actually allocated by a run.
 struct MemoryFootprint {
@@ -38,24 +23,49 @@ struct MemoryFootprint {
   std::uint64_t capacity_bytes = 0;
 };
 
-/// One scheduled activity of a run, for timeline visualization. Only
-/// recorded when SimOptions::record_trace is set.
+/// One scheduled activity of a Simulator::run, in the order the event loop
+/// committed it. Events hold ids only; trace_name and trace_resource render
+/// them as text.
 struct TraceEvent {
   /// kFault events annotate injected faults (straggler inflation, crash
   /// points, copy re-issues); their window overlaps the affected task/copy
   /// event, so consumers must not count them toward resource busy time.
   enum class Kind : std::uint8_t { kTask, kCopy, kFault };
+  /// The fault a kFault event annotates (kNone for task and copy events).
+  enum class Cause : std::uint8_t { kNone, kStraggler, kCrash, kCopyRetry };
   Kind kind = Kind::kTask;
-  /// Task name, or "src->dst" channel description for copies.
-  std::string name;
-  /// "GPU"/"CPU" pool, intra-node channel, or the shared "network" row.
-  std::string resource;
+  Cause cause = Cause::kNone;
+  /// Processor pool of task, straggler and crash events.
+  ProcKind proc = ProcKind::kCpu;
+  /// Copy leg of copy and copy-retry events: source and destination memory
+  /// kinds, and whether it crossed the network.
+  MemKind src = MemKind::kSystem;
+  MemKind dst = MemKind::kSystem;
+  bool inter_node = false;
+  /// The task; for a copy leg, the task that consumes the data.
+  TaskId task;
   int iteration = 0;
   double start_s = 0.0;
   double duration_s = 0.0;
-  /// Bytes moved (copies only; 0 for task events).
+  /// Bytes moved (copy events only).
   std::uint64_t bytes = 0;
+  /// Task events only: time the task's data arrived after its pool was
+  /// free, and the launch-overhead and runtime-overhead shares of
+  /// duration_s (before noise).
+  double copy_wait_s = 0.0;
+  double launch_s = 0.0;
+  double runtime_s = 0.0;
 };
+
+/// Trace row of an event: "<proc> pool" for task, straggler and crash
+/// events; "network" for an inter-node copy leg; "channel <src>-<dst>" for
+/// an intra-node one.
+[[nodiscard]] std::string trace_resource(const TraceEvent& event);
+/// Label of an event: the task name, "<src>-><dst> for <task>" for a copy
+/// leg, and "straggler: ", "crash: " or "copy fault: " before the label of
+/// the event a fault annotates.
+[[nodiscard]] std::string trace_name(const TaskGraph& graph,
+                                     const TraceEvent& event);
 
 /// Tally of the faults the simulator injected into one run (all zero when
 /// SimOptions::faults is disabled).
@@ -116,7 +126,6 @@ struct ExecutionReport {
   /// objective of §3.3.
   double energy_joules = 0.0;
 
-  std::vector<TaskReport> tasks;
   std::vector<MemoryFootprint> footprints;
 
   /// Count of collection arguments that were demoted to a lower-priority
@@ -126,8 +135,34 @@ struct ExecutionReport {
   /// Injected-fault tally for this run (zeros when fault injection is off).
   FaultCounts faults;
 
-  /// Timeline events; empty unless SimOptions::record_trace.
+  /// Every task, copy and fault event of the run, in commit order. Only
+  /// Simulator::run records them; run_prepared and run_repeats leave this
+  /// empty.
   std::vector<TraceEvent> trace;
 };
+
+/// Per-iteration times of one group task.
+struct TaskTimeBreakdown {
+  TaskId task;
+  ProcKind proc = ProcKind::kCpu;
+  /// Total pool busy time per iteration.
+  double busy_seconds = 0.0;
+  /// Pure compute + memory-access share (busy minus the overhead terms).
+  double compute_seconds = 0.0;
+  /// Per-wave launch overhead share.
+  double launch_overhead_seconds = 0.0;
+  /// Mapping-independent per-launch runtime cost share.
+  double runtime_overhead_seconds = 0.0;
+  /// Time blocked on incoming copies before the pool could start.
+  double copy_wait_seconds = 0.0;
+};
+
+/// Each task's times, indexed by task id: its task events in `report.trace`
+/// summed in event order and divided by the iteration count. The noise
+/// factor scales the whole duration while the overhead shares are recorded
+/// before noise, so compute_seconds is clamped at zero. Requires a
+/// recorded run (Simulator::run).
+[[nodiscard]] std::vector<TaskTimeBreakdown> task_times(
+    const TaskGraph& graph, const ExecutionReport& report);
 
 }  // namespace automap

@@ -47,7 +47,6 @@ void clear_report(ExecutionReport& report, int iterations) {
   report.inter_node_copy_bytes = 0;
   report.energy_joules = 0.0;
   report.events = 0;
-  report.tasks.clear();
   report.footprints.clear();
   report.demoted_args = 0;
   report.trace.clear();
@@ -96,6 +95,10 @@ Simulator::Simulator(const MachineModel& machine, const TaskGraph& graph,
     // Raw run counts change with pruning on or off (bounded runs abort
     // early): deterministic=false keeps them out of the journal's metric
     // snapshots (see MetricsRegistry).
+    plans_total_ = options_.metrics->counter(
+        "automap_sim_plans_total",
+        "Execution plans requested (begin_runs calls, any outcome)",
+        /*deterministic=*/false);
     runs_total_ = options_.metrics->counter(
         "automap_sim_runs_total", "Simulated runs executed (any outcome)",
         /*deterministic=*/false);
@@ -279,7 +282,6 @@ void Simulator::prepare(SimScratch& scratch) const {
   scratch.instantiated_.resize(graph_.num_collections() * kNumMemKinds * 2);
   scratch.finish_prev_.resize(graph_.num_tasks());
   scratch.finish_cur_.resize(graph_.num_tasks());
-  scratch.report_.tasks.reserve(graph_.num_tasks());
 }
 
 bool Simulator::resolve_memories(const Mapping& mapping,
@@ -399,8 +401,6 @@ void Simulator::build_plan(const Mapping& mapping, std::uint64_t hash,
   scratch.plan_tasks_.clear();
   scratch.plan_edges_.clear();
   scratch.plan_legs_.clear();
-  scratch.leg_names_.clear();
-  scratch.leg_resources_.clear();
   scratch.plan_tasks_.reserve(graph_.num_tasks());
   scratch.plan_edges_.reserve(in_edges_.size());
   const bool multi = num_nodes_ > 1;
@@ -485,8 +485,8 @@ void Simulator::build_plan(const Mapping& mapping, std::uint64_t hash,
           pl.bytes = leg.bytes;
           pl.bytes_u64 = static_cast<std::uint64_t>(leg.bytes);
           pl.inter = leg.inter ? 1 : 0;
-          pl.src = static_cast<std::uint8_t>(si);
-          pl.dst = static_cast<std::uint8_t>(di);
+          pl.src = src;
+          pl.dst = dst;
           pl.energy = leg.inter ? leg.bytes * 0.5e-9   // NIC + switches
                                 : leg.bytes * 20e-12;  // DMA engines
           if (ch.present) {
@@ -503,15 +503,6 @@ void Simulator::build_plan(const Mapping& mapping, std::uint64_t hash,
             pl.resource = kMissingChannel;
           }
           scratch.plan_legs_.push_back(pl);
-          if (options_.record_trace) {
-            scratch.leg_names_.push_back(
-                std::string(to_string(src)) + "->" +
-                std::string(to_string(dst)) + " for " + graph_.task(tid).name);
-            scratch.leg_resources_.push_back(
-                leg.inter ? "network"
-                          : "channel " + std::string(to_string(src)) + "-" +
-                                std::string(to_string(dst)));
-          }
         }
       }
       pe.leg_end = static_cast<std::uint32_t>(scratch.plan_legs_.size());
@@ -538,19 +529,14 @@ void Simulator::build_plan(const Mapping& mapping, std::uint64_t hash,
   }
 }
 
-void Simulator::simulate(std::uint64_t seed, double time_bound,
+void Simulator::simulate(std::uint64_t seed, double time_bound, bool record,
                          SimScratch& scratch, ExecutionReport& report) const {
   // Everything mapping-dependent was flattened into the plan by
   // begin_runs; the loop below never touches the Mapping again.
   clear_report(report, options_.iterations);
   report.footprints = scratch.footprints_;
   report.demoted_args = scratch.demoted_args_;
-
-  const std::size_t num_tasks = graph_.num_tasks();
-  report.tasks.resize(num_tasks);
-  for (std::size_t i = 0; i < num_tasks; ++i)
-    report.tasks[i] = TaskReport{.task = TaskId(i)};
-  if (options_.record_trace) report.trace.reserve(trace_reserve_);
+  if (record) report.trace.reserve(trace_reserve_);
 
   Rng rng(mix64(seed) ^ scratch.plan_hash_);
 
@@ -601,7 +587,6 @@ void Simulator::simulate(std::uint64_t seed, double time_bound,
   std::vector<double>& finish_cur = scratch.finish_cur_;
 
   const double copy_noise_sigma = options_.noise_sigma * 0.5;
-  const bool record_trace = options_.record_trace;
   double makespan = 0.0;
   // Run totals accumulated in locals (registers) and flushed into the
   // report at every exit; the addition order matches the historical
@@ -637,9 +622,7 @@ void Simulator::simulate(std::uint64_t seed, double time_bound,
           const SimScratch::PlanLeg& leg = legs[li];
           if (leg.resource == kMissingChannel) {
             // Raises the standard missing-channel error.
-            (void)machine_.channel(static_cast<MemKind>(leg.src),
-                                   static_cast<MemKind>(leg.dst),
-                                   leg.inter != 0);
+            (void)machine_.channel(leg.src, leg.dst, leg.inter != 0);
           }
           double elapsed = leg.elapsed;
           if (copy_noise_sigma > 0.0)
@@ -659,24 +642,25 @@ void Simulator::simulate(std::uint64_t seed, double time_bound,
           busy = start + elapsed;
           arrival = start + elapsed;
           ++events;
-          if (record_trace) {
-            report.trace.push_back({.kind = TraceEvent::Kind::kCopy,
-                                    .name = scratch.leg_names_[li],
-                                    .resource = scratch.leg_resources_[li],
-                                    .iteration = iter,
-                                    .start_s = start,
-                                    .duration_s = elapsed,
-                                    .bytes = leg.bytes_u64});
+          if (record) {
+            TraceEvent copy{.kind = TraceEvent::Kind::kCopy,
+                            .src = leg.src,
+                            .dst = leg.dst,
+                            .inter_node = leg.inter != 0,
+                            .task = TaskId(pt.task),
+                            .iteration = iter,
+                            .start_s = start,
+                            .duration_s = elapsed,
+                            .bytes = leg.bytes_u64};
+            report.trace.push_back(copy);
             if (copy_faulted) {
               // Annotate the lost first attempt so the profile can
               // attribute the re-issue time to faults.
-              report.trace.push_back(
-                  {.kind = TraceEvent::Kind::kFault,
-                   .name = "copy fault: " + scratch.leg_names_[li],
-                   .resource = scratch.leg_resources_[li],
-                   .iteration = iter,
-                   .start_s = start,
-                   .duration_s = elapsed * 0.5});
+              copy.kind = TraceEvent::Kind::kFault;
+              copy.cause = TraceEvent::Cause::kCopyRetry;
+              copy.duration_s = elapsed * 0.5;
+              copy.bytes = 0;
+              report.trace.push_back(copy);
             }
           }
           if (leg.inter != 0) {
@@ -709,14 +693,14 @@ void Simulator::simulate(std::uint64_t seed, double time_bound,
           duration += inflation;
           ++report.faults.stragglers;
           report.faults.lost_seconds += inflation;
-          if (record_trace) {
-            report.trace.push_back(
-                {.kind = TraceEvent::Kind::kFault,
-                 .name = "straggler: " + graph_.task(TaskId(pt.task)).name,
-                 .resource = std::string(to_string(pt.proc)) + " pool",
-                 .iteration = iter,
-                 .start_s = start,
-                 .duration_s = inflation});
+          if (record) {
+            report.trace.push_back({.kind = TraceEvent::Kind::kFault,
+                                    .cause = TraceEvent::Cause::kStraggler,
+                                    .proc = pt.proc,
+                                    .task = TaskId(pt.task),
+                                    .iteration = iter,
+                                    .start_s = start,
+                                    .duration_s = inflation});
           }
         }
         // Transient crash at a uniformly sampled point of the task's
@@ -727,14 +711,14 @@ void Simulator::simulate(std::uint64_t seed, double time_bound,
           const double lost = fault_rng.uniform() * duration;
           ++report.faults.crashes;
           report.faults.lost_seconds += lost;
-          if (record_trace) {
-            report.trace.push_back(
-                {.kind = TraceEvent::Kind::kFault,
-                 .name = "crash: " + graph_.task(TaskId(pt.task)).name,
-                 .resource = std::string(to_string(pt.proc)) + " pool",
-                 .iteration = iter,
-                 .start_s = start,
-                 .duration_s = lost});
+          if (record) {
+            report.trace.push_back({.kind = TraceEvent::Kind::kFault,
+                                    .cause = TraceEvent::Cause::kCrash,
+                                    .proc = pt.proc,
+                                    .task = TaskId(pt.task),
+                                    .iteration = iter,
+                                    .start_s = start,
+                                    .duration_s = lost});
           }
           report.transient = true;
           report.failure = "transient crash in task " +
@@ -774,33 +758,21 @@ void Simulator::simulate(std::uint64_t seed, double time_bound,
       // Energy: busy instances x busy time (per-instance power), across
       // the nodes the group occupies.
       energy += duration * pt.energy_coeff;
-      if (record_trace) {
-        report.trace.push_back(
-            {.kind = TraceEvent::Kind::kTask,
-             .name = graph_.task(TaskId(pt.task)).name,
-             .resource = std::string(to_string(pt.proc)) + " pool",
-             .iteration = iter,
-             .start_s = start,
-             .duration_s = duration});
+      if (record) {
+        report.trace.push_back({.kind = TraceEvent::Kind::kTask,
+                                .proc = pt.proc,
+                                .task = TaskId(pt.task),
+                                .iteration = iter,
+                                .start_s = start,
+                                .duration_s = duration,
+                                .copy_wait_s = std::max(0.0, ready - pool_free),
+                                .launch_s = pt.launch,
+                                .runtime_s = runtime_overhead_});
       }
-
-      TaskReport& tr = report.tasks[pt.task];
-      tr.proc = pt.proc;
-      tr.compute_seconds += duration;
-      tr.copy_wait_seconds += std::max(0.0, ready - pool_free);
-      tr.launch_overhead_seconds += pt.launch;
-      tr.runtime_overhead_seconds += runtime_overhead_;
     }
     std::swap(finish_prev, finish_cur);
   }
 
-  // Per-iteration averages for the task reports.
-  for (auto& tr : report.tasks) {
-    tr.compute_seconds /= options_.iterations;
-    tr.copy_wait_seconds /= options_.iterations;
-    tr.launch_overhead_seconds /= options_.iterations;
-    tr.runtime_overhead_seconds /= options_.iterations;
-  }
   report.intra_node_copy_bytes =
       intra_bytes / static_cast<std::uint64_t>(options_.iterations);
   report.inter_node_copy_bytes =
@@ -819,6 +791,7 @@ bool Simulator::begin_runs(const Mapping& mapping,
 
 bool Simulator::begin_runs(const Mapping& mapping, std::uint64_t hash,
                            SimScratch& scratch) const {
+  if (plans_total_) plans_total_->inc();
   prepare(scratch);
 
   {
@@ -865,7 +838,7 @@ const ExecutionReport& Simulator::run_prepared(const Mapping& mapping,
                                                double time_bound) const {
   // The plan from begin_runs carries every mapping-dependent quantity.
   (void)mapping;
-  simulate(seed, time_bound, scratch, scratch.report_);
+  simulate(seed, time_bound, /*record=*/false, scratch, scratch.report_);
   count_run(scratch.report_);
   return scratch.report_;
 }
@@ -876,7 +849,8 @@ std::span<const ExecutionReport> Simulator::run_repeats(
   (void)mapping;
   scratch.repeat_reports_.resize(seeds.size());
   for (std::size_t r = 0; r < seeds.size(); ++r) {
-    simulate(seeds[r], time_bound, scratch, scratch.repeat_reports_[r]);
+    simulate(seeds[r], time_bound, /*record=*/false, scratch,
+             scratch.repeat_reports_[r]);
     count_run(scratch.repeat_reports_[r]);
   }
   return scratch.repeat_reports_;
@@ -885,8 +859,10 @@ std::span<const ExecutionReport> Simulator::run_repeats(
 ExecutionReport Simulator::run(const Mapping& mapping,
                                std::uint64_t seed) const {
   SimScratch scratch;
-  if (begin_runs(mapping, scratch))
-    run_prepared(mapping, seed, scratch, kInf);
+  if (begin_runs(mapping, scratch)) {
+    simulate(seed, kInf, /*record=*/true, scratch, scratch.report_);
+    count_run(scratch.report_);
+  }
   return std::move(scratch.report_);
 }
 

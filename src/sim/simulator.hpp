@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/machine/machine.hpp"
@@ -90,9 +89,6 @@ struct SimOptions {
   int iterations = 10;
   /// Log-normal sigma of per-task execution noise; 0 disables noise.
   double noise_sigma = 0.05;
-  /// Record per-task/per-copy timeline events in the report (costs memory;
-  /// off during search, on for visualization).
-  bool record_trace = false;
   /// Deterministic fault injection; disabled by default.
   FaultModel faults;
   /// Raw simulator run counters (src/support/metrics.hpp). These count
@@ -144,7 +140,7 @@ class SimScratch {
 
   /// One task row, in topo visit order.
   struct PlanTask {
-    std::uint32_t task = 0;        // task index (report/finish slot)
+    std::uint32_t task = 0;        // task index (finish slot, trace id)
     std::uint32_t edge_begin = 0;  // [edge_begin, edge_end) into plan_edges_
     std::uint32_t edge_end = 0;
     /// Pre-noise duration: runtime overhead + wave compute + resolved
@@ -177,8 +173,8 @@ class SimScratch {
     /// on a cross-iteration edge may never execute.
     std::uint32_t resource = 0;
     std::uint8_t inter = 0;
-    std::uint8_t src = 0;  // MemKind indices, for traces and errors
-    std::uint8_t dst = 0;
+    MemKind src = MemKind::kSystem;  // for traces and errors
+    MemKind dst = MemKind::kSystem;
   };
 
   /// Identity of the simulator the buffers are currently sized for.
@@ -200,9 +196,6 @@ class SimScratch {
   std::vector<PlanTask> plan_tasks_;
   std::vector<PlanEdge> plan_edges_;
   std::vector<PlanLeg> plan_legs_;
-  /// Precomputed trace strings per leg (record_trace only; empty otherwise).
-  std::vector<std::string> leg_names_;
-  std::vector<std::string> leg_resources_;
   /// The mapping's structural hash, handed to begin_runs by a caller that
   /// already holds it (or computed there): every run's noise and fault
   /// streams are seeded from it.
@@ -223,10 +216,10 @@ class Simulator {
   Simulator(const MachineModel& machine, const TaskGraph& graph,
             SimOptions options = {});
 
-  /// Simulates one run. `seed` individualizes the noise; runs with equal
-  /// seeds and mappings are bit-identical. Convenience wrapper around
-  /// begin_runs + an unbounded run_prepared (allocates a fresh arena per
-  /// call).
+  /// Simulates one run and records its events in the report's `trace`.
+  /// `seed` individualizes the noise; runs with equal seeds and mappings
+  /// are bit-identical. begin_runs + an unbounded run that also records
+  /// (allocates a fresh arena per call).
   [[nodiscard]] ExecutionReport run(const Mapping& mapping,
                                     std::uint64_t seed) const;
 
@@ -245,7 +238,8 @@ class Simulator {
   /// One run against the plan cached by the last successful begin_runs()
   /// on this scratch. Must be called with that same mapping; behavior is
   /// undefined otherwise. Returns a reference to the report held inside the
-  /// arena, valid until the next run with it.
+  /// arena, valid until the next run with it. Records totals only: the
+  /// report's `trace` stays empty.
   ///
   /// `time_bound` bounds the simulated time: the event loop aborts as soon
   /// as any task provably finishes after it, returning a report with
@@ -329,9 +323,10 @@ class Simulator {
                   SimScratch& scratch) const;
 
   /// The event loop proper: one simulated run against the plan held in
-  /// `scratch`, written into `report`.
-  void simulate(std::uint64_t seed, double time_bound, SimScratch& scratch,
-                ExecutionReport& report) const;
+  /// `scratch`, written into `report`; `record` appends its events to
+  /// `report.trace`.
+  void simulate(std::uint64_t seed, double time_bound, bool record,
+                SimScratch& scratch, ExecutionReport& report) const;
 
   /// (Re)sizes the arena for this simulator and clears per-run state.
   void prepare(SimScratch& scratch) const;
@@ -381,11 +376,12 @@ class Simulator {
   double runtime_overhead_ = 0.0;
   int num_nodes_ = 1;
   /// Expected trace length (tasks + a 2-leg bound per data edge, per
-  /// iteration) to reserve up front when record_trace is on.
+  /// iteration) that run() reserves up front.
   std::size_t trace_reserve_ = 0;
   /// Run counters cached from options_.metrics at construction (null when
   /// metrics are disabled — the per-run cost is then a single untaken
   /// branch).
+  Counter* plans_total_ = nullptr;
   Counter* runs_total_ = nullptr;
   Counter* runs_censored_ = nullptr;
   Counter* runs_failed_ = nullptr;

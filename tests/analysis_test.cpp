@@ -32,7 +32,7 @@ class AnalysisFixture : public ::testing::Test {
   AnalysisFixture()
       : app(make_htr(htr_config_for(1, 1))), machine(make_shepard(1)),
         sim(machine, app.graph,
-            {.iterations = 3, .noise_sigma = 0.0, .record_trace = true}) {
+            {.iterations = 3, .noise_sigma = 0.0}) {
     DefaultMapper dm;
     report = sim.run(dm.map_all(app.graph, machine), 1);
   }
@@ -123,7 +123,7 @@ TEST(Analysis, CopyWaitAppearsUnderMixedMappings) {
   const BenchmarkApp app = make_circuit(circuit_config_for(1, 4));
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.graph,
-                {.iterations = 3, .noise_sigma = 0.0, .record_trace = true});
+                {.iterations = 3, .noise_sigma = 0.0});
   Mapping mixed(app.graph);
   mixed.at(TaskId(1)).proc = ProcKind::kCpu;
   std::ranges::fill(mixed.memories(TaskId(1)), MemPriority{MemKind::kSystem});

@@ -264,6 +264,18 @@ expect_one_error "no checkpoint at $DIR/missing.ckpt" \
 expect_one_error "--repeats must be >= 1, got 0" \
       "$CLI" evaluate "$DIR/m.machine" "$DIR/g.graph" "$DIR/best.mapping" \
       --repeats 0
+# A search budget must be positive, from a flag or an options file.
+expect_one_error "invalid search options: budget must be positive, got -5" \
+      "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --budget -5 --rotations 1
+expect_one_error "invalid search options: budget must be positive, got 0" \
+      "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --budget 0 --rotations 1
+echo '{"schema":1,"budget":-5}' > "$DIR/negative-budget.json"
+expect_one_error "invalid search options: budget must be positive, got -5" \
+      "$CLI" search "$DIR/m.machine" "$DIR/g.graph" \
+      --options "$DIR/negative-budget.json"
+expect_one_error "<ClassName> must be a C++ identifier, got '9bad'" \
+      "$CLI" codegen "$DIR/g.graph" "$DIR/best.mapping" 9bad "$DIR/bad.cpp"
+test ! -e "$DIR/bad.cpp"
 
 # A garbled profiles database must fail with a one-line diagnostic and a
 # nonzero exit, not a raw uncaught exception / abort.

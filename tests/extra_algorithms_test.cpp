@@ -91,6 +91,18 @@ TEST_F(ExtraAlgorithms, MultistartNeverWorseThanSingleStart) {
   EXPECT_GT(multi.stats.suggested, single.stats.suggested);
 }
 
+TEST_F(ExtraAlgorithms, MultistartCountsEveryPass) {
+  // Every proposal is executed, rejected as invalid or answered from the
+  // profiles database, in every pass; and each pass reports its rotations.
+  const SearchOptions options{.rotations = 3, .repeats = 3, .seed = 11};
+  const SearchResult single = run_ccd(sim, options);
+  const SearchResult multi = run_ccd_multistart(sim, options);
+  for (const SearchStats* s : {&single.stats, &multi.stats})
+    EXPECT_EQ(s->suggested, s->evaluated + s->invalid + s->cache_hits);
+  EXPECT_EQ(multi.stats.rotations.size(), 3 * single.stats.rotations.size());
+  EXPECT_GE(multi.stats.censored, single.stats.censored);
+}
+
 TEST_F(ExtraAlgorithms, MultistartRespectsBudget) {
   SearchOptions capped{.rotations = 3, .repeats = 3, .seed = 11};
   const SearchResult single = run_ccd(sim, capped);

@@ -123,9 +123,9 @@ TEST(SimFaults, StragglerInflatesRunAndIsAttributedInTheProfile) {
   const Mapping m = search_starting_point(app.g, machine);
 
   Simulator clean(machine, app.g,
-                  {.iterations = 2, .noise_sigma = 0.0, .record_trace = true});
+                  {.iterations = 2, .noise_sigma = 0.0});
   Simulator slow(machine, app.g,
-                 {.iterations = 2, .noise_sigma = 0.0, .record_trace = true,
+                 {.iterations = 2, .noise_sigma = 0.0,
                   .faults = {.straggler_prob = 1.0, .straggler_factor = 4.0}});
 
   const ExecutionReport base = clean.run(m, 3);

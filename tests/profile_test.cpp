@@ -185,7 +185,7 @@ TEST(Profile, UtilizationBoundedByMakespan) {
   ChainApp app;
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.g,
-                {.iterations = 3, .noise_sigma = 0.0, .record_trace = true});
+                {.iterations = 3, .noise_sigma = 0.0});
   const ExecutionReport report = sim.run(Mapping(app.g), 1);
   ASSERT_TRUE(report.ok) << report.failure;
 
@@ -226,7 +226,7 @@ TEST(Profile, CriticalPathSpansTheMakespanOnAChain) {
   ChainApp app;
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.g,
-                {.iterations = 2, .noise_sigma = 0.0, .record_trace = true});
+                {.iterations = 2, .noise_sigma = 0.0});
   const ExecutionReport report = sim.run(Mapping(app.g), 7);
   ASSERT_TRUE(report.ok) << report.failure;
 
@@ -243,20 +243,27 @@ TEST(Profile, CriticalPathSpansTheMakespanOnAChain) {
 
   // Chronological, back-to-back steps.
   for (std::size_t i = 1; i < profile.critical_path.size(); ++i) {
-    const CriticalPathStep& prev = profile.critical_path[i - 1];
-    const CriticalPathStep& cur = profile.critical_path[i];
+    const TraceEvent& prev = profile.critical_path[i - 1];
+    const TraceEvent& cur = profile.critical_path[i];
     EXPECT_NEAR(prev.start_s + prev.duration_s, cur.start_s, tol) << i;
   }
-  const CriticalPathStep& last = profile.critical_path.back();
+  const TraceEvent& last = profile.critical_path.back();
   EXPECT_NEAR(last.start_s + last.duration_s, profile.makespan_s, tol);
 }
 
 TEST(Profile, RequiresATracedSuccessfulRun) {
+  // run_prepared, the search's entry point, records totals only: its
+  // report carries no events to profile.
   ChainApp app;
   const MachineModel machine = make_shepard(1);
-  Simulator untraced(machine, app.g, {.iterations = 1, .noise_sigma = 0.0});
-  const ExecutionReport report = untraced.run(Mapping(app.g), 1);
+  Simulator sim(machine, app.g, {.iterations = 1, .noise_sigma = 0.0});
+  const Mapping mapping(app.g);
+  SimScratch scratch;
+  ASSERT_TRUE(sim.begin_runs(mapping, scratch));
+  const ExecutionReport& report = sim.run_prepared(
+      mapping, 1, scratch, std::numeric_limits<double>::infinity());
   ASSERT_TRUE(report.ok);
+  EXPECT_TRUE(report.trace.empty());
   EXPECT_THROW((void)compute_profile(app.g, report), Error);
 }
 
@@ -266,12 +273,12 @@ TEST(Profile, ChromeTraceIsValidJsonWithOneSlicePerEvent) {
   ChainApp app;
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.g,
-                {.iterations = 2, .noise_sigma = 0.0, .record_trace = true});
+                {.iterations = 2, .noise_sigma = 0.0});
   const ExecutionReport report = sim.run(Mapping(app.g), 1);
   ASSERT_TRUE(report.ok) << report.failure;
   ASSERT_FALSE(report.trace.empty());
 
-  const std::string json = render_chrome_trace(report);
+  const std::string json = render_chrome_trace(app.g, report);
   EXPECT_TRUE(JsonChecker::valid(json)) << json.substr(0, 200);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
@@ -279,7 +286,8 @@ TEST(Profile, ChromeTraceIsValidJsonWithOneSlicePerEvent) {
   // record per distinct resource.
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), report.trace.size());
   std::vector<std::string> resources;
-  for (const TraceEvent& e : report.trace) resources.push_back(e.resource);
+  for (const TraceEvent& e : report.trace)
+    resources.push_back(trace_resource(e));
   std::sort(resources.begin(), resources.end());
   resources.erase(std::unique(resources.begin(), resources.end()),
                   resources.end());
@@ -415,22 +423,23 @@ TEST(SharedInterconnect, InterNodeCopiesNeverOverlapAcrossKindPairs) {
   }
 
   Simulator sim(machine, g,
-                {.iterations = 2, .noise_sigma = 0.0, .record_trace = true});
+                {.iterations = 2, .noise_sigma = 0.0});
   const ExecutionReport report = sim.run(mapping, 3);
   ASSERT_TRUE(report.ok) << report.failure;
 
   std::vector<const TraceEvent*> network;
   for (const TraceEvent& e : report.trace)
-    if (e.resource == "network") network.push_back(&e);
+    if (trace_resource(e) == "network") network.push_back(&e);
   ASSERT_GE(network.size(), 4u);  // two kind pairs x two iterations
 
   // Both kind pairs landed on the shared row...
-  const bool has_sys = std::any_of(
-      network.begin(), network.end(),
-      [](const TraceEvent* e) { return e->name.rfind("System->", 0) == 0; });
+  const bool has_sys =
+      std::any_of(network.begin(), network.end(), [&](const TraceEvent* e) {
+        return trace_name(g, *e).rfind("System->", 0) == 0;
+      });
   const bool has_fb =
-      std::any_of(network.begin(), network.end(), [](const TraceEvent* e) {
-        return e->name.rfind("FrameBuffer->", 0) == 0;
+      std::any_of(network.begin(), network.end(), [&](const TraceEvent* e) {
+        return trace_name(g, *e).rfind("FrameBuffer->", 0) == 0;
       });
   EXPECT_TRUE(has_sys);
   EXPECT_TRUE(has_fb);

@@ -138,8 +138,9 @@ TEST(Evaluator, RejectsUnrunnableOptionsUpFront) {
   // Each of these must fail before any work: final_repeats -1 would trip
   // an internal invariant after the whole search, 0 would report a
   // fault-rate degradation with no faults configured, a NaN budget never
-  // runs out, and CCD would simulate its starting point before tripping
-  // over a frozen task id the graph does not have.
+  // runs out, a budget of 0 or less stops at the starting point, and CCD
+  // would simulate its starting point before tripping over a frozen task
+  // id the graph does not have.
   MiniApp app;
   const MachineModel machine = make_shepard(1);
   Simulator sim(machine, app.g, {.iterations = 2});
@@ -147,6 +148,8 @@ TEST(Evaluator, RejectsUnrunnableOptionsUpFront) {
       {{.final_repeats = -1}, "final_repeats"},
       {{.final_repeats = 0}, "final_repeats"},
       {{.time_budget_s = std::nan("")}, "budget"},
+      {{.time_budget_s = -5.0}, "budget must be positive, got -5"},
+      {{.time_budget_s = 0.0}, "budget must be positive, got 0"},
       {{.repeats = 0}, "repeats"},
       {{.frozen_tasks = {TaskId(999)}}, "frozen"},
   };

@@ -219,6 +219,14 @@ TEST(Service, StructuredErrorsNotDroppedConnections) {
     EXPECT_EQ(answer.str_or("code", ""), "bad_request") << message;
     EXPECT_EQ(message.find(".cpp"), std::string::npos) << message;
   }
+  // A budget that is not positive would end the search at its start.
+  const JsonValue budget =
+      handle_json(roomy, submit_request("{\"schema\":1,\"budget\":-5}"));
+  const std::string budget_message = budget.str_or("message", "");
+  EXPECT_EQ(budget.str_or("code", ""), "bad_request") << budget_message;
+  EXPECT_NE(budget_message.find("budget"), std::string::npos)
+      << budget_message;
+  EXPECT_EQ(budget_message.find(".cpp"), std::string::npos) << budget_message;
 
   // Job-keyed ops on a missing job are not_found.
   EXPECT_EQ(

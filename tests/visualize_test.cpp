@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+
 #include "src/apps/circuit.hpp"
 #include "src/machine/machine.hpp"
 #include "src/report/visualize.hpp"
 #include "src/runtime/mapper.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/error.hpp"
+#include "src/support/json.hpp"
 
 namespace automap {
 namespace {
@@ -57,7 +62,7 @@ TEST_F(VisualizeFixture, DotOutputIsWellFormed) {
 
 TEST_F(VisualizeFixture, ChromeTraceContainsAllEvents) {
   Simulator sim(machine, app.graph,
-                {.iterations = 2, .noise_sigma = 0.0, .record_trace = true});
+                {.iterations = 2, .noise_sigma = 0.0});
   const ExecutionReport report = sim.run(mapping, 1);
   ASSERT_TRUE(report.ok);
   ASSERT_FALSE(report.trace.empty());
@@ -68,7 +73,7 @@ TEST_F(VisualizeFixture, ChromeTraceContainsAllEvents) {
     if (e.kind == TraceEvent::Kind::kTask) ++task_events;
   EXPECT_EQ(task_events, app.graph.num_tasks() * 2);
 
-  const std::string json = render_chrome_trace(report);
+  const std::string json = render_chrome_trace(app.graph, report);
   EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("GPU pool"), std::string::npos);
@@ -80,21 +85,66 @@ TEST_F(VisualizeFixture, ChromeTraceContainsAllEvents) {
 }
 
 TEST_F(VisualizeFixture, TraceDisabledByDefault) {
+  // Only Simulator::run records events; the search's run_prepared and
+  // run_repeats record totals.
   Simulator sim(machine, app.graph, {.iterations = 2, .noise_sigma = 0.0});
-  const ExecutionReport report = sim.run(mapping, 1);
+  SimScratch scratch;
+  ASSERT_TRUE(sim.begin_runs(mapping, scratch));
+  const ExecutionReport& report = sim.run_prepared(
+      mapping, 1, scratch, std::numeric_limits<double>::infinity());
   ASSERT_TRUE(report.ok);
   EXPECT_TRUE(report.trace.empty());
+  const std::uint64_t seeds[] = {1, 2};
+  for (const ExecutionReport& r : sim.run_repeats(mapping, seeds, scratch))
+    EXPECT_TRUE(r.trace.empty());
 }
 
 TEST_F(VisualizeFixture, TraceOfFailedRunIsRejected) {
   ExecutionReport failed;
   failed.ok = false;
-  EXPECT_THROW((void)render_chrome_trace(failed), Error);
+  EXPECT_THROW((void)render_chrome_trace(app.graph, failed), Error);
+}
+
+TEST(ChromeTrace, ControlBytesInTaskNamesAreEscaped) {
+  // The graph reader accepts any bytes in a task name; the trace must still
+  // be JSON, and the name must come back as written.
+  const std::string name = "sten\x01" "cil\x1f\"\\";
+  TaskGraph graph;
+  const RegionId region = graph.add_region("grid", Rect::line(0, 999), 8);
+  const CollectionId all = graph.add_collection(region, "all",
+                                                Rect::line(0, 999));
+  graph.add_task(name, 4, {.cpu_seconds_per_point = 1e-4},
+                 {{all, Privilege::kReadWrite}});
+  const MachineModel machine = make_shepard(1);
+  Mapping mapping(graph);
+  mapping.at(TaskId(0)).proc = ProcKind::kCpu;
+  std::ranges::fill(mapping.memories(TaskId(0)),
+                    MemPriority{MemKind::kSystem});
+  Simulator sim(machine, graph, {.iterations = 2, .noise_sigma = 0.0});
+  const ExecutionReport report = sim.run(mapping, 1);
+  ASSERT_TRUE(report.ok) << report.failure;
+
+  const std::string json = render_chrome_trace(graph, report);
+  // JSON strings hold no raw control byte (parse_json would accept one;
+  // stricter readers such as Python's json.load do not).
+  EXPECT_TRUE(std::none_of(json.begin(), json.end() - 1, [](unsigned char c) {
+    return c < 0x20;
+  })) << json;
+  const JsonValue trace = parse_json(json);
+  const JsonValue* events = trace.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  int named = 0;
+  for (const JsonValue& e : events->array)
+    if (e.str_or("ph", "") == "X") {
+      EXPECT_EQ(e.str_or("name", ""), name);
+      ++named;
+    }
+  EXPECT_EQ(named, 2);
 }
 
 TEST_F(VisualizeFixture, CopyEventsAppearWhenMemoriesMismatch) {
   Simulator sim(machine, app.graph,
-                {.iterations = 2, .noise_sigma = 0.0, .record_trace = true});
+                {.iterations = 2, .noise_sigma = 0.0});
   const ExecutionReport report = sim.run(mapping, 1);
   ASSERT_TRUE(report.ok);
   bool copy_found = false;

@@ -4,8 +4,8 @@
 // searches perfbench's `search_mean` workload times (HTR and Pennant on an
 // exported shepard(1) machine, step 0, the paper protocol) and checks:
 //   * the search counters (suggested, evaluated, cache hits) and the
-//     simulator counters (runs, events) equal recorded pins exactly — a
-//     change that moves one re-records it and says why in CHANGES.md;
+//     simulator counters (plans, runs, events) equal recorded pins exactly
+//     — a change that moves one re-records it and says why in CHANGES.md;
 //   * the heap allocations of each `automap_optimize` call stay at or
 //     below a recorded ceiling (the count after the change that set it,
 //     rounded up to the next 1,000, which absorbs libstdc++ differences);
@@ -113,6 +113,8 @@ struct Pin {
   std::uint64_t suggested;
   std::uint64_t evaluated;
   std::uint64_t cache_hits;
+  /// Simulator::begin_runs calls (automap_sim_plans_total).
+  std::uint64_t sim_plans;
   std::uint64_t sim_runs;
   std::uint64_t sim_events;
   /// Ceiling on the heap allocations of one automap_optimize call.
@@ -123,20 +125,22 @@ struct Pin {
 // and the flag work lists of the co-location fixed point, and did not move
 // with them; the allocation ceilings were recorded after (HTR 15,616 /
 // 15,365 / 15,101, Pennant 19,929 / 19,949 / 19,910 with GCC 12's
-// libstdc++).
+// libstdc++). The plan counts (one per evaluated candidate, finalist and
+// rotation's task ordering) were recorded when the counter was added.
 constexpr Pin kPins[] = {
-    {"htr", 1, 1721, 823, 898, 3768, 1137511, 16000},
-    {"htr", 2, 1721, 774, 947, 3860, 1119855, 16000},
-    {"htr", 3, 1721, 718, 1003, 3452, 989299, 16000},
-    {"pennant", 1, 2251, 1062, 1189, 5817, 2659075, 20000},
-    {"pennant", 2, 2251, 1098, 1153, 5688, 2535734, 20000},
-    {"pennant", 3, 2251, 1089, 1162, 5732, 2629987, 20000},
+    {"htr", 1, 1721, 823, 898, 833, 3768, 1137511, 16000},
+    {"htr", 2, 1721, 774, 947, 784, 3860, 1119855, 16000},
+    {"htr", 3, 1721, 718, 1003, 728, 3452, 989299, 16000},
+    {"pennant", 1, 2251, 1062, 1189, 1072, 5817, 2659075, 20000},
+    {"pennant", 2, 2251, 1098, 1153, 1108, 5688, 2535734, 20000},
+    {"pennant", 3, 2251, 1089, 1162, 1099, 5732, 2629987, 20000},
 };
 
 TEST(WorkCounts, CcdSearchesMatchPins) {
   for (const Pin& pin : kPins) {
     SCOPED_TRACE(std::string(pin.app) + " seed " + std::to_string(pin.seed));
     Inputs in(pin.app);
+    const std::uint64_t plans = in.counter("automap_sim_plans_total");
     const std::uint64_t runs = in.counter("automap_sim_runs_total");
     const std::uint64_t events = in.counter("automap_sim_events_total");
     const std::uint64_t allocations = g_allocations.load();
@@ -147,6 +151,7 @@ TEST(WorkCounts, CcdSearchesMatchPins) {
     EXPECT_EQ(result.stats.suggested, pin.suggested);
     EXPECT_EQ(result.stats.evaluated, pin.evaluated);
     EXPECT_EQ(result.stats.cache_hits, pin.cache_hits);
+    EXPECT_EQ(in.counter("automap_sim_plans_total") - plans, pin.sim_plans);
     EXPECT_EQ(in.counter("automap_sim_runs_total") - runs, pin.sim_runs);
     EXPECT_EQ(in.counter("automap_sim_events_total") - events,
               pin.sim_events);

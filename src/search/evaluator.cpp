@@ -183,7 +183,7 @@ double Evaluator::retry_backoff(int attempt) const {
 }
 
 double Evaluator::aggregate_objective(double objective_sum, int survivors,
-                                      std::vector<double> objectives) const {
+                                      std::vector<double>& objectives) const {
   AM_CHECK(survivors > 0, "aggregating a candidate with no survivors");
   const double n = static_cast<double>(survivors);
   switch (options_.resilience.aggregation) {
@@ -230,8 +230,8 @@ const ExecutionReport& Evaluator::run_repeat(const Mapping& candidate,
 RunRecord Evaluator::run_candidate(const Mapping& candidate,
                                    std::uint64_t key, double threshold_s,
                                    bool bound_runs) {
-  // Racing schedule against the censor threshold T: after k completed runs
-  // the candidate is censored when its running sum exceeds
+  // The mean races its running sum against the censor threshold T: after
+  // k completed runs the candidate is censored when the sum exceeds
   //
   //   B_k = min(k*T*(1 + 3*sigma/sqrt(k)),  repeats*T)
   //
@@ -245,12 +245,24 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
   // a provably exact mean <= T (no false accepts at the last run). With
   // sigma = 0 the line collapses to k*T and the race is exact.
   //
-  // Run r executes under a simulated-time bound of B_{r+1} - sum, so with
-  // pruning on the simulator abandons the run the moment the verdict is
-  // determined and the trailing repeats are skipped. With pruning off the
-  // runs execute unbounded but the same verdict and charge are computed
-  // from their totals (a post-censor run charges and contributes nothing),
-  // so both modes produce the same record bit for bit.
+  // The median of an odd repeat count races each run against T itself: a
+  // median exceeds T exactly when a majority of the runs do, so the
+  // candidate is censored once (repeats+1)/2 runs have crossed T, and the
+  // race is exact at any sigma. A crossed run charges T and folds as
+  // infinity: it sorts above every completed run (all <= T), so while the
+  // crossed runs are a minority the middle value is the median of the
+  // unbounded runs bit for bit.
+  // An even count averages the two middle runs, and under fault injection
+  // a lost repeat can move a crossed run into the middle, so both fold
+  // unbounded, like the trimmed mean.
+  //
+  // Run r executes under a simulated-time bound of what the race leaves
+  // (B_{r+1} - sum, or T), so with pruning on the simulator abandons the
+  // run the moment the verdict is determined and the trailing repeats are
+  // skipped. With pruning off the runs execute unbounded but the same
+  // verdict and charge are computed from their totals (a post-censor run
+  // charges and contributes nothing), so both modes produce the same
+  // record bit for bit.
   RunRecord run{.hash = key};
   const auto fail = [&run](RunRecord::Status status) {
     run.status = status;
@@ -270,24 +282,26 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
   const ResiliencePolicy& policy = options_.resilience;
   const bool inject = sim_.options().faults.enabled();
   const bool robust = policy.aggregation != Aggregation::kMean;
-  // The censoring race bounds the running *sum*, which only the mean can
-  // interpret; the robust aggregations need every survivor's value, so
-  // censoring is disabled for them (every repeat runs to completion).
-  const double race_threshold_s = robust ? kInf : threshold_s;
+  const bool median_race = policy.aggregation == Aggregation::kMedian &&
+                           options_.repeats % 2 == 1 && !inject;
+  const int majority = (options_.repeats + 1) / 2;
   const double repeats_d = static_cast<double>(options_.repeats);
   const double slack = 3.0 * sim_.options().noise_sigma;
   double sum = 0.0;
   double objective_sum = 0.0;
   int survivors = 0;
-  std::vector<double> objectives;  // per survivor, robust aggregations only
+  int crossed = 0;  // median race: runs past the threshold so far
+  objectives_.clear();  // per survivor, robust aggregations only
   int consecutive_lost = 0;
   for (int r = 0; r < options_.repeats; ++r) {
     double allowance = kInf;  // what this run may add before censoring
-    if (std::isfinite(race_threshold_s)) {
+    if (median_race) {
+      allowance = threshold_s;
+    } else if (!robust && std::isfinite(threshold_s)) {
       const double k = static_cast<double>(r + 1);
       const double line =
-          std::min(k * race_threshold_s * (1.0 + slack / std::sqrt(k)),
-                   repeats_d * race_threshold_s);
+          std::min(k * threshold_s * (1.0 + slack / std::sqrt(k)),
+                   repeats_d * threshold_s);
       allowance = line - sum;  // >= 0: the schedule is nondecreasing
     }
     // Under fault injection every run executes unbounded: a bounded abort
@@ -309,13 +323,16 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
     }
     consecutive_lost = 0;
     if (report.censored || report.total_seconds > allowance) {
-      // Censor verdict: charge what the line allowed and stop. Every
-      // remaining repeat would see a zero allowance and contribute nothing,
-      // so the historical post-censor loop folds away. The value is exactly
-      // the threshold (not budget/repeats, whose rounding could land one
-      // ulp below it and leak past a caller's `mean < bound` acceptance
-      // test).
       run.charge_s += allowance;
+      if (median_race && ++crossed < majority) {
+        objectives_.push_back(kInf);
+        continue;
+      }
+      // Censor verdict: charge what the race allowed and stop. Every
+      // remaining repeat would contribute nothing, so the historical
+      // post-censor loop folds away. The value is exactly the threshold
+      // (not budget/repeats, whose rounding could land one ulp below it
+      // and leak past a caller's `mean < bound` acceptance test).
       run.status = RunRecord::Status::kCensored;
       run.value = threshold_s;
       return run;
@@ -327,15 +344,14 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
     run.charge_s += report.total_seconds;
     sum += report.total_seconds;
     ++survivors;
-    if (robust) objectives.push_back(objective);
+    if (robust) objectives_.push_back(objective);
   }
   // Every repeat was lost to transient faults: quarantined whether or not
   // the consecutive-loss cutoff fired early. Fault draws come from a
   // derived stream, so re-executing under the same policy would lose the
   // same way — the cached failure is the honest answer.
   if (survivors == 0) return fail(RunRecord::Status::kQuarantined);
-  run.value =
-      aggregate_objective(objective_sum, survivors, std::move(objectives));
+  run.value = aggregate_objective(objective_sum, survivors, objectives_);
   return run;
 }
 
@@ -728,7 +744,7 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
     const std::uint64_t hash = top_[e].hash;
     double sum = 0.0;
     int ok_runs = 0;
-    std::vector<double> values;  // per-survivor, robust aggregations only
+    objectives_.clear();  // per survivor, robust aggregations only
     // Finalist reruns are never bounded: the protocol's whole point is an
     // exact mean over the top-k, and top-k entries are never censored. A
     // finalist that cannot be placed (OOM) can never complete, so it is
@@ -756,14 +772,14 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
       stats_.search_time_s += report.total_seconds;
       stats_.evaluation_time_s += report.total_seconds;
       ++ok_runs;
-      if (robust) values.push_back(objective);
+      if (robust) objectives_.push_back(objective);
     }
     // A finalist scores when a strict majority of its repeats survived —
     // fault-free that is all of them, reproducing the historical
     // ok_runs == repeats rule bit for bit.
     double final_mean = kInf;
     if (!excluded && ok_runs * 2 > repeats) {
-      final_mean = aggregate_objective(sum, ok_runs, std::move(values));
+      final_mean = aggregate_objective(sum, ok_runs, objectives_);
       if (final_mean < best_final) {
         best_final = final_mean;
         result.best = top_[e].mapping;

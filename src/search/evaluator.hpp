@@ -37,11 +37,13 @@
 // after k runs the candidate is *censored* once its running sum crosses a
 // noise-aware confidence line (capped at repeats x T, at which point
 // mean > T is proven outright), and each run simulates under a time bound
-// of whatever the line leaves. A censored candidate folds to exactly T, is
+// of whatever the line leaves. The median of an odd repeat count races
+// each run against T and censors once a majority crossed, at which point
+// median > T is proven outright. A censored candidate folds to exactly T, is
 // recorded in the profiles database with a censored flag (re-executed only
 // if a later evaluation needs it resolved under a looser threshold), and
 // never enters the trajectory or the top-k list; an uncensored candidate's
-// mean is exact and provably at most T. The censoring arithmetic runs in
+// value is exact and provably at most T. The censoring arithmetic runs in
 // both modes; the prune flag only decides whether the simulator aborts at
 // the line or burns real time past it — so results stay bit-identical with
 // pruning on or off. The search clock is charged the simulated seconds
@@ -246,10 +248,11 @@ class Evaluator {
   /// configured Aggregation. For kMean this is objective_sum / survivors —
   /// bit-identical to the historical objective_sum / repeats when nothing
   /// was lost. `objectives` holds every survivor's value under the robust
-  /// aggregations (the mean needs just the sum).
+  /// aggregations (the mean needs just the sum), plus an infinity per run
+  /// the median race saw cross the threshold; it is sorted in place.
   [[nodiscard]] double aggregate_objective(
       double objective_sum, int survivors,
-      std::vector<double> objectives) const;
+      std::vector<double>& objectives) const;
   /// Runs repeat `repeat` of the candidate prepared by the last begin_runs
   /// under `bound_s`, retrying injected transient faults under the
   /// resilience policy. Each lost attempt adds its partial run, failure
@@ -262,13 +265,16 @@ class Evaluator {
                                     std::uint64_t salt, double bound_s,
                                     RunRecord& run);
   /// Executes one candidate's `repeats` runs as a race against the censor
-  /// threshold: after k runs the candidate is censored once its running sum
-  /// crosses a noise-aware confidence line (capped at repeats x threshold,
-  /// the exactness bound), and run k executes under a simulated-time bound
-  /// of whatever the line leaves. The censoring decision, charge and
-  /// objective sum are pure functions of the unbounded run totals and the
-  /// threshold, so prune (`bound_runs`) on and off produce identical
-  /// outcomes — pruning only skips the simulation work past the line.
+  /// threshold. Under the mean, after k runs the candidate is censored once
+  /// its running sum crosses a noise-aware confidence line (capped at
+  /// repeats x threshold, the exactness bound), and run k executes under a
+  /// simulated-time bound of whatever the line leaves. Under the median of
+  /// an odd repeat count without fault injection, every run executes under
+  /// the threshold itself and the candidate is censored once a majority of
+  /// them crossed it. The censoring decision, charge and fold are pure
+  /// functions of the unbounded run totals and the threshold, so prune
+  /// (`bound_runs`) on and off produce identical outcomes — pruning only
+  /// skips the simulation work past the bound.
   [[nodiscard]] RunRecord run_candidate(const Mapping& candidate,
                                         std::uint64_t key, double threshold_s,
                                         bool bound_runs);
@@ -310,6 +316,9 @@ class Evaluator {
   /// Reusable simulation arena shared by every run, so steady-state
   /// evaluation allocates nothing.
   SimScratch scratch_;
+  /// One candidate's per-run values under the robust aggregations, reused
+  /// by every candidate and finalist so a repeat allocates nothing.
+  std::vector<double> objectives_;
   std::unordered_map<std::uint64_t, Entry> profiles_;
   std::vector<Finalist> top_;  // sorted ascending by mean, at most top_k
   double best_seconds_;

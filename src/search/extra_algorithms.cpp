@@ -213,6 +213,15 @@ SearchResult run_ccd_multistart(const Simulator& sim,
     for (const TaskId t : options.frozen_tasks) start.copy_task(t, first);
     result = run_ccd_from(sim, next, start);
     const SearchStats& pass = result.stats;
+    // The pass's rotations continue the numbering, counts and clock of the
+    // passes before it, so the telemetry reads as one search.
+    const int before = static_cast<int>(combined.rotations.size());
+    for (RotationTelemetry rotation : pass.rotations) {
+      rotation.rotation += before;
+      rotation.evaluated += combined.evaluated;
+      rotation.search_time_s += combined.search_time_s;
+      combined.rotations.push_back(rotation);
+    }
     combined.suggested += pass.suggested;
     combined.evaluated += pass.evaluated;
     combined.invalid += pass.invalid;
@@ -226,8 +235,6 @@ SearchResult run_ccd_multistart(const Simulator& sim,
     combined.search_time_s += pass.search_time_s;
     combined.evaluation_time_s += pass.evaluation_time_s;
     combined.wall_time_s += pass.wall_time_s;
-    combined.rotations.insert(combined.rotations.end(),
-                              pass.rotations.begin(), pass.rotations.end());
   }
 
   result.algorithm = "AM-CCD-multistart";

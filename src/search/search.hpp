@@ -31,9 +31,12 @@ enum class Objective {
 /// How the surviving repeats of one candidate fold into its recorded value.
 /// The mean is the paper's protocol; a straggler-polluted mean misranks
 /// candidates, so under fault injection the robust alternatives resist
-/// right-tail outliers. Incumbent-bounded censoring races a running *sum*
-/// against the threshold, which is only meaningful for the mean, so the
-/// robust aggregations disable censoring.
+/// right-tail outliers. Incumbent-bounded censoring races the mean's
+/// running sum against the threshold, and the median's count of runs past
+/// it: a median exceeds the threshold exactly when a majority of the runs
+/// do. The median races only an odd repeat count without fault injection
+/// (an even count averages two runs, and a lost repeat can move a crossed
+/// run into the middle); the trimmed mean never races.
 enum class Aggregation {
   kMean,
   kMedian,

@@ -153,6 +153,8 @@ class Parser {
     std::string out;
     while (true) {
       if (pos_ >= text_.size()) fail("unterminated string");
+      if (static_cast<unsigned char>(text_[pos_]) < 0x20)
+        fail("raw control byte in string");
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (c != '\\') {
@@ -225,9 +227,6 @@ class Parser {
 
   JsonValue parse_number() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
       if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
@@ -239,16 +238,39 @@ class Parser {
     }
     if (pos_ == start) fail("expected a value");
     const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
+    if (!is_number(token)) {
       pos_ = start;
       fail("bad number '" + token + "'");
     }
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
-    v.number = value;
+    v.number = std::strtod(token.c_str(), nullptr);
     return v;
+  }
+
+  /// RFC 8259's number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  /// — no leading '+' or zero, and a digit on both sides of the point.
+  static bool is_number(std::string_view t) {
+    std::size_t i = 0;
+    const auto digits = [&] {
+      const std::size_t from = i;
+      while (i < t.size() && t[i] >= '0' && t[i] <= '9') ++i;
+      return i - from;
+    };
+    if (i < t.size() && t[i] == '-') ++i;
+    const std::size_t first = i;
+    const std::size_t whole = digits();
+    if (whole == 0 || (whole > 1 && t[first] == '0')) return false;
+    if (i < t.size() && t[i] == '.') {
+      ++i;
+      if (digits() == 0) return false;
+    }
+    if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+      ++i;
+      if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+      if (digits() == 0) return false;
+    }
+    return i == t.size();
   }
 
   std::string_view text_;

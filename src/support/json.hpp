@@ -74,9 +74,11 @@ struct JsonValue {
                                         const std::string& key,
                                         std::uint64_t fallback);
 
-/// Parses one JSON document (throws Error on malformed input, with an
-/// offset in the message). Trailing whitespace is allowed; trailing
-/// content is an error.
+/// Parses one JSON document as RFC 8259 defines it (throws Error on
+/// malformed input, with an offset in the message): a raw byte below 0x20
+/// inside a string and a number outside the grammar (a leading '+' or
+/// zero, no digit on one side of the point) are errors too. Trailing
+/// whitespace is allowed; trailing content is an error.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 /// Escapes a string for embedding between JSON quotes (handles quote,

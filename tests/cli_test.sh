@@ -475,6 +475,34 @@ sed 's/"resumed":true/"resumed":false/' "$DIR/resumed.jsonl" \
       | cmp - "$DIR/whole.jsonl"
 cmp "$DIR/ck_cut.txt" "$DIR/ck_whole.txt"
 
+# The median of an odd repeat count races the censor threshold: a
+# candidate is censored once a majority of its runs cross it. The race is
+# exact, so pruning changes no output; censored candidates are logged, and
+# a budget-cut search resumes to the uninterrupted journal and checkpoint.
+MEDIAN=(--rotations 3 --repeats 5 --aggregate median)
+"$CLI" search "$DIR/m.machine" "$DIR/s.graph" "${MEDIAN[@]}" --telemetry \
+      --checkpoint "$DIR/ck_median_whole.txt" \
+      --journal "$DIR/median_whole.jsonl" > "$DIR/median.txt"
+"$CLI" search "$DIR/m.machine" "$DIR/s.graph" "${MEDIAN[@]}" --no-prune \
+      | grep "best mapping" > "$DIR/median_unpruned.txt"
+grep "best mapping" "$DIR/median.txt" | cmp - "$DIR/median_unpruned.txt"
+grep -Eq "^  proposals: .* [1-9][0-9]* censored$" "$DIR/median.txt"
+"$CLI" search "$DIR/m.machine" "$DIR/s.graph" "${MEDIAN[@]}" --budget 1.3 \
+      --checkpoint "$DIR/ck_median.txt" > /dev/null
+if cmp -s "$DIR/ck_median.txt" "$DIR/ck_median_whole.txt"; then
+  echo "expected the budget to cut the median search" >&2
+  exit 1
+fi
+grep -q " censored " "$DIR/ck_median.txt"
+"$CLI" search "$DIR/m.machine" "$DIR/s.graph" "${MEDIAN[@]}" \
+      --resume "$DIR/ck_median.txt" --checkpoint "$DIR/ck_median.txt" \
+      --journal "$DIR/median_resumed.jsonl" > /dev/null
+"$CLI" replay "$DIR/m.machine" "$DIR/s.graph" "$DIR/median_resumed.jsonl" \
+      | grep -q "no drift"
+sed 's/"resumed":true/"resumed":false/' "$DIR/median_resumed.jsonl" \
+      | cmp - "$DIR/median_whole.jsonl"
+cmp "$DIR/ck_median.txt" "$DIR/ck_median_whole.txt"
+
 # A tampered journal must be caught (nonzero exit, drift report).
 sed 's/"type":"finalize","algorithm":"AM-CCD","best":/"type":"finalize","algorithm":"AM-CCD","best":9/' \
       "$DIR/s.journal.jsonl" > "$DIR/tampered.jsonl"

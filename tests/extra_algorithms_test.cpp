@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "src/apps/circuit.hpp"
 #include "src/apps/stencil.hpp"
 #include "src/machine/machine.hpp"
+#include "src/report/analysis.hpp"
 #include "src/search/coordinate_descent.hpp"
 #include "src/search/extra_algorithms.hpp"
 #include "src/sim/simulator.hpp"
@@ -101,6 +104,26 @@ TEST_F(ExtraAlgorithms, MultistartCountsEveryPass) {
     EXPECT_EQ(s->suggested, s->evaluated + s->invalid + s->cache_hits);
   EXPECT_EQ(multi.stats.rotations.size(), 3 * single.stats.rotations.size());
   EXPECT_GE(multi.stats.censored, single.stats.censored);
+}
+
+TEST_F(ExtraAlgorithms, MultistartTelemetryReadsAsOneSearch) {
+  // Each later pass continues the rotation numbering, the evaluated count
+  // and the clock of the passes before it.
+  const SearchOptions options{.rotations = 3, .repeats = 3, .seed = 11};
+  const SearchResult multi = run_ccd_multistart(sim, options);
+  const std::vector<RotationTelemetry>& rotations = multi.stats.rotations;
+  ASSERT_EQ(rotations.size(), 9u);
+  for (std::size_t i = 0; i < rotations.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(rotations[i].rotation, static_cast<int>(i));
+    if (i == 0) continue;
+    EXPECT_GE(rotations[i].evaluated, rotations[i - 1].evaluated);
+    EXPECT_GE(rotations[i].search_time_s, rotations[i - 1].search_time_s);
+  }
+  EXPECT_LE(rotations.back().evaluated, multi.stats.evaluated);
+  EXPECT_LE(rotations.back().search_time_s, multi.stats.search_time_s);
+  const std::string telemetry = render_search_telemetry(multi);
+  EXPECT_NE(telemetry.find("    #8: "), std::string::npos) << telemetry;
 }
 
 TEST_F(ExtraAlgorithms, MultistartRespectsBudget) {

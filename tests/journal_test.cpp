@@ -154,6 +154,43 @@ TEST(Journal, CursorStampingAndEscaping) {
   EXPECT_EQ(parsed.str_or("text", ""), "a\"b\\c\nd");
 }
 
+TEST(Journal, ControlBytesInNamesAreEscaped) {
+  std::string name = "name";
+  for (char c = 0x01; c < 0x20; ++c) name += c;
+  Journal j;
+  j.event("demo").str("name", name);
+  std::istringstream is(j.text());
+  std::string header, demo;
+  ASSERT_TRUE(std::getline(is, header));
+  ASSERT_TRUE(std::getline(is, demo));
+  EXPECT_EQ(parse_json(demo).str_or("name", ""), name);
+
+  // A search over a graph whose names hold those bytes writes a journal,
+  // metrics snapshots included, and options JSON that all parse.
+  TaskGraph graph;
+  const RegionId region = graph.add_region("r" + name, Rect::line(0, 999), 8);
+  const CollectionId all =
+      graph.add_collection(region, "c" + name, Rect::line(0, 999));
+  graph.add_task("t" + name, 4, {.cpu_seconds_per_point = 1e-4},
+                 {{all, Privilege::kReadWrite}});
+  const MachineModel machine = make_shepard(1);
+  const SimOptions sim_options{.iterations = 2};
+  const Simulator sim(machine, graph, sim_options);
+  Journal journal;
+  MetricsRegistry metrics;
+  SearchOptions options{.rotations = 1, .repeats = 3, .seed = 3};
+  options.journal = &journal;
+  options.metrics = &metrics;
+  (void)run_ccd(sim, options);
+  std::istringstream lines(journal.text());
+  int parsed = 0;
+  for (std::string line; std::getline(lines, line); ++parsed)
+    EXPECT_NO_THROW((void)parse_json(line)) << line;
+  EXPECT_GT(parsed, 3);
+  EXPECT_NO_THROW((void)parse_json(search_options_to_json(options)));
+  EXPECT_NO_THROW((void)parse_json(sim_options_to_json(sim_options)));
+}
+
 TEST(Journal, FileBackedJournalWritesAndRejectsBadPaths) {
   const std::string path = "journal_test_tmp.jsonl";
   {

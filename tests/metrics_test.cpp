@@ -215,6 +215,69 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(parse_json("[1,]"), Error);
 }
 
+/// The message parse_json throws for `text`, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    (void)parse_json(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Json, RejectsRawControlBytesInStrings) {
+  // RFC 8259 requires bytes below 0x20 inside a string to be escaped.
+  for (int byte = 0; byte < 0x20; ++byte) {
+    SCOPED_TRACE(byte);
+    const std::string text =
+        std::string("{\"name\":\"ab") + static_cast<char>(byte) + "c\"}";
+    EXPECT_EQ(parse_error(text),
+              "json: raw control byte in string at offset 11");
+  }
+  // In a key too, and escaped forms still parse.
+  EXPECT_EQ(parse_error("{\"a\x01\":1}"),
+            "json: raw control byte in string at offset 3");
+  EXPECT_EQ(parse_json("{\"s\":\"a\\u0001\\tb\x7f\"}").str_or("s", ""),
+            "a\x01\tb\x7f");
+}
+
+TEST(Json, NumbersFollowTheGrammar) {
+  for (const char* bad : {"+1", "01", "-01", "00", ".5", "-.5", "1.", "1.e5",
+                          "-", "1e", "1e+", "--1", "1.5.2", "1e5e5"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(parse_error(std::string("[0,") + bad + "]"),
+              std::string("json: bad number '") + bad + "' at offset 3");
+  }
+  for (const auto& [text, value] :
+       std::vector<std::pair<const char*, double>>{{"0", 0.0},
+                                                   {"-0", -0.0},
+                                                   {"10", 10.0},
+                                                   {"0.5", 0.5},
+                                                   {"-1.25e-3", -1.25e-3},
+                                                   {"1E+2", 100.0},
+                                                   {"2e05", 2e5}}) {
+    SCOPED_TRACE(text);
+    const JsonValue v = parse_json(std::string("[") + text + "]");
+    ASSERT_EQ(v.array.size(), 1u);
+    EXPECT_EQ(v.array[0].number, value);
+  }
+}
+
+TEST(Json, MetricsSnapshotEscapesControlBytesInNames) {
+  MetricsRegistry metrics;
+  std::string name = "odd";
+  for (char c = 0x01; c < 0x20; ++c) name += c;
+  metrics.counter(name, "help")->inc();
+  metrics.gauge(name + "_gauge", "help")->set(2.0);
+  metrics.histogram(name + "_seconds", "help", {1.0})->observe(0.5);
+  const JsonValue snapshot = parse_json(metrics.snapshot_json());
+  EXPECT_EQ(snapshot.num_or(name, 0), 1.0);
+  EXPECT_EQ(snapshot.num_or(name + "_gauge", 0), 2.0);
+  const JsonValue quantiles = parse_json(metrics.quantiles_json());
+  ASSERT_NE(quantiles.find(name + "_seconds"), nullptr);
+  EXPECT_EQ(quantiles.find(name + "_seconds")->num_or("count", 0), 1.0);
+}
+
 TEST(Json, DeterministicRendering) {
   EXPECT_EQ(json_double(0.5), "0.5");
   EXPECT_EQ(json_double(std::numeric_limits<double>::infinity()), "\"inf\"");

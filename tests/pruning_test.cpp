@@ -3,21 +3,32 @@
 // and only if the unbounded run would exceed the bound; a censored
 // evaluation folds to exactly the censor threshold (never beating the
 // incumbent); the full SearchResult is bit-identical with pruning on or
-// off; and censored profiles-database entries answer tight queries,
-// re-resolve under looser ones, and survive an export/import round trip.
+// off; censored profiles-database entries answer tight queries,
+// re-resolve under looser ones, and survive an export/import round trip;
+// and the median's race censors exactly when the median of the unbounded
+// runs exceeds the threshold, while the folds that do not race keep their
+// recorded journals.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "src/apps/stencil.hpp"
 #include "src/machine/machine.hpp"
+#include "src/report/journal.hpp"
 #include "src/search/coordinate_descent.hpp"
 #include "src/search/evaluator.hpp"
 #include "src/search/search.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/support/durable.hpp"
+#include "src/support/json.hpp"
+#include "src/support/rng.hpp"
+#include "tests/process_temp_dir.hpp"
 
 namespace automap {
 namespace {
@@ -349,6 +360,163 @@ TEST(Pruning, CcdSearchResultBitIdenticalPruneOnOff) {
   SearchOptions pruned = base;
   pruned.prune_candidates = true;
   expect_identical(run_ccd(sim, pruned), reference, "prune on vs off");
+}
+
+// --- the median's race -------------------------------------------------------
+
+/// The noise seed of repeat `repeat` of a search-time run, restated from
+/// Evaluator::run_seed (attempt 0) so a test can read each repeat's
+/// unbounded total. MedianRace.CensorsExactlyWhenTheMedianExceedsTheThreshold
+/// checks the restatement: an unthresholded evaluation must fold the median
+/// of the totals it gives.
+std::uint64_t eval_run_seed(std::uint64_t search_seed, std::uint64_t hash,
+                            int repeat) {
+  constexpr std::uint64_t kEvalSalt = 0x5bf03635f0a5a1edULL;
+  const std::uint64_t s = mix64(mix64(search_seed ^ kEvalSalt) ^ hash);
+  return mix64(s +
+               0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(repeat + 1));
+}
+
+TEST(MedianRace, CensorsExactlyWhenTheMedianExceedsTheThreshold) {
+  MiniApp app;
+  const MachineModel machine = make_shepard(1);
+  Simulator sim(machine, app.g, {.iterations = 2, .noise_sigma = 0.05});
+  const Mapping start = search_starting_point(app.g, machine);
+  Mapping cpu = start;
+  cpu.at(app.producer).proc = ProcKind::kCpu;
+  std::ranges::fill(cpu.memories(app.producer),
+                    MemPriority{MemKind::kSystem});
+  Mapping leader = start;
+  leader.at(app.consumer).distribute = false;
+
+  constexpr int kRepeats = 7;
+  for (const std::uint64_t seed : {3u, 11u, 29u}) {
+    for (const Mapping& candidate : {start, cpu, leader}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", candidate " +
+                   hex_u64(candidate.hash()));
+      SimScratch scratch;
+      ASSERT_TRUE(sim.begin_runs(candidate, scratch));
+      std::vector<double> totals;
+      for (int r = 0; r < kRepeats; ++r)
+        totals.push_back(
+            sim.run_prepared(candidate,
+                             eval_run_seed(seed, candidate.hash(), r),
+                             scratch, kInf)
+                .total_seconds);
+      std::vector<double> sorted = totals;
+      std::sort(sorted.begin(), sorted.end());
+      const double median = sorted[kRepeats / 2];
+
+      SearchOptions options{.repeats = kRepeats, .seed = seed};
+      options.resilience.aggregation = Aggregation::kMedian;
+      ASSERT_EQ(Evaluator(sim, options).evaluate(candidate), median);
+
+      // A threshold at every total and at its neighbours puts 0 to 7
+      // repeats above it.
+      std::vector<double> thresholds;
+      for (const double t : totals)
+        thresholds.insert(thresholds.end(),
+                          {std::nextafter(t, 0.0), t, std::nextafter(t, kInf)});
+      for (const double threshold : thresholds) {
+        // The charge the race owes: every completed run's total, and the
+        // threshold for each run past it, up to the majority that censors.
+        double charge = 0.0;
+        int crossed = 0;
+        for (const double t : totals) {
+          charge += t > threshold ? threshold : t;
+          crossed += t > threshold ? 1 : 0;
+          if (2 * crossed > kRepeats) break;
+        }
+        const bool censored = median > threshold;
+        for (const bool prune : {true, false}) {
+          SCOPED_TRACE(std::string("threshold ") + json_double(threshold) +
+                       (prune ? ", prune on" : ", prune off"));
+          options.prune_candidates = prune;
+          Evaluator eval(sim, options);
+          const double value = eval.evaluate(candidate, threshold);
+          EXPECT_EQ(value, censored ? threshold : median);
+          EXPECT_EQ(eval.stats().censored, censored ? 1u : 0u);
+          EXPECT_EQ(eval.stats().evaluated, 1u);
+          EXPECT_EQ(eval.stats().search_time_s, charge);
+        }
+      }
+    }
+  }
+}
+
+/// perfbench's median search in miniature: CCD on Stencil with an odd
+/// repeat count under noise.
+SearchOptions median_options() {
+  SearchOptions options{.rotations = 3, .repeats = 5, .seed = 42};
+  options.resilience.aggregation = Aggregation::kMedian;
+  return options;
+}
+
+TEST(MedianRace, CcdSearchResultBitIdenticalPruneOnOff) {
+  const MachineModel machine = make_shepard(1);
+  const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
+  Simulator sim(machine, app.graph, {.iterations = 3, .noise_sigma = 0.05});
+
+  SearchOptions base = median_options();
+  base.prune_candidates = false;
+  const SearchResult reference = run_ccd(sim, base);
+  EXPECT_GT(reference.stats.censored, 0u);
+
+  SearchOptions pruned = base;
+  pruned.prune_candidates = true;
+  expect_identical(run_ccd(sim, pruned), reference, "prune on vs off");
+}
+
+TEST(MedianRace, BudgetCutSearchResumesToTheUninterruptedRun) {
+  const MachineModel machine = make_shepard(1);
+  const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
+  Simulator sim(machine, app.graph, {.iterations = 3, .noise_sigma = 0.05});
+  const SearchOptions options = median_options();
+  const SearchResult reference = run_ccd(sim, options);
+  ASSERT_GT(reference.stats.censored, 0u);
+
+  const std::string path = process_temp_path("median_resume.txt");
+  SearchOptions cut = options;
+  cut.checkpoint_path = path;
+  cut.time_budget_s = reference.stats.search_time_s * 0.5;
+  (void)run_ccd(sim, cut);
+  const DurableLoad checkpoint = load_checksummed(path);
+  ASSERT_EQ(checkpoint.status, DurableLoad::Status::kOk);
+  // The cut search logged censored candidates, so the resume replays them.
+  EXPECT_NE(checkpoint.payload.find(" censored "), std::string::npos);
+
+  SearchOptions resumed = options;
+  resumed.resume_state = checkpoint.payload;
+  expect_identical(run_ccd(sim, resumed), reference, "resumed run");
+  std::remove(path.c_str());
+}
+
+/// Hex hash of the journal of a CCD search on Stencil under `options`,
+/// noise-free so the pins below are exact.
+std::string journal_hash(SearchOptions options, bool faults) {
+  const MachineModel machine = make_shepard(1);
+  const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
+  SimOptions sim_options{.iterations = 3, .noise_sigma = 0.0};
+  if (faults)
+    sim_options.faults = {.crash_prob = 0.001, .straggler_prob = 0.05};
+  Simulator sim(machine, app.graph, sim_options);
+  Journal journal;
+  options.journal = &journal;
+  (void)run_ccd(sim, options);
+  return hex_u64(hash_text(journal.text()));
+}
+
+// The folds that do not race keep the journals recorded before the median
+// raced: an even repeat count, fault injection, the trimmed mean.
+TEST(MedianRace, FoldsThatDoNotRaceKeepTheirJournals) {
+  SearchOptions even = median_options();
+  even.repeats = 4;
+  EXPECT_EQ(journal_hash(even, /*faults=*/false), "5c355d7590babac0");
+  EXPECT_EQ(journal_hash(median_options(), /*faults=*/true),
+            "7d41525ecf87fa5e");
+  SearchOptions trimmed = median_options();
+  trimmed.resilience.aggregation = Aggregation::kTrimmedMean;
+  EXPECT_EQ(journal_hash(trimmed, /*faults=*/false), "4e934f20bd0ed0de");
 }
 
 }  // namespace

@@ -235,6 +235,84 @@ TEST(Service, StructuredErrorsNotDroppedConnections) {
       "not_found");
 }
 
+/// A one-task graph whose region, collection and task names hold every
+/// byte from 0x01 to 0x1f the graph text format carries in a name (its
+/// whitespace, \t through \r, separates tokens).
+TaskGraph control_byte_graph() {
+  std::string name = "name";
+  for (char c = 0x01; c < 0x20; ++c)
+    if (c < '\t' || c > '\r') name += c;
+  TaskGraph graph;
+  const RegionId region = graph.add_region("r" + name, Rect::line(0, 999), 8);
+  const CollectionId all =
+      graph.add_collection(region, "c" + name, Rect::line(0, 999));
+  graph.add_task("t" + name, 4, {.cpu_seconds_per_point = 1e-4},
+                 {{all, Privilege::kReadWrite}});
+  return graph;
+}
+
+/// A submit of small_options(1) over `graph_json`, the graph text as it
+/// stands between the request's quotes.
+std::string submit_graph(const std::string& graph_json) {
+  return "{\"op\":\"submit\",\"machine\":\"" +
+         json_escape(stencil_machine_text()) + "\",\"graph\":\"" +
+         graph_json + "\",\"options\":" +
+         search_options_to_json(small_options(1)) + "}";
+}
+
+TEST(Service, RawControlByteInASubmitIsABadRequest) {
+  // JSON requires a byte below 0x20 inside a string to be escaped. This
+  // request escapes every one but a single 0x01 in the graph text.
+  const std::string store = fresh_store("raw-control-byte");
+  MappingService service({.store_dir = store, .job_workers = 0});
+  std::string graph = json_escape(task_graph_to_string(control_byte_graph()));
+  const std::size_t escaped = graph.find("\\u0001");
+  ASSERT_NE(escaped, std::string::npos);
+  graph.replace(escaped, 6, "\x01");
+  const std::string request = submit_graph(graph);
+
+  const JsonValue answer = handle_json(service, request);
+  EXPECT_EQ(answer.str_or("code", ""), "bad_request");
+  EXPECT_EQ(answer.str_or("message", ""),
+            "json: raw control byte in string at offset " +
+                std::to_string(request.find('\x01')));
+  EXPECT_TRUE(handle_json(service, "{\"op\":\"jobs\"}")
+                  .find("jobs")
+                  ->array.empty());
+  EXPECT_TRUE(fs::is_empty(fs::path(store) / "jobs"));
+}
+
+TEST(Service, AnswersAndStoreFilesEscapeControlBytesInNames) {
+  const std::string store = fresh_store("control-byte-names");
+  MappingService service({.store_dir = store, .job_workers = 0});
+  const TaskGraph graph = control_byte_graph();
+  std::vector<std::string> answers = {service.handle(
+      submit_graph(json_escape(task_graph_to_string(graph))))};
+  service.drain();
+  for (const char* op : {"status", "result", "journal", "trace"})
+    answers.push_back(
+        service.handle("{\"op\":\"" + std::string(op) + "\",\"job\":1}"));
+  answers.push_back(service.handle("{\"op\":\"jobs\"}"));
+  answers.push_back(service.handle("{\"op\":\"stats\"}"));
+  for (const std::string& answer : answers)
+    EXPECT_NO_THROW((void)parse_json(answer)) << answer;
+  // The result describes the winner by the names, bytes and all.
+  const std::string describe = parse_json(answers[2]).str_or("describe", "");
+  EXPECT_NE(describe.find(graph.task(TaskId(0)).name), std::string::npos)
+      << describe;
+
+  int files = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(store)) {
+    if (entry.path().extension() != ".json") continue;
+    SCOPED_TRACE(entry.path().string());
+    const DurableLoad file = load_checksummed(entry.path().string());
+    ASSERT_EQ(file.status, DurableLoad::Status::kOk);
+    EXPECT_NO_THROW((void)parse_json(file.payload)) << file.payload;
+    ++files;
+  }
+  EXPECT_GE(files, 3);  // request.json, result.json, spans.json
+}
+
 TEST(Service, ConcurrentJobsMatchOneShotSearch) {
   // Two jobs with different seeds run concurrently on two workers, one
   // search each; each answer must be byte-identical to the one-shot search

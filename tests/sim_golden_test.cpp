@@ -277,6 +277,15 @@ TEST(SimGolden, HtrRobustSearchMatchesPin) {
   os << std::hexfloat << result.best_seconds;
   EXPECT_TRUE(same_value(kBestSeconds, result.best_seconds, /*noisy=*/true))
       << "actual best_seconds: " << os.str();
+  // The median races the censor threshold: candidates a majority of whose
+  // runs cross it are censored, and the clock pays the threshold for each
+  // crossed run instead of its full time.
+  EXPECT_EQ(result.stats.censored, 544u);
+  std::ostringstream clock;
+  clock << std::hexfloat << result.stats.search_time_s;
+  EXPECT_TRUE(same_value(0x1.c6cc906b1091bp+5, result.stats.search_time_s,
+                         /*noisy=*/true))
+      << "actual search_time_s: " << clock.str();
 }
 
 }  // namespace

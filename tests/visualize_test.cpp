@@ -125,8 +125,8 @@ TEST(ChromeTrace, ControlBytesInTaskNamesAreEscaped) {
   ASSERT_TRUE(report.ok) << report.failure;
 
   const std::string json = render_chrome_trace(graph, report);
-  // JSON strings hold no raw control byte (parse_json would accept one;
-  // stricter readers such as Python's json.load do not).
+  // JSON strings hold no raw control byte (parse_json rejects one, as
+  // Python's json.load does).
   EXPECT_TRUE(std::none_of(json.begin(), json.end() - 1, [](unsigned char c) {
     return c < 0x20;
   })) << json;

@@ -1,11 +1,13 @@
 // Deterministic work counts of fixed CCD searches, gated like a benchmark.
 //
 // Wall time drifts with the host; counts do not. This binary runs the
-// searches perfbench's `search_mean` workload times (HTR and Pennant on an
-// exported shepard(1) machine, step 0, the paper protocol) and checks:
+// searches perfbench's `search_mean` and `search_robust` workloads time
+// (HTR and Pennant on an exported shepard(1) machine, step 0, the paper
+// protocol, mean and median aggregation) and checks:
 //   * the search counters (suggested, evaluated, cache hits) and the
-//     simulator counters (plans, runs, events) equal recorded pins exactly
-//     — a change that moves one re-records it and says why in CHANGES.md;
+//     simulator counters (plans, runs, censored runs, events) equal
+//     recorded pins exactly — a change that moves one re-records it and
+//     says why in CHANGES.md;
 //   * the heap allocations of each `automap_optimize` call stay at or
 //     below a recorded ceiling (the count after the change that set it,
 //     rounded up to the next 1,000, which absorbs libstdc++ differences);
@@ -96,19 +98,23 @@ struct Inputs {
 };
 
 /// perfbench's search options: 5 rotations, 7 repeats, top-5 finalists
-/// re-run 31 times, pruning on, no profiles export.
-SearchOptions paper_protocol(std::uint64_t seed) {
-  return {.rotations = 5,
-          .repeats = 7,
-          .seed = seed,
-          .top_k = 5,
-          .final_repeats = 31,
-          .prune_candidates = true,
-          .export_profiles_db = false};
+/// re-run 31 times, pruning on, no profiles export; `search_robust` folds
+/// the repeats by their median.
+SearchOptions paper_protocol(std::uint64_t seed, Aggregation aggregation) {
+  SearchOptions options{.rotations = 5,
+                        .repeats = 7,
+                        .seed = seed,
+                        .top_k = 5,
+                        .final_repeats = 31,
+                        .prune_candidates = true,
+                        .export_profiles_db = false};
+  options.resilience.aggregation = aggregation;
+  return options;
 }
 
 struct Pin {
   const char* app;
+  Aggregation aggregation;
   std::uint64_t seed;
   std::uint64_t suggested;
   std::uint64_t evaluated;
@@ -116,6 +122,8 @@ struct Pin {
   /// Simulator::begin_runs calls (automap_sim_plans_total).
   std::uint64_t sim_plans;
   std::uint64_t sim_runs;
+  /// Runs the simulator abandoned at their bound.
+  std::uint64_t sim_censored;
   std::uint64_t sim_events;
   /// Ceiling on the heap allocations of one automap_optimize call.
   std::uint64_t max_allocations;
@@ -126,39 +134,79 @@ struct Pin {
 // with them; the allocation ceilings were recorded after (HTR 15,616 /
 // 15,365 / 15,101, Pennant 19,929 / 19,949 / 19,910 with GCC 12's
 // libstdc++). The plan counts (one per evaluated candidate, finalist and
-// rotation's task ordering) were recorded when the counter was added.
+// rotation's task ordering) were recorded when the counter was added. The
+// median rows were recorded when the median began to race the censor
+// threshold (allocations HTR 14,813 / 14,595 / 15,295, Pennant 19,865 /
+// 19,850 / 19,713): its runs reuse one buffer, so a repeat allocates
+// nothing.
+// clang-format off
 constexpr Pin kPins[] = {
-    {"htr", 1, 1721, 823, 898, 833, 3768, 1137511, 16000},
-    {"htr", 2, 1721, 774, 947, 784, 3860, 1119855, 16000},
-    {"htr", 3, 1721, 718, 1003, 728, 3452, 989299, 16000},
-    {"pennant", 1, 2251, 1062, 1189, 1072, 5817, 2659075, 20000},
-    {"pennant", 2, 2251, 1098, 1153, 1108, 5688, 2535734, 20000},
-    {"pennant", 3, 2251, 1089, 1162, 1099, 5732, 2629987, 20000},
+    {"htr", Aggregation::kMean, 1, 1721, 823, 898, 833, 3768, 691, 1137511, 16000},
+    {"htr", Aggregation::kMean, 2, 1721, 774, 947, 784, 3860, 659, 1119855, 16000},
+    {"htr", Aggregation::kMean, 3, 1721, 718, 1003, 728, 3452, 616, 989299, 16000},
+    {"pennant", Aggregation::kMean, 1, 2251, 1062, 1189, 1072, 5817, 830, 2659075, 20000},
+    {"pennant", Aggregation::kMean, 2, 2251, 1098, 1153, 1108, 5688, 907, 2535734, 20000},
+    {"pennant", Aggregation::kMean, 3, 2251, 1089, 1162, 1099, 5732, 899, 2629987, 20000},
+    {"htr", Aggregation::kMedian, 1, 1721, 644, 1077, 654, 3274, 2326, 1020419, 15000},
+    {"htr", Aggregation::kMedian, 2, 1721, 600, 1121, 610, 3017, 2163, 800688, 15000},
+    {"htr", Aggregation::kMedian, 3, 1721, 753, 968, 763, 3801, 2702, 1160287, 16000},
+    {"pennant", Aggregation::kMedian, 1, 2251, 1066, 1185, 1076, 5339, 3697, 2238063, 20000},
+    {"pennant", Aggregation::kMedian, 2, 2251, 1065, 1186, 1075, 5312, 3640, 2240015, 20000},
+    {"pennant", Aggregation::kMedian, 3, 2251, 1033, 1218, 1043, 5140, 3522, 2170945, 20000},
 };
+// clang-format on
 
 TEST(WorkCounts, CcdSearchesMatchPins) {
   for (const Pin& pin : kPins) {
-    SCOPED_TRACE(std::string(pin.app) + " seed " + std::to_string(pin.seed));
+    const char* fold =
+        pin.aggregation == Aggregation::kMean ? "kMean" : "kMedian";
+    SCOPED_TRACE(std::string(pin.app) + " " + fold + " seed " +
+                 std::to_string(pin.seed));
     Inputs in(pin.app);
     const std::uint64_t plans = in.counter("automap_sim_plans_total");
     const std::uint64_t runs = in.counter("automap_sim_runs_total");
+    const std::uint64_t censored =
+        in.counter("automap_sim_runs_censored_total");
     const std::uint64_t events = in.counter("automap_sim_events_total");
     const std::uint64_t allocations = g_allocations.load();
-    const SearchResult result = automap_optimize(
-        in.sim, SearchAlgorithm::kCcd, paper_protocol(pin.seed));
+    const SearchResult result =
+        automap_optimize(in.sim, SearchAlgorithm::kCcd,
+                         paper_protocol(pin.seed, pin.aggregation));
     const std::uint64_t allocated = g_allocations.load() - allocations;
 
-    EXPECT_EQ(result.stats.suggested, pin.suggested);
-    EXPECT_EQ(result.stats.evaluated, pin.evaluated);
-    EXPECT_EQ(result.stats.cache_hits, pin.cache_hits);
-    EXPECT_EQ(in.counter("automap_sim_plans_total") - plans, pin.sim_plans);
-    EXPECT_EQ(in.counter("automap_sim_runs_total") - runs, pin.sim_runs);
-    EXPECT_EQ(in.counter("automap_sim_events_total") - events,
-              pin.sim_events);
+    const Pin actual{
+        pin.app,
+        pin.aggregation,
+        pin.seed,
+        result.stats.suggested,
+        result.stats.evaluated,
+        result.stats.cache_hits,
+        in.counter("automap_sim_plans_total") - plans,
+        in.counter("automap_sim_runs_total") - runs,
+        in.counter("automap_sim_runs_censored_total") - censored,
+        in.counter("automap_sim_events_total") - events,
+        pin.max_allocations};
+    EXPECT_EQ(actual.suggested, pin.suggested);
+    EXPECT_EQ(actual.evaluated, pin.evaluated);
+    EXPECT_EQ(actual.cache_hits, pin.cache_hits);
+    EXPECT_EQ(actual.sim_plans, pin.sim_plans);
+    EXPECT_EQ(actual.sim_runs, pin.sim_runs);
+    EXPECT_EQ(actual.sim_censored, pin.sim_censored);
+    EXPECT_EQ(actual.sim_events, pin.sim_events);
     EXPECT_LE(allocated, pin.max_allocations);
-    std::printf("%s seed %llu: allocations %llu\n", pin.app,
-                static_cast<unsigned long long>(pin.seed),
-                static_cast<unsigned long long>(allocated));
+    // The row as it would be pinned, and the allocations it counted.
+    std::printf(
+        "{\"%s\", Aggregation::%s, %llu, %llu, %llu, %llu, %llu, %llu, "
+        "%llu, %llu, ...}: allocations %llu\n",
+        actual.app, fold, static_cast<unsigned long long>(actual.seed),
+        static_cast<unsigned long long>(actual.suggested),
+        static_cast<unsigned long long>(actual.evaluated),
+        static_cast<unsigned long long>(actual.cache_hits),
+        static_cast<unsigned long long>(actual.sim_plans),
+        static_cast<unsigned long long>(actual.sim_runs),
+        static_cast<unsigned long long>(actual.sim_censored),
+        static_cast<unsigned long long>(actual.sim_events),
+        static_cast<unsigned long long>(allocated));
   }
 }
 

@@ -12,12 +12,10 @@
 // collection arguments demoted per mapping.
 
 #include <iostream>
-#include <limits>
 
 #include "src/apps/pennant.hpp"
 #include "src/automap/automap.hpp"
 #include "src/machine/machine.hpp"
-#include "src/search/evaluator.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/format.hpp"
 #include "src/support/table.hpp"
@@ -70,15 +68,9 @@ int main() {
             sim, SearchAlgorithm::kCcd,
             {.rotations = 5, .repeats = 7, .seed = 42,
              .memory_fallbacks = true});
-        // Measure with the same fallback lists the search used.
-        Evaluator measure(sim, {.repeats = 31, .seed = 2,
-                                .memory_fallbacks = true});
-        measure.evaluate(result.best);
-        const double am_s = measure.has_best()
-                                ? measure.best_seconds()
-                                : std::numeric_limits<double>::infinity();
-        const auto report =
-            sim.run(measure.with_fallbacks(result.best), 99);
+        // The winner carries the fallback lists it was measured with.
+        const double am_s = measure_mapping(sim, result.best, 31, 2);
+        const auto report = sim.run(result.best, 99);
 
         table.add_row({overflow.label, format_seconds(zc_s),
                        format_seconds(am_s), format_speedup(zc_s / am_s),

@@ -15,7 +15,6 @@
 #include "src/apps/pennant.hpp"
 #include "src/automap/automap.hpp"
 #include "src/machine/machine.hpp"
-#include "src/search/evaluator.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/format.hpp"
 
@@ -57,17 +56,15 @@ int main(int argc, char** argv) {
 
   // AutoMap with memory fallbacks: the search places what it can in the
   // Frame-Buffer and the runtime demotes the rest down each argument's
-  // priority list.
+  // priority list, which the returned mapping carries.
   const SearchResult result = automap_optimize(
       sim, SearchAlgorithm::kCcd,
       {.rotations = 5, .repeats = 7, .seed = 42, .memory_fallbacks = true});
-  Evaluator measure(sim,
-                    {.repeats = 31, .seed = 2, .memory_fallbacks = true});
-  const double am_s = measure.evaluate(result.best);
+  const double am_s = measure_mapping(sim, result.best, 31, 2);
   std::cout << "AutoMap            : " << format_seconds(am_s) << "  ("
             << format_speedup(zc_s / am_s) << " faster than all-Zero-Copy)\n";
 
-  const auto report = sim.run(measure.with_fallbacks(result.best), 99);
+  const auto report = sim.run(result.best, 99);
   if (report.ok) {
     std::cout << "\nfootprints of the discovered mapping:\n";
     for (const auto& fp : report.footprints) {

@@ -1,5 +1,6 @@
 #include "src/cli/commands.hpp"
 
+#include <cmath>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -226,15 +227,25 @@ int cmd_evaluate(const Args& args) {
   const std::string trace_json_path = args.value_or("--trace-json");
 
   Simulator sim(machine, graph, {});
+  // A mapping that cannot run (out of memory) measures as infinity; the
+  // one run that names why is made only then.
+  const auto failure = [&](const Mapping& m) {
+    return "failed to execute: " + sim.run(m, 1).failure;
+  };
   const double mean = measure_mapping(sim, mapping, repeats, 1);
+  if (!std::isfinite(mean)) throw Error("mapping " + failure(mapping));
   std::cout << "mean over " << repeats
             << " runs: " << format_seconds(mean) << "\n";
 
-  DefaultMapper dm;
-  const double def =
-      measure_mapping(sim, dm.map_all(graph, machine), repeats, 1);
-  std::cout << "default mapper: " << format_seconds(def) << " ("
-            << format_speedup(def / mean) << " speedup)\n";
+  const Mapping default_mapping = DefaultMapper().map_all(graph, machine);
+  const double def = measure_mapping(sim, default_mapping, repeats, 1);
+  std::cout << "default mapper: ";
+  if (std::isfinite(def)) {
+    std::cout << format_seconds(def) << " (" << format_speedup(def / mean)
+              << " speedup)\n";
+  } else {
+    std::cout << failure(default_mapping) << "\n";
+  }
   emit_observability(machine, graph, mapping, profile, trace_json_path);
   return 0;
 }

@@ -281,12 +281,18 @@ std::string render_explain(const TaskGraph& graph,
   // The finalist protocol re-measures the top-k candidates and may crown a
   // finalist other than the last incumbent. Decisions where the winner and
   // the incumbent chain agree keep their move provenance; the rest are
-  // attributed to the finalist protocol.
+  // attributed to the finalist protocol. The winner's fallback memories
+  // (--fallbacks) are no decision, so only primaries are compared.
   Mapping winner = seg->current;
   bool winner_is_incumbent = true;
   if (!seg->winner_serialized.empty()) {
     winner = Mapping::parse(seg->winner_serialized, graph);
-    winner_is_incumbent = winner == seg->current;
+    for (const GroupTask& task : graph.tasks()) {
+      winner_is_incumbent &= winner.at(task.id) == seg->current.at(task.id);
+      for (std::size_t a = 0; a < task.args.size(); ++a)
+        winner_is_incumbent &= winner.primary_memory(task.id, a) ==
+                               seg->current.primary_memory(task.id, a);
+    }
   }
   if (seg->finalized) {
     os << "winner: " << format_seconds(seg->best)

@@ -17,7 +17,7 @@ namespace detail {
 
 OverlapMap build_overlap_map(const TaskGraph& graph,
                              const std::vector<OverlapEdge>& edges,
-                             const FrozenTaskSet* frozen) {
+                             const std::vector<TaskId>& frozen) {
   // The active edges as a symmetric collection adjacency matrix (a == b
   // encodes the same-collection coupling across tasks).
   const std::size_t n = graph.num_collections();
@@ -29,7 +29,7 @@ OverlapMap build_overlap_map(const TaskGraph& graph,
   // Every argument that may co-move, in flat order.
   std::vector<std::pair<ArgRef, CollectionId>> movable;
   for (const GroupTask& task : graph.tasks()) {
-    if (frozen != nullptr && frozen->contains(task.id)) continue;
+    if (std::ranges::find(frozen, task.id) != frozen.end()) continue;
     for (std::size_t a = 0; a < task.args.size(); ++a)
       movable.push_back({{task.id, a}, task.args[a].collection});
   }
@@ -159,8 +159,10 @@ std::vector<TaskId> tasks_by_runtime(const Simulator& sim, const Mapping& f,
 std::vector<ForcedMove> forced_moves(const Mapping& base,
                                      const Mapping& candidate, TaskId t,
                                      std::size_t arg,
-                                     const OverlapMap* overlap,
+                                     const OverlapMap& overlap,
                                      const TaskGraph& graph) {
+  const std::vector<ArgRef>& related =
+      overlap[graph.arg_offsets()[t.index()] + arg];
   std::vector<ForcedMove> out;
   for (const GroupTask& task : graph.tasks()) {
     const TaskId ti = task.id;
@@ -176,13 +178,8 @@ std::vector<ForcedMove> forced_moves(const Mapping& base,
       if (ti == t && ai == arg) continue;  // the primary decision itself
       const MemKind m = candidate.primary_memory(ti, ai);
       if (m == base.primary_memory(ti, ai)) continue;
-      bool direct = false;
-      if (overlap != nullptr) {
-        const auto& related =
-            (*overlap)[graph.arg_offsets()[t.index()] + arg];
-        direct = std::find(related.begin(), related.end(),
-                           ArgRef{ti, ai}) != related.end();
-      }
+      const bool direct =
+          std::ranges::find(related, ArgRef{ti, ai}) != related.end();
       out.push_back(
           {.task = ti, .arg = ai, .mem = m, .direct = direct});
     }
@@ -221,6 +218,8 @@ struct Move {
 
 /// Observability instruments of one CCD/CD run (all null when disabled).
 struct CcdInstruments {
+  /// CCD rather than CD: names the journal's indirect forced moves.
+  bool constrained = false;
   Journal* journal = nullptr;
   Counter* moves_accepted = nullptr;
   Counter* moves_rejected = nullptr;
@@ -249,7 +248,7 @@ std::string render_forced(const std::vector<ForcedMove>& moves,
       // direct: the argument co-locates with the primary (same or
       // overlapping collection). transitive: dragged by the fixed point
       // through other co-location classes. repair: plain CD's
-      // addressability fallback (no constraint graph at all).
+      // addressability fallback (no co-location classes at all).
       out += m.direct ? ",\"via\":\"colocation\""
                       : (constrained ? ",\"via\":\"transitive\""
                                      : ",\"via\":\"repair\"");
@@ -262,10 +261,9 @@ std::string render_forced(const std::vector<ForcedMove>& moves,
 
 /// Emits one `move` journal event (and bumps the accepted/rejected
 /// counters) for `candidate`, the result of `move` on task `t` of the
-/// pre-move incumbent `base`. `overlap` is the active co-location map
-/// (null under plain CD).
+/// pre-move incumbent `base`. `overlap` is the active co-location map.
 void emit_move(const CcdInstruments& ins, const Move& move, TaskId t,
-               const OverlapMap* overlap, const TaskGraph& graph,
+               const OverlapMap& overlap, const TaskGraph& graph,
                const Mapping& base, const Mapping& candidate, bool accepted,
                double mean, double incumbent, double clock) {
   if (ins.moves_accepted != nullptr) {
@@ -293,17 +291,17 @@ void emit_move(const CcdInstruments& ins, const Move& move, TaskId t,
       ev.raw("forced",
              render_forced(
                  forced_moves(base, candidate, t, move.arg, overlap, graph),
-                 /*constrained=*/overlap != nullptr));
+                 ins.constrained));
     }
   }
 }
 
-/// Applies `move` to task `t` of the incumbent `f`. Under CCD the
-/// co-location constraints are then re-established (Algorithm 2); under
-/// plain CD the task's other arguments are repaired so the processor
-/// switch yields an executable mapping (the runtime's fallback).
+/// Applies `move` to task `t` of the incumbent `f` and re-establishes the
+/// co-location constraints of `overlap` (Algorithm 2). Plain CD's map is
+/// empty, so there only the task's other arguments its new processor
+/// cannot address move, to that processor's best memory.
 Mapping apply_move(const Mapping& f, TaskId t, const Move& move,
-                   const OverlapMap* overlap, const TaskGraph& graph,
+                   const OverlapMap& overlap, const TaskGraph& graph,
                    const MachineModel& machine) {
   Mapping candidate = f;
   if (move.is_dist) {
@@ -313,17 +311,9 @@ Mapping apply_move(const Mapping& f, TaskId t, const Move& move,
   }
   candidate.at(t).proc = move.proc;
   candidate.set_primary_memory(t, move.arg, move.mem);
-  if (overlap != nullptr)
-    return detail::colocation_constraints(std::move(candidate), t, move.arg,
-                                          move.proc, move.mem, *overlap, graph,
-                                          machine);
-  for (std::size_t other = 0; other < graph.task(t).args.size(); ++other) {
-    if (other == move.arg) continue;
-    if (!machine.addressable(move.proc, candidate.primary_memory(t, other)))
-      candidate.set_primary_memory(t, other,
-                                   machine.best_memory_for(move.proc));
-  }
-  return candidate;
+  return detail::colocation_constraints(std::move(candidate), t, move.arg,
+                                        move.proc, move.mem, overlap, graph,
+                                        machine);
 }
 
 /// OptimizeTask (Algorithm 1 ll. 10-24): tests every distribution,
@@ -339,7 +329,7 @@ Mapping apply_move(const Mapping& f, TaskId t, const Move& move,
 /// rejected candidate enters the top-k list, which would change which
 /// later candidates are censored and every counter after them.
 void optimize_task(TaskId t, Mapping& f, double& p, Evaluator& eval,
-                   const Simulator& sim, const OverlapMap* overlap,
+                   const Simulator& sim, const OverlapMap& overlap,
                    bool search_distribution_strategies,
                    const CcdInstruments& ins) {
   const TaskGraph& graph = sim.graph();
@@ -390,6 +380,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
   const char* algorithm = constrained ? "AM-CCD" : "AM-CD";
 
   CcdInstruments ins;
+  ins.constrained = constrained;
   ins.journal = options.journal;
   if (options.metrics != nullptr) {
     MetricsRegistry& m = *options.metrics;
@@ -449,8 +440,6 @@ SearchResult run_coordinate_descent(const Simulator& sim,
         .raw("edge_list", rendered);
   }
 
-  const FrozenTaskSet frozen(options.frozen_tasks, graph.num_tasks());
-
   const int rotations = constrained ? options.rotations : 1;
   Rng profile_rng(mix64(options.seed) ^ 0x1b873593ULL);
 
@@ -480,7 +469,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
     const double best_before = eval.best_seconds();
 
     const detail::OverlapMap overlap =
-        detail::build_overlap_map(graph, edges, &frozen);
+        detail::build_overlap_map(graph, edges, options.frozen_tasks);
     const std::vector<TaskId> order =
         detail::tasks_by_runtime(sim, f, profile_rng.next());
 
@@ -506,12 +495,14 @@ SearchResult run_coordinate_descent(const Simulator& sim,
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
       const TaskId t = order[pos];
       if (eval.budget_exhausted()) break;
-      if (frozen.contains(t)) continue;  // §3.3 subset search
+      if (std::ranges::find(options.frozen_tasks, t) !=
+          options.frozen_tasks.end())
+        continue;  // §3.3 subset search
       if (ins.journal != nullptr) {
         ins.journal->set_coordinate(static_cast<int>(pos),
                                     static_cast<int>(t.index()));
       }
-      optimize_task(t, f, p, eval, sim, constrained ? &overlap : nullptr,
+      optimize_task(t, f, p, eval, sim, overlap,
                     options.search_distribution_strategies, ins);
       checkpoint(rotation, static_cast<int>(pos + 1));
     }
@@ -557,7 +548,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
     }
   }
 
-  return eval.finalize(algorithm);
+  return eval.finalize();
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 // rotation a fraction of the lightest overlap edges is pruned, so the final
 // rotation is plain CD. The constraints let CCD make the coordinated
 // multi-collection moves that strictly-improving local search cannot (§4.2).
+// CD is that final rotation alone: Algorithm 2 over no edges, which moves
+// only the task's own arguments its new processor cannot address.
 
 #include "src/search/evaluator.hpp"
 #include "src/search/search.hpp"
@@ -59,7 +61,7 @@ using OverlapMap = std::vector<std::vector<ArgRef>>;
 /// every co-location class — they never co-move.
 [[nodiscard]] OverlapMap build_overlap_map(
     const TaskGraph& graph, const std::vector<OverlapEdge>& edges,
-    const FrozenTaskSet* frozen = nullptr);
+    const std::vector<TaskId>& frozen = {});
 
 /// Algorithm 2: returns f' = f with (t, arg) mapped to (k, r) and the
 /// co-location constraints re-established by fixed-point iteration. `f` is
@@ -93,18 +95,18 @@ struct ForcedMove {
   MemKind mem = MemKind::kSystem;
   /// The changed argument overlaps the primary (t, arg) directly (same
   /// collection or an overlapping one) — versus a transitive fixed-point
-  /// consequence or, under plain CD, an addressability repair.
+  /// consequence or, over an empty map (plain CD), an addressability
+  /// repair.
   bool direct = false;
 };
 
 /// Complete diff of an accepted placement move against the pre-move
 /// incumbent, the primary decision itself excluded. Deterministic
-/// task-major order. `overlap` is the active co-location map (null under
-/// plain CD, where every change is an addressability repair).
+/// task-major order. `overlap` is the active co-location map.
 [[nodiscard]] std::vector<ForcedMove> forced_moves(const Mapping& base,
                                                    const Mapping& candidate,
                                                    TaskId t, std::size_t arg,
-                                                   const OverlapMap* overlap,
+                                                   const OverlapMap& overlap,
                                                    const TaskGraph& graph);
 
 }  // namespace detail

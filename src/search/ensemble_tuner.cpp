@@ -194,7 +194,7 @@ SearchResult run_ensemble_tuner(const Simulator& sim,
     }
   }
 
-  return eval.finalize("AM-OT");
+  return eval.finalize();
 }
 
 }  // namespace automap

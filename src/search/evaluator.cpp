@@ -30,12 +30,37 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::uint64_t kEvalSalt = 0x5bf03635f0a5a1edULL;
 constexpr std::uint64_t kFinalSalt = 0xa0761d6478bd642fULL;
 
-/// RunRecord::Status names, in enumerator order.
-constexpr const char* kStatusNames[] = {"evaluated", "censored", "oom",
-                                        "quarantined"};
+/// Per Outcome, in its order: the word the journal and the checkpoint log
+/// write, whether the candidate executed (every executed outcome also
+/// counts as evaluated), and its own SearchStats count and metrics counter
+/// (none for kEvaluated). The order is the counters' registration order,
+/// which the metric snapshots keep.
+struct OutcomeRow {
+  const char* word;
+  bool executed;
+  std::size_t SearchStats::*count;
+  const char* counter;
+  const char* help;
+};
+constexpr OutcomeRow kOutcomes[] = {
+    {"evaluated", true, nullptr, nullptr, nullptr},
+    {"invalid", false, &SearchStats::invalid,
+     "automap_candidates_invalid_total", "Candidates rejected as invalid"},
+    {"oom", true, &SearchStats::oom, "automap_candidates_oom_total",
+     "Candidates that ran out of memory"},
+    {"censored", true, &SearchStats::censored,
+     "automap_candidates_censored_total",
+     "Candidates censored at their censor threshold"},
+    {"cached", false, &SearchStats::cache_hits,
+     "automap_candidates_cache_hits_total",
+     "Candidates answered from the profiles database"},
+    {"quarantined", true, &SearchStats::quarantined,
+     "automap_candidates_quarantined_total",
+     "Candidates quarantined by the resilience policy"},
+};
 
-const char* status_name(RunRecord::Status status) {
-  return kStatusNames[static_cast<int>(status)];
+const OutcomeRow& row_of(Outcome outcome) {
+  return kOutcomes[static_cast<std::size_t>(outcome)];
 }
 
 /// The checkpoint header's lines after the algorithm label: everything
@@ -81,12 +106,11 @@ CheckpointLog read_checkpoint_log(const std::string& text,
                   "<transient failures> <retries>");
     RunRecord run;
     run.hash = read_hash(reader, t[0]);
-    const auto* status =
-        std::find(std::begin(kStatusNames), std::end(kStatusNames), t[1]);
-    reader.expect(status != std::end(kStatusNames),
-                  "unknown status: " + t[1]);
-    run.status = static_cast<RunRecord::Status>(
-        std::distance(std::begin(kStatusNames), status));
+    const auto* row = std::find_if(
+        std::begin(kOutcomes), std::end(kOutcomes),
+        [&](const OutcomeRow& r) { return r.executed && t[1] == r.word; });
+    reader.expect(row != std::end(kOutcomes), "unknown status: " + t[1]);
+    run.status = static_cast<Outcome>(row - std::begin(kOutcomes));
     run.value = reader.to_double(t[2]);
     run.charge_s = reader.to_double(t[3]);
     reader.expect(!std::isnan(run.value) && std::isfinite(run.charge_s) &&
@@ -129,19 +153,10 @@ Evaluator::Evaluator(const Simulator& sim, const SearchOptions& options)
                                      "Candidate mappings proposed");
     m_evaluated_ = metrics_->counter("automap_candidates_evaluated_total",
                                      "Candidate mappings executed");
-    m_invalid_ = metrics_->counter("automap_candidates_invalid_total",
-                                   "Candidates rejected as invalid");
-    m_oom_ = metrics_->counter("automap_candidates_oom_total",
-                               "Candidates that ran out of memory");
-    m_censored_ =
-        metrics_->counter("automap_candidates_censored_total",
-                          "Candidates censored at the batch threshold");
-    m_cache_hits_ = metrics_->counter(
-        "automap_candidates_cache_hits_total",
-        "Candidates answered from the profiles database");
-    m_quarantined_ =
-        metrics_->counter("automap_candidates_quarantined_total",
-                          "Candidates quarantined by the resilience policy");
+    for (const OutcomeRow& row : kOutcomes)
+      m_outcomes_.push_back(row.counter != nullptr
+                                ? metrics_->counter(row.counter, row.help)
+                                : nullptr);
     m_search_clock_ = metrics_->gauge("automap_search_clock_seconds",
                                       "Simulated search clock");
     m_best_seconds_ = metrics_->gauge("automap_best_seconds",
@@ -264,7 +279,7 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
   // charges and contributes nothing), so both modes produce the same
   // record bit for bit.
   RunRecord run{.hash = key};
-  const auto fail = [&run](RunRecord::Status status) {
+  const auto fail = [&run](Outcome status) {
     run.status = status;
     run.value = kInf;
     return run;
@@ -277,7 +292,7 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
   // during instance allocation.
   if (!sim_.begin_runs(candidate, plan_hash(candidate, key), scratch_)) {
     run.charge_s = failure_observation_cost();
-    return fail(RunRecord::Status::kOom);
+    return fail(Outcome::kOom);
   }
   const ResiliencePolicy& policy = options_.resilience;
   const bool inject = sim_.options().faults.enabled();
@@ -318,7 +333,7 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
       ++consecutive_lost;
       if (policy.quarantine_after > 0 &&
           consecutive_lost >= policy.quarantine_after)
-        return fail(RunRecord::Status::kQuarantined);
+        return fail(Outcome::kQuarantined);
       continue;
     }
     consecutive_lost = 0;
@@ -333,7 +348,7 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
       // post-censor loop folds away. The value is exactly the threshold
       // (not budget/repeats, whose rounding could land one ulp below it
       // and leak past a caller's `mean < bound` acceptance test).
-      run.status = RunRecord::Status::kCensored;
+      run.status = Outcome::kCensored;
       run.value = threshold_s;
       return run;
     }
@@ -350,7 +365,7 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
   // the consecutive-loss cutoff fired early. Fault draws come from a
   // derived stream, so re-executing under the same policy would lose the
   // same way — the cached failure is the honest answer.
-  if (survivors == 0) return fail(RunRecord::Status::kQuarantined);
+  if (survivors == 0) return fail(Outcome::kQuarantined);
   run.value = aggregate_objective(objective_sum, survivors, objectives_);
   return run;
 }
@@ -361,7 +376,7 @@ RunRecord Evaluator::next_replayed(std::uint64_t hash, double threshold_s) {
   if (run.hash != hash)
     throw Error(where + " ran mapping " + hex_u64(run.hash) +
                 ", but the resumed search executes " + hex_u64(hash));
-  if (run.status == RunRecord::Status::kCensored && run.value != threshold_s)
+  if (run.status == Outcome::kCensored && run.value != threshold_s)
     throw Error(where + " was censored at " + json_double(run.value) +
                 " s, but the resumed search censors at " +
                 json_double(threshold_s) + " s");
@@ -372,7 +387,7 @@ void Evaluator::append_record(const RunRecord& run) {
   char line[128];
   const int n = std::snprintf(
       line, sizeof line, "%016llx %s %.17g %.17g %d %d\n",
-      static_cast<unsigned long long>(run.hash), status_name(run.status),
+      static_cast<unsigned long long>(run.hash), row_of(run.status).word,
       run.value, run.charge_s, run.transient_failures, run.retries);
   log_.append(line, static_cast<std::size_t>(n));
 }
@@ -502,16 +517,14 @@ double Evaluator::evaluate(const Mapping& mapping, double threshold_s) {
   const Mapping& candidate = options_.memory_fallbacks ? extended : mapping;
 
   double mean;
-  const char* status;
+  Outcome outcome;
   if (cached) {
     mean = it->second.mean_seconds;
-    ++stats_.cache_hits;
-    status = "cached";
+    outcome = Outcome::kCached;
   } else if (!candidate.valid(sim_.graph(), sim_.machine())) {
-    ++stats_.invalid;
     profiles_.insert_or_assign(key, Entry{mapping, kInf});
     mean = kInf;
-    status = "invalid";
+    outcome = Outcome::kInvalid;
   } else {
     // A resumed search takes each executed candidate's outcome from its
     // log until the log is spent; from then on candidates simulate, and a
@@ -527,76 +540,55 @@ double Evaluator::evaluate(const Mapping& mapping, double threshold_s) {
           options_.prune_candidates && std::isfinite(threshold_s));
       if (keep_log_) append_record(run);
     }
-    ++stats_.evaluated;
     stats_.transient_failures +=
         static_cast<std::size_t>(run.transient_failures);
     stats_.retries += static_cast<std::size_t>(run.retries);
     stats_.search_time_s += run.charge_s;
     stats_.evaluation_time_s += run.charge_s;
     mean = run.value;
-    status = status_name(run.status);
+    outcome = run.status;
     // A censored entry is re-executed only if a later evaluation needs it
     // resolved under a looser threshold; a quarantined one never is.
     profiles_.insert_or_assign(
         key, Entry{mapping, mean,
-                   /*censored=*/run.status == RunRecord::Status::kCensored,
-                   /*quarantined=*/run.status ==
-                       RunRecord::Status::kQuarantined});
-    switch (run.status) {
-      case RunRecord::Status::kOom:
-        ++stats_.oom;
-        break;
-      case RunRecord::Status::kQuarantined:
-        ++stats_.quarantined;
-        break;
-      case RunRecord::Status::kCensored:
-        // Censored candidates never update the incumbent, trajectory or
-        // finalist list.
-        ++stats_.censored;
-        break;
-      case RunRecord::Status::kEvaluated:
-        if (mean < best_seconds_) {
-          best_seconds_ = mean;
-          trajectory_.push_back({stats_.search_time_s, mean});
-          if (journal_) {
-            // 1:1 with trajectory points — the replay drift check and the
-            // Chrome-trace search row both reconstruct the Fig. 9 curve
-            // from these.
-            journal_->event("incumbent")
-                .num("clock", stats_.search_time_s)
-                .num("best", mean)
-                .integer("seq", static_cast<long long>(stats_.suggested));
-          }
+                   /*censored=*/outcome == Outcome::kCensored,
+                   /*quarantined=*/outcome == Outcome::kQuarantined});
+    // Censored, failed and quarantined candidates never update the
+    // incumbent, trajectory or finalist list.
+    if (outcome == Outcome::kEvaluated) {
+      if (mean < best_seconds_) {
+        best_seconds_ = mean;
+        trajectory_.push_back({stats_.search_time_s, mean});
+        if (journal_) {
+          // 1:1 with trajectory points — the replay drift check and the
+          // Chrome-trace search row both reconstruct the Fig. 9 curve
+          // from these.
+          journal_->event("incumbent")
+              .num("clock", stats_.search_time_s)
+              .num("best", mean)
+              .integer("seq", static_cast<long long>(stats_.suggested));
         }
-        // Maintain the top-k list for the finalist protocol.
-        if (mean < kInf) insert_top(mapping, key, mean);
-        break;
+      }
+      // Maintain the top-k list for the finalist protocol.
+      if (mean < kInf) insert_top(mapping, key, mean);
     }
   }
+  const OutcomeRow& row = row_of(outcome);
+  if (row.executed) ++stats_.evaluated;
+  if (row.count != nullptr) ++(stats_.*row.count);
 
-  if (journal_ || metrics_) journal_candidate(status, mean, key);
+  if (journal_ || metrics_) journal_candidate(outcome, mean, key);
   return mean;
 }
 
-void Evaluator::journal_candidate(const char* status, double mean,
+void Evaluator::journal_candidate(Outcome outcome, double mean,
                                   std::uint64_t hash) {
-  const std::string_view s(status);
+  const OutcomeRow& row = row_of(outcome);
   if (metrics_) {
     m_suggested_->inc();
-    if (s == "cached") {
-      m_cache_hits_->inc();
-    } else if (s == "invalid") {
-      m_invalid_->inc();
-    } else {
-      m_evaluated_->inc();
-      if (s == "oom") {
-        m_oom_->inc();
-      } else if (s == "censored") {
-        m_censored_->inc();
-      } else if (s == "quarantined") {
-        m_quarantined_->inc();
-      }
-    }
+    if (row.executed) m_evaluated_->inc();
+    if (Counter* own = m_outcomes_[static_cast<std::size_t>(outcome)])
+      own->inc();
     m_search_clock_->set(stats_.search_time_s);
     if (std::isfinite(best_seconds_)) m_best_seconds_->set(best_seconds_);
     if (std::isfinite(mean)) m_candidate_mean_->observe(mean);
@@ -604,7 +596,7 @@ void Evaluator::journal_candidate(const char* status, double mean,
   if (journal_) {
     journal_->event("candidate")
         .integer("seq", static_cast<long long>(stats_.suggested))
-        .str("status", s)
+        .str("status", row.word)
         .num("mean", mean)
         .num("clock", stats_.search_time_s)
         .str("hash", hex_u64(hash));
@@ -699,9 +691,9 @@ const Mapping& Evaluator::best() const {
   return top_.front().mapping;
 }
 
-SearchResult Evaluator::finalize(std::string algorithm_name) {
+SearchResult Evaluator::finalize() {
   SearchResult result;
-  result.algorithm = std::move(algorithm_name);
+  result.algorithm = label_;
   // The finalist protocol runs outside any rotation/coordinate scope.
   if (journal_) journal_->clear_cursor();
 
@@ -711,23 +703,11 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
   // partial result with no finalize journal record. Budget exhaustion
   // alone does NOT take this path — a budget-cut search still verifies
   // its finalists exactly as before, preserving byte-identity.
-  if (cancelled()) {
-    if (!top_.empty()) {
-      result.best = top_.front().mapping;
-      result.best_seconds = top_.front().mean_seconds;
-    }
-    stats_.wall_time_s = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - wall_start_)
-                             .count();
-    result.stats = stats_;
-    result.trajectory = trajectory_;
-    if (journal_) journal_->flush();
-    return result;
-  }
+  const bool cut = cancelled();
 
   // Nothing to verify: every candidate the search executed ran out of
   // memory or lost its repeats to injected faults, or was invalid.
-  if (top_.empty())
+  if (!cut && top_.empty())
     throw Error("finalist protocol found no executable mapping: no "
                 "candidate completed a run (" +
                 std::to_string(stats_.evaluated) + " executed: " +
@@ -739,7 +719,8 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
   const int repeats = options_.final_repeats;
   const bool robust = options_.resilience.aggregation != Aggregation::kMean;
   double best_final = kInf;
-  for (std::size_t e = 0; e < top_.size(); ++e) {
+  for (std::size_t e = 0; !cut && e < top_.size(); ++e) {
+    // The mapping each rerun simulates, and the one the result returns.
     const Mapping candidate = with_fallbacks(top_[e].mapping);
     const std::uint64_t hash = top_[e].hash;
     double sum = 0.0;
@@ -782,7 +763,7 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
       final_mean = aggregate_objective(sum, ok_runs, objectives_);
       if (final_mean < best_final) {
         best_final = final_mean;
-        result.best = top_[e].mapping;
+        result.best = candidate;
       }
     }
     if (journal_) {
@@ -797,11 +778,12 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
   }
   if (best_final < kInf) {
     result.best_seconds = best_final;
-  } else {
-    // Graceful degradation: the fault rate left every finalist
-    // unprofilable. Return the best-known incumbent with the degraded flag.
-    stats_.degraded = true;
-    result.best = top_.front().mapping;
+  } else if (!top_.empty()) {
+    // Cancelled, or graceful degradation: the fault rate left every
+    // finalist unprofilable. Return the best-known incumbent, flagged
+    // degraded unless the search was cancelled.
+    if (!cut) stats_.degraded = true;
+    result.best = with_fallbacks(top_.front().mapping);
     result.best_seconds = top_.front().mean_seconds;
   }
   stats_.wall_time_s = std::chrono::duration<double>(
@@ -809,25 +791,27 @@ SearchResult Evaluator::finalize(std::string algorithm_name) {
                            .count();
   result.stats = stats_;
   result.trajectory = trajectory_;
-  if (options_.export_profiles_db) result.profiles_db = export_profiles();
-  if (metrics_) {
-    m_search_clock_->set(stats_.search_time_s);
-    if (std::isfinite(result.best_seconds))
-      m_best_seconds_->set(result.best_seconds);
+  if (!cut) {
+    if (options_.export_profiles_db) result.profiles_db = export_profiles();
+    if (metrics_) {
+      m_search_clock_->set(stats_.search_time_s);
+      if (std::isfinite(result.best_seconds))
+        m_best_seconds_->set(result.best_seconds);
+    }
+    if (journal_) {
+      journal_metrics_snapshot(/*force=*/true);
+      journal_->event("finalize")
+          .str("algorithm", result.algorithm)
+          .num("best", result.best_seconds)
+          .boolean("degraded", stats_.degraded)
+          .integer("suggested", static_cast<long long>(stats_.suggested))
+          .integer("evaluated", static_cast<long long>(stats_.evaluated))
+          .integer("censored", static_cast<long long>(stats_.censored))
+          .num("clock", stats_.search_time_s)
+          .str("winner", result.best.serialize());
+    }
   }
-  if (journal_) {
-    journal_metrics_snapshot(/*force=*/true);
-    journal_->event("finalize")
-        .str("algorithm", result.algorithm)
-        .num("best", result.best_seconds)
-        .boolean("degraded", stats_.degraded)
-        .integer("suggested", static_cast<long long>(stats_.suggested))
-        .integer("evaluated", static_cast<long long>(stats_.evaluated))
-        .integer("censored", static_cast<long long>(stats_.censored))
-        .num("clock", stats_.search_time_s)
-        .str("winner", result.best.serialize());
-    journal_->flush();
-  }
+  if (journal_) journal_->flush();
   return result;
 }
 

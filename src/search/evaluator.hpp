@@ -70,14 +70,26 @@ class Histogram;
 class Journal;
 class MetricsRegistry;
 
+/// What one proposal came to. An executed candidate is evaluated, out of
+/// memory, censored or quarantined; a cached or invalid one runs nothing.
+/// One table in evaluator.cpp gives each outcome its journal and
+/// checkpoint word, its SearchStats count and its metrics counter.
+enum class Outcome {
+  kEvaluated,
+  kInvalid,
+  kOom,
+  kCensored,
+  kCached,
+  kQuarantined,
+};
+
 /// One candidate a search executed, as its checkpoint log records it: what
 /// the fold needs, keyed by the mapping's structural hash instead of the
 /// mapping itself.
 struct RunRecord {
-  /// The journal's words for an executed candidate.
-  enum class Status { kEvaluated, kCensored, kOom, kQuarantined };
   std::uint64_t hash = 0;
-  Status status = Status::kEvaluated;
+  /// One of the four executed outcomes.
+  Outcome status = Outcome::kEvaluated;
   /// The folded value: the aggregated objective, the censor threshold the
   /// candidate was evaluated under (censored), or infinity (oom,
   /// quarantined).
@@ -157,10 +169,12 @@ class Evaluator {
   [[nodiscard]] bool cancelled() const;
 
   /// The finalist protocol (§5): re-runs the top-k mappings
-  /// `final_repeats` times each and returns the fastest, charging the
-  /// reruns to the search clock. Throws Error naming the failures when no
-  /// candidate completed a run, so there is nothing to rerun.
-  [[nodiscard]] SearchResult finalize(std::string algorithm_name);
+  /// `final_repeats` times each and returns the fastest, as it ran (with
+  /// its priority lists under memory_fallbacks) and labelled as
+  /// begin_search pinned, charging the reruns to the search clock. Throws
+  /// Error naming the failures when no candidate completed a run, so there
+  /// is nothing to rerun.
+  [[nodiscard]] SearchResult finalize();
 
   /// Best mapping so far and its (search-time) mean.
   [[nodiscard]] const Mapping& best() const;
@@ -178,8 +192,8 @@ class Evaluator {
 
   /// If memory_fallbacks is on, returns a copy of `mapping` whose argument
   /// priority lists are extended with the remaining addressable memory
-  /// kinds in decreasing bandwidth order (§3.1). Otherwise returns the
-  /// mapping unchanged.
+  /// kinds in decreasing bandwidth order (§3.1): the mapping every
+  /// candidate runs as. Otherwise returns the mapping unchanged.
   [[nodiscard]] Mapping with_fallbacks(const Mapping& mapping) const;
 
   /// Seeds the database from a previous export. Entries must match the
@@ -193,11 +207,11 @@ class Evaluator {
   void mark_degraded();
 
   /// Algorithms call this once before their first proposal. It pins the
-  /// algorithm label the checkpoint log records — a resumed log must carry
-  /// the same label, or this throws Error — and emits the journal's
-  /// `search_begin` record: the label, the full (options, simulator)
-  /// configuration that determines the deterministic outcome, and the
-  /// serialized starting mapping.
+  /// algorithm label that the checkpoint log records and finalize returns
+  /// — a resumed log must carry the same label, or this throws Error — and
+  /// emits the journal's `search_begin` record: the label, the full
+  /// (options, simulator) configuration that determines the deterministic
+  /// outcome, and the serialized starting mapping.
   void begin_search(std::string_view label, const Mapping& start,
                     bool custom_start = false);
 
@@ -303,10 +317,8 @@ class Evaluator {
   void insert_top(const Mapping& mapping, std::uint64_t hash, double mean);
 
   /// Emits one fold-side `candidate` journal event and updates the
-  /// per-candidate metrics. `status` is one of evaluated / cached /
-  /// invalid / oom / censored / quarantined. Serial fold side only.
-  void journal_candidate(const char* status, double mean,
-                         std::uint64_t hash);
+  /// per-candidate metrics. Serial fold side only.
+  void journal_candidate(Outcome outcome, double mean, std::uint64_t hash);
   /// Appends a deterministic metrics snapshot to the journal when the
   /// snapshot cadence is due (or `force` is set).
   void journal_metrics_snapshot(bool force);
@@ -334,11 +346,9 @@ class Evaluator {
   MetricsRegistry* metrics_ = nullptr;
   Counter* m_suggested_ = nullptr;
   Counter* m_evaluated_ = nullptr;
-  Counter* m_invalid_ = nullptr;
-  Counter* m_oom_ = nullptr;
-  Counter* m_censored_ = nullptr;
-  Counter* m_cache_hits_ = nullptr;
-  Counter* m_quarantined_ = nullptr;
+  /// Each outcome's own counter, by Outcome (null for kEvaluated, which
+  /// m_evaluated_ counts with the other executed outcomes).
+  std::vector<Counter*> m_outcomes_;
   Gauge* m_search_clock_ = nullptr;
   Gauge* m_best_seconds_ = nullptr;
   Histogram* m_candidate_mean_ = nullptr;

@@ -1,5 +1,6 @@
 #include "src/search/extra_algorithms.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/search/coordinate_descent.hpp"
@@ -62,6 +63,12 @@ void mutate_valid(Mapping& mapping, const TaskGraph& graph,
   }
 }
 
+/// Random search and annealing have no natural end; without a budget they
+/// stop after as many proposals as a five-rotation CCD would make.
+std::size_t proposal_cap(const SearchOptions& options) {
+  return std::isfinite(options.time_budget_s) ? std::size_t{1} << 20 : 2500;
+}
+
 }  // namespace
 
 SearchResult run_random_search(const Simulator& sim,
@@ -71,11 +78,6 @@ SearchResult run_random_search(const Simulator& sim,
   const Mapping start = search_starting_point(sim.graph(), sim.machine());
   eval.begin_search("AM-Random", start);
   (void)eval.evaluate(start);
-  // Random search has no natural end; without a budget, sample as many
-  // candidates as a five-rotation CCD would propose.
-  const std::size_t cap = std::isfinite(options.time_budget_s)
-                              ? std::size_t{1} << 20
-                              : 2500;
   // Random search never compares candidates against each other — only the
   // finalist list matters — so the interest bound is zero and the evaluator
   // censors at the k-th finalist mean. The threshold is refreshed every
@@ -83,13 +85,14 @@ SearchResult run_random_search(const Simulator& sim,
   // search's definition: changing it changes which candidates are censored.
   constexpr std::size_t kBlock = 64;
   double threshold = 0.0;
+  const std::size_t cap = proposal_cap(options);
   for (std::size_t i = 0; i < cap && !eval.budget_exhausted(); ++i) {
     if (i % kBlock == 0) threshold = eval.censor_threshold(0.0);
     Mapping candidate = random_valid_mapping(sim.graph(), sim.machine(), rng);
     for (const TaskId t : options.frozen_tasks) candidate.copy_task(t, start);
     (void)eval.evaluate(candidate, threshold);
   }
-  return eval.finalize("AM-Random");
+  return eval.finalize();
 }
 
 SearchResult run_simulated_annealing(const Simulator& sim,
@@ -106,12 +109,10 @@ SearchResult run_simulated_annealing(const Simulator& sim,
   // A start that completed no run leaves no temperature scale to anneal
   // with; finalize reports the failure unless a seeded database holds
   // finalists.
-  if (!std::isfinite(current_cost)) return eval.finalize("AM-Anneal");
+  if (!std::isfinite(current_cost)) return eval.finalize();
 
   double temperature = kInitialTemperature * current_cost;
-  const std::size_t cap = std::isfinite(options.time_budget_s)
-                              ? std::size_t{1} << 20
-                              : 2500;
+  const std::size_t cap = proposal_cap(options);
   for (std::size_t i = 0; i < cap && !eval.budget_exhausted(); ++i) {
     Mapping candidate = current;
     mutate_valid(candidate, sim.graph(), sim.machine(), rng, kMutations);
@@ -128,7 +129,7 @@ SearchResult run_simulated_annealing(const Simulator& sim,
     }
     temperature *= kCooling;
   }
-  return eval.finalize("AM-Anneal");
+  return eval.finalize();
 }
 
 SearchResult run_heft_static(const Simulator& sim,
@@ -138,9 +139,10 @@ SearchResult run_heft_static(const Simulator& sim,
   const MachineModel& machine = sim.machine();
 
   Mapping mapping = search_starting_point(graph, machine);
-  const FrozenTaskSet frozen(options.frozen_tasks, graph.num_tasks());
   for (const GroupTask& task : graph.tasks()) {
-    if (frozen.contains(task.id)) continue;
+    if (std::ranges::find(options.frozen_tasks, task.id) !=
+        options.frozen_tasks.end())
+      continue;
     TaskMapping& tm = mapping.at(task.id);
     tm.distribute = true;
 
@@ -176,7 +178,7 @@ SearchResult run_heft_static(const Simulator& sim,
 
   eval.begin_search("HEFT-static", mapping);
   (void)eval.evaluate(mapping);
-  return eval.finalize("HEFT-static");
+  return eval.finalize();
 }
 
 SearchResult run_ccd_multistart(const Simulator& sim,

@@ -14,18 +14,6 @@
 
 namespace automap {
 
-FrozenTaskSet::FrozenTaskSet(const std::vector<TaskId>& tasks,
-                             std::size_t num_tasks)
-    : mask_(num_tasks, false) {
-  for (const TaskId t : tasks) {
-    AM_REQUIRE(t.index() < num_tasks, "frozen task id out of range");
-    if (!mask_[t.index()]) {
-      mask_[t.index()] = true;
-      ++count_;
-    }
-  }
-}
-
 Mapping search_starting_point(const TaskGraph& graph,
                               const MachineModel& machine) {
   return DefaultMapper().map_all(graph, machine);

@@ -205,26 +205,6 @@ void validate_search_options(const SearchOptions& o, std::size_t num_tasks);
 [[nodiscard]] SimOptions sim_options_from_json(const JsonValue& v);
 [[nodiscard]] SimOptions sim_options_from_json(const std::string& text);
 
-/// Indexed frozen-task lookup (§3.3 subset search), built once per search.
-/// SearchOptions::frozen_tasks is a plain list; scanning it for every task
-/// on every coordinate visit made the membership test O(frozen) on the
-/// search's hottest loop, so algorithms build one of these instead.
-class FrozenTaskSet {
- public:
-  FrozenTaskSet() = default;
-  /// Validates that every id is < num_tasks (throws Error otherwise).
-  FrozenTaskSet(const std::vector<TaskId>& tasks, std::size_t num_tasks);
-
-  [[nodiscard]] bool contains(TaskId task) const {
-    return task.index() < mask_.size() && mask_[task.index()];
-  }
-  [[nodiscard]] bool empty() const { return count_ == 0; }
-
- private:
-  std::vector<bool> mask_;
-  std::size_t count_ = 0;
-};
-
 /// One point of the Fig. 9 search-progress curves.
 struct TrajectoryPoint {
   double search_time_s = 0.0;

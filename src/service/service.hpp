@@ -154,7 +154,7 @@ class MappingService {
     std::string request_json;
     /// Request fingerprint — the result-cache key.
     std::uint64_t fingerprint = 0;
-    std::string algorithm;  // registry label once known, name before
+    std::string algorithm;  // the request's registry name ("ccd", …)
     bool want_journal = false;
     bool reuse_measurements = false;
     /// This process validated the job's request (its machine, graph,

@@ -302,7 +302,7 @@ bool Simulator::resolve_memories(const Mapping& mapping,
     const auto memories = mapping.memories(task.id);
     AM_REQUIRE(memories.size() == task.args.size(),
                "mapping shape mismatch for task " + task.name);
-    SimScratch::ResolvedArg* resolved =
+    MemKind* resolved =
         scratch.resolved_.data() + graph_.arg_offsets()[task.id.index()];
 
     const bool distributed = tm.distribute && num_nodes_ > 1;
@@ -328,7 +328,7 @@ bool Simulator::resolve_memories(const Mapping& mapping,
                                   (distributed ? 1 : 0)];
         if (known != 0) {
           // Already resident in this kind with the same layout; reuse it.
-          resolved[a] = {.memory = kind, .demoted = pri > 0};
+          resolved[a] = kind;
           if (pri > 0) ++scratch.demoted_args_;
           placed = true;
           break;
@@ -360,7 +360,7 @@ bool Simulator::resolve_memories(const Mapping& mapping,
           scratch.used_[static_cast<std::size_t>(n) * kNumMemKinds +
                         index_of(kind)] += instance_share;
         known = 1;
-        resolved[a] = {.memory = kind, .demoted = pri > 0};
+        resolved[a] = kind;
         if (pri > 0) ++scratch.demoted_args_;
         placed = true;
         break;
@@ -423,8 +423,8 @@ void Simulator::build_plan(const Mapping& mapping, std::uint64_t hash,
 
       if (e.carries_data) {
         const TaskMapping& ptm = mapping.at(TaskId(e.producer));
-        const MemKind src = scratch.resolved_[e.producer_arg].memory;
-        const MemKind dst = scratch.resolved_[e.consumer_arg].memory;
+        const MemKind src = scratch.resolved_[e.producer_arg];
+        const MemKind dst = scratch.resolved_[e.consumer_arg];
         const bool p_dist = ptm.distribute && multi;
         // Cross-collection (halo/ghost) flow moves between *instances* even
         // when both live in the same memory kind — per-socket System
@@ -517,7 +517,7 @@ void Simulator::build_plan(const Mapping& mapping, std::uint64_t hash,
     for (std::uint32_t a = graph_.arg_offsets()[ti];
          a < graph_.arg_offsets()[ti + 1]; ++a) {
       mem_time += arg_sec_[arg_sec_index(
-          a, pk, dist, index_of(scratch.resolved_[a].memory))];
+          a, pk, dist, index_of(scratch.resolved_[a]))];
     }
     pt.base_dur = dur_compute_[di] + mem_time;
     pt.launch = dur_launch_[di];

@@ -126,11 +126,6 @@ class SimScratch {
  private:
   friend class Simulator;
 
-  struct ResolvedArg {
-    MemKind memory = MemKind::kSystem;
-    bool demoted = false;
-  };
-
   // --- Execution plan, built by Simulator::begin_runs: every mapping-
   // dependent quantity of the event loop (durations with resolved memory
   // access folded in, copy legs with precomputed elapsed times and flat
@@ -187,7 +182,7 @@ class SimScratch {
   int demoted_args_ = 0;
   std::uint32_t failure_task_ = 0;
   std::uint32_t failure_collection_ = 0;
-  std::vector<ResolvedArg> resolved_;  // by flat argument id
+  std::vector<MemKind> resolved_;  // by flat argument id
   std::vector<MemoryFootprint> footprints_;
   std::vector<std::uint64_t> used_;         // [node][mem kind]
   std::vector<std::uint8_t> instantiated_;  // [collection][kind][distributed]

@@ -189,31 +189,37 @@ class Parser {
           out.push_back('\t');
           break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
+          // A code point above U+FFFF is escaped as a UTF-16 surrogate
+          // pair, high half first; either half alone encodes nothing.
+          const std::size_t start = pos_ - 2;
+          unsigned code = hex4();
+          if (code >= 0xD800 && code <= 0xDBFF &&
+              text_.substr(pos_, 2) == "\\u") {
+            const std::size_t low_at = pos_;
+            pos_ += 2;
+            const unsigned low = hex4();
+            if (low >= 0xDC00 && low <= 0xDFFF)
+              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            else
+              pos_ = low_at;
           }
-          // The journal writer only emits \u00XX for control bytes, so a
-          // Latin-1 style decode covers round-tripping our own output;
-          // other BMP code points get a minimal UTF-8 encoding.
+          if (code >= 0xD800 && code <= 0xDFFF) {
+            pos_ = start;
+            fail("unpaired surrogate " + std::string(text_.substr(start, 6)));
+          }
+          // Minimal UTF-8: one byte below U+0080, up to four above.
           if (code < 0x80) {
             out.push_back(static_cast<char>(code));
           } else if (code < 0x800) {
             out.push_back(static_cast<char>(0xC0 | (code >> 6)));
             out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
+          } else if (code < 0x10000) {
             out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          } else {
+            out.push_back(static_cast<char>(0xF0 | (code >> 18)));
+            out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
             out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
             out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
           }
@@ -223,6 +229,26 @@ class Parser {
           fail("bad escape");
       }
     }
+  }
+
+  /// The four hex digits of a \\u escape, as a UTF-16 code unit.
+  unsigned hex4() {
+    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      code <<= 4;
+      if (h >= '0' && h <= '9') {
+        code += static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        code += static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        code += static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        fail("bad \\u escape");
+      }
+    }
+    return code;
   }
 
   JsonValue parse_number() {

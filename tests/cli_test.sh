@@ -277,6 +277,36 @@ expect_one_error "<ClassName> must be a C++ identifier, got '9bad'" \
       "$CLI" codegen "$DIR/g.graph" "$DIR/best.mapping" 9bad "$DIR/bad.cpp"
 test ! -e "$DIR/bad.cpp"
 
+# On a machine whose Frame-Buffer holds 1 KiB, a mapping that keeps its
+# data there cannot run: evaluate fails with the simulator's one-line
+# cause. A mapping in System memory still runs, and the default mapper,
+# which puts GPU tasks' data in the Frame-Buffer, reports its failure in
+# place of a speedup.
+sed 's/^\(mem FrameBuffer count [0-9]* capacity\) [0-9]*$/\1 1024/' \
+      "$DIR/m.machine" > "$DIR/tiny-fb.machine"
+grep -q "^mem FrameBuffer count [0-9]* capacity 1024$" "$DIR/tiny-fb.machine"
+cat > "$DIR/all-fb.mapping" <<'EOF'
+task 0 dist GPU FrameBuffer FrameBuffer FrameBuffer FrameBuffer FrameBuffer FrameBuffer
+task 1 dist GPU FrameBuffer FrameBuffer FrameBuffer FrameBuffer FrameBuffer
+task 2 dist GPU FrameBuffer FrameBuffer FrameBuffer FrameBuffer
+EOF
+expect_one_error "mapping failed to execute: out of memory: " \
+      "$CLI" evaluate "$DIR/tiny-fb.machine" "$DIR/g.graph" \
+      "$DIR/all-fb.mapping" --repeats 3
+cat > "$DIR/all-sys.mapping" <<'EOF'
+task 0 dist CPU System System System System System System
+task 1 dist CPU System System System System System
+task 2 dist CPU System System System System
+EOF
+"$CLI" evaluate "$DIR/tiny-fb.machine" "$DIR/g.graph" "$DIR/all-sys.mapping" \
+      --repeats 3 > "$DIR/tiny-fb.out"
+grep -q "^mean over 3 runs: [0-9.]* ms$" "$DIR/tiny-fb.out"
+grep -q "^default mapper: failed to execute: out of memory: " "$DIR/tiny-fb.out"
+if grep -q "speedup\|inf" "$DIR/tiny-fb.out"; then
+  echo "a default mapper that cannot run has no speedup" >&2
+  exit 1
+fi
+
 # A garbled profiles database must fail with a one-line diagnostic and a
 # nonzero exit, not a raw uncaught exception / abort.
 cat > "$DIR/garbled.txt" <<'EOF'

@@ -474,6 +474,9 @@ TEST_F(LineFormats, MalformedCheckpointNamesTheLine) {
        {"bad hash", record_with(0, "abc")},
        {"negative count", record_with(5, "-1")},
        {"unknown status", record_with(1, "measured")},
+       // Words of outcomes that execute nothing never head a record.
+       {"cached status", record_with(1, "cached")},
+       {"invalid status", record_with(1, "invalid")},
        {"record cut mid-line",
         joined(lines.begin(), lines.end() - 1) +
             lines.back().substr(0, lines.back().size() / 2)},

@@ -256,7 +256,7 @@ TEST(ForcedMoves, ColocationEdgePinsTheSharedStencilCollection) {
                                              graph, machine);
 
   const std::vector<detail::ForcedMove> forced = detail::forced_moves(
-      base, candidate, stencil_task, stencil_in, &overlap, graph);
+      base, candidate, stencil_task, stencil_in, overlap, graph);
   bool pinned = false;
   for (const detail::ForcedMove& m : forced) {
     if (m.task == increment_task && !m.proc_change &&
@@ -268,6 +268,23 @@ TEST(ForcedMoves, ColocationEdgePinsTheSharedStencilCollection) {
   }
   EXPECT_TRUE(pinned)
       << "moving stencil's 'in' must force increment's 'in' along";
+}
+
+TEST(Explain, FallbackWinnerIsComparedByItsDecisions) {
+  // Under --fallbacks the winner carries priority lists the incumbent
+  // chain never proposed. On this input the final incumbent wins the
+  // finalist protocol, and the headline must say so.
+  const BenchmarkApp app = make_app_by_name("htr", 2, 0);
+  const MachineModel machine = make_shepard(2);
+  const Simulator sim(machine, app.graph, {});
+  Journal journal;
+  const SearchResult result = run_ccd(
+      sim, {.seed = 42, .memory_fallbacks = true, .journal = &journal});
+  ASSERT_NE(result.best.serialize().find(','), std::string::npos);
+  const std::string rendered = render_explain(app.graph, journal.text());
+  EXPECT_NE(rendered.find("(the final incumbent)"), std::string::npos)
+      << rendered.substr(0, rendered.find('\n', rendered.find("winner")));
+  EXPECT_EQ(rendered.find("set by the finalist protocol"), std::string::npos);
 }
 
 TEST(Explain, CoversEveryTaskAndCollectionArgument) {

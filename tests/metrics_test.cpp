@@ -263,6 +263,35 @@ TEST(Json, NumbersFollowTheGrammar) {
   }
 }
 
+TEST(Json, SurrogatePairsDecodeToOneFourByteSequence) {
+  const auto decoded = [](const std::string& escape) {
+    return parse_json("[\"" + escape + "\"]").array.at(0).string;
+  };
+  EXPECT_EQ(decoded("\\ud83d\\ude00"), "\xf0\x9f\x98\x80");  // U+1F600
+  EXPECT_EQ(decoded("\\uD800\\uDC00"), "\xf0\x90\x80\x80");  // U+10000
+  EXPECT_EQ(decoded("\\udbff\\udfff"), "\xf4\x8f\xbf\xbf");  // U+10FFFF
+  EXPECT_EQ(decoded("a\\ud83d\\ude00b"), "a\xf0\x9f\x98\x80" "b");
+  // The code points beside the surrogate block still decode alone.
+  EXPECT_EQ(decoded("\\ud7ff"), "\xed\x9f\xbf");
+  EXPECT_EQ(decoded("\\ue000"), "\xee\x80\x80");
+}
+
+TEST(Json, LoneSurrogatesAreRejected) {
+  // The offset names the escape that starts the unpaired surrogate.
+  EXPECT_EQ(parse_error("[\"\\ud800\"]"),
+            "json: unpaired surrogate \\ud800 at offset 2");
+  EXPECT_EQ(parse_error("[\"\\udc00\"]"),
+            "json: unpaired surrogate \\udc00 at offset 2");
+  EXPECT_EQ(parse_error("[\"ab\\ud83d\\u0041\"]"),
+            "json: unpaired surrogate \\ud83d at offset 4");
+  EXPECT_EQ(parse_error("[\"\\ud83d\\ud83d\\ude00\"]"),
+            "json: unpaired surrogate \\ud83d at offset 2");
+  EXPECT_EQ(parse_error("[\"\\ude00\\ud83d\"]"),
+            "json: unpaired surrogate \\ude00 at offset 2");
+  EXPECT_EQ(parse_error("{\"\\uDBFF\":1}"),
+            "json: unpaired surrogate \\uDBFF at offset 2");
+}
+
 TEST(Json, MetricsSnapshotEscapesControlBytesInNames) {
   MetricsRegistry metrics;
   std::string name = "odd";

@@ -497,8 +497,10 @@ TEST(ProfilesImport, DuplicateImportDoesNotStackFinalists) {
   twice.import_profiles(db);
   twice.import_profiles(db);
 
-  const SearchResult a = once.finalize("import-once");
-  const SearchResult b = twice.finalize("import-twice");
+  once.begin_search("import-once", Mapping(app.g));
+  twice.begin_search("import-twice", Mapping(app.g));
+  const SearchResult a = once.finalize();
+  const SearchResult b = twice.finalize();
   EXPECT_EQ(a.best, b.best);
   EXPECT_EQ(a.best_seconds, b.best_seconds);
   EXPECT_EQ(a.stats.search_time_s, b.stats.search_time_s);
@@ -514,6 +516,7 @@ TEST(Telemetry, RotationsRecordImprovementsAndCacheHitsAreCounted) {
 
   Evaluator eval(sim, {.repeats = 2, .seed = 5});
   const Mapping start(app.g);
+  eval.begin_search("telemetry-test", start);
   const double first = eval.evaluate(start);
   eval.note_rotation(0, std::numeric_limits<double>::infinity());
   (void)eval.evaluate(start);  // answered from the profiles cache
@@ -531,7 +534,7 @@ TEST(Telemetry, RotationsRecordImprovementsAndCacheHitsAreCounted) {
   EXPECT_EQ(stats.rotations[1].best_before_s, first);
   EXPECT_EQ(stats.rotations[1].improvement_s(), 0.0);
 
-  const SearchResult result = eval.finalize("telemetry-test");
+  const SearchResult result = eval.finalize();
   EXPECT_EQ(result.stats.cache_hits, 1u);
   EXPECT_EQ(result.stats.rotations.size(), 2u);
   EXPECT_GE(result.stats.wall_time_s, 0.0);

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -90,11 +91,36 @@ constexpr Pin kPins[] = {
 // CCD with memory fallbacks under fault injection. Each candidate runs as
 // its fallback-extended copy, and the noise and fault streams of a run are
 // seeded from the hash of the mapping actually simulated, so seeding them
-// from the proposed mapping's hash instead moves this pin.
+// from the proposed mapping's hash instead moves this pin. The winner is
+// returned, and journaled, as that extended copy.
 constexpr Pin kFallbackPin = {
-    "ccd", true, "a5a6712da31e3657",
+    "ccd", true, "dc02d335777783db",
     "AM-CCD: best mapping 2.19 ms after 157 suggested / 63 evaluated mappings, simulated 323.62 ms of search (100% evaluating)",
-    "407b8a63608da2b5"};
+    "17a2cb65d4a10f43"};
+
+// CCD, HEFT and OT with task 0 frozen (§3.3 subset search): CCD's sweep
+// and co-location map, HEFT's per-task loop and OT's proposals each leave
+// it at its starting decisions.
+constexpr Pin kFrozenPins[] = {
+    {"ccd", false, "43cf46060b6881d0",
+     "AM-CCD: best mapping 2.89 ms after 67 suggested / 30 evaluated mappings, simulated 259.72 ms of search (100% evaluating)",
+     "3e83a20d13f4e11f"},
+    {"ccd", true, "62590699ef3890d2",
+     "AM-CCD: best mapping 3.05 ms after 67 suggested / 29 evaluated mappings, simulated 344.74 ms of search (100% evaluating)",
+     "91927466b4051b0e"},
+    {"heft", false, "747a142fee38d692",
+     "HEFT-static: best mapping 3.63 ms after 1 suggested / 1 evaluated mappings, simulated 29.05 ms of search (100% evaluating)",
+     "126a42ea2db996f7"},
+    {"heft", true, "7a0728ef96eef783",
+     "HEFT-static: best mapping 3.63 ms after 1 suggested / 1 evaluated mappings, simulated 29.05 ms of search (100% evaluating)",
+     "126a42ea2db996f7"},
+    {"ot", false, "aa158f61df5d11b1",
+     "AM-OT: best mapping 7.11 ms after 42 suggested / 5 evaluated mappings, simulated 5.168 s of search (5% evaluating)",
+     "8c335c55512e441a"},
+    {"ot", true, "82b606b78f94fdb6",
+     "AM-OT: best mapping 7.05 ms after 42 suggested / 4 evaluated mappings, simulated 5.117 s of search (4% evaluating)",
+     "8cf793d150f6d6ed"},
+};
 // clang-format on
 
 std::string literal(const Pin& p) {
@@ -122,7 +148,7 @@ struct Observed {
 /// and top-k, and a simulated budget for the algorithms that have no
 /// natural end.
 Observed observe(const std::string& algorithm, bool faults,
-                 bool fallbacks = false) {
+                 bool fallbacks = false, bool frozen = false) {
   const BenchmarkApp app = make_app_by_name("stencil", 1, 0);
   const MachineModel machine = make_shepard(1);
   SimOptions sim_options = app.sim;
@@ -141,6 +167,7 @@ Observed observe(const std::string& algorithm, bool faults,
                         .memory_fallbacks = fallbacks};
   if (algorithm == "ot" || algorithm == "random" || algorithm == "anneal")
     options.time_budget_s = 5.0;
+  if (frozen) options.frozen_tasks = {TaskId(0)};
   options.journal = &journal;
   options.metrics = &metrics;
   const SearchAlgorithmInfo* info = find_search_algorithm(algorithm);
@@ -151,11 +178,13 @@ Observed observe(const std::string& algorithm, bool faults,
           hex_u64(hash_text(result.best.serialize()))};
 }
 
-void expect_pinned(const std::string& algorithm) {
+void expect_pinned(const std::string& algorithm,
+                   std::span<const Pin> pins = kPins, bool frozen = false) {
   for (const bool faults : {false, true}) {
-    const Observed actual = observe(algorithm, faults);
+    const Observed actual =
+        observe(algorithm, faults, /*fallbacks=*/false, frozen);
     const Pin* pinned = nullptr;
-    for (const Pin& p : kPins)
+    for (const Pin& p : pins)
       if (p.algorithm == algorithm && p.faults == faults) pinned = &p;
     const bool matches = pinned != nullptr &&
                          pinned->journal == actual.journal &&
@@ -180,6 +209,10 @@ TEST(SearchGolden, RandomMatchesPins) { expect_pinned("random"); }
 TEST(SearchGolden, AnnealMatchesPins) { expect_pinned("anneal"); }
 TEST(SearchGolden, HeftMatchesPins) { expect_pinned("heft"); }
 TEST(SearchGolden, MultistartMatchesPins) { expect_pinned("multistart"); }
+TEST(SearchGolden, FrozenTaskSearchesMatchPins) {
+  for (const char* algorithm : {"ccd", "heft", "ot"})
+    expect_pinned(algorithm, kFrozenPins, /*frozen=*/true);
+}
 
 TEST(SearchGolden, EveryRegistryAlgorithmIsPinned) {
   for (const SearchAlgorithmInfo& info : search_algorithms()) {

@@ -8,7 +8,9 @@
 #include <utility>
 
 #include "src/apps/circuit.hpp"
+#include "src/apps/pennant.hpp"
 #include "src/apps/stencil.hpp"
+#include "src/automap/automap.hpp"
 #include "src/machine/machine.hpp"
 #include "src/runtime/mapper.hpp"
 #include "src/search/coordinate_descent.hpp"
@@ -179,6 +181,30 @@ TEST(Evaluator, FallbacksExtendPriorityLists) {
             MemKind::kFrameBuffer);
   EXPECT_EQ(extended.memories(app.producer)[0][1],
             MemKind::kZeroCopy);
+}
+
+TEST(Evaluator, FallbackSearchReturnsTheMappingItMeasured) {
+  // Pennant 1.3 % over Lassen(1)'s Frame-Buffer (the Fig. 8 input): the
+  // winner runs only because the runtime demotes an argument down its
+  // priority list, so a winner written without its lists runs out of
+  // memory.
+  const MachineModel machine = make_lassen(1);
+  PennantConfig config;
+  config.zones_y = static_cast<long>(
+      static_cast<double>(pennant_max_fb_zones_y(
+          machine.mem_capacity(MemKind::kFrameBuffer), 1,
+          machine.procs_per_node(ProcKind::kGpu))) *
+      1.013);
+  const BenchmarkApp app = make_pennant(config);
+  const Simulator sim(machine, app.graph, app.sim);
+  const SearchResult result =
+      run_ccd(sim, {.seed = 42, .memory_fallbacks = true});
+
+  const Mapping written = Mapping::parse(result.best.serialize(), app.graph);
+  const ExecutionReport report = sim.run(written, 1);
+  ASSERT_TRUE(report.ok) << report.failure;
+  EXPECT_GE(report.demoted_args, 1);
+  EXPECT_TRUE(std::isfinite(measure_mapping(sim, written, 3, 1)));
 }
 
 TEST(OverlapMap, ConnectsOverlappingAndSharedCollections) {

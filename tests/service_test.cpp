@@ -282,6 +282,28 @@ TEST(Service, RawControlByteInASubmitIsABadRequest) {
   EXPECT_TRUE(fs::is_empty(fs::path(store) / "jobs"));
 }
 
+TEST(Service, LoneSurrogateInASubmitIsABadRequest) {
+  // A \u escape of half a UTF-16 surrogate pair encodes no character, so
+  // the request is not valid JSON text and makes no job.
+  const std::string store = fresh_store("lone-surrogate");
+  MappingService service({.store_dir = store, .job_workers = 0});
+  std::string graph = json_escape(task_graph_to_string(control_byte_graph()));
+  const std::size_t escaped = graph.find("\\u0001");
+  ASSERT_NE(escaped, std::string::npos);
+  graph.replace(escaped, 6, "\\ud800");
+  const std::string request = submit_graph(graph);
+
+  const JsonValue answer = handle_json(service, request);
+  EXPECT_EQ(answer.str_or("code", ""), "bad_request");
+  EXPECT_EQ(answer.str_or("message", ""),
+            "json: unpaired surrogate \\ud800 at offset " +
+                std::to_string(request.find("\\ud800")));
+  EXPECT_TRUE(handle_json(service, "{\"op\":\"jobs\"}")
+                  .find("jobs")
+                  ->array.empty());
+  EXPECT_TRUE(fs::is_empty(fs::path(store) / "jobs"));
+}
+
 TEST(Service, AnswersAndStoreFilesEscapeControlBytesInNames) {
   const std::string store = fresh_store("control-byte-names");
   MappingService service({.store_dir = store, .job_workers = 0});

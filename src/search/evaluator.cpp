@@ -90,9 +90,9 @@ CheckpointLog read_checkpoint_log(const std::string& text,
   std::istringstream is(text);
   LineReader reader(is);
   const std::string version = reader.tagged("automap-checkpoint", 1)[1];
-  if (version != "2")
+  if (version != "3")
     reader.fail("unsupported checkpoint version " + version +
-                " (this build reads version 2)");
+                " (this build reads version 3)");
   CheckpointLog log;
   log.algorithm = reader.tagged("algorithm", 1)[1];
   for (const auto& [tag, value] : pinned_config(options, sim))
@@ -127,7 +127,8 @@ CheckpointLog read_checkpoint_log(const std::string& text,
 
 Evaluator::Evaluator(const Simulator& sim, const SearchOptions& options)
     : sim_(sim), options_(options), best_seconds_(kInf),
-      wall_start_(std::chrono::steady_clock::now()) {
+      wall_start_(std::chrono::steady_clock::now()),
+      line_slack_(sim.options().noise_sigma) {
   validate_search_options(options_, sim_.graph().num_tasks());
   if (!options_.profiles_seed.empty())
     import_profiles(options_.profiles_seed);
@@ -248,16 +249,20 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
   // The mean races its running sum against the censor threshold T: after
   // k completed runs the candidate is censored when the sum exceeds
   //
-  //   B_k = min(k*T*(1 + 3*sigma/sqrt(k)),  repeats*T)
+  //   B_k = min(k*T*(1 + 3*c/sqrt(k)),  repeats*T)
   //
-  // The first term is a confidence line — a candidate whose true mean is
-  // at most T crosses it with probability ~Phi(-3) per prefix under the
-  // simulator's log-normal per-run noise, so real improvements survive
-  // while a candidate 2x worse than the incumbent is cut after a single
-  // run instead of burning its full repeat budget. The second term is the
-  // exactness cap: sum > repeats*T alone already proves mean > T, and
-  // because B_repeats equals the cap, an *uncensored* candidate always has
-  // a provably exact mean <= T (no false accepts at the last run). With
+  // The first term is a confidence line. Its slack c = line_slack_ is
+  // min(sigma, max(3*cv, 0.001)), where cv is the sample coefficient of
+  // variation of the start mapping's runs (begin_search measures it): the
+  // line sits about nine estimated standard deviations of the sum above
+  // k*T, so a candidate whose true mean is at most T rarely crosses it,
+  // while one a few percent worse than T is cut after a run or two
+  // instead of burning its full repeat budget. Until begin_search
+  // measures, c is the per-event noise sigma itself, the line's widest
+  // setting. The line is statistical; the second term is the exactness
+  // cap: sum > repeats*T alone already proves mean > T, and because
+  // B_repeats equals the cap, an *uncensored* candidate always has a
+  // provably exact mean <= T (no false accepts at the last run). With
   // sigma = 0 the line collapses to k*T and the race is exact.
   //
   // The median of an odd repeat count races each run against T itself: a
@@ -301,7 +306,7 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
                            options_.repeats % 2 == 1 && !inject;
   const int majority = (options_.repeats + 1) / 2;
   const double repeats_d = static_cast<double>(options_.repeats);
-  const double slack = 3.0 * sim_.options().noise_sigma;
+  const double slack = 3.0 * line_slack_;
   double sum = 0.0;
   double objective_sum = 0.0;
   int survivors = 0;
@@ -625,6 +630,7 @@ void Evaluator::begin_search(std::string_view label, const Mapping& start,
     throw Error("checkpoint was written by " + resumed_.algorithm +
                 ", cannot resume as " + std::string(label));
   label_ = label;
+  calibrate_line(start);
   if (!journal_) return;
   // Everything that determines the deterministic outcome is recorded via
   // the canonical codec — the same encoding the CLI's --options file and
@@ -637,6 +643,37 @@ void Evaluator::begin_search(std::string_view label, const Mapping& start,
       .boolean("custom_start", custom_start)
       .boolean("resumed", !options_.resume_state.empty())
       .boolean("seeded_profiles", !options_.profiles_seed.empty());
+}
+
+void Evaluator::calibrate_line(const Mapping& start) {
+  const double sigma = sim_.options().noise_sigma;
+  if (options_.resilience.aggregation != Aggregation::kMean ||
+      options_.objective != Objective::kExecutionTime || sigma <= 0.0 ||
+      options_.repeats < 2)
+    return;
+  // The start's own evaluation runs, with its plan, seeds and retries. They
+  // are not charged: evaluating the start charges them, and a cached or
+  // replayed start costs wall time only.
+  const Mapping candidate = with_fallbacks(start);
+  const std::uint64_t key = start.hash();
+  if (!sim_.begin_runs(candidate, plan_hash(candidate, key), scratch_))
+    return;  // invalid or out of memory
+  std::vector<double> totals;
+  RunRecord uncharged;
+  for (int r = 0; r < options_.repeats; ++r) {
+    const ExecutionReport& report =
+        run_repeat(candidate, key, r, kEvalSalt, kInf, uncharged);
+    if (report.ok) totals.push_back(report.total_seconds);
+  }
+  if (totals.size() < 2) return;
+  const double n = static_cast<double>(totals.size());
+  double mean = 0.0;
+  for (const double t : totals) mean += t;
+  mean /= n;
+  double squares = 0.0;
+  for (const double t : totals) squares += (t - mean) * (t - mean);
+  const double cv = std::sqrt(squares / (n - 1.0)) / mean;
+  line_slack_ = std::min(sigma, std::max(3.0 * cv, 0.001));
 }
 
 void Evaluator::charge_overhead(double seconds) {
@@ -682,7 +719,7 @@ void Evaluator::mark_degraded() {
 }
 
 std::string Evaluator::serialize_state() const {
-  return "automap-checkpoint 2\nalgorithm " + label_ + "\n" + log_config_ +
+  return "automap-checkpoint 3\nalgorithm " + label_ + "\n" + log_config_ +
          log_;
 }
 

@@ -35,18 +35,19 @@
 // interest bound and the current k-th best finalist mean, re-derived when
 // the incumbent changes — and evaluate races the candidate against it:
 // after k runs the candidate is *censored* once its running sum crosses a
-// noise-aware confidence line (capped at repeats x T, at which point
-// mean > T is proven outright), and each run simulates under a time bound
-// of whatever the line leaves. The median of an odd repeat count races
-// each run against T and censors once a majority crossed, at which point
-// median > T is proven outright. A censored candidate folds to exactly T, is
-// recorded in the profiles database with a censored flag (re-executed only
-// if a later evaluation needs it resolved under a looser threshold), and
-// never enters the trajectory or the top-k list; an uncensored candidate's
-// value is exact and provably at most T. The censoring arithmetic runs in
-// both modes; the prune flag only decides whether the simulator aborts at
-// the line or burns real time past it — so results stay bit-identical with
-// pruning on or off. The search clock is charged the simulated seconds
+// confidence line calibrated to the start mapping's run-to-run spread
+// (capped at repeats x T, at which point mean > T is proven outright), and
+// each run simulates under a time bound of whatever the line leaves. The
+// median of an odd repeat count races each run against T and censors once
+// a majority crossed, at which point median > T is proven outright. A
+// censored candidate folds to exactly T, is recorded in the profiles
+// database with a censored flag (re-executed only if a later evaluation
+// needs it resolved under a looser threshold), and never enters the
+// trajectory or the top-k list; an uncensored candidate's value is exact
+// and provably at most T. The censoring arithmetic runs in both modes; the
+// prune flag only decides whether the simulator aborts at the line or
+// burns real time past it — so results stay bit-identical with pruning on
+// or off. The search clock is charged the simulated seconds
 // actually consumed up to the line (the cost a real bounded deployment
 // would pay).
 
@@ -111,7 +112,7 @@ struct CheckpointLog {
 /// Parses a checkpoint log and checks that its header pins the
 /// configuration of `options` and `sim` — the budget aside, so a budget-cut
 /// search can resume under a larger one. Throws Error naming the line on a
-/// malformed log, a version other than 2 or a configuration mismatch. The
+/// malformed log, a version other than 3 or a configuration mismatch. The
 /// algorithm label is returned, not checked: Evaluator::begin_search checks
 /// it, and the mapping service vets a job's checkpoint with this function
 /// before resuming it.
@@ -208,8 +209,10 @@ class Evaluator {
 
   /// Algorithms call this once before their first proposal. It pins the
   /// algorithm label that the checkpoint log records and finalize returns
-  /// — a resumed log must carry the same label, or this throws Error — and
-  /// emits the journal's `search_begin` record: the label, the full
+  /// — a resumed log must carry the same label, or this throws Error —
+  /// calibrates the mean's censor line to `start`'s measured run-to-run
+  /// spread (calibrate_line; fresh and resumed searches measure alike),
+  /// and emits the journal's `search_begin` record: the label, the full
   /// (options, simulator) configuration that determines the deterministic
   /// outcome, and the serialized starting mapping.
   void begin_search(std::string_view label, const Mapping& start,
@@ -280,9 +283,9 @@ class Evaluator {
                                     RunRecord& run);
   /// Executes one candidate's `repeats` runs as a race against the censor
   /// threshold. Under the mean, after k runs the candidate is censored once
-  /// its running sum crosses a noise-aware confidence line (capped at
-  /// repeats x threshold, the exactness bound), and run k executes under a
-  /// simulated-time bound of whatever the line leaves. Under the median of
+  /// its running sum crosses a confidence line set by line_slack_ (capped
+  /// at repeats x threshold, the exactness bound), and run k executes under
+  /// a simulated-time bound of whatever the line leaves. Under the median of
   /// an odd repeat count without fault injection, every run executes under
   /// the threshold itself and the candidate is censored once a majority of
   /// them crossed it. The censoring decision, charge and fold are pure
@@ -298,6 +301,13 @@ class Evaluator {
   /// Throws Error naming the record otherwise.
   [[nodiscard]] RunRecord next_replayed(std::uint64_t hash,
                                         double threshold_s);
+  /// Sets line_slack_ to min(sigma, max(3 x cv, 0.001)), where cv is the
+  /// sample coefficient of variation of `start`'s completed evaluation
+  /// runs, re-run here uncharged. Only the mean's time race uses the line,
+  /// so it measures only under the mean, the execution-time objective,
+  /// sigma > 0 and repeats >= 2, and keeps sigma when fewer than two runs
+  /// complete.
+  void calibrate_line(const Mapping& start);
   /// Appends `run` to the checkpoint log as one line.
   void append_record(const RunRecord& run);
   /// Simulated cost of observing a failed (OOM) evaluation: the runtime
@@ -338,6 +348,9 @@ class Evaluator {
   std::vector<TrajectoryPoint> trajectory_;
   /// Wall-clock anchor for SearchStats::wall_time_s (simulated vs real).
   std::chrono::steady_clock::time_point wall_start_;
+  /// The slack c of the mean's censor line (run_candidate): the noise
+  /// sigma until calibrate_line measures the start mapping's spread.
+  double line_slack_;
 
   // Observability handles, cached at construction from SearchOptions
   // (all null when the corresponding facility is disabled). Every update

@@ -437,7 +437,7 @@ TEST_F(LineFormats, MalformedCheckpointNamesTheLine) {
   (void)run_ccd(sim, options);
   const std::string log = load_checksummed(path).payload;
   std::remove(path.c_str());
-  // automap-checkpoint 2 / algorithm / options / sim / profiles_seed, then
+  // automap-checkpoint 3 / algorithm / options / sim / profiles_seed, then
   // one record per executed candidate:
   // <hash> <status> <value> <charge> <transient failures> <retries>.
   const auto lines = lines_of(log);
@@ -466,6 +466,7 @@ TEST_F(LineFormats, MalformedCheckpointNamesTheLine) {
   };
   expect_refused_naming_the_line(
       {{"bad version", with_line(lines, 0, "automap-checkpoint 1")},
+       {"version 2", with_line(lines, 0, "automap-checkpoint 2")},
        {"other options", with_line(lines, options_at, other_seed)},
        {"extra field", with_line(lines, first, lines[first] + " 0")},
        {"bad number", record_with(2, "0.5x")},

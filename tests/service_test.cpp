@@ -1491,11 +1491,13 @@ TEST(Service, CorruptCheckpointQuarantinedAndJobRunsFresh) {
 TEST(Service, RefusedCheckpointQuarantinedAndJobRunsFresh) {
   // A checkpoint the search would refuse is quarantined like a torn one,
   // and the job reruns from scratch to the one-shot answer: a version-1
-  // file an older build left, or a log written under another
-  // configuration (here another seed's job).
+  // file an older build left, a version-2 log (whose records an older
+  // build raced against another censor line), or a log written under
+  // another configuration (here another seed's job).
   const std::string store = fresh_store("refused-checkpoint");
   const SearchOptions options = small_options(42);
   std::string id;
+  std::string own;
   std::string foreign;
   {
     MappingService service({.store_dir = store, .job_workers = 0});
@@ -1503,15 +1505,19 @@ TEST(Service, RefusedCheckpointQuarantinedAndJobRunsFresh) {
     const std::string other =
         job_id_of(handle_json(service, submit_request(small_options(43))));
     service.drain();
+    own = load_checksummed(store + "/jobs/" + id + "/checkpoint").payload;
     foreign = load_checksummed(store + "/jobs/" + other + "/checkpoint")
                   .payload;
   }
   ASSERT_FALSE(foreign.empty());
+  ASSERT_EQ(own.rfind("automap-checkpoint 3\n", 0), 0u);
   const std::string version_1 =
       "automap-checkpoint 1\nalgorithm AM-CCD\nrotation 1\nposition 0\n";
+  const std::string version_2 =
+      "automap-checkpoint 2" + own.substr(own.find('\n'));
   const std::string dir = store + "/jobs/" + id;
   const OneShot ref = one_shot_reference(options);
-  for (const std::string& planted : {version_1, foreign}) {
+  for (const std::string& planted : {version_1, version_2, foreign}) {
     fs::remove(dir + "/result.json");
     fs::remove(dir + "/checkpoint.corrupt");
     save_checksummed(dir + "/checkpoint", planted, "checkpoint");

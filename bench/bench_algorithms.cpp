@@ -41,7 +41,7 @@ void run_case(const BenchmarkApp& app, const MachineModel& machine,
   for (const SearchAlgorithmInfo& info : search_algorithms()) {
     if (info.name == "ccd") continue;
     SearchOptions options = budgeted;
-    // Multistart gets 3x the budget (it runs up to three CCD passes).
+    // Multistart gets 3x the budget (it runs up to three CCD descents).
     if (info.name == "multistart")
       options.time_budget_s = 3 * ccd.stats.search_time_s;
     results.push_back(info.run(sim, options));

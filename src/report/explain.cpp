@@ -74,7 +74,7 @@ std::vector<JsonValue> parse_journal(const std::string& text) {
 }
 
 /// Why one decision holds its final value: the accepted move that set it,
-/// or nothing (start default / custom start).
+/// or nothing (the chain's start).
 struct Provenance {
   long long move_n = -1;  // journal sequence of the accepted move; -1 = start
   int rotation = -1;
@@ -88,39 +88,41 @@ struct Provenance {
   std::string via;  // colocation | transitive | addressability | repair
 };
 
-/// One search segment: everything between a search_begin and its finalize.
-/// Multi-start journals contain several.
-struct Segment {
-  std::string algorithm;
+/// One accepted-move chain: from a start (a search_begin or a multistart
+/// restart record) to the incumbent before the next start.
+struct Chain {
   Mapping current;  // start mapping, updated by the accepted-move chain
-  bool custom_start = false;
   long long accepted = 0;
   long long rejected = 0;
   std::vector<Provenance> dist_prov;
   std::vector<Provenance> proc_prov;
   std::vector<Provenance> mem_prov;  // by flat argument id
-  bool finalized = false;
-  double best = kInf;
-  std::string winner_serialized;
 };
 
-Segment make_segment(const TaskGraph& graph, const JsonValue& sb) {
-  Segment seg;
-  seg.algorithm = sb.str_or("algorithm", "?");
-  seg.custom_start = sb.bool_or("custom_start", false);
-  const std::string start = sb.str_or("start", "");
-  require(!start.empty(), "search_begin record has no start mapping");
-  seg.current = Mapping::parse(start, graph);
-  seg.dist_prov.resize(graph.num_tasks());
-  seg.proc_prov.resize(graph.num_tasks());
-  seg.mem_prov.resize(graph.num_collection_args());
-  return seg;
+/// A journal's search: its chains and its finalize record (null when the
+/// search was interrupted), which points into the parsed events.
+struct Search {
+  std::string algorithm;
+  std::vector<Chain> chains;
+  const JsonValue* finalize = nullptr;
+};
+
+Chain make_chain(const TaskGraph& graph, const JsonValue& ev) {
+  const std::string start = ev.str_or("start", "");
+  require(!start.empty(), ev.str_or("type", "?") +
+                              " record has no start mapping");
+  Chain chain;
+  chain.current = Mapping::parse(start, graph);
+  chain.dist_prov.resize(graph.num_tasks());
+  chain.proc_prov.resize(graph.num_tasks());
+  chain.mem_prov.resize(graph.num_collection_args());
+  return chain;
 }
 
-/// Applies one accepted `move` event to the segment's incumbent chain and
-/// records provenance for every decision the move changed. Verifies the
-/// recorded post-move hash against the replayed mapping.
-void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
+/// Applies one accepted `move` event to the chain's incumbent and records
+/// provenance for every decision the move changed. Verifies the recorded
+/// post-move hash against the replayed mapping.
+void apply_move(Chain& chain, const JsonValue& ev, const TaskGraph& graph) {
   const int n = json_int_or(ev, "n", -1, 0);
   const int rotation = json_int_or(ev, "rot", -1, 0);
   const int t = json_int_or(ev, "task", -1, 0, last_index(graph.num_tasks()));
@@ -136,10 +138,10 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
 
   const std::string kind = ev.str_or("kind", "");
   if (kind == "distribution") {
-    TaskMapping& tm = seg.current.at(task);
+    TaskMapping& tm = chain.current.at(task);
     tm.distribute = ev.bool_or("distribute", tm.distribute);
     tm.blocked = ev.bool_or("blocked", tm.blocked);
-    seg.dist_prov[task.index()] = primary;
+    chain.dist_prov[task.index()] = primary;
   } else if (kind == "placement") {
     const int arg = json_int_or(ev, "arg", -1, 0,
                                 last_index(graph.task(task).args.size()));
@@ -147,15 +149,15 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
                           " has no arg field");
     const ProcKind proc = parse_proc_kind(ev.str_or("proc", ""));
     const MemKind mem = parse_mem_kind(ev.str_or("mem", ""));
-    if (seg.current.at(task).proc != proc) {
-      seg.current.at(task).proc = proc;
-      seg.proc_prov[task.index()] = primary;
+    if (chain.current.at(task).proc != proc) {
+      chain.current.at(task).proc = proc;
+      chain.proc_prov[task.index()] = primary;
     }
-    if (seg.current.primary_memory(task, static_cast<std::size_t>(arg)) !=
+    if (chain.current.primary_memory(task, static_cast<std::size_t>(arg)) !=
         mem) {
-      seg.current.set_primary_memory(task, static_cast<std::size_t>(arg),
-                                     mem);
-      seg.mem_prov[graph.arg_offsets()[task.index()] + arg] = primary;
+      chain.current.set_primary_memory(task, static_cast<std::size_t>(arg),
+                                       mem);
+      chain.mem_prov[graph.arg_offsets()[task.index()] + arg] = primary;
     }
     if (const JsonValue* forced = ev.find("forced")) {
       for (const JsonValue& f : forced->array) {
@@ -167,16 +169,16 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
         prov.by_arg = static_cast<std::size_t>(arg);
         prov.via = f.str_or("via", "?");
         if (f.has("proc")) {
-          seg.current.at(TaskId(ft)).proc =
+          chain.current.at(TaskId(ft)).proc =
               parse_proc_kind(f.str_or("proc", ""));
-          seg.proc_prov[ft] = prov;
+          chain.proc_prov[ft] = prov;
         } else {
           const auto fa = static_cast<std::size_t>(
               json_int_or(f, "arg", 0, 0,
                           last_index(graph.task(TaskId(ft)).args.size())));
-          seg.current.set_primary_memory(TaskId(ft), fa,
-                                         parse_mem_kind(f.str_or("mem", "")));
-          seg.mem_prov[graph.arg_offsets()[ft] + fa] = prov;
+          chain.current.set_primary_memory(
+              TaskId(ft), fa, parse_mem_kind(f.str_or("mem", "")));
+          chain.mem_prov[graph.arg_offsets()[ft] + fa] = prov;
         }
       }
     }
@@ -189,40 +191,53 @@ void apply_move(Segment& seg, const JsonValue& ev, const TaskGraph& graph) {
   // move produced. A mismatch means the journal was edited or the replay
   // semantics drifted from the emitting code.
   const std::string recorded = ev.str_or("hash", "");
-  if (recorded != hex_u64(seg.current.hash()))
+  if (recorded != hex_u64(chain.current.hash()))
     throw Error("journal hash mismatch at event n=" + std::to_string(n) +
                 ": the accepted-move chain does not reproduce the "
                 "recorded mapping (corrupted or edited journal?)");
 }
 
-/// Walks all events into segments. Every accepted move is replayed;
-/// rejected moves only count.
-std::vector<Segment> build_segments(const std::vector<JsonValue>& events,
-                                    const TaskGraph& graph) {
-  std::vector<Segment> segments;
+/// Walks all events into chains, one per search_begin or restart record.
+/// Every accepted move is replayed; rejected moves only count.
+Search build_search(const std::vector<JsonValue>& events,
+                    const TaskGraph& graph) {
+  Search search;
   for (const JsonValue& ev : events) {
     const std::string type = ev.str_or("type", "");
-    if (type == "search_begin") {
-      segments.push_back(make_segment(graph, ev));
+    if (type == "search_begin" || type == "restart") {
+      if (search.chains.empty())
+        search.algorithm = ev.str_or("algorithm", "?");
+      search.chains.push_back(make_chain(graph, ev));
       continue;
     }
-    if (segments.empty()) continue;  // header / pre-search records
-    Segment& seg = segments.back();
+    if (search.chains.empty()) continue;  // header / pre-search records
+    Chain& chain = search.chains.back();
     if (type == "move") {
       if (ev.bool_or("accepted", false)) {
-        ++seg.accepted;
-        apply_move(seg, ev, graph);
+        ++chain.accepted;
+        apply_move(chain, ev, graph);
       } else {
-        ++seg.rejected;
+        ++chain.rejected;
       }
     } else if (type == "finalize") {
-      seg.finalized = true;
-      seg.best = ev.wide_num_or("best", kInf);
-      seg.winner_serialized = ev.str_or("winner", "");
+      search.finalize = &ev;
     }
   }
-  require(!segments.empty(), "journal has no search_begin record");
-  return segments;
+  require(!search.chains.empty(), "journal has no search_begin record");
+  return search;
+}
+
+/// True when `a` and `b` make the same primary decisions. The winner's
+/// fallback memories (--fallbacks) are no decision, so only primaries count.
+bool same_decisions(const Mapping& a, const Mapping& b,
+                    const TaskGraph& graph) {
+  for (const GroupTask& task : graph.tasks()) {
+    if (a.at(task.id) != b.at(task.id)) return false;
+    for (std::size_t i = 0; i < task.args.size(); ++i)
+      if (a.primary_memory(task.id, i) != b.primary_memory(task.id, i))
+        return false;
+  }
+  return true;
 }
 
 std::string describe_delta(const Provenance& p) {
@@ -231,11 +246,13 @@ std::string describe_delta(const Provenance& p) {
   return p.delta <= 0.0 ? "-" + magnitude : "+" + magnitude;
 }
 
-/// "move #41 (rotation 2, Δ -1.2ms)" or "start default".
+/// "move #41 (rotation 2, Δ -1.2ms)", or the start of chain `chain`: the
+/// search's own (0) or a multistart restart's.
 std::string describe_provenance(const Provenance& p, const TaskGraph& graph,
-                                bool custom_start) {
+                                std::size_t chain) {
   if (p.move_n < 0)
-    return custom_start ? "custom starting mapping" : "start default (§4.1)";
+    return chain == 0 ? "start default (§4.1)"
+                      : "random restart " + std::to_string(chain);
   std::ostringstream os;
   os << "move #" << p.move_n;
   if (p.rotation >= 0) os << " (rotation " << p.rotation << ")";
@@ -256,74 +273,68 @@ std::string describe_provenance(const Provenance& p, const TaskGraph& graph,
 std::string render_explain(const TaskGraph& graph,
                            const std::string& journal_text) {
   const std::vector<JsonValue> events = parse_journal(journal_text);
-  std::vector<Segment> segments = build_segments(events, graph);
+  const Search search = build_search(events, graph);
+  const std::vector<Chain>& chains = search.chains;
 
-  // Multi-start journals hold one segment per restart; the overall winner
-  // is the finalized segment with the best final mean.
-  Segment* seg = nullptr;
-  for (Segment& s : segments)
-    if (s.finalized && (seg == nullptr || s.best < seg->best)) seg = &s;
-  const bool unfinished = seg == nullptr;
-  if (unfinished) seg = &segments.back();  // interrupted search: best effort
+  // The finalist protocol crowns one mapping, which may be a finalist other
+  // than any chain's final incumbent. Explain the first chain that ended on
+  // the winner's decisions, or else the last chain: decisions where the
+  // winner and that chain agree keep their move provenance, the rest are
+  // attributed to the finalist protocol.
+  const std::string serialized =
+      search.finalize != nullptr ? search.finalize->str_or("winner", "") : "";
+  const Mapping winner =
+      serialized.empty() ? chains.back().current  // interrupted: best effort
+                         : Mapping::parse(serialized, graph);
+  std::size_t c = 0;
+  while (c + 1 < chains.size() &&
+         !same_decisions(winner, chains[c].current, graph))
+    ++c;
+  const Chain& chain = chains[c];
+  const bool winner_is_incumbent =
+      same_decisions(winner, chain.current, graph);
 
   std::ostringstream os;
-  os << seg->algorithm << " decision provenance — " << graph.num_tasks()
+  os << search.algorithm << " decision provenance — " << graph.num_tasks()
      << " tasks, " << graph.num_collection_args() << " collection args, "
-     << seg->accepted << " accepted / " << (seg->accepted + seg->rejected)
+     << chain.accepted << " accepted / " << (chain.accepted + chain.rejected)
      << " total moves";
-  if (segments.size() > 1)
-    os << " (best of " << segments.size() << " starts)";
+  if (chains.size() > 1)
+    os << " (descent " << c + 1 << " of " << chains.size() << ")";
   os << "\n";
-  if (unfinished)
-    os << "warning: journal has no finalize record (interrupted search); "
-          "explaining the last incumbent\n";
-
-  // The finalist protocol re-measures the top-k candidates and may crown a
-  // finalist other than the last incumbent. Decisions where the winner and
-  // the incumbent chain agree keep their move provenance; the rest are
-  // attributed to the finalist protocol. The winner's fallback memories
-  // (--fallbacks) are no decision, so only primaries are compared.
-  Mapping winner = seg->current;
-  bool winner_is_incumbent = true;
-  if (!seg->winner_serialized.empty()) {
-    winner = Mapping::parse(seg->winner_serialized, graph);
-    for (const GroupTask& task : graph.tasks()) {
-      winner_is_incumbent &= winner.at(task.id) == seg->current.at(task.id);
-      for (std::size_t a = 0; a < task.args.size(); ++a)
-        winner_is_incumbent &= winner.primary_memory(task.id, a) ==
-                               seg->current.primary_memory(task.id, a);
-    }
-  }
-  if (seg->finalized) {
-    os << "winner: " << format_seconds(seg->best)
+  if (search.finalize != nullptr) {
+    os << "winner: "
+       << format_seconds(search.finalize->wide_num_or("best", kInf))
        << (winner_is_incumbent
                ? " (the final incumbent)"
                : " (a finalist, not the final incumbent — overridden "
                  "decisions marked below)")
        << "\n";
+  } else {
+    os << "warning: journal has no finalize record (interrupted search); "
+          "explaining the last incumbent\n";
   }
 
   for (const GroupTask& task : graph.tasks()) {
     const std::size_t ti = task.id.index();
     const TaskMapping& tm = winner.at(task.id);
-    const TaskMapping& chain = seg->current.at(task.id);
+    const TaskMapping& incumbent = chain.current.at(task.id);
     os << "\n" << task.name << " (task " << ti << "):\n";
 
     const char* dist = !tm.distribute  ? "leader-only"
                        : tm.blocked    ? "distributed blocked"
                                        : "distributed round-robin";
     os << "  distribution = " << dist << ": ";
-    if (tm.distribute == chain.distribute && tm.blocked == chain.blocked)
-      os << describe_provenance(seg->dist_prov[ti], graph,
-                                seg->custom_start);
+    if (tm.distribute == incumbent.distribute &&
+        tm.blocked == incumbent.blocked)
+      os << describe_provenance(chain.dist_prov[ti], graph, c);
     else
       os << "set by the finalist protocol";
     os << "\n";
 
     os << "  processor = " << to_string(tm.proc) << ": ";
-    if (tm.proc == chain.proc)
-      os << describe_provenance(seg->proc_prov[ti], graph,
-                                seg->custom_start);
+    if (tm.proc == incumbent.proc)
+      os << describe_provenance(chain.proc_prov[ti], graph, c);
     else
       os << "set by the finalist protocol";
     os << "\n";
@@ -333,9 +344,9 @@ std::string render_explain(const TaskGraph& graph,
       os << "  arg " << a << " ("
          << graph.collection(task.args[a].collection).name
          << ") memory = " << to_string(mem) << ": ";
-      if (mem == seg->current.primary_memory(task.id, a))
-        os << describe_provenance(seg->mem_prov[graph.arg_offsets()[ti] + a],
-                                  graph, seg->custom_start);
+      if (mem == chain.current.primary_memory(task.id, a))
+        os << describe_provenance(chain.mem_prov[graph.arg_offsets()[ti] + a],
+                                  graph, c);
       else
         os << "set by the finalist protocol";
       os << "\n";
@@ -358,7 +369,7 @@ ReplayOutcome replay_journal(const MachineModel& machine,
     if (type == "search_begin") {
       require(sb == nullptr,
               "replay requires a single-search journal; this one holds "
-              "several search_begin records (multi-start?)");
+              "several search_begin records");
       sb = &ev;
     } else if (type == "incumbent") {
       recorded.emplace_back(ev.wide_num_or("clock", 0.0),
@@ -376,9 +387,6 @@ ReplayOutcome replay_journal(const MachineModel& machine,
   require(!sb->bool_or("seeded_profiles", false),
           "journal records a search seeded from a profiles database; "
           "replay cannot reconstruct it");
-  require(!sb->bool_or("custom_start", false),
-          "journal records a custom starting mapping; replay only "
-          "covers registry entry points");
 
   const std::string label = sb->str_or("algorithm", "?");
   const SearchAlgorithmInfo* info = nullptr;

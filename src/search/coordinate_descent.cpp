@@ -370,14 +370,12 @@ void optimize_task(TaskId t, Mapping& f, double& p, Evaluator& eval,
   }
 }
 
-SearchResult run_coordinate_descent(const Simulator& sim,
-                                    const SearchOptions& options,
-                                    bool constrained,
-                                    const Mapping* start = nullptr) {
-  Evaluator eval(sim, options);
+}  // namespace
+
+void descend(Evaluator& eval, const Simulator& sim,
+             const SearchOptions& options, bool constrained,
+             const Mapping& start) {
   const TaskGraph& graph = sim.graph();
-  const MachineModel& machine = sim.machine();
-  const char* algorithm = constrained ? "AM-CCD" : "AM-CD";
 
   CcdInstruments ins;
   ins.constrained = constrained;
@@ -396,9 +394,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
                                "Active co-location constraint edges");
   }
 
-  Mapping f = start != nullptr ? *start
-                               : search_starting_point(graph, machine);
-  eval.begin_search(algorithm, f, /*custom_start=*/start != nullptr);
+  Mapping f = start;
   double p = eval.evaluate(f);
 
   // The overlap graph C, including same-collection coupling edges (a == b)
@@ -441,6 +437,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
   }
 
   const int rotations = constrained ? options.rotations : 1;
+  const int first = static_cast<int>(eval.stats().rotations.size());
   Rng profile_rng(mix64(options.seed) ^ 0x1b873593ULL);
 
   // Durably publishes the evaluator's checkpoint log at a task or rotation
@@ -464,7 +461,7 @@ SearchResult run_coordinate_descent(const Simulator& sim,
     if (options.on_checkpoint) options.on_checkpoint(rotation, position);
   };
 
-  for (int rotation = 0; rotation < rotations; ++rotation) {
+  for (int rotation = first; rotation < first + rotations; ++rotation) {
     if (eval.budget_exhausted()) break;
     const double best_before = eval.best_seconds();
 
@@ -547,25 +544,25 @@ SearchResult run_coordinate_descent(const Simulator& sim,
       }
     }
   }
-
-  return eval.finalize();
+  if (ins.journal != nullptr) ins.journal->clear_cursor();
 }
 
-}  // namespace
 }  // namespace detail
 
 SearchResult run_cd(const Simulator& sim, const SearchOptions& options) {
-  return detail::run_coordinate_descent(sim, options, /*constrained=*/false);
+  Evaluator eval(sim, options);
+  const Mapping start = search_starting_point(sim.graph(), sim.machine());
+  eval.begin_search("AM-CD", start);
+  detail::descend(eval, sim, options, /*constrained=*/false, start);
+  return eval.finalize();
 }
 
 SearchResult run_ccd(const Simulator& sim, const SearchOptions& options) {
-  return detail::run_coordinate_descent(sim, options, /*constrained=*/true);
-}
-
-SearchResult run_ccd_from(const Simulator& sim, const SearchOptions& options,
-                          const Mapping& start) {
-  return detail::run_coordinate_descent(sim, options, /*constrained=*/true,
-                                        &start);
+  Evaluator eval(sim, options);
+  const Mapping start = search_starting_point(sim.graph(), sim.machine());
+  eval.begin_search("AM-CCD", start);
+  detail::descend(eval, sim, options, /*constrained=*/true, start);
+  return eval.finalize();
 }
 
 }  // namespace automap

@@ -31,13 +31,18 @@ namespace automap {
 [[nodiscard]] SearchResult run_ccd(const Simulator& sim,
                                    const SearchOptions& options);
 
-/// CCD from an explicit starting mapping instead of the §4.1 default
-/// (building block for multi-start variants).
-[[nodiscard]] SearchResult run_ccd_from(const Simulator& sim,
-                                        const SearchOptions& options,
-                                        const Mapping& start);
-
 namespace detail {
+
+/// One descent of Algorithm 1 from `start` through `eval`: CCD's rotations
+/// over the pruned overlap graph when `constrained`, else CD's one rotation
+/// over no edges. It evaluates the start exactly, then runs the rotations
+/// and their checkpoints until they end or the budget runs out. Its
+/// rotations are numbered after those already in eval.stats().rotations,
+/// so several descents through one evaluator read as one search. The
+/// caller owns begin_search and finalize.
+void descend(Evaluator& eval, const Simulator& sim,
+             const SearchOptions& options, bool constrained,
+             const Mapping& start);
 
 /// A collection argument of a task: the unit the co-location map indexes.
 struct ArgRef {

@@ -253,17 +253,18 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
   //
   // The first term is a confidence line. Its slack c = line_slack_ is
   // min(sigma, max(3*cv, 0.001)), where cv is the sample coefficient of
-  // variation of the start mapping's runs (begin_search measures it): the
-  // line sits about nine estimated standard deviations of the sum above
-  // k*T, so a candidate whose true mean is at most T rarely crosses it,
-  // while one a few percent worse than T is cut after a run or two
-  // instead of burning its full repeat budget. Until begin_search
-  // measures, c is the per-event noise sigma itself, the line's widest
-  // setting. The line is statistical; the second term is the exactness
-  // cap: sum > repeats*T alone already proves mean > T, and because
-  // B_repeats equals the cap, an *uncensored* candidate always has a
-  // provably exact mean <= T (no false accepts at the last run). With
-  // sigma = 0 the line collapses to k*T and the race is exact.
+  // variation of the start mapping's runs (calibrate_line measures it
+  // before the first race): the line sits about nine estimated standard
+  // deviations of the sum above k*T, so a candidate whose true mean is at
+  // most T rarely crosses it, while one a few percent worse than T is cut
+  // after a run or two instead of burning its full repeat budget. In an
+  // evaluator whose begin_search never ran, c is the per-event noise sigma
+  // itself, the line's widest setting. The line is statistical; the second
+  // term is the exactness cap: sum > repeats*T alone already proves
+  // mean > T, and because B_repeats equals the cap, an *uncensored*
+  // candidate always has a provably exact mean <= T (no false accepts at
+  // the last run). With sigma = 0 the line collapses to k*T and the race
+  // is exact.
   //
   // The median of an odd repeat count races each run against T itself: a
   // median exceeds T exactly when a majority of the runs do, so the
@@ -540,6 +541,10 @@ double Evaluator::evaluate(const Mapping& mapping, double threshold_s) {
     if (replayed_ < resumed_.records.size()) {
       run = next_replayed(key, threshold_s);
     } else {
+      // The first live candidate that races a finite threshold measures the
+      // line first: measuring re-plans the scratch arena.
+      if (line_start_.has_value() && std::isfinite(threshold_s))
+        calibrate_line();
       run = run_candidate(
           candidate, key, threshold_s,
           options_.prune_candidates && std::isfinite(threshold_s));
@@ -624,13 +629,12 @@ void Evaluator::journal_metrics_snapshot(bool force) {
       .raw("values", metrics_->snapshot_json());
 }
 
-void Evaluator::begin_search(std::string_view label, const Mapping& start,
-                             bool custom_start) {
+void Evaluator::begin_search(std::string_view label, const Mapping& start) {
   if (!options_.resume_state.empty() && resumed_.algorithm != label)
     throw Error("checkpoint was written by " + resumed_.algorithm +
                 ", cannot resume as " + std::string(label));
   label_ = label;
-  calibrate_line(start);
+  line_start_ = start;
   if (!journal_) return;
   // Everything that determines the deterministic outcome is recorded via
   // the canonical codec — the same encoding the CLI's --options file and
@@ -640,12 +644,15 @@ void Evaluator::begin_search(std::string_view label, const Mapping& start,
       .raw("options", search_options_to_json(options_))
       .raw("sim", sim_options_to_json(sim_.options()))
       .str("start", start.serialize())
-      .boolean("custom_start", custom_start)
+      // Always false; no reader uses it (docs/file_formats.md).
+      .boolean("custom_start", false)
       .boolean("resumed", !options_.resume_state.empty())
       .boolean("seeded_profiles", !options_.profiles_seed.empty());
 }
 
-void Evaluator::calibrate_line(const Mapping& start) {
+void Evaluator::calibrate_line() {
+  const Mapping start = std::move(*line_start_);
+  line_start_.reset();
   const double sigma = sim_.options().noise_sigma;
   if (options_.resilience.aggregation != Aggregation::kMean ||
       options_.objective != Objective::kExecutionTime || sigma <= 0.0 ||

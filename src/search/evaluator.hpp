@@ -55,6 +55,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -114,8 +115,8 @@ struct CheckpointLog {
 /// search can resume under a larger one. Throws Error naming the line on a
 /// malformed log, a version other than 3 or a configuration mismatch. The
 /// algorithm label is returned, not checked: Evaluator::begin_search checks
-/// it, and the mapping service vets a job's checkpoint with this function
-/// before resuming it.
+/// it, and the mapping service vets a job's checkpoint, label included,
+/// with this function before resuming it.
 [[nodiscard]] CheckpointLog read_checkpoint_log(const std::string& text,
                                                 const SearchOptions& options,
                                                 const SimOptions& sim);
@@ -127,11 +128,11 @@ class Evaluator {
   /// The censor threshold for a caller whose interest ends at
   /// `interest_bound_s` (typically its incumbent mean): a candidate is worth
   /// resolving exactly only if its mean could still beat the bound *or*
-  /// displace the k-th finalist (run_ccd_multistart re-imports the database
-  /// across passes, so finalist-grade means must stay exact even when the
-  /// caller's incumbent is tighter). Returns max(bound, k-th finalist
-  /// mean); infinity while the top-k list is not full, and always under
-  /// Objective::kEnergy, whose values the time-based race cannot bound.
+  /// displace the k-th finalist (the finalist protocol reruns the top k, so
+  /// finalist-grade means must stay exact even when the caller's incumbent
+  /// is tighter). Returns max(bound, k-th finalist mean); infinity while
+  /// the top-k list is not full, and always under Objective::kEnergy,
+  /// whose values the time-based race cannot bound.
   [[nodiscard]] double censor_threshold(double interest_bound_s) const;
 
   /// Proposes a mapping for evaluation (the paper's TestMapping) and folds
@@ -210,13 +211,13 @@ class Evaluator {
   /// Algorithms call this once before their first proposal. It pins the
   /// algorithm label that the checkpoint log records and finalize returns
   /// — a resumed log must carry the same label, or this throws Error —
-  /// calibrates the mean's censor line to `start`'s measured run-to-run
-  /// spread (calibrate_line; fresh and resumed searches measure alike),
+  /// keeps `start`, whose measured run-to-run spread calibrates the mean's
+  /// censor line before the first live candidate that races a finite
+  /// threshold (calibrate_line; fresh and resumed searches measure alike),
   /// and emits the journal's `search_begin` record: the label, the full
   /// (options, simulator) configuration that determines the deterministic
   /// outcome, and the serialized starting mapping.
-  void begin_search(std::string_view label, const Mapping& start,
-                    bool custom_start = false);
+  void begin_search(std::string_view label, const Mapping& start);
 
   /// The journal configured in SearchOptions (null when disabled) — the
   /// algorithms emit their own structural events (moves, constraint edges,
@@ -302,12 +303,14 @@ class Evaluator {
   [[nodiscard]] RunRecord next_replayed(std::uint64_t hash,
                                         double threshold_s);
   /// Sets line_slack_ to min(sigma, max(3 x cv, 0.001)), where cv is the
-  /// sample coefficient of variation of `start`'s completed evaluation
-  /// runs, re-run here uncharged. Only the mean's time race uses the line,
-  /// so it measures only under the mean, the execution-time objective,
-  /// sigma > 0 and repeats >= 2, and keeps sigma when fewer than two runs
-  /// complete.
-  void calibrate_line(const Mapping& start);
+  /// sample coefficient of variation of the completed evaluation runs of
+  /// line_start_, re-run here uncharged, and clears line_start_. Only the
+  /// mean's time race uses the line, so it measures only under the mean,
+  /// the execution-time objective, sigma > 0 and repeats >= 2, and keeps
+  /// sigma when fewer than two runs complete. cv is a pure function of the
+  /// start, the seed and the simulator options, so when it is measured
+  /// changes no result.
+  void calibrate_line();
   /// Appends `run` to the checkpoint log as one line.
   void append_record(const RunRecord& run);
   /// Simulated cost of observing a failed (OOM) evaluation: the runtime
@@ -351,6 +354,8 @@ class Evaluator {
   /// The slack c of the mean's censor line (run_candidate): the noise
   /// sigma until calibrate_line measures the start mapping's spread.
   double line_slack_;
+  /// The start begin_search saw, until calibrate_line measures it.
+  std::optional<Mapping> line_start_;
 
   // Observability handles, cached at construction from SearchOptions
   // (all null when the corresponding facility is disabled). Every update

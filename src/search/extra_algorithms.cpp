@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/report/journal.hpp"
 #include "src/search/coordinate_descent.hpp"
 
 namespace automap {
@@ -184,65 +185,24 @@ SearchResult run_heft_static(const Simulator& sim,
 SearchResult run_ccd_multistart(const Simulator& sim,
                                 const SearchOptions& options) {
   constexpr int kExtraStarts = 2;
+  Evaluator eval(sim, options);
   Rng rng(mix64(options.seed) ^ 0xd6e8feb86659fd93ULL);
 
-  // First pass from the §4.1 starting point; each further pass begins from
-  // a random valid mapping, in which frozen tasks (§3.3) keep their
-  // starting decisions, and inherits the accumulated profiles database, so
-  // re-proposed candidates are free and the finalist pool spans every
-  // pass. The passes always export their database (that is the chaining
-  // mechanism), whatever the caller asked for the final result. Only the
-  // first pass checkpoints: a resumed multistart replays that pass from its
-  // log and reruns the later ones live.
+  // Frozen tasks (§3.3) keep their starting decisions in every random
+  // start. A descent that trips the fault circuit breaker ends the search.
   const Mapping first = search_starting_point(sim.graph(), sim.machine());
-  SearchOptions chained = options;
-  chained.export_profiles_db = true;
-  SearchResult result = run_ccd(sim, chained);
-  SearchStats combined = result.stats;
-  chained.checkpoint_path.clear();
-  chained.resume_state.clear();
-
-  for (int s = 0; s < kExtraStarts; ++s) {
-    if (std::isfinite(options.time_budget_s) &&
-        combined.search_time_s >= options.time_budget_s)
-      break;
-    SearchOptions next = chained;
-    next.seed = rng.next();
-    next.profiles_seed = result.profiles_db;
-    if (std::isfinite(options.time_budget_s))
-      next.time_budget_s = options.time_budget_s - combined.search_time_s;
+  eval.begin_search("AM-CCD-multistart", first);
+  detail::descend(eval, sim, options, /*constrained=*/true, first);
+  for (int s = 0; s < kExtraStarts && !eval.budget_exhausted() &&
+                  !eval.stats().degraded;
+       ++s) {
     Mapping start = random_valid_mapping(sim.graph(), sim.machine(), rng);
     for (const TaskId t : options.frozen_tasks) start.copy_task(t, first);
-    result = run_ccd_from(sim, next, start);
-    const SearchStats& pass = result.stats;
-    // The pass's rotations continue the numbering, counts and clock of the
-    // passes before it, so the telemetry reads as one search.
-    const int before = static_cast<int>(combined.rotations.size());
-    for (RotationTelemetry rotation : pass.rotations) {
-      rotation.rotation += before;
-      rotation.evaluated += combined.evaluated;
-      rotation.search_time_s += combined.search_time_s;
-      combined.rotations.push_back(rotation);
-    }
-    combined.suggested += pass.suggested;
-    combined.evaluated += pass.evaluated;
-    combined.invalid += pass.invalid;
-    combined.oom += pass.oom;
-    combined.censored += pass.censored;
-    combined.cache_hits += pass.cache_hits;
-    combined.transient_failures += pass.transient_failures;
-    combined.retries += pass.retries;
-    combined.quarantined += pass.quarantined;
-    combined.degraded = combined.degraded || pass.degraded;
-    combined.search_time_s += pass.search_time_s;
-    combined.evaluation_time_s += pass.evaluation_time_s;
-    combined.wall_time_s += pass.wall_time_s;
+    if (Journal* journal = eval.journal())
+      journal->event("restart").str("start", start.serialize());
+    detail::descend(eval, sim, options, /*constrained=*/true, start);
   }
-
-  result.algorithm = "AM-CCD-multistart";
-  result.stats = combined;
-  if (!options.export_profiles_db) result.profiles_db.clear();
-  return result;
+  return eval.finalize();
 }
 
 }  // namespace automap

@@ -39,10 +39,13 @@ namespace automap {
                                            const SearchOptions& options);
 
 /// Multi-start CCD (an "improved algorithm" in the direction the paper's
-/// §7 leaves open): runs CCD from the standard §4.1 starting point plus
-/// two random valid starting points, sharing one profiles database and one
-/// finalist pool. Costs proportionally more search time; can escape
-/// starting-point bias on rugged instances.
+/// §7 leaves open): one search whose evaluator runs a CCD descent from the
+/// standard §4.1 starting point, then one from each of two random valid
+/// starting points while the budget lasts. The descents share the profiles
+/// database, the finalist list, the censor line, the budget and the
+/// checkpoint log, and the finalist protocol runs once. Costs up to three
+/// descents' search time; can escape starting-point bias on rugged
+/// instances.
 [[nodiscard]] SearchResult run_ccd_multistart(const Simulator& sim,
                                               const SearchOptions& options);
 

@@ -994,16 +994,18 @@ void MappingService::run_job(std::uint64_t id, int worker) {
     // search to the byte-identical result. A torn checkpoint (bad checksum
     // trailer) is quarantined and the search starts fresh — same final
     // bytes, just more work — and so is one the search would refuse: an
-    // older format, or a log written under another configuration (for
-    // example before the job's eval-cache bucket changed). The search
-    // alone checks the algorithm label, since a multistart job's first
-    // pass logs as AM-CCD.
+    // older format, a log of another algorithm, or a log written under
+    // another configuration (for example before the job's eval-cache
+    // bucket changed).
     {
       DurableLoad checkpoint = load_checksummed(options.checkpoint_path);
       if (checkpoint.status == DurableLoad::Status::kOk) {
         try {
-          (void)read_checkpoint_log(checkpoint.payload, options, spec.sim);
-          options.resume_state = std::move(checkpoint.payload);
+          if (read_checkpoint_log(checkpoint.payload, options, spec.sim)
+                  .algorithm == algorithm->label)
+            options.resume_state = std::move(checkpoint.payload);
+          else
+            checkpoint.status = DurableLoad::Status::kCorrupt;
         } catch (const Error&) {
           checkpoint.status = DurableLoad::Status::kCorrupt;
         }

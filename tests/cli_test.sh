@@ -490,20 +490,30 @@ grep -q "unknown option: --threads" "$DIR/replay-threads.out"
 # A resumed search re-runs from its first proposal against its checkpoint
 # log, so its journal is complete: it replays with no drift and equals the
 # uninterrupted run's journal apart from search_begin's "resumed" flag.
-"$CLI" search "$DIR/m.machine" "$DIR/s.graph" --rotations 3 --repeats 3 \
-      --checkpoint "$DIR/ck_whole.txt" --journal "$DIR/whole.jsonl" > /dev/null
-"$CLI" search "$DIR/m.machine" "$DIR/s.graph" --rotations 3 --repeats 3 \
-      --budget 0.7 --checkpoint "$DIR/ck_cut.txt" \
-      --journal "$DIR/cut.jsonl" > /dev/null
-"$CLI" search "$DIR/m.machine" "$DIR/s.graph" --rotations 3 --repeats 3 \
-      --resume "$DIR/ck_cut.txt" --checkpoint "$DIR/ck_cut.txt" \
-      --journal "$DIR/resumed.jsonl" > /dev/null
-"$CLI" replay "$DIR/m.machine" "$DIR/s.graph" "$DIR/resumed.jsonl" \
-      | grep -q "no drift"
-grep -q '"resumed":true' "$DIR/resumed.jsonl"
-sed 's/"resumed":true/"resumed":false/' "$DIR/resumed.jsonl" \
-      | cmp - "$DIR/whole.jsonl"
-cmp "$DIR/ck_cut.txt" "$DIR/ck_whole.txt"
+# Multistart's budget ends in its third descent: every descent logs.
+for cut in "ccd 0.7" "multistart 1.3"; do
+  read -r algorithm budget <<< "$cut"
+  CUT=(--algorithm "$algorithm" --rotations 3 --repeats 3)
+  "$CLI" search "$DIR/m.machine" "$DIR/s.graph" "${CUT[@]}" \
+        --checkpoint "$DIR/ck_whole.txt" --journal "$DIR/whole.jsonl" \
+        > /dev/null
+  "$CLI" search "$DIR/m.machine" "$DIR/s.graph" "${CUT[@]}" \
+        --budget "$budget" --checkpoint "$DIR/ck_cut.txt" \
+        --journal "$DIR/cut.jsonl" > /dev/null
+  if cmp -s "$DIR/ck_cut.txt" "$DIR/ck_whole.txt"; then
+    echo "expected the budget to cut the $algorithm search" >&2
+    exit 1
+  fi
+  "$CLI" search "$DIR/m.machine" "$DIR/s.graph" "${CUT[@]}" \
+        --resume "$DIR/ck_cut.txt" --checkpoint "$DIR/ck_cut.txt" \
+        --journal "$DIR/resumed.jsonl" > /dev/null
+  "$CLI" replay "$DIR/m.machine" "$DIR/s.graph" "$DIR/resumed.jsonl" \
+        | grep -q "no drift"
+  grep -q '"resumed":true' "$DIR/resumed.jsonl"
+  sed 's/"resumed":true/"resumed":false/' "$DIR/resumed.jsonl" \
+        | cmp - "$DIR/whole.jsonl"
+  cmp "$DIR/ck_cut.txt" "$DIR/ck_whole.txt"
+done
 
 # The median of an odd repeat count races the censor threshold: a
 # candidate is censored once a majority of its runs cross it. The race is

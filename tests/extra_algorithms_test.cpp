@@ -1,5 +1,5 @@
 // Tests for the additional pluggable search algorithms: random search,
-// simulated annealing, and the HEFT-style static baseline.
+// simulated annealing, the HEFT-style static baseline and multi-start CCD.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/apps/circuit.hpp"
+#include "src/apps/registry.hpp"
 #include "src/apps/stencil.hpp"
 #include "src/machine/machine.hpp"
 #include "src/report/analysis.hpp"
@@ -15,6 +16,7 @@
 #include "src/search/extra_algorithms.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/error.hpp"
+#include "src/support/metrics.hpp"
 
 namespace automap {
 namespace {
@@ -68,6 +70,19 @@ TEST_F(ExtraAlgorithms, HeftPicksFastProcessorsStatistically) {
   }
 }
 
+TEST_F(ExtraAlgorithms, HeftSimulatesOnlyItsStartAndFinalist) {
+  // HEFT evaluates with an infinite threshold only, so the mean's censor
+  // line is never raced and never measured: the 7 runs of its one mapping
+  // and the 31 finalist reruns are every run, over two plans.
+  const BenchmarkApp htr = make_app_by_name("htr", 2, 0);
+  const MachineModel shepard2 = make_shepard(2);
+  MetricsRegistry metrics;
+  const Simulator counted(shepard2, htr.graph, {.metrics = &metrics});
+  (void)run_heft_static(counted, {.seed = 42});
+  EXPECT_EQ(metrics.counter("automap_sim_runs_total", "")->value(), 38u);
+  EXPECT_EQ(metrics.counter("automap_sim_plans_total", "")->value(), 2u);
+}
+
 TEST_F(ExtraAlgorithms, CcdBeatsTheBaselinesOnSmallInputs) {
   // The central comparison: joint task+data search beats both pure random
   // exploration and static scheduling on the launch-bound small input.
@@ -88,15 +103,17 @@ TEST_F(ExtraAlgorithms, MultistartNeverWorseThanSingleStart) {
   const SearchResult multi = run_ccd_multistart(sim, unbudgeted);
   EXPECT_EQ(multi.algorithm, "AM-CCD-multistart");
   EXPECT_TRUE(multi.best.valid(app.graph, machine));
-  // The multistart finalist pool includes the single-start candidates via
-  // the shared profiles database, so it cannot be meaningfully worse.
+  // The first descent is the single-start search, and the one finalist
+  // protocol ranks every descent's finalists, so it cannot be
+  // meaningfully worse.
   EXPECT_LE(multi.best_seconds, single.best_seconds * 1.05);
   EXPECT_GT(multi.stats.suggested, single.stats.suggested);
 }
 
 TEST_F(ExtraAlgorithms, MultistartCountsEveryPass) {
   // Every proposal is executed, rejected as invalid or answered from the
-  // profiles database, in every pass; and each pass reports its rotations.
+  // profiles database, in every descent; and each descent reports its
+  // rotations.
   const SearchOptions options{.rotations = 3, .repeats = 3, .seed = 11};
   const SearchResult single = run_ccd(sim, options);
   const SearchResult multi = run_ccd_multistart(sim, options);
@@ -107,8 +124,8 @@ TEST_F(ExtraAlgorithms, MultistartCountsEveryPass) {
 }
 
 TEST_F(ExtraAlgorithms, MultistartTelemetryReadsAsOneSearch) {
-  // Each later pass continues the rotation numbering, the evaluated count
-  // and the clock of the passes before it.
+  // Each later descent continues the rotation numbering, the evaluated
+  // count and the clock of the descents before it.
   const SearchOptions options{.rotations = 3, .repeats = 3, .seed = 11};
   const SearchResult multi = run_ccd_multistart(sim, options);
   const std::vector<RotationTelemetry>& rotations = multi.stats.rotations;
@@ -129,9 +146,9 @@ TEST_F(ExtraAlgorithms, MultistartTelemetryReadsAsOneSearch) {
 TEST_F(ExtraAlgorithms, MultistartRespectsBudget) {
   SearchOptions capped{.rotations = 3, .repeats = 3, .seed = 11};
   const SearchResult single = run_ccd(sim, capped);
-  capped.time_budget_s = single.stats.search_time_s;  // room for ~one pass
+  capped.time_budget_s = single.stats.search_time_s;  // about one descent
   const SearchResult multi = run_ccd_multistart(sim, capped);
-  // Later passes were skipped or truncated by the budget.
+  // Later descents were skipped or truncated by the budget.
   EXPECT_LT(multi.stats.search_time_s, 2 * single.stats.search_time_s);
 }
 

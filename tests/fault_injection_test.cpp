@@ -343,6 +343,12 @@ TEST(Resilience, UnprofilableSearchDegradesToTheKnownIncumbent) {
   EXPECT_TRUE(std::isfinite(after.best_seconds));
   EXPECT_NE(render_search_telemetry(after).find("DEGRADED"),
             std::string::npos);
+  // The seeded database answers multistart's first descent as it answered
+  // CCD. A random restart's first rotation fails every candidate it runs,
+  // so the circuit breaker ends the search there: no third descent.
+  const SearchResult multi = run_ccd_multistart(storm, options);
+  EXPECT_TRUE(multi.stats.degraded);
+  EXPECT_EQ(multi.stats.rotations.size(), after.stats.rotations.size() + 1);
 }
 
 // --- checkpoint / resume ---------------------------------------------------
@@ -568,27 +574,45 @@ TEST(Checkpoint, ReplayRefusesARecordOfAnotherCandidate) {
       << refusal(moved);
 }
 
-TEST(Checkpoint, MultistartResumesFromItsFirstPass) {
-  // Only the first pass checkpoints; a resume replays it and reruns the
-  // later passes live, which must not inherit the resume state.
+TEST(Checkpoint, MultistartResumesAcrossItsStarts) {
+  // Every descent checkpoints into the one evaluator's log. A budget that
+  // ends inside the second descent's second rotation leaves a log past the
+  // first descent (longer than a whole single-start search's), and
+  // resuming from it reproduces the uninterrupted result and its final log.
   const MachineModel machine = make_shepard(1);
   const BenchmarkApp app = make_stencil(stencil_config_for(1, 0));
   const Simulator sim(machine, app.graph,
                       {.iterations = 2, .noise_sigma = 0.02});
   const SearchOptions options{.rotations = 2, .repeats = 2, .seed = 3};
-  const SearchResult reference = run_ccd_multistart(sim, options);
-
   const std::string path = process_temp_path("ckpt_multi.txt");
-  SearchOptions cut = options;
-  cut.checkpoint_path = path;
-  cut.time_budget_s = run_ccd(sim, options).stats.search_time_s * 0.5;
-  (void)run_ccd_multistart(sim, cut);
+  const auto records = [](const std::string& log) {
+    return std::count(log.begin() + static_cast<std::ptrdiff_t>(
+                                        header_bytes(log)),
+                      log.end(), '\n');
+  };
 
-  SearchOptions resumed = options;
-  resumed.resume_state = load_checksummed(path).payload;
-  resumed.checkpoint_path = path;
+  SearchOptions logged = options;
+  logged.checkpoint_path = path;
+  (void)run_ccd(sim, logged);
+  const auto single_records = records(load_checksummed(path).payload);
+  const SearchResult reference = run_ccd_multistart(sim, logged);
+  const std::string whole = load_checksummed(path).payload;
+  const std::vector<RotationTelemetry>& rotations = reference.stats.rotations;
+  ASSERT_EQ(rotations.size(), 6u);
+
+  SearchOptions cut = logged;
+  cut.time_budget_s =
+      0.5 * (rotations[2].search_time_s + rotations[3].search_time_s);
+  (void)run_ccd_multistart(sim, cut);
+  const std::string log = load_checksummed(path).payload;
+  EXPECT_GT(records(log), single_records);
+  EXPECT_LT(records(log), records(whole));
+
+  SearchOptions resumed = logged;
+  resumed.resume_state = log;
   expect_identical(run_ccd_multistart(sim, resumed), reference,
                    "resumed multistart");
+  EXPECT_EQ(load_checksummed(path).payload, whole);
   std::remove(path.c_str());
 }
 

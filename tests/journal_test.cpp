@@ -17,6 +17,7 @@
 #include "src/report/explain.hpp"
 #include "src/report/journal.hpp"
 #include "src/search/coordinate_descent.hpp"
+#include "src/search/extra_algorithms.hpp"
 #include "src/search/search.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/error.hpp"
@@ -43,6 +44,19 @@ std::string journal_of_stencil_ccd(SearchResult* result = nullptr) {
                         .metrics = &metrics};
   const SearchResult r = run_ccd(sim, options);
   if (result != nullptr) *result = r;
+  return journal.text();
+}
+
+/// Runs the search `automap_cli search --algorithm multistart --seed
+/// <seed>` runs on Stencil step 0 over shepard(2), with an in-memory
+/// journal, and returns the journal text.
+std::string journal_of_stencil_multistart(std::uint64_t seed,
+                                          SearchResult& result) {
+  const BenchmarkApp app = make_app_by_name("stencil", 2, 0);
+  const MachineModel machine = make_shepard(2);
+  const Simulator sim(machine, app.graph, {});
+  Journal journal;
+  result = run_ccd_multistart(sim, {.seed = seed, .journal = &journal});
   return journal.text();
 }
 
@@ -310,6 +324,55 @@ TEST(Explain, CoversEveryTaskAndCollectionArgument) {
   EXPECT_NE(rendered.find("Δ "), std::string::npos);  // makespan deltas
 }
 
+TEST(Explain, MultistartDescribesTheMappingTheSearchReturned) {
+  // The processor and memory each task line names are the returned
+  // winner's, whichever descent found it.
+  const BenchmarkApp app = make_app_by_name("stencil", 2, 0);
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SearchResult result;
+    const std::string rendered = render_explain(
+        app.graph, journal_of_stencil_multistart(seed, result));
+    EXPECT_EQ(rendered.rfind("AM-CCD-multistart decision provenance", 0), 0u)
+        << rendered.substr(0, rendered.find('\n'));
+
+    Mapping explained = result.best;
+    std::istringstream lines(rendered);
+    std::string line;
+    std::size_t task = 0;
+    std::size_t decisions = 0;
+    const auto value_after = [&](const std::string& key) {
+      const std::size_t at = line.find(key) + key.size();
+      return line.substr(at, line.find(':', at) - at);
+    };
+    while (std::getline(lines, line)) {
+      if (line.find(" (task ") != std::string::npos &&
+          line.back() == ':') {
+        task = std::stoul(value_after(" (task "));
+      } else if (line.rfind("  processor = ", 0) == 0) {
+        explained.at(TaskId(task)).proc =
+            parse_proc_kind(value_after("processor = "));
+        ++decisions;
+      } else if (line.rfind("  arg ", 0) == 0) {
+        explained.set_primary_memory(TaskId(task),
+                                     std::stoul(value_after("  arg ")),
+                                     parse_mem_kind(value_after("memory = ")));
+        ++decisions;
+      }
+    }
+    EXPECT_EQ(decisions,
+              app.graph.num_tasks() + app.graph.num_collection_args());
+    for (const GroupTask& t : app.graph.tasks()) {
+      EXPECT_EQ(explained.at(t.id).proc, result.best.at(t.id).proc)
+          << t.name;
+      for (std::size_t a = 0; a < t.args.size(); ++a)
+        EXPECT_EQ(explained.primary_memory(t.id, a),
+                  result.best.primary_memory(t.id, a))
+            << t.name << " arg " << a;
+    }
+  }
+}
+
 TEST(Explain, RejectsTamperedMoveChains) {
   const BenchmarkApp app = make_app_by_name("stencil", 2, 1);
   std::string text = journal_of_stencil_ccd();
@@ -389,6 +452,28 @@ TEST(Replay, FreshRunMatchesTheJournal) {
   const ReplayOutcome outcome = replay_journal(machine, app.graph, text);
   EXPECT_FALSE(outcome.drift) << outcome.rendering;
   EXPECT_NE(outcome.rendering.find("no drift"), std::string::npos);
+}
+
+TEST(Replay, MultistartJournalIsOneSearch) {
+  // One search_begin, a restart record per later descent, one finalize;
+  // a fresh run reproduces it.
+  const BenchmarkApp app = make_app_by_name("stencil", 2, 0);
+  SearchResult result;
+  const std::string text = journal_of_stencil_multistart(1, result);
+  const auto count = [&](const std::string& type) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find("\"type\":\"" + type + "\"");
+         at != std::string::npos;
+         at = text.find("\"type\":\"" + type + "\"", at + 1))
+      ++n;
+    return n;
+  };
+  EXPECT_EQ(count("search_begin"), 1u);
+  EXPECT_EQ(count("restart"), 2u);
+  EXPECT_EQ(count("finalize"), 1u);
+  const ReplayOutcome outcome =
+      replay_journal(make_shepard(2), app.graph, text);
+  EXPECT_FALSE(outcome.drift) << outcome.rendering;
 }
 
 TEST(Replay, DetectsDriftInATamperedJournal) {

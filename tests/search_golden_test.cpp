@@ -80,12 +80,12 @@ constexpr Pin kPins[] = {
     {"heft", true, "1c42cedaba423efc",
      "HEFT-static: best mapping 2.43 ms after 1 suggested / 1 evaluated mappings, simulated 19.56 ms of search (100% evaluating)",
      "ae1e48448168f8f3"},
-    {"multistart", false, "e756eff7404dc73c",
-     "AM-CCD-multistart: best mapping 2.17 ms after 471 suggested / 109 evaluated mappings, simulated 500.76 ms of search (100% evaluating)",
+    {"multistart", false, "1189f08eedda0627",
+     "AM-CCD-multistart: best mapping 2.17 ms after 471 suggested / 109 evaluated mappings, simulated 431.87 ms of search (100% evaluating)",
+     "172f3a7b0a44d357"},
+    {"multistart", true, "935e35795b24aee9",
+     "AM-CCD-multistart: best mapping 2.36 ms after 471 suggested / 158 evaluated mappings, simulated 721.25 ms of search (100% evaluating)",
      "3f742c3dbaa3b1e9"},
-    {"multistart", true, "03865727d8c92e71",
-     "AM-CCD-multistart: best mapping 2.17 ms after 471 suggested / 132 evaluated mappings, simulated 570.99 ms of search (100% evaluating)",
-     "411e730b170e2b4a"},
 };
 
 // CCD with memory fallbacks under fault injection. Each candidate runs as

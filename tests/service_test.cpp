@@ -1492,8 +1492,9 @@ TEST(Service, RefusedCheckpointQuarantinedAndJobRunsFresh) {
   // A checkpoint the search would refuse is quarantined like a torn one,
   // and the job reruns from scratch to the one-shot answer: a version-1
   // file an older build left, a version-2 log (whose records an older
-  // build raced against another censor line), or a log written under
-  // another configuration (here another seed's job).
+  // build raced against another censor line), a log of another algorithm
+  // (here the job's own records under multistart's label), or a log
+  // written under another configuration (here another seed's job).
   const std::string store = fresh_store("refused-checkpoint");
   const SearchOptions options = small_options(42);
   std::string id;
@@ -1515,9 +1516,14 @@ TEST(Service, RefusedCheckpointQuarantinedAndJobRunsFresh) {
       "automap-checkpoint 1\nalgorithm AM-CCD\nrotation 1\nposition 0\n";
   const std::string version_2 =
       "automap-checkpoint 2" + own.substr(own.find('\n'));
+  ASSERT_EQ(own.find("\nalgorithm AM-CCD\n"), own.find('\n'));
+  const std::string relabelled =
+      "automap-checkpoint 3\nalgorithm AM-CCD-multistart" +
+      own.substr(own.find('\n', own.find('\n') + 1));
   const std::string dir = store + "/jobs/" + id;
   const OneShot ref = one_shot_reference(options);
-  for (const std::string& planted : {version_1, version_2, foreign}) {
+  for (const std::string& planted :
+       {version_1, version_2, relabelled, foreign}) {
     fs::remove(dir + "/result.json");
     fs::remove(dir + "/checkpoint.corrupt");
     save_checksummed(dir + "/checkpoint", planted, "checkpoint");

@@ -1,7 +1,11 @@
 // Reproduces Figure 9: best execution time per iteration as a function of
 // search time for the three search algorithms (AM-CCD, AM-CD, AM-OT) on
-// Pennant (320x90, 320x180) and HTR (8x8y9z, 16x16y18z), all given the same
-// simulated time budget (§5.3).
+// Pennant (320x90, 320x180) and HTR (8x8y9z, 16x16y18z), CD and OT given the
+// same simulated time budget per input (§5.3). Each budget is a constant
+// beside its case: CCD's simulated clock on that input when the budgets
+// were fixed, rounded up to the next 10 s. So CD's and OT's budgets do not
+// follow CCD's clock: a change that makes only CCD cheaper leaves their
+// rows where they are.
 //
 // Expected shape (paper): CCD reaches the fastest mappings (up to 1.57x
 // better than the others); CD plateaus earlier and higher (it is CCD's
@@ -49,10 +53,9 @@ SearchResult timed(Fn&& fn, double& wall_s) {
 }
 
 void run_case(const BenchmarkApp& app, const MachineModel& machine,
-              const bench::BenchObservability& opts) {
+              double budget, const bench::BenchObservability& opts) {
   Simulator sim(machine, app.graph, app.sim);
 
-  // Budget: what a full CCD needs, shared by all three algorithms.
   double ccd_wall = 0.0, cd_wall = 0.0, ot_wall = 0.0;
   // No pass here reuses the profiles database, so skip serializing it —
   // the wall-clock column should measure the search, not the export.
@@ -62,7 +65,6 @@ void run_case(const BenchmarkApp& app, const MachineModel& machine,
   const SearchResult ccd = timed(
       [&] { return automap_optimize(sim, SearchAlgorithm::kCcd, base); },
       ccd_wall);
-  const double budget = ccd.stats.search_time_s;
   SearchOptions budgeted = base;
   budgeted.time_budget_s = budget;
   const SearchResult cd = timed(
@@ -120,17 +122,19 @@ int main(int argc, char** argv) {
   std::cout << "=== Figure 9: search-algorithm comparison (Shepard, "
                "1 node) ===\n";
   const MachineModel machine = make_shepard(1);
+  // Budgets in simulated seconds; CCD's clock read 164.1, 174.7, 29.7,
+  // 44.1, 1.1 and 2.4 s on these inputs.
   if (preset == "all" || preset == "pennant") {
-    for (const int step : {0, 1})
-      run_case(make_pennant(pennant_config_for(1, step)), machine, opts);
+    run_case(make_pennant(pennant_config_for(1, 0)), machine, 170, opts);
+    run_case(make_pennant(pennant_config_for(1, 1)), machine, 180, opts);
   }
   if (preset == "all" || preset == "htr") {
-    for (const int step : {0, 1})
-      run_case(make_htr(htr_config_for(1, step)), machine, opts);
+    run_case(make_htr(htr_config_for(1, 0)), machine, 30, opts);
+    run_case(make_htr(htr_config_for(1, 1)), machine, 50, opts);
   }
   if (preset == "all" || preset == "stencil") {
-    for (const int step : {0, 1})
-      run_case(make_stencil(stencil_config_for(1, step)), machine, opts);
+    run_case(make_stencil(stencil_config_for(1, 0)), machine, 10, opts);
+    run_case(make_stencil(stencil_config_for(1, 1)), machine, 10, opts);
   }
   return 0;
 }

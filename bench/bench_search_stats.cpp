@@ -30,9 +30,12 @@ int main() {
   const SearchResult ccd = automap_optimize(
       sim, SearchAlgorithm::kCcd,
       {.rotations = 5, .repeats = 7, .seed = 42});
+  // CD and OT share a fixed simulated budget: CCD's clock on this input
+  // (174.7 s) when it was fixed, rounded up to the next 10 s. So their
+  // budget does not follow CCD's clock: a change that makes only CCD
+  // cheaper leaves their rows where they are.
   const SearchOptions budgeted{.rotations = 5, .repeats = 7,
-                               .time_budget_s = ccd.stats.search_time_s,
-                               .seed = 42};
+                               .time_budget_s = 180, .seed = 42};
   const SearchResult cd = automap_optimize(sim, SearchAlgorithm::kCd,
                                            budgeted);
   const SearchResult ot = run_ensemble_tuner(sim, budgeted);

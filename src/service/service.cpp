@@ -5,9 +5,11 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "src/support/durable.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
+#include "src/support/rng.hpp"
 
 namespace automap {
 
@@ -54,16 +57,18 @@ namespace {
 /// Largest accepted per-submit deadline (~366 days in milliseconds).
 constexpr double kMaxDeadlineMs = 31622400000.0;
 
-SubmitSpec parse_submit(const JsonValue& request) {
+/// Moves the text field `key` out of a decoded submit.
+std::string take_text(JsonValue& request, const std::string& key) {
+  JsonValue* text = request.find(key);
+  if (text == nullptr || text->kind != JsonValue::Kind::kString)
+    throw Error("submit needs a '" + key + "' text field");
+  return std::move(text->string);
+}
+
+SubmitSpec parse_submit(JsonValue&& request) {
   SubmitSpec spec;
-  const JsonValue* machine = request.find("machine");
-  if (machine == nullptr || machine->kind != JsonValue::Kind::kString)
-    throw Error("submit needs a 'machine' text field");
-  spec.machine_text = machine->string;
-  const JsonValue* graph = request.find("graph");
-  if (graph == nullptr || graph->kind != JsonValue::Kind::kString)
-    throw Error("submit needs a 'graph' text field");
-  spec.graph_text = graph->string;
+  spec.machine_text = take_text(request, "machine");
+  spec.graph_text = take_text(request, "graph");
   if (const JsonValue* v = request.find("algorithm"))
     spec.algorithm = json_str(*v, "algorithm");
   if (const JsonValue* options = request.find("options"))
@@ -84,14 +89,16 @@ SubmitSpec parse_submit(const JsonValue& request) {
 
   spec.options_json = search_options_to_json(spec.options);
   spec.sim_json = sim_options_to_json(spec.sim);
-  std::uint64_t fp = hash_text(spec.machine_text);
-  fp = hash_text(spec.graph_text, fp);
-  fp = hash_text(spec.algorithm, fp);
-  fp = hash_text(spec.options_json, fp);
-  fp = hash_text(spec.sim_json, fp);
-  fp = hash_text(spec.want_journal ? "journal" : "", fp);
-  fp = hash_text(spec.reuse_measurements ? "reuse" : "", fp);
-  spec.fingerprint = fp;
+  // An in-memory key that recovery recomputes from each stored request,
+  // so it may change between builds: each text hashes a word at a time,
+  // and chaining the hashes keeps ("ab", "c") apart from ("a", "bc").
+  std::uint64_t fp = 0;
+  for (const std::string* text : {&spec.machine_text, &spec.graph_text,
+                                  &spec.algorithm, &spec.options_json,
+                                  &spec.sim_json})
+    fp = mix64(fp ^ std::hash<std::string_view>{}(*text));
+  spec.fingerprint = mix64(fp ^ (spec.want_journal ? 1 : 0) ^
+                           (spec.reuse_measurements ? 2 : 0));
   return spec;
 }
 
@@ -632,7 +639,7 @@ std::string MappingService::dispatch(const std::string& request_json,
                           std::to_string(kDefaultMaxFrameBytes) +
                           "-byte limit");
   try {
-    const JsonValue request = parse_json(request_json);
+    JsonValue request = parse_json(request_json);
     if (request.kind != JsonValue::Kind::kObject)
       throw Error("request must be a JSON object");
     const std::string op = request.str_or("op", "");
@@ -645,7 +652,8 @@ std::string MappingService::dispatch(const std::string& request_json,
       const std::lock_guard<std::mutex> lock(mutex_);
       expire_overdue_locked();
     }
-    if (op == "submit") return handle_submit(request, request_json);
+    if (op == "submit")
+      return handle_submit(std::move(request), request_json);
     if (op == "status") return handle_status(request);
     if (op == "result") return handle_result(request);
     if (op == "journal") return handle_journal(request);
@@ -672,9 +680,9 @@ std::string MappingService::dispatch(const std::string& request_json,
   }
 }
 
-std::string MappingService::handle_submit(const JsonValue& request,
+std::string MappingService::handle_submit(JsonValue&& request,
                                           const std::string& request_json) {
-  const SubmitSpec spec = parse_submit(request);
+  const SubmitSpec spec = parse_submit(std::move(request));
   {
     // A request this process already validated is answered from its job
     // without parsing the machine and graph texts again.

@@ -152,7 +152,8 @@ class MappingService {
     JobStatus status = JobStatus::kQueued;
     /// The submit payload, kept verbatim for persistence and re-parsing.
     std::string request_json;
-    /// Request fingerprint — the result-cache key.
+    /// Request fingerprint — the result-cache key, held only in memory
+    /// (recovery recomputes it from the stored request).
     std::uint64_t fingerprint = 0;
     std::string algorithm;  // the request's registry name ("ccd", …)
     bool want_journal = false;
@@ -202,8 +203,9 @@ class MappingService {
   [[nodiscard]] std::string dispatch(const std::string& request_json,
                                      std::string& op_label);
 
-  // Request handlers; each takes mutex_ itself.
-  [[nodiscard]] std::string handle_submit(const JsonValue& request,
+  // Request handlers; each takes mutex_ itself. A submit consumes its
+  // decoded request: the machine and graph texts move into the job spec.
+  [[nodiscard]] std::string handle_submit(JsonValue&& request,
                                           const std::string& request_json);
   [[nodiscard]] std::string handle_status(const JsonValue& request);
   [[nodiscard]] std::string handle_result(const JsonValue& request);

@@ -37,9 +37,10 @@ inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 
 /// FNV-1a over `text` plus a terminator byte, continuing `state`: chain
 /// calls to fingerprint a tuple of texts without concatenating them, and
-/// ("ab", "c") still hashes apart from ("a", "bc"). The service keys its
-/// result cache and evaluation-cache buckets this way; the keys name
-/// cache files and index maps, they are not security boundaries.
+/// ("ab", "c") still hashes apart from ("a", "bc"). The service names its
+/// evaluation-cache bucket files this way, and a checkpoint header
+/// digests `profiles_seed` with it, so its values are stored: they must
+/// not change. They are not security boundaries.
 [[nodiscard]] std::uint64_t hash_text(std::string_view text,
                                       std::uint64_t state = kFnv1aOffset);
 

@@ -1,6 +1,7 @@
 #include "src/support/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -152,15 +153,18 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // A run of plain bytes moves in one append; it ends at the next
+      // quote, backslash or raw control byte.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20)
+        ++pos_;
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) fail("unterminated string");
       if (static_cast<unsigned char>(text_[pos_]) < 0x20)
         fail("raw control byte in string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -443,9 +447,11 @@ std::string json_escape(std::string_view s) {
 std::string json_double(double value) {
   if (std::isnan(value)) return "\"nan\"";
   if (std::isinf(value)) return value > 0 ? "\"inf\"" : "\"-inf\"";
+  // The same bytes as "%.17g", without printf's format parsing.
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::general, 17);
+  return std::string(buf, end.ptr);
 }
 
 std::string hex_u64(std::uint64_t value) {

@@ -35,6 +35,10 @@ struct JsonValue {
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
+  /// The same lookup, for moving a decoded member out.
+  [[nodiscard]] JsonValue* find(std::string_view key) {
+    return const_cast<JsonValue*>(std::as_const(*this).find(key));
+  }
   [[nodiscard]] bool has(std::string_view key) const {
     return find(key) != nullptr;
   }
@@ -85,10 +89,10 @@ struct JsonValue {
 /// backslash and control characters; multi-byte UTF-8 passes through).
 [[nodiscard]] std::string json_escape(std::string_view s);
 
-/// Deterministic JSON rendering of a double: finite values via %.17g
-/// (shortest round-trippable form is locale-independent here), non-finite
-/// values as the quoted strings "inf"/"-inf"/"nan" since JSON has no
-/// literals for them.
+/// Deterministic JSON rendering of a double: finite values in the bytes
+/// %.17g prints (through std::to_chars, which no locale changes),
+/// non-finite values as the quoted strings "inf"/"-inf"/"nan" since JSON
+/// has no literals for them.
 [[nodiscard]] std::string json_double(double value);
 
 /// Lower-case hex rendering of a 64-bit value (mapping hashes exceed

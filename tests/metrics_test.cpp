@@ -4,12 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "src/apps/registry.hpp"
+#include "src/io/text_io.hpp"
+#include "src/machine/machine.hpp"
+#include "src/search/search.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
 #include "src/support/metrics.hpp"
+#include "src/support/rng.hpp"
 
 namespace automap {
 namespace {
@@ -208,13 +216,6 @@ TEST(Json, WideNumReadsQuotedNonFinite) {
   EXPECT_EQ(v.wide_num_or("absent", 9), 9.0);
 }
 
-TEST(Json, RejectsMalformedInput) {
-  EXPECT_THROW(parse_json("{"), Error);
-  EXPECT_THROW(parse_json("{} trailing"), Error);
-  EXPECT_THROW(parse_json("{\"a\":}"), Error);
-  EXPECT_THROW(parse_json("[1,]"), Error);
-}
-
 /// The message parse_json throws for `text`, or "" when it parses.
 std::string parse_error(const std::string& text) {
   try {
@@ -225,6 +226,25 @@ std::string parse_error(const std::string& text) {
   return "";
 }
 
+/// A string's plain bytes decode in runs; this one is longer than any
+/// small-string buffer.
+const std::string kPlainRun(100, 'x');
+
+TEST(Json, RejectsMalformedInput) {
+  EXPECT_THROW(parse_json("{"), Error);
+  EXPECT_THROW(parse_json("{} trailing"), Error);
+  EXPECT_THROW(parse_json("{\"a\":}"), Error);
+  EXPECT_THROW(parse_json("[1,]"), Error);
+  // A string that runs off the end fails at the input's size, inside a
+  // run or right after an escape.
+  for (const std::string& text :
+       {"[\"" + kPlainRun, "[\"" + kPlainRun + "\\n", std::string("\"")}) {
+    SCOPED_TRACE(text);
+    EXPECT_EQ(parse_error(text), "json: unterminated string at offset " +
+                                     std::to_string(text.size()));
+  }
+}
+
 TEST(Json, RejectsRawControlBytesInStrings) {
   // RFC 8259 requires bytes below 0x20 inside a string to be escaped.
   for (int byte = 0; byte < 0x20; ++byte) {
@@ -233,12 +253,22 @@ TEST(Json, RejectsRawControlBytesInStrings) {
         std::string("{\"name\":\"ab") + static_cast<char>(byte) + "c\"}";
     EXPECT_EQ(parse_error(text),
               "json: raw control byte in string at offset 11");
+    // At its own offset after a long run too.
+    EXPECT_EQ(parse_error("[\"" + kPlainRun + static_cast<char>(byte) + "\"]"),
+              "json: raw control byte in string at offset 102");
   }
   // In a key too, and escaped forms still parse.
   EXPECT_EQ(parse_error("{\"a\x01\":1}"),
             "json: raw control byte in string at offset 3");
   EXPECT_EQ(parse_json("{\"s\":\"a\\u0001\\tb\x7f\"}").str_or("s", ""),
             "a\x01\tb\x7f");
+  // After a long run, an escape and the closing quote decode as before,
+  // and bytes from 0x7f up are plain.
+  EXPECT_EQ(parse_json("[\"" + kPlainRun + "\\n\\\"" + kPlainRun +
+                       "\x7f\xc3\xa9\xff\\u00e9\"]")
+                .array.at(0)
+                .string,
+            kPlainRun + "\n\"" + kPlainRun + "\x7f\xc3\xa9\xff\xc3\xa9");
 }
 
 TEST(Json, NumbersFollowTheGrammar) {
@@ -292,6 +322,54 @@ TEST(Json, LoneSurrogatesAreRejected) {
             "json: unpaired surrogate \\uDBFF at offset 2");
 }
 
+TEST(Json, ByteMutationsOfASubmitParseOrFailAtAnOffset) {
+  // perfbench's circuit submit: the exported shepard(1) machine and
+  // step-0 graph, one CCD rotation.
+  const SearchOptions options{
+      .rotations = 1, .seed = 1, .export_profiles_db = false};
+  const std::string submit =
+      "{\"op\":\"submit\",\"machine\":\"" +
+      json_escape(machine_to_string(make_shepard(1))) + "\",\"graph\":\"" +
+      json_escape(
+          task_graph_to_string(make_app_by_name("circuit", 1, 0).graph)) +
+      "\",\"options\":" + search_options_to_json(options) + "}";
+  int parsed = 0;
+  int failed = 0;
+  // Parses, or throws one Error: "json: <what> at offset N", N within
+  // the input. Any other exception fails the test.
+  const auto check = [&](const std::string& text) {
+    try {
+      (void)parse_json(text);
+      ++parsed;
+    } catch (const Error& e) {
+      ++failed;
+      const std::string what = e.what();
+      const std::size_t at = what.rfind(" at offset ");
+      const std::string offset =
+          at == std::string::npos ? "" : what.substr(at + 11);
+      ASSERT_EQ(what.rfind("json: ", 0), 0u) << what;
+      ASSERT_TRUE(!offset.empty() &&
+                  offset.find_first_not_of("0123456789") == std::string::npos)
+          << what;
+      ASSERT_LE(std::stoull(offset), text.size()) << what;
+    }
+  };
+  for (std::size_t i = 0; i <= submit.size(); ++i) {
+    SCOPED_TRACE(i);
+    for (const char* escape : {"\\ud800", "\\udc00", "\\ud83d\\ude00"})
+      check(std::string(submit).insert(i, escape));
+    if (i == submit.size()) break;
+    check(std::string(submit).erase(i, 1));
+    for (const char byte : {'"', '\\', '\x01', '\xff', '{'}) {
+      std::string mutated = submit;
+      mutated[i] = byte;
+      check(mutated);
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(failed, 0);
+}
+
 TEST(Json, MetricsSnapshotEscapesControlBytesInNames) {
   MetricsRegistry metrics;
   std::string name = "odd";
@@ -320,6 +398,37 @@ TEST(Json, DeterministicRendering) {
   const JsonValue v =
       parse_json("{\"s\":\"" + json_escape(tricky) + "\"}");
   EXPECT_EQ(v.str_or("s", ""), tricky);
+  // So does every machine and graph text a submit carries.
+  std::vector<std::string> texts = {machine_to_string(make_shepard(1)),
+                                    machine_to_string(make_shepard(2)),
+                                    machine_to_string(make_lassen(2))};
+  for (const std::string& app : app_names())
+    for (const int nodes : {1, 2})
+      texts.push_back(
+          task_graph_to_string(make_app_by_name(app, nodes, 0).graph));
+  for (const std::string& text : texts)
+    EXPECT_EQ(parse_json("[\"" + json_escape(text) + "\"]").array.at(0).string,
+              text);
+  // A finite double prints as "%.17g" does: journals, checkpoints and the
+  // canonical options JSON have always been written that way.
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0,          -0.0,          0.1,          1e-5,
+      1e-4,         1e16,          1e17,         123456789012345678.0,
+      limits::min(), limits::denorm_min(), limits::max(), limits::lowest()};
+  Rng rng(29);
+  while (values.size() < 20000) {
+    double value = 0;
+    const std::uint64_t bits = rng.next();
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) values.push_back(value);
+    values.push_back(rng.uniform() * 1000.0);
+  }
+  for (const double value : values) {
+    char expected[40];
+    std::snprintf(expected, sizeof(expected), "%.17g", value);
+    ASSERT_EQ(json_double(value), expected);
+  }
 }
 
 }  // namespace

@@ -85,6 +85,32 @@ std::string submit_request(const SearchOptions& options,
   return submit_request(search_options_to_json(options), extra);
 }
 
+/// `v` spelled another way: each object's members in reverse order, and
+/// whitespace around every token. It decodes to the same values.
+std::string respelled(const JsonValue& v) {
+  std::string out;
+  switch (v.kind) {
+    case JsonValue::Kind::kObject:
+      for (auto m = v.object.rbegin(); m != v.object.rend(); ++m)
+        out += (out.empty() ? "{\n\t\"" : " ,\n\t\"") +
+               json_escape(m->first) + "\" :  " + respelled(m->second);
+      return out.empty() ? "{ }" : out + " \r\n}";
+    case JsonValue::Kind::kArray:
+      for (const JsonValue& item : v.array)
+        out += (out.empty() ? "[ " : " , ") + respelled(item);
+      return out.empty() ? "[ ]" : out + " ]";
+    case JsonValue::Kind::kString:
+      return "\"" + json_escape(v.string) + "\"";
+    case JsonValue::Kind::kNumber:
+      return json_double(v.number);
+    case JsonValue::Kind::kBool:
+      return v.boolean ? "true" : "false";
+    case JsonValue::Kind::kNull:
+      break;
+  }
+  return "null";
+}
+
 JsonValue handle_json(MappingService& service, const std::string& request) {
   return parse_json(service.handle(request));
 }
@@ -394,11 +420,42 @@ TEST(Service, RepeatSubmissionAnsweredFromResultCache) {
       metric_value(exposition, "automap_service_jobs_submitted_total"),
       1.0);
 
+  // The fingerprint covers decoded values, not spellings: the same
+  // options with reordered keys and extra whitespace hit the same job.
+  const std::string options_json = search_options_to_json(options);
+  const JsonValue respelled_answer = handle_json(
+      service, submit_request(respelled(parse_json(options_json))));
+  EXPECT_EQ(job_id_of(respelled_answer), job_id_of(first));
+  EXPECT_TRUE(respelled_answer.bool_or("cached", false));
+
   // A different seed is a different fingerprint: queued, not cached.
   const JsonValue third =
       handle_json(service, submit_request(small_options(43)));
   EXPECT_EQ(third.str_or("status", ""), "queued");
   EXPECT_FALSE(third.bool_or("cached", false));
+
+  // So is each of these, and each lands on a job of its own. The last
+  // moves the machine text's trailing newline to the head of the graph
+  // text: both readers accept either form, so only the fingerprint's
+  // field boundaries tell it from the first request.
+  const std::string machine = stencil_machine_text();
+  ASSERT_EQ(machine.back(), '\n');
+  const std::string moved_newline =
+      "{\"op\":\"submit\",\"machine\":\"" +
+      json_escape(machine.substr(0, machine.size() - 1)) +
+      "\",\"graph\":\"" + json_escape("\n" + stencil_graph_text()) +
+      "\",\"options\":" + options_json + "}";
+  std::set<std::string> jobs = {job_id_of(first), job_id_of(third)};
+  for (const std::string& request :
+       {submit_request(options, ",\"journal\":true"),
+        submit_request(options, ",\"reuse_measurements\":true"),
+        submit_request(options, ",\"algorithm\":\"cd\""), moved_newline}) {
+    SCOPED_TRACE(request.substr(request.size() - 40));
+    const JsonValue answer = handle_json(service, request);
+    EXPECT_EQ(answer.str_or("status", ""), "queued");
+    EXPECT_FALSE(answer.bool_or("cached", true));
+    EXPECT_TRUE(jobs.insert(job_id_of(answer)).second);
+  }
 }
 
 TEST(Service, JournalStreamingReconstructsFileBytes) {

@@ -251,7 +251,9 @@ double result_cache_hits(MappingService& service) {
 
 // Ceiling on the allocations of one cached resubmission of a validated
 // request, recorded after the change that set it (Circuit 51, Stencil 52,
-// HTR 54 with GCC 12's libstdc++) and rounded up to the next 100. A
+// HTR 54 with GCC 12's libstdc++) and rounded up to the next 100. Since
+// strings decode in runs and the machine and graph texts move out of the
+// decoded request, the counts read Circuit 49, Stencil 49, HTR 51. A
 // resubmission that parses the machine and graph allocates far more
 // (Circuit 377, Stencil 457, HTR 1,122 before that change).
 constexpr std::uint64_t kMaxCachedResubmitAllocations = 100;

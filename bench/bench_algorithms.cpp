@@ -1,7 +1,12 @@
 // Extended search-algorithm comparison (beyond the paper's Fig. 9 trio):
 // every algorithm in the search registry — CCD, CD, the ensemble tuner,
 // random search, simulated annealing, the HEFT-style static baseline and
-// multi-start CCD — under the CCD budget, on Circuit and HTR.
+// multi-start CCD — on Circuit, HTR and a memory-constrained Pennant. CCD
+// runs unbudgeted; every other algorithm gets a simulated time budget, a
+// constant beside each case: CCD's clock on that input when the budgets
+// were fixed, rounded up to the next 10 s (three times that for
+// multistart). So a change that makes only CCD cheaper leaves the other
+// rows where they are.
 //
 // The HEFT row demonstrates the paper's §6 argument directly: static
 // scheduling with a single memory per processor cannot exploit the
@@ -25,7 +30,7 @@ namespace {
 using namespace automap;
 
 void run_case(const BenchmarkApp& app, const MachineModel& machine,
-              bool memory_fallbacks = false) {
+              double budget, bool memory_fallbacks = false) {
   Simulator sim(machine, app.graph, app.sim);
 
   const SearchAlgorithmInfo* ccd_info = find_search_algorithm("ccd");
@@ -33,7 +38,7 @@ void run_case(const BenchmarkApp& app, const MachineModel& machine,
       ccd_info->run(sim, {.rotations = 5, .repeats = 7, .seed = 42,
                           .memory_fallbacks = memory_fallbacks});
   SearchOptions budgeted{.rotations = 5, .repeats = 7,
-                         .time_budget_s = ccd.stats.search_time_s,
+                         .time_budget_s = budget,
                          .seed = 42};
   budgeted.memory_fallbacks = memory_fallbacks;
 
@@ -42,13 +47,12 @@ void run_case(const BenchmarkApp& app, const MachineModel& machine,
     if (info.name == "ccd") continue;
     SearchOptions options = budgeted;
     // Multistart gets 3x the budget (it runs up to three CCD descents).
-    if (info.name == "multistart")
-      options.time_budget_s = 3 * ccd.stats.search_time_s;
+    if (info.name == "multistart") options.time_budget_s = 3 * budget;
     results.push_back(info.run(sim, options));
   }
 
   std::cout << "\n-- " << app.name << " " << app.input << " (budget "
-            << format_seconds(ccd.stats.search_time_s) << ") --\n";
+            << format_seconds(budget) << ") --\n";
   Table table({"algorithm", "best exec", "vs CCD", "evaluated"});
   for (const SearchResult& r : results) {
     table.add_row({r.algorithm, format_seconds(r.best_seconds),
@@ -63,8 +67,10 @@ void run_case(const BenchmarkApp& app, const MachineModel& machine,
 int main() {
   std::cout << "=== Extended algorithm comparison (Shepard, 1 node) ===\n";
   const MachineModel machine = make_shepard(1);
-  run_case(make_circuit(circuit_config_for(1, 1)), machine);
-  run_case(make_htr(htr_config_for(1, 1)), machine);
+  // Budgets in simulated seconds; CCD's clock read 2.3, 44.1 and 16495.7 s
+  // on these inputs.
+  run_case(make_circuit(circuit_config_for(1, 1)), machine, 10);
+  run_case(make_htr(htr_config_for(1, 1)), machine, 50);
 
   // Memory-constrained Pennant (+7 % over the Frame-Buffer, §5.2): static
   // scheduling has no way to pick *which* collections to demote — its
@@ -74,6 +80,7 @@ int main() {
                           machine.mem_capacity(MemKind::kFrameBuffer), 1, 1) *
                       107) /
                      100;
-  run_case(make_pennant(overflow), machine, /*memory_fallbacks=*/true);
+  run_case(make_pennant(overflow), machine, 16500,
+           /*memory_fallbacks=*/true);
   return 0;
 }

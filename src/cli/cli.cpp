@@ -161,7 +161,7 @@ int CommandRegistry::run(int argc, char** argv) const {
     if (spec != nullptr) {
       std::string value;
       if (!spec->value_name.empty()) {
-        AM_REQUIRE(i + 1 < argc, token + " needs a value");
+        if (i + 1 >= argc) throw Error(token + " needs a value");
         value = argv[++i];
       }
       args.flags_.emplace_back(token, std::move(value));

@@ -40,6 +40,9 @@ int cmd_serve(const Args& args) {
   const std::string store_dir = args.value_or("--store");
   if (socket_path.empty()) throw Error("serve needs --socket PATH");
   if (store_dir.empty()) throw Error("serve needs --store DIR");
+  // Before the store opens: recovering it would run the queued jobs of a
+  // daemon that already serves this socket, and maybe this store.
+  require_free_socket(socket_path);
 
   ServiceConfig config;
   config.store_dir = store_dir;

@@ -20,13 +20,14 @@ namespace automap {
 namespace {
 
 void read_exact_or_throw(int fd, char* out, std::size_t n,
-                         const char* what) {
+                         const std::string& socket_path, const char* what) {
   std::size_t got = 0;
   while (got < n) {
     const ssize_t r = ::read(fd, out + got, n - got);
     if (r < 0 && errno == EINTR) continue;
-    AM_REQUIRE(r > 0, std::string("connection closed while reading ") +
-                          what);
+    if (r <= 0)
+      throw Error("connection to " + socket_path + " closed while reading " +
+                  what);
     got += static_cast<std::size_t>(r);
   }
 }
@@ -34,17 +35,11 @@ void read_exact_or_throw(int fd, char* out, std::size_t n,
 }  // namespace
 
 std::string ServiceClient::call(const std::string& request_json) const {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  AM_REQUIRE(!socket_path_.empty() &&
-                 socket_path_.size() < sizeof(addr.sun_path),
-             "bad socket path: " + socket_path_);
-  std::strncpy(addr.sun_path, socket_path_.c_str(),
-               sizeof(addr.sun_path) - 1);
-
+  const sockaddr_un addr = unix_socket_address(socket_path_);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  AM_REQUIRE(fd >= 0,
-             "cannot create socket: " + std::string(std::strerror(errno)));
+  if (fd < 0)
+    throw Error("cannot create a socket for " + socket_path_ + ": " +
+                std::strerror(errno));
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
     const std::string reason = std::strerror(errno);
@@ -63,16 +58,20 @@ std::string ServiceClient::call(const std::string& request_json) const {
       const ssize_t w = ::send(fd, frame.data() + sent,
                                frame.size() - sent, MSG_NOSIGNAL);
       if (w < 0 && errno == EINTR) continue;
-      AM_REQUIRE(w > 0, "connection closed while sending the request");
+      if (w <= 0)
+        throw Error("connection to " + socket_path_ +
+                    " closed while sending the request");
       sent += static_cast<std::size_t>(w);
     }
 
     char header[kFrameHeaderBytes];
-    read_exact_or_throw(fd, header, sizeof(header), "the response header");
+    read_exact_or_throw(fd, header, sizeof(header), socket_path_,
+                        "the response header");
     const std::size_t length =
         *decode_frame_length({header, sizeof(header)});
     std::string response(length, '\0');
-    read_exact_or_throw(fd, response.data(), length, "the response body");
+    read_exact_or_throw(fd, response.data(), length, socket_path_,
+                        "the response body");
     ::close(fd);
     return response;
   } catch (...) {

@@ -61,19 +61,12 @@ FlightRecorder::Timeline& FlightRecorder::timeline_locked(
     while (timelines_.size() >= kRecorderMaxJobs) {
       // Evict the least-recently-touched sealed timeline; only when every
       // timeline is still live does an active one go.
-      auto victim = timelines_.end();
-      for (auto cand = timelines_.begin(); cand != timelines_.end(); ++cand)
-        if (cand->second.terminal &&
-            (victim == timelines_.end() ||
-             cand->second.touched < victim->second.touched))
-          victim = cand;
-      if (victim == timelines_.end())
-        for (auto cand = timelines_.begin(); cand != timelines_.end();
-             ++cand)
-          if (victim == timelines_.end() ||
-              cand->second.touched < victim->second.touched)
-            victim = cand;
-      timelines_.erase(victim);
+      timelines_.erase(std::min_element(
+          timelines_.begin(), timelines_.end(),
+          [](const auto& a, const auto& b) {
+            return std::make_pair(!a.second.terminal, a.second.touched) <
+                   std::make_pair(!b.second.terminal, b.second.touched);
+          }));
     }
     it = timelines_.emplace(job, Timeline{}).first;
   }
@@ -92,72 +85,38 @@ void FlightRecorder::append_locked(Timeline& timeline, Span span) {
   timeline.spans.push_back(std::move(span));
 }
 
-double FlightRecorder::transition(std::uint64_t job, const std::string& span,
-                                  int worker, std::vector<SpanAttr> attrs) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Timeline& timeline = timeline_locked(job);
-  const double now = now_at_least(newest_ms(timeline));
-  double closed = 0;
-  for (auto it = timeline.spans.rbegin(); it != timeline.spans.rend();
-       ++it) {
-    if (it->instant || it->end_ms >= 0) continue;
-    it->end_ms = now;
-    closed = now - it->start_ms;
-    break;
-  }
-  timeline.terminal = false;  // a transition on a sealed timeline revives
-  Span next;
-  next.name = span;
-  next.start_ms = now;
-  next.worker = worker;
-  next.attrs = std::move(attrs);
-  append_locked(timeline, std::move(next));
-  return closed;
-}
-
-void FlightRecorder::instant(std::uint64_t job, const std::string& name,
-                             std::vector<SpanAttr> attrs) {
+double FlightRecorder::record(std::uint64_t job, Step step,
+                              const std::string& name, int worker,
+                              std::vector<SpanAttr> attrs) {
   const std::lock_guard<std::mutex> lock(mutex_);
   Timeline& timeline = timeline_locked(job);
   const double now = now_at_least(newest_ms(timeline));
   Span span;
   span.name = name;
   span.start_ms = now;
-  span.end_ms = now;
-  span.instant = true;
-  // A marker during a running span belongs to that span's worker lane.
-  for (auto it = timeline.spans.rbegin(); it != timeline.spans.rend(); ++it)
-    if (!it->instant && it->end_ms < 0) {
-      span.worker = it->worker;
-      break;
-    }
+  span.end_ms = step == Step::kTransition ? -1 : now;
+  span.worker = worker;
+  span.instant = step == Step::kInstant;
   span.attrs = std::move(attrs);
-  append_locked(timeline, std::move(span));
-}
-
-double FlightRecorder::terminal(std::uint64_t job, const std::string& name,
-                                std::vector<SpanAttr> attrs) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Timeline& timeline = timeline_locked(job);
-  const double now = now_at_least(newest_ms(timeline));
-  int worker = -1;
+  // The open span is the newest that is neither an instant nor ended. A
+  // marker or terminal lands in its worker lane; a transition or terminal
+  // ends it now.
+  double closed = 0;
   for (auto it = timeline.spans.rbegin(); it != timeline.spans.rend();
        ++it) {
     if (it->instant || it->end_ms >= 0) continue;
-    it->end_ms = now;
-    worker = it->worker;
+    if (step != Step::kTransition) span.worker = it->worker;
+    if (step != Step::kInstant) {
+      it->end_ms = now;
+      closed = now - it->start_ms;
+    }
     break;
   }
-  Span last;
-  last.name = name;
-  last.start_ms = now;
-  last.end_ms = now;
-  last.worker = worker;
-  last.attrs = std::move(attrs);
-  append_locked(timeline, std::move(last));
-  timeline.terminal = true;
-  return timeline.spans.empty() ? 0
-                                : now - timeline.spans.front().start_ms;
+  // A transition on a sealed timeline revives it; a terminal seals it.
+  if (step != Step::kInstant) timeline.terminal = step == Step::kTerminal;
+  append_locked(timeline, std::move(span));
+  return step == Step::kTerminal ? now - timeline.spans.front().start_ms
+                                 : closed;
 }
 
 void FlightRecorder::service_event(const std::string& name,
@@ -185,14 +144,16 @@ std::string FlightRecorder::current_span(std::uint64_t job) const {
   return it->second.spans.back().name;
 }
 
+double FlightRecorder::end_or_now_ms(const Timeline& timeline) const {
+  return timeline.terminal ? newest_ms(timeline)
+                           : now_at_least(newest_ms(timeline));
+}
+
 double FlightRecorder::age_ms(std::uint64_t job) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = timelines_.find(job);
   if (it == timelines_.end() || it->second.spans.empty()) return 0;
-  const Timeline& timeline = it->second;
-  const double start = timeline.spans.front().start_ms;
-  if (timeline.terminal) return newest_ms(timeline) - start;
-  return now_at_least(newest_ms(timeline)) - start;
+  return end_or_now_ms(it->second) - it->second.spans.front().start_ms;
 }
 
 double FlightRecorder::queue_wait_ms(std::uint64_t job) const {
@@ -205,8 +166,7 @@ double FlightRecorder::queue_wait_ms(std::uint64_t job) const {
     if (span.name == "running") return span.start_ms - start;
   // Never ran: the wait ended at the terminal instant, or is still
   // growing.
-  if (timeline.terminal) return newest_ms(timeline) - start;
-  return now_at_least(newest_ms(timeline)) - start;
+  return end_or_now_ms(timeline) - start;
 }
 
 std::string FlightRecorder::span_json(const Span& span) {

@@ -37,6 +37,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace automap {
@@ -72,18 +73,24 @@ class FlightRecorder {
   /// >= 0 tags the span with the job-worker lane that owns it. Returns
   /// the duration (ms) of the span it closed, 0 when none was open.
   double transition(std::uint64_t job, const std::string& span, int worker,
-                    std::vector<SpanAttr> attrs = {});
+                    std::vector<SpanAttr> attrs = {}) {
+    return record(job, Step::kTransition, span, worker, std::move(attrs));
+  }
 
   /// Zero-length marker at now; does not close the open span. Works on
   /// sealed timelines too (post-terminal events like "evicted").
   void instant(std::uint64_t job, const std::string& name,
-               std::vector<SpanAttr> attrs = {});
+               std::vector<SpanAttr> attrs = {}) {
+    record(job, Step::kInstant, name, -1, std::move(attrs));
+  }
 
   /// Closes the open span, appends the zero-length terminal span `name`
   /// and seals the timeline. Returns the job's end-to-end age in ms
   /// (terminal instant minus first span start).
   double terminal(std::uint64_t job, const std::string& name,
-                  std::vector<SpanAttr> attrs = {});
+                  std::vector<SpanAttr> attrs = {}) {
+    return record(job, Step::kTerminal, name, -1, std::move(attrs));
+  }
 
   /// Service-level instant (no job timeline): admission rejections,
   /// deadline expiries, evictions, quarantines. Kept in a bounded ring.
@@ -142,10 +149,18 @@ class FlightRecorder {
     std::vector<SpanAttr> attrs;
   };
 
+  enum class Step { kTransition, kTerminal, kInstant };
+  /// The one step behind transition(), terminal() and instant(): appends
+  /// `name` at now, ends the open span there unless the step is an
+  /// instant, and returns what the public call returns.
+  double record(std::uint64_t job, Step step, const std::string& name,
+                int worker, std::vector<SpanAttr> attrs);
   /// Clock clamped to never run behind `floor` — keeps each timeline
   /// monotone even under a misbehaving injected clock.
   [[nodiscard]] double now_at_least(double floor) const;
   [[nodiscard]] double newest_ms(const Timeline& timeline) const;
+  /// The timeline's terminal instant once sealed, else now.
+  [[nodiscard]] double end_or_now_ms(const Timeline& timeline) const;
   /// Fetches or creates the job's timeline, evicting per kRecorderMaxJobs.
   Timeline& timeline_locked(std::uint64_t job);
   void append_locked(Timeline& timeline, Span span);

@@ -31,21 +31,27 @@ enum class Io {
   kStopped,  ///< server shutting down
 };
 
-/// True when a daemon is actually listening on `path` — i.e. a connect()
-/// succeeds. A leftover socket file from a crashed daemon refuses the
-/// connection and is safe to replace.
-bool socket_is_live(const std::string& path, const sockaddr_un& addr) {
+}  // namespace
+
+void require_free_socket(const std::string& socket_path) {
+  const sockaddr_un addr = unix_socket_address(socket_path);
+  // Probe before replacing: unconditionally unlinking would let a second
+  // `serve` silently hijack a running daemon's socket — existing clients
+  // would keep talking to the old daemon while new ones reach the
+  // usurper, each with a different job table. Only a *dead* socket file
+  // (connect refused) may be replaced.
   std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return false;
+  if (!std::filesystem::exists(socket_path, ec)) return;
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return false;
+  if (fd < 0) return;
   const bool live = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                               sizeof(addr)) == 0;
   ::close(fd);
-  return live;
+  if (live)
+    throw Error("socket " + socket_path +
+                " is in use by a running daemon (stop it first, or pass "
+                "a different --socket)");
 }
-
-}  // namespace
 
 struct ServiceServer::Connection {
   std::thread thread;
@@ -57,27 +63,12 @@ ServiceServer::ServiceServer(MappingService& service, std::string socket_path,
     : service_(service),
       socket_path_(std::move(socket_path)),
       config_(config) {
-  AM_REQUIRE(!socket_path_.empty(), "service socket path is empty");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  AM_REQUIRE(socket_path_.size() < sizeof(addr.sun_path),
-             "socket path too long: " + socket_path_);
-  std::strncpy(addr.sun_path, socket_path_.c_str(),
-               sizeof(addr.sun_path) - 1);
-
-  // Probe before replacing: unconditionally unlinking would let a second
-  // `serve` silently hijack a running daemon's socket — existing clients
-  // would keep talking to the old daemon while new ones reach the
-  // usurper, each with a different job table. Only a *dead* socket file
-  // (connect refused: a crashed daemon's leftover) is replaced.
-  if (socket_is_live(socket_path_, addr))
-    throw Error("socket " + socket_path_ +
-                " is in use by a running daemon (stop it first, or pass "
-                "a different --socket)");
-
+  require_free_socket(socket_path_);
+  const sockaddr_un addr = unix_socket_address(socket_path_);
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  AM_REQUIRE(listen_fd_ >= 0, "cannot create socket: " +
-                                  std::string(std::strerror(errno)));
+  if (listen_fd_ < 0)
+    throw Error("cannot create a socket for " + socket_path_ + ": " +
+                std::strerror(errno));
   ::unlink(socket_path_.c_str());  // replace the stale socket file
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
@@ -223,6 +214,12 @@ void ServiceServer::handle_connection(int fd) {
   // frame gets a structured error response, then the connection closes
   // (its remaining payload bytes cannot be resynchronized).
   const std::size_t max_frame = kDefaultMaxFrameBytes;
+  // A frame step that does not finish ends the connection; one that runs
+  // out of time counts as an I/O timeout.
+  const auto frame_failed = [&](Io status) {
+    if (status == Io::kTimeout) service_.note_io_timeout();
+    return status != Io::kOk;
+  };
   for (;;) {
     // Idle phase: wait for the next request to *start*. A peer that holds
     // the connection open without sending is reaped after idle_timeout_ms.
@@ -243,11 +240,8 @@ void ServiceServer::handle_connection(int fd) {
             ? Clock::now() + std::chrono::milliseconds(config_.io_timeout_ms)
             : kNoDeadline;
     char header[kFrameHeaderBytes];
-    Io status = read_exact(header, sizeof(header), frame_deadline);
-    if (status != Io::kOk) {
-      if (status == Io::kTimeout) service_.note_io_timeout();
+    if (frame_failed(read_exact(header, sizeof(header), frame_deadline)))
       break;
-    }
     const std::size_t length =
         *decode_frame_length({header, sizeof(header)});
     if (length > max_frame) {
@@ -259,17 +253,11 @@ void ServiceServer::handle_connection(int fd) {
       break;
     }
     std::string payload(length, '\0');
-    status = read_exact(payload.data(), length, frame_deadline);
-    if (status != Io::kOk) {
-      if (status == Io::kTimeout) service_.note_io_timeout();
+    if (frame_failed(read_exact(payload.data(), length, frame_deadline)))
       break;
-    }
-    status = write_all(encode_frame(service_.handle(payload)),
-                       frame_deadline);
-    if (status != Io::kOk) {
-      if (status == Io::kTimeout) service_.note_io_timeout();
+    if (frame_failed(write_all(encode_frame(service_.handle(payload)),
+                               frame_deadline)))
       break;
-    }
     if (service_.shutdown_requested()) break;
   }
   ::close(fd);

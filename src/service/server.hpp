@@ -30,6 +30,12 @@ namespace automap {
 
 class MappingService;
 
+/// Throws Error when `socket_path` cannot name a Unix socket, or when a
+/// running daemon listens on it. A dead socket file (a crashed daemon's
+/// leftover, which refuses connections) passes. `serve` checks this before
+/// it opens its store; the ServiceServer constructor checks it again.
+void require_free_socket(const std::string& socket_path);
+
 struct ServerConfig {
   /// Per-frame I/O deadline in milliseconds: header-remainder + payload
   /// read + response write. 0 = unbounded (trusted-client mode).
@@ -41,7 +47,8 @@ struct ServerConfig {
 class ServiceServer {
  public:
   /// Binds `socket_path` (an existing stale socket file is replaced).
-  /// Throws Error when the path cannot be bound.
+  /// Throws Error when require_free_socket refuses the path or it cannot
+  /// be bound.
   ServiceServer(MappingService& service, std::string socket_path,
                 ServerConfig config = {});
   ~ServiceServer();

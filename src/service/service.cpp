@@ -131,12 +131,19 @@ std::optional<std::string> read_if_exists(const std::string& path) {
   return load_text(path);
 }
 
-std::string require_job_field(const JsonValue& request) {
+std::uint64_t require_job_field(const JsonValue& request) {
   const JsonValue* job = request.find("job");
   if (job == nullptr || job->kind != JsonValue::Kind::kNumber)
     throw Error("request needs a numeric 'job' field");
-  return std::to_string(json_u64(*job, "job"));
+  return json_u64(*job, "job");
 }
+
+/// A request naming a job the service does not hold; dispatch answers it
+/// with the `not_found` error.
+class NotFound : public Error {
+ public:
+  using Error::Error;
+};
 
 /// Bytes of regular files under `dir` (0 when absent) — the store's
 /// byte-budget accounting unit.
@@ -391,15 +398,12 @@ void MappingService::touch_bucket_locked(std::uint64_t bucket) {
   store_bytes_total_ += entry.bytes;
 }
 
-MappingService::Job& MappingService::add_job_locked(std::uint64_t id,
-                                                    const SubmitSpec& spec) {
+MappingService::Job& MappingService::add_job_locked(
+    std::uint64_t id, std::shared_ptr<const SubmitSpec> spec) {
   Job& job = jobs_[id];
   job.id = id;
-  job.fingerprint = spec.fingerprint;
-  job.algorithm = spec.algorithm;
-  job.want_journal = spec.want_journal;
-  job.reuse_measurements = spec.reuse_measurements;
-  std::uint64_t& indexed = by_fingerprint_[spec.fingerprint];
+  job.spec = std::move(spec);
+  std::uint64_t& indexed = by_fingerprint_[job.spec->fingerprint];
   indexed = std::max(indexed, id);
   next_id_ = std::max(next_id_, id + 1);
   return job;
@@ -411,7 +415,7 @@ MappingService::Job* MappingService::find_fingerprint_locked(
   return it == by_fingerprint_.end() ? nullptr : &jobs_.at(it->second);
 }
 
-std::string MappingService::resubmit_answer_locked(Job& job) {
+std::string MappingService::submitted_answer_locked(Job& job) {
   const bool done = job.status == JobStatus::kDone;
   if (done) {
     job.last_served = ++serve_tick_;
@@ -425,32 +429,20 @@ std::string MappingService::resubmit_answer_locked(Job& job) {
          "\",\"cached\":" + (done ? "true" : "false") + "}";
 }
 
-void MappingService::enqueue_locked(Job& job, const SubmitSpec& spec,
-                                    const std::string& request_json,
-                                    std::vector<SpanAttr> attrs) {
-  const std::string dir = job_dir(job.id);
-  fs::create_directories(dir);
-  // A revival's request replaces the stored one, so a restart re-applies
-  // the priority and deadline this client was told were accepted. The
-  // request is durable before the tombstone goes: a crash in between
-  // leaves the job in its terminal state.
-  if (job.request_json != request_json) {
-    save_checksummed(dir + "/request.json", request_json, "request");
-    job.request_json = request_json;
-  }
+void MappingService::enqueue_locked(Job& job, std::vector<SpanAttr> attrs) {
   std::error_code ec;
-  fs::remove(dir + "/" + kTombstoneName, ec);
+  fs::remove(job_dir(job.id) + "/" + kTombstoneName, ec);
   job.status = JobStatus::kQueued;
-  job.priority = spec.priority;
   job.cancel = std::make_shared<std::atomic<bool>>(false);
   job.cancel_reason.clear();
   job.error.clear();
   // Every enqueue opens a fresh window: a revival's (or a recovered
   // job's — the original instant died with the old process) deadline
   // counts from now.
+  const SubmitSpec& spec = *job.spec;
   job.deadline_at_ms =
       spec.deadline_ms > 0 ? clock_ms_() + spec.deadline_ms : 0;
-  queue_.emplace(-job.priority, job.id);
+  queue_.emplace(-spec.priority, job.id);
   if (job.deadline_at_ms > 0) deadlines_.emplace(job.deadline_at_ms, job.id);
   remeasure_locked(job);
   attrs.push_back({"queue_depth", std::to_string(queue_.size())});
@@ -459,7 +451,7 @@ void MappingService::enqueue_locked(Job& job, const SubmitSpec& spec,
 }
 
 void MappingService::dequeue_locked(const Job& job) {
-  queue_.erase({-job.priority, job.id});
+  queue_.erase({-job.spec->priority, job.id});
   deadlines_.erase({job.deadline_at_ms, job.id});
 }
 
@@ -569,7 +561,7 @@ void MappingService::evict_locked() {
       --done_jobs_;
       m_result_cache_evictions_->inc();
     }
-    if (const auto it = by_fingerprint_.find(job->fingerprint);
+    if (const auto it = by_fingerprint_.find(job->spec->fingerprint);
         it != by_fingerprint_.end() && it->second == id)
       by_fingerprint_.erase(it);
     // Post-terminal marker; the recorder keeps the timeline (bounded
@@ -673,6 +665,8 @@ std::string MappingService::dispatch(const std::string& request_json,
       return "{\"type\":\"shutdown\"}";
     }
     return wire_error("unknown_op", "unknown op '" + op + "'");
+  } catch (const NotFound& e) {
+    return wire_error("not_found", e.what());
   } catch (const Error& e) {
     return wire_error("bad_request", e.what());
   } catch (const std::exception& e) {
@@ -682,14 +676,14 @@ std::string MappingService::dispatch(const std::string& request_json,
 
 std::string MappingService::handle_submit(JsonValue&& request,
                                           const std::string& request_json) {
-  const SubmitSpec spec = parse_submit(std::move(request));
+  SubmitSpec spec = parse_submit(std::move(request));
   {
     // A request this process already validated is answered from its job
     // without parsing the machine and graph texts again.
     const std::lock_guard<std::mutex> lock(mutex_);
     if (Job* job = find_fingerprint_locked(spec.fingerprint);
         job != nullptr && job->validated) {
-      if (std::string answer = resubmit_answer_locked(*job); !answer.empty())
+      if (std::string answer = submitted_answer_locked(*job); !answer.empty())
         return answer;
     }
   }
@@ -713,69 +707,85 @@ std::string MappingService::handle_submit(JsonValue&& request,
   Job* job = find_fingerprint_locked(spec.fingerprint);
   if (job != nullptr) {
     job->validated = true;
-    if (std::string answer = resubmit_answer_locked(*job); !answer.empty())
+    if (std::string answer = submitted_answer_locked(*job); !answer.empty())
       return answer;
   }
   if (std::string overloaded = admission_error_locked(); !overloaded.empty())
     return overloaded;
 
   const bool fresh = job == nullptr;
+  // Priority and deadline are the request's only fields outside the
+  // fingerprint. A revival that changes either replaces the stored
+  // request, so a restart re-applies what this client was told was
+  // accepted; any other revival keeps the job's request and its bytes.
+  const bool persist = fresh || job->spec->priority != spec.priority ||
+                       job->spec->deadline_ms != spec.deadline_ms;
+  auto accepted = std::make_shared<const SubmitSpec>(std::move(spec));
   std::vector<SpanAttr> attrs;
   if (fresh) {
-    job = &add_job_locked(next_id_, spec);
+    job = &add_job_locked(next_id_, accepted);
     job->validated = true;
     recorder_.transition(
         job->id, "submitted", -1,
-        {{"fingerprint", "\"" + hex_u64(spec.fingerprint) + "\""}});
+        {{"fingerprint", "\"" + hex_u64(accepted->fingerprint) + "\""}});
   } else {
     // Reopens the sealed timeline: the revival rides the same spans as a
     // fresh submission, flagged so traces show the job came back.
     attrs.push_back({"revived", "true"});
   }
   const std::uint64_t id = job->id;
-  try {
-    enqueue_locked(*job, spec, request_json, std::move(attrs));
-  } catch (const std::exception&) {
-    // Enqueue throws only while persisting the request, before it changes
-    // the job: a revived job stays as it was, a new one never existed.
-    if (fresh) {
-      by_fingerprint_.erase(spec.fingerprint);
-      jobs_.erase(id);
+  if (persist) {
+    // Durable before enqueue removes the tombstone: a crash in between
+    // leaves the job in its terminal state.
+    try {
+      const std::string dir = job_dir(id);
+      fs::create_directories(dir);
+      save_checksummed(dir + "/request.json", request_json, "request");
+    } catch (const std::exception&) {
+      // A revived job stays as it was, a new one never existed.
+      if (fresh) {
+        by_fingerprint_.erase(accepted->fingerprint);
+        jobs_.erase(id);
+      }
+      throw;
     }
-    throw;
+    job->spec = std::move(accepted);  // a revival's priority or deadline
   }
+  enqueue_locked(*job, std::move(attrs));
   m_submitted_->inc();
   m_result_cache_misses_->inc();
-  evict_locked();
-  return "{\"type\":\"submitted\",\"job\":" + std::to_string(id) +
-         ",\"status\":\"queued\",\"cached\":false}";
+  evict_locked();  // never evicts the queued job
+  return submitted_answer_locked(*job);
+}
+
+MappingService::Job& MappingService::requested_job_locked(
+    const JsonValue& request) {
+  const std::uint64_t id = require_job_field(request);
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) throw NotFound("no job " + std::to_string(id));
+  return it->second;
 }
 
 std::string MappingService::handle_status(const JsonValue& request) {
-  const std::string id_text = require_job_field(request);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(std::stoull(id_text));
-  if (it == jobs_.end())
-    return wire_error("not_found", "no job " + id_text);
-  std::string out = "{\"type\":\"status\",\"job\":" + id_text +
-                    ",\"status\":\"" + status_name(it->second.status) +
-                    "\"";
-  if (it->second.status == JobStatus::kCancelled &&
-      !it->second.cancel_reason.empty())
-    out += ",\"reason\":\"" + json_escape(it->second.cancel_reason) + "\"";
-  if (!it->second.error.empty())
-    out += ",\"message\":\"" + json_escape(it->second.error) + "\"";
-  if (recorder_.has(it->first)) {
-    out += ",\"span\":\"" +
-           json_escape(recorder_.current_span(it->first)) + "\"";
-    out += ",\"spans\":" + recorder_.spans_array_json(it->first);
+  const Job& job = requested_job_locked(request);
+  std::string out = "{\"type\":\"status\",\"job\":" +
+                    std::to_string(job.id) + ",\"status\":\"" +
+                    status_name(job.status) + "\"";
+  if (job.status == JobStatus::kCancelled && !job.cancel_reason.empty())
+    out += ",\"reason\":\"" + json_escape(job.cancel_reason) + "\"";
+  if (!job.error.empty())
+    out += ",\"message\":\"" + json_escape(job.error) + "\"";
+  if (recorder_.has(job.id)) {
+    out += ",\"span\":\"" + json_escape(recorder_.current_span(job.id)) +
+           "\"";
+    out += ",\"spans\":" + recorder_.spans_array_json(job.id);
   }
   return out + "}";
 }
 
 std::string MappingService::handle_trace(const JsonValue& request) {
-  const std::string id_text = require_job_field(request);
-  const std::uint64_t id = std::stoull(id_text);
+  const std::uint64_t id = require_job_field(request);
   bool known = recorder_.has(id);
   if (!known) {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -783,46 +793,40 @@ std::string MappingService::handle_trace(const JsonValue& request) {
   }
   // The recorder outlives eviction (its timeline map is bounded
   // separately from jobs_), so a just-evicted job still answers here.
-  if (!known) return wire_error("not_found", "no job " + id_text);
+  if (!known) throw NotFound("no job " + std::to_string(id));
   // serialize() is {"job":N,"dropped":D,"terminal":B,"spans":[...]} —
   // splice the type on front.
   return "{\"type\":\"trace\"," + recorder_.serialize(id).substr(1);
 }
 
 std::string MappingService::handle_result(const JsonValue& request) {
-  const std::string id_text = require_job_field(request);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(std::stoull(id_text));
-  if (it == jobs_.end())
-    return wire_error("not_found", "no job " + id_text);
-  Job& job = it->second;
+  Job& job = requested_job_locked(request);
   if (job.status == JobStatus::kDone) {
     job.last_served = ++serve_tick_;
     return job.result_json;
   }
+  const std::string name = "job " + std::to_string(job.id);
   if (job.status == JobStatus::kFailed)
-    return wire_error("bad_state", "job " + id_text + " failed: " +
-                                       job.error);
-  return wire_error("bad_state", "job " + id_text + " is " +
-                                     status_name(job.status));
+    return wire_error("bad_state", name + " failed: " + job.error);
+  return wire_error("bad_state", name + " is " + status_name(job.status));
 }
 
 std::string MappingService::handle_journal(const JsonValue& request) {
-  const std::string id_text = require_job_field(request);
   const JsonValue* after_field = request.find("after");
   const long long after =
       after_field ? json_int(*after_field, "after", -1) : -1;
+  std::string id_text;
   std::string path;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = jobs_.find(std::stoull(id_text));
-    if (it == jobs_.end())
-      return wire_error("not_found", "no job " + id_text);
-    if (!it->second.want_journal)
+    const Job& job = requested_job_locked(request);
+    id_text = std::to_string(job.id);
+    if (!job.spec->want_journal)
       return wire_error("bad_state",
                         "job " + id_text + " was submitted without "
                         "\"journal\":true");
-    path = job_dir(it->second.id) + "/journal.jsonl";
+    path = job_dir(job.id) + "/journal.jsonl";
   }
   // Poll-based streaming: return the complete lines past the client's
   // cursor, each as one escaped string (the exact JSONL line bytes, so a
@@ -853,12 +857,9 @@ std::string MappingService::handle_journal(const JsonValue& request) {
 }
 
 std::string MappingService::handle_cancel(const JsonValue& request) {
-  const std::string id_text = require_job_field(request);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(std::stoull(id_text));
-  if (it == jobs_.end())
-    return wire_error("not_found", "no job " + id_text);
-  Job& job = it->second;
+  Job& job = requested_job_locked(request);
+  const std::string id_text = std::to_string(job.id);
   if (job.status != JobStatus::kQueued && job.status != JobStatus::kRunning)
     return wire_error("bad_state",
                       "only queued or running jobs can be cancelled; job " +
@@ -878,8 +879,8 @@ std::string MappingService::handle_jobs() {
     first = false;
     out += "{\"job\":" + std::to_string(id) + ",\"status\":\"" +
            status_name(job.status) + "\",\"algorithm\":\"" +
-           json_escape(job.algorithm) +
-           "\",\"priority\":" + std::to_string(job.priority) +
+           json_escape(job.spec->algorithm) +
+           "\",\"priority\":" + std::to_string(job.spec->priority) +
            ",\"age_ms\":" + json_double(recorder_.age_ms(id)) +
            ",\"queue_wait_ms\":" +
            json_double(recorder_.queue_wait_ms(id)) + ",\"span\":\"" +
@@ -888,49 +889,42 @@ std::string MappingService::handle_jobs() {
   return out + "]}";
 }
 
-std::uint64_t MappingService::claim_next_locked() {
+bool MappingService::run_next(std::unique_lock<std::mutex> lock,
+                              int worker) {
   expire_overdue_locked();  // no worker starts an overdue job
-  if (queue_.empty()) return 0;
+  if (queue_.empty()) return false;
   Job& job = jobs_.at(queue_.begin()->second);
   dequeue_locked(job);
   job.status = JobStatus::kRunning;
-  return job.id;
+  const std::uint64_t id = job.id;
+  lock.unlock();
+  run_job(id, worker);
+  return true;
 }
 
 void MappingService::worker_loop(int worker) {
   for (;;) {
-    std::uint64_t id = 0;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_) return;
-      id = claim_next_locked();
-    }
-    if (id != 0) run_job(id, worker);
+    std::unique_lock<std::mutex> lock(mutex_);
+    work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (stopping_) return;
+    run_next(std::move(lock), worker);
   }
 }
 
 void MappingService::drain() {
-  for (;;) {
-    std::uint64_t id = 0;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      id = claim_next_locked();
-    }
-    if (id == 0) return;
-    // drain() shares lane 0 with the first worker thread; the two never
-    // run together outside tests, and lanes are cosmetic.
-    run_job(id, 0);
+  // drain() shares lane 0 with the first worker thread; the two never
+  // run together outside tests, and lanes are cosmetic.
+  while (run_next(std::unique_lock<std::mutex>(mutex_), 0)) {
   }
 }
 
 void MappingService::run_job(std::uint64_t id, int worker) {
-  std::string request_json;
+  std::shared_ptr<const SubmitSpec> job_spec;
   std::function<bool()> cancelled;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const Job& job = jobs_.at(id);
-    request_json = job.request_json;
+    job_spec = job.spec;
     // The client's token, or the deadline on the service clock. A job
     // without a deadline never reads the clock here.
     cancelled = [this, token = job.cancel, deadline = job.deadline_at_ms] {
@@ -952,7 +946,7 @@ void MappingService::run_job(std::uint64_t id, int worker) {
   std::uint64_t bucket = 0;
   std::uint64_t sim_runs = 0;
   try {
-    const SubmitSpec spec = parse_submit(parse_json(request_json));
+    const SubmitSpec& spec = *job_spec;
     // The simulator keeps references; the job owns machine and graph for
     // the duration of the search.
     const MachineModel machine = machine_from_string(spec.machine_text);
@@ -1138,17 +1132,17 @@ void MappingService::recover_store_locked() {
       quarantine_path(entry.path().string());
       continue;
     }
-    std::optional<SubmitSpec> spec;
+    std::shared_ptr<const SubmitSpec> spec;
     try {
-      spec = parse_submit(parse_json(request.payload));
+      spec = std::make_shared<const SubmitSpec>(
+          parse_submit(parse_json(request.payload)));
     } catch (const std::exception&) {
       // Checksum intact but not a valid submit (e.g. hand-edited):
       // quarantine rather than abort the daemon.
       quarantine_path(entry.path().string());
       continue;
     }
-    Job& job = add_job_locked(id, *spec);
-    job.request_json = std::move(request.payload);
+    Job& job = add_job_locked(id, std::move(spec));
     if (tombstone.has_value()) {
       // A bare "keep" (written by an older build) carries no reason.
       const std::size_t space = tombstone->find(' ');
@@ -1196,7 +1190,7 @@ void MappingService::recover_store_locked() {
       }
     }
     if (job.status == JobStatus::kQueued)
-      enqueue_locked(job, *spec, job.request_json, {{"recovered", "true"}});
+      enqueue_locked(job, {{"recovered", "true"}});
     else
       remeasure_locked(job);
   }

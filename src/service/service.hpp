@@ -148,16 +148,11 @@ class MappingService {
 
   struct Job {
     std::uint64_t id = 0;
-    int priority = 0;
+    /// The decoded request the job runs, whose fingerprint is the
+    /// result-cache key. Immutable and shared with a running search; a
+    /// revival that changes the priority or deadline replaces it.
+    std::shared_ptr<const SubmitSpec> spec;
     JobStatus status = JobStatus::kQueued;
-    /// The submit payload, kept verbatim for persistence and re-parsing.
-    std::string request_json;
-    /// Request fingerprint — the result-cache key, held only in memory
-    /// (recovery recomputes it from the stored request).
-    std::uint64_t fingerprint = 0;
-    std::string algorithm;  // the request's registry name ("ccd", …)
-    bool want_journal = false;
-    bool reuse_measurements = false;
     /// This process validated the job's request (its machine, graph,
     /// options and algorithm), so a resubmission that finds the job done,
     /// queued or running is answered without validating again. False for
@@ -207,6 +202,10 @@ class MappingService {
   // decoded request: the machine and graph texts move into the job spec.
   [[nodiscard]] std::string handle_submit(JsonValue&& request,
                                           const std::string& request_json);
+  /// The job a status, result, journal or cancel request names in its
+  /// numeric `job` field, looked up with mutex_ held. Throws the
+  /// `not_found` answer when there is none.
+  [[nodiscard]] Job& requested_job_locked(const JsonValue& request);
   [[nodiscard]] std::string handle_status(const JsonValue& request);
   [[nodiscard]] std::string handle_result(const JsonValue& request);
   [[nodiscard]] std::string handle_journal(const JsonValue& request);
@@ -217,15 +216,11 @@ class MappingService {
   // The job lifecycle. Each transition has exactly one implementation;
   // all four run with mutex_ held.
 
-  /// Queues `job` for `spec`: persists request.json when its text changed
-  /// (a revival's new priority or deadline), clears the tombstone and the
-  /// previous run's outcome, re-measures the job dir, sets the deadline,
-  /// opens the `queued` span (with `attrs`) and wakes a worker. Serves
-  /// new, revived and recovered jobs alike. Throws only while persisting
-  /// the request, before it changes anything.
-  void enqueue_locked(Job& job, const SubmitSpec& spec,
-                      const std::string& request_json,
-                      std::vector<SpanAttr> attrs);
+  /// Queues `job` for its spec: clears the tombstone and the previous
+  /// run's outcome, re-measures the job dir, sets the deadline, opens the
+  /// `queued` span (with `attrs`) and wakes a worker. Serves new, revived
+  /// and recovered jobs alike; their request is already on disk.
+  void enqueue_locked(Job& job, std::vector<SpanAttr> attrs);
   /// Cancels a queued or running job for `reason` ("client" or
   /// "deadline"). A queued job settles as cancelled at once (see
   /// settle_locked); a running job's token fires and run_job settles it.
@@ -242,13 +237,14 @@ class MappingService {
 
   /// Registers a job for `spec` in jobs_ and the fingerprint index; the
   /// newer id keeps a fingerprint two recovered jobs share.
-  Job& add_job_locked(std::uint64_t id, const SubmitSpec& spec);
+  Job& add_job_locked(std::uint64_t id,
+                      std::shared_ptr<const SubmitSpec> spec);
   /// The job the fingerprint index names, or nullptr.
   [[nodiscard]] Job* find_fingerprint_locked(std::uint64_t fingerprint);
-  /// The `submitted` answer to a resubmission that maps onto `job` when
-  /// the job is done (a result-cache hit, which counts as served), queued
-  /// or running; empty when it ended cancelled or failed and is revived.
-  [[nodiscard]] std::string resubmit_answer_locked(Job& job);
+  /// The `submitted` answer for `job` when it is done (a result-cache
+  /// hit, which counts as served), queued or running; empty when it ended
+  /// cancelled or failed, so a resubmission revives it.
+  [[nodiscard]] std::string submitted_answer_locked(Job& job);
   /// Removes a queued job from the run queue and the deadline set.
   void dequeue_locked(const Job& job);
   /// Expires every queued job whose deadline has passed. One comparison,
@@ -265,9 +261,11 @@ class MappingService {
   /// Refreshes the entries and store-bytes gauges.
   void update_cache_gauges_locked();
 
-  /// Picks the highest-priority queued job (FIFO within a class), after
-  /// expiring overdue ones, and marks it running; 0 when none.
-  [[nodiscard]] std::uint64_t claim_next_locked();
+  /// The step worker_loop and drain share: with `lock` held, expires the
+  /// overdue jobs and claims the highest-priority queued one (FIFO within
+  /// a class); then releases the lock and runs it on this thread. False
+  /// when no job was queued.
+  bool run_next(std::unique_lock<std::mutex> lock, int worker);
   /// Runs one job to completion (no service mutex held during the search)
   /// and settles it. `worker` tags the job's running span with its lane
   /// in the flight recorder.

@@ -1,5 +1,8 @@
 #include "src/service/wire.hpp"
 
+#include <sys/socket.h>
+
+#include <cstring>
 #include <limits>
 
 #include "src/support/error.hpp"
@@ -29,6 +32,17 @@ std::optional<std::size_t> decode_frame_length(std::string_view buffer) {
   };
   return static_cast<std::size_t>((b(0) << 24) | (b(1) << 16) | (b(2) << 8) |
                                   b(3));
+}
+
+sockaddr_un unix_socket_address(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.empty() || path.size() >= sizeof(addr.sun_path))
+    throw Error("socket path '" + path + "' is " +
+                std::to_string(path.size()) + " bytes; it must hold 1 to " +
+                std::to_string(sizeof(addr.sun_path) - 1));
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return addr;
 }
 
 std::string wire_error(std::string_view code, std::string_view message) {

@@ -6,7 +6,10 @@
 // Every message — request or response — is one frame: a 4-byte big-endian
 // payload length followed by exactly that many bytes of UTF-8 JSON. The
 // framing layer is pure string transforms so it is testable without
-// sockets; src/service/server.cpp and client.cpp move the bytes.
+// sockets; src/service/server.cpp and client.cpp move the bytes, over the
+// Unix socket address both build with unix_socket_address.
+
+#include <sys/un.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -37,6 +40,10 @@ inline constexpr std::size_t kDefaultMaxFrameBytes = 16u << 20;
 /// when `buffer` holds fewer than kFrameHeaderBytes bytes.
 [[nodiscard]] std::optional<std::size_t> decode_frame_length(
     std::string_view buffer);
+
+/// The address of the Unix socket at `path`. Throws Error naming the path
+/// when it is empty or longer than a socket address holds.
+[[nodiscard]] sockaddr_un unix_socket_address(const std::string& path);
 
 /// Structured error payload (`{"type":"error","code":...,"message":...}`)
 /// — the one response shape every failure path uses, including oversize

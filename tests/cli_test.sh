@@ -259,6 +259,17 @@ expect_one_error "<step> expects an integer, got '1.5'" \
 test ! -e "$DIR/x.graph"
 expect_one_error "<job> expects a non-negative integer, got 'abc'" \
       "$CLI" client --socket "$DIR/no.sock" status abc
+# A flag with no value, and a 120-byte socket path (a Unix socket address
+# holds 107 bytes), name the flag or the path. serve refuses the path
+# before it creates its store.
+expect_one_error "--seed needs a value" \
+      "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --seed
+LONG_SOCK="$DIR/$(printf 's%.0s' $(seq 1 $((119 - ${#DIR}))))"
+expect_one_error "socket path '$LONG_SOCK' is 120 bytes" \
+      "$CLI" client ping --socket "$LONG_SOCK"
+expect_one_error "socket path '$LONG_SOCK' is 120 bytes" \
+      "$CLI" serve --socket "$LONG_SOCK" --store "$DIR/long-store"
+test ! -e "$DIR/long-store"
 expect_one_error "no checkpoint at $DIR/missing.ckpt" \
       "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --resume "$DIR/missing.ckpt"
 expect_one_error "--repeats must be >= 1, got 0" \

@@ -305,7 +305,22 @@ for _ in $(seq 1 300); do
 done
 "$CLIENT" status 1 --socket "$SOCK" | grep -q "cancelled (deadline)"
 "$CLIENT" submit "$DIR/m.machine" "$DIR/g.graph" --socket "$SOCK" \
-      --rotations 3 --repeats 3 | grep -q "queued"
+      --rotations 3 --repeats 3 > "$DIR/queued.txt"
+grep -q "queued" "$DIR/queued.txt"
+QUEUED_ID="$(awk '{ print $2 }' "$DIR/queued.txt")"
+
+# A second daemon on the live socket *and the same store* is refused
+# before it opens the store, whose recovery would run the live daemon's
+# queued job: it exits at once, the job's dir still holds only its
+# request, and the live daemon still reports the job queued.
+if timeout 10 "$CLI" serve --socket "$SOCK" --store "$DIR/store3" \
+      > "$DIR/hijack-store.txt" 2>&1; then
+  echo "expected a second serve on a live socket and store to fail" >&2
+  exit 1
+fi
+grep -q "in use by a running daemon" "$DIR/hijack-store.txt"
+test "$(ls "$DIR/store3/jobs/$QUEUED_ID")" = "request.json"
+"$CLIENT" status "$QUEUED_ID" --socket "$SOCK" | grep -q "queued"
 
 "$CLIENT" shutdown --socket "$SOCK" > /dev/null
 wait "$SERVER_PID"

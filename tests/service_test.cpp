@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -23,6 +22,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/apps/registry.hpp"
@@ -1406,23 +1406,46 @@ TEST(Service, NegativeJobWorkersAreRejected) {
 
 TEST(Service, RevivalPersistsTheAcceptedDeadline) {
   const std::string store = fresh_store("deadline-revive-persist");
-  MappingService service(
-      {.store_dir = store, .job_workers = 0});
   const SearchOptions options = small_options(42);
-  const std::string id = job_id_of(handle_json(
-      service, submit_request(options, ",\"deadline_ms\":25")));
-  ASSERT_EQ(wait_for(service, id), "cancelled");
-  // Revive without a deadline. The on-disk request must now match the
-  // accepted (deadline-free) submission: after a crash, recovery re-arms
-  // from the persisted request, and a stale 25ms window would cancel a
-  // job whose reviving client was told it had no deadline.
-  ASSERT_EQ(
-      handle_json(service, submit_request(options)).str_or("status", ""),
-      "queued");
-  const DurableLoad persisted =
-      load_checksummed(store + "/jobs/" + id + "/request.json");
-  ASSERT_EQ(persisted.status, DurableLoad::Status::kOk);
-  EXPECT_EQ(persisted.payload.find("deadline_ms"), std::string::npos);
+  const std::string reprioritized =
+      submit_request(options, ",\"priority\":5");
+  {
+    MappingService service(
+        {.store_dir = store, .job_workers = 0});
+    const std::string id = job_id_of(handle_json(
+        service, submit_request(options, ",\"deadline_ms\":25")));
+    ASSERT_EQ(wait_for(service, id), "cancelled");
+    // Revive without a deadline. The on-disk request must now match the
+    // accepted (deadline-free) submission: after a crash, recovery re-arms
+    // from the persisted request, and a stale 25ms window would cancel a
+    // job whose reviving client was told it had no deadline.
+    ASSERT_EQ(
+        handle_json(service, submit_request(options)).str_or("status", ""),
+        "queued");
+    const std::string request_path = store + "/jobs/" + id + "/request.json";
+    const DurableLoad persisted = load_checksummed(request_path);
+    ASSERT_EQ(persisted.status, DurableLoad::Status::kOk);
+    EXPECT_EQ(persisted.payload.find("deadline_ms"), std::string::npos);
+
+    // A revival that changes only the priority is stored as well; the
+    // restart below applies it.
+    const std::string cancel = "{\"op\":\"cancel\",\"job\":" + id + "}";
+    ASSERT_EQ(handle_json(service, cancel).str_or("status", ""), "cancelled");
+    ASSERT_EQ(job_id_of(handle_json(service, reprioritized)), id);
+    const std::string stored = load_text(request_path);
+    EXPECT_NE(stored.find("\"priority\":5"), std::string::npos);
+    // A revival that decodes to the same request, spelled with other key
+    // order and whitespace, keeps the stored bytes.
+    ASSERT_EQ(handle_json(service, cancel).str_or("status", ""), "cancelled");
+    ASSERT_EQ(job_id_of(handle_json(service,
+                                    respelled(parse_json(reprioritized)))),
+              id);
+    EXPECT_EQ(load_text(request_path), stored);
+  }
+  MappingService restarted({.store_dir = store, .job_workers = 0});
+  const JsonValue jobs = handle_json(restarted, "{\"op\":\"jobs\"}");
+  ASSERT_EQ(jobs.find("jobs")->array.size(), 1u);
+  EXPECT_EQ(jobs.find("jobs")->array[0].num_or("priority", 0), 5);
 }
 
 TEST(Service, DeadlineCancelsRunningJobAndResumeIsByteIdentical) {
@@ -2214,9 +2237,7 @@ struct LiveServer {
 int raw_connect(const std::string& path) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+  const sockaddr_un addr = unix_socket_address(path);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
     ::close(fd);
@@ -2376,9 +2397,7 @@ struct ScriptedServer {
                           std::vector<std::string> canned)
       : path(std::move(sock_path)), responses(std::move(canned)) {
     listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+    const sockaddr_un addr = unix_socket_address(path);
     ::unlink(path.c_str());
     ::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
            sizeof(addr));
@@ -2447,6 +2466,42 @@ TEST(Protocol, ClientSurfacesFinalOverloadedAfterExhaustion) {
       client.call_with_retry("{\"op\":\"ping\"}", policy);
   EXPECT_EQ(parse_json(response).str_or("code", ""), "overloaded");
   EXPECT_EQ(scripted.served.load(), 2);
+}
+
+TEST(Protocol, ClientErrorsNameTheSocketNotASourceFile) {
+  // A peer that accepts the connection and hangs up at once.
+  const std::string sock = LiveServer::socket_path("hangs-up");
+  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const sockaddr_un addr = unix_socket_address(sock);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  std::thread peer([listen_fd] {
+    pollfd pfd{listen_fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 5000) > 0)
+      ::close(::accept(listen_fd, nullptr, nullptr));
+  });
+  // The hang-up, an empty path and a path longer than a socket address
+  // holds each end in one Error that names the path and no source file.
+  const std::string long_path(120, 's');
+  const std::pair<std::string, std::string> cases[] = {
+      {sock, "connection to " + sock + " closed while "},
+      {"", "socket path '' is 0 bytes"},
+      {long_path, "socket path '" + long_path + "' is 120 bytes"}};
+  for (const auto& [path, expected] : cases) {
+    std::string what = "no error";
+    try {
+      (void)ServiceClient(path).call("{\"op\":\"ping\"}");
+    } catch (const Error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find(expected), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+  }
+  peer.join();
+  ::close(listen_fd);
+  ::unlink(sock.c_str());
 }
 
 TEST(Protocol, ClientThrowsUnreachableAfterRetries) {

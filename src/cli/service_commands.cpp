@@ -5,7 +5,9 @@
 #include <csignal>
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -105,19 +107,27 @@ JsonValue call(const std::string& socket_path, const RetryPolicy& retry,
   return response;
 }
 
-/// Positional job id, normalized to the decimal text the wire carries.
-std::string job_id_arg(const Args& args, const std::string& action) {
+/// Positional job id.
+std::uint64_t job_id_arg(const Args& args, const std::string& action) {
   if (args.positional().size() != 2)
     throw Error("client " + action + " needs <job>");
-  return std::to_string(args.pos_u64(1, "<job>"));
+  return args.pos_u64(1, "<job>");
+}
+
+/// `{"op":<op>}`, naming the job for a job op.
+std::string op_request(std::string_view op,
+                       std::optional<std::uint64_t> job = std::nullopt) {
+  JsonWriter out;
+  out.begin_object().str("op", op);
+  if (job) out.integer("job", *job);
+  return out.end_object().take();
 }
 
 /// Fetches and prints a completed job: the summary line and mapping bytes
 /// are exactly what the one-shot `search` command would have produced.
 int print_result(const std::string& socket_path, const RetryPolicy& retry,
-                 const std::string& id, const Args& args) {
-  const JsonValue result =
-      call(socket_path, retry, "{\"op\":\"result\",\"job\":" + id + "}");
+                 std::uint64_t id, const Args& args) {
+  const JsonValue result = call(socket_path, retry, op_request("result", id));
   std::cout << result.str_or("summary", "") << "\n\n"
             << result.str_or("describe", "");
   const std::string out_path = args.value_or("-o");
@@ -129,12 +139,12 @@ int print_result(const std::string& socket_path, const RetryPolicy& retry,
 }
 
 int wait_for_result(const std::string& socket_path,
-                    const RetryPolicy& retry, const std::string& id,
+                    const RetryPolicy& retry, std::uint64_t id,
                     const Args& args) {
   const int poll_ms = args.int_or("--poll-ms", 100);
   for (;;) {
     const JsonValue status =
-        call(socket_path, retry, "{\"op\":\"status\",\"job\":" + id + "}");
+        call(socket_path, retry, op_request("status", id));
     const std::string state = status.str_or("status", "");
     // On failure/cancellation the result op renders the reason as the
     // one-line error diagnostic (print_result throws).
@@ -158,26 +168,20 @@ int client_submit(const Args& args, const std::string& socket_path,
   FaultModel faults;
   apply_search_flags(args, algorithm_name, options, faults);
 
-  std::string request = "{\"op\":\"submit\",\"machine\":\"" +
-                        json_escape(machine_text) + "\",\"graph\":\"" +
-                        json_escape(graph_text) + "\",\"algorithm\":\"" +
-                        json_escape(algorithm_name) +
-                        "\",\"options\":" + search_options_to_json(options) +
-                        ",\"sim\":" +
-                        sim_options_to_json(SimOptions{.faults = faults}) +
-                        ",\"priority\":" +
-                        std::to_string(args.int_or("--priority", 0));
-  request += ",\"journal\":";
-  request += args.has("--journal") ? "true" : "false";
-  request += ",\"reuse_measurements\":";
-  request += args.has("--reuse") ? "true" : "false";
+  JsonWriter request;
+  request.begin_object().str("op", "submit").str("machine", machine_text);
+  request.str("graph", graph_text).str("algorithm", algorithm_name);
+  request.raw("options", search_options_to_json(options));
+  request.raw("sim", sim_options_to_json(SimOptions{.faults = faults}));
+  request.integer("priority", args.int_or("--priority", 0));
+  request.boolean("journal", args.has("--journal"));
+  request.boolean("reuse_measurements", args.has("--reuse"));
   if (const int deadline_ms = args.int_or("--deadline-ms", 0);
       deadline_ms > 0)
-    request += ",\"deadline_ms\":" + std::to_string(deadline_ms);
-  request += "}";
-
-  const JsonValue response = call(socket_path, retry, request);
-  const std::string id = std::to_string(json_u64_or(response, "job", 0));
+    request.integer("deadline_ms", deadline_ms);
+  const JsonValue response =
+      call(socket_path, retry, request.end_object().take());
+  const std::uint64_t id = json_u64_or(response, "job", 0);
   std::cout << "job " << id << " " << response.str_or("status", "?")
             << (response.bool_or("cached", false) ? " (cached)" : "")
             << "\n";
@@ -186,12 +190,12 @@ int client_submit(const Args& args, const std::string& socket_path,
 }
 
 int client_journal(const std::string& socket_path,
-                   const RetryPolicy& retry, const std::string& id,
+                   const RetryPolicy& retry, std::uint64_t id,
                    const Args& args) {
-  const JsonValue response =
-      call(socket_path, retry,
-           "{\"op\":\"journal\",\"job\":" + id + ",\"after\":" +
-               std::to_string(args.int_or("--after", -1)) + "}");
+  JsonWriter request;
+  request.begin_object().str("op", "journal").integer("job", id);
+  request.integer("after", args.int_or("--after", -1)).end_object();
+  const JsonValue response = call(socket_path, retry, request.take());
   // Events arrive as the journal's exact JSONL lines; printing one per
   // line reconstructs the (tail of the) journal file byte-for-byte.
   if (const JsonValue* events = response.find("events"))
@@ -219,9 +223,8 @@ std::string render_attrs(const JsonValue& span) {
 }
 
 int client_trace(const std::string& socket_path, const RetryPolicy& retry,
-                 const std::string& id) {
-  const JsonValue response =
-      call(socket_path, retry, "{\"op\":\"trace\",\"job\":" + id + "}");
+                 std::uint64_t id) {
+  const JsonValue response = call(socket_path, retry, op_request("trace", id));
   const JsonValue* spans = response.find("spans");
   std::cout << "job " << id << " trace"
             << (response.bool_or("terminal", false) ? " (terminal)" : "")
@@ -280,9 +283,9 @@ double exposition_value(const std::string& text, const std::string& name) {
 void print_top_frame(const std::string& socket_path,
                      const RetryPolicy& retry) {
   const JsonValue jobs_response =
-      call(socket_path, retry, "{\"op\":\"jobs\"}");
+      call(socket_path, retry, op_request("jobs"));
   const JsonValue stats_response =
-      call(socket_path, retry, "{\"op\":\"stats\"}");
+      call(socket_path, retry, op_request("stats"));
   const std::string metrics = stats_response.str_or("metrics", "");
 
   std::size_t queued = 0;
@@ -366,7 +369,7 @@ int client_top(const std::string& socket_path, const RetryPolicy& retry,
 }
 
 int client_jobs(const std::string& socket_path, const RetryPolicy& retry) {
-  const JsonValue response = call(socket_path, retry, "{\"op\":\"jobs\"}");
+  const JsonValue response = call(socket_path, retry, op_request("jobs"));
   const JsonValue* jobs = response.find("jobs");
   if (jobs == nullptr || jobs->array.empty()) {
     std::cout << "no jobs\n";
@@ -388,16 +391,16 @@ int cmd_client(const Args& args) {
   const std::string& action = args.pos(0);
 
   if (action == "ping") {
-    const JsonValue response = call(socket_path, retry, "{\"op\":\"ping\"}");
+    const JsonValue response = call(socket_path, retry, op_request("ping"));
     std::cout << "pong (wire version "
               << json_int_or(response, "version", 0) << ")\n";
     return 0;
   }
   if (action == "submit") return client_submit(args, socket_path, retry);
   if (action == "status") {
-    const std::string id = job_id_arg(args, action);
+    const std::uint64_t id = job_id_arg(args, action);
     const JsonValue response =
-        call(socket_path, retry, "{\"op\":\"status\",\"job\":" + id + "}");
+        call(socket_path, retry, op_request("status", id));
     std::cout << "job " << id << " " << response.str_or("status", "?");
     const std::string reason = response.str_or("reason", "");
     if (!reason.empty()) std::cout << " (" << reason << ")";
@@ -415,8 +418,8 @@ int cmd_client(const Args& args) {
     return client_journal(socket_path, retry, job_id_arg(args, action),
                           args);
   if (action == "cancel") {
-    const std::string id = job_id_arg(args, action);
-    call(socket_path, retry, "{\"op\":\"cancel\",\"job\":" + id + "}");
+    const std::uint64_t id = job_id_arg(args, action);
+    call(socket_path, retry, op_request("cancel", id));
     std::cout << "cancelled job " << id << "\n";
     return 0;
   }
@@ -425,12 +428,12 @@ int cmd_client(const Args& args) {
   if (action == "top") return client_top(socket_path, retry, args);
   if (action == "jobs") return client_jobs(socket_path, retry);
   if (action == "stats") {
-    const JsonValue response = call(socket_path, retry, "{\"op\":\"stats\"}");
+    const JsonValue response = call(socket_path, retry, op_request("stats"));
     std::cout << response.str_or("metrics", "");
     return 0;
   }
   if (action == "shutdown") {
-    call(socket_path, retry, "{\"op\":\"shutdown\"}");
+    call(socket_path, retry, op_request("shutdown"));
     std::cout << "shutdown requested\n";
     return 0;
   }

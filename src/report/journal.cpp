@@ -1,7 +1,6 @@
 #include "src/report/journal.hpp"
 
 #include "src/support/error.hpp"
-#include "src/support/json.hpp"
 
 namespace automap {
 
@@ -17,49 +16,13 @@ Journal::Journal(const std::string& path)
 
 Journal::Event::Event(Journal* journal, std::string_view type)
     : journal_(journal) {
-  line_ = "{\"n\":" + std::to_string(journal_->next_sequence_++) +
-          ",\"type\":\"" + std::string(type) + "\"";
-  if (journal_->rotation_ >= 0) {
-    line_ += ",\"rot\":" + std::to_string(journal_->rotation_);
-  }
-  if (journal_->position_ >= 0) {
-    line_ += ",\"pos\":" + std::to_string(journal_->position_);
-    line_ += ",\"task\":" + std::to_string(journal_->task_);
-  }
+  begin_object().integer("n", journal_->next_sequence_++).str("type", type);
+  if (journal_->rotation_ >= 0) integer("rot", journal_->rotation_);
+  if (journal_->position_ >= 0)
+    integer("pos", journal_->position_).integer("task", journal_->task_);
 }
 
-Journal::Event::~Event() {
-  line_ += "}";
-  journal_->commit(line_);
-}
-
-Journal::Event& Journal::Event::str(std::string_view key,
-                                    std::string_view value) {
-  line_ += ",\"" + std::string(key) + "\":\"" + json_escape(value) + "\"";
-  return *this;
-}
-
-Journal::Event& Journal::Event::num(std::string_view key, double value) {
-  line_ += ",\"" + std::string(key) + "\":" + json_double(value);
-  return *this;
-}
-
-Journal::Event& Journal::Event::integer(std::string_view key,
-                                        long long value) {
-  line_ += ",\"" + std::string(key) + "\":" + std::to_string(value);
-  return *this;
-}
-
-Journal::Event& Journal::Event::boolean(std::string_view key, bool value) {
-  line_ += ",\"" + std::string(key) + "\":" + (value ? "true" : "false");
-  return *this;
-}
-
-Journal::Event& Journal::Event::raw(std::string_view key,
-                                    std::string_view json) {
-  line_ += ",\"" + std::string(key) + "\":" + std::string(json);
-  return *this;
-}
+Journal::Event::~Event() { *journal_->out_ << end_object().take() << '\n'; }
 
 Journal::Event Journal::event(std::string_view type) {
   return Event(this, type);
@@ -88,9 +51,5 @@ std::string Journal::text() const {
 }
 
 void Journal::flush() { out_->flush(); }
-
-void Journal::commit(const std::string& line) {
-  *out_ << line << '\n';
-}
 
 }  // namespace automap

@@ -21,6 +21,8 @@
 #include <string>
 #include <string_view>
 
+#include "src/support/json.hpp"
+
 namespace automap {
 
 /// Current schema version, written in the header record and bumped on any
@@ -40,29 +42,21 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// One pending JSONL record. Committed (rendered + appended + newline)
-  /// when the builder goes out of scope; chain field setters in between.
-  /// Keys must be unique per event and values are rendered exactly once,
-  /// in call order — byte-identity depends on it.
-  class Event {
+  /// One pending JSONL record: a writer whose object already holds the
+  /// record's "n", "type" and cursor members. Its destructor closes the
+  /// object and appends it and a newline. Keys must be unique per event,
+  /// and members are written in call order — byte-identity depends on it.
+  class Event : public JsonWriter {
    public:
     ~Event();
     Event(const Event&) = delete;
     Event& operator=(const Event&) = delete;
-
-    Event& str(std::string_view key, std::string_view value);
-    Event& num(std::string_view key, double value);
-    Event& integer(std::string_view key, long long value);
-    Event& boolean(std::string_view key, bool value);
-    /// Pre-rendered JSON (arrays, objects, metric snapshots).
-    Event& raw(std::string_view key, std::string_view json);
 
    private:
     friend class Journal;
     Event(Journal* journal, std::string_view type);
 
     Journal* journal_;
-    std::string line_;
   };
 
   /// Starts a record of the given type, stamped with the next sequence
@@ -84,8 +78,6 @@ class Journal {
   void flush();
 
  private:
-  void commit(const std::string& line);
-
   std::string path_;
   std::ostringstream buffer_;
   std::ofstream file_;

@@ -51,51 +51,39 @@ std::string dot_escape(const std::string& s) {
   return out;
 }
 
-/// Default iostream formatting (up to 6 significant digits) — the
-/// formatting the trace exporter has always used for timestamps.
-std::string trace_number(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 }  // namespace
 
-void ChromeTraceBuilder::separator() {
-  if (!first_) events_ += ",";
-  first_ = false;
+ChromeTraceBuilder::ChromeTraceBuilder() {
+  json_.begin_object().begin_array("traceEvents");
+}
+
+JsonWriter& ChromeTraceBuilder::begin_event(int tid, std::string_view name,
+                                            double ts_us,
+                                            std::optional<double> dur_us) {
+  json_.begin_object().str("name", name).str("ph", dur_us ? "X" : "i");
+  if (!dur_us) json_.str("s", "t");
+  json_.integer("pid", 1).integer("tid", tid).num("ts", ts_us);
+  if (dur_us) json_.num("dur", *dur_us);
+  return json_.begin_object("args");
 }
 
 void ChromeTraceBuilder::lane(int tid, const std::string& name) {
-  separator();
-  events_ += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-             std::to_string(tid) + ",\"args\":{\"name\":\"" +
-             json_escape(name) + "\"}}";
+  json_.begin_object().str("name", "thread_name").str("ph", "M");
+  json_.integer("pid", 1).integer("tid", tid).begin_object("args");
+  json_.str("name", name).end_object().end_object();
 }
 
 void ChromeTraceBuilder::complete(int tid, const std::string& name,
                                   double ts_us, double dur_us,
                                   const std::string& args_json) {
-  separator();
-  events_ += "{\"name\":\"" + json_escape(name) +
-             "\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-             ",\"ts\":" + trace_number(ts_us) +
-             ",\"dur\":" + trace_number(dur_us) + ",\"args\":{" + args_json +
-             "}}";
-}
-
-void ChromeTraceBuilder::instant(int tid, const std::string& name,
-                                 double ts_us,
-                                 const std::string& args_json) {
-  separator();
-  events_ += "{\"name\":\"" + json_escape(name) +
-             "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":" +
-             std::to_string(tid) + ",\"ts\":" + trace_number(ts_us) +
-             ",\"args\":{" + args_json + "}}";
+  complete(tid, name, ts_us, dur_us,
+           [&](JsonWriter& args) { args.raw(args_json); });
 }
 
 std::string ChromeTraceBuilder::str() const {
-  return "{\"traceEvents\":[" + events_ + "],\"displayTimeUnit\":\"ms\"}\n";
+  JsonWriter document = json_;
+  document.end_array().str("displayTimeUnit", "ms").end_object();
+  return document.take() + "\n";
 }
 
 std::string render_mapping(const TaskGraph& graph, const Mapping& mapping) {
@@ -188,16 +176,16 @@ std::string render_chrome_trace(
   ChromeTraceBuilder trace;
   for (const auto& [resource, tid] : rows) trace.lane(tid, resource);
   for (const TraceEvent& e : report.trace) {
-    std::string args = "\"iteration\":" + std::to_string(e.iteration) +
-                       ",\"kind\":\"" +
-                       (e.kind == TraceEvent::Kind::kTask   ? "task"
-                        : e.kind == TraceEvent::Kind::kCopy ? "copy"
-                                                            : "fault") +
-                       "\"";
-    if (e.kind == TraceEvent::Kind::kCopy)
-      args += ",\"bytes\":" + std::to_string(e.bytes);
+    const char* kind = e.kind == TraceEvent::Kind::kTask   ? "task"
+                       : e.kind == TraceEvent::Kind::kCopy ? "copy"
+                                                           : "fault";
     trace.complete(rows.at(trace_resource(e)), trace_name(graph, e),
-                   e.start_s * 1e6, e.duration_s * 1e6, args);
+                   e.start_s * 1e6, e.duration_s * 1e6,
+                   [&](JsonWriter& args) {
+                     args.integer("iteration", e.iteration).str("kind", kind);
+                     if (e.kind == TraceEvent::Kind::kCopy)
+                       args.integer("bytes", e.bytes);
+                   });
   }
   if (!trajectory.empty()) {
     // The search clock (simulated hours of candidate evaluation) and the
@@ -210,9 +198,10 @@ std::string render_chrome_trace(
       const double fraction = span > 0.0 ? point.search_time_s / span : 1.0;
       trace.instant(0, "incumbent " + format_seconds(point.best_exec_s),
                     fraction * report.total_seconds * 1e6,
-                    "\"best_s\":" + trace_number(point.best_exec_s) +
-                        ",\"search_time_s\":" +
-                        trace_number(point.search_time_s));
+                    [&](JsonWriter& args) {
+                      args.num("best_s", point.best_exec_s)
+                          .num("search_time_s", point.search_time_s);
+                    });
     }
   }
   return trace.str();

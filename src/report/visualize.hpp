@@ -9,12 +9,16 @@
 // monospace text and as Graphviz DOT, and export run timelines in the
 // Chrome tracing (about://tracing / Perfetto) JSON format.
 
+#include <concepts>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/mapping/mapping.hpp"
 #include "src/search/search.hpp"
 #include "src/sim/report.hpp"
+#include "src/support/json.hpp"
 #include "src/taskgraph/task_graph.hpp"
 
 namespace automap {
@@ -22,29 +26,43 @@ namespace automap {
 /// Incremental builder for Chrome tracing JSON ("traceEvents" array,
 /// displayTimeUnit ms). Callers declare lanes (thread_name metadata rows),
 /// then append complete ("X") and instant ("i") events in any order —
-/// Perfetto sorts by timestamp. Event names are JSON-escaped by the
-/// builder; `args_json` is spliced verbatim as the contents of the event's
-/// "args" object, so it must already be valid JSON key/value pairs.
-/// Shared by the simulator's execution-trace export and the mapping
-/// service's flight-recorder export, so both load side by side.
+/// Perfetto sorts by timestamp. Times print as json_double prints them.
+/// An event's "args" members are written by `args` into the writer; a
+/// complete event's may instead be spliced verbatim from `args_json`
+/// (valid JSON key/value pairs). Shared by the simulator's execution-trace
+/// export and the mapping service's flight-recorder export, so both load
+/// side by side.
 class ChromeTraceBuilder {
  public:
+  ChromeTraceBuilder();
   /// Names row `tid` in the viewer (emits a thread_name metadata event).
   void lane(int tid, const std::string& name);
   /// Complete event: a bar on row `tid` from ts_us lasting dur_us (µs).
   void complete(int tid, const std::string& name, double ts_us, double dur_us,
-                const std::string& args_json = "");
+                const std::string& args_json);
+  template <std::invocable<JsonWriter&> Args>
+  void complete(int tid, std::string_view name, double ts_us, double dur_us,
+                const Args& args) {
+    args(begin_event(tid, name, ts_us, dur_us));
+    json_.end_object().end_object();
+  }
   /// Instant event: a thread-scoped marker on row `tid` at ts_us (µs).
-  void instant(int tid, const std::string& name, double ts_us,
-               const std::string& args_json = "");
+  template <std::invocable<JsonWriter&> Args>
+  void instant(int tid, std::string_view name, double ts_us,
+               const Args& args) {
+    args(begin_event(tid, name, ts_us, std::nullopt));
+    json_.end_object().end_object();
+  }
   /// The complete JSON document (single trailing newline).
   [[nodiscard]] std::string str() const;
 
  private:
-  void separator();
+  /// Opens an event (complete with a duration, instant without) and its
+  /// "args" object.
+  JsonWriter& begin_event(int tid, std::string_view name, double ts_us,
+                          std::optional<double> dur_us);
 
-  std::string events_;
-  bool first_ = true;
+  JsonWriter json_;
 };
 
 /// Fig. 3-style text rendering: one block per task with processor kind,

@@ -232,31 +232,27 @@ struct CcdInstruments {
   }
 };
 
-std::string render_forced(const std::vector<ForcedMove>& moves,
-                          bool constrained) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    const ForcedMove& m = moves[i];
-    if (i > 0) out += ",";
-    out += "{\"task\":" + std::to_string(m.task.index());
+/// Writes `moves` as the `forced` array of a `move` event.
+void write_forced(JsonWriter& out, const std::vector<ForcedMove>& moves,
+                  bool constrained) {
+  out.begin_array("forced");
+  for (const ForcedMove& m : moves) {
+    out.begin_object().integer("task", m.task.index());
     if (m.proc_change) {
-      out += ",\"proc\":\"" + std::string(to_string(m.proc)) + "\"";
-      out += ",\"via\":\"addressability\"";
+      out.str("proc", to_string(m.proc)).str("via", "addressability");
     } else {
-      out += ",\"arg\":" + std::to_string(m.arg);
-      out += ",\"mem\":\"" + std::string(to_string(m.mem)) + "\"";
       // direct: the argument co-locates with the primary (same or
       // overlapping collection). transitive: dragged by the fixed point
       // through other co-location classes. repair: plain CD's
       // addressability fallback (no co-location classes at all).
-      out += m.direct ? ",\"via\":\"colocation\""
-                      : (constrained ? ",\"via\":\"transitive\""
-                                     : ",\"via\":\"repair\"");
+      out.integer("arg", m.arg).str("mem", to_string(m.mem));
+      out.str("via", m.direct        ? "colocation"
+                     : constrained ? "transitive"
+                                   : "repair");
     }
-    out += "}";
+    out.end_object();
   }
-  out += "]";
-  return out;
+  out.end_array();
 }
 
 /// Emits one `move` journal event (and bumps the accepted/rejected
@@ -288,10 +284,9 @@ void emit_move(const CcdInstruments& ins, const Move& move, TaskId t,
   if (accepted) {
     ev.str("hash", hex_u64(candidate.hash()));
     if (!move.is_dist) {
-      ev.raw("forced",
-             render_forced(
-                 forced_moves(base, candidate, t, move.arg, overlap, graph),
-                 ins.constrained));
+      write_forced(ev,
+                   forced_moves(base, candidate, t, move.arg, overlap, graph),
+                   ins.constrained);
     }
   }
 }
@@ -420,20 +415,13 @@ void descend(Evaluator& eval, const Simulator& sim,
     ins.edges_active->set(static_cast<double>(edges.size()));
   }
   if (ins.journal != nullptr && constrained) {
-    std::string rendered = "[";
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      if (i > 0) rendered += ",";
-      rendered += "{\"a\":" + std::to_string(edges[i].a.index()) +
-                  ",\"b\":" + std::to_string(edges[i].b.index()) +
-                  ",\"bytes\":" +
-                  std::to_string(static_cast<long long>(
-                      edges[i].weight_bytes)) +
-                  "}";
+    Journal::Event event = ins.journal->event("constraint_graph");
+    event.integer("edges", edges.size()).begin_array("edge_list");
+    for (const OverlapEdge& e : edges) {
+      event.begin_object().integer("a", e.a.index()).integer("b", e.b.index());
+      event.integer("bytes", e.weight_bytes).end_object();
     }
-    rendered += "]";
-    ins.journal->event("constraint_graph")
-        .integer("edges", static_cast<long long>(edges.size()))
-        .raw("edge_list", rendered);
+    event.end_array();
   }
 
   const int rotations = constrained ? options.rotations : 1;
@@ -472,16 +460,11 @@ void descend(Evaluator& eval, const Simulator& sim,
 
     if (ins.journal != nullptr) {
       ins.journal->set_rotation(rotation);
-      std::string order_json = "[";
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        if (i > 0) order_json += ",";
-        order_json += std::to_string(order[i].index());
-      }
-      order_json += "]";
-      ins.journal->event("rotation_begin")
-          .integer("edges", static_cast<long long>(edges.size()))
-          .num("incumbent", p)
-          .raw("order", order_json);
+      Journal::Event event = ins.journal->event("rotation_begin");
+      event.integer("edges", edges.size()).num("incumbent", p);
+      event.begin_array("order");
+      for (const TaskId t : order) event.integer(t.index());
+      event.end_array();
     }
 
     // Counters for the degraded-rotation circuit breaker below.

@@ -624,9 +624,9 @@ void Evaluator::journal_metrics_snapshot(bool force) {
   // Only deterministic instruments appear in the snapshot — raw simulator
   // run counts differ with pruning on and off (bounded runs abort early)
   // and would break the journal's byte-identity.
-  journal_->event("metrics")
-      .num("clock", stats_.search_time_s)
-      .raw("values", metrics_->snapshot_json());
+  Journal::Event event = journal_->event("metrics");
+  event.num("clock", stats_.search_time_s).key("values");
+  metrics_->snapshot_json(event);
 }
 
 void Evaluator::begin_search(std::string_view label, const Mapping& start) {

@@ -1,8 +1,6 @@
 #include "src/search/search.hpp"
 
 #include <cmath>
-#include <cstdint>
-#include <limits>
 #include <sstream>
 #include <string>
 
@@ -33,18 +31,6 @@ const char* aggregation_name(Aggregation a) {
   return "mean";
 }
 
-/// Doubles that may be non-finite travel as the quoted strings the
-/// journal writes ("inf"/"-inf"/"nan"); accept both shapes.
-double json_wide(const JsonValue& v, const std::string& key) {
-  if (v.kind == JsonValue::Kind::kNumber) return v.number;
-  if (v.kind == JsonValue::Kind::kString) {
-    if (v.string == "inf") return std::numeric_limits<double>::infinity();
-    if (v.string == "-inf") return -std::numeric_limits<double>::infinity();
-    if (v.string == "nan") return std::numeric_limits<double>::quiet_NaN();
-  }
-  throw Error("field '" + key + "' must be a number or \"inf\"/\"-inf\"");
-}
-
 void check_schema(const JsonValue& v, const char* what) {
   if (v.kind != JsonValue::Kind::kObject)
     throw Error(std::string(what) + " must be a JSON object");
@@ -69,38 +55,24 @@ Aggregation parse_aggregation(const std::string& name) {
 }
 
 std::string search_options_to_json(const SearchOptions& o) {
-  std::string out = "{\"schema\":" + std::to_string(kSearchOptionsSchema);
-  out += ",\"seed\":\"" + std::to_string(o.seed) + "\"";
-  out += ",\"rotations\":" + std::to_string(o.rotations);
-  out += ",\"repeats\":" + std::to_string(o.repeats);
-  out += ",\"budget\":" + json_double(o.time_budget_s);
-  out += ",\"top_k\":" + std::to_string(o.top_k);
-  out += ",\"final_repeats\":" + std::to_string(o.final_repeats);
-  out += ",\"objective\":\"";
-  out += o.objective == Objective::kEnergy ? "energy" : "time";
-  out += "\"";
-  out += ",\"fallbacks\":";
-  out += o.memory_fallbacks ? "true" : "false";
-  out += ",\"distribution_strategies\":";
-  out += o.search_distribution_strategies ? "true" : "false";
-  out += ",\"prune\":";
-  out += o.prune_candidates ? "true" : "false";
-  out += ",\"frozen\":[";
-  for (std::size_t i = 0; i < o.frozen_tasks.size(); ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(o.frozen_tasks[i].index());
-  }
-  out += "]";
-  out += ",\"max_retries\":" + std::to_string(o.resilience.max_retries);
-  out += ",\"quarantine_after\":" +
-         std::to_string(o.resilience.quarantine_after);
-  out += ",\"retry_backoff_s\":" + json_double(o.resilience.retry_backoff_s);
-  out += ",\"aggregation\":\"";
-  out += aggregation_name(o.resilience.aggregation);
-  out += "\"";
-  out += ",\"snapshot_every\":" + std::to_string(o.journal_snapshot_every);
-  out += "}";
-  return out;
+  JsonWriter out;
+  out.begin_object().integer("schema", kSearchOptionsSchema);
+  // A decimal string: JSON numbers lose precision past 2^53.
+  out.str("seed", std::to_string(o.seed));
+  out.integer("rotations", o.rotations).integer("repeats", o.repeats);
+  out.num("budget", o.time_budget_s).integer("top_k", o.top_k);
+  out.integer("final_repeats", o.final_repeats);
+  out.str("objective", o.objective == Objective::kEnergy ? "energy" : "time");
+  out.boolean("fallbacks", o.memory_fallbacks);
+  out.boolean("distribution_strategies", o.search_distribution_strategies);
+  out.boolean("prune", o.prune_candidates).begin_array("frozen");
+  for (const TaskId t : o.frozen_tasks) out.integer(t.index());
+  out.end_array().integer("max_retries", o.resilience.max_retries);
+  out.integer("quarantine_after", o.resilience.quarantine_after);
+  out.num("retry_backoff_s", o.resilience.retry_backoff_s);
+  out.str("aggregation", aggregation_name(o.resilience.aggregation));
+  out.integer("snapshot_every", o.journal_snapshot_every);
+  return out.end_object().take();
 }
 
 SearchOptions search_options_from_json(const JsonValue& v) {
@@ -188,19 +160,15 @@ void validate_search_options(const SearchOptions& o, std::size_t num_tasks) {
 }
 
 std::string sim_options_to_json(const SimOptions& o) {
-  std::string out = "{\"schema\":" + std::to_string(kSearchOptionsSchema);
-  out += ",\"iterations\":" + std::to_string(o.iterations);
-  out += ",\"noise_sigma\":" + json_double(o.noise_sigma);
-  out += ",\"fault_crash\":" + json_double(o.faults.crash_prob);
-  out += ",\"fault_straggler\":" + json_double(o.faults.straggler_prob);
-  out += ",\"fault_straggler_factor\":" +
-         json_double(o.faults.straggler_factor);
-  out += ",\"fault_mem_pressure\":" + json_double(o.faults.mem_pressure_prob);
-  out += ",\"fault_mem_headroom\":" +
-         json_double(o.faults.mem_pressure_headroom);
-  out += ",\"fault_copy\":" + json_double(o.faults.copy_fault_prob);
-  out += "}";
-  return out;
+  JsonWriter out;
+  out.begin_object().integer("schema", kSearchOptionsSchema);
+  out.integer("iterations", o.iterations).num("noise_sigma", o.noise_sigma);
+  out.num("fault_crash", o.faults.crash_prob);
+  out.num("fault_straggler", o.faults.straggler_prob);
+  out.num("fault_straggler_factor", o.faults.straggler_factor);
+  out.num("fault_mem_pressure", o.faults.mem_pressure_prob);
+  out.num("fault_mem_headroom", o.faults.mem_pressure_headroom);
+  return out.num("fault_copy", o.faults.copy_fault_prob).end_object().take();
 }
 
 SimOptions sim_options_from_json(const JsonValue& v) {
@@ -230,10 +198,6 @@ SimOptions sim_options_from_json(const JsonValue& v) {
     }
   }
   return o;
-}
-
-SimOptions sim_options_from_json(const std::string& text) {
-  return sim_options_from_json(parse_json(text));
 }
 
 std::string render_search_summary(const SearchResult& result) {

@@ -203,7 +203,6 @@ void validate_search_options(const SearchOptions& o, std::size_t num_tasks);
 /// is runtime wiring, not search identity.
 [[nodiscard]] std::string sim_options_to_json(const SimOptions& o);
 [[nodiscard]] SimOptions sim_options_from_json(const JsonValue& v);
-[[nodiscard]] SimOptions sim_options_from_json(const std::string& text);
 
 /// One point of the Fig. 9 search-progress curves.
 struct TrajectoryPoint {

@@ -13,29 +13,30 @@ namespace automap {
 
 namespace {
 
-std::string attrs_json(const std::vector<SpanAttr>& attrs) {
-  std::string out;
+/// Writes `attrs` as members of the object open in `out`.
+JsonWriter& attrs_json(JsonWriter& out, const std::vector<SpanAttr>& attrs) {
   for (const SpanAttr& attr : attrs) {
-    if (!out.empty()) out += ",";
-    out += "\"" + json_escape(attr.key) + "\":" + attr.value_json;
+    out.key(attr.key);
+    if (const auto* flag = std::get_if<bool>(&attr.value))
+      out.boolean(*flag);
+    else if (const auto* number = std::get_if<double>(&attr.value))
+      out.num(*number);
+    else if (const auto* text = std::get_if<std::string>(&attr.value))
+      out.str(*text);
+    else
+      out.null();
   }
   return out;
 }
 
-/// Re-renders a parsed attribute value for restore(). Only the scalar
-/// kinds the recorder itself writes round-trip; anything else restores
-/// as null rather than failing the whole timeline.
-std::string attr_value_json(const JsonValue& v) {
-  switch (v.kind) {
-    case JsonValue::Kind::kBool:
-      return v.boolean ? "true" : "false";
-    case JsonValue::Kind::kNumber:
-      return json_double(v.number);
-    case JsonValue::Kind::kString:
-      return "\"" + json_escape(v.string) + "\"";
-    default:
-      return "null";
-  }
+/// A restored attribute's value. Only the scalar kinds the recorder itself
+/// writes round-trip; anything else restores as null rather than failing
+/// the whole timeline.
+SpanAttr::Value restored_value(const JsonValue& v) {
+  if (v.kind == JsonValue::Kind::kBool) return v.boolean;
+  if (v.kind == JsonValue::Kind::kNumber) return v.number;
+  if (v.kind == JsonValue::Kind::kString) return v.string;
+  return {};
 }
 
 }  // namespace
@@ -169,46 +170,41 @@ double FlightRecorder::queue_wait_ms(std::uint64_t job) const {
   return end_or_now_ms(timeline) - start;
 }
 
-std::string FlightRecorder::span_json(const Span& span) {
-  std::string out = "{\"name\":\"" + json_escape(span.name) +
-                    "\",\"start_ms\":" + json_double(span.start_ms) +
-                    ",\"end_ms\":" +
-                    (span.end_ms < 0 ? "null" : json_double(span.end_ms));
-  if (span.worker >= 0) out += ",\"worker\":" + std::to_string(span.worker);
-  if (span.instant) out += ",\"instant\":true";
-  if (!span.attrs.empty())
-    out += ",\"attrs\":{" + attrs_json(span.attrs) + "}";
-  return out + "}";
-}
-
-std::string FlightRecorder::spans_array_json(std::uint64_t job) const {
+void FlightRecorder::spans_json(JsonWriter& out, std::uint64_t job) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = timelines_.find(job);
-  std::string out = "[";
-  if (it != timelines_.end()) {
-    bool first = true;
+  out.begin_array();
+  if (const auto it = timelines_.find(job); it != timelines_.end()) {
     for (const Span& span : it->second.spans) {
-      if (!first) out += ",";
-      first = false;
-      out += span_json(span);
+      out.begin_object().str("name", span.name).num("start_ms", span.start_ms);
+      if (span.end_ms < 0)
+        out.key("end_ms").null();
+      else
+        out.num("end_ms", span.end_ms);
+      if (span.worker >= 0) out.integer("worker", span.worker);
+      if (span.instant) out.boolean("instant", true);
+      if (!span.attrs.empty())
+        attrs_json(out.begin_object("attrs"), span.attrs).end_object();
+      out.end_object();
     }
   }
-  return out + "]";
+  out.end_array();
 }
 
-std::string FlightRecorder::serialize(std::uint64_t job) const {
-  std::string out = "{\"job\":" + std::to_string(job);
+void FlightRecorder::timeline_json(JsonWriter& out, std::uint64_t job) const {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = timelines_.find(job);
-    const bool terminal =
-        it != timelines_.end() && it->second.terminal;
-    out += ",\"dropped\":" +
-           std::to_string(it == timelines_.end() ? 0 : it->second.dropped);
-    out += ",\"terminal\":";
-    out += terminal ? "true" : "false";
+    const bool known = it != timelines_.end();
+    out.integer("job", job).integer("dropped", known ? it->second.dropped : 0);
+    out.boolean("terminal", known && it->second.terminal);
   }
-  return out + ",\"spans\":" + spans_array_json(job) + "}";
+  spans_json(out.key("spans"), job);
+}
+
+std::string FlightRecorder::serialize(std::uint64_t job) const {
+  JsonWriter out;
+  timeline_json(out.begin_object(), job);
+  return out.end_object().take();
 }
 
 void FlightRecorder::restore(std::uint64_t job, const std::string& payload) {
@@ -238,7 +234,7 @@ void FlightRecorder::restore(std::uint64_t job, const std::string& payload) {
     span.instant = entry.bool_or("instant", false);
     if (const JsonValue* attrs = entry.find("attrs"))
       for (const auto& [key, value] : attrs->object)
-        span.attrs.push_back({key, attr_value_json(value)});
+        span.attrs.push_back({key, restored_value(value)});
     newest = std::max(newest, std::max(span.start_ms, span.end_ms));
     timeline.spans.push_back(std::move(span));
   }
@@ -282,12 +278,13 @@ std::string FlightRecorder::chrome_trace() const {
 
   for (const ServiceEvent& event : events_)
     trace.instant(0, event.name, (event.at_ms - origin) * 1e3,
-                  attrs_json(event.attrs));
+                  [&](JsonWriter& args) { attrs_json(args, event.attrs); });
   for (const auto& [job, timeline] : timelines_) {
     for (const Span& span : timeline.spans) {
       const int tid = span.worker >= 0 ? 2 + span.worker : 1;
-      std::string args = "\"job\":" + std::to_string(job);
-      if (!span.attrs.empty()) args += "," + attrs_json(span.attrs);
+      const auto args = [&, id = job](JsonWriter& out) {
+        attrs_json(out.integer("job", id), span.attrs);
+      };
       const std::string name =
           "j" + std::to_string(job) + " " + span.name;
       const double end =

@@ -38,9 +38,12 @@
 #include <mutex>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace automap {
+
+class JsonWriter;
 
 /// Timeline budget; adding one more evicts the least-recently-touched
 /// terminal timeline (or the least-recently-touched overall when none is
@@ -53,11 +56,12 @@ inline constexpr std::size_t kRecorderMaxSpansPerJob = 64;
 /// expiries, evictions, quarantines).
 inline constexpr std::size_t kRecorderMaxServiceEvents = 256;
 
-/// One span attribute: `value_json` is spliced verbatim into JSON output,
-/// so it must already be a valid JSON value ("3", "true", "\"client\"").
+/// One span attribute: a number, a flag or a string. A restored attribute
+/// of another JSON kind holds null (std::monostate).
 struct SpanAttr {
+  using Value = std::variant<std::monostate, bool, double, std::string>;
   std::string key;
-  std::string value_json;
+  Value value;
 };
 
 class FlightRecorder {
@@ -107,13 +111,16 @@ class FlightRecorder {
   /// "running" — still growing while it waits; 0 for an unknown job.
   [[nodiscard]] double queue_wait_ms(std::uint64_t job) const;
 
-  /// The job's spans as a JSON array (oldest first); "[]" for an unknown
-  /// job. Each element: {"name":...,"start_ms":...,"end_ms":<num|null>
-  /// [,"worker":N][,"instant":true][,"attrs":{...}]}.
-  [[nodiscard]] std::string spans_array_json(std::uint64_t job) const;
-
-  /// The persisted spans.json payload:
-  /// {"job":N,"dropped":D,"terminal":B,"spans":[...]}.
+  /// Writes the job's spans as the next value of `out`: an array, oldest
+  /// first, empty for an unknown job. Each element: {"name":...,
+  /// "start_ms":...,"end_ms":<num|null>[,"worker":N][,"instant":true]
+  /// [,"attrs":{...}]}.
+  void spans_json(JsonWriter& out, std::uint64_t job) const;
+  /// Writes the persisted timeline's members into the object open in
+  /// `out`: "job":N,"dropped":D,"terminal":B,"spans":[...].
+  void timeline_json(JsonWriter& out, std::uint64_t job) const;
+  /// The persisted spans.json payload: timeline_json's members as one
+  /// object.
   [[nodiscard]] std::string serialize(std::uint64_t job) const;
 
   /// Rebuilds a timeline from a serialize() payload, shifting every
@@ -164,7 +171,6 @@ class FlightRecorder {
   /// Fetches or creates the job's timeline, evicting per kRecorderMaxJobs.
   Timeline& timeline_locked(std::uint64_t job);
   void append_locked(Timeline& timeline, Span span);
-  static std::string span_json(const Span& span);
 
   std::function<double()> clock_ms_;
   mutable std::mutex mutex_;

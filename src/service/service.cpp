@@ -125,6 +125,13 @@ std::uint64_t bucket_key(const SubmitSpec& spec) {
   return hash_text(measure, key);
 }
 
+/// A writer holding `{"type":<type>`, the start of every answer.
+JsonWriter answer(std::string_view type) {
+  JsonWriter out;
+  out.begin_object().str("type", type);
+  return out;
+}
+
 std::optional<std::string> read_if_exists(const std::string& path) {
   std::error_code ec;
   if (!fs::exists(path, ec)) return std::nullopt;
@@ -357,11 +364,6 @@ std::string MappingService::expose_metrics() {
   return metrics_.expose();
 }
 
-std::string MappingService::latency_quantiles() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return metrics_.quantiles_json();
-}
-
 std::string MappingService::render_service_trace() const {
   return recorder_.chrome_trace();
 }
@@ -424,9 +426,9 @@ std::string MappingService::submitted_answer_locked(Job& job) {
              job.status != JobStatus::kRunning) {
     return {};
   }
-  return "{\"type\":\"submitted\",\"job\":" + std::to_string(job.id) +
-         ",\"status\":\"" + status_name(job.status) +
-         "\",\"cached\":" + (done ? "true" : "false") + "}";
+  JsonWriter out = answer("submitted");
+  out.integer("job", job.id).str("status", status_name(job.status));
+  return out.boolean("cached", done).end_object().take();
 }
 
 void MappingService::enqueue_locked(Job& job, std::vector<SpanAttr> attrs) {
@@ -445,7 +447,7 @@ void MappingService::enqueue_locked(Job& job, std::vector<SpanAttr> attrs) {
   queue_.emplace(-spec.priority, job.id);
   if (job.deadline_at_ms > 0) deadlines_.emplace(job.deadline_at_ms, job.id);
   remeasure_locked(job);
-  attrs.push_back({"queue_depth", std::to_string(queue_.size())});
+  attrs.push_back({"queue_depth", static_cast<double>(queue_.size())});
   recorder_.transition(job.id, "queued", -1, std::move(attrs));
   work_cv_.notify_one();
 }
@@ -497,14 +499,14 @@ void MappingService::settle_locked(Job& job, JobStatus status,
       span = "expired";
       m_deadline_expired_->inc();
       recorder_.service_event("deadline_expired",
-                              {{"job", std::to_string(job.id)}});
+                              {{"job", static_cast<double>(job.id)}});
     } else {
       span = "cancelled";
     }
   }
   job.last_served = ++serve_tick_;
   const double age_ms = recorder_.terminal(
-      job.id, span, {{"store_bytes", std::to_string(dir_bytes(dir))}});
+      job.id, span, {{"store_bytes", static_cast<double>(dir_bytes(dir))}});
   m_job_duration_->observe(age_ms / 1000.0);
   // Persist the sealed timeline next to the job's other artifacts so a
   // restarted daemon still answers `trace`. Best-effort: observability
@@ -567,7 +569,7 @@ void MappingService::evict_locked() {
     // Post-terminal marker; the recorder keeps the timeline (bounded
     // separately), so `trace` still answers for a just-evicted job.
     recorder_.instant(id, "evicted");
-    recorder_.service_event("evicted", {{"job", std::to_string(id)}});
+    recorder_.service_event("evicted", {{"job", static_cast<double>(id)}});
     jobs_.erase(id);
   }
   update_cache_gauges_locked();
@@ -579,7 +581,7 @@ std::string MappingService::admission_error_locked() {
     return {};
   m_overloaded_->inc();
   recorder_.service_event("admission_rejected",
-                          {{"queued", std::to_string(queued)}});
+                          {{"queued", static_cast<double>(queued)}});
   // Deterministic hint scaled to backlog depth; retrying clients honor it
   // as their minimum wait, so a deeper queue spreads retries out further.
   const std::size_t retry_after_ms =
@@ -588,7 +590,7 @@ std::string MappingService::admission_error_locked() {
                     "queue full (" + std::to_string(queued) + "/" +
                         std::to_string(config_.max_queued_jobs) +
                         " queued jobs)",
-                    "\"retry_after_ms\":" + std::to_string(retry_after_ms));
+                    retry_after_ms);
 }
 
 bool MappingService::quarantine_path(const std::string& path) {
@@ -599,8 +601,7 @@ bool MappingService::quarantine_path(const std::string& path) {
   fs::rename(path, target, ec);
   if (ec) return false;
   m_quarantined_->inc();
-  recorder_.service_event(
-      "quarantined", {{"path", "\"" + json_escape(path) + "\""}});
+  recorder_.service_event("quarantined", {{"path", path}});
   return true;
 }
 
@@ -636,9 +637,10 @@ std::string MappingService::dispatch(const std::string& request_json,
       throw Error("request must be a JSON object");
     const std::string op = request.str_or("op", "");
     if (op_metrics_.count(op) != 0) op_label = op;
-    if (op == "ping")
-      return "{\"type\":\"pong\",\"version\":" +
-             std::to_string(kWireVersion) + "}";
+    if (op == "ping") {
+      JsonWriter out = answer("pong");
+      return out.integer("version", kWireVersion).end_object().take();
+    }
     {
       // No op reads a job that should have expired by now.
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -652,17 +654,19 @@ std::string MappingService::dispatch(const std::string& request_json,
     if (op == "cancel") return handle_cancel(request);
     if (op == "trace") return handle_trace(request);
     if (op == "jobs") return handle_jobs();
-    if (op == "stats")
-      return "{\"type\":\"stats\",\"version\":" +
-             std::to_string(kWireVersion) + ",\"metrics\":\"" +
-             json_escape(expose_metrics()) + "\",\"quantiles\":" +
-             latency_quantiles() + "}";
+    if (op == "stats") {
+      JsonWriter out = answer("stats");
+      out.integer("version", kWireVersion).str("metrics", expose_metrics());
+      const std::lock_guard<std::mutex> lock(mutex_);
+      metrics_.quantiles_json(out.key("quantiles"));
+      return out.end_object().take();
+    }
     if (op == "shutdown") {
       {
         const std::lock_guard<std::mutex> lock(mutex_);
         shutdown_ = true;
       }
-      return "{\"type\":\"shutdown\"}";
+      return answer("shutdown").end_object().take();
     }
     return wire_error("unknown_op", "unknown op '" + op + "'");
   } catch (const NotFound& e) {
@@ -725,13 +729,12 @@ std::string MappingService::handle_submit(JsonValue&& request,
   if (fresh) {
     job = &add_job_locked(next_id_, accepted);
     job->validated = true;
-    recorder_.transition(
-        job->id, "submitted", -1,
-        {{"fingerprint", "\"" + hex_u64(accepted->fingerprint) + "\""}});
+    recorder_.transition(job->id, "submitted", -1,
+                         {{"fingerprint", hex_u64(accepted->fingerprint)}});
   } else {
     // Reopens the sealed timeline: the revival rides the same spans as a
     // fresh submission, flagged so traces show the job came back.
-    attrs.push_back({"revived", "true"});
+    attrs.push_back({"revived", true});
   }
   const std::uint64_t id = job->id;
   if (persist) {
@@ -769,19 +772,16 @@ MappingService::Job& MappingService::requested_job_locked(
 std::string MappingService::handle_status(const JsonValue& request) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const Job& job = requested_job_locked(request);
-  std::string out = "{\"type\":\"status\",\"job\":" +
-                    std::to_string(job.id) + ",\"status\":\"" +
-                    status_name(job.status) + "\"";
+  JsonWriter out = answer("status");
+  out.integer("job", job.id).str("status", status_name(job.status));
   if (job.status == JobStatus::kCancelled && !job.cancel_reason.empty())
-    out += ",\"reason\":\"" + json_escape(job.cancel_reason) + "\"";
-  if (!job.error.empty())
-    out += ",\"message\":\"" + json_escape(job.error) + "\"";
+    out.str("reason", job.cancel_reason);
+  if (!job.error.empty()) out.str("message", job.error);
   if (recorder_.has(job.id)) {
-    out += ",\"span\":\"" + json_escape(recorder_.current_span(job.id)) +
-           "\"";
-    out += ",\"spans\":" + recorder_.spans_array_json(job.id);
+    out.str("span", recorder_.current_span(job.id)).key("spans");
+    recorder_.spans_json(out, job.id);
   }
-  return out + "}";
+  return out.end_object().take();
 }
 
 std::string MappingService::handle_trace(const JsonValue& request) {
@@ -794,9 +794,9 @@ std::string MappingService::handle_trace(const JsonValue& request) {
   // The recorder outlives eviction (its timeline map is bounded
   // separately from jobs_), so a just-evicted job still answers here.
   if (!known) throw NotFound("no job " + std::to_string(id));
-  // serialize() is {"job":N,"dropped":D,"terminal":B,"spans":[...]} —
-  // splice the type on front.
-  return "{\"type\":\"trace\"," + recorder_.serialize(id).substr(1);
+  JsonWriter out = answer("trace");
+  recorder_.timeline_json(out, id);
+  return out.end_object().take();
 }
 
 std::string MappingService::handle_result(const JsonValue& request) {
@@ -816,16 +816,16 @@ std::string MappingService::handle_journal(const JsonValue& request) {
   const JsonValue* after_field = request.find("after");
   const long long after =
       after_field ? json_int(*after_field, "after", -1) : -1;
-  std::string id_text;
+  std::uint64_t id = 0;
   std::string path;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const Job& job = requested_job_locked(request);
-    id_text = std::to_string(job.id);
+    id = job.id;
     if (!job.spec->want_journal)
       return wire_error("bad_state",
-                        "job " + id_text + " was submitted without "
-                        "\"journal\":true");
+                        "job " + std::to_string(id) +
+                            " was submitted without \"journal\":true");
     path = job_dir(job.id) + "/journal.jsonl";
   }
   // Poll-based streaming: return the complete lines past the client's
@@ -833,27 +833,24 @@ std::string MappingService::handle_journal(const JsonValue& request) {
   // client can reconstruct the journal file verbatim). Event `n` equals
   // the line index, so the cursor is just a line count; a mid-write
   // partial tail line is withheld until complete.
-  std::string out = "{\"type\":\"journal\",\"job\":" + id_text +
-                    ",\"events\":[";
+  JsonWriter out = answer("journal");
+  out.integer("job", id).begin_array("events");
   long long next = after;
   if (const std::optional<std::string> text = read_if_exists(path)) {
     long long n = 0;
     std::size_t start = 0;
-    bool first = true;
     while (start < text->size()) {
       const std::size_t end = text->find('\n', start);
       if (end == std::string::npos) break;  // partial tail, not yet ours
       if (n > after) {
-        if (!first) out += ",";
-        first = false;
-        out += "\"" + json_escape(text->substr(start, end - start)) + "\"";
+        out.str(std::string_view(*text).substr(start, end - start));
         next = n;
       }
       ++n;
       start = end + 1;
     }
   }
-  return out + "],\"next\":" + std::to_string(next) + "}";
+  return out.end_array().integer("next", next).end_object().take();
 }
 
 std::string MappingService::handle_cancel(const JsonValue& request) {
@@ -866,27 +863,26 @@ std::string MappingService::handle_cancel(const JsonValue& request) {
                           id_text + " is " + status_name(job.status));
   const bool running = job.status == JobStatus::kRunning;
   cancel_locked(job, "client");
-  return "{\"type\":\"cancelled\",\"job\":" + id_text + ",\"status\":\"" +
-         (running ? "cancelling" : "cancelled") + "\"}";
+  JsonWriter out = answer("cancelled");
+  out.integer("job", job.id);
+  out.str("status", running ? "cancelling" : "cancelled");
+  return out.end_object().take();
 }
 
 std::string MappingService::handle_jobs() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\"type\":\"jobs\",\"jobs\":[";
-  bool first = true;
+  JsonWriter out = answer("jobs");
+  out.begin_array("jobs");
   for (const auto& [id, job] : jobs_) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"job\":" + std::to_string(id) + ",\"status\":\"" +
-           status_name(job.status) + "\",\"algorithm\":\"" +
-           json_escape(job.spec->algorithm) +
-           "\",\"priority\":" + std::to_string(job.spec->priority) +
-           ",\"age_ms\":" + json_double(recorder_.age_ms(id)) +
-           ",\"queue_wait_ms\":" +
-           json_double(recorder_.queue_wait_ms(id)) + ",\"span\":\"" +
-           json_escape(recorder_.current_span(id)) + "\"}";
+    out.begin_object().integer("job", id);
+    out.str("status", status_name(job.status));
+    out.str("algorithm", job.spec->algorithm);
+    out.integer("priority", job.spec->priority);
+    out.num("age_ms", recorder_.age_ms(id));
+    out.num("queue_wait_ms", recorder_.queue_wait_ms(id));
+    out.str("span", recorder_.current_span(id)).end_object();
   }
-  return out + "]}";
+  return out.end_array().end_object().take();
 }
 
 bool MappingService::run_next(std::unique_lock<std::mutex> lock,
@@ -934,7 +930,7 @@ void MappingService::run_job(std::uint64_t id, int worker) {
     // Closing the "queued" span IS the queue-wait measurement.
     const double waited_ms = recorder_.transition(
         id, "admitted", worker,
-        {{"queue_depth", std::to_string(queue_.size())}});
+        {{"queue_depth", static_cast<double>(queue_.size())}});
     m_queue_wait_->observe(waited_ms / 1000.0);
     recorder_.transition(id, "running", worker);
   }
@@ -964,8 +960,8 @@ void MappingService::run_job(std::uint64_t id, int worker) {
     // search thread.
     options.on_checkpoint = [this, id](int rotation, int position) {
       recorder_.instant(id, "checkpointed",
-                        {{"rotation", std::to_string(rotation)},
-                         {"position", std::to_string(position)}});
+                        {{"rotation", static_cast<double>(rotation)},
+                         {"position", static_cast<double>(position)}});
     };
     std::optional<Journal> journal;
     if (spec.want_journal) journal.emplace(dir + "/journal.jsonl");
@@ -1035,32 +1031,24 @@ void MappingService::run_job(std::uint64_t id, int worker) {
       // wall-clock time is excluded: responses must be byte-identical
       // across runs.
       const SearchStats& stats = result.stats;
-      payload = "{\"type\":\"result\",\"job\":" + std::to_string(id) +
-                ",\"algorithm\":\"" + json_escape(result.algorithm) + "\"";
-      payload += ",\"summary\":\"" +
-                 json_escape(render_search_summary(result)) + "\"";
-      payload += ",\"best\":" + json_double(result.best_seconds);
-      payload += ",\"mapping\":\"" + json_escape(result.best.serialize()) +
-                 "\"";
-      payload += ",\"describe\":\"" +
-                 json_escape(result.best.describe(graph)) + "\"";
-      payload += ",\"stats\":{";
-      payload += "\"suggested\":" + std::to_string(stats.suggested);
-      payload += ",\"evaluated\":" + std::to_string(stats.evaluated);
-      payload += ",\"invalid\":" + std::to_string(stats.invalid);
-      payload += ",\"oom\":" + std::to_string(stats.oom);
-      payload += ",\"censored\":" + std::to_string(stats.censored);
-      payload += ",\"cache_hits\":" + std::to_string(stats.cache_hits);
-      payload += ",\"transient_failures\":" +
-                 std::to_string(stats.transient_failures);
-      payload += ",\"retries\":" + std::to_string(stats.retries);
-      payload += ",\"quarantined\":" + std::to_string(stats.quarantined);
-      payload += ",\"degraded\":";
-      payload += stats.degraded ? "true" : "false";
-      payload += ",\"search_time_s\":" + json_double(stats.search_time_s);
-      payload += ",\"evaluation_time_s\":" +
-                 json_double(stats.evaluation_time_s);
-      payload += "}}";
+      JsonWriter out = answer("result");
+      out.integer("job", id).str("algorithm", result.algorithm);
+      out.str("summary", render_search_summary(result));
+      out.num("best", result.best_seconds);
+      out.str("mapping", result.best.serialize());
+      out.str("describe", result.best.describe(graph));
+      out.begin_object("stats").integer("suggested", stats.suggested);
+      out.integer("evaluated", stats.evaluated);
+      out.integer("invalid", stats.invalid).integer("oom", stats.oom);
+      out.integer("censored", stats.censored);
+      out.integer("cache_hits", stats.cache_hits);
+      out.integer("transient_failures", stats.transient_failures);
+      out.integer("retries", stats.retries);
+      out.integer("quarantined", stats.quarantined);
+      out.boolean("degraded", stats.degraded);
+      out.num("search_time_s", stats.search_time_s);
+      out.num("evaluation_time_s", stats.evaluation_time_s);
+      payload = out.end_object().end_object().take();
 
       save_checksummed(dir + "/result.json", payload, "result");
       // The export includes imported entries, so the fresh export IS the

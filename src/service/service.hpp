@@ -129,10 +129,6 @@ class MappingService {
   /// simulator runs). Exposed over the `stats` op.
   [[nodiscard]] std::string expose_metrics();
 
-  /// Latency quantiles ({"name":{"p50":...},...}) for every non-empty
-  /// histogram — the `stats` response's "quantiles" member.
-  [[nodiscard]] std::string latency_quantiles();
-
   /// Chrome tracing JSON of everything the flight recorder holds (job
   /// lanes per worker, a queue lane, service-event instants). Written to
   /// `--service-trace` when the daemon exits.

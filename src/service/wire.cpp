@@ -45,19 +45,13 @@ sockaddr_un unix_socket_address(const std::string& path) {
   return addr;
 }
 
-std::string wire_error(std::string_view code, std::string_view message) {
-  return "{\"type\":\"error\",\"code\":\"" + json_escape(code) +
-         "\",\"message\":\"" + json_escape(message) + "\"}";
-}
-
 std::string wire_error(std::string_view code, std::string_view message,
-                       std::string_view extra_fields) {
-  std::string out = wire_error(code, message);
-  out.pop_back();  // strip the closing brace
-  out += ',';
-  out += extra_fields;
-  out += '}';
-  return out;
+                       std::optional<std::uint64_t> retry_after_ms) {
+  JsonWriter out;
+  out.begin_object().str("type", "error").str("code", code);
+  out.str("message", message);
+  if (retry_after_ms) out.integer("retry_after_ms", *retry_after_ms);
+  return out.end_object().take();
 }
 
 }  // namespace automap

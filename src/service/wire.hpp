@@ -47,16 +47,10 @@ inline constexpr std::size_t kDefaultMaxFrameBytes = 16u << 20;
 
 /// Structured error payload (`{"type":"error","code":...,"message":...}`)
 /// — the one response shape every failure path uses, including oversize
-/// frames and malformed JSON.
-[[nodiscard]] std::string wire_error(std::string_view code,
-                                     std::string_view message);
-
-/// wire_error with extra top-level fields appended verbatim — e.g.
-/// `"retry_after_ms":250` for the `overloaded` admission-control error.
-/// `extra_fields` must be valid `"key":value[,...]` JSON text, without
-/// the surrounding braces or a leading comma.
-[[nodiscard]] std::string wire_error(std::string_view code,
-                                     std::string_view message,
-                                     std::string_view extra_fields);
+/// frames and malformed JSON. The `overloaded` admission-control error
+/// also carries `"retry_after_ms":N`, the client's minimum wait.
+[[nodiscard]] std::string wire_error(
+    std::string_view code, std::string_view message,
+    std::optional<std::uint64_t> retry_after_ms = std::nullopt);
 
 }  // namespace automap

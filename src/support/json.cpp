@@ -335,16 +335,7 @@ bool JsonValue::bool_or(std::string_view key, bool fallback) const {
 
 double JsonValue::wide_num_or(std::string_view key, double fallback) const {
   const JsonValue* v = find(key);
-  if (!v) return fallback;
-  if (v->kind == Kind::kNumber) return v->number;
-  if (v->kind == Kind::kString) {
-    if (v->string == "inf") return std::numeric_limits<double>::infinity();
-    if (v->string == "-inf") return -std::numeric_limits<double>::infinity();
-    if (v->string == "nan") {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-  }
-  return fallback;
+  return v == nullptr ? fallback : json_wide_number(*v).value_or(fallback);
 }
 
 double json_number(const JsonValue& v, const std::string& key, double lo,
@@ -374,6 +365,11 @@ std::string json_str(const JsonValue& v, const std::string& key) {
   if (v.kind != JsonValue::Kind::kString)
     throw Error("field '" + key + "' must be a string");
   return v.string;
+}
+
+double json_wide(const JsonValue& v, const std::string& key) {
+  if (const std::optional<double> number = json_wide_number(v)) return *number;
+  throw Error("field '" + key + "' must be a number or \"inf\"/\"-inf\"");
 }
 
 std::uint64_t json_u64(const JsonValue& v, const std::string& key) {
@@ -410,48 +406,62 @@ JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
 }
 
+namespace {
+
+/// Appends `s` escaped for a place between JSON quotes: quote, backslash
+/// and control bytes; multi-byte UTF-8 passes through.
+void append_escaped(std::string& out, std::string_view s) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    const char* named = c == '"'  ? "\\\""
+                        : c == '\\' ? "\\\\"
+                        : c == '\n' ? "\\n"
+                        : c == '\r' ? "\\r"
+                        : c == '\t' ? "\\t"
+                                    : nullptr;
+    char buf[8];
+    if (named == nullptr) std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+    out += named != nullptr ? named : buf;
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
+/// json_double's text: the quoted name of a non-finite value, or the
+/// finite value printed into `buf`.
+std::string_view format_double(char (&buf)[40], double value) {
+  if (std::isnan(value)) return "\"nan\"";
+  if (std::isinf(value)) return value > 0 ? "\"inf\"" : "\"-inf\"";
+  // The same bytes as "%.17g", without printf's format parsing.
+  return {buf, std::to_chars(buf, buf + sizeof(buf), value,
+                             std::chars_format::general, 17)
+                   .ptr};
+}
+
+}  // namespace
+
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  append_escaped(out, s);
   return out;
 }
 
 std::string json_double(double value) {
-  if (std::isnan(value)) return "\"nan\"";
-  if (std::isinf(value)) return value > 0 ? "\"inf\"" : "\"-inf\"";
-  // The same bytes as "%.17g", without printf's format parsing.
   char buf[40];
-  const auto end = std::to_chars(buf, buf + sizeof(buf), value,
-                                 std::chars_format::general, 17);
-  return std::string(buf, end.ptr);
+  return std::string(format_double(buf, value));
+}
+
+std::optional<double> json_wide_number(const JsonValue& v) {
+  if (v.kind == JsonValue::Kind::kNumber) return v.number;
+  if (v.kind != JsonValue::Kind::kString) return std::nullopt;
+  if (v.string == "inf") return std::numeric_limits<double>::infinity();
+  if (v.string == "-inf") return -std::numeric_limits<double>::infinity();
+  if (v.string == "nan") return std::numeric_limits<double>::quiet_NaN();
+  return std::nullopt;
 }
 
 std::string hex_u64(std::uint64_t value) {
@@ -459,6 +469,31 @@ std::string hex_u64(std::uint64_t value) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(value));
   return buf;
+}
+
+JsonWriter& JsonWriter::key(Key k) {
+  str(k).out_.push_back(':');
+  comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::str(std::string_view text) {
+  token("\"");
+  append_escaped(out_, text);
+  out_.push_back('"');
+  return *this;
+}
+
+JsonWriter& JsonWriter::num(double number) {
+  char buf[40];
+  return token(format_double(buf, number));
+}
+
+JsonWriter& JsonWriter::token(std::string_view json) {
+  if (comma_) out_.push_back(',');
+  comma_ = true;
+  out_ += json;
+  return *this;
 }
 
 }  // namespace automap

@@ -1,18 +1,17 @@
 #pragma once
 
-// Minimal JSON support for the provenance journal (docs/file_formats.md).
-//
-// The journal is JSONL — one object per line — written with deterministic
-// formatting so journals are byte-comparable across runs, and read back by
-// the `explain`/`replay` tooling. This header provides both directions:
-// escape/format helpers for the writer and a small recursive-descent parser
-// for the readers. It is deliberately not a
-// general-purpose JSON library: no streaming, no comments, objects keep
-// insertion order (journal events are small and key order matters for
-// byte-identity checks).
+// Minimal JSON support: JsonWriter spells every JSON document the program
+// writes (docs/file_formats.md), deterministically so they are
+// byte-comparable across runs and builds, and a small recursive-descent
+// parser reads them back. It is deliberately not a general-purpose JSON
+// library: no comments, objects keep insertion order (key order matters
+// for byte-identity checks).
 
+#include <charconv>
 #include <climits>
+#include <concepts>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -47,9 +46,8 @@ struct JsonValue {
   [[nodiscard]] std::string str_or(std::string_view key,
                                    const std::string& fallback) const;
   [[nodiscard]] bool bool_or(std::string_view key, bool fallback) const;
-  /// Doubles the journal wrote as quoted "inf"/"-inf"/"nan" (JSON has no
-  /// non-finite literals) read back through this: accepts both a number
-  /// and one of those strings.
+  /// A double json_double may have quoted (json_wide_number), with a
+  /// fallback for an absent or mistyped member.
   [[nodiscard]] double wide_num_or(std::string_view key,
                                    double fallback) const;
 };
@@ -64,6 +62,8 @@ struct JsonValue {
                            int lo = INT_MIN, int hi = INT_MAX);
 [[nodiscard]] bool json_bool(const JsonValue& v, const std::string& key);
 [[nodiscard]] std::string json_str(const JsonValue& v, const std::string& key);
+/// A double json_double may have quoted (json_wide_number).
+[[nodiscard]] double json_wide(const JsonValue& v, const std::string& key);
 /// 64-bit values travel as decimal strings (JSON numbers lose precision
 /// past 2^53); hand-written requests may use plain integral numbers.
 [[nodiscard]] std::uint64_t json_u64(const JsonValue& v,
@@ -95,8 +95,72 @@ struct JsonValue {
 /// has no literals for them.
 [[nodiscard]] std::string json_double(double value);
 
+/// The inverse of json_double: a number, or one of the quoted strings
+/// "inf", "-inf" and "nan"; std::nullopt for any other value.
+[[nodiscard]] std::optional<double> json_wide_number(const JsonValue& v);
+
 /// Lower-case hex rendering of a 64-bit value (mapping hashes exceed
 /// JSON's exactly-representable integer range, so they travel as strings).
 [[nodiscard]] std::string hex_u64(std::uint64_t value);
+
+/// Streaming writer of one JSON document into a string, without
+/// whitespace: strings are escaped as json_escape escapes them, doubles
+/// print as json_double prints them, and the writer places the commas in
+/// nested objects and arrays. A value call writes an array element (or the
+/// document); its overload with a key writes an object member.
+class JsonWriter {
+ public:
+  using Key = std::string_view;
+
+  JsonWriter& begin_object() { return open("{"); }
+  JsonWriter& end_object() { return close("}"); }
+  JsonWriter& begin_array() { return open("["); }
+  JsonWriter& end_array() { return close("]"); }
+  /// An object member's key; the next call writes its value.
+  JsonWriter& key(Key k);
+  JsonWriter& str(std::string_view text);
+  JsonWriter& num(double number);
+  template <std::integral T>
+  JsonWriter& integer(T number) {
+    char buf[24];
+    return token({buf, std::to_chars(buf, buf + sizeof(buf), number).ptr});
+  }
+  JsonWriter& boolean(bool flag) { return token(flag ? "true" : "false"); }
+  JsonWriter& null() { return token("null"); }
+  /// Splices already-rendered JSON verbatim where the next value goes (or,
+  /// inside an object, the next members). Only for text another owner
+  /// renders: the options codecs, whose canonical output is also a
+  /// fingerprint input and a checkpoint-header line, and the `args_json`
+  /// members a ChromeTraceBuilder caller passes.
+  JsonWriter& raw(std::string_view json) { return token(json); }
+
+  JsonWriter& begin_object(Key k) { return key(k).begin_object(); }
+  JsonWriter& begin_array(Key k) { return key(k).begin_array(); }
+  JsonWriter& str(Key k, std::string_view text) { return key(k).str(text); }
+  JsonWriter& num(Key k, double number) { return key(k).num(number); }
+  template <std::integral T>
+  JsonWriter& integer(Key k, T number) { return key(k).integer(number); }
+  JsonWriter& boolean(Key k, bool flag) { return key(k).boolean(flag); }
+  JsonWriter& raw(Key k, std::string_view json) { return key(k).raw(json); }
+
+  /// Moves the document out; the writer is spent.
+  [[nodiscard]] std::string take() { return std::move(out_); }
+
+ private:
+  /// Writes one value's text, after a comma if a value precedes it.
+  JsonWriter& token(std::string_view json);
+  JsonWriter& open(std::string_view bracket) {
+    token(bracket).comma_ = false;
+    return *this;
+  }
+  /// A closing bracket ends a value but follows no comma.
+  JsonWriter& close(std::string_view bracket) {
+    comma_ = false;
+    return token(bracket);
+  }
+
+  std::string out_;
+  bool comma_ = false;  // a value ended last: the next one needs a comma
+};
 
 }  // namespace automap

@@ -18,8 +18,7 @@ std::string sample_value(double v) {
   if (v == std::floor(v) && std::abs(v) < 1e15) {
     return std::to_string(static_cast<long long>(v));
   }
-  std::string s = json_double(v);
-  return s;
+  return json_double(v);
 }
 
 /// Splits `name{labels}` into (name, labels); labels is empty for a plain
@@ -204,40 +203,28 @@ std::string MetricsRegistry::expose() const {
   return out;
 }
 
-std::string MetricsRegistry::snapshot_json() const {
-  std::string out = "{";
-  bool first = true;
+void MetricsRegistry::snapshot_json(JsonWriter& out) const {
+  out.begin_object();
   for (const auto& e : entries_) {
     if (!e->deterministic || e->kind == Kind::kHistogram) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + json_escape(e->name) + "\":";
-    if (e->kind == Kind::kCounter) {
-      out += std::to_string(e->counter->value());
-    } else {
-      out += json_double(e->gauge->value());
-    }
+    if (e->kind == Kind::kCounter)
+      out.integer(e->name, e->counter->value());
+    else
+      out.num(e->name, e->gauge->value());
   }
-  out += "}";
-  return out;
+  out.end_object();
 }
 
-std::string MetricsRegistry::quantiles_json() const {
-  std::string out = "{";
-  bool first = true;
+void MetricsRegistry::quantiles_json(JsonWriter& out) const {
+  out.begin_object();
   for (const auto& e : entries_) {
     if (e->kind != Kind::kHistogram || e->histogram->count() == 0) continue;
-    if (!first) out += ",";
-    first = false;
     const Histogram& h = *e->histogram;
-    out += "\"" + json_escape(e->name) + "\":{";
-    out += "\"p50\":" + json_double(h.quantile(0.50)) + ",";
-    out += "\"p95\":" + json_double(h.quantile(0.95)) + ",";
-    out += "\"p99\":" + json_double(h.quantile(0.99)) + ",";
-    out += "\"count\":" + std::to_string(h.count()) + "}";
+    out.begin_object(e->name).num("p50", h.quantile(0.50));
+    out.num("p95", h.quantile(0.95)).num("p99", h.quantile(0.99));
+    out.integer("count", h.count()).end_object();
   }
-  out += "}";
-  return out;
+  out.end_object();
 }
 
 }  // namespace automap

@@ -24,6 +24,8 @@
 
 namespace automap {
 
+class JsonWriter;
+
 /// Monotone counter. Atomic because the daemon's connection threads bump
 /// service counters outside the service mutex; everything else in the
 /// registry is single-threaded or updated under a lock.
@@ -104,18 +106,19 @@ class MetricsRegistry {
   /// instruments, insertion order. Written to --metrics-out.
   [[nodiscard]] std::string expose() const;
 
-  /// JSON object fragment ({"name":value,...}) with deterministic
-  /// counters and gauges only — embedded in journal `metrics` events,
-  /// which must stay byte-identical with pruning on or off. Histograms and
-  /// nondeterministic instruments are excluded.
-  [[nodiscard]] std::string snapshot_json() const;
+  /// JSON object ({"name":value,...}) of the deterministic counters and
+  /// gauges only — embedded in journal `metrics` events, which must stay
+  /// byte-identical with pruning on or off. Histograms and
+  /// nondeterministic instruments are excluded. Writes the object as the
+  /// next value of `out`.
+  void snapshot_json(JsonWriter& out) const;
 
   /// JSON object of bucket-interpolated latency quantiles for every
   /// non-empty histogram, insertion order:
   /// {"name":{"p50":v,"p95":v,"p99":v,"count":n},...}. Served in the
   /// mapping service's `stats` response and rendered by `automap_client
   /// top`.
-  [[nodiscard]] std::string quantiles_json() const;
+  void quantiles_json(JsonWriter& out) const;
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

@@ -7,13 +7,17 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/apps/registry.hpp"
 #include "src/io/text_io.hpp"
 #include "src/machine/machine.hpp"
+#include "src/report/journal.hpp"
+#include "src/search/coordinate_descent.hpp"
 #include "src/search/search.hpp"
+#include "src/sim/simulator.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
 #include "src/support/metrics.hpp"
@@ -21,6 +25,15 @@
 
 namespace automap {
 namespace {
+
+/// One of the registry's documents (`snapshot_json`, `quantiles_json`)
+/// written on its own.
+std::string render(const MetricsRegistry& metrics,
+                   void (MetricsRegistry::*write)(JsonWriter&) const) {
+  JsonWriter out;
+  (metrics.*write)(out);
+  return out.take();
+}
 
 TEST(Metrics, CountersGaugesAndHistogramsHoldValues) {
   MetricsRegistry registry;
@@ -91,7 +104,8 @@ TEST(Metrics, SnapshotJsonSkipsNonDeterministicSeries) {
       ->inc(9);
   registry.gauge("automap_level", "level")->set(1.5);
   registry.histogram("automap_h_seconds", "histogram", {1.0})->observe(0.5);
-  const std::string snapshot = registry.snapshot_json();
+  const std::string snapshot =
+      render(registry, &MetricsRegistry::snapshot_json);
   const JsonValue parsed = parse_json(snapshot);
   EXPECT_EQ(parsed.num_or("automap_det_total", -1), 7.0);
   EXPECT_EQ(parsed.num_or("automap_level", -1), 1.5);
@@ -183,7 +197,8 @@ TEST(Metrics, QuantilesJsonListsNonEmptyHistograms) {
   h->observe(0.5);
   h->observe(1.5);
   h->observe(1.5);
-  const JsonValue parsed = parse_json(registry.quantiles_json());
+  const JsonValue parsed =
+      parse_json(render(registry, &MetricsRegistry::quantiles_json));
   EXPECT_FALSE(parsed.has("automap_idle_seconds"));
   const JsonValue* busy = parsed.find("automap_busy_seconds");
   ASSERT_NE(busy, nullptr);
@@ -322,21 +337,14 @@ TEST(Json, LoneSurrogatesAreRejected) {
             "json: unpaired surrogate \\uDBFF at offset 2");
 }
 
-TEST(Json, ByteMutationsOfASubmitParseOrFailAtAnOffset) {
-  // perfbench's circuit submit: the exported shepard(1) machine and
-  // step-0 graph, one CCD rotation.
-  const SearchOptions options{
-      .rotations = 1, .seed = 1, .export_profiles_db = false};
-  const std::string submit =
-      "{\"op\":\"submit\",\"machine\":\"" +
-      json_escape(machine_to_string(make_shepard(1))) + "\",\"graph\":\"" +
-      json_escape(
-          task_graph_to_string(make_app_by_name("circuit", 1, 0).graph)) +
-      "\",\"options\":" + search_options_to_json(options) + "}";
+/// Applies byte mutations to `document` at every offset: deletes the
+/// byte, replaces it with '"', '\\', 0x01, 0xff or '{', and inserts a lone
+/// high and a lone low surrogate escape and a valid pair before it. Each
+/// mutant parses or throws one Error, "json: <what> at offset N", with N
+/// within the mutant. Any other exception fails the test.
+void expect_mutants_parse_or_fail_at_an_offset(const std::string& document) {
   int parsed = 0;
   int failed = 0;
-  // Parses, or throws one Error: "json: <what> at offset N", N within
-  // the input. Any other exception fails the test.
   const auto check = [&](const std::string& text) {
     try {
       (void)parse_json(text);
@@ -354,20 +362,61 @@ TEST(Json, ByteMutationsOfASubmitParseOrFailAtAnOffset) {
       ASSERT_LE(std::stoull(offset), text.size()) << what;
     }
   };
-  for (std::size_t i = 0; i <= submit.size(); ++i) {
+  for (std::size_t i = 0; i <= document.size(); ++i) {
     SCOPED_TRACE(i);
     for (const char* escape : {"\\ud800", "\\udc00", "\\ud83d\\ude00"})
-      check(std::string(submit).insert(i, escape));
-    if (i == submit.size()) break;
-    check(std::string(submit).erase(i, 1));
+      check(std::string(document).insert(i, escape));
+    if (i == document.size()) break;
+    check(std::string(document).erase(i, 1));
     for (const char byte : {'"', '\\', '\x01', '\xff', '{'}) {
-      std::string mutated = submit;
+      std::string mutated = document;
       mutated[i] = byte;
       check(mutated);
     }
   }
   EXPECT_GT(parsed, 0);
   EXPECT_GT(failed, 0);
+}
+
+TEST(Json, ByteMutationsOfASubmitParseOrFailAtAnOffset) {
+  // perfbench's circuit submit: the exported shepard(1) machine and
+  // step-0 graph, one CCD rotation.
+  const SearchOptions options{
+      .rotations = 1, .seed = 1, .export_profiles_db = false};
+  expect_mutants_parse_or_fail_at_an_offset(
+      "{\"op\":\"submit\",\"machine\":\"" +
+      json_escape(machine_to_string(make_shepard(1))) + "\",\"graph\":\"" +
+      json_escape(
+          task_graph_to_string(make_app_by_name("circuit", 1, 0).graph)) +
+      "\",\"options\":" + search_options_to_json(options) + "}");
+}
+
+TEST(Json, ByteMutationsOfJournalLinesParseOrFailAtAnOffset) {
+  // The journal of a CCD search on Stencil step 0 over shepard(1): its
+  // search_begin line (the options and sim objects and the start mapping)
+  // and its first accepted move whose forced array is not empty.
+  const BenchmarkApp app = make_app_by_name("stencil", 1, 0);
+  const MachineModel machine = make_shepard(1);
+  const Simulator sim(machine, app.graph, {});
+  Journal journal;
+  (void)run_ccd(sim, {.rotations = 2, .repeats = 3, .seed = 42,
+                      .export_profiles_db = false, .journal = &journal});
+  std::istringstream lines(journal.text());
+  std::string begin;
+  std::string move;
+  for (std::string line; std::getline(lines, line);) {
+    const JsonValue event = parse_json(line);
+    const std::string type = event.str_or("type", "");
+    const JsonValue* forced = event.find("forced");
+    if (type == "search_begin" && begin.empty()) begin = line;
+    if (type == "move" && event.bool_or("accepted", false) &&
+        forced != nullptr && !forced->array.empty() && move.empty())
+      move = line;
+  }
+  ASSERT_FALSE(begin.empty());
+  ASSERT_FALSE(move.empty());
+  expect_mutants_parse_or_fail_at_an_offset(begin);
+  expect_mutants_parse_or_fail_at_an_offset(move);
 }
 
 TEST(Json, MetricsSnapshotEscapesControlBytesInNames) {
@@ -377,12 +426,51 @@ TEST(Json, MetricsSnapshotEscapesControlBytesInNames) {
   metrics.counter(name, "help")->inc();
   metrics.gauge(name + "_gauge", "help")->set(2.0);
   metrics.histogram(name + "_seconds", "help", {1.0})->observe(0.5);
-  const JsonValue snapshot = parse_json(metrics.snapshot_json());
+  const JsonValue snapshot =
+      parse_json(render(metrics, &MetricsRegistry::snapshot_json));
   EXPECT_EQ(snapshot.num_or(name, 0), 1.0);
   EXPECT_EQ(snapshot.num_or(name + "_gauge", 0), 2.0);
-  const JsonValue quantiles = parse_json(metrics.quantiles_json());
+  const JsonValue quantiles =
+      parse_json(render(metrics, &MetricsRegistry::quantiles_json));
   ASSERT_NE(quantiles.find(name + "_seconds"), nullptr);
   EXPECT_EQ(quantiles.find(name + "_seconds")->num_or("count", 0), 1.0);
+}
+
+TEST(Json, WriterPlacesCommasInNestedContainers) {
+  JsonWriter out;
+  out.begin_object().begin_array("a").end_array().begin_object("b");
+  out.end_object().begin_array("c").integer(-1).begin_array().end_array();
+  out.begin_object().end_object().str("x\n").end_array();
+  out.raw("d", "{\"k\":[1,2]}").key("e").null();
+  out.num("f", 0.1).boolean("g", false).str("q\"", "\x01");
+  EXPECT_EQ(out.end_object().take(),
+            "{\"a\":[],\"b\":{},\"c\":[-1,[],{},\"x\\n\"],\"d\":{\"k\":[1,2]},"
+            "\"e\":null,\"f\":0.10000000000000001,\"g\":false,"
+            "\"q\\\"\":\"\\u0001\"}");
+}
+
+TEST(Json, OneDecoderReadsBackWhatJsonDoubleQuotes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {0.5, -2.0, inf, -inf}) {
+    const JsonValue doc = parse_json("{\"v\":" + json_double(v) + "}");
+    EXPECT_EQ(json_wide_number(*doc.find("v")), v);
+    EXPECT_EQ(doc.wide_num_or("v", 7.0), v);
+    EXPECT_EQ(json_wide(*doc.find("v"), "v"), v);
+  }
+  EXPECT_TRUE(std::isnan(*json_wide_number(parse_json("\"nan\""))));
+  // Anything else: the fallback, or the strict decoder's one-line error.
+  const JsonValue doc = parse_json("{\"s\":\"infinity\",\"b\":true}");
+  EXPECT_FALSE(json_wide_number(*doc.find("s")).has_value());
+  EXPECT_EQ(doc.wide_num_or("s", 7.0), 7.0);
+  EXPECT_EQ(doc.wide_num_or("b", 7.0), 7.0);
+  EXPECT_EQ(doc.wide_num_or("absent", 7.0), 7.0);
+  try {
+    (void)json_wide(*doc.find("b"), "budget");
+    ADD_FAILURE() << "a boolean decoded as a number";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "field 'budget' must be a number or \"inf\"/\"-inf\"");
+  }
 }
 
 TEST(Json, DeterministicRendering) {

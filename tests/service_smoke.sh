@@ -204,6 +204,24 @@ assert any("running" in e["name"] for e in spans), "no running span"
 assert all(e["dur"] >= 0 for e in spans)
 marks = [e for e in events if e.get("ph") == "i"]
 assert any("finished" in e["name"] for e in marks), "no finished marker"
+# The recorder's chain has no gaps: each bar of a job ends within 0.001 us
+# of the start of another event of that job. A job at the recorder's
+# 64-span bound (kRecorderMaxSpansPerJob) has shed spans after its first,
+# so only the jobs below it are checked.
+starts = {}
+for e in spans + marks:
+    if e["name"].startswith("j%d " % e["args"].get("job", -1)):
+        starts.setdefault(e["args"]["job"], []).append(e["ts"])
+checked = 0
+for e in spans:
+    job_starts = starts[e["args"]["job"]]
+    if len(job_starts) >= 64:
+        continue
+    end = e["ts"] + e["dur"]
+    assert any(abs(end - ts) <= 0.001 for ts in job_starts), (
+        "gap after %s ending at %r" % (e["name"], end))
+    checked += 1
+assert checked > 0, "no complete job chain to check"
 EOF
 
 # Warm restart on the same store: the finished job is served from disk —

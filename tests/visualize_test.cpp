@@ -6,11 +6,17 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <memory>
+#include <string>
 
 #include "src/apps/circuit.hpp"
+#include "src/apps/registry.hpp"
 #include "src/machine/machine.hpp"
 #include "src/report/visualize.hpp"
 #include "src/runtime/mapper.hpp"
+#include "src/search/search.hpp"
+#include "src/service/flight_recorder.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
@@ -140,6 +146,59 @@ TEST(ChromeTrace, ControlBytesInTaskNamesAreEscaped) {
       ++named;
     }
   EXPECT_EQ(named, 2);
+}
+
+TEST(ChromeTrace, EventTimesParseBackBitForBit) {
+  // HTR step 0 on shepard(1) under the default mapping, noise on: every
+  // complete event's ts and dur print as json_double prints, so they
+  // parse back to the run's microseconds exactly.
+  const BenchmarkApp app = make_app_by_name("htr", 1, 0);
+  const MachineModel machine = make_shepard(1);
+  const Simulator sim(machine, app.graph, {});
+  const ExecutionReport report =
+      sim.run(search_starting_point(app.graph, machine), 7);
+  ASSERT_TRUE(report.ok) << report.failure;
+  const JsonValue trace = parse_json(render_chrome_trace(app.graph, report));
+  std::size_t next = 0;
+  for (const JsonValue& e : trace.find("traceEvents")->array) {
+    if (e.str_or("ph", "") != "X") continue;
+    ASSERT_LT(next, report.trace.size());
+    const TraceEvent& event = report.trace[next++];
+    EXPECT_EQ(e.num_or("ts", -1), event.start_s * 1e6) << next;
+    EXPECT_EQ(e.num_or("dur", -1), event.duration_s * 1e6) << next;
+  }
+  EXPECT_EQ(next, report.trace.size());
+}
+
+TEST(ChromeTrace, FlightRecorderSpansStayApartAfterAnHourOfUptime) {
+  // Job 1 is recorded at 0 ms; an hour later job 2 queues, runs 5 ms
+  // later and finishes 2 ms after that. Six significant digits printed
+  // all three at about 3.6e+09 us.
+  const auto now = std::make_shared<double>(0.0);
+  FlightRecorder recorder([now] { return *now; });
+  recorder.transition(1, "queued", -1);
+  *now = 3'600'000;
+  recorder.transition(2, "queued", -1);
+  *now += 5;
+  recorder.transition(2, "running", 0);
+  *now += 2;
+  recorder.terminal(2, "finished");
+
+  const JsonValue trace = parse_json(recorder.chrome_trace());
+  std::map<std::string, const JsonValue*> job2;
+  for (const JsonValue& e : trace.find("traceEvents")->array)
+    if (e.str_or("name", "").rfind("j2 ", 0) == 0)
+      job2[e.str_or("name", "")] = &e;
+  ASSERT_EQ(job2.size(), 3u);
+  const double queued = job2.at("j2 queued")->num_or("ts", -1);
+  const double running = job2.at("j2 running")->num_or("ts", -1);
+  const double finished = job2.at("j2 finished")->num_or("ts", -1);
+  EXPECT_EQ(queued, 3.6e9);
+  EXPECT_EQ(running - queued, 5000.0);
+  EXPECT_EQ(finished - running, 2000.0);
+  // The chain has no gap: each bar ends where the next event starts.
+  EXPECT_EQ(queued + job2.at("j2 queued")->num_or("dur", -1), running);
+  EXPECT_EQ(running + job2.at("j2 running")->num_or("dur", -1), finished);
 }
 
 TEST_F(VisualizeFixture, CopyEventsAppearWhenMemoriesMismatch) {

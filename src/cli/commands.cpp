@@ -336,11 +336,11 @@ std::vector<FlagSpec> search_option_flags() {
       {"--backoff", "S", "retry backoff quantum (default: machine restart "
                          "overhead)"},
       {"--aggregate", "KIND", "repeat aggregation: mean|median|trimmed_mean"},
-      {"--fault-crash", "P", "per-run crash probability"},
-      {"--fault-straggler", "P", "per-run straggler probability"},
+      {"--fault-crash", "P", "crash probability per task execution"},
+      {"--fault-straggler", "P", "straggler probability per task execution"},
       {"--fault-straggler-factor", "X", "straggler slowdown factor"},
-      {"--fault-oom", "P", "per-run memory-pressure probability"},
-      {"--fault-copy", "P", "per-copy fault probability"},
+      {"--fault-oom", "P", "memory-pressure probability per run"},
+      {"--fault-copy", "P", "fault probability per copy leg"},
   };
 }
 

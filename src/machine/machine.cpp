@@ -1,7 +1,7 @@
 #include "src/machine/machine.hpp"
 
-#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/support/format.hpp"
 
@@ -26,6 +26,7 @@ void MachineModel::add_proc_group(const ProcGroup& group) {
   AM_REQUIRE(group.launch_overhead_s >= 0.0, "negative launch overhead");
   AM_REQUIRE(!has_proc_kind(group.kind), "duplicate processor kind");
   proc_groups_.push_back(group);
+  has_proc_[index_of(group.kind)] = true;
 }
 
 void MachineModel::add_mem_group(const MemGroup& group) {
@@ -33,6 +34,8 @@ void MachineModel::add_mem_group(const MemGroup& group) {
   AM_REQUIRE(group.capacity_bytes > 0, "memory capacity must be positive");
   AM_REQUIRE(!has_mem_kind(group.kind), "duplicate memory kind");
   mem_groups_.push_back(group);
+  mems_per_node_[index_of(group.kind)] = group.count_per_node;
+  mem_capacity_[index_of(group.kind)] = group.capacity_bytes;
 }
 
 void MachineModel::set_affinity(ProcKind p, MemKind m, Affinity a) {
@@ -98,16 +101,6 @@ void MachineModel::validate() const {
     throw invalid("multi-socket System memory needs a 'cross_socket' channel");
 }
 
-bool MachineModel::has_proc_kind(ProcKind k) const {
-  return std::any_of(proc_groups_.begin(), proc_groups_.end(),
-                     [&](const ProcGroup& g) { return g.kind == k; });
-}
-
-bool MachineModel::has_mem_kind(MemKind k) const {
-  return std::any_of(mem_groups_.begin(), mem_groups_.end(),
-                     [&](const MemGroup& g) { return g.kind == k; });
-}
-
 std::vector<ProcKind> MachineModel::proc_kinds() const {
   std::vector<ProcKind> out;
   out.reserve(proc_groups_.size());
@@ -120,10 +113,6 @@ std::vector<MemKind> MachineModel::mem_kinds() const {
   out.reserve(mem_groups_.size());
   for (const auto& g : mem_groups_) out.push_back(g.kind);
   return out;
-}
-
-bool MachineModel::addressable(ProcKind p, MemKind m) const {
-  return affinities_[index_of(p)][index_of(m)].has_value();
 }
 
 std::vector<MemKind> MachineModel::memories_addressable_by(ProcKind p) const {
@@ -194,14 +183,6 @@ const MemGroup& MachineModel::mem_group(MemKind k) const {
 
 int MachineModel::procs_per_node(ProcKind k) const {
   return proc_group(k).count_per_node;
-}
-
-int MachineModel::mems_per_node(MemKind k) const {
-  return has_mem_kind(k) ? mem_group(k).count_per_node : 0;
-}
-
-std::uint64_t MachineModel::mem_capacity(MemKind k) const {
-  return mem_group(k).capacity_bytes;
 }
 
 std::string MachineModel::describe() const {

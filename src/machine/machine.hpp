@@ -103,14 +103,24 @@ class MachineModel {
   void validate() const;
 
   // --- kind-level queries (used by the search) ----------------------------
+  // The hot ones answer inline from per-kind tables that add_proc_group,
+  // add_mem_group and set_affinity fill: validation, memory resolution and
+  // the co-location fixed point ask them for every argument of every
+  // candidate.
 
-  [[nodiscard]] bool has_proc_kind(ProcKind k) const;
-  [[nodiscard]] bool has_mem_kind(MemKind k) const;
+  [[nodiscard]] bool has_proc_kind(ProcKind k) const {
+    return has_proc_[index_of(k)];
+  }
+  [[nodiscard]] bool has_mem_kind(MemKind k) const {
+    return mems_per_node_[index_of(k)] > 0;
+  }
   [[nodiscard]] std::vector<ProcKind> proc_kinds() const;
   [[nodiscard]] std::vector<MemKind> mem_kinds() const;
 
   /// True when a processor of kind p can directly address memory kind m.
-  [[nodiscard]] bool addressable(ProcKind p, MemKind m) const;
+  [[nodiscard]] bool addressable(ProcKind p, MemKind m) const {
+    return affinities_[index_of(p)][index_of(m)].has_value();
+  }
   /// Memory kinds addressable by processor kind p, in declaration order.
   [[nodiscard]] std::vector<MemKind> memories_addressable_by(ProcKind p) const;
   /// The addressable memory kind with the highest access bandwidth from p —
@@ -132,8 +142,15 @@ class MachineModel {
   [[nodiscard]] const ProcGroup& proc_group(ProcKind k) const;
   [[nodiscard]] const MemGroup& mem_group(MemKind k) const;
   [[nodiscard]] int procs_per_node(ProcKind k) const;
-  [[nodiscard]] int mems_per_node(MemKind k) const;
-  [[nodiscard]] std::uint64_t mem_capacity(MemKind k) const;
+  /// Allocations per node of kind k; 0 when the machine lacks the kind.
+  [[nodiscard]] int mems_per_node(MemKind k) const {
+    return mems_per_node_[index_of(k)];
+  }
+  [[nodiscard]] std::uint64_t mem_capacity(MemKind k) const {
+    AM_REQUIRE(has_mem_kind(k),
+               "machine has no memory of kind " + std::string(to_string(k)));
+    return mem_capacity_[index_of(k)];
+  }
 
   /// Human-readable multi-line description.
   [[nodiscard]] std::string describe() const;
@@ -143,6 +160,10 @@ class MachineModel {
   int num_nodes_;
   std::vector<ProcGroup> proc_groups_;
   std::vector<MemGroup> mem_groups_;
+  // The groups by kind, for the inline queries above.
+  bool has_proc_[kNumProcKinds] = {};
+  int mems_per_node_[kNumMemKinds] = {};
+  std::uint64_t mem_capacity_[kNumMemKinds] = {};
   std::optional<Affinity> affinities_[kNumProcKinds][kNumMemKinds];
   std::optional<Channel> channels_[kNumMemKinds][kNumMemKinds][2];
   std::optional<Channel> cross_socket_;

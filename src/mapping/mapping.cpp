@@ -1,6 +1,9 @@
 #include "src/mapping/mapping.hpp"
 
+#include <functional>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "src/io/line_reader.hpp"
 #include "src/support/error.hpp"
@@ -20,23 +23,6 @@ void Mapping::copy_task(TaskId id, const Mapping& other) {
              "copy_task requires equal-shaped mappings");
   tasks_[id.index()] = other.tasks_[id.index()];
   std::ranges::copy(from, to.begin());
-}
-
-MemKind Mapping::primary_memory(TaskId id, std::size_t arg) const {
-  const auto mems = memories(id);
-  AM_REQUIRE(arg < mems.size(), "argument index out of range");
-  AM_REQUIRE(!mems[arg].empty(), "empty memory priority list");
-  return mems[arg].front();
-}
-
-void Mapping::set_primary_memory(TaskId id, std::size_t arg, MemKind kind) {
-  const auto mems = memories(id);
-  AM_REQUIRE(arg < mems.size(), "argument index out of range");
-  if (mems[arg].empty()) {
-    mems[arg] = {kind};
-  } else {
-    mems[arg].front() = kind;
-  }
 }
 
 std::vector<std::string> Mapping::violations(
@@ -115,6 +101,30 @@ std::uint64_t Mapping::hash() const {
     }
   }
   return h;
+}
+
+// key() reads the flat memory lists as bytes: a list's bytes must be its
+// value, with no padding (and, by MemPriority's invariant, zero dead slots).
+static_assert(std::has_unique_object_representations_v<MemPriority>);
+
+std::uint64_t Mapping::key() const {
+  // The memory lists hash a word at a time through std::hash; the task
+  // decisions pack one byte each, eight to a word, with `blocked` counted
+  // only when `distribute` is set, as hash() counts it.
+  std::uint64_t key = std::hash<std::string_view>{}(
+      {reinterpret_cast<const char*>(memories_.data()),
+       memories_.size() * sizeof(MemPriority)});
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    const TaskMapping& tm = tasks_[i];
+    word = word << 8 | (tm.distribute ? 1U : 0U) |
+           (tm.distribute && tm.blocked ? 2U : 0U) | index_of(tm.proc) << 2;
+    if (i % 8 == 7) {
+      key = mix64(key ^ word);
+      word = 0;
+    }
+  }
+  return mix64(key ^ word);
 }
 
 std::string Mapping::serialize() const {

@@ -30,7 +30,9 @@ class LineReader;
 /// memory-constrained mode appends fallbacks. A list names each kind at
 /// most once, so it holds at most kNumMemKinds entries, stored inline: the
 /// list is trivially copyable and copying a mapping allocates nothing per
-/// argument. Offers the vector operations its callers use.
+/// argument. The slots past size() are always zero, so a list's bytes are
+/// its value (Mapping::key reads them). Offers the vector operations its
+/// callers use.
 class MemPriority {
  public:
   MemPriority() = default;
@@ -55,15 +57,17 @@ class MemPriority {
                "memory priority list already holds every memory kind");
     kinds_[size_++] = kind;
   }
-  void clear() { size_ = 0; }
+  void clear() {
+    kinds_ = {};
+    size_ = 0;
+  }
   void assign(std::size_t count, MemKind kind) {
     clear();
     for (std::size_t i = 0; i < count; ++i) push_back(kind);
   }
 
-  bool operator==(const MemPriority& other) const {
-    return std::ranges::equal(live(), other.live());
-  }
+  // The dead slots are zero, so comparing every slot compares the lists.
+  bool operator==(const MemPriority&) const = default;
 
  private:
   [[nodiscard]] std::span<MemKind> live() { return {kinds_.data(), size_}; }
@@ -130,8 +134,23 @@ class Mapping {
   void copy_task(TaskId id, const Mapping& other);
 
   /// Primary (first-priority) memory kind of argument `arg` of task `id`.
-  [[nodiscard]] MemKind primary_memory(TaskId id, std::size_t arg) const;
-  void set_primary_memory(TaskId id, std::size_t arg, MemKind kind);
+  /// Inline, like at(): the co-location fixed point reads and writes
+  /// primaries of every proposal.
+  [[nodiscard]] MemKind primary_memory(TaskId id, std::size_t arg) const {
+    const auto mems = memories(id);
+    AM_REQUIRE(arg < mems.size(), "argument index out of range");
+    AM_REQUIRE(!mems[arg].empty(), "empty memory priority list");
+    return mems[arg].front();
+  }
+  void set_primary_memory(TaskId id, std::size_t arg, MemKind kind) {
+    const auto mems = memories(id);
+    AM_REQUIRE(arg < mems.size(), "argument index out of range");
+    if (mems[arg].empty()) {
+      mems[arg] = {kind};
+    } else {
+      mems[arg].front() = kind;
+    }
+  }
 
   /// Constraint 1 (§4.2): every argument's primary memory kind must be
   /// addressable by the task's processor kind, and the task must have a
@@ -142,9 +161,16 @@ class Mapping {
   [[nodiscard]] bool valid(const TaskGraph& graph,
                            const MachineModel& machine) const;
 
-  /// Structural hash for the profiles database (collision-checked by
-  /// equality there). Only kind-level decisions participate.
+  /// Structural hash: only kind-level decisions participate, and `blocked`
+  /// only when `distribute` is set. Its value seeds every run's noise and
+  /// fault streams and names candidates on disk (journals, checkpoint
+  /// logs, profiles export order), so it must never change.
   [[nodiscard]] std::uint64_t hash() const;
+  /// Identity key of a mapping of this graph for in-memory lookups: it
+  /// covers exactly the decisions hash() absorbs, normalized the same way,
+  /// so equal mappings have equal keys, at a fraction of hash()'s cost.
+  /// Never stored or printed; its values may change between builds.
+  [[nodiscard]] std::uint64_t key() const;
 
   bool operator==(const Mapping&) const = default;
 

@@ -1,8 +1,11 @@
 #include "src/search/coordinate_descent.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -46,59 +49,115 @@ OverlapMap build_overlap_map(const TaskGraph& graph,
   return map;
 }
 
-Mapping colocation_constraints(Mapping fp, TaskId t, std::size_t arg,
-                               ProcKind k, MemKind r,
-                               const OverlapMap& overlap,
-                               const TaskGraph& graph,
-                               const MachineModel& machine) {
-  const std::vector<std::uint32_t>& off = graph.arg_offsets();
-  // The work lists: one flag per task and per flat argument, each popped
-  // lowest id first (`size()` when empty), as the paper's sets are.
-  std::vector<std::uint8_t> t_check(graph.num_tasks(), 0);
-  std::vector<std::uint8_t> c_check(graph.num_collection_args(), 0);
-  const auto pop = [](std::vector<std::uint8_t>& check) {
-    const auto it = std::ranges::find(check, 1);
-    if (it != check.end()) *it = 0;
-    return static_cast<std::size_t>(it - check.begin());
-  };
+namespace {
+
+/// A work list of ids, popped lowest id first, as the paper's sets are
+/// visited: a bitset that keeps its words across uses.
+class IdSet {
+ public:
+  explicit IdSet(std::size_t size) : words_((size + 63) / 64, 0) {}
+
+  void insert(std::size_t id) {
+    words_[id / 64] |= std::uint64_t{1} << (id % 64);
+  }
+  void erase(std::size_t id) {
+    words_[id / 64] &= ~(std::uint64_t{1} << (id % 64));
+  }
+  [[nodiscard]] bool empty() const {
+    return std::ranges::all_of(words_, [](std::uint64_t w) { return w == 0; });
+  }
+  void clear() { std::ranges::fill(words_, 0); }
+  /// Removes the lowest id into `id`; false when the set is empty.
+  bool pop(std::size_t& id) {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      if (words_[w] == 0) continue;
+      const int bit = std::countr_zero(words_[w]);
+      words_[w] &= words_[w] - 1;
+      id = w * 64 + static_cast<std::size_t>(bit);
+      return true;
+    }
+    return false;
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
+
+/// Algorithm 2's fixed point for one graph and machine. Its work lists and
+/// its argument-to-task table are built once and reused by every repair,
+/// so a repair allocates nothing.
+class Colocation {
+ public:
+  Colocation(const TaskGraph& graph, const MachineModel& machine)
+      : graph_(graph),
+        machine_(machine),
+        arg_task_(graph.num_collection_args()),
+        tasks_(graph.num_tasks()),
+        args_(graph.num_collection_args()) {
+    for (const GroupTask& task : graph.tasks())
+      std::fill(arg_task_.begin() + graph.arg_offsets()[task.id.index()],
+                arg_task_.begin() + graph.arg_offsets()[task.id.index() + 1],
+                static_cast<std::uint32_t>(task.id.index()));
+  }
+
+  /// Re-establishes the co-location constraints of `overlap` in `fp`, whose
+  /// (t, arg) was just mapped to (k, r), in place.
+  void repair(Mapping& fp, TaskId t, std::size_t arg, ProcKind k, MemKind r,
+              const OverlapMap& overlap);
+
+ private:
+  const TaskGraph& graph_;
+  const MachineModel& machine_;
+  std::vector<std::uint32_t> arg_task_;  // each flat argument's task
+  IdSet tasks_;  // t_check: tasks to re-check
+  IdSet args_;   // c_check: arguments to re-place
+};
+
+}  // namespace
+
+void Colocation::repair(Mapping& fp, TaskId t, std::size_t arg, ProcKind k,
+                        MemKind r, const OverlapMap& overlap) {
+  const std::vector<std::uint32_t>& off = graph_.arg_offsets();
+  // A repair cut short by the guard below may have left work behind.
+  tasks_.clear();
+  args_.clear();
 
   // Map every argument co-located with (t, arg) to r (Algorithm 2 ll. 4-6).
-  t_check[t.index()] = 1;
+  tasks_.insert(t.index());
   for (const ArgRef& ref : overlap[off[t.index()] + arg]) {
     fp.set_primary_memory(ref.task, ref.arg, r);
-    t_check[ref.task.index()] = 1;
+    tasks_.insert(ref.task.index());
   }
 
   // Fixed point (ll. 7-26). The loop terminates because in the limit every
   // task lands on k and every collection on a k-addressable kind; the guard
   // below only protects against implementation bugs. Each round drains
-  // c_check, so only t_check can hold work after it.
-  int guard = static_cast<int>(graph.num_collection_args()) * 8 + 64;
+  // args_, so only tasks_ can hold work after it.
+  int guard = static_cast<int>(graph_.num_collection_args()) * 8 + 64;
   do {
     AM_CHECK(--guard > 0, "co-location fixed point failed to converge");
 
-    for (std::size_t i; (i = pop(t_check)) < t_check.size();) {
+    for (std::size_t i; tasks_.pop(i);) {
       const TaskId ti(i);
-      const GroupTask& task_i = graph.task(ti);
+      const std::size_t num_args = graph_.task(ti).args.size();
       // First pass: does any argument violate constraint 1 under the
       // task's current processor? If so, pull the task to k…
       bool violated = false;
-      for (std::size_t ai = 0; ai < task_i.args.size(); ++ai) {
-        if (!machine.addressable(fp.at(ti).proc, fp.primary_memory(ti, ai)))
+      for (std::size_t ai = 0; ai < num_args; ++ai) {
+        if (!machine_.addressable(fp.at(ti).proc, fp.primary_memory(ti, ai)))
           violated = true;
       }
       if (violated && ti != t) fp.at(ti).proc = k;
       // …then re-check every argument under the (possibly new) processor,
       // so a processor switch cannot orphan arguments scanned earlier.
-      for (std::size_t ai = 0; ai < task_i.args.size(); ++ai) {
-        if (!machine.addressable(fp.at(ti).proc, fp.primary_memory(ti, ai)))
-          c_check[off[i] + ai] = 1;
+      for (std::size_t ai = 0; ai < num_args; ++ai) {
+        if (!machine_.addressable(fp.at(ti).proc, fp.primary_memory(ti, ai)))
+          args_.insert(off[i] + ai);
       }
     }
 
-    for (std::size_t id; (id = pop(c_check)) < c_check.size();) {
-      const auto ti = static_cast<std::size_t>(
-          std::ranges::upper_bound(off, id) - off.begin() - 1);
+    for (std::size_t id; args_.pop(id);) {
+      const std::size_t ti = arg_task_[id];
       const ArgRef ref{TaskId(ti), id - off[ti]};
 
       // Arguments co-located with the primary decision must stay on r
@@ -112,25 +171,33 @@ Mapping colocation_constraints(Mapping fp, TaskId t, std::size_t arg,
               related.end();
       if (tied_to_primary) {
         fp.set_primary_memory(ref.task, ref.arg, r);
-        if (!machine.addressable(fp.at(ref.task).proc, r)) {
+        if (!machine_.addressable(fp.at(ref.task).proc, r)) {
           if (ref.task != t) fp.at(ref.task).proc = k;
-          t_check[ti] = 1;
+          tasks_.insert(ti);
         }
         continue;
       }
 
-      const MemKind m = machine.best_memory_for(fp.at(ref.task).proc);
+      const MemKind m = machine_.best_memory_for(fp.at(ref.task).proc);
       fp.set_primary_memory(ref.task, ref.arg, m);
       for (const ArgRef& other : related) {
         if (fp.primary_memory(other.task, other.arg) == m) continue;
         fp.set_primary_memory(other.task, other.arg, m);
-        if (!machine.addressable(fp.at(other.task).proc, m))
-          t_check[other.task.index()] = 1;
-        c_check[off[other.task.index()] + other.arg] = 0;
+        if (!machine_.addressable(fp.at(other.task).proc, m))
+          tasks_.insert(other.task.index());
+        args_.erase(off[other.task.index()] + other.arg);
       }
     }
-  } while (std::ranges::find(t_check, 1) != t_check.end());
-  return fp;
+  } while (!tasks_.empty());
+}
+
+Mapping colocation_constraints(Mapping f, TaskId t, std::size_t arg,
+                               ProcKind k, MemKind r,
+                               const OverlapMap& overlap,
+                               const TaskGraph& graph,
+                               const MachineModel& machine) {
+  Colocation(graph, machine).repair(f, t, arg, k, r, overlap);
+  return f;
 }
 
 std::vector<TaskId> tasks_by_runtime(const Simulator& sim, const Mapping& f,
@@ -188,20 +255,6 @@ std::vector<ForcedMove> forced_moves(const Mapping& base,
 }
 
 namespace {
-
-/// Collection-argument indices of a task, largest collection first
-/// (Algorithm 1 line 14).
-std::vector<std::size_t> args_by_size(const TaskGraph& graph,
-                                      const GroupTask& task) {
-  std::vector<std::size_t> order(task.args.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return graph.collection_bytes(task.args[a].collection) >
-                            graph.collection_bytes(task.args[b].collection);
-                   });
-  return order;
-}
 
 /// One decision of a coordinate sweep (Algorithm 1 ll. 11-18): a
 /// distribution setting, or a processor kind with one argument's memory
@@ -291,25 +344,86 @@ void emit_move(const CcdInstruments& ins, const Move& move, TaskId t,
   }
 }
 
-/// Applies `move` to task `t` of the incumbent `f` and re-establishes the
-/// co-location constraints of `overlap` (Algorithm 2). Plain CD's map is
-/// empty, so there only the task's other arguments its new processor
-/// cannot address move, to that processor's best memory.
-Mapping apply_move(const Mapping& f, TaskId t, const Move& move,
-                   const OverlapMap& overlap, const TaskGraph& graph,
-                   const MachineModel& machine) {
-  Mapping candidate = f;
-  if (move.is_dist) {
-    candidate.at(t).distribute = move.distribute;
-    candidate.at(t).blocked = move.blocked;
-    return candidate;
+/// What a descent reuses from one proposal to the next, so that proposing
+/// allocates nothing: the move list, the candidate each move is built in,
+/// Algorithm 2's work lists, and the graph- and machine-only inputs of the
+/// move list.
+class Proposals {
+ public:
+  Proposals(const TaskGraph& graph, const MachineModel& machine)
+      : graph_(graph),
+        procs_(machine.proc_kinds()),
+        args_by_size_(graph.num_collection_args()),
+        colocation_(graph, machine) {
+    for (const ProcKind k : procs_)
+      addressable_[index_of(k)] = machine.memories_addressable_by(k);
+    // Each task's argument indices, largest collection first (Algorithm 1
+    // line 14).
+    for (const GroupTask& task : graph.tasks()) {
+      const auto order = std::span(args_by_size_).subspan(
+          graph.arg_offsets()[task.id.index()], task.args.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return graph.collection_bytes(
+                                    task.args[a].collection) >
+                                graph.collection_bytes(
+                                    task.args[b].collection);
+                       });
+    }
   }
-  candidate.at(t).proc = move.proc;
-  candidate.set_primary_memory(t, move.arg, move.mem);
-  return detail::colocation_constraints(std::move(candidate), t, move.arg,
-                                        move.proc, move.mem, overlap, graph,
-                                        machine);
-}
+
+  /// Every distribution, processor and memory move of task `t`, in the
+  /// order optimize_task tests them.
+  const std::vector<Move>& moves(TaskId t,
+                                 bool search_distribution_strategies) {
+    const GroupTask& task = graph_.task(t);
+    // Distribution setting. The paper searches only distributed-vs-leader;
+    // the extension also proposes a blocked decomposition.
+    moves_.assign({{.is_dist = true, .distribute = true}});
+    if (search_distribution_strategies)
+      moves_.push_back({.is_dist = true, .distribute = true, .blocked = true});
+    moves_.push_back({.is_dist = true});
+    // Processor kind x per-collection memory kind.
+    const auto order = std::span(args_by_size_).subspan(
+        graph_.arg_offsets()[t.index()], task.args.size());
+    for (const ProcKind k : procs_) {
+      if (k == ProcKind::kGpu && !task.cost.has_gpu_variant()) continue;
+      for (const std::size_t a : order)
+        for (const MemKind r : addressable_[index_of(k)])
+          moves_.push_back({.arg = a, .proc = k, .mem = r});
+    }
+    return moves_;
+  }
+
+  /// Builds, in the one reused candidate, the incumbent `f` with `move`
+  /// applied to task `t`, and re-establishes the co-location constraints
+  /// of `overlap` (Algorithm 2). Plain CD's map is empty, so there only
+  /// the task's other arguments its new processor cannot address move, to
+  /// that processor's best memory.
+  Mapping& propose(const Mapping& f, TaskId t, const Move& move,
+                   const OverlapMap& overlap) {
+    candidate_ = f;  // reuses the candidate's storage
+    if (move.is_dist) {
+      candidate_.at(t).distribute = move.distribute;
+      candidate_.at(t).blocked = move.blocked;
+      return candidate_;
+    }
+    candidate_.at(t).proc = move.proc;
+    candidate_.set_primary_memory(t, move.arg, move.mem);
+    colocation_.repair(candidate_, t, move.arg, move.proc, move.mem, overlap);
+    return candidate_;
+  }
+
+ private:
+  const TaskGraph& graph_;
+  std::vector<ProcKind> procs_;
+  std::vector<MemKind> addressable_[kNumProcKinds];  // by processor kind
+  std::vector<std::size_t> args_by_size_;  // by flat argument id
+  std::vector<Move> moves_;
+  Mapping candidate_;
+  Colocation colocation_;
+};
 
 /// OptimizeTask (Algorithm 1 ll. 10-24): tests every distribution,
 /// processor and memory move of task `t` one at a time, each built from
@@ -326,39 +440,22 @@ Mapping apply_move(const Mapping& f, TaskId t, const Move& move,
 void optimize_task(TaskId t, Mapping& f, double& p, Evaluator& eval,
                    const Simulator& sim, const OverlapMap& overlap,
                    bool search_distribution_strategies,
-                   const CcdInstruments& ins) {
-  const TaskGraph& graph = sim.graph();
-  const MachineModel& machine = sim.machine();
-  const GroupTask& task = graph.task(t);
-
-  // Distribution setting. The paper searches only distributed-vs-leader;
-  // the extension also proposes a blocked decomposition.
-  std::vector<Move> moves = {{.is_dist = true, .distribute = true}};
-  if (search_distribution_strategies)
-    moves.push_back({.is_dist = true, .distribute = true, .blocked = true});
-  moves.push_back({.is_dist = true});
-  // Processor kind x per-collection memory kind.
-  for (const ProcKind k : machine.proc_kinds()) {
-    if (k == ProcKind::kGpu && !task.cost.has_gpu_variant()) continue;
-    for (const std::size_t a : args_by_size(graph, task))
-      for (const MemKind r : machine.memories_addressable_by(k))
-        moves.push_back({.arg = a, .proc = k, .mem = r});
-  }
-
+                   const CcdInstruments& ins, Proposals& proposals) {
   double threshold = eval.censor_threshold(p);
-  for (const Move& move : moves) {
+  for (const Move& move :
+       proposals.moves(t, search_distribution_strategies)) {
     if (eval.budget_exhausted()) return;
-    Mapping candidate = apply_move(f, t, move, overlap, graph, machine);
+    Mapping& candidate = proposals.propose(f, t, move, overlap);
     const double mean = eval.evaluate(candidate, threshold);
     const bool accepted = mean < p;
     // Journal the move before the incumbent is updated: `f` is still the
     // pre-move base the forced-move diff needs, and `p` the delta baseline.
     if (ins.active()) {
-      emit_move(ins, move, t, overlap, graph, f, candidate, accepted, mean,
-                p, eval.stats().search_time_s);
+      emit_move(ins, move, t, overlap, sim.graph(), f, candidate, accepted,
+                mean, p, eval.stats().search_time_s);
     }
     if (accepted) {
-      f = std::move(candidate);
+      std::swap(f, candidate);  // the next proposal overwrites the old f
       p = mean;
       threshold = eval.censor_threshold(p);
     }
@@ -426,6 +523,7 @@ void descend(Evaluator& eval, const Simulator& sim,
 
   const int rotations = constrained ? options.rotations : 1;
   const int first = static_cast<int>(eval.stats().rotations.size());
+  Proposals proposals(graph, sim.machine());
   Rng profile_rng(mix64(options.seed) ^ 0x1b873593ULL);
 
   // Durably publishes the evaluator's checkpoint log at a task or rotation
@@ -483,7 +581,7 @@ void descend(Evaluator& eval, const Simulator& sim,
                                     static_cast<int>(t.index()));
       }
       optimize_task(t, f, p, eval, sim, overlap,
-                    options.search_distribution_strategies, ins);
+                    options.search_distribution_strategies, ins, proposals);
       checkpoint(rotation, static_cast<int>(pos + 1));
     }
     if (ins.journal != nullptr) ins.journal->clear_coordinate();

@@ -244,7 +244,7 @@ const ExecutionReport& Evaluator::run_repeat(const Mapping& candidate,
 }
 
 RunRecord Evaluator::run_candidate(const Mapping& candidate,
-                                   std::uint64_t key, double threshold_s,
+                                   std::uint64_t hash, double threshold_s,
                                    bool bound_runs) {
   // The mean races its running sum against the censor threshold T: after
   // k completed runs the candidate is censored when the sum exceeds
@@ -284,7 +284,7 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
   // verdict and charge are computed from their totals (a post-censor run
   // charges and contributes nothing), so both modes produce the same
   // record bit for bit.
-  RunRecord run{.hash = key};
+  RunRecord run{.hash = hash};
   const auto fail = [&run](Outcome status) {
     run.status = status;
     run.value = kInf;
@@ -296,7 +296,7 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
   // the caller), which surfaces before the event loop, so censoring never
   // masks it. It still costs some time to observe: the runtime aborts
   // during instance allocation.
-  if (!sim_.begin_runs(candidate, plan_hash(candidate, key), scratch_)) {
+  if (!sim_.begin_runs(candidate, plan_hash(candidate, hash), scratch_)) {
     run.charge_s = failure_observation_cost();
     return fail(Outcome::kOom);
   }
@@ -330,7 +330,7 @@ RunRecord Evaluator::run_candidate(const Mapping& candidate,
     // past it, making prune on/off observably different. The censor
     // verdict is still computed from the totals below.
     const ExecutionReport& report =
-        run_repeat(candidate, key, r, kEvalSalt,
+        run_repeat(candidate, hash, r, kEvalSalt,
                    (bound_runs && !inject) ? allowance : kInf, run);
     if (!report.ok) {
       // The retry budget ran out and the repeat is lost. Quarantine: the
@@ -399,19 +399,22 @@ void Evaluator::append_record(const RunRecord& run) {
 }
 
 std::string Evaluator::export_profiles() const {
-  // Canonical order (sorted by structural hash): unordered_map iteration
+  // Canonical order (sorted by structural hash, then by text in the
+  // unlikely case that two entries share one): unordered_map iteration
   // varies between runs and library versions, and checkpoint/resume
   // bit-identity needs the exported bytes to be a pure function of the
   // database contents.
-  std::vector<std::pair<std::uint64_t, const Entry*>> order;
+  std::vector<const Entry*> order;
   order.reserve(profiles_.size());
-  for (const auto& [hash, entry] : profiles_) order.emplace_back(hash, &entry);
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& kv : profiles_) order.push_back(&kv.second);
+  std::sort(order.begin(), order.end(), [](const Entry* a, const Entry* b) {
+    if (a->hash != b->hash) return a->hash < b->hash;
+    return a->mapping.serialize() < b->mapping.serialize();
+  });
   std::ostringstream os;
   os.precision(17);
   os << "profiles " << profiles_.size() << "\n";
-  for (const auto& [hash, entry] : order) {
+  for (const Entry* entry : order) {
     os << "entry " << entry->mean_seconds;
     if (entry->censored) os << " censored";
     if (entry->quarantined) os << " quarantined";
@@ -441,17 +444,18 @@ void Evaluator::import_profiles(const std::string& text) {
     const bool censored = t.size() == 3 && t[2] == "censored";
     const bool quarantined = t.size() == 3 && t[2] == "quarantined";
     Mapping mapping = Mapping::read(reader, graph);
-    const std::uint64_t key = mapping.hash();
+    const std::uint64_t hash = mapping.hash();
     if (mean < kInf && !censored) {
       // insert_top dedupes by hash, so importing the same database twice
       // (or re-importing after a search) does not stack duplicate
       // finalists. Censored entries stay out of the finalist list and the
       // incumbent — their stored value is a bound, not a mean.
-      insert_top(mapping, key, mean);
+      insert_top(mapping, hash, mean);
       best_seconds_ = std::min(best_seconds_, mean);
     }
+    const std::uint64_t key = mapping.key();
     profiles_.insert_or_assign(
-        key, Entry{std::move(mapping), mean, censored, quarantined});
+        key, Entry{std::move(mapping), hash, mean, censored, quarantined});
   }
   reader.expect(!reader.next(t),
                 "profiles database holds more than " + entries + " entries");
@@ -470,8 +474,21 @@ void Evaluator::insert_top(const Mapping& mapping, std::uint64_t hash,
 }
 
 std::uint64_t Evaluator::plan_hash(const Mapping& candidate,
-                                   std::uint64_t key) const {
-  return options_.memory_fallbacks ? candidate.hash() : key;
+                                   std::uint64_t hash) const {
+  return options_.memory_fallbacks ? candidate.hash() : hash;
+}
+
+void Evaluator::record_profile(std::uint64_t key, const Mapping& mapping,
+                               std::uint64_t hash, double mean,
+                               Outcome outcome) {
+  // A censored entry is re-executed only if a later evaluation needs it
+  // resolved under a looser threshold; a quarantined one never is.
+  Entry& entry = profiles_[key];
+  entry.mapping = mapping;
+  entry.hash = hash;
+  entry.mean_seconds = mean;
+  entry.censored = outcome == Outcome::kCensored;
+  entry.quarantined = outcome == Outcome::kQuarantined;
 }
 
 Mapping Evaluator::with_fallbacks(const Mapping& mapping) const {
@@ -507,16 +524,20 @@ double Evaluator::censor_threshold(double interest_bound_s) const {
 }
 
 double Evaluator::evaluate(const Mapping& mapping, double threshold_s) {
-  const std::uint64_t key = mapping.hash();
   ++stats_.suggested;
 
   // A cached entry answers the query unless it is censored at a bound
   // tighter than this threshold — then the caller needs the mean resolved
-  // further and the candidate re-executes, overwriting the entry.
+  // further and the candidate re-executes, overwriting the entry. The
+  // database is keyed by the cheap identity key; the structural hash that
+  // seeds runs and names the candidate is computed only for a proposal the
+  // database does not answer, and a cache hit takes it from the entry.
+  const std::uint64_t key = mapping.key();
   const auto it = profiles_.find(key);
   const bool cached =
       it != profiles_.end() && it->second.mapping == mapping &&
       (!it->second.censored || it->second.mean_seconds >= threshold_s);
+  const std::uint64_t hash = cached ? it->second.hash : mapping.hash();
   Mapping extended;  // the fallback-extended copy, when one is needed
   if (!cached && options_.memory_fallbacks)
     extended = with_fallbacks(mapping);
@@ -528,9 +549,9 @@ double Evaluator::evaluate(const Mapping& mapping, double threshold_s) {
     mean = it->second.mean_seconds;
     outcome = Outcome::kCached;
   } else if (!candidate.valid(sim_.graph(), sim_.machine())) {
-    profiles_.insert_or_assign(key, Entry{mapping, kInf});
     mean = kInf;
     outcome = Outcome::kInvalid;
+    record_profile(key, mapping, hash, mean, outcome);
   } else {
     // A resumed search takes each executed candidate's outcome from its
     // log until the log is spent; from then on candidates simulate, and a
@@ -539,14 +560,14 @@ double Evaluator::evaluate(const Mapping& mapping, double threshold_s) {
     // whether the simulator actually stops at the line.
     RunRecord run;
     if (replayed_ < resumed_.records.size()) {
-      run = next_replayed(key, threshold_s);
+      run = next_replayed(hash, threshold_s);
     } else {
       // The first live candidate that races a finite threshold measures the
       // line first: measuring re-plans the scratch arena.
       if (line_start_.has_value() && std::isfinite(threshold_s))
         calibrate_line();
       run = run_candidate(
-          candidate, key, threshold_s,
+          candidate, hash, threshold_s,
           options_.prune_candidates && std::isfinite(threshold_s));
       if (keep_log_) append_record(run);
     }
@@ -557,12 +578,7 @@ double Evaluator::evaluate(const Mapping& mapping, double threshold_s) {
     stats_.evaluation_time_s += run.charge_s;
     mean = run.value;
     outcome = run.status;
-    // A censored entry is re-executed only if a later evaluation needs it
-    // resolved under a looser threshold; a quarantined one never is.
-    profiles_.insert_or_assign(
-        key, Entry{mapping, mean,
-                   /*censored=*/outcome == Outcome::kCensored,
-                   /*quarantined=*/outcome == Outcome::kQuarantined});
+    record_profile(key, mapping, hash, mean, outcome);
     // Censored, failed and quarantined candidates never update the
     // incumbent, trajectory or finalist list.
     if (outcome == Outcome::kEvaluated) {
@@ -580,14 +596,14 @@ double Evaluator::evaluate(const Mapping& mapping, double threshold_s) {
         }
       }
       // Maintain the top-k list for the finalist protocol.
-      if (mean < kInf) insert_top(mapping, key, mean);
+      if (mean < kInf) insert_top(mapping, hash, mean);
     }
   }
   const OutcomeRow& row = row_of(outcome);
   if (row.executed) ++stats_.evaluated;
   if (row.count != nullptr) ++(stats_.*row.count);
 
-  if (journal_ || metrics_) journal_candidate(outcome, mean, key);
+  if (journal_ || metrics_) journal_candidate(outcome, mean, hash);
   return mean;
 }
 
@@ -662,14 +678,14 @@ void Evaluator::calibrate_line() {
   // are not charged: evaluating the start charges them, and a cached or
   // replayed start costs wall time only.
   const Mapping candidate = with_fallbacks(start);
-  const std::uint64_t key = start.hash();
-  if (!sim_.begin_runs(candidate, plan_hash(candidate, key), scratch_))
+  const std::uint64_t hash = start.hash();
+  if (!sim_.begin_runs(candidate, plan_hash(candidate, hash), scratch_))
     return;  // invalid or out of memory
   std::vector<double> totals;
   RunRecord uncharged;
   for (int r = 0; r < options_.repeats; ++r) {
     const ExecutionReport& report =
-        run_repeat(candidate, key, r, kEvalSalt, kInf, uncharged);
+        run_repeat(candidate, hash, r, kEvalSalt, kInf, uncharged);
     if (report.ok) totals.push_back(report.total_seconds);
   }
   if (totals.size() < 2) return;

@@ -231,9 +231,14 @@ class Evaluator {
   [[nodiscard]] std::string serialize_state() const;
 
  private:
+  /// One profiles-database entry, keyed by Mapping::key(); `mapping` ==
+  /// is the collision check.
   struct Entry {
     Mapping mapping;
-    double mean_seconds;
+    /// mapping.hash(): a cache hit journals it without rehashing, and the
+    /// export orders entries by it.
+    std::uint64_t hash = 0;
+    double mean_seconds = 0.0;
     /// True when mean_seconds is a censored observation: the candidate's
     /// true mean provably exceeds the stored value (the censor threshold
     /// in force when it was recorded) but was never resolved exactly. A
@@ -294,7 +299,7 @@ class Evaluator {
   /// (`bound_runs`) on and off produce identical outcomes — pruning only
   /// skips the simulation work past the bound.
   [[nodiscard]] RunRecord run_candidate(const Mapping& candidate,
-                                        std::uint64_t key, double threshold_s,
+                                        std::uint64_t hash, double threshold_s,
                                         bool bound_runs);
   /// The next record of the log being resumed, checked against the
   /// candidate the search executes now: the mapping hash must match, and a
@@ -318,12 +323,16 @@ class Evaluator {
   /// task before aborting, so each failure charges one runtime-overhead
   /// quantum per task to the search clock.
   [[nodiscard]] double failure_observation_cost() const;
-  /// The hash begin_runs seeds `candidate`'s runs with, where `key` is the
+  /// The hash begin_runs seeds `candidate`'s runs with, where `hash` is the
   /// proposed mapping's: the plan hash seeds the noise and fault streams of
   /// the mapping actually simulated, which under memory_fallbacks is the
   /// fallback-extended copy.
   [[nodiscard]] std::uint64_t plan_hash(const Mapping& candidate,
-                                        std::uint64_t key) const;
+                                        std::uint64_t hash) const;
+  /// Records `mapping`'s outcome in the profiles database under `key`
+  /// (mapping.key()), replacing any entry there in its storage.
+  void record_profile(std::uint64_t key, const Mapping& mapping,
+                      std::uint64_t hash, double mean, Outcome outcome);
   /// Inserts into the top-k finalist list unless an entry with the same
   /// structural hash and mapping is already present (dedupe on import).
   /// `hash` is mapping.hash(), which the entry keeps.
@@ -344,7 +353,7 @@ class Evaluator {
   /// One candidate's per-run values under the robust aggregations, reused
   /// by every candidate and finalist so a repeat allocates nothing.
   std::vector<double> objectives_;
-  std::unordered_map<std::uint64_t, Entry> profiles_;
+  std::unordered_map<std::uint64_t, Entry> profiles_;  // by Mapping::key()
   std::vector<Finalist> top_;  // sorted ascending by mean, at most top_k
   double best_seconds_;
   SearchStats stats_;

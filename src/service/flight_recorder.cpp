@@ -78,9 +78,14 @@ FlightRecorder::Timeline& FlightRecorder::timeline_locked(
 void FlightRecorder::append_locked(Timeline& timeline, Span span) {
   while (timeline.spans.size() >= kRecorderMaxSpansPerJob &&
          timeline.spans.size() > 1) {
-    // Keep the first span — it anchors age_ms — and shed the oldest of
-    // the rest (in practice checkpoint markers, the only unbounded part).
-    timeline.spans.erase(timeline.spans.begin() + 1);
+    // Keep the first span — it anchors age_ms — and shed the oldest
+    // instant marker after it: markers (checkpoints) are what grows
+    // without bound, and the lifecycle spans say when the job ran. Only a
+    // timeline with no marker left sheds its oldest span after the first.
+    const auto rest = timeline.spans.begin() + 1;
+    const auto marker = std::find_if(
+        rest, timeline.spans.end(), [](const Span& s) { return s.instant; });
+    timeline.spans.erase(marker != timeline.spans.end() ? marker : rest);
     ++timeline.dropped;
   }
   timeline.spans.push_back(std::move(span));

@@ -16,9 +16,11 @@
 // later transition on a sealed timeline reopens it, which is exactly the
 // service's cancelled-job revival path.
 //
-// Bounded by design: at most kRecorderMaxSpansPerJob spans per job (the
-// oldest non-initial spans are dropped and counted — checkpoint markers
-// are what grows, and the first span anchors the job's age), at most
+// Bounded by design: at most kRecorderMaxSpansPerJob spans per job (past
+// it the oldest instant marker after the first span is dropped and
+// counted — checkpoint markers are what grows, the first span anchors the
+// job's age, and the lifecycle chain stays gap-free; only a timeline with
+// no marker left drops its oldest span after the first), at most
 // kRecorderMaxJobs timelines (least-recently-touched terminal timelines evict
 // first), and a fixed ring of service-level events (admission rejections,
 // deadline expiries, evictions, quarantines). The recorder has its own
@@ -49,8 +51,10 @@ class JsonWriter;
 /// terminal timeline (or the least-recently-touched overall when none is
 /// terminal).
 inline constexpr std::size_t kRecorderMaxJobs = 512;
-/// Span budget per timeline; exceeding it drops the oldest span after the
-/// first (the first anchors the job's age) and bumps dropped().
+/// Span budget per timeline; exceeding it drops the oldest instant marker
+/// after the first span (the first anchors the job's age), or the oldest
+/// span after the first when no marker is left, and bumps the timeline's
+/// `dropped` count.
 inline constexpr std::size_t kRecorderMaxSpansPerJob = 64;
 /// Ring size for service-level events (admission rejections, deadline
 /// expiries, evictions, quarantines).

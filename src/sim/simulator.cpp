@@ -794,13 +794,13 @@ bool Simulator::begin_runs(const Mapping& mapping, std::uint64_t hash,
   if (plans_total_) plans_total_->inc();
   prepare(scratch);
 
-  {
-    const auto violations = mapping.violations(graph_, machine_);
-    if (!violations.empty()) {
-      clear_report(scratch.report_, options_.iterations);
-      scratch.report_.failure = "invalid mapping: " + violations.front();
-      return false;
-    }
+  // The strings are rendered only on failure: the search proposes
+  // mappings it has already validated.
+  if (!mapping.valid(graph_, machine_)) {
+    clear_report(scratch.report_, options_.iterations);
+    scratch.report_.failure =
+        "invalid mapping: " + mapping.violations(graph_, machine_).front();
+    return false;
   }
 
   if (!resolve_memories(mapping, scratch)) {

@@ -43,6 +43,8 @@ CollectionId TaskGraph::add_collection(RegionId region, std::string name,
   const CollectionId id(collections_.size());
   collections_.push_back(
       {.id = id, .region = region, .name = std::move(name), .rect = rect});
+  collection_bytes_.push_back(rect.volume() *
+                              regions_[region.index()].bytes_per_element);
   return id;
 }
 
@@ -104,11 +106,6 @@ const Collection& TaskGraph::collection(CollectionId id) const {
 const GroupTask& TaskGraph::task(TaskId id) const {
   AM_REQUIRE(id.index() < tasks_.size(), "unknown task");
   return tasks_[id.index()];
-}
-
-std::uint64_t TaskGraph::collection_bytes(CollectionId id) const {
-  const Collection& c = collection(id);
-  return c.volume() * region(c.region).bytes_per_element;
 }
 
 namespace {

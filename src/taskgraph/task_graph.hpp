@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/support/error.hpp"
 #include "src/support/id.hpp"
 #include "src/taskgraph/rect.hpp"
 
@@ -174,8 +175,13 @@ class TaskGraph {
     return edges_;
   }
 
-  /// Bytes of one collection (volume x element size of its region).
-  [[nodiscard]] std::uint64_t collection_bytes(CollectionId id) const;
+  /// Bytes of one collection (volume x element size of its region), from
+  /// a table add_collection fills: memory resolution reads it for every
+  /// argument of every candidate.
+  [[nodiscard]] std::uint64_t collection_bytes(CollectionId id) const {
+    AM_REQUIRE(id.index() < collection_bytes_.size(), "unknown collection");
+    return collection_bytes_[id.index()];
+  }
 
   /// Topological order of the same-iteration subgraph.
   [[nodiscard]] std::vector<TaskId> topological_order() const;
@@ -194,6 +200,7 @@ class TaskGraph {
  private:
   std::vector<Region> regions_;
   std::vector<Collection> collections_;
+  std::vector<std::uint64_t> collection_bytes_;  // by collection id
   std::vector<GroupTask> tasks_;
   std::vector<std::uint32_t> arg_off_ = {0};  // see arg_offsets()
   std::vector<DependenceEdge> edges_;

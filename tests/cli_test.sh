@@ -27,6 +27,13 @@ test -s "$DIR/db.txt"
 "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --rotations 2 --repeats 3 \
       --profiles "$DIR/db.txt" | grep -q "seeded profiles database"
 
+# Each fault flag's help names the event its probability is drawn per.
+help="$("$CLI" search --help)"
+grep -q -- "--fault-crash P .*crash probability per task execution" <<< "$help"
+grep -q -- "--fault-straggler P .*per task execution" <<< "$help"
+grep -q -- "--fault-oom P .*per run" <<< "$help"
+grep -q -- "--fault-copy P .*per copy leg" <<< "$help"
+
 # The alternative algorithms run through the same entry point.
 "$CLI" search "$DIR/m.machine" "$DIR/g.graph" --algorithm heft \
       --repeats 2 | grep -q "HEFT-static"

@@ -160,5 +160,35 @@ TEST(Evaluator, CensorThresholdIsTheLooserOfBoundAndKthFinalist) {
   EXPECT_EQ(energy.censor_threshold(joules), kInf);
 }
 
+TEST(Evaluator, LeaderTasksDifferingOnlyInBlockedReplaceOneEntry) {
+  // Two mappings that differ only in a leader task's meaningless `blocked`
+  // flag share the structural hash and the identity key but are not equal:
+  // each evaluation in turn misses the other's entry, re-executes (runs
+  // seeded by the shared hash, so the same mean) and replaces it.
+  MiniApp app;
+  const MachineModel machine = make_shepard(1);
+  Simulator sim(machine, app.g, {.iterations = 2, .noise_sigma = 0.05});
+  Mapping leader = search_starting_point(app.g, machine);
+  leader.at(app.producer).distribute = false;
+  leader.at(app.producer).blocked = false;
+  Mapping blocked = leader;
+  blocked.at(app.producer).blocked = true;
+  ASSERT_NE(blocked, leader);
+
+  Evaluator eval(sim, {.repeats = 2, .seed = 5});
+  const double first = eval.evaluate(leader);
+  ASSERT_TRUE(std::isfinite(first));
+  EXPECT_EQ(eval.evaluate(blocked), first);
+  EXPECT_EQ(eval.stats().evaluated, 2u);
+  EXPECT_EQ(eval.stats().cache_hits, 0u);
+  EXPECT_EQ(eval.evaluate(leader), first);
+  EXPECT_EQ(eval.stats().evaluated, 3u);
+  EXPECT_EQ(eval.stats().cache_hits, 0u);
+  // One entry, holding the latest of the two.
+  EXPECT_EQ(eval.export_profiles().rfind("profiles 1\n", 0), 0u);
+  EXPECT_EQ(eval.evaluate(leader), first);
+  EXPECT_EQ(eval.stats().cache_hits, 1u);
+}
+
 }  // namespace
 }  // namespace automap

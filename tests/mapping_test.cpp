@@ -16,6 +16,7 @@
 #include "src/support/error.hpp"
 #include "src/support/json.hpp"
 #include "src/taskgraph/task_graph.hpp"
+#include "tests/random_graph.hpp"
 
 namespace automap {
 namespace {
@@ -265,6 +266,116 @@ TEST(MemPriorityDeathTest, IndexPastSizeAborts) {
   EXPECT_DEATH((void)MemPriority{}.front(), "");
 }
 #endif
+
+/// Every memory priority list: each length, each order of distinct kinds.
+std::vector<MemPriority> every_priority_list() {
+  std::vector<MemPriority> out;
+  for (const MemKind a : kAllMemKinds) {
+    out.push_back({a});
+    for (const MemKind b : kAllMemKinds) {
+      if (b == a) continue;
+      out.push_back({a, b});
+      for (const MemKind c : kAllMemKinds)
+        if (c != a && c != b) out.push_back({a, b, c});
+    }
+  }
+  return out;
+}
+
+// The profiles database looks candidates up by key(): equal mappings must
+// share a key, and every decision hash() sees must move key() too, so the
+// key partitions mappings as the structural hash does.
+TEST(MappingKey, EqualMappingsShareKeysAndEveryDecisionMovesKeyAndHash) {
+  const MachineModel machine = make_shepard(2);
+  const std::vector<MemPriority> lists = every_priority_list();
+  ASSERT_EQ(lists.size(), 15u);
+  Rng rng(11);
+  int changes = 0;
+  for (int g = 0; g < 20; ++g) {
+    const TaskGraph graph = random_graph(rng);
+    for (int n = 0; n < 4; ++n) {
+      const Mapping base = random_mapping(graph, machine, rng);
+      const std::uint64_t key = base.key();
+      const std::uint64_t hash = base.hash();
+
+      // Equal mappings: a copy, and one whose lists were refilled (what
+      // clear() leaves behind must not reach the key).
+      Mapping rebuilt = base;
+      for (const GroupTask& task : graph.tasks()) {
+        for (MemPriority& list : rebuilt.memories(task.id)) {
+          const MemPriority kept = list;
+          list.assign(1, MemKind::kSystem);
+          for (const MemKind m : kAllMemKinds)
+            if (m != MemKind::kSystem) list.push_back(m);
+          list.clear();
+          for (const MemKind m : kept) list.push_back(m);
+        }
+      }
+      ASSERT_EQ(rebuilt, base);
+      EXPECT_EQ(rebuilt.key(), key);
+      EXPECT_EQ(Mapping(base).key(), key);
+
+      const auto expect_moved = [&](const Mapping& changed,
+                                    const std::string& what) {
+        EXPECT_NE(changed.key(), key) << what;
+        EXPECT_NE(changed.hash(), hash) << what;
+        ++changes;
+      };
+      for (const GroupTask& task : graph.tasks()) {
+        const TaskMapping& tm = base.at(task.id);
+        const std::string name = "graph " + std::to_string(g) + " task " +
+                                 std::to_string(task.id.index());
+        // The distribution: distributed round-robin, blocked, or leader.
+        for (const auto& [distribute, blocked] :
+             {std::pair{true, false}, {true, true}, {false, false}}) {
+          if (distribute == tm.distribute &&
+              (!distribute || blocked == tm.blocked))
+            continue;  // the same decision
+          Mapping m = base;
+          m.at(task.id).distribute = distribute;
+          m.at(task.id).blocked = blocked;
+          expect_moved(m, name + " distribution");
+        }
+        Mapping m = base;
+        m.at(task.id).proc =
+            tm.proc == ProcKind::kCpu ? ProcKind::kGpu : ProcKind::kCpu;
+        expect_moved(m, name + " processor");
+        for (std::size_t a = 0; a < task.args.size(); ++a) {
+          for (const MemPriority& list : lists) {
+            if (list == base.memories(task.id)[a]) continue;
+            Mapping changed = base;
+            changed.memories(task.id)[a] = list;
+            expect_moved(changed, name + " arg " + std::to_string(a) +
+                                      " list of " +
+                                      std::to_string(list.size()));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(changes, 1000);
+}
+
+// `blocked` means nothing for a leader-only task: both identities ignore
+// it, while Mapping == still tells the two apart.
+TEST(MappingKey, LeaderTasksIgnoreBlocked) {
+  const MachineModel machine = make_shepard(2);
+  Rng rng(5);
+  for (int g = 0; g < 20; ++g) {
+    const TaskGraph graph = random_graph(rng);
+    const Mapping base = random_mapping(graph, machine, rng);
+    for (const GroupTask& task : graph.tasks()) {
+      Mapping leader = base;
+      leader.at(task.id).distribute = false;
+      leader.at(task.id).blocked = false;
+      Mapping blocked = leader;
+      blocked.at(task.id).blocked = true;
+      EXPECT_NE(blocked, leader);
+      EXPECT_EQ(blocked.hash(), leader.hash());
+      EXPECT_EQ(blocked.key(), leader.key());
+    }
+  }
+}
 
 // Every run's noise seed derives from Mapping::hash(), and every file a
 // search writes holds Mapping::serialize(). These pins, recorded from a

@@ -1,13 +1,15 @@
 #pragma once
 
-// Random but well-formed task graphs for property tests: the fuzz
-// properties and the reference-simulator comparison draw from the same
-// generator.
+// Random but well-formed task graphs and valid mappings for property
+// tests: the fuzz properties, the reference-simulator comparison and the
+// mapping-key properties draw from the same generators.
 
 #include <array>
 #include <string>
 #include <vector>
 
+#include "src/machine/machine.hpp"
+#include "src/mapping/mapping.hpp"
 #include "src/support/rng.hpp"
 #include "src/taskgraph/task_graph.hpp"
 
@@ -84,6 +86,31 @@ inline TaskGraph random_graph(Rng& rng) {
   }
   g.validate();
   return g;
+}
+
+/// A random valid mapping: a processor kind the task has a variant for,
+/// random distribution and layout, and per argument a random addressable
+/// memory followed by random addressable fallbacks.
+inline Mapping random_mapping(const TaskGraph& graph,
+                              const MachineModel& machine, Rng& rng) {
+  Mapping m(graph);
+  for (const GroupTask& task : graph.tasks()) {
+    TaskMapping& tm = m.at(task.id);
+    tm.proc = task.cost.has_gpu_variant() && rng.bernoulli(0.6)
+                  ? ProcKind::kGpu
+                  : ProcKind::kCpu;
+    tm.distribute = rng.bernoulli(0.6);
+    tm.blocked = rng.bernoulli(0.4);
+    const std::vector<MemKind> kinds =
+        machine.memories_addressable_by(tm.proc);
+    for (MemPriority& list : m.memories(task.id)) {
+      list.clear();
+      list.push_back(kinds[rng.uniform_index(kinds.size())]);
+      for (const MemKind kind : kinds)
+        if (kind != list.front() && rng.bernoulli(0.5)) list.push_back(kind);
+    }
+  }
+  return m;
 }
 
 }  // namespace automap

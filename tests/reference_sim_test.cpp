@@ -324,31 +324,6 @@ class ReferenceSim {
   mutable std::map<std::pair<int, MemKind>, std::uint64_t> used_;
 };
 
-/// A random valid mapping: a processor kind the task has a variant for,
-/// random distribution and layout, and per argument a random addressable
-/// memory followed by random addressable fallbacks.
-Mapping random_mapping(const TaskGraph& graph, const MachineModel& machine,
-                       Rng& rng) {
-  Mapping m(graph);
-  for (const GroupTask& task : graph.tasks()) {
-    TaskMapping& tm = m.at(task.id);
-    tm.proc = task.cost.has_gpu_variant() && rng.bernoulli(0.6)
-                  ? ProcKind::kGpu
-                  : ProcKind::kCpu;
-    tm.distribute = rng.bernoulli(0.6);
-    tm.blocked = rng.bernoulli(0.4);
-    const std::vector<MemKind> kinds =
-        machine.memories_addressable_by(tm.proc);
-    for (MemPriority& list : m.memories(task.id)) {
-      list.clear();
-      list.push_back(kinds[rng.uniform_index(kinds.size())]);
-      for (const MemKind kind : kinds)
-        if (kind != list.front() && rng.bernoulli(0.5)) list.push_back(kind);
-    }
-  }
-  return m;
-}
-
 /// Shepard with every memory allocation shrunk to a few MiB, so random
 /// graphs fill it: placements demote, some fail, and memory pressure bites.
 MachineModel tiny_shepard(int nodes) {

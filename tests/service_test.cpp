@@ -1852,6 +1852,33 @@ TEST(Service, JobsReportAgeWaitSpanAndOpErrorsCountPerOp) {
             0.0);
 }
 
+TEST(Service, RecorderShedsMarkersBeforeLifecycleSpans) {
+  // A long job outgrows the per-job span bound with checkpoint markers.
+  // The bound sheds the oldest markers, so the lifecycle chain that says
+  // when the job ran survives whole and gap-free. Fake clock: 1 ms a read.
+  auto tick = std::make_shared<double>(0.0);
+  FlightRecorder recorder([tick] { return *tick += 1.0; });
+  for (const char* span : {"submitted", "queued", "admitted", "running"})
+    recorder.transition(1, span, span == std::string("running") ? 0 : -1);
+  constexpr int kMarkers = 70;
+  for (int i = 0; i < kMarkers; ++i) recorder.instant(1, "checkpointed");
+  recorder.terminal(1, "finished");
+
+  const JsonValue trace = parse_json(recorder.serialize(1));
+  const std::size_t recorded = 4 + kMarkers + 1;
+  EXPECT_EQ(trace.num_or("dropped", -1),
+            static_cast<double>(recorded - kRecorderMaxSpansPerJob));
+  const std::vector<SpanView> spans = spans_of(trace);
+  ASSERT_EQ(spans.size(), kRecorderMaxSpansPerJob);
+  expect_timeline(spans, {"submitted", "queued", "admitted", "running",
+                          "finished"});
+  // The newest markers are the ones kept.
+  EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                          [](const SpanView& s) { return s.instant; }),
+            static_cast<long>(kRecorderMaxSpansPerJob) - 5);
+  EXPECT_EQ(spans[spans.size() - 2].start, spans.back().start - 1.0);
+}
+
 TEST(Service, SpansFileWithNonIntegerCountersIsQuarantined) {
   // restore() refuses a count that is not a bounded integer (a cast of the
   // double would be undefined behaviour), so recovery quarantines the file.

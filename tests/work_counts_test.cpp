@@ -142,21 +142,26 @@ struct Pin {
 // mean's censor line was calibrated to the start mapping's measured
 // spread (allocations HTR 15,642 / 15,374 / 15,110, Pennant 19,938 /
 // 19,958 / 19,919): one more plan and `repeats` more runs measure the
-// start, and far fewer runs race to the cap.
+// start, and far fewer runs race to the cap. Every ceiling was re-recorded
+// when CCD began to build each proposal in one reused mapping, with
+// reused co-location work lists and a profiles database that reuses an
+// entry's storage; no search or simulator count moved (mean rows HTR
+// 4,776 / 4,508 / 4,244, Pennant 5,825 / 5,845 / 5,806; median rows HTR
+// 3,946 / 3,728 / 4,428, Pennant 5,751 / 5,736 / 5,599).
 // clang-format off
 constexpr Pin kPins[] = {
-    {"htr", Aggregation::kMean, 1, 1721, 823, 898, 834, 3278, 691, 981641, 16000},
-    {"htr", Aggregation::kMean, 2, 1721, 774, 947, 785, 3368, 659, 971966, 16000},
-    {"htr", Aggregation::kMean, 3, 1721, 718, 1003, 729, 2860, 616, 815257, 16000},
-    {"pennant", Aggregation::kMean, 1, 2251, 1062, 1189, 1073, 4255, 830, 1929630, 20000},
-    {"pennant", Aggregation::kMean, 2, 2251, 1098, 1153, 1109, 4202, 907, 1861494, 20000},
-    {"pennant", Aggregation::kMean, 3, 2251, 1089, 1162, 1100, 4184, 899, 1909004, 20000},
-    {"htr", Aggregation::kMedian, 1, 1721, 644, 1077, 654, 3274, 2326, 1020419, 15000},
-    {"htr", Aggregation::kMedian, 2, 1721, 600, 1121, 610, 3017, 2163, 800688, 15000},
-    {"htr", Aggregation::kMedian, 3, 1721, 753, 968, 763, 3801, 2702, 1160287, 16000},
-    {"pennant", Aggregation::kMedian, 1, 2251, 1066, 1185, 1076, 5339, 3697, 2238063, 20000},
-    {"pennant", Aggregation::kMedian, 2, 2251, 1065, 1186, 1075, 5312, 3640, 2240015, 20000},
-    {"pennant", Aggregation::kMedian, 3, 2251, 1033, 1218, 1043, 5140, 3522, 2170945, 20000},
+    {"htr", Aggregation::kMean, 1, 1721, 823, 898, 834, 3278, 691, 981641, 5000},
+    {"htr", Aggregation::kMean, 2, 1721, 774, 947, 785, 3368, 659, 971966, 5000},
+    {"htr", Aggregation::kMean, 3, 1721, 718, 1003, 729, 2860, 616, 815257, 5000},
+    {"pennant", Aggregation::kMean, 1, 2251, 1062, 1189, 1073, 4255, 830, 1929630, 6000},
+    {"pennant", Aggregation::kMean, 2, 2251, 1098, 1153, 1109, 4202, 907, 1861494, 6000},
+    {"pennant", Aggregation::kMean, 3, 2251, 1089, 1162, 1100, 4184, 899, 1909004, 6000},
+    {"htr", Aggregation::kMedian, 1, 1721, 644, 1077, 654, 3274, 2326, 1020419, 4000},
+    {"htr", Aggregation::kMedian, 2, 1721, 600, 1121, 610, 3017, 2163, 800688, 4000},
+    {"htr", Aggregation::kMedian, 3, 1721, 753, 968, 763, 3801, 2702, 1160287, 5000},
+    {"pennant", Aggregation::kMedian, 1, 2251, 1066, 1185, 1076, 5339, 3697, 2238063, 6000},
+    {"pennant", Aggregation::kMedian, 2, 2251, 1065, 1186, 1075, 5312, 3640, 2240015, 6000},
+    {"pennant", Aggregation::kMedian, 3, 2251, 1033, 1218, 1043, 5140, 3522, 2170945, 6000},
 };
 // clang-format on
 
